@@ -221,11 +221,12 @@ let run_example () =
       (Classify.classify sched);
     Printf.printf
       "  global %d | left-only %d | right-only %d | per-cluster %s | required %d\n"
-      detail.Requirements.global_requirement
-      detail.Requirements.local_requirements.(0)
-      detail.Requirements.local_requirements.(1)
+      (Lazy.force detail.Requirements.global_requirement)
+      (Lazy.force detail.Requirements.local_requirements).(0)
+      (Lazy.force detail.Requirements.local_requirements).(1)
       (String.concat "/"
-         (Array.to_list (Array.map string_of_int detail.Requirements.cluster_requirements)))
+         (Array.to_list
+            (Array.map string_of_int (Lazy.force detail.Requirements.cluster_requirements))))
       detail.Requirements.requirement
   in
   show_alloc "Table 3: allocation classes (before swapping)" sched;

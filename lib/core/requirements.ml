@@ -5,10 +5,10 @@ module Error = Ncdrf_error.Error
 
 type detail = {
   requirement : int;
-  cluster_requirements : int array;
-  global_requirement : int;
-  local_requirements : int array;
-  max_live : int array;
+  cluster_requirements : int array Lazy.t;
+  global_requirement : int Lazy.t;
+  local_requirements : int array Lazy.t;
+  max_live : int array Lazy.t;
 }
 
 let unified ?strategy ?order sched =
@@ -245,43 +245,46 @@ let partitioned_allocation ?strategy ?order sched =
       }
   end
 
+(* Only [requirement] is searched up front; the breakdown costs k + 1
+   more searches plus k local ones, and most callers never read it. *)
 let partitioned ?strategy ?order sched =
   let ii = Schedule.ii sched in
   let groups = grouped sched in
   let j = joint_of ~ii groups in
   let cluster_requirements =
-    Array.mapi
-      (fun c ls ->
-        (* The cluster in isolation: its replicated prefix plus its
-           locals, on its own table. *)
-        let groups_c =
-          {
-            shared = List.map (fun l -> (l, [ 0 ])) (shared_in groups c);
-            locals = [| ls |];
-          }
-        in
-        let n_pre = Array.length j.prefix.(c) in
-        let j_c =
-          {
-            num_globals = n_pre;
-            gtable = j.tables.(c);
-            tables = [| j.tables.(c) |];
-            prefix = [| Array.init n_pre Fun.id |];
-          }
-        in
-        joint_requirement_tables ?strategy ?order ~ii ~groups:groups_c j_c)
-      groups.locals
+    lazy
+      (Array.mapi
+         (fun c ls ->
+           (* The cluster in isolation: its replicated prefix plus its
+              locals, on its own table. *)
+           let groups_c =
+             {
+               shared = List.map (fun l -> (l, [ 0 ])) (shared_in groups c);
+               locals = [| ls |];
+             }
+           in
+           let n_pre = Array.length j.prefix.(c) in
+           let j_c =
+             {
+               num_globals = n_pre;
+               gtable = j.tables.(c);
+               tables = [| j.tables.(c) |];
+               prefix = [| Array.init n_pre Fun.id |];
+             }
+           in
+           joint_requirement_tables ?strategy ?order ~ii ~groups:groups_c j_c)
+         groups.locals)
   in
-  let requirement = joint_requirement_tables ?strategy ?order ~ii ~groups j in
   {
-    requirement;
+    requirement = joint_requirement_tables ?strategy ?order ~ii ~groups j;
     cluster_requirements;
     global_requirement =
-      Alloc.min_capacity_table ?strategy ?order j.gtable (global_indices j);
+      lazy (Alloc.min_capacity_table ?strategy ?order j.gtable (global_indices j));
     local_requirements =
-      Array.mapi
-        (fun c t ->
-          Alloc.min_capacity_table ?strategy ?order t (local_indices j ~cluster:c t))
-        j.tables;
-    max_live = cluster_max_live sched;
+      lazy
+        (Array.mapi
+           (fun c t ->
+             Alloc.min_capacity_table ?strategy ?order t (local_indices j ~cluster:c t))
+           j.tables);
+    max_live = lazy (cluster_max_live sched);
   }

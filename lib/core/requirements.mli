@@ -14,16 +14,26 @@
 open Ncdrf_regalloc
 open Ncdrf_sched
 
+(** Only [requirement] is computed by {!partitioned}; the breakdown
+    fields are computed on first force ([Lazy.force]), so a caller that
+    reads [requirement] alone pays one joint search.  A [detail] must
+    not be forced from two domains at once (OCaml 5 lazy values raise
+    [CamlinternalLazy.Undefined] on a concurrent force); force it on
+    the domain that built it. *)
 type detail = {
   requirement : int;  (** registers per subfile: max over clusters *)
-  cluster_requirements : int array;
+  cluster_requirements : int array Lazy.t;
       (** smallest capacity at which that cluster's replicated prefix +
-          locals allocate, taken per cluster in isolation;
-          [requirement] uses a single shared placement for all
-          clusters, so it is at least the max of these *)
-  global_requirement : int;  (** replicated values allocated alone *)
-  local_requirements : int array;  (** each cluster's locals alone *)
-  max_live : int array;  (** per-cluster MaxLive lower bound *)
+          locals allocate, taken per cluster in isolation.  At [k = 2]
+          every cluster's prefix is all the globals, placed the same way
+          as in the joint search, so [requirement] is at least the max
+          of these.  At [k >= 3] a cluster in isolation places only its
+          own replicated subset, and First-Fit can need more registers
+          for it than the joint placement does, so a cluster's entry may
+          exceed [requirement]. *)
+  global_requirement : int Lazy.t;  (** replicated values allocated alone *)
+  local_requirements : int array Lazy.t;  (** each cluster's locals alone *)
+  max_live : int array Lazy.t;  (** per-cluster MaxLive lower bound *)
 }
 
 (** Requirement with a unified (or consistent dual) register file:

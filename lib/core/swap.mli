@@ -11,8 +11,17 @@
     whose swap yields the largest reduction of the register estimate —
     the per-cluster MaxLive lower bound, because running the full
     allocator inside the search loop would be too costly — and stop when
-    no pair improves it.  The [Exact] estimate (full allocation) is
-    provided as an ablation. *)
+    no pair improves it; ties go to the first pair in candidate order.
+    The [Exact] estimate (full allocation) is provided as an ablation.
+
+    The MaxLive estimate is maintained incrementally.  Lifetimes depend
+    only on cycles, which an exchange does not move, so they are
+    computed once per call; each cluster keeps a live count per kernel
+    slot.  A pair is scored by moving only the values whose subfiles can
+    change — the two operations' own values and the values they consume
+    — and moving them back.  Candidates are recomputed after every
+    accepted swap: when more than two operations share a (class, slot)
+    bucket, an exchange changes which pairs sit on different clusters. *)
 
 open Ncdrf_sched
 
@@ -27,7 +36,8 @@ type stats = {
 }
 
 (** All swappable pairs of the schedule: distinct clusters, same
-    functional-unit class, same kernel slot. *)
+    functional-unit class, same kernel slot, in ascending [(a, b)]
+    order with [a < b]. *)
 val candidates : Schedule.t -> (int * int) list
 
 (** Run the greedy pass.  Single-cluster schedules are returned

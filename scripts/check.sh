@@ -49,6 +49,27 @@ if sed 's/.\[[0-9;]*m//g' "$spill_out" | grep '\[SKIP\]' | awk '{print $2}' \
 fi
 rm -f "$spill_out"
 
+# Swap equivalence: the swap suite pins the incremental swap pass to
+# the full-recompute Swap_reference oracle (qcheck on random graphs plus
+# the scheduled suite at k = 2, 3, 4 and the example machine).  It must
+# run in full and must not be skipped.
+swap_out=$(mktemp /tmp/ncdrf-swap.XXXXXX.txt)
+dune exec test/test_main.exe -- test swap > "$swap_out" 2>&1 || {
+  cat "$swap_out" >&2; rm -f "$swap_out"; exit 1; }
+ok=$(grep -c 'OK.*swap' "$swap_out" || true)
+if [ "${ok:-0}" -lt 6 ]; then
+  echo "check.sh: expected 6 swap equivalence tests to run, got $ok" >&2
+  rm -f "$swap_out"
+  exit 1
+fi
+if sed 's/.\[[0-9;]*m//g' "$swap_out" | grep '\[SKIP\]' | awk '{print $2}' \
+    | grep -qx 'swap'; then
+  echo "check.sh: swap equivalence tests were skipped" >&2
+  rm -f "$swap_out"
+  exit 1
+fi
+rm -f "$swap_out"
+
 # The quickstart example must keep running end to end.
 dune exec examples/quickstart.exe > /dev/null
 

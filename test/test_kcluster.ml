@@ -37,10 +37,10 @@ let summary_line buf config ddg =
   let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
   Buffer.add_string buf
     (Printf.sprintf " req=%d cl=%s gl=%d lo=%s ml=%s" d.Requirements.requirement
-       (ints d.Requirements.cluster_requirements)
-       d.Requirements.global_requirement
-       (ints d.Requirements.local_requirements)
-       (ints d.Requirements.max_live));
+       (ints (Lazy.force d.Requirements.cluster_requirements))
+       (Lazy.force d.Requirements.global_requirement)
+       (ints (Lazy.force d.Requirements.local_requirements))
+       (ints (Lazy.force d.Requirements.max_live)));
   Buffer.add_string buf (Printf.sprintf " unified=%d" (Requirements.unified sched));
   let swapped, st = Swap.improve sched in
   Buffer.add_string buf
@@ -191,8 +191,8 @@ let test_shared_allocation () =
   check_int "cluster 2 locals placed" 1 (List.length alloc.Requirements.locals.(2));
   (* Cluster 1 never holds the shared value: its requirement is 0. *)
   let d = Requirements.partitioned sched in
-  check_int "cluster 1 requirement" 0 d.Requirements.cluster_requirements.(1);
-  check_int "cluster 1 locals requirement" 0 d.Requirements.local_requirements.(1)
+  check_int "cluster 1 requirement" 0 (Lazy.force d.Requirements.cluster_requirements).(1);
+  check_int "cluster 1 locals requirement" 0 (Lazy.force d.Requirements.local_requirements).(1)
 
 (* ------------------------------------------------------------------ *)
 (* Port budgets: distinct fingerprints (distinct compile-cache keys)

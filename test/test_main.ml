@@ -8,6 +8,7 @@ let () =
       ("conflict", Test_conflict.suite);
       ("spill", Test_spill.suite);
       ("core", Test_core.suite);
+      ("swap", Test_swap.suite);
       ("cache", Test_cache.suite);
       ("store", Test_store.suite);
       ("workloads", Test_workloads.suite);
