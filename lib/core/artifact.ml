@@ -40,11 +40,7 @@ let enabled = Atomic.make true
 let set_cache_enabled b = Atomic.set enabled b
 let cache_enabled () = Atomic.get enabled
 let set_cache_capacity capacity = cache := make_cache capacity
-let clear_cache () =
-  Cache.clear !cache;
-  (* The allocator's conflict-table memo is state with the same
-     benchmark-isolation needs as the compile cache. *)
-  Ncdrf_regalloc.Conflict.clear_memo ()
+let clear_cache () = Cache.clear !cache
 let cache_stats () = Cache.stats !cache
 
 (* The fault point sits in front of the lookup (memo keys do not carry
@@ -257,22 +253,21 @@ let view_tag = function
 
 (* A view's input is the schedule, not just the graph: the spiller calls
    it on schedules of intermediate graphs at bumped IIs, so the key
-   includes the placements.  Digesting them keeps keys short. *)
+   includes the placements.  They are digested in a fixed-width binary
+   encoding — [ii], then each placement's cycle and cluster, 8 bytes
+   each — which is injective for a given graph and keeps keys short. *)
 let schedule_key sched =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (string_of_int sched.Schedule.ii);
-  Array.iter
-    (fun p ->
-      Buffer.add_char buf ';';
-      Buffer.add_string buf (string_of_int p.Schedule.cycle);
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int p.Schedule.cluster))
-    sched.Schedule.placements;
-  Config.fingerprint sched.Schedule.config
-  ^ "\x01"
-  ^ Ddg.digest sched.Schedule.ddg
+  let placements = sched.Schedule.placements in
+  let buf = Bytes.create (8 * (1 + (2 * Array.length placements))) in
+  Bytes.set_int64_le buf 0 (Int64.of_int sched.Schedule.ii);
+  Array.iteri
+    (fun i p ->
+      Bytes.set_int64_le buf (8 * (1 + (2 * i))) (Int64.of_int p.Schedule.cycle);
+      Bytes.set_int64_le buf (8 * (2 + (2 * i))) (Int64.of_int p.Schedule.cluster))
+    placements;
+  base_key ~config:sched.Schedule.config sched.Schedule.ddg
   ^ "#view:"
-  ^ Digest.to_hex (Digest.string (Buffer.contents buf))
+  ^ Digest.to_hex (Digest.bytes buf)
 
 let view_of_schedule ~model sched =
   let ddg = sched.Schedule.ddg in

@@ -18,7 +18,11 @@
     [Ddg.digest] (+ stage tag), so the four models and every capacity of
     the same [(config, loop)] share one scheduling pass, and repeated
     experiments (Figure 6 then Figure 7, the CSV re-emission of
-    Table 1, ...) hit instead of recomputing.
+    Table 1, ...) hit instead of recomputing.  A view's key adds the MD5
+    of a fixed-width binary encoding of the schedule's II and
+    placements.  Building a key costs a hash, not a rendering: the
+    fingerprint is computed once per configuration by [Config.make] and
+    the graph digest once per graph, so a hit is a hash lookup.
 
     When an ambient {!Ncdrf_cache.Store} is open, the same keys address
     a second, on-disk tier: a memory miss consults the store before
@@ -114,9 +118,8 @@ val set_cache_capacity : int -> unit
 
 val default_capacity : int
 
-(** Drop every cached entry (capacity and counters unchanged), along
-    with the allocator's conflict-table memo — everything a benchmark
-    must reset between runs for isolation. *)
+(** Drop every cached entry (capacity and counters unchanged) —
+    everything a benchmark must reset between runs for isolation. *)
 val clear_cache : unit -> unit
 
 (** Hit/miss/eviction counters and resident size of the current cache. *)

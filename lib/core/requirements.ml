@@ -68,10 +68,10 @@ let max_live_cost ?lifetimes sched =
    a shared placement computed once transfers to every table via
    [prefix] (the gtable index of each prefix slot).  On a two-cluster
    machine every prefix is the full shared list and [gtable] aliases
-   [tables.(0)] exactly as the dual-file implementation did; the tables
-   are memoized by [Conflict.get], so the repeated per-cluster and
-   full-joint searches of [partitioned] (and the strategy sweeps of the
-   ablation figures) all hit the same windows. *)
+   [tables.(0)] exactly as the dual-file implementation did.  The tables
+   are built once per call, so the full-joint search of [partitioned]
+   and its lazy per-cluster, global and local searches all reuse the
+   same windows. *)
 type joint = {
   num_globals : int;  (* number of shared (replicated) values *)
   gtable : Conflict.t;  (* holds at least the shared values as a prefix *)
@@ -84,7 +84,7 @@ let joint_of ~ii groups =
   let gshared = List.map fst groups.shared in
   let num_globals = List.length gshared in
   if Array.length groups.locals = 0 then
-    { num_globals; gtable = Conflict.get ~ii gshared; tables = [||]; prefix = [||] }
+    { num_globals; gtable = Conflict.make ~ii gshared; tables = [||]; prefix = [||] }
   else begin
     let prefix =
       Array.mapi
@@ -97,11 +97,11 @@ let joint_of ~ii groups =
         groups.locals
     in
     let tables =
-      Array.mapi (fun c ls -> Conflict.get ~ii (shared_in groups c @ ls)) groups.locals
+      Array.mapi (fun c ls -> Conflict.make ~ii (shared_in groups c @ ls)) groups.locals
     in
     let gtable =
       if Array.length prefix.(0) = num_globals then tables.(0)
-      else Conflict.get ~ii gshared
+      else Conflict.make ~ii gshared
     in
     { num_globals; gtable; tables; prefix }
   end

@@ -16,7 +16,33 @@ type t = {
   mem_latency : int;
   load_ports : int option;
   store_ports : int option;
+  fingerprint : string;
 }
+
+(* Stable cache-key rendering of every field.  The name is included on
+   purpose: it does not change scheduling, but keying on it keeps a
+   cached schedule's embedded [config] byte-identical to the one the
+   caller passed, so cached and cold runs print identically.  Per-cluster
+   register-file port caps are rendered only when set, so configurations
+   predating the caps keep their historical fingerprint while any port
+   budget yields a distinct cache key. *)
+let render t =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf t.name;
+  Buffer.add_char buf '\x00';
+  let port = function None -> "-" | Some n -> string_of_int n in
+  Array.iter
+    (fun c ->
+      Buffer.add_string buf (Printf.sprintf "%d,%d,%d" c.adders c.multipliers c.ls_units);
+      if c.read_ports <> None || c.write_ports <> None then
+        Buffer.add_string buf
+          (Printf.sprintf ",r%s,w%s" (port c.read_ports) (port c.write_ports));
+      Buffer.add_char buf '|')
+    t.clusters;
+  Buffer.add_string buf
+    (Printf.sprintf "lat=%d,%d,%d;ports=%s,%s" t.add_latency t.mul_latency t.mem_latency
+       (port t.load_ports) (port t.store_ports));
+  Buffer.contents buf
 
 let make ~name ~clusters ~add_latency ~mul_latency ?(mem_latency = 1) ?load_ports
     ?store_ports () =
@@ -36,7 +62,13 @@ let make ~name ~clusters ~add_latency ~mul_latency ?(mem_latency = 1) ?load_port
     port c.write_ports
   in
   Array.iter check_cluster clusters;
-  { name; clusters; add_latency; mul_latency; mem_latency; load_ports; store_ports }
+  (* [clusters] is copied so that the caller mutating its array cannot
+     leave the fingerprint stale. *)
+  let t =
+    { name; clusters = Array.copy clusters; add_latency; mul_latency; mem_latency;
+      load_ports; store_ports; fingerprint = "" }
+  in
+  { t with fingerprint = render t }
 
 let symmetric_cluster ?read_ports ?write_ports ~adders ~multipliers ~ls_units () =
   { adders; multipliers; ls_units; read_ports; write_ports }
@@ -105,30 +137,7 @@ let memory_bandwidth t =
   | None, Some s -> min units s
   | None, None -> units
 
-(* Stable cache-key rendering of every field.  The name is included on
-   purpose: it does not change scheduling, but keying on it keeps a
-   cached schedule's embedded [config] byte-identical to the one the
-   caller passed, so cached and cold runs print identically.  Per-cluster
-   register-file port caps are rendered only when set, so configurations
-   predating the caps keep their historical fingerprint while any port
-   budget yields a distinct cache key. *)
-let fingerprint t =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf t.name;
-  Buffer.add_char buf '\x00';
-  let port = function None -> "-" | Some n -> string_of_int n in
-  Array.iter
-    (fun c ->
-      Buffer.add_string buf (Printf.sprintf "%d,%d,%d" c.adders c.multipliers c.ls_units);
-      if c.read_ports <> None || c.write_ports <> None then
-        Buffer.add_string buf
-          (Printf.sprintf ",r%s,w%s" (port c.read_ports) (port c.write_ports));
-      Buffer.add_char buf '|')
-    t.clusters;
-  Buffer.add_string buf
-    (Printf.sprintf "lat=%d,%d,%d;ports=%s,%s" t.add_latency t.mul_latency t.mem_latency
-       (port t.load_ports) (port t.store_ports));
-  Buffer.contents buf
+let fingerprint t = t.fingerprint
 
 let pp ppf t =
   let cluster_desc c =

@@ -37,8 +37,14 @@ type t = private {
   mem_latency : int;  (** loads and stores, 1 in the paper *)
   load_ports : int option;  (** machine-wide cap on loads per cycle *)
   store_ports : int option;  (** machine-wide cap on stores per cycle *)
+  fingerprint : string;  (** rendered once by {!make}; see {!val-fingerprint} *)
 }
 
+(** Validate and build a configuration.  [clusters] is copied, so
+    mutating the caller's array afterwards changes neither the
+    configuration nor its fingerprint.
+    @raise Invalid_argument on no clusters, a latency [< 1], a negative
+    unit count or a register-file port cap [< 1]. *)
 val make :
   name:string ->
   clusters:cluster array ->
@@ -108,7 +114,8 @@ val memory_bandwidth : t -> int
     as the machine half of a compile-cache key: two configurations
     fingerprint equally iff they are equal.  Configurations without
     register-file port caps keep the historical rendering, so existing
-    cache keys and ledger digests are unchanged. *)
+    cache keys and ledger digests are unchanged.  Rendered once by
+    {!make}; this is a field read. *)
 val fingerprint : t -> string
 
 val pp : Format.formatter -> t -> unit

@@ -231,7 +231,7 @@ let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
   else if capacity <= 0 then None
   else begin
     let pre = List.map (fun p -> p.value) placed in
-    let table = Conflict.get ~ii (pre @ lifetimes) in
+    let table = Conflict.make ~ii (pre @ lifetimes) in
     let np = List.length placed in
     let placed_idx = List.mapi (fun j p -> (j, p.register)) placed in
     let indices = List.init (List.length lifetimes) (fun k -> np + k) in
@@ -252,7 +252,7 @@ let min_capacity ?(strategy = First_fit) ?(order = Start_time) ?upper ~ii
   match lifetimes with
   | [] -> 0
   | _ ->
-    let table = Conflict.get ~ii lifetimes in
+    let table = Conflict.make ~ii lifetimes in
     min_capacity_table ~strategy ~order ?upper table
       (List.init (Conflict.size table) Fun.id)
 

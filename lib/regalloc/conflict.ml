@@ -71,46 +71,6 @@ let make ~ii lifetimes =
   if !pairs > 0 then Telemetry.incr ~by:!pairs "alloc.pairs";
   { ii; lifetimes; min_regs; adj; max_width = !max_width; passes = Atomic.make 0 }
 
-(* ------------------------------------------------------------------ *)
-(* Memo.  A dedicated table rather than Ncdrf_cache: the compile        *)
-(* cache's hits/misses counters are pinned by the byte-identity suite   *)
-(* and must not be perturbed by allocator-internal lookups.             *)
-(* ------------------------------------------------------------------ *)
-
-let memo : (string, t) Hashtbl.t = Hashtbl.create 64
-let memo_mutex = Mutex.create ()
-let memo_capacity = 64
-
-let with_lock f =
-  Mutex.lock memo_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) f
-
-let key ~ii lifetimes =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf (string_of_int ii);
-  List.iter
-    (fun l ->
-      Printf.bprintf buf ";%d,%d,%d" l.Lifetime.producer l.Lifetime.start
-        l.Lifetime.stop)
-    lifetimes;
-  Buffer.contents buf
-
-let get ~ii lifetimes =
-  let k = key ~ii lifetimes in
-  match with_lock (fun () -> Hashtbl.find_opt memo k) with
-  | Some t -> t
-  | None ->
-    let t = make ~ii lifetimes in
-    with_lock (fun () ->
-        match Hashtbl.find_opt memo k with
-        | Some t' -> t' (* lost the race; keep the table already shared *)
-        | None ->
-          if Hashtbl.length memo >= memo_capacity then Hashtbl.reset memo;
-          Hashtbl.add memo k t;
-          t)
-
-let clear_memo () = with_lock (fun () -> Hashtbl.reset memo)
-
 let ii t = t.ii
 let size t = Array.length t.lifetimes
 let lifetime t i = t.lifetimes.(i)

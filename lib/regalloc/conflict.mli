@@ -5,9 +5,9 @@
     instances overlap — [(d_min, d_max)] with [width = d_max - d_min + 1]
     — depends only on the two lifetimes and [ii], {e not} on the file
     capacity.  A conflict table therefore computes every pair's window
-    once and serves all capacities probed by {!Alloc.min_capacity}, all
-    strategies of the ablation sweeps, and every spill round that leaves
-    the lifetimes unchanged.
+    once and serves all capacities probed by {!Alloc.min_capacity} and
+    every search of one requirement computation (the joint, per-cluster,
+    global and local searches share the caller's tables).
 
     Placed at register [rj], neighbour [j] of value [i] forbids exactly
     the [width] residues [(rj + d_min(j→i)) mod capacity + [0, width)]
@@ -16,8 +16,10 @@
     at any capacity and are not stored; a pair with
     [width >= capacity] conflicts at {e every} register distance.
 
-    Tables are immutable after construction and safe to share across
-    domains; the memo below is mutex-protected. *)
+    Tables are immutable after construction (bar the atomic pass
+    counter of {!note_pass}) and safe to share across domains.  There is
+    no cross-call memo: a table lives as long as the allocation problem
+    that built it. *)
 
 type t
 
@@ -34,15 +36,6 @@ val pos_mod : int -> int -> int
     computations, done once.  Bumps the [alloc.pairs] counter by the
     number of stored (non-empty-window) pairs. *)
 val make : ii:int -> Lifetime.t list -> t
-
-(** Memoized {!make}, keyed on [(ii, lifetimes)] including order.  The
-    fig6–9 sweeps re-allocate the same lifetime sets under many
-    strategies and capacities; the memo makes those hits free.  Bounded
-    (cleared wholesale when full); thread-safe. *)
-val get : ii:int -> Lifetime.t list -> t
-
-(** Drop every memoized table (benchmark isolation between runs). *)
-val clear_memo : unit -> unit
 
 val ii : t -> int
 
@@ -68,6 +61,7 @@ val neighbours : t -> int -> int array
 val max_width : t -> int
 
 (** Record the start of an allocation pass over [t].  Every pass after
-    the first bumps the [alloc.table_reuse] counter: reuse across
-    capacity probes, strategies and memo hits is the engine's win. *)
+    the first bumps the [alloc.table_reuse] counter: reuse across the
+    capacity probes and searches of one allocation problem is the
+    engine's win. *)
 val note_pass : t -> unit

@@ -292,19 +292,12 @@ let timing_keys =
     "p99_s";
   ]
 
-(* Counters that measure cross-loop sharing inside one process: the
-   conflict-table memo is keyed on (ii, lifetimes), which distinct loops
-   can share, so its hit counts depend on which loops cohabit a process.
-   Partition-dependent by design — normalized away with the timing
-   fields, not summed. *)
-let partition_keys = [ "alloc.pairs"; "alloc.table_reuse" ]
-
 let rec strip_timing = function
   | Json.Obj fields ->
     Json.Obj
       (List.map
          (fun (k, v) ->
-           if List.mem k timing_keys || List.mem k partition_keys then (k, Json.Null)
+           if List.mem k timing_keys then (k, Json.Null)
            else (k, strip_timing v))
          fields)
   | Json.List items -> Json.List (List.map strip_timing items)

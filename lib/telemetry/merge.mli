@@ -34,11 +34,9 @@ val merge_metrics : Json.t list -> (Json.t, string) result
 val merge_traces : Json.t list -> (Json.t, string) result
 
 (** Replace every timing value (wall clocks, span durations/percentiles,
-    rates, uptimes) with [null], recursively, along with the few
-    partition-dependent counters ([alloc.pairs], [alloc.table_reuse] —
-    the conflict-table memo shares tables across loops whose lifetime
-    sets coincide, so its hit counts depend on which loops cohabit a
-    process).  All other counts and counters are untouched. *)
+    rates, uptimes) with [null], recursively.  Counts and counters are
+    left as they are: each must measure per-loop work, so that merged
+    shards equal the unsharded run whichever loops share a process. *)
 val strip_timing : Json.t -> Json.t
 
 (** Concatenate shard ledgers and re-sort by record identity, yielding

@@ -15,7 +15,7 @@ type entry = {
   generated : bool;
 }
 
-(** Named kernels only (30 loops). *)
+(** Named kernels only (48 loops: the paper example plus the DSL kernels). *)
 val named : unit -> entry list
 
 (** [full ()] is the default suite: named kernels + generated loops,

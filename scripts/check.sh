@@ -359,6 +359,14 @@ cmp -s "$shard_dir/merged.json" "$shard_dir/whole.json" || {
   echo "check.sh: merged 2-shard metrics differ from the unsharded run" >&2; exit 1; }
 cmp -s "$shard_dir/merged.jsonl" "$shard_dir/whole.jsonl" || {
   echo "check.sh: merged 2-shard ledger differs from the unsharded run" >&2; exit 1; }
+# The allocator counters must survive the merge as numbers: a cross-loop
+# cache would make them partition-dependent, and nulling them would hide
+# that from the comparison above.
+for counter in alloc.pairs alloc.table_reuse; do
+  grep -q "\"$counter\": *[0-9]" "$shard_dir/merged.json" || {
+    echo "check.sh: $counter is null or missing in the merged 2-shard metrics" >&2
+    exit 1; }
+done
 shard_points=$("$NCDRF" profile "$shard_dir/l1.jsonl" "$shard_dir/l2.jsonl" \
   | grep -c 'point(s)' || true)
 if [ "${shard_points:-0}" -lt 2 ]; then

@@ -124,6 +124,41 @@ let test_fingerprint_sensitive () =
   check_bool "dual vs pxly differ" true
     (fp (Config.dual ~latency:3) <> fp (Config.pxly ~parallelism:2 ~latency:3))
 
+(* View keys hash the placements in binary: a schedule and its copy
+   with one cross-cluster pair exchanged must key apart (two misses),
+   and the same schedule twice must hit.  Observed through the cache
+   counters only. *)
+let test_view_keys_distinct () =
+  let config = Config.dual ~latency:3 in
+  let checked = ref 0 in
+  let delta f =
+    let before = Artifact.cache_stats () in
+    f ();
+    let after = Artifact.cache_stats () in
+    (after.Cache.misses - before.Cache.misses, after.Cache.hits - before.Cache.hits)
+  in
+  let view s = ignore (Artifact.view_of_schedule ~model:Model.Partitioned s) in
+  List.iter
+    (fun e ->
+      let s = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
+      match Swap.candidates s with
+      | [] -> ()
+      | (a, b) :: _ ->
+        incr checked;
+        let name = Ddg.name e.Ncdrf_workloads.Suite.ddg in
+        let swapped = Schedule.swap_clusters s a b in
+        Artifact.clear_cache ();
+        let misses, hits = delta (fun () -> view s; view swapped) in
+        check_int (name ^ ": swapped pair misses apart") 2 misses;
+        check_int (name ^ ": no hit across the swap") 0 hits;
+        Artifact.clear_cache ();
+        let misses, hits = delta (fun () -> view s; view s) in
+        check_int (name ^ ": same schedule misses once") 1 misses;
+        check_int (name ^ ": same schedule hits once") 1 hits)
+    (Ncdrf_workloads.Suite.full ~size:120 ());
+  Artifact.clear_cache ();
+  check_bool "some loops have a cross-cluster pair" true (!checked >= 40)
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: cached == warm == cache-disabled, for Pipeline.run.    *)
 (* ------------------------------------------------------------------ *)
@@ -385,6 +420,8 @@ let suite =
     Alcotest.test_case "ddg digest deterministic and sensitive" `Quick
       test_digest_deterministic_and_sensitive;
     Alcotest.test_case "config fingerprint sensitive" `Quick test_fingerprint_sensitive;
+    Alcotest.test_case "view keys separate swapped schedules" `Quick
+      test_view_keys_distinct;
     QCheck_alcotest.to_alcotest prop_pipeline_cold_warm_uncached;
     Alcotest.test_case "capacity-1 artifact cache stays correct" `Quick
       test_capacity_one_artifact_cache_correct;

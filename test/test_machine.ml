@@ -163,6 +163,67 @@ let test_cost_organizations () =
     (Cost.specify cfg ~registers:32 Cost.consistent_dual
      = Cost.specify cfg ~registers:32 Cost.non_consistent_dual)
 
+(* The fingerprint is rendered once by [Config.make]; the stored text
+   must equal the historical per-call rendering on every constructor. *)
+let test_fingerprint_matches_reference () =
+  let spec ?read ?write ~clusters latency =
+    { Config.spec_latency = latency; spec_clusters = clusters;
+      spec_read_ports = read; spec_write_ports = write }
+  in
+  let of_spec s =
+    match Config.of_spec s with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let configs =
+    [
+      Config.dual ~latency:3;
+      Config.dual ~latency:6;
+      Config.dual_unified ~latency:3;
+      Config.dual_unified ~latency:6;
+      Config.k_cluster ~k:3 ~latency:3 ();
+      Config.k_cluster ~k:4 ~latency:6 ();
+      Config.k_cluster ~read_ports:4 ~write_ports:2 ~k:3 ~latency:3 ();
+      Config.k_cluster ~read_ports:2 ~k:4 ~latency:3 ();
+      Config.k_cluster ~write_ports:1 ~k:4 ~latency:6 ();
+      Config.pxly ~parallelism:1 ~latency:3;
+      Config.pxly ~parallelism:4 ~latency:6;
+      Config.make ~name:"ld-only"
+        ~clusters:[| Config.symmetric_cluster ~adders:1 ~multipliers:1 ~ls_units:2 () |]
+        ~add_latency:2 ~mul_latency:4 ~mem_latency:2 ~load_ports:1 ();
+      Config.make ~name:"st-only"
+        ~clusters:[| Config.symmetric_cluster ~adders:1 ~multipliers:1 ~ls_units:2 () |]
+        ~add_latency:2 ~mul_latency:4 ~store_ports:1 ();
+      Config.example ();
+      of_spec Config.default_spec;
+      of_spec (spec ~clusters:1 6);
+      of_spec (spec ~read:3 ~clusters:1 3);
+      of_spec (spec ~clusters:2 6);
+      of_spec (spec ~read:4 ~write:2 ~clusters:2 3);
+      of_spec (spec ~clusters:3 3);
+      of_spec (spec ~write:2 ~clusters:4 6);
+    ]
+  in
+  List.iter
+    (fun c ->
+      Alcotest.(check string)
+        ("fingerprint of " ^ c.Config.name)
+        (Fingerprint_reference.fingerprint c)
+        (Config.fingerprint c))
+    configs
+
+let test_make_copies_clusters () =
+  let cluster n = Config.symmetric_cluster ~adders:n ~multipliers:1 ~ls_units:1 () in
+  let arr = [| cluster 1; cluster 1 |] in
+  let c = Config.make ~name:"copied" ~clusters:arr ~add_latency:3 ~mul_latency:3 () in
+  let before = Config.fingerprint c in
+  arr.(0) <- cluster 5;
+  check_int "config keeps its own clusters" 1 c.Config.clusters.(0).Config.adders;
+  check_int "unit totals unchanged" 2 (Config.total_adders c);
+  Alcotest.(check string) "fingerprint unchanged" before (Config.fingerprint c);
+  Alcotest.(check string) "fingerprint still renders the config"
+    (Fingerprint_reference.fingerprint c) (Config.fingerprint c)
+
 let suite =
   [
     Alcotest.test_case "config constructors" `Quick test_config_constructors;
@@ -172,6 +233,9 @@ let suite =
     Alcotest.test_case "cost: organizations" `Quick test_cost_organizations;
     Alcotest.test_case "memory bandwidth" `Quick test_memory_bandwidth;
     Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "fingerprint matches the reference rendering" `Quick
+      test_fingerprint_matches_reference;
+    Alcotest.test_case "make copies the clusters array" `Quick test_make_copies_clusters;
     Alcotest.test_case "reservation capacity" `Quick test_reservation_capacity;
     Alcotest.test_case "reservation balances clusters" `Quick
       test_reservation_balances_clusters;
