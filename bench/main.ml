@@ -78,13 +78,6 @@ let failures_csv : string option ref = ref None
 
 (* The session pool; [None] means serial.  The serial-baseline rerun
    (see [run_experiment]) swaps this to [None] temporarily. *)
-(* Spill-loop strategy for every capacity run of the harness
-   (--spill-batch / --spill-incremental); the default is the
-   reference-identical policy, so committed figures are unchanged
-   unless a flag opts in. *)
-let the_spill = ref Ncdrf_spill.Spiller.default_policy
-let spill () = !the_spill
-
 let the_pool : Pool.t option ref = ref None
 let current_jobs () = match !the_pool with Some p -> Pool.jobs p | None -> 1
 let pool () = !the_pool
@@ -339,7 +332,7 @@ let performance_grid () =
               (fun model ->
                 let p =
                   Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
-                    ~spill:(spill ()) ~config ~model ~capacity loops
+                    ~config ~model ~capacity loops
                 in
                 (model, p))
               Model.all
@@ -451,10 +444,7 @@ let run_ablation () =
   let spill_time, bump_time =
     List.fold_left
       (fun (st, bt) l ->
-        let spill =
-          Pipeline.run ~config ~model:Model.Unified ~capacity ~spill:(spill ())
-            l.Suite_stats.ddg
-        in
+        let spill = Pipeline.run ~config ~model:Model.Unified ~capacity l.Suite_stats.ddg in
         (* II escalation only: reschedule with growing II until the
            requirement fits, no spill code. *)
         let rec escalate ii guard =
@@ -491,8 +481,7 @@ let run_spill_victims () =
       let compiled =
         pool_map
           (fun l ->
-            (l, Pipeline.run ~config ~model:Model.Swapped ~capacity ~victim
-               ~spill:(spill ()) l.Suite_stats.ddg))
+            (l, Pipeline.run ~config ~model:Model.Swapped ~capacity ~victim l.Suite_stats.ddg))
           loops
       in
       List.iter
@@ -574,11 +563,11 @@ let run_doubling () =
           let config = machine ~latency in
           let dual =
             Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
-              ~spill:(spill ()) ~config ~model:Model.Swapped ~capacity:r loops
+              ~config ~model:Model.Swapped ~capacity:r loops
           in
           let doubled =
             Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
-              ~spill:(spill ()) ~config ~model:Model.Unified ~capacity:(2 * r) loops
+              ~config ~model:Model.Unified ~capacity:(2 * r) loops
           in
           Printf.printf "L=%d,R=%-4d %22.3f %22.3f%s\n%!" latency r
             dual.Suite_stats.relative doubled.Suite_stats.relative
@@ -631,9 +620,7 @@ let run_memory () =
       let compiled =
         pool_map
           (fun l ->
-            let st =
-              Pipeline.run ~config ~model ~capacity ~spill:(spill ()) l.Suite_stats.ddg
-            in
+            let st = Pipeline.run ~config ~model ~capacity l.Suite_stats.ddg in
             let r =
               Ncdrf_sim.Memory_system.simulate ~config:mem ~iterations:25
                 st.Pipeline.schedule
@@ -670,7 +657,7 @@ let run_fission () =
       let g = l.Suite_stats.ddg in
       let w = l.Suite_stats.weight in
       (* Option 3 (the paper's evaluated choice): spill. *)
-      let spill = Pipeline.run ~config ~model:Model.Unified ~capacity ~spill:(spill ()) g in
+      let spill = Pipeline.run ~config ~model:Model.Unified ~capacity g in
       spill_t := !spill_t +. (w *. float_of_int spill.Pipeline.ii);
       (* Option 1: reschedule at increased II. *)
       let rec escalate ii guard =
@@ -819,7 +806,7 @@ let run_cluster_sweep () =
       in
       let static, dynamic = Suite_stats.allocatable ms ~r:capacity in
       let perf =
-        Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures ~spill:(spill ())
+        Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout ~failures:!the_failures
           ~config ~model:Model.Swapped ~capacity loops
       in
       let ops = ref 0 and cycles = ref 0 and stalls = ref 0 in
@@ -965,8 +952,7 @@ let run_store () =
       (fun capacity ->
         ignore
           (Suite_stats.performance ?pool:(pool ()) ?timeout_s:!point_timeout
-             ~failures:!the_failures ~spill:(spill ()) ~config
-             ~model:Model.Swapped ~capacity loops))
+             ~failures:!the_failures ~config ~model:Model.Swapped ~capacity loops))
       capacities;
     Telemetry.now () -. t0
   in
@@ -1314,7 +1300,6 @@ let usage () =
     \       [--clusters K] [--read-ports N] [--write-ports N]\n\
     \       [--csv DIR] [--metrics FILE] [--trace FILE] [--ledger FILE] [--no-cache]\n\
     \       [--cache-dir DIR] [--cache-max-mb N] [--shard I/N]\n\
-    \       [--spill-batch K] [--spill-incremental]\n\
     \       [--fail-fast] [--max-failures N] [--failures FILE] [--timeout SECS]\n\
     \       [--inject stage=NAME[,loop=REGEX][,every=N]]\n";
   exit 2
@@ -1359,12 +1344,6 @@ let () =
       parse rest
     | "--no-cache" :: rest ->
       Artifact.set_cache_enabled false;
-      parse rest
-    | "--spill-batch" :: n :: rest ->
-      the_spill := { !the_spill with Ncdrf_spill.Spiller.batch = max 1 (int_arg "--spill-batch" n) };
-      parse rest
-    | "--spill-incremental" :: rest ->
-      the_spill := { !the_spill with Ncdrf_spill.Spiller.incremental = true };
       parse rest
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
@@ -1423,7 +1402,7 @@ let () =
          usage ());
       parse rest
     | ("--csv" | "--jobs" | "--metrics" | "--trace" | "--ledger" | "--seed" | "--size"
-      | "--max-failures" | "--failures" | "--inject" | "--spill-batch" | "--clusters"
+      | "--max-failures" | "--failures" | "--inject" | "--clusters"
       | "--read-ports" | "--write-ports" | "--timeout" | "--cache-dir" | "--cache-max-mb"
       | "--shard")
       :: [] ->

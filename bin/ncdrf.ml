@@ -181,38 +181,20 @@ let handle_errors f =
 (* schedule                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let spill_batch_arg =
-  let doc =
-    "Spill up to $(docv) non-interfering victims per spill round (default 1, the \
-     paper's one-victim loop)."
-  in
-  Arg.(value & opt int 1 & info [ "spill-batch" ] ~docv:"K" ~doc)
-
-let spill_incremental_arg =
-  let doc =
-    "Reschedule spill rounds incrementally, seeding the previous round's kernel and \
-     placing only the new memory operations."
-  in
-  Arg.(value & flag & info [ "spill-incremental" ] ~doc)
-
-let spill_policy ~batch ~incremental =
-  { Ncdrf_spill.Spiller.default_policy with batch; incremental }
-
 let schedule_cmd =
   let run verbose file name latency clusters read_ports write_ports model capacity
-      spill_batch spill_incremental show_kernel =
+      show_kernel =
     setup_logs verbose;
     handle_errors @@ fun () ->
     let loops = load_loops file name in
     if loops = [] then (Printf.eprintf "no matching loops\n"; exit 1);
     let config = config_of ?read_ports ?write_ports ~clusters ~latency () in
-    let spill = spill_policy ~batch:spill_batch ~incremental:spill_incremental in
     (* Printed through the protocol renderers, so `ncdrf client schedule`
        against a daemon produces these exact bytes. *)
     print_string (Protocol.render_machine_line (Format.asprintf "%a" Config.pp config));
     List.iter
       (fun ddg ->
-        let stats = Pipeline.run ~config ~model ?capacity ~spill ddg in
+        let stats = Pipeline.run ~config ~model ?capacity ddg in
         let header = Format.asprintf "%a" Ddg.pp_stats ddg in
         let kernel =
           if show_kernel then Some (Kernel.render stats.Pipeline.schedule) else None
@@ -229,8 +211,7 @@ let schedule_cmd =
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
       const run $ verbose_arg $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg
-      $ read_ports_arg $ write_ports_arg $ model_arg $ capacity_arg $ spill_batch_arg
-      $ spill_incremental_arg $ kernel_arg)
+      $ read_ports_arg $ write_ports_arg $ model_arg $ capacity_arg $ kernel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dot                                                                 *)
@@ -1173,7 +1154,7 @@ let client_health_cmd ~name ~kind =
 
 let client_schedule_cmd =
   let run socket connect_timeout retries timeout file name latency clusters read_ports
-      write_ports model capacity spill_batch spill_incremental show_kernel =
+      write_ports model capacity show_kernel =
     let source =
       try In_channel.with_open_text file In_channel.input_all
       with Sys_error msg ->
@@ -1188,8 +1169,8 @@ let client_schedule_cmd =
           spec = spec_of ?read_ports ?write_ports ~clusters ~latency ();
           model;
           capacity;
-          spill_batch;
-          spill_incremental;
+          spill_batch = 1;
+          spill_incremental = false;
           show_kernel;
         }
     in
@@ -1216,8 +1197,7 @@ let client_schedule_cmd =
     Term.(
       const run $ socket_arg $ connect_timeout_arg $ retries_arg $ request_timeout_arg
       $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg $ read_ports_arg
-      $ write_ports_arg $ model_arg $ capacity_arg $ spill_batch_arg
-      $ spill_incremental_arg $ kernel_arg)
+      $ write_ports_arg $ model_arg $ capacity_arg $ kernel_arg)
 
 let client_suite_cmd =
   let run socket connect_timeout retries timeout latency clusters read_ports write_ports

@@ -68,7 +68,6 @@ let point_record ~models ~capacity ~t0 ~ok (p : Trace.point) =
     requirement = opt p.Trace.requirement;
     maxlive = opt p.Trace.maxlive;
     spill_full = opt p.Trace.spill_full;
-    spill_incremental = opt p.Trace.spill_incremental;
     cache_hits = p.Trace.cache_hits;
     cache_misses = p.Trace.cache_misses;
     disk_hits = p.Trace.disk_hits;
@@ -136,7 +135,7 @@ let spill_lower_bound ~config ~model raw ~lifetimes =
     let k = max 1 (Config.num_clusters config) in
     (ml + k - 1) / k
 
-let run ~config ~model ?capacity ?victim ?(spill = Spiller.default_policy) ddg =
+let run ~config ~model ?capacity ?victim ddg =
   with_point ~config ~models:[ model ] ?capacity ddg @@ fun () ->
   Telemetry.incr "pipeline.loops";
   Telemetry.incr ~by:(Config.num_clusters config) "cluster.subfiles";
@@ -216,7 +215,7 @@ let run ~config ~model ?capacity ?victim ?(spill = Spiller.default_policy) ddg =
               let v = Artifact.view_of_schedule ~model raw in
               (v.Artifact.sched, v.Artifact.requirement))
             ~schedule:(fun ~min_ii ddg -> Artifact.spill_schedule ~config ~min_ii ddg)
-            ~capacity:cap ?victim ~policy:spill
+            ~capacity:cap ?victim
             ~lower_bound:(spill_lower_bound ~config ~model)
             ddg)
     in

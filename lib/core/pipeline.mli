@@ -100,9 +100,7 @@ val count_swaps : Model.t -> Schedule.t -> Schedule.t -> int
     [capacity], registers are unlimited (the paper's Section 5.3
     measurement).  With [capacity], the spiller runs for every model
     except [Ideal] (Section 5.4); [victim] selects its heuristic
-    (default: the paper's longest-lifetime) and [spill] its loop
-    strategy (default {!Ncdrf_spill.Spiller.default_policy}, the
-    reference-identical one).  A capacity run whose first schedule
+    (default: the paper's longest-lifetime).  A capacity run whose first schedule
     already fits never enters the spill stage: the pipeline measures
     the free-running schedule first and returns it directly (same
     result, shared with the capacity-less memo entries).  The spiller,
@@ -114,6 +112,5 @@ val run :
   model:Model.t ->
   ?capacity:int ->
   ?victim:Ncdrf_spill.Spiller.victim ->
-  ?spill:Ncdrf_spill.Spiller.policy ->
   Ddg.t ->
   stats

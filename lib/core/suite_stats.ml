@@ -169,7 +169,7 @@ type performance = {
   unfit : int;
 }
 
-let performance ?pool ?failures ?timeout_s ?deadline ?spill ~config ~model ~capacity loops =
+let performance ?pool ?failures ?timeout_s ?deadline ~config ~model ~capacity loops =
   let ideal_time = ref 0.0 in
   let achieved_time = ref 0.0 in
   let traffic_num = ref 0.0 in
@@ -183,7 +183,7 @@ let performance ?pool ?failures ?timeout_s ?deadline ?spill ~config ~model ~capa
      whatever the worker count. *)
   let compiled =
     suite_map ?pool ?failures ?timeout_s ?deadline
-      ~f:(fun loop -> (loop, Pipeline.run ~config ~model ~capacity ?spill loop.ddg))
+      ~f:(fun loop -> (loop, Pipeline.run ~config ~model ~capacity loop.ddg))
       loops
   in
   let one (loop, stats) =

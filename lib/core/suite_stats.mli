@@ -111,14 +111,10 @@ type performance = {
     divergence detail on [Pipeline.stats.error].
 
     [timeout_s] / [deadline] bound each point exactly as in
-    {!measure_all}.
-
-    [spill] selects the spill-loop strategy passed through to
-    {!Pipeline.run} (default: the reference-identical policy). *)
+    {!measure_all}. *)
 val performance :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
   ?deadline:Ncdrf_error.Deadline.token ->
-  ?spill:Ncdrf_spill.Spiller.policy ->
   config:Config.t -> model:Model.t -> capacity:int -> workload list -> performance

@@ -203,10 +203,9 @@ let highest_unscheduled st =
   !best
 
 (* Place every unscheduled operation (highest priority first) within the
-   state's budget.  Shared by [attempt] (which starts from an empty
-   placement) and [reschedule_incremental] (which starts from a seeded
-   one).  Returns false on budget exhaustion; raises only when a unit
-   class has zero capacity or the external [meter] runs out. *)
+   state's budget, starting from [attempt]'s empty placement.  Returns
+   false on budget exhaustion; raises only when a unit class has zero
+   capacity or the external [meter] runs out. *)
 let place_all st ~meter =
   let ddg = st.ddg and ii = st.ii in
   let rec loop () =
@@ -274,73 +273,6 @@ let attempt cfg ddg ~ii ~budget ~meter ~policy ~placement =
       }
     in
     if place_all st ~meter then Some (schedule_of_state st) else None
-
-let reschedule_incremental ?(budget_ratio = 8) ?(cluster_policy = Balance)
-    ?(placement_policy = Asap) ~base cfg ddg =
-  let ii = Schedule.ii base in
-  let n = Ddg.num_nodes ddg in
-  let n_base = Ddg.num_nodes base.Schedule.ddg in
-  if n < n_base then
-    invalid_arg "Modulo.reschedule_incremental: graph has fewer nodes than its base";
-  match heights cfg ddg ~ii with
-  | None -> None (* the edit introduced a recurrence that needs a larger II *)
-  | Some height ->
-    let st =
-      {
-        cfg;
-        ddg;
-        ii;
-        rt = Reservation.create cfg ~ii;
-        policy = cluster_policy;
-        placement = placement_policy;
-        cycle = Array.make n (-1);
-        cluster = Array.make n 0;
-        ever_cycle = Array.make n (-1);
-        height;
-        (* The budget scales with the edit, not the graph: the point is
-           to fail fast and fall back to a full II search when slotting
-           the new operations in would take real work. *)
-        budget = budget_ratio * max 1 (n - n_base + 2);
-      }
-    in
-    (* Seed the base placements into the fresh reservation table.  A
-       seed that no longer reserves means the base schedule does not fit
-       this machine at all — give up, the caller reschedules fully. *)
-    let seeded = ref true in
-    for v = 0 to n_base - 1 do
-      if !seeded then begin
-        let op = (Ddg.node ddg v).Ddg.opcode in
-        let cycle = Schedule.cycle base v and cluster = Schedule.cluster base v in
-        if Reservation.reserve_in st.rt ~op ~cycle ~cluster then begin
-          st.cycle.(v) <- cycle;
-          st.cluster.(v) <- cluster;
-          st.ever_cycle.(v) <- cycle
-        end
-        else seeded := false
-      end
-    done;
-    if not !seeded then None
-    else begin
-      (* Eject any seeded operation whose dependence slack the graph
-         edit violated (an edit that only relaxes constraints among
-         retained nodes leaves this a no-op, but the contract is
-         checked, not assumed). *)
-      List.iter
-        (fun e ->
-          let p = e.Ddg.src and q = e.Ddg.dst in
-          if
-            p <> q && st.cycle.(p) >= 0 && st.cycle.(q) >= 0
-            && st.cycle.(q) < st.cycle.(p) + weight st e
-          then unschedule st q)
-        (Ddg.edges ddg);
-      match place_all st ~meter:None with
-      | true -> Some (schedule_of_state st)
-      | false -> None
-      | exception Error.Error e when e.Error.category = Error.Schedule_infeasible ->
-        (* Zero-capacity unit class: the full search raises the
-           canonical error; this entry point just declines. *)
-        None
-    end
 
 let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
     ?(max_ii_slack = 128) ?(cluster_policy = Balance) ?(placement_policy = Asap)

@@ -74,32 +74,3 @@ val schedule_with_min_ii :
   Config.t ->
   Ddg.t ->
   Schedule.t
-
-(** [reschedule_incremental ~base cfg ddg] schedules [ddg] at
-    [base]'s II by keeping [base]'s kernel placements and only placing
-    the operations [ddg] adds — plus any operations the placement ejects
-    because an edit violated their dependence slack.  The incremental
-    spiller uses it after [spill_value] inserts a store and its reloads:
-    the memory ops usually drop into free slots of the existing
-    reservation table, so a round costs a handful of placements instead
-    of a full II search.
-
-    Contract: [ddg] must extend [base]'s graph — nodes
-    [0, num_nodes base.ddg) are the same operations (same opcodes);
-    edges may have been added, dropped or rewritten.  Raises
-    [Invalid_argument] when [ddg] has fewer nodes than the base.
-
-    Returns [None] — the caller falls back to a full search — when the
-    edit needs a larger II (a new recurrence makes [base]'s II
-    infeasible), when the base placements no longer fit the machine, or
-    when the placement budget ([budget_ratio] (default 8) times the
-    number of added operations) runs out.  A returned schedule is
-    normalized and valid, like {!schedule}'s. *)
-val reschedule_incremental :
-  ?budget_ratio:int ->
-  ?cluster_policy:cluster_policy ->
-  ?placement_policy:placement_policy ->
-  base:Schedule.t ->
-  Config.t ->
-  Ddg.t ->
-  Schedule.t option

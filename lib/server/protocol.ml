@@ -433,8 +433,14 @@ let parse_request line =
           spec = spec_of_json (field "config" kvs);
           model = model_of "model" (field "model" kvs);
           capacity = Option.map (int_of "capacity") (field_opt "capacity" kvs);
-          spill_batch = int_of "spill_batch" (field "spill_batch" kvs);
-          spill_incremental = bool_of "spill_incremental" (field "spill_incremental" kvs);
+          spill_batch =
+            (match int_of "spill_batch" (field "spill_batch" kvs) with
+             | 1 -> 1
+             | k -> bad "spill_batch %d: batched spilling was removed; only 1 is accepted" k);
+          spill_incremental =
+            (if bool_of "spill_incremental" (field "spill_incremental" kvs) then
+               bad "spill_incremental: incremental rescheduling was removed; only false is accepted"
+             else false);
           show_kernel = bool_of "show_kernel" (field "show_kernel" kvs);
         }
     | "suite" ->

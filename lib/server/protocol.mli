@@ -33,7 +33,11 @@ type request_kind =
       model : Model.t;
       capacity : int option;
       spill_batch : int;
+          (** wire field of a removed spill mode: {!parse_request} accepts
+              only [1] *)
       spill_incremental : bool;
+          (** wire field of a removed spill mode: {!parse_request} accepts
+              only [false] *)
       show_kernel : bool;
     }
   | Suite of {

@@ -14,7 +14,6 @@ module Artifact = Ncdrf_core.Artifact
 module Ddg = Ncdrf_ir.Ddg
 module Loop_lang = Ncdrf_ir.Loop_lang
 module Kernel = Ncdrf_sched.Kernel
-module Spiller = Ncdrf_spill.Spiller
 module Kernels = Ncdrf_workloads.Kernels
 module Suite = Ncdrf_workloads.Suite
 module Stats = Ncdrf_report.Stats
@@ -149,17 +148,13 @@ let loops_of_workload ~only workload =
   | None -> loops
   | Some name -> List.filter (fun g -> String.equal (Ddg.name g) name) loops
 
-let execute_schedule ~workload ~only ~spec ~model ~capacity ~spill_batch
-    ~spill_incremental ~show_kernel =
+let execute_schedule ~workload ~only ~spec ~model ~capacity ~show_kernel =
   let config = build_config spec in
   let loops = loops_of_workload ~only workload in
-  let spill =
-    { Spiller.default_policy with batch = spill_batch; incremental = spill_incremental }
-  in
   let points =
     List.map
       (fun ddg ->
-        let stats = Pipeline.run ~config ~model ?capacity ~spill ddg in
+        let stats = Pipeline.run ~config ~model ?capacity ddg in
         let header = Format.asprintf "%a" Ddg.pp_stats ddg in
         let kernel =
           if show_kernel then Some (Kernel.render stats.Pipeline.schedule) else None
@@ -259,18 +254,9 @@ let execute st (req : Protocol.request) tok =
                     Deadline.check ~stage:"request";
                     match req.Protocol.kind with
                     | Protocol.Schedule
-                        {
-                          workload;
-                          only;
-                          spec;
-                          model;
-                          capacity;
-                          spill_batch;
-                          spill_incremental;
-                          show_kernel;
-                        } ->
+                        { workload; only; spec; model; capacity; show_kernel; _ } ->
                       execute_schedule ~workload ~only ~spec ~model ~capacity
-                        ~spill_batch ~spill_incremental ~show_kernel
+                        ~show_kernel
                     | Protocol.Suite { spec; size; registers } ->
                       execute_suite st ~deadline:tok ~spec ~size ~registers
                     | Protocol.Health | Protocol.Stats ->

@@ -11,14 +11,6 @@ type victim =
   | Best_ratio
   | Fewest_consumers
 
-type policy = {
-  batch : int;
-  incremental : bool;
-  ii_floor : bool;
-}
-
-let default_policy = { batch = 1; incremental = false; ii_floor = true }
-
 type outcome = {
   schedule : Schedule.t;
   raw_schedule : Schedule.t;
@@ -135,41 +127,6 @@ let pick_victim ~victim ~ii ~counts candidates =
     None candidates
   |> Option.map fst
 
-(* Two candidate producers interfere when a flow edge connects them:
-   spilling the producer rewrites the consumer's input (or the spilled
-   value's own fan-out), so the second victim's lifetime — measured on
-   the pre-batch schedule — would be stale.  Batched selection only
-   admits pairwise non-interfering victims. *)
-let flow_adjacent ddg p q =
-  let feeds a b =
-    List.exists
-      (fun e -> e.Ddg.kind = Ddg.Flow && e.Ddg.dst = b)
-      (Ddg.succs ddg a)
-  in
-  feeds p q || feeds q p
-
-(* Greedy top-k: repeatedly take the best remaining victim, dropping
-   candidates that interfere with anything already picked.  [k = 1] is
-   exactly [pick_victim]. *)
-let pick_victims ~victim ~ii ~counts ~k ddg candidates =
-  let rec pick acc remaining k =
-    if k <= 0 then List.rev acc
-    else
-      match pick_victim ~victim ~ii ~counts remaining with
-      | None -> List.rev acc
-      | Some l ->
-        let p = l.Lifetime.producer in
-        let remaining =
-          List.filter
-            (fun c ->
-              let q = c.Lifetime.producer in
-              q <> p && not (flow_adjacent ddg p q))
-            remaining
-        in
-        pick (l :: acc) remaining (k - 1)
-  in
-  pick [] candidates k
-
 (* A mid-round scheduling/allocation failure with a partial outcome in
    hand degrades to [Spill_diverged] instead of killing the point; the
    last completed round's schedule is the partial outcome.  Faults
@@ -184,11 +141,10 @@ let containable (e : Error.t) =
 
 let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
     ?(schedule = fun ~min_ii ddg -> schedule_once config ~min_ii ddg) ?(max_rounds = 64)
-    ?(max_ii_bumps = 32) ?(policy = default_policy) ?lower_bound ddg =
+    ?(max_ii_bumps = 32) ?(ii_floor = true) ?lower_bound ddg =
   Fault.point ~stage:"spill" ~key:(Ddg.name ddg);
-  if policy.batch < 1 then invalid_arg "Spiller.run: policy.batch must be >= 1";
   let original_memops = Ddg.num_memory_ops ddg in
-  let full_reschedules = ref 0 and incremental_reschedules = ref 0 in
+  let full_reschedules = ref 0 in
   let give_up ~raw sched ddg req ~spilled ~ii_bumps ~rounds ~error =
     {
       schedule = sched;
@@ -210,39 +166,11 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
           Error.Spill_diverged message)
       fmt
   in
-  (* One scheduling step: seed the previous round's kernel when the
-     incremental policy is on and the previous schedule's II is still an
-     acceptable floor (an II bump invalidates it); otherwise run the
-     full II search.  The incremental path can decline (new recurrence,
-     seed conflict, budget) — then the full search is the fallback. *)
-  let schedule_round ~min_ii ~base ddg =
-    let incremental =
-      if not policy.incremental then None
-      else
-        match base with
-        | Some b when Schedule.ii b >= min_ii ->
-          (match Modulo.reschedule_incremental ~base:b config ddg with
-           | Some raw -> Some (Adjust.push_late raw ~eligible:is_spill_load)
-           | None -> None)
-        | _ -> None
-    in
-    match incremental with
-    | Some raw ->
-      incr incremental_reschedules;
-      Telemetry.incr "spill.incremental_reschedules";
-      raw
-    | None ->
-      incr full_reschedules;
-      Telemetry.incr "spill.full_reschedules";
-      schedule ~min_ii ddg
-  in
   (* [next_slot] is the next free spill slot, tracked incrementally
      (each spill adds exactly one slot) instead of re-folding the whole
      graph every round; [counts] is the consumer fan-out of the current
-     graph.  Both survive II bumps unchanged — the graph does too.
-     [base] is the previous round's raw schedule, the seed for
-     incremental rescheduling. *)
-  let rec iterate ddg ~min_ii ~spilled ~ii_bumps ~rounds ~last ~base ~next_slot ~counts =
+     graph.  Both survive II bumps unchanged — the graph does too. *)
+  let rec iterate ddg ~min_ii ~spilled ~ii_bumps ~rounds ~last ~next_slot ~counts =
     (* Deadline poll once per spill round, outside the containable-error
        region: an expired request must surface as Deadline_exceeded,
        never degrade to Spill_diverged. *)
@@ -255,7 +183,9 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
       Fun.protect
         ~finally:(fun () -> Trace.end_span "spill.round")
         (fun () ->
-          let raw = schedule_round ~min_ii ~base ddg in
+          incr full_reschedules;
+          Telemetry.incr "spill.full_reschedules";
+          let raw = schedule ~min_ii ddg in
           (* The exact requirement is measured lazily: when
              [lower_bound] already proves the round over capacity, the
              (more expensive) model measurement is skipped unless a
@@ -323,7 +253,7 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
                max_rounds req capacity spilled ii_bumps)
       end
       else begin
-        (* Pick the best spillable lifetimes of the current schedule.
+        (* Pick the best spillable lifetime of the current schedule.
            Lifetimes and II are measured on whichever schedule is in
            hand: the transformed view when the requirement was computed,
            the raw schedule when the lower bound pruned it — the model
@@ -340,36 +270,23 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
         let candidates =
           List.filter (fun l -> spillable ddg l.Lifetime.producer) lifetimes
         in
-        match pick_victims ~victim ~ii ~counts ~k:policy.batch ddg candidates with
-        | _ :: _ as victims ->
-          let width = List.length victims in
-          Telemetry.incr "spill.batch_rounds";
-          Telemetry.incr ~by:width "spill.batch_size";
+        match pick_victim ~victim ~ii ~counts candidates with
+        | Some l ->
           Log.debug (fun m ->
-              m "%s: spilling %d value(s) (%s), over capacity %d" (Ddg.name ddg) width
-                (String.concat ", "
-                   (List.map
-                      (fun l ->
-                        Printf.sprintf "node %d lifetime %d" l.Lifetime.producer
-                          (Lifetime.length l))
-                      victims))
-                capacity);
+              m "%s: spilling value of node %d (lifetime %d), over capacity %d"
+                (Ddg.name ddg) l.Lifetime.producer (Lifetime.length l) capacity);
           let last = Some (raw, view, ddg) in
-          let ddg, next_slot' =
-            List.fold_left
-              (fun (g, slot) l -> (spill_value g ~slot l.Lifetime.producer, slot + 1))
-              (ddg, next_slot) victims
-          in
-          assert (next_spill_slot ddg = next_slot');
+          let ddg = spill_value ddg ~slot:next_slot l.Lifetime.producer in
+          assert (next_spill_slot ddg = next_slot + 1);
           (* Monotone II floor: II never recovers once spilling has
              pushed it up (spill code only adds resource usage and
              dependences), so the next round's II search starts at the
              last achieved II instead of rediscovering it from
              [min_ii]. *)
-          let min_ii = if policy.ii_floor then max min_ii (Schedule.ii raw) else min_ii in
-          iterate ddg ~min_ii ~spilled:(spilled + width) ~ii_bumps ~rounds:(rounds + 1)
-            ~last ~base:(Some raw) ~next_slot:next_slot' ~counts:(consumer_counts ddg)
-        | [] ->
+          let min_ii = if ii_floor then max min_ii (Schedule.ii raw) else min_ii in
+          iterate ddg ~min_ii ~spilled:(spilled + 1) ~ii_bumps ~rounds:(rounds + 1) ~last
+            ~next_slot:(next_slot + 1) ~counts:(consumer_counts ddg)
+        | None ->
           let req_of () = snd (view ()) in
           if ii_bumps >= max_ii_bumps then
             let sched, req = view () in
@@ -386,15 +303,13 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
             iterate ddg ~min_ii:bumped ~spilled ~ii_bumps:(ii_bumps + 1)
               ~rounds:(rounds + 1)
               ~last:(Some (raw, view, ddg))
-              ~base:None ~next_slot ~counts
+              ~next_slot ~counts
           end
       end
   in
   let outcome =
-    iterate ddg ~min_ii:1 ~spilled:0 ~ii_bumps:0 ~rounds:0 ~last:None ~base:None
+    iterate ddg ~min_ii:1 ~spilled:0 ~ii_bumps:0 ~rounds:0 ~last:None
       ~next_slot:(next_spill_slot ddg) ~counts:(consumer_counts ddg)
   in
-  if Trace.active () then
-    Trace.set_result ~spill_full:!full_reschedules
-      ~spill_incremental:!incremental_reschedules ();
+  if Trace.active () then Trace.set_result ~spill_full:!full_reschedules ();
   outcome

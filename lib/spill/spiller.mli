@@ -25,12 +25,11 @@
     spilling alone (no candidates left), the loop is rescheduled with
     II+1, the paper's first alternative, as a documented safety valve.
 
-    At {!default_policy} the loop is byte-identical to the verbatim
-    pre-optimization spiller kept as {!Spiller_reference}
-    (test/test_spill.ml pins the equivalence); the compounding
-    optimizations — incremental rescheduling, batched victims — opt in
-    through {!policy} and may diverge (characterized in
-    EXPERIMENTS.md). *)
+    With the II floor off ([~ii_floor:false]) the loop is byte-identical
+    to the verbatim pre-optimization spiller kept as the test oracle
+    test/spiller_reference.ml (test/test_spill.ml pins the
+    equivalence).  The default, floor on, may diverge from it; see
+    [run]. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -48,40 +47,6 @@ type victim =
           [ceil(len/II) / (1 + consumers)] *)
   | Fewest_consumers
       (** cheapest reload cost first; lifetime length breaks ties *)
-
-(** Spill-loop strategy.
-
-    [batch] spills up to that many pairwise non-interfering victims per
-    round (victims connected by a flow edge interfere: spilling one
-    invalidates the other's measured lifetime).  [batch = 1] is the
-    reference one-victim-per-round loop.
-
-    [incremental] reschedules each round by seeding the previous round's
-    kernel placements and only placing the new memory ops
-    ({!Modulo.reschedule_incremental}), falling back to the full II
-    search when seeding declines.  Incremental rounds keep the previous
-    II even where a full search might have found the new memory ops a
-    cheaper arrangement, so outcomes may diverge from the reference.
-
-    [ii_floor] starts each round's II search at the previously achieved
-    II instead of rediscovering it.  On by default.  Spill code only
-    adds resource usage and dependences, so the {e bounds} never
-    decrease — but the achieved II is a heuristic result, and spill
-    stores/loads can restructure a critical chain so that a {e lower}
-    II becomes feasible on the rewritten graph.  When that happens the
-    floored loop keeps the higher II for the round and may pick
-    different victims downstream: same final quality in practice, but
-    not byte-identical to the reference
-    ([{ batch = 1; incremental = false; ii_floor = false }] is the
-    reference-identical configuration). *)
-type policy = {
-  batch : int;
-  incremental : bool;
-  ii_floor : bool;
-}
-
-(** [{ batch = 1; incremental = false; ii_floor = true }]. *)
-val default_policy : policy
 
 (** Next free spill slot of a graph: one past the highest slot named by
     any spill load/store, 0 for a graph with no spill code.  [run]
@@ -124,6 +89,17 @@ type outcome = {
     completed round likewise degrades to the last completed round.
     [victim] (default [Longest_lifetime]) selects the spill heuristic.
 
+    [ii_floor] (default [true]) starts each round's II search at the
+    previously achieved II instead of rediscovering it.  Spill code only
+    adds resource usage and dependences, so the {e bounds} never
+    decrease — but the achieved II is a heuristic result, and spill
+    stores/loads can restructure a critical chain so that a {e lower}
+    II becomes feasible on the rewritten graph.  When that happens the
+    floored loop keeps the higher II for the round and may pick
+    different victims downstream: same final quality in practice, but
+    not byte-identical to the oracle (test/test_spill.ml pins one such
+    seed).  [~ii_floor:false] is the oracle-identical configuration.
+
     [schedule] replaces the per-round scheduling step (modulo scheduling
     at [min_ii] followed by pushing spill loads late); the pipeline
     injects a memoized version so rounds shared between models and
@@ -142,9 +118,8 @@ type outcome = {
     failures can no longer be attributed to the round that computed it.
 
     Per-run telemetry: bumps the [spill.full_reschedules] /
-    [spill.incremental_reschedules] / [spill.batch_rounds] /
-    [spill.batch_size] / [spill.lb_pruned] counters and records the
-    reschedule split on the current trace point. *)
+    [spill.lb_pruned] counters and records the reschedule count on the
+    current trace point. *)
 val run :
   config:Config.t ->
   requirement:(Schedule.t -> Schedule.t * int) ->
@@ -153,7 +128,7 @@ val run :
   ?schedule:(min_ii:int -> Ddg.t -> Schedule.t) ->
   ?max_rounds:int ->
   ?max_ii_bumps:int ->
-  ?policy:policy ->
+  ?ii_floor:bool ->
   ?lower_bound:(Schedule.t -> lifetimes:Ncdrf_regalloc.Lifetime.t list Lazy.t -> int) ->
   Ddg.t ->
   outcome

@@ -14,7 +14,6 @@ type record = {
   requirement : int option;
   maxlive : int option;
   spill_full : int option;
-  spill_incremental : int option;
   cache_hits : int;
   cache_misses : int;
   disk_hits : int;
@@ -98,7 +97,6 @@ let to_json r =
       ("requirement", opt_int r.requirement);
       ("maxlive", opt_int r.maxlive);
       ("spill_full", opt_int r.spill_full);
-      ("spill_incremental", opt_int r.spill_incremental);
       ( "cache",
         Json.Obj
           [
@@ -152,7 +150,6 @@ let of_json json =
     let* requirement = int_opt "requirement" in
     let* maxlive = int_opt "maxlive" in
     let* spill_full = int_opt "spill_full" in
-    let* spill_incremental = int_opt "spill_incremental" in
     let* cache_hits, cache_misses, disk_hits, disk_misses =
       match field "cache" fields with
       | Some (Json.Obj cf) -> (
@@ -211,7 +208,6 @@ let of_json json =
         requirement;
         maxlive;
         spill_full;
-        spill_incremental;
         cache_hits;
         cache_misses;
         disk_hits;

@@ -26,8 +26,6 @@ type record = {
   spill_full : int option;
       (** spill rounds scheduled by a full II search; [None] when the
           point never entered the spill loop *)
-  spill_incremental : int option;
-      (** spill rounds that reused the previous kernel incrementally *)
   cache_hits : int;
   cache_misses : int;
   disk_hits : int;  (** on-disk store lookups that decoded (0 pre-disk-tier) *)

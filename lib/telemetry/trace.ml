@@ -23,7 +23,6 @@ type point = {
   mutable requirement : int;
   mutable maxlive : int;
   mutable spill_full : int;
-  mutable spill_incremental : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable disk_hits : int;
@@ -213,7 +212,6 @@ let with_context ~loop ~config ~fp f =
           requirement = -1;
           maxlive = -1;
           spill_full = -1;
-          spill_incremental = -1;
           cache_hits = 0;
           cache_misses = 0;
           disk_hits = 0;
@@ -234,8 +232,7 @@ let with_point f =
 
 let set_ii ii = with_point (fun p -> p.ii <- ii)
 
-let set_result ?mii ?ii ?clusters ?rounds ?spilled ?requirement ?maxlive ?spill_full
-    ?spill_incremental () =
+let set_result ?mii ?ii ?clusters ?rounds ?spilled ?requirement ?maxlive ?spill_full () =
   with_point (fun p ->
       Option.iter (fun v -> p.mii <- v) mii;
       Option.iter (fun v -> p.ii <- v) ii;
@@ -244,8 +241,7 @@ let set_result ?mii ?ii ?clusters ?rounds ?spilled ?requirement ?maxlive ?spill_
       Option.iter (fun v -> p.spilled <- v) spilled;
       Option.iter (fun v -> p.requirement <- v) requirement;
       Option.iter (fun v -> p.maxlive <- v) maxlive;
-      Option.iter (fun v -> p.spill_full <- v) spill_full;
-      Option.iter (fun v -> p.spill_incremental <- v) spill_incremental)
+      Option.iter (fun v -> p.spill_full <- v) spill_full)
 
 let set_error category = with_point (fun p -> p.error <- Some category)
 let note_stage name seconds = with_point (fun p -> p.stages <- (name, seconds) :: p.stages)

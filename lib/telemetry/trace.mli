@@ -110,9 +110,6 @@ type point = {
   mutable maxlive : int;
   mutable spill_full : int;
       (** spill rounds scheduled by a full II search; -1 = no spill pass *)
-  mutable spill_incremental : int;
-      (** spill rounds that reused the previous kernel incrementally;
-          -1 = no spill pass *)
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable disk_hits : int;  (** on-disk store lookups that decoded *)
@@ -140,7 +137,6 @@ val set_result :
   ?requirement:int ->
   ?maxlive:int ->
   ?spill_full:int ->
-  ?spill_incremental:int ->
   unit ->
   unit
 

@@ -30,14 +30,15 @@ rm -f "$equiv_out"
 
 # Spiller equivalence: same deal for the spill suite, which pins the
 # rewritten spill loop to the verbatim Spiller_reference oracle (qcheck
-# byte-identity at the default policy plus a fixed-seed digest of the
-# opt-in incremental mode).  A skip here would void that guarantee too.
+# byte-identity with the II floor off, plus equivalence on the kernel
+# zoo at the default floor-on loop).  A skip here would void that
+# guarantee too.
 spill_out=$(mktemp /tmp/ncdrf-spill-suite.XXXXXX.txt)
 dune exec test/test_main.exe -- test spill > "$spill_out" 2>&1 || {
   cat "$spill_out" >&2; rm -f "$spill_out"; exit 1; }
 ok=$(grep -c 'OK.*spill' "$spill_out" || true)
-if [ "${ok:-0}" -lt 29 ]; then
-  echo "check.sh: expected 29 spill tests (incl. reference equivalence) to run, got $ok" >&2
+if [ "${ok:-0}" -lt 26 ]; then
+  echo "check.sh: expected 26 spill tests (incl. reference equivalence) to run, got $ok" >&2
   rm -f "$spill_out"
   exit 1
 fi
@@ -96,19 +97,16 @@ if [ -z "${reuse:-}" ] || [ "$reuse" -eq 0 ]; then
 fi
 
 # Spill-path smoke: fig6 never spills (its capacity grid sits at or
-# above every loop's requirement), so the incremental-reschedule gate
-# runs on the fig8 performance sweep instead, which drives the spill
-# loop hard.  With --spill-incremental the seeded rescheduler must
-# engage at least once; zero would mean the incremental path is
-# disconnected from the spill loop (every round silently falling back
-# to the full II search).
+# above every loop's requirement), so this gate runs on the fig8
+# performance sweep instead, which drives the spill loop hard.  Every
+# spill round schedules once, so spill.full_reschedules must be
+# positive; zero would mean fig8 no longer reaches the spill loop.
 spill_metrics=$(mktemp /tmp/ncdrf-spillrun.XXXXXX.json)
 trap 'rm -f "$metrics" "$spill_metrics"' EXIT
-dune exec bench/main.exe -- fig8 --quick --jobs 1 --spill-incremental \
-  --metrics "$spill_metrics" > /dev/null
-incs=$(grep -o '"spill.incremental_reschedules": *[0-9]*' "$spill_metrics" | head -n1 | grep -o '[0-9]*$' || true)
-if [ -z "${incs:-}" ] || [ "$incs" -eq 0 ]; then
-  echo "check.sh: spill.incremental_reschedules missing or zero in $spill_metrics" >&2
+dune exec bench/main.exe -- fig8 --quick --jobs 1 --metrics "$spill_metrics" > /dev/null
+fulls=$(grep -o '"spill.full_reschedules": *[0-9]*' "$spill_metrics" | head -n1 | grep -o '[0-9]*$' || true)
+if [ -z "${fulls:-}" ] || [ "$fulls" -eq 0 ]; then
+  echo "check.sh: spill.full_reschedules missing or zero in $spill_metrics" >&2
   exit 1
 fi
 
@@ -374,4 +372,4 @@ if [ "${shard_points:-0}" -lt 2 ]; then
   exit 1
 fi
 
-echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.incremental_reschedules=$incs, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK)"
+echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.full_reschedules=$fulls, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK)"

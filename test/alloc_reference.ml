@@ -2,6 +2,8 @@
    file: its value is being the simplest possible statement of the
    placement semantics that Alloc must reproduce byte for byte. *)
 
+open Ncdrf_regalloc
+
 type placement = Alloc.placement = {
   value : Lifetime.t;
   register : int;

@@ -10,6 +10,8 @@
 
     Types are shared with {!Alloc} so results compare structurally. *)
 
+open Ncdrf_regalloc
+
 (** Same placement semantics as {!Alloc.allocate}, computed the original
     way. *)
 val allocate :

@@ -1,12 +1,13 @@
-(* The pre-incremental spiller, kept verbatim as the behavioural oracle
-   for [Spiller]: at default policy the rebuilt spiller must produce
-   byte-identical outcomes (test/test_spill.ml pins the equivalence with
-   qcheck and a fixed-seed digest).  Do not "improve" this file — its
-   value is that it does not change. *)
+(* The pre-optimization spiller, kept verbatim as the behavioural oracle
+   for [Spiller]: with the II floor off ([~ii_floor:false]) the rebuilt
+   spiller must produce byte-identical outcomes (test/test_spill.ml pins
+   the equivalence with qcheck and a fixed-seed digest).  Do not
+   "improve" this file — its value is that it does not change. *)
 
 open Ncdrf_ir
 open Ncdrf_sched
 open Ncdrf_regalloc
+open Ncdrf_spill
 module Error = Ncdrf_error.Error
 module Fault = Ncdrf_fault.Fault
 module Trace = Ncdrf_telemetry.Trace

@@ -231,64 +231,6 @@ let test_push_late_shrinks_load_lifetime () =
   in
   check_bool "lifetime did not grow" true (lifetime_len adjusted <= lifetime_len sched)
 
-(* --- Incremental rescheduling --- *)
-
-let test_reschedule_incremental_extends () =
-  let cfg = Config.example () in
-  let g = Helpers.example_ddg () in
-  let base = Modulo.schedule cfg g in
-  (* Extend the graph with one load feeding A6 — the shape a spill round
-     produces: new memory ops, old operations untouched. *)
-  let a6 = Helpers.node_by_label g "A6" in
-  let g' =
-    Ddg.transform g
-      ~add_nodes:[ (Opcode.Load (Opcode.Array "z"), "Lz") ]
-      ~add_edges:
-        [ { Ddg.src = Ddg.num_nodes g; dst = a6.Ddg.id; distance = 0; kind = Ddg.Flow } ]
-      ()
-  in
-  match Modulo.reschedule_incremental ~base cfg g' with
-  | None -> Alcotest.fail "seeding should succeed with free LS slots"
-  | Some s ->
-    Helpers.check_valid "incremental schedule" s;
-    check_int "same II" (Schedule.ii base) (Schedule.ii s);
-    (* Base placements survive, up to the uniform normalization shift. *)
-    let shift = Schedule.cycle s 0 - Schedule.cycle base 0 in
-    Ddg.iter_nodes g ~f:(fun n ->
-        check_int (n.Ddg.label ^ " cycle")
-          (Schedule.cycle base n.Ddg.id + shift)
-          (Schedule.cycle s n.Ddg.id);
-        check_int (n.Ddg.label ^ " cluster")
-          (Schedule.cluster base n.Ddg.id)
-          (Schedule.cluster s n.Ddg.id))
-
-let test_reschedule_incremental_declines_new_recurrence () =
-  let cfg = Config.example () in
-  let g = Helpers.example_ddg () in
-  let base = Modulo.schedule cfg g in
-  (* II = 1; a distance-1 ordering edge S7 -> L1 closes a recurrence
-     whose latency sum no window at this II can satisfy, so seeding must
-     decline rather than loop or return an invalid schedule. *)
-  let s7 = Helpers.node_by_label g "S7" and l1 = Helpers.node_by_label g "L1" in
-  let g' =
-    Ddg.transform g
-      ~add_edges:[ { Ddg.src = s7.Ddg.id; dst = l1.Ddg.id; distance = 1; kind = Ddg.Mem } ]
-      ()
-  in
-  check_bool "declines" true (Modulo.reschedule_incremental ~base cfg g' = None)
-
-let test_reschedule_incremental_rejects_shrunk_graph () =
-  let cfg = Config.example () in
-  let g = Helpers.example_ddg () in
-  let g' =
-    Ddg.transform g ~add_nodes:[ (Opcode.Load (Opcode.Array "z"), "Lz") ] ()
-  in
-  let base = Modulo.schedule cfg g' in
-  try
-    ignore (Modulo.reschedule_incremental ~base cfg g);
-    Alcotest.fail "a graph smaller than the base was accepted"
-  with Invalid_argument _ -> ()
-
 (* --- qcheck properties over generated loops --- *)
 
 let generated_ddg =
@@ -376,12 +318,6 @@ let suite =
       test_push_late_shrinks_load_lifetime;
     Alcotest.test_case "bidirectional placement" `Quick
       test_bidirectional_same_ii_fewer_regs;
-    Alcotest.test_case "reschedule_incremental extends a schedule" `Quick
-      test_reschedule_incremental_extends;
-    Alcotest.test_case "reschedule_incremental declines a new recurrence" `Quick
-      test_reschedule_incremental_declines_new_recurrence;
-    Alcotest.test_case "reschedule_incremental rejects a shrunk graph" `Quick
-      test_reschedule_incremental_rejects_shrunk_graph;
     QCheck_alcotest.to_alcotest prop_bidirectional_valid;
     QCheck_alcotest.to_alcotest prop_schedules_valid;
     QCheck_alcotest.to_alcotest prop_rec_mii_cross_check;

@@ -59,8 +59,6 @@ let gen_request_kind =
     gen_spec >>= fun spec ->
     gen_model >>= fun model ->
     opt (int_range 1 64) >>= fun capacity ->
-    int_range 1 4 >>= fun spill_batch ->
-    bool >>= fun spill_incremental ->
     bool >>= fun show_kernel ->
     return
       (Protocol.Schedule
@@ -70,8 +68,8 @@ let gen_request_kind =
            spec;
            model;
            capacity;
-           spill_batch;
-           spill_incremental;
+           spill_batch = 1;
+           spill_incremental = false;
            show_kernel;
          })
   in
@@ -270,6 +268,30 @@ let test_malformed_frames () =
    with
    | Stdlib.Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown category: expected a parse error")
+
+(* The batched and incremental spill modes are gone; their wire fields
+   remain, and any value but the defaults is a protocol error that names
+   the removed mode, never a failed compile. *)
+let test_removed_spill_modes_rejected () =
+  let frame ~batch ~incremental =
+    Printf.sprintf
+      {|{"id":"x","kind":"schedule","workload":{"kernel":"daxpy"},"config":{"latency":3,"clusters":2},"model":"swapped","spill_batch":%d,"spill_incremental":%b,"show_kernel":false}|}
+      batch incremental
+  in
+  let rejected name line ~mentions =
+    check_request_error name line;
+    match Protocol.parse_request line with
+    | Stdlib.Error e ->
+      check_bool (name ^ ": names the mode") true (Helpers.contains e.Error.message mentions)
+    | Ok _ -> ()
+  in
+  rejected "spill_batch 0" (frame ~batch:0 ~incremental:false) ~mentions:"spill_batch";
+  rejected "spill_batch 2" (frame ~batch:2 ~incremental:false) ~mentions:"spill_batch";
+  rejected "spill_incremental true" (frame ~batch:1 ~incremental:true)
+    ~mentions:"spill_incremental";
+  match Protocol.parse_request (frame ~batch:1 ~incremental:false) with
+  | Ok _ -> ()
+  | Stdlib.Error e -> Alcotest.fail ("defaults rejected: " ^ Error.to_string e)
 
 let test_frame_id_recovery () =
   Alcotest.(check (option string))
@@ -758,6 +780,8 @@ let test_daemon_concurrent_identity () =
 let suite =
   [
     Alcotest.test_case "malformed frames are typed errors" `Quick test_malformed_frames;
+    Alcotest.test_case "removed spill modes are protocol errors" `Quick
+      test_removed_spill_modes_rejected;
     Alcotest.test_case "frame id recovery" `Quick test_frame_id_recovery;
     Alcotest.test_case "shared renderers" `Quick test_renderers;
     Alcotest.test_case "budget clock is monotonic" `Quick test_budget_clock_is_monotonic;

@@ -299,10 +299,9 @@ let unified_lower_bound raw ~lifetimes =
 
 let victims = [| Spiller.Longest_lifetime; Spiller.Best_ratio; Spiller.Fewest_consumers |]
 
-(* The exact configuration the reference loop implements: no batching,
-   no incremental rescheduling, and no II floor.  The floor is
-   almost-identity but not identity — see the regression test below. *)
-let reference_policy = { Spiller.batch = 1; incremental = false; ii_floor = false }
+(* The exact configuration the reference loop implements: no II floor.
+   The floor is almost-identity but not identity — see the regression
+   test below. *)
 
 let spiller_eq_arb =
   QCheck.make
@@ -322,14 +321,14 @@ let prop_spiller_matches_reference =
       let victim = victims.(seed mod Array.length victims) in
       let o =
         Spiller.run ~config ~requirement:unified_requirement ~capacity ~victim
-          ~policy:reference_policy g
+          ~ii_floor:false g
       in
       let r =
         Spiller_reference.run ~config ~requirement:unified_requirement ~capacity ~victim g
       in
       same_outcome o r)
 
-(* The II floor (on in [default_policy]) is almost-identity: it only
+(* The II floor (on by default) is almost-identity: it only
    matters when the heuristic scheduler achieves a *lower* II after
    spill code restructured the graph — then the floored loop keeps the
    higher II and may spill in a different order.  Generator seed 14923
@@ -396,94 +395,6 @@ let test_spiller_matches_reference_on_kernels () =
               (Ddg.name g) capacity)
         [ 8; 64 ])
     (Ncdrf_workloads.Kernels.all ())
-
-(* --- Opt-in policies (may diverge from the reference) --- *)
-
-let incremental_policy = { Spiller.default_policy with Spiller.incremental = true }
-
-let test_incremental_reschedules_counted () =
-  (* A recurrence-bound kernel: the II is pinned well above ResMII, so
-     the LS rows of the reservation table have slack for the spill
-     memops and seeding can actually succeed. *)
-  let config = Config.dual ~latency:6 in
-  let ddg = kernel "ll5-tridiag" in
-  let spill_free =
-    Requirements.unified (Modulo.schedule config ddg)
-  in
-  let capacity = spill_free - 1 in
-  let module T = Ncdrf_telemetry.Telemetry in
-  let was_enabled = T.enabled () in
-  T.enable true;
-  let inc0 = T.counter "spill.incremental_reschedules" in
-  let full0 = T.counter "spill.full_reschedules" in
-  let o =
-    Spiller.run ~config ~requirement:unified_requirement ~capacity
-      ~policy:incremental_policy ddg
-  in
-  let inc = T.counter "spill.incremental_reschedules" - inc0 in
-  let full = T.counter "spill.full_reschedules" - full0 in
-  T.enable was_enabled;
-  check_bool "fits" true o.Spiller.fits;
-  Helpers.check_valid "incremental outcome" o.Spiller.schedule;
-  check_bool "spilled something" true (o.Spiller.spilled > 0);
-  (* One scheduling step per round plus the initial one; each is either
-     seeded or a full search. *)
-  check_int "every round is counted once" (o.Spiller.rounds + 1) (inc + full);
-  check_bool "round zero has no seed" true (full >= 1);
-  check_bool "later rounds reschedule incrementally" true (inc >= 1)
-
-let test_batch_spills_in_fewer_rounds () =
-  let config = Config.example () in
-  let ddg = Helpers.example_ddg () in
-  let policy = { Spiller.default_policy with Spiller.batch = 4 } in
-  let o = Spiller.run ~config ~requirement:unified_requirement ~capacity:30 ~policy ddg in
-  let r = Spiller_reference.run ~config ~requirement:unified_requirement ~capacity:30 ddg in
-  check_bool "fits" true o.Spiller.fits;
-  Helpers.check_valid "batched outcome" o.Spiller.schedule;
-  check_bool "within capacity" true (o.Spiller.requirement <= 30);
-  check_bool "no more rounds than the reference" true (o.Spiller.rounds <= r.Spiller.rounds);
-  (* Slot bookkeeping holds across batched rounds too. *)
-  check_int "slots consumed = values spilled" o.Spiller.spilled
-    (Spiller.next_spill_slot o.Spiller.ddg)
-
-let test_batch_zero_rejected () =
-  let config = Config.example () in
-  let ddg = Helpers.example_ddg () in
-  let policy = { Spiller.default_policy with Spiller.batch = 0 } in
-  try
-    ignore
-      (Spiller.run ~config ~requirement:unified_requirement ~capacity:30 ~policy ddg);
-    Alcotest.fail "batch = 0 accepted"
-  with Invalid_argument _ -> ()
-
-(* Incremental-mode outputs are pinned by a fixed-seed digest: the mode
-   may diverge from the reference (it keeps the previous round's II
-   where a full search might restructure), but it must diverge the same
-   way every run.  Any intended change to the incremental path must
-   update this hex. *)
-let test_incremental_fixed_seed_digest () =
-  let config = Config.dual ~latency:3 in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun seed ->
-      let g =
-        Ncdrf_workloads.Generator.generate Ncdrf_workloads.Generator.heavy ~seed
-          ~name:(Printf.sprintf "inc%d" seed)
-      in
-      let o =
-        Spiller.run ~config ~requirement:unified_requirement ~capacity:16
-          ~policy:incremental_policy g
-      in
-      Helpers.check_valid "incremental outcome" o.Spiller.schedule;
-      Printf.bprintf buf "%d: ii=%d req=%d spilled=%d bumps=%d rounds=%d fits=%b %s\n" seed
-        (Schedule.ii o.Spiller.schedule)
-        o.Spiller.requirement o.Spiller.spilled o.Spiller.ii_bumps o.Spiller.rounds
-        o.Spiller.fits
-        (Ddg.digest o.Spiller.ddg))
-    [ 1; 2; 3; 5; 8; 13; 21; 34 ];
-  Alcotest.(check string)
-    "incremental fixed-seed digest" "fd344bfcb29b85e3a02cae1c97c880ac"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* --- Traffic density edge cases --- *)
 
@@ -622,13 +533,6 @@ let suite =
     Alcotest.test_case "incremental spill slots" `Quick test_incremental_spill_slots;
     Alcotest.test_case "spiller matches the reference on kernels" `Quick
       test_spiller_matches_reference_on_kernels;
-    Alcotest.test_case "incremental rounds are counted" `Quick
-      test_incremental_reschedules_counted;
-    Alcotest.test_case "batched victims spill in fewer rounds" `Quick
-      test_batch_spills_in_fewer_rounds;
-    Alcotest.test_case "batch = 0 is rejected" `Quick test_batch_zero_rejected;
-    Alcotest.test_case "incremental fixed-seed digest" `Quick
-      test_incremental_fixed_seed_digest;
     Alcotest.test_case "density with zero bandwidth" `Quick
       test_density_zero_bandwidth_is_infinite;
     Alcotest.test_case "fission: loop-carried cross-cut views" `Quick

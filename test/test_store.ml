@@ -337,7 +337,6 @@ let record ~label ~loop ~config ~total_ns =
     requirement = Some 17;
     maxlive = None;
     spill_full = None;
-    spill_incremental = None;
     cache_hits = 2;
     cache_misses = 1;
     disk_hits = 1;

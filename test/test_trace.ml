@@ -389,7 +389,6 @@ let sample_record : Ledger.record =
     requirement = Some 17;
     maxlive = Some 21;
     spill_full = Some 2;
-    spill_incremental = Some 1;
     cache_hits = 2;
     cache_misses = 4;
     disk_hits = 1;
@@ -412,7 +411,6 @@ let failed_record =
     requirement = None;
     maxlive = None;
     spill_full = None;
-    spill_incremental = None;
     stages = [];
     ok = false;
     error = Some "sched";
@@ -425,6 +423,23 @@ let test_ledger_record_roundtrip () =
       | Ok r' -> check_bool ("record round-trips: " ^ r.Ledger.loop) true (r = r')
       | Error e -> Alcotest.fail e)
     [ sample_record; failed_record ]
+
+(* Ledgers written while the incremental spill mode existed carry a
+   "spill_incremental" key.  They still parse (the key is ignored), and a
+   record rendered now has no such key. *)
+let test_ledger_parses_spill_incremental_line () =
+  let line =
+    {|{"label":"fig8","loop":"gen-0035","config":"dual-L3","fp":"aac5299b6052","models":"partitioned","capacity":32,"clusters":2,"mii":8,"ii":11,"rounds":2,"spilled":2,"requirement":23,"maxlive":22,"spill_full":3,"spill_incremental":0,"cache":{"hits":6,"misses":2,"disk_hits":0,"disk_misses":0},"stages":{"alloc":135189,"spill":198107},"total_ns":282730,"ok":true,"error":null}|}
+  in
+  match Ledger.parse_line line with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check_bool "spill_full kept" true (r.Ledger.spill_full = Some 3);
+    check_bool "rounds kept" true (r.Ledger.rounds = Some 2);
+    let rendered = Json.to_compact (Ledger.to_json r) in
+    check_bool "spill_full rendered" true (Helpers.contains rendered "\"spill_full\":3");
+    check_bool "no spill_incremental key" false
+      (Helpers.contains rendered "spill_incremental")
 
 let test_ledger_file_roundtrip () =
   with_observability ~trace:false (fun () ->
@@ -558,6 +573,8 @@ let suite =
     Alcotest.test_case "two systhreads keep shards apart" `Quick
       test_two_systhreads_do_not_interleave;
     Alcotest.test_case "ledger record round-trips" `Quick test_ledger_record_roundtrip;
+    Alcotest.test_case "ledger parses a line with spill_incremental" `Quick
+      test_ledger_parses_spill_incremental_line;
     Alcotest.test_case "ledger file round-trips identity-sorted" `Quick
       test_ledger_file_roundtrip;
     Alcotest.test_case "ledger identity set invariant under --jobs" `Quick
