@@ -1367,7 +1367,12 @@ let () =
       suite_size := max 1 (int_arg "--size" n);
       parse rest
     | "--clusters" :: n :: rest ->
-      cluster_count := max 1 (int_arg "--clusters" n);
+      let k = int_arg "--clusters" n in
+      if k > Config.max_clusters then begin
+        Printf.eprintf "--clusters: at most %d clusters\n" Config.max_clusters;
+        usage ()
+      end;
+      cluster_count := max 1 k;
       parse rest
     | "--read-ports" :: n :: rest ->
       rf_read_ports := Some (max 1 (int_arg "--read-ports" n));

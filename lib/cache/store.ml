@@ -233,7 +233,9 @@ let save t ~key payload =
   let entry = render_entry ~key payload in
   match
     mkdir_p (Filename.dirname path);
-    Json.write_file ~prefix:".store" ~path entry
+    (* No fsync: an entry lost or torn by a crash fails its self-check
+       and reads as a miss, which costs only a recompute. *)
+    Json.publish_file ~prefix:".store" ~path entry
   with
   | exception (Sys_error _ | Unix.Unix_error _) -> ()
   | () ->

@@ -112,28 +112,49 @@ let local_indices j ~cluster table =
   let n_pre = Array.length j.prefix.(cluster) in
   List.init (Conflict.size table - n_pre) (fun k -> n_pre + k)
 
+(* The allocation problems of a joint search — the shared values on
+   [gtable], then each cluster's locals on its own table — sorted once
+   and probed at every capacity.  A cluster's problem is prepared when
+   a probe first reaches it: most searches end at their first
+   capacity, often before every cluster is tried. *)
+type problems = {
+  shared_problem : Alloc.problem;
+  local_problems : Alloc.problem Lazy.t array;
+}
+
+let problems ?strategy ?order j =
+  {
+    shared_problem = Alloc.problem ?strategy ?order j.gtable (global_indices j);
+    local_problems =
+      Array.mapi
+        (fun c table ->
+          lazy (Alloc.problem ?strategy ?order table (local_indices j ~cluster:c table)))
+        j.tables;
+  }
+
+(* The registers of the placed shared values, by [gtable] index. *)
+let shared_registers j placed_globals =
+  let reg = Array.make (max 1 j.num_globals) (-1) in
+  List.iter (fun (i, r) -> reg.(i) <- r) placed_globals;
+  reg
+
+(* Cluster [c]'s locals on top of its prefix of the shared values. *)
+let solve_locals j ps ~reg ~capacity c =
+  let placed = Array.to_list (Array.mapi (fun slot gi -> (slot, reg.(gi))) j.prefix.(c)) in
+  Alloc.solve ~placed (Lazy.force ps.local_problems.(c)) ~capacity
+
 (* Joint feasibility at a given capacity: place the shared values once
    (their registers are shared by every subfile holding them), then
    each cluster's locals on top of its own prefix. *)
-let joint_feasible ?strategy ?order j capacity =
-  match
-    Alloc.allocate_table ?strategy ?order ~capacity j.gtable (global_indices j)
-  with
+let joint_feasible j ps capacity =
+  match Alloc.solve ps.shared_problem ~capacity with
   | None -> false
   | Some placed_globals ->
-    let reg = Array.make (max 1 j.num_globals) (-1) in
-    List.iter (fun (i, r) -> reg.(i) <- r) placed_globals;
-    let cluster_fits c table =
-      match local_indices j ~cluster:c table with
-      | [] -> true
-      | locals ->
-        let placed =
-          Array.to_list (Array.mapi (fun p gi -> (p, reg.(gi))) j.prefix.(c))
-        in
-        Alloc.allocate_table ?strategy ?order ~placed ~capacity table locals <> None
-    in
+    let reg = shared_registers j placed_globals in
     let ok = ref true in
-    Array.iteri (fun c table -> if !ok then ok := cluster_fits c table) j.tables;
+    for c = 0 to Array.length ps.local_problems - 1 do
+      if !ok then ok := solve_locals j ps ~reg ~capacity c <> None
+    done;
     !ok
 
 (* Any pair sharing a table is co-allocated by [joint_feasible], so a
@@ -168,13 +189,14 @@ let joint_requirement_tables ?strategy ?order ?upper ~ii ~groups j =
             (globals @ List.concat (Array.to_list groups.locals)))
         + 64
     in
+    let ps = problems ?strategy ?order j in
     let rec search capacity =
       if capacity > upper then
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
           "no feasible joint capacity in [%d, %d] (%d globals, %d clusters)" lower upper
           (List.length globals)
           (Array.length groups.locals)
-      else if joint_feasible ?strategy ?order j capacity then capacity
+      else if joint_feasible j ps capacity then capacity
       else search (capacity + 1)
     in
     search (max lower (joint_floor j))
@@ -209,30 +231,20 @@ let partitioned_allocation ?strategy ?order sched =
         (fun (i, r) -> { Alloc.value = Conflict.lifetime table i; register = r })
         pairs
     in
-    match
-      Alloc.allocate_table ?strategy ?order ~capacity j.gtable (global_indices j)
-    with
+    let ps = problems ?strategy ?order j in
+    match Alloc.solve ps.shared_problem ~capacity with
     | None ->
       Error.errorf ~ii ~stage:"alloc" Error.Internal
         "partitioned_allocation: globals do not fit capacity %d (bug)" capacity
     | Some placed_globals ->
       let members = Array.of_list (List.map snd groups.shared) in
-      let reg = Array.make (max 1 j.num_globals) (-1) in
-      List.iter (fun (i, r) -> reg.(i) <- r) placed_globals;
+      let reg = shared_registers j placed_globals in
       let place_locals c table =
-        match local_indices j ~cluster:c table with
-        | [] -> []
-        | locals ->
-          let placed =
-            Array.to_list (Array.mapi (fun p gi -> (p, reg.(gi))) j.prefix.(c))
-          in
-          (match
-             Alloc.allocate_table ?strategy ?order ~placed ~capacity table locals
-           with
-           | Some p -> placements table p
-           | None ->
-             Error.errorf ~ii ~stage:"alloc" Error.Internal
-               "partitioned_allocation: locals do not fit capacity %d (bug)" capacity)
+        match solve_locals j ps ~reg ~capacity c with
+        | Some p -> placements table p
+        | None ->
+          Error.errorf ~ii ~stage:"alloc" Error.Internal
+            "partitioned_allocation: locals do not fit capacity %d (bug)" capacity
       in
       {
         capacity;

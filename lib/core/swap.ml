@@ -56,79 +56,121 @@ let candidates sched = cross_cluster ~cluster:(Schedule.cluster sched) (bucket_p
    slots, split as [base] (the [length / ii] instances a value has live
    at every slot) plus [partial] (one more instance in the
    [length mod ii] slots just past its start) — the same accumulation
-   as [Lifetime.max_live] — so moving a value costs O(ii) at worst. *)
+   as [Lifetime.max_live] — so moving a value costs O(ii) at worst.
+   Cluster sets are int bit sets (bit [c] for cluster [c];
+   [Config.max_clusters] keeps them within one int), and the moves of a
+   scored pair go to a preallocated undo log, so scoring a pair
+   allocates nothing. *)
 type rows = {
   ii : int;
-  ddg : Ddg.t;
   cluster : int array;  (* current cluster of every node *)
-  lifetime : Lifetime.t option array;  (* by node id; [None] for stores *)
-  members : int list array;  (* current member clusters of each value *)
-  touches : int list array;
+  consumers : int array array;  (* flow consumers of each node *)
+  len : int array;  (* lifetime length by node id; 0 for stores *)
+  start : int array;  (* kernel slot of each lifetime's start *)
+  members : int array;  (* current member-cluster set of each value *)
+  touches : int array array;
       (* values whose members depend on the node's cluster: its own,
          and the values it consumes *)
   base : int array;
   partial : int array array;
   peak : int array;  (* per cluster: base + max partial *)
+  undo_value : int array;  (* moves of the pair being scored *)
+  undo_members : int array;
+  mutable undo_len : int;
 }
 
 let members_of r v =
-  match Ddg.consumers r.ddg v with
-  | [] -> [ r.cluster.(v) ]
-  | es -> List.sort_uniq Int.compare (List.map (fun e -> r.cluster.(e.Ddg.dst)) es)
+  let cs = r.consumers.(v) in
+  if Array.length cs = 0 then 1 lsl r.cluster.(v)
+  else begin
+    let set = ref 0 in
+    for i = 0 to Array.length cs - 1 do
+      set := !set lor (1 lsl r.cluster.(cs.(i)))
+    done;
+    !set
+  end
 
-let add r ~sign c (l : Lifetime.t) =
-  let len = Lifetime.length l in
+let add r ~sign c v =
+  let len = r.len.(v) in
   if len > 0 then begin
     r.base.(c) <- r.base.(c) + (sign * (len / r.ii));
     let row = r.partial.(c) in
-    let start = ((l.Lifetime.start mod r.ii) + r.ii) mod r.ii in
-    for k = 0 to (len mod r.ii) - 1 do
-      let slot = (start + k) mod r.ii in
-      row.(slot) <- row.(slot) + sign
+    let slot = ref r.start.(v) in
+    for _ = 1 to len mod r.ii do
+      row.(!slot) <- row.(!slot) + sign;
+      incr slot;
+      if !slot = r.ii then slot := 0
     done
   end
 
-let peak_of r c = r.base.(c) + Array.fold_left max 0 r.partial.(c)
+let add_set r ~sign set v =
+  let set = ref set and c = ref 0 in
+  while !set <> 0 do
+    if !set land 1 <> 0 then add r ~sign !c v;
+    set := !set lsr 1;
+    incr c
+  done
+
+let peak_of r c =
+  let row = r.partial.(c) in
+  let top = ref 0 in
+  for s = 0 to r.ii - 1 do
+    if row.(s) > !top then top := row.(s)
+  done;
+  r.base.(c) + !top
 
 let rows_of sched =
   let ddg = sched.Schedule.ddg in
   let n = Ddg.num_nodes ddg in
   let k = Config.num_clusters sched.Schedule.config in
   let ii = Schedule.ii sched in
-  let lifetime = Array.make n None in
-  List.iter (fun l -> lifetime.(l.Lifetime.producer) <- Some l) (Lifetime.of_schedule sched);
+  let has_value = Array.make n false in
+  let len = Array.make n 0 and start = Array.make n 0 in
+  List.iter
+    (fun l ->
+      let v = l.Lifetime.producer in
+      has_value.(v) <- true;
+      len.(v) <- Lifetime.length l;
+      start.(v) <- ((l.Lifetime.start mod ii) + ii) mod ii)
+    (Lifetime.of_schedule sched);
   let touches =
     Array.init n (fun v ->
         let consumed =
           List.filter_map
             (fun e ->
-              if e.Ddg.kind = Ddg.Flow && lifetime.(e.Ddg.src) <> None then Some e.Ddg.src
+              if e.Ddg.kind = Ddg.Flow && has_value.(e.Ddg.src) then Some e.Ddg.src
               else None)
             (Ddg.preds ddg v)
         in
-        if lifetime.(v) <> None then v :: consumed else consumed)
+        Array.of_list (if has_value.(v) then v :: consumed else consumed))
   in
+  let widest = Array.fold_left (fun acc t -> max acc (Array.length t)) 0 touches in
   let r =
     {
       ii;
-      ddg;
       cluster = Array.init n (Schedule.cluster sched);
-      lifetime;
-      members = Array.make n [];
+      consumers =
+        Array.init n (fun v ->
+            Array.of_list (List.map (fun e -> e.Ddg.dst) (Ddg.consumers ddg v)));
+      len;
+      start;
+      members = Array.make n 0;
       touches;
       base = Array.make k 0;
       partial = Array.init k (fun _ -> Array.make ii 0);
       peak = Array.make k 0;
+      undo_value = Array.make (2 * widest) 0;
+      undo_members = Array.make (2 * widest) 0;
+      undo_len = 0;
     }
   in
-  Array.iteri
-    (fun v -> function
-      | None -> ()
-      | Some l ->
-        let m = members_of r v in
-        r.members.(v) <- m;
-        List.iter (fun c -> add r ~sign:1 c l) m)
-    lifetime;
+  for v = 0 to n - 1 do
+    if has_value.(v) then begin
+      let m = members_of r v in
+      r.members.(v) <- m;
+      add_set r ~sign:1 m v
+    end
+  done;
   for c = 0 to k - 1 do
     r.peak.(c) <- peak_of r c
   done;
@@ -142,45 +184,55 @@ let exchange r a b =
   r.cluster.(b) <- ca
 
 let move r v ~dst =
-  let l = Option.get r.lifetime.(v) in
-  List.iter (fun c -> add r ~sign:(-1) c l) r.members.(v);
-  List.iter (fun c -> add r ~sign:1 c l) dst;
+  add_set r ~sign:(-1) r.members.(v) v;
+  add_set r ~sign:1 dst v;
   r.members.(v) <- dst
 
-(* Exchange [a] and [b] and move every value whose members changed;
-   returns the moves [(value, old members)] so the caller can undo
-   them. *)
-let apply r a b =
-  let values = List.sort_uniq Int.compare (r.touches.(a) @ r.touches.(b)) in
-  exchange r a b;
-  List.filter_map
-    (fun v ->
-      let old = r.members.(v) and now = members_of r v in
-      if old = now then None
-      else begin
-        move r v ~dst:now;
-        Some (v, old)
-      end)
-    values
+(* Move every value of [values] whose members changed, logging each
+   move's old members so the caller can undo it; returns [touched] plus
+   the clusters whose rows changed. *)
+let move_changed r values touched =
+  let touched = ref touched in
+  for i = 0 to Array.length values - 1 do
+    let v = values.(i) in
+    let old = r.members.(v) and now = members_of r v in
+    if old <> now then begin
+      move r v ~dst:now;
+      r.undo_value.(r.undo_len) <- v;
+      r.undo_members.(r.undo_len) <- old;
+      r.undo_len <- r.undo_len + 1;
+      touched := !touched lor old lor now
+    end
+  done;
+  !touched
 
-let touched_clusters r moves =
-  List.concat_map (fun (v, old) -> old @ r.members.(v)) moves
-  |> List.sort_uniq Int.compare
+(* Exchange [a] and [b] and move the values they touch.  Returns the
+   set of clusters whose rows changed.  A value touched by both nodes
+   is moved at most once: on its second visit its members are already
+   current. *)
+let apply r a b =
+  exchange r a b;
+  r.undo_len <- 0;
+  move_changed r r.touches.(b) (move_changed r r.touches.(a) 0)
 
 let score r a b =
-  let moves = apply r a b in
-  let touched = touched_clusters r moves in
+  let touched = apply r a b in
   let cost = ref 0 in
-  Array.iteri
-    (fun c p -> cost := max !cost (if List.mem c touched then peak_of r c else p))
-    r.peak;
-  List.iter (fun (v, old) -> move r v ~dst:old) moves;
+  for c = 0 to Array.length r.peak - 1 do
+    let p = if touched land (1 lsl c) <> 0 then peak_of r c else r.peak.(c) in
+    if p > !cost then cost := p
+  done;
+  for i = r.undo_len - 1 downto 0 do
+    move r r.undo_value.(i) ~dst:r.undo_members.(i)
+  done;
   exchange r a b;
   !cost
 
 let commit r a b =
-  let moves = apply r a b in
-  List.iter (fun c -> r.peak.(c) <- peak_of r c) (touched_clusters r moves)
+  let touched = apply r a b in
+  for c = 0 to Array.length r.peak - 1 do
+    if touched land (1 lsl c) <> 0 then r.peak.(c) <- peak_of r c
+  done
 
 let cost ~estimate sched =
   match estimate with
@@ -209,25 +261,31 @@ let improve ?(estimate = Max_live) ?(max_passes = 1000) sched =
           (fun a b -> cost ~estimate (Schedule.swap_clusters !current a b)),
           fun _ _ -> () )
     in
+    let first = Array.of_list (List.map fst pairs)
+    and second = Array.of_list (List.map snd pairs) in
     let rec loop current_cost swaps passes =
       if passes >= max_passes then (current_cost, swaps)
       else begin
-        let best =
-          List.fold_left
-            (fun acc (a, b) ->
-              let c = score a b in
-              match acc with
-              | Some (_, best_cost) when best_cost <= c -> acc
-              | Some _ | None -> if c < current_cost then Some ((a, b), c) else acc)
-            None
-            (cross_cluster ~cluster:(Schedule.cluster !current) pairs)
-        in
-        match best with
-        | Some ((a, b), c) ->
+        (* The first cross-cluster pair reaching the minimum, if it is
+           below the current cost. *)
+        let best = ref (-1) and best_cost = ref current_cost in
+        for p = 0 to Array.length first - 1 do
+          let a = first.(p) and b = second.(p) in
+          if Schedule.cluster !current a <> Schedule.cluster !current b then begin
+            let c = score a b in
+            if c < !best_cost then begin
+              best := p;
+              best_cost := c
+            end
+          end
+        done;
+        if !best < 0 then (current_cost, swaps)
+        else begin
+          let a = first.(!best) and b = second.(!best) in
           commit a b;
           current := Schedule.swap_clusters !current a b;
-          loop c (swaps + 1) (passes + 1)
-        | None -> (current_cost, swaps)
+          loop !best_cost (swaps + 1) (passes + 1)
+        end
       end
     in
     let final_cost, swaps = loop initial_cost 0 0 in

@@ -108,31 +108,6 @@ let elementary_circuits ?(max_circuits = 100_000) ~num_nodes ~succs () =
    with Done -> ());
   !circuits
 
-let longest_paths ~num_nodes ~edges ~sources =
-  let neg_inf = min_int / 4 in
-  let dist = Array.make num_nodes neg_inf in
-  List.iter (fun s -> dist.(s) <- 0) sources;
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= num_nodes + 1 do
-    changed := false;
-    incr rounds;
-    let relax (u, v, w) =
-      if dist.(u) > neg_inf && dist.(u) + w > dist.(v) then begin
-        dist.(v) <- dist.(u) + w;
-        changed := true
-      end
-    in
-    List.iter relax edges
-  done;
-  if !changed then None
-  else Some (Array.map (fun d -> if d <= neg_inf then min_int else d) dist)
-
-let has_positive_cycle ~num_nodes ~edges =
-  match longest_paths ~num_nodes ~edges ~sources:(List.init num_nodes (fun i -> i)) with
-  | None -> true
-  | Some _ -> false
-
 let topological_order ~num_nodes ~succs =
   let indegree = Array.make num_nodes 0 in
   for v = 0 to num_nodes - 1 do

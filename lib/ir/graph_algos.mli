@@ -16,21 +16,6 @@ val scc : num_nodes:int -> succs:(int -> int list) -> int list list
 val elementary_circuits :
   ?max_circuits:int -> num_nodes:int -> succs:(int -> int list) -> unit -> int list list
 
-(** Longest-path potentials by Bellman-Ford on a graph with weighted
-    edges.  [longest_paths ~num_nodes ~edges ~sources] returns [Some
-    dist] where [dist.(v)] is the longest path weight from any source to
-    [v] ([min_int] if unreachable), or [None] if a positive-weight cycle
-    is reachable from a source (no finite longest paths). *)
-val longest_paths :
-  num_nodes:int ->
-  edges:(int * int * int) list ->
-  sources:int list ->
-  int array option
-
-(** [has_positive_cycle ~num_nodes ~edges] detects a cycle of positive
-    total weight anywhere in the graph. *)
-val has_positive_cycle : num_nodes:int -> edges:(int * int * int) list -> bool
-
 (** Topological order of the distance-0 (acyclic) subgraph; raises
     [Invalid_argument] if the given subgraph is cyclic. *)
 val topological_order : num_nodes:int -> succs:(int -> int list) -> int list

@@ -44,9 +44,15 @@ let render t =
        (port t.load_ports) (port t.store_ports));
   Buffer.contents buf
 
+(* Cluster sets are int bit sets in the swap pass; 62 bits leave the
+   sign bit and one spare clear on every 64-bit OCaml int. *)
+let max_clusters = 62
+
 let make ~name ~clusters ~add_latency ~mul_latency ?(mem_latency = 1) ?load_ports
     ?store_ports () =
   if Array.length clusters = 0 then invalid_arg "Config.make: no clusters";
+  if Array.length clusters > max_clusters then
+    invalid_arg (Printf.sprintf "Config.make: more than %d clusters" max_clusters);
   let positive what v = if v < 1 then invalid_arg (Printf.sprintf "Config.make: %s" what) in
   positive "add_latency must be >= 1" add_latency;
   positive "mul_latency must be >= 1" mul_latency;
@@ -178,8 +184,9 @@ let default_spec =
 let of_spec { spec_latency = latency; spec_clusters = clusters;
               spec_read_ports = read_ports; spec_write_ports = write_ports } =
   match clusters with
-  | n when n < 1 ->
-    Error (Printf.sprintf "unsupported cluster count %d (must be >= 1)" n)
+  | n when n < 1 || n > max_clusters ->
+    Error
+      (Printf.sprintf "unsupported cluster count %d (must be in [1, %d])" n max_clusters)
   | 1 ->
     Ok
       (match read_ports, write_ports with

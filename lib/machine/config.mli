@@ -40,11 +40,16 @@ type t = private {
   fingerprint : string;  (** rendered once by {!make}; see {!val-fingerprint} *)
 }
 
+(** Largest cluster count a configuration may have (62): the swap pass
+    keeps a value's cluster set as the bits of one [int]. *)
+val max_clusters : int
+
 (** Validate and build a configuration.  [clusters] is copied, so
     mutating the caller's array afterwards changes neither the
     configuration nor its fingerprint.
-    @raise Invalid_argument on no clusters, a latency [< 1], a negative
-    unit count or a register-file port cap [< 1]. *)
+    @raise Invalid_argument on no clusters or more than
+    {!max_clusters}, a latency [< 1], a negative unit count or a
+    register-file port cap [< 1]. *)
 val make :
   name:string ->
   clusters:cluster array ->
@@ -74,7 +79,10 @@ val pxly : parallelism:int -> latency:int -> t
 (** [k] clusters of {1 adder, 1 multiplier, 1 load/store unit} at FP
     latency [latency], each optionally capped at [read_ports] reads and
     [write_ports] writes per cycle on its subfile.  With [k = 2] and no
-    port caps this is exactly {!dual} (same name, same fingerprint). *)
+    port caps this is exactly {!dual} (same name, same fingerprint).
+
+    @raise Invalid_argument if [k < 1] or, from {!make}, if
+    [k > max_clusters]. *)
 val k_cluster :
   ?read_ports:int -> ?write_ports:int -> k:int -> latency:int -> unit -> t
 
@@ -138,6 +146,6 @@ val default_spec : spec
 (** Build the machine a spec describes: 1 cluster is the unified
     machine ({!dual_unified}, or its port-capped variant), 2 uncapped
     clusters is {!dual}, anything else {!k_cluster}.  [Error] on a
-    cluster count < 1 — the wire protocol must reject bad specs as
-    typed errors, never exceptions. *)
+    cluster count outside [[1, max_clusters]] — the wire protocol must
+    reject bad specs as typed errors, never exceptions. *)
 val of_spec : spec -> (t, string) result

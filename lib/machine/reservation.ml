@@ -68,27 +68,22 @@ let reserve_in t ~op ~cycle ~cluster =
   else false
 
 let reserve t ~op ~cycle =
-  if not (port_room t ~op ~cycle) then None
+  if not (port_room t ~op ~cycle) then -1
   else begin
     let s = slot t cycle in
     let cls = class_index op in
-    let best = ref None in
-    let consider cluster =
-      if cluster_room t ~op ~cycle ~cluster then begin
-        let free = capacity t.cfg cluster cls - t.usage.(cluster).(cls).(s) in
-        match !best with
-        | Some (_, best_free) when best_free >= free -> ()
-        | Some _ | None -> best := Some (cluster, free)
-      end
-    in
+    (* The cluster with the most free units of the class; ties go to
+       the lowest index. *)
+    let best = ref (-1) and best_free = ref 0 in
     for cluster = 0 to Config.num_clusters t.cfg - 1 do
-      consider cluster
+      let free = capacity t.cfg cluster cls - t.usage.(cluster).(cls).(s) in
+      if free > !best_free then begin
+        best := cluster;
+        best_free := free
+      end
     done;
-    match !best with
-    | None -> None
-    | Some (cluster, _) ->
-      book t ~op ~cycle ~cluster;
-      Some cluster
+    if !best >= 0 then book t ~op ~cycle ~cluster:!best;
+    !best
   end
 
 let release t ~op ~cycle ~cluster =

@@ -17,9 +17,11 @@ val config : t -> Config.t
 
 (** [reserve t ~op ~cycle] books a unit for [op] at kernel slot
     [cycle mod ii].  Returns the chosen cluster (the feasible cluster
-    with the most free units of the class, to balance load), or [None]
-    if no cluster has a free unit or a machine-wide port cap is hit. *)
-val reserve : t -> op:Opcode.t -> cycle:int -> int option
+    with the most free units of the class, to balance load), or [-1]
+    if no cluster has a free unit or a machine-wide port cap is hit.
+    An int rather than an option so the scheduler's inner loop does not
+    allocate. *)
+val reserve : t -> op:Opcode.t -> cycle:int -> int
 
 (** Book a unit in a specific cluster; [false] if not available. *)
 val reserve_in : t -> op:Opcode.t -> cycle:int -> cluster:int -> bool

@@ -108,7 +108,11 @@ let run_pass table ~strategy ~capacity ~placed ~scratch ordered =
             let width = row.(!k + 2) in
             if width >= capacity then blocked := true
             else begin
-              let start = pos_mod (rj + row.(!k + 1)) capacity in
+              (* [pos_mod] with one division: OCaml's [mod] keeps the
+                 dividend's sign, so a negative remainder needs one
+                 [capacity] added. *)
+              let start = (rj + row.(!k + 1)) mod capacity in
+              let start = if start < 0 then start + capacity else start in
               for o = 0 to width - 1 do
                 let idx = start + o in
                 let idx = if idx >= capacity then idx - capacity else idx in
@@ -141,7 +145,7 @@ let run_pass table ~strategy ~capacity ~placed ~scratch ordered =
               let rec scan k =
                 if k >= capacity then None
                 else begin
-                  let r = pos_mod (hint + k) capacity in
+                  let r = (hint + k) mod capacity (* hint >= 0 *) in
                   if free r then Some r else scan (k + 1)
                 end
               in
@@ -157,15 +161,26 @@ let run_pass table ~strategy ~capacity ~placed ~scratch ordered =
   in
   place [] 0 ordered
 
-let allocate_table ?(strategy = First_fit) ?(order = Start_time) ?(placed = [])
-    ~capacity table indices =
-  if indices = [] then Some []
+(* An allocation problem over a table: the indices sorted once and one
+   scratch, reused by every capacity probe. *)
+type problem = {
+  table : Conflict.t;
+  strategy : strategy;
+  ordered : int list;
+  scratch : scratch;
+}
+
+let problem ?(strategy = First_fit) ?(order = Start_time) table indices =
+  { table; strategy; ordered = sort_indices table ~order indices; scratch = make_scratch table }
+
+let solve ?(placed = []) p ~capacity =
+  if p.ordered = [] then Some []
   else if capacity <= 0 then None
   else begin
-    let ordered = sort_indices table ~order indices in
-    let scratch = make_scratch table in
-    let result = run_pass table ~strategy ~capacity ~placed ~scratch ordered in
-    flush_probes scratch;
+    let result =
+      run_pass p.table ~strategy:p.strategy ~capacity ~placed ~scratch:p.scratch p.ordered
+    in
+    flush_probes p.scratch;
     result
   end
 
@@ -208,8 +223,7 @@ let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) ?upper
     in
     (* The sorted order and scratch survive every probe; each probe is
        one [run_pass], not a from-scratch [allocate]. *)
-    let ordered = sort_indices table ~order indices in
-    let scratch = make_scratch table in
+    let p = problem ~strategy ~order table indices in
     let rec search capacity =
       if capacity > upper then
         Ncdrf_error.Error.errorf ~ii ~stage:"alloc"
@@ -217,13 +231,11 @@ let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) ?upper
           "no feasible capacity in [%d, %d] for %d lifetimes" lower upper
           (List.length lifetimes)
       else
-        match run_pass table ~strategy ~capacity ~placed:[] ~scratch ordered with
+        match solve p ~capacity with
         | Some _ -> capacity
         | None -> search (capacity + 1)
     in
-    Fun.protect
-      ~finally:(fun () -> flush_probes scratch)
-      (fun () -> search (max lower (subset_width_floor table indices)))
+    search (max lower (subset_width_floor table indices))
 
 let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
     ~capacity lifetimes =
@@ -235,7 +247,7 @@ let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
     let np = List.length placed in
     let placed_idx = List.mapi (fun j p -> (j, p.register)) placed in
     let indices = List.init (List.length lifetimes) (fun k -> np + k) in
-    match allocate_table ~strategy ~order ~placed:placed_idx ~capacity table indices with
+    match solve ~placed:placed_idx (problem ~strategy ~order table indices) ~capacity with
     | None -> None
     | Some pairs ->
       Some

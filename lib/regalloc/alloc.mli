@@ -63,21 +63,24 @@ val allocate :
 val min_capacity :
   ?strategy:strategy -> ?order:order -> ?upper:int -> ii:int -> Lifetime.t list -> int
 
-(** Table-level allocation over a prebuilt {!Conflict.t}: places the
-    table [indices] given (already honoured) [placed] pairs of
-    (table index, register), returning (table index, register) pairs in
-    placement order.  This is {!allocate} minus list-to-table plumbing;
-    callers that allocate the same lifetimes repeatedly (the joint
-    capacity search of [Requirements], the strategy ablations) build the
-    table once and call this per probe. *)
-val allocate_table :
-  ?strategy:strategy ->
-  ?order:order ->
-  ?placed:(int * int) list ->
-  capacity:int ->
-  Conflict.t ->
-  int list ->
-  (int * int) list option
+(** An allocation problem over a prebuilt {!Conflict.t}: the table
+    [indices] to place, sorted once in [order] (default [Start_time]),
+    and the occupancy scratch, allocated once.  Callers that allocate the
+    same lifetimes at several capacities (the joint capacity search of
+    [Requirements], the strategy ablations) build the table and the
+    problem once and {!solve} it per probe.  Not safe to share across
+    domains: the scratch is mutable. *)
+type problem
+
+val problem : ?strategy:strategy -> ?order:order -> Conflict.t -> int list -> problem
+
+(** [solve ~placed p ~capacity] places the problem's indices given
+    (already honoured) [placed] pairs of (table index, register),
+    returning (table index, register) pairs in placement order — the
+    result {!allocate} gives for the same lifetimes, minus the
+    list-to-table plumbing.  [Some []] for an empty problem, [None] if
+    some value does not fit or [capacity <= 0]. *)
+val solve : ?placed:(int * int) list -> problem -> capacity:int -> (int * int) list option
 
 (** {!min_capacity} over a prebuilt table and a subset of its indices.
     The sorted order and the occupancy scratch are built once and reused

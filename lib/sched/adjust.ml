@@ -55,10 +55,10 @@ let push_late sched ~eligible =
         end
         else
           match Reservation.reserve rt ~op ~cycle:c with
-          | Some new_cluster ->
+          | -1 -> attempt (c - 1)
+          | new_cluster ->
             cycle.(v) <- c;
             cluster.(v) <- new_cluster
-          | None -> attempt (c - 1)
       in
       attempt hi
     end

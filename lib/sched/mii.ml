@@ -21,36 +21,50 @@ let res_mii cfg ddg =
   in
   List.fold_left max 1 (candidates @ port_bounds)
 
-let constraint_edges cfg ddg ~ii =
-  let weight e =
-    let op = (Ddg.node ddg e.Ddg.src).Ddg.opcode in
-    Config.latency cfg op - (ii * e.Ddg.distance)
-  in
-  List.map (fun e -> (e.Ddg.src, e.Ddg.dst, weight e)) (Ddg.edges ddg)
-
-let feasible cfg ddg ~ii =
-  not
-    (Graph_algos.has_positive_cycle ~num_nodes:(Ddg.num_nodes ddg)
-       ~edges:(constraint_edges cfg ddg ~ii))
-
-let rec_mii cfg ddg =
-  if feasible cfg ddg ~ii:1 then 1
-  else begin
-    (* The sum of all latencies is an upper bound on any circuit's
-       latency, hence on RecMII (distances are >= 1 on circuits). *)
-    let hi =
-      Ddg.fold_nodes ddg ~init:1 ~f:(fun acc n -> acc + Config.latency cfg n.Ddg.opcode)
-    in
-    let rec search lo hi =
-      (* invariant: lo infeasible, hi feasible *)
-      if hi - lo <= 1 then hi
-      else begin
-        let mid = (lo + hi) / 2 in
-        if feasible cfg ddg ~ii:mid then search lo mid else search mid hi
+(* No positive cycle at [ii] in the constraint graph (edge weights
+   [Dep_graph.succ_weight]): Bellman-Ford longest paths from every node
+   (all potentials start at 0, in the scratch [pot]) converge.  Without
+   a positive cycle a longest path has at most [n - 1] edges, so the
+   round bound is never what stops a feasible probe, and the answer
+   does not depend on the edge order. *)
+let feasible (g : Dep_graph.t) pot ~ii =
+  let n = g.n and lat = g.lat and src = g.succ_src in
+  let dst = g.succ_dst and dist = g.succ_dist in
+  Array.fill pot 0 n 0;
+  let changed = ref true in
+  let rounds = ref 0 in
+  while !changed && !rounds <= n + 1 do
+    changed := false;
+    incr rounds;
+    for k = 0 to Array.length src - 1 do
+      let v = src.(k) and w = dst.(k) in
+      let d = pot.(v) + lat.(v) - (ii * dist.(k)) in
+      if d > pot.(w) then begin
+        pot.(w) <- d;
+        changed := true
       end
-    in
-    search 1 hi
+    done
+  done;
+  not !changed
+
+(* Smallest feasible II in [(lo, hi]], given [lo] infeasible and [hi]
+   feasible.  The sum of all latencies is an upper bound on any
+   circuit's latency, hence on RecMII (distances are >= 1 on
+   circuits), so [lo + latency_sum] is always a feasible [hi]. *)
+let rec search g pot lo hi =
+  if hi - lo <= 1 then hi
+  else begin
+    let mid = (lo + hi) / 2 in
+    if feasible g pot ~ii:mid then search g pot lo mid else search g pot mid hi
   end
+
+let latency_sum (g : Dep_graph.t) ~init = Array.fold_left ( + ) init g.lat
+
+let rec_mii_of (g : Dep_graph.t) =
+  let pot = Array.make g.n 0 in
+  if feasible g pot ~ii:1 then 1 else search g pot 1 (latency_sum g ~init:1)
+
+let rec_mii cfg ddg = rec_mii_of (Dep_graph.make cfg ddg)
 
 let rec_mii_by_circuits ?max_circuits cfg ddg =
   let n = Ddg.num_nodes ddg in
@@ -95,31 +109,18 @@ let rec_mii_by_circuits ?max_circuits cfg ddg =
 
 let mii cfg ddg = max (res_mii cfg ddg) (rec_mii cfg ddg)
 
-(* [max (mii cfg ddg) floor] without the full RecMII binary search when
-   the floor already dominates.  One feasibility probe at [floor]
+(* [max (mii g.cfg g.ddg) floor] without the full RecMII binary search
+   when the floor already dominates.  One feasibility probe at [floor]
    decides [rec_mii <= floor]; only when the probe fails does the
    search run, and then its infeasible end starts at [floor] instead of
    1.  This is the spill loop's hot path: with the monotone II floor,
    each round's floor is the previous round's achieved II, which almost
    always still covers the spilled graph's recurrences. *)
-let mii_with_floor ~floor cfg ddg =
-  if floor <= 1 then max (mii cfg ddg) floor
+let mii_with_floor ~floor (g : Dep_graph.t) =
+  let res = res_mii g.cfg g.ddg in
+  if floor <= 1 then max (max res (rec_mii_of g)) floor
   else begin
-    let res = res_mii cfg ddg in
-    if feasible cfg ddg ~ii:floor then max res floor
-    else begin
-      let hi =
-        Ddg.fold_nodes ddg ~init:floor ~f:(fun acc n ->
-            acc + Config.latency cfg n.Ddg.opcode)
-      in
-      let rec search lo hi =
-        (* invariant: lo infeasible, hi feasible *)
-        if hi - lo <= 1 then hi
-        else begin
-          let mid = (lo + hi) / 2 in
-          if feasible cfg ddg ~ii:mid then search lo mid else search mid hi
-        end
-      in
-      max res (search floor hi)
-    end
+    let pot = Array.make g.n 0 in
+    if feasible g pot ~ii:floor then max res floor
+    else max res (search g pot floor (latency_sum g ~init:floor))
   end

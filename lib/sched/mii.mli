@@ -15,7 +15,9 @@ val res_mii : Config.t -> Ddg.t -> int
 
 (** Recurrence-constrained bound computed by binary search on the
     smallest [ii] for which the constraint graph with weights
-    [latency src - ii * distance] has no positive cycle.  At least 1. *)
+    [latency src - ii * distance] has no positive cycle.  At least 1.
+    The graph is flattened into a {!Dep_graph.t} once per call, and
+    every probe of the search relaxes its edge arrays in place. *)
 val rec_mii : Config.t -> Ddg.t -> int
 
 (** Recurrence bound by direct enumeration of elementary circuits
@@ -28,11 +30,13 @@ val rec_mii_by_circuits : ?max_circuits:int -> Config.t -> Ddg.t -> int
 
 val mii : Config.t -> Ddg.t -> int
 
-(** [mii_with_floor ~floor cfg ddg] is exactly
-    [max (mii cfg ddg) floor], computed without the RecMII binary
+(** [mii_with_floor ~floor g] is exactly
+    [max (mii g.cfg g.ddg) floor], computed without the RecMII binary
     search when a single feasibility probe shows the recurrences are
     already satisfied at [floor].  The spiller's monotone II floor
     makes this the hot path for spill rounds: the floor is the previous
     round's achieved II, which nearly always still covers the spilled
-    graph's (only lengthened) recurrence circuits. *)
-val mii_with_floor : floor:int -> Config.t -> Ddg.t -> int
+    graph's (only lengthened) recurrence circuits.  It takes the
+    scheduler's {!Dep_graph.t}, so the bound and the II attempts after
+    it share one flattening of the graph. *)
+val mii_with_floor : floor:int -> Dep_graph.t -> int

@@ -19,34 +19,44 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Heights: longest dependence path from each node to any sink, with
    edge weights [latency src - ii * distance].  At ii >= RecMII there is
-   no positive cycle, so the Bellman-Ford style fixpoint converges. *)
-let heights cfg ddg ~ii =
-  let n = Ddg.num_nodes ddg in
-  let height = Array.make n 0 in
-  let weight e =
-    Config.latency cfg (Ddg.node ddg e.Ddg.src).Ddg.opcode - (ii * e.Ddg.distance)
-  in
+   no positive cycle, so the Bellman-Ford style fixpoint converges.  The
+   fixpoint is the unique least one whatever the relaxation order;
+   sweeping the edge slots backwards (so nodes in reverse id order)
+   follows the forward edges of a typical loop body backwards, so it
+   settles in fewer rounds. *)
+let heights (g : Dep_graph.t) ~ii =
+  let height = Array.make g.n 0 in
+  let src = g.succ_src and dst = g.succ_dst and dist = g.succ_dist and lat = g.lat in
   let changed = ref true in
   let rounds = ref 0 in
-  while !changed && !rounds <= n + 1 do
+  while !changed && !rounds <= g.n + 1 do
     changed := false;
     incr rounds;
-    for v = 0 to n - 1 do
-      let relax e =
-        let h = weight e + height.(e.Ddg.dst) in
-        if h > height.(v) then begin
-          height.(v) <- h;
-          changed := true
-        end
-      in
-      List.iter relax (Ddg.succs ddg v)
+    for k = Array.length src - 1 downto 0 do
+      let v = src.(k) in
+      let h = lat.(v) - (ii * dist.(k)) + height.(dst.(k)) in
+      if h > height.(v) then begin
+        height.(v) <- h;
+        changed := true
+      end
     done
   done;
   if !changed then None else Some height
 
+(* Scheduling priority: nodes by height descending, ties by id
+   ascending — the node a linear scan for the highest unscheduled one
+   would pick first.  [rank] inverts [order]. *)
+let priority height =
+  let order = Array.init (Array.length height) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare height.(b) height.(a)) order;
+  let rank = Array.make (Array.length order) 0 in
+  Array.iteri (fun r v -> rank.(v) <- r) order;
+  (order, rank)
+
 type state = {
   cfg : Config.t;
   ddg : Ddg.t;
+  g : Dep_graph.t;
   ii : int;
   rt : Reservation.t;
   policy : cluster_policy;
@@ -54,62 +64,79 @@ type state = {
   cycle : int array;  (* -1 = unscheduled *)
   cluster : int array;
   ever_cycle : int array;  (* last cycle at which the op was placed, or -1 *)
-  height : int array;
+  order : int array;  (* priority order *)
+  rank : int array;  (* position of each node in [order] *)
+  mutable cursor : int;  (* every node ranked below it is scheduled *)
+  votes : int array;  (* per-cluster scratch of [preferred_cluster] *)
   mutable budget : int;
 }
 
+let vote st w =
+  if st.cycle.(w) >= 0 then st.votes.(st.cluster.(w)) <- st.votes.(st.cluster.(w)) + 1
+
 (* The cluster where most already-placed flow neighbours of [v] live,
-   if any. *)
+   or -1 if none. *)
 let preferred_cluster st v =
-  let n_clusters = Config.num_clusters st.cfg in
-  if n_clusters < 2 then None
+  let g = st.g in
+  let votes = st.votes in
+  if Array.length votes < 2 then -1
   else begin
-    let votes = Array.make n_clusters 0 in
-    let vote w = if st.cycle.(w) >= 0 then votes.(st.cluster.(w)) <- votes.(st.cluster.(w)) + 1 in
-    List.iter (fun e -> if e.Ddg.kind = Ddg.Flow then vote e.Ddg.src) (Ddg.preds st.ddg v);
-    List.iter (fun e -> if e.Ddg.kind = Ddg.Flow then vote e.Ddg.dst) (Ddg.succs st.ddg v);
+    Array.fill votes 0 (Array.length votes) 0;
+    for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
+      if g.pred_flow.(k) then vote st g.pred_src.(k)
+    done;
+    for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+      if g.succ_flow.(k) then vote st g.succ_dst.(k)
+    done;
     let best = ref 0 in
-    Array.iteri (fun c count -> if count > votes.(!best) then best := c) votes;
-    if votes.(!best) = 0 then None else Some !best
+    for c = 1 to Array.length votes - 1 do
+      if votes.(c) > votes.(!best) then best := c
+    done;
+    if votes.(!best) = 0 then -1 else !best
   end
 
-(* Reserve a unit for [v] at [cycle], honouring the cluster policy. *)
+(* Reserve a unit for [v] at [cycle], honouring the cluster policy.
+   Returns the cluster, or -1 when the slot is full. *)
 let reserve_for st v ~cycle =
-  let op = (Ddg.node st.ddg v).Ddg.opcode in
+  let op = st.g.op.(v) in
   match st.policy with
   | Balance -> Reservation.reserve st.rt ~op ~cycle
   | Affinity ->
-    (match preferred_cluster st v with
-     | Some cluster when Reservation.reserve_in st.rt ~op ~cycle ~cluster -> Some cluster
-     | Some _ | None -> Reservation.reserve st.rt ~op ~cycle)
-
-let weight st e =
-  Config.latency st.cfg (Ddg.node st.ddg e.Ddg.src).Ddg.opcode - (st.ii * e.Ddg.distance)
+    let cluster = preferred_cluster st v in
+    if cluster >= 0 && Reservation.reserve_in st.rt ~op ~cycle ~cluster then cluster
+    else Reservation.reserve st.rt ~op ~cycle
 
 let unschedule st v =
-  let op = (Ddg.node st.ddg v).Ddg.opcode in
-  Reservation.release st.rt ~op ~cycle:st.cycle.(v) ~cluster:st.cluster.(v);
-  st.cycle.(v) <- -1
+  Reservation.release st.rt ~op:st.g.op.(v) ~cycle:st.cycle.(v) ~cluster:st.cluster.(v);
+  st.cycle.(v) <- -1;
+  if st.rank.(v) < st.cursor then st.cursor <- st.rank.(v)
 
 (* Earliest cycle satisfying all *scheduled* predecessors. *)
 let estart st v =
-  let consider acc e =
-    if st.cycle.(e.Ddg.src) >= 0 then max acc (st.cycle.(e.Ddg.src) + weight st e) else acc
-  in
-  List.fold_left consider 0 (Ddg.preds st.ddg v)
+  let g = st.g in
+  let acc = ref 0 in
+  for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
+    let c = st.cycle.(g.pred_src.(k)) in
+    if c >= 0 then begin
+      let t = c + Dep_graph.pred_weight g ~ii:st.ii k in
+      if t > !acc then acc := t
+    end
+  done;
+  !acc
 
 (* Evict whatever prevents [v] from being placed at [cycle]: operations
    of the same class in that kernel slot (across clusters) and, when a
    machine-wide port cap blocks a memory op, the port users in the
    slot. *)
 let evict_conflicts st v ~cycle =
-  let op = (Ddg.node st.ddg v).Ddg.opcode in
+  let g = st.g in
+  let op = g.op.(v) in
   let same_slot c = (c - cycle) mod st.ii = 0 in
-  let cls = Opcode.fu_class op in
-  for w = 0 to Ddg.num_nodes st.ddg - 1 do
+  let cls = g.fu.(v) in
+  for w = 0 to g.n - 1 do
     if w <> v && st.cycle.(w) >= 0 && same_slot st.cycle.(w) then begin
-      let wop = (Ddg.node st.ddg w).Ddg.opcode in
-      let class_conflict = Opcode.fu_class wop = cls in
+      let wop = g.op.(w) in
+      let class_conflict = g.fu.(w) = cls in
       let port_conflict =
         (Opcode.is_load op && Opcode.is_load wop
          && Reservation.port_saturated st.rt ~op ~cycle)
@@ -123,18 +150,19 @@ let evict_conflicts st v ~cycle =
 (* After placing [v], eject neighbours whose dependence constraints are
    now violated. *)
 let eject_violated st v =
-  let check_succ e =
-    let q = e.Ddg.dst in
-    if q <> v && st.cycle.(q) >= 0 && st.cycle.(q) < st.cycle.(v) + weight st e then
-      unschedule st q
-  in
-  List.iter check_succ (Ddg.succs st.ddg v);
-  let check_pred e =
-    let p = e.Ddg.src in
-    if p <> v && st.cycle.(p) >= 0 && st.cycle.(v) < st.cycle.(p) + weight st e then
-      unschedule st p
-  in
-  List.iter check_pred (Ddg.preds st.ddg v)
+  let g = st.g in
+  for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+    let q = g.succ_dst.(k) in
+    if q <> v && st.cycle.(q) >= 0
+       && st.cycle.(q) < st.cycle.(v) + Dep_graph.succ_weight g ~ii:st.ii v k
+    then unschedule st q
+  done;
+  for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
+    let p = g.pred_src.(k) in
+    if p <> v && st.cycle.(p) >= 0
+       && st.cycle.(v) < st.cycle.(p) + Dep_graph.pred_weight g ~ii:st.ii k
+    then unschedule st p
+  done
 
 let place st v ~cycle ~cluster =
   st.cycle.(v) <- cycle;
@@ -142,65 +170,59 @@ let place st v ~cycle ~cluster =
   st.ever_cycle.(v) <- cycle;
   eject_violated st v
 
-(* Latest cycle allowed by already-scheduled successors, if any. *)
-let lstart st v =
-  let consider acc e =
-    if st.cycle.(e.Ddg.dst) >= 0 then
-      let bound = st.cycle.(e.Ddg.dst) - weight st e in
-      match acc with None -> Some bound | Some b -> Some (min b bound)
-    else acc
-  in
-  List.fold_left consider None (Ddg.succs st.ddg v)
-
 (* Huff-style direction choice: feed-forward ops whose consumers are
    already placed want to sit late (short operand lifetimes); producers
-   for unscheduled consumers go early as usual. *)
+   for unscheduled consumers go early as usual.  Returns the latest
+   cycle allowed by the scheduled successors when [v] wants it, else
+   [min_int]. *)
 let wants_late st v =
   match st.placement with
-  | Asap -> None
+  | Asap -> min_int
   | Bidirectional ->
-    (match lstart st v with
-     | None -> None
-     | Some late ->
-       let count edges pick =
-         List.length (List.filter (fun e -> e.Ddg.kind = Ddg.Flow && st.cycle.(pick e) >= 0) edges)
-       in
-       let succs = count (Ddg.succs st.ddg v) (fun e -> e.Ddg.dst) in
-       let preds = count (Ddg.preds st.ddg v) (fun e -> e.Ddg.src) in
-       if succs > preds then Some late else None)
+    let g = st.g in
+    let late = ref max_int and flow_succs = ref 0 and flow_preds = ref 0 in
+    for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+      let c = st.cycle.(g.succ_dst.(k)) in
+      if c >= 0 then begin
+        let bound = c - Dep_graph.succ_weight g ~ii:st.ii v k in
+        if bound < !late then late := bound;
+        if g.succ_flow.(k) then incr flow_succs
+      end
+    done;
+    for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
+      if g.pred_flow.(k) && st.cycle.(g.pred_src.(k)) >= 0 then incr flow_preds
+    done;
+    if !late <> max_int && !flow_succs > !flow_preds then !late else min_int
 
+(* Book the first cycle from [c] to [last] (inclusive, moving by
+   [step]) with a free unit for [v], recording its cluster in
+   [st.cluster.(v)]; -1 if every cycle is full. *)
+let rec first_free st v c ~step ~last =
+  let cluster = reserve_for st v ~cycle:c in
+  if cluster >= 0 then begin
+    st.cluster.(v) <- cluster;
+    c
+  end
+  else if c = last then -1
+  else first_free st v (c + step) ~step ~last
+
+(* [v]'s II-wide window starting at [from >= 0]: downward from the
+   latest feasible cycle when [v] wants to sit late, else upward. *)
 let try_window st v ~from =
-  match wants_late st v with
-  | Some late when late >= from ->
-    (* Search downward from the latest feasible cycle. *)
-    let lo = max from (late - st.ii + 1) in
-    let rec attempt c =
-      if c < lo then None
-      else
-        match reserve_for st v ~cycle:c with
-        | Some cluster -> Some (c, cluster)
-        | None -> attempt (c - 1)
-    in
-    attempt late
-  | Some _ | None ->
-    let rec attempt c =
-      if c >= from + st.ii then None
-      else
-        match reserve_for st v ~cycle:c with
-        | Some cluster -> Some (c, cluster)
-        | None -> attempt (c + 1)
-    in
-    attempt from
+  let late = wants_late st v in
+  if late >= from then first_free st v late ~step:(-1) ~last:(Int.max from (late - st.ii + 1))
+  else first_free st v from ~step:1 ~last:(from + st.ii - 1)
 
+(* The highest-priority unscheduled node, or -1.  Every node ranked
+   below the cursor is scheduled; [unschedule] moves the cursor back to
+   an ejected node's rank, so a pick costs O(1) amortized instead of a
+   scan of every node. *)
 let highest_unscheduled st =
-  let best = ref (-1) in
-  for v = 0 to Ddg.num_nodes st.ddg - 1 do
-    if st.cycle.(v) < 0 then
-      match !best with
-      | -1 -> best := v
-      | b -> if st.height.(v) > st.height.(b) then best := v
+  let n = Array.length st.order in
+  while st.cursor < n && st.cycle.(st.order.(st.cursor)) >= 0 do
+    st.cursor <- st.cursor + 1
   done;
-  !best
+  if st.cursor < n then st.order.(st.cursor) else -1
 
 (* Place every unscheduled operation (highest priority first) within the
    state's budget, starting from [attempt]'s empty placement.  Returns
@@ -226,67 +248,72 @@ let place_all st ~meter =
               Error.Budget_exhausted "%s after %d placements" reason
               (Budget.steps_used m)));
       let from = estart st v in
-      (match try_window st v ~from with
-       | Some (cycle, cluster) -> place st v ~cycle ~cluster
-       | None ->
-         (* Forced placement with eviction. *)
-         let cycle = if st.ever_cycle.(v) >= from then st.ever_cycle.(v) + 1 else from in
-         evict_conflicts st v ~cycle;
-         (match reserve_for st v ~cycle with
-          | Some cluster -> place st v ~cycle ~cluster
-          | None ->
-            (* Can only happen when a unit class has zero capacity. *)
-            let op = (Ddg.node ddg v).Ddg.opcode in
-            Error.errorf ~loop:(Ddg.name ddg) ~ii ~stage:"schedule"
-              Error.Schedule_infeasible "no unit can execute %s"
-              (Opcode.to_string op)));
+      let cycle = try_window st v ~from in
+      if cycle >= 0 then place st v ~cycle ~cluster:st.cluster.(v)
+      else begin
+        (* Forced placement with eviction. *)
+        let cycle = if st.ever_cycle.(v) >= from then st.ever_cycle.(v) + 1 else from in
+        evict_conflicts st v ~cycle;
+        let cluster = reserve_for st v ~cycle in
+        if cluster >= 0 then place st v ~cycle ~cluster
+        else
+          (* Can only happen when a unit class has zero capacity. *)
+          Error.errorf ~loop:(Ddg.name ddg) ~ii ~stage:"schedule"
+            Error.Schedule_infeasible "no unit can execute %s"
+            (Opcode.to_string st.g.op.(v))
+      end;
       loop ()
     end
   in
   loop ()
 
 let schedule_of_state st =
-  let n = Ddg.num_nodes st.ddg in
   let placements =
-    Array.init n (fun v -> { Schedule.cycle = st.cycle.(v); cluster = st.cluster.(v) })
+    Array.init st.g.n (fun v -> { Schedule.cycle = st.cycle.(v); cluster = st.cluster.(v) })
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
-let attempt cfg ddg ~ii ~budget ~meter ~policy ~placement =
-  match heights cfg ddg ~ii with
+let attempt cfg ddg g ~ii ~budget ~meter ~policy ~placement =
+  match heights g ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
-    let n = Ddg.num_nodes ddg in
+    let order, rank = priority height in
     let st =
       {
         cfg;
         ddg;
+        g;
         ii;
         rt = Reservation.create cfg ~ii;
         policy;
         placement;
-        cycle = Array.make n (-1);
-        cluster = Array.make n 0;
-        ever_cycle = Array.make n (-1);
-        height;
+        cycle = Array.make g.n (-1);
+        cluster = Array.make g.n 0;
+        ever_cycle = Array.make g.n (-1);
+        order;
+        rank;
+        cursor = 0;
+        votes = Array.make (Config.num_clusters cfg) 0;
         budget;
       }
     in
     if place_all st ~meter then Some (schedule_of_state st) else None
 
 let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
-    ?(max_ii_slack = 128) ?(cluster_policy = Balance) ?(placement_policy = Asap)
-    ~min_ii cfg ddg =
+    ?(max_ii_slack = 128) ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii
+    cfg ddg =
   (match Ddg.validate ddg with
    | Ok () -> ()
    | Error msg ->
      Error.errorf ~loop:(Ddg.name ddg) ~stage:"schedule" Error.Invalid_graph
        "Modulo.schedule: %s" msg);
-  (* [mii_with_floor] avoids the full RecMII binary search when
+  (* One flattening of the graph serves the bound and every II attempt.
+     [mii_with_floor] avoids the full RecMII binary search when
      [min_ii] already covers the recurrences — the spiller's monotone II
      floor makes that the common case for spill rounds — and returns
      exactly [max (Mii.mii cfg ddg) min_ii]. *)
-  let mii = Mii.mii_with_floor ~floor:min_ii cfg ddg in
+  let g = Dep_graph.make cfg ddg in
+  let mii = Mii.mii_with_floor ~floor:min_ii g in
   let attempt_budget = budget_ratio * max 1 (Ddg.num_nodes ddg) in
   (* One meter spans the whole II search: restarts at a larger II do not
      refill the account. *)
@@ -301,7 +328,7 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
       match
-        attempt cfg ddg ~ii ~budget:attempt_budget ~meter ~policy:cluster_policy
+        attempt cfg ddg g ~ii ~budget:attempt_budget ~meter ~policy:cluster_policy
           ~placement:placement_policy
       with
       | Some s ->
@@ -318,7 +345,6 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
   in
   search mii
 
-let schedule ?budget ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg
-    ddg =
+let schedule ?budget ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg ddg =
   schedule_with_min_ii ?budget ?budget_ratio ?max_ii_slack ?cluster_policy
     ?placement_policy ~min_ii:1 cfg ddg

@@ -1,7 +1,8 @@
 (** Iterative Modulo Scheduling (Rau, MICRO-27 flavour).
 
     Operations are scheduled highest-priority first (priority = height,
-    the longest dependence path to any sink at the candidate II).  Each
+    the longest dependence path to any sink at the candidate II; ties
+    go to the lower node id).  Each
     operation searches the [II]-wide window starting at its earliest
     dependence-feasible cycle for a free resource slot; if none exists
     it is force-placed and conflicting operations are ejected and

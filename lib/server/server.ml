@@ -16,7 +16,6 @@ module Loop_lang = Ncdrf_ir.Loop_lang
 module Kernel = Ncdrf_sched.Kernel
 module Kernels = Ncdrf_workloads.Kernels
 module Suite = Ncdrf_workloads.Suite
-module Stats = Ncdrf_report.Stats
 
 type opts = {
   socket_path : string;
@@ -47,6 +46,40 @@ let default_opts ~socket_path =
     cache_max_mb = 0;
   }
 
+(* The most recent request latencies, for the Stats frame and the
+   metrics file: a fixed ring of 65,536 slots, so a long-running
+   daemon's memory does not grow with every request it serves, plus the
+   total count ever added.  Percentiles are exact over the ring. *)
+module Latency_ring = struct
+  type t = {
+    slots : float array;
+    mutable next : int;  (* slot the next sample overwrites *)
+    mutable count : int;  (* samples ever added *)
+  }
+
+  let create () = { slots = Array.make 65_536 0.0; next = 0; count = 0 }
+
+  let add t x =
+    t.slots.(t.next) <- x;
+    t.next <- (if t.next + 1 = Array.length t.slots then 0 else t.next + 1);
+    t.count <- t.count + 1
+
+  let count t = t.count
+
+  (* Nearest-rank percentiles over the ring ([Stats.percentile]'s
+     rule): one sort, then any number of [q]s; 0 when empty. *)
+  let percentile_of t =
+    let n = min t.count (Array.length t.slots) in
+    if n = 0 then fun _ -> 0.0
+    else begin
+      let sorted = Array.sub t.slots 0 n in
+      Array.sort Float.compare sorted;
+      fun q ->
+        let rank = int_of_float (ceil (q /. 100.0 *. float_of_int n)) in
+        sorted.(max 0 (min (n - 1) (rank - 1)))
+    end
+end
+
 (* Requests execute concurrently up to [opts.max_inflight]: trace
    context, span accumulation and deadline tokens are all sharded per
    (domain, thread), so interleaved request executions on connection
@@ -65,7 +98,7 @@ type state = {
   mutable shed : int;
   mutable draining : bool;
   mutable active_tokens : Deadline.token list;
-  mutable latencies : float list;
+  latencies : Latency_ring.t;
       (* completed work-request wall times (admission + execution) *)
   err_counts : (string, int) Hashtbl.t;
   kind_counts : (string, int) Hashtbl.t;
@@ -117,7 +150,7 @@ let note_category st name =
 
 let note_latency st dt =
   Mutex.lock st.lock;
-  st.latencies <- dt :: st.latencies;
+  Latency_ring.add st.latencies dt;
   Mutex.unlock st.lock
 
 (* Suite failures already bumped errors.* telemetry when the collector
@@ -198,9 +231,7 @@ let execute_suite st ~deadline ~spec ~size ~registers =
 let health_snapshot st =
   let cache = Artifact.cache_stats () in
   Mutex.lock st.lock;
-  let pct p =
-    match st.latencies with [] -> 0.0 | l -> Stats.percentile p l
-  in
+  let pct = Latency_ring.percentile_of st.latencies in
   let snapshot =
     {
       Protocol.status = (if st.draining then "draining" else "ok");
@@ -422,9 +453,7 @@ let publish st =
         Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) st.kind_counts []
         |> List.sort compare
       in
-      let pct p =
-        match st.latencies with [] -> 0.0 | l -> Stats.percentile p l
-      in
+      let pct = Latency_ring.percentile_of st.latencies in
       Telemetry.write_json ~path
         (Json.Obj
            [
@@ -440,7 +469,7 @@ let publish st =
              ( "latency",
                Json.Obj
                  [
-                   ("count", Json.Int (List.length st.latencies));
+                   ("count", Json.Int (Latency_ring.count st.latencies));
                    ("p50_s", Json.Float (pct 50.0));
                    ("p90_s", Json.Float (pct 90.0));
                    ("p99_s", Json.Float (pct 99.0));
@@ -493,7 +522,7 @@ let run ?stop ?(handle_signals = true) opts =
       shed = 0;
       draining = false;
       active_tokens = [];
-      latencies = [];
+      latencies = Latency_ring.create ();
       err_counts = Hashtbl.create 16;
       kind_counts = Hashtbl.create 16;
       started = Telemetry.now ();

@@ -278,15 +278,15 @@ let of_string s =
   | exception Fail (msg, p) -> Error (Printf.sprintf "%s at byte %d" msg p)
 
 (* Atomic publication: write to a temp file in the destination
-   directory, fsync it, then rename (and fsync the directory).  The
-   temp file is unlinked on every failure path — a failed write or
-   rename must not leak [prefix*.tmp] litter next to the destination.
-   The fsyncs make the publish crash-safe, not just atomic: a daemon
-   killed mid-publish (or a power cut right after the rename) can
-   never leave a truncated or empty file under the destination name,
-   because the data hits disk before the name moves and the name move
-   hits disk before we report success. *)
-let write_file ?(prefix = ".ncdrf") ~path content =
+   directory, then rename it over the destination.  The temp file is
+   unlinked on every failure path — a failed write or rename must not
+   leak [prefix*.tmp] litter next to the destination.  With [durable]
+   the temp file is fsynced before the rename and the directory after
+   it, which makes the publish crash-safe, not just atomic: a power cut
+   right after the rename can never leave a truncated or empty file
+   under the destination name, because the data hits disk before the
+   name moves and the name move hits disk before we report success. *)
+let publish_with ~durable ~prefix ~path content =
   let dir = Filename.dirname path in
   let tmp =
     try Filename.temp_file ~temp_dir:dir prefix ".tmp"
@@ -302,7 +302,7 @@ let write_file ?(prefix = ".ncdrf") ~path content =
       (try
          output_string oc content;
          flush oc;
-         Unix.fsync (Unix.descr_of_out_channel oc)
+         if durable then Unix.fsync (Unix.descr_of_out_channel oc)
        with e ->
          close_out_noerr oc;
          raise e);
@@ -312,10 +312,17 @@ let write_file ?(prefix = ".ncdrf") ~path content =
          directory fd (and O_RDONLY on a directory is all POSIX
          guarantees); a failure here degrades durability, not
          atomicity, so it is deliberately non-fatal. *)
-      (try
-         let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
-         Fun.protect
-           ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
-           (fun () -> Unix.fsync dfd)
-       with Unix.Unix_error _ | Sys_error _ -> ());
+      if durable then (
+        try
+          let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close dfd with Unix.Unix_error _ -> ())
+            (fun () -> Unix.fsync dfd)
+        with Unix.Unix_error _ | Sys_error _ -> ());
       committed := true)
+
+let publish_file ?(prefix = ".ncdrf") ~path content =
+  publish_with ~durable:false ~prefix ~path content
+
+let write_file ?(prefix = ".ncdrf") ~path content =
+  publish_with ~durable:true ~prefix ~path content

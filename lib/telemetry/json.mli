@@ -21,11 +21,19 @@ val to_compact : t -> string
     [Float].  [Error] carries a message with a byte offset. *)
 val of_string : string -> (t, string) result
 
-(** [write_file ~path content] publishes [content] atomically and
-    crash-safely: it is written to a fresh [prefix*.tmp] file in
-    [path]'s directory, [fsync]ed, renamed over [path], and the
-    directory is [fsync]ed so the rename itself is durable — a process
-    killed mid-publish can never leave a truncated file under [path].
-    The temp file is unlinked on any failure (write, close or rename),
-    so no litter survives an error. *)
+(** [publish_file ~path content] publishes [content] atomically: it is
+    written to a fresh [prefix*.tmp] file in [path]'s directory and
+    renamed over [path], so a reader sees the old file or the whole new
+    one, never a partial write by a live process.  Nothing is
+    [fsync]ed: after an OS crash or power loss [path] may hold the old
+    content, or a zero-length or torn file.  For caches whose readers
+    verify every entry.  The temp file is unlinked on any failure
+    (write, close or rename), so no litter survives an error. *)
+val publish_file : ?prefix:string -> path:string -> string -> unit
+
+(** [write_file ~path content] is {!publish_file} made durable: the
+    temp file is [fsync]ed before the rename and the directory after
+    it, so once [write_file] returns the new content survives a crash
+    and no crash can leave a truncated file under [path].  For metrics,
+    ledgers and traces. *)
 val write_file : ?prefix:string -> path:string -> string -> unit

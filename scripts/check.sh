@@ -102,13 +102,36 @@ fi
 # spill round schedules once, so spill.full_reschedules must be
 # positive; zero would mean fig8 no longer reaches the spill loop.
 spill_metrics=$(mktemp /tmp/ncdrf-spillrun.XXXXXX.json)
-trap 'rm -f "$metrics" "$spill_metrics"' EXIT
-dune exec bench/main.exe -- fig8 --quick --jobs 1 --metrics "$spill_metrics" > /dev/null
-fulls=$(grep -o '"spill.full_reschedules": *[0-9]*' "$spill_metrics" | head -n1 | grep -o '[0-9]*$' || true)
+fig8_out=$(mktemp /tmp/ncdrf-fig8.XXXXXX.txt)
+fig8_pinned=$(mktemp /tmp/ncdrf-fig8-pinned.XXXXXX.txt)
+trap 'rm -f "$metrics" "$spill_metrics" "$fig8_out" "$fig8_pinned"' EXIT
+dune exec bench/main.exe -- fig8 --quick --jobs 1 --metrics "$spill_metrics" > "$fig8_out"
+counter() {
+  grep -o "\"$1\": *[0-9]*" "$2" | head -n1 | grep -o '[0-9]*$' || true
+}
+fulls=$(counter spill.full_reschedules "$spill_metrics")
 if [ -z "${fulls:-}" ] || [ "$fulls" -eq 0 ]; then
   echo "check.sh: spill.full_reschedules missing or zero in $spill_metrics" >&2
   exit 1
 fi
+
+# Byte identity: the fig8 --quick table and its deterministic work
+# counters must equal the committed golden file exactly.  A change that
+# claims identical output (a performance rewrite, a refactor) keeps
+# this green; a change that means to move results regenerates the
+# golden file and says why.
+{
+  grep -v '^\[metrics: ' "$fig8_out"
+  for c in alloc.probes spill.full_reschedules cache.misses pipeline.spilled; do
+    echo "$c $(counter "$c" "$spill_metrics")"
+  done
+} > "$fig8_pinned"
+if ! cmp -s "$fig8_pinned" scripts/fig8_quick.golden; then
+  echo "check.sh: fig8 --quick output or counters differ from scripts/fig8_quick.golden" >&2
+  diff scripts/fig8_quick.golden "$fig8_pinned" >&2 || true
+  exit 1
+fi
+rm -f "$fig8_out" "$fig8_pinned"
 
 # Fault-isolation smoke: an injected keep-going suite run must succeed,
 # report the injected points in the metrics, and still print its table.

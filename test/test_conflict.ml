@@ -109,6 +109,66 @@ let prop_scheduled_equivalence =
                  lifetimes)
         strategies)
 
+(* The pre-rewrite two-pass construction of the conflict rows (size
+   the rows in one pass over the pairs, recompute every window to fill
+   them in a second), kept as the oracle for [Conflict.make]'s one-pass
+   build: same rows, same order, same widest pair. *)
+let two_pass_rows ~ii lifetimes =
+  let lifetimes = Array.of_list lifetimes in
+  let n = Array.length lifetimes in
+  let degree = Array.make n 0 in
+  let max_width = ref 0 in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let d_min, d_max = Conflict.shift_window ~ii lifetimes.(i) lifetimes.(j) in
+      if d_max >= d_min then begin
+        degree.(i) <- degree.(i) + 1;
+        degree.(j) <- degree.(j) + 1;
+        if d_max - d_min + 1 > !max_width then max_width := d_max - d_min + 1
+      end
+    done
+  done;
+  let adj = Array.init n (fun i -> Array.make (3 * degree.(i)) 0) in
+  let fill = Array.make n 0 in
+  let push i j d_min width =
+    let k = fill.(i) in
+    adj.(i).(k) <- j;
+    adj.(i).(k + 1) <- d_min;
+    adj.(i).(k + 2) <- width;
+    fill.(i) <- k + 3
+  in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let d_min, d_max = Conflict.shift_window ~ii lifetimes.(i) lifetimes.(j) in
+      if d_max >= d_min then begin
+        let width = d_max - d_min + 1 in
+        push j i d_min width;
+        push i j (-d_max) width
+      end
+    done
+  done;
+  (adj, !max_width)
+
+let prop_rows_match_two_pass =
+  let arb =
+    QCheck.make
+      ~print:(fun (ii, raw) ->
+        Printf.sprintf "ii=%d lifetimes=[%s]" ii
+          (String.concat ";" (List.map (fun (s, l) -> Printf.sprintf "%d+%d" s l) raw)))
+      QCheck.Gen.(
+        pair (int_range 1 6)
+          (int_range 0 40 >>= fun n ->
+           list_repeat n (pair (int_range (-6) 30) (int_range 0 25))))
+  in
+  QCheck.Test.make ~count:300 ~name:"Conflict.make rows = two-pass construction" arb
+    (fun (ii, raw) ->
+      let lifetimes = lifetimes_of_raw raw in
+      let table = Conflict.make ~ii lifetimes in
+      let adj, max_width = two_pass_rows ~ii lifetimes in
+      Conflict.max_width table = max_width
+      && Array.for_all Fun.id
+           (Array.mapi (fun i row -> Conflict.neighbours table i = row) adj))
+
 (* ------------------------------------------------------------------ *)
 (* Fixed-seed fig8-slice byte-identity guard.                          *)
 (* ------------------------------------------------------------------ *)
@@ -172,5 +232,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_allocate_equivalence;
     QCheck_alcotest.to_alcotest prop_min_capacity_equivalence;
     QCheck_alcotest.to_alcotest prop_scheduled_equivalence;
+    QCheck_alcotest.to_alcotest prop_rows_match_two_pass;
     Alcotest.test_case "fig8-slice byte identity" `Quick test_fig8_slice_byte_identity;
   ]

@@ -49,33 +49,32 @@ let test_reservation_capacity () =
   let cfg = Config.dual ~latency:3 in
   let rt = Reservation.create cfg ~ii:2 in
   (* Each cluster has one adder; II=2 gives two slots. *)
-  check_bool "first add at 0" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 <> None);
-  check_bool "second add at 0" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 <> None);
-  check_bool "third add at 0 fails" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 = None);
+  check_bool "first add at 0" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 >= 0);
+  check_bool "second add at 0" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 >= 0);
+  check_bool "third add at 0 fails" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 < 0);
   check_bool "add at slot 1 still free" true
-    (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:1 <> None);
+    (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:1 >= 0);
   (* Slot is cycle mod II: cycle 2 is slot 0 again. *)
-  check_bool "add at cycle 2 fails" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:2 = None)
+  check_bool "add at cycle 2 fails" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:2 < 0)
 
 let test_reservation_balances_clusters () =
   let cfg = Config.dual ~latency:3 in
   let rt = Reservation.create cfg ~ii:1 in
   let c1 = Reservation.reserve rt ~op:Opcode.Fmul ~cycle:0 in
   let c2 = Reservation.reserve rt ~op:Opcode.Fmul ~cycle:0 in
-  match c1, c2 with
-  | Some a, Some b -> check_bool "distinct clusters" true (a <> b)
-  | _ -> Alcotest.fail "reservations failed"
+  if c1 < 0 || c2 < 0 then Alcotest.fail "reservations failed";
+  check_bool "distinct clusters" true (c1 <> c2)
 
 let test_reservation_release () =
   let cfg = Config.dual ~latency:3 in
   let rt = Reservation.create cfg ~ii:1 in
   (match Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 with
-   | Some cluster ->
+   | -1 -> Alcotest.fail "reserve failed"
+   | cluster ->
      check_int "used" 1 (Reservation.used rt ~op:Opcode.Fadd ~cycle:0 ~cluster);
      Reservation.release rt ~op:Opcode.Fadd ~cycle:0 ~cluster;
      check_int "freed" 0 (Reservation.used rt ~op:Opcode.Fadd ~cycle:0 ~cluster);
-     check_bool "reusable" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 <> None)
-   | None -> Alcotest.fail "reserve failed");
+     check_bool "reusable" true (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:0 >= 0));
   try
     Reservation.release rt ~op:Opcode.Fmul ~cycle:0 ~cluster:0;
     Alcotest.fail "double release accepted"
@@ -87,15 +86,15 @@ let test_port_caps () =
   let rt = Reservation.create cfg ~ii:1 in
   let store = Opcode.Store (Opcode.Array "x") in
   let load = Opcode.Load (Opcode.Array "x") in
-  check_bool "first store ok" true (Reservation.reserve rt ~op:store ~cycle:0 <> None);
+  check_bool "first store ok" true (Reservation.reserve rt ~op:store ~cycle:0 >= 0);
   check_bool "second store blocked by port" true
-    (Reservation.reserve rt ~op:store ~cycle:0 = None);
+    (Reservation.reserve rt ~op:store ~cycle:0 < 0);
   check_bool "port saturation visible" true (Reservation.port_saturated rt ~op:store ~cycle:0);
-  check_bool "first load ok" true (Reservation.reserve rt ~op:load ~cycle:0 <> None);
-  check_bool "second load ok" true (Reservation.reserve rt ~op:load ~cycle:0 <> None);
+  check_bool "first load ok" true (Reservation.reserve rt ~op:load ~cycle:0 >= 0);
+  check_bool "second load ok" true (Reservation.reserve rt ~op:load ~cycle:0 >= 0);
   (* Third load: port cap (2) binds before unit count (3 LS, 1 used by
      the store). *)
-  check_bool "third load blocked" true (Reservation.reserve rt ~op:load ~cycle:0 = None)
+  check_bool "third load blocked" true (Reservation.reserve rt ~op:load ~cycle:0 < 0)
 
 let test_reserve_in_specific_cluster () =
   let cfg = Config.dual ~latency:3 in
@@ -112,7 +111,7 @@ let test_negative_cycle_slots () =
   let rt = Reservation.create cfg ~ii:3 in
   (* Cycle -1 is slot 2. *)
   check_bool "negative cycle reserves" true
-    (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:(-1) <> None);
+    (Reservation.reserve rt ~op:Opcode.Fadd ~cycle:(-1) >= 0);
   check_int "maps to slot 2" 1 (Reservation.used rt ~op:Opcode.Fadd ~cycle:2 ~cluster:0)
 
 (* --- Hardware cost models (paper Section 3.2) --- *)
@@ -224,8 +223,35 @@ let test_make_copies_clusters () =
   Alcotest.(check string) "fingerprint still renders the config"
     (Fingerprint_reference.fingerprint c) (Config.fingerprint c)
 
+(* Cluster sets are int bit sets in the swap pass, so no constructor
+   may build more than [Config.max_clusters] = 62 clusters: the spec
+   path answers with a typed error, the OCaml constructors raise. *)
+let test_cluster_cap () =
+  Alcotest.(check int) "cap" 62 Config.max_clusters;
+  let spec k =
+    { Config.default_spec with Config.spec_clusters = k }
+  in
+  (match Config.of_spec (spec 62) with
+   | Ok c -> Alcotest.(check int) "62 clusters build" 62 (Config.num_clusters c)
+   | Error e -> Alcotest.fail e);
+  (match Config.of_spec (spec 63) with
+   | Ok _ -> Alcotest.fail "63 clusters accepted by of_spec"
+   | Error _ -> ());
+  let raises what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted 63 clusters" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "k_cluster" (fun () -> Config.k_cluster ~k:63 ~latency:3 ());
+  raises "make" (fun () ->
+      Config.make ~name:"wide" ~add_latency:3 ~mul_latency:3
+        ~clusters:
+          (Array.make 63 (Config.symmetric_cluster ~adders:1 ~multipliers:1 ~ls_units:1 ()))
+        ())
+
 let suite =
   [
+    Alcotest.test_case "cluster count capped at 62" `Quick test_cluster_cap;
     Alcotest.test_case "config constructors" `Quick test_config_constructors;
     Alcotest.test_case "cost: area model" `Quick test_cost_area_model;
     Alcotest.test_case "cost: access time monotone" `Quick test_cost_access_time_monotone;

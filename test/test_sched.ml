@@ -290,6 +290,64 @@ let prop_push_late_preserves_validity =
       let adjusted = Adjust.push_late sched ~eligible:(fun n -> Opcode.is_load n.Ddg.opcode) in
       Schedule.validate adjusted = Ok () && Schedule.ii adjusted = Schedule.ii sched)
 
+(* The scheduler against the verbatim pre-rewrite oracle
+   (Modulo_reference): same II and every placement, or the same error
+   category, over random loops x cluster policy x placement policy x
+   k in 1..4 x machine-wide port caps, with II floors and tight
+   budgets that force restarts at larger IIs.  Also pins the
+   array-based MII probes to the oracle. *)
+let reference_case =
+  QCheck.make
+    ~print:(fun ((seed, heavy), (k, caps, latency), (affinity, bidir), (min_ii, ratio)) ->
+      Printf.sprintf
+        "seed=%d heavy=%b k=%d caps=%b lat=%d affinity=%b bidir=%b min_ii=%d ratio=%d"
+        seed heavy k caps latency affinity bidir min_ii ratio)
+    QCheck.Gen.(
+      quad
+        (pair (int_bound 100_000) bool)
+        (triple (int_range 1 4) bool (int_range 1 6))
+        (pair bool bool)
+        (pair (int_range 1 8) (oneofl [ 1; 2; 8 ])))
+
+let reference_config ~k ~caps ~latency =
+  let cap = if caps then Some 1 else None in
+  Config.make ~name:"ref" ~add_latency:latency ~mul_latency:latency ?load_ports:cap
+    ?store_ports:cap
+    ~clusters:
+      (Array.init k (fun _ ->
+           Config.symmetric_cluster ~adders:1 ~multipliers:1
+             ~ls_units:(if caps then 2 else 1)
+             ()))
+    ()
+
+let outcome f =
+  match f () with
+  | s -> Ok (Schedule.ii s, s.Schedule.placements)
+  | exception Ncdrf_error.Error.Error e -> Error e.Ncdrf_error.Error.category
+
+let prop_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"Modulo = Modulo_reference (II and placements)"
+    reference_case
+    (fun (input, (k, caps, latency), (affinity, bidir), (min_ii, budget_ratio)) ->
+      let g = ddg_of input in
+      let cfg = reference_config ~k ~caps ~latency in
+      let cluster_policy = if affinity then Modulo.Affinity else Modulo.Balance in
+      let placement_policy = if bidir then Modulo.Bidirectional else Modulo.Asap in
+      let want =
+        outcome (fun () ->
+            Modulo_reference.schedule_with_min_ii ~budget_ratio ~cluster_policy
+              ~placement_policy ~min_ii cfg g)
+      in
+      let got =
+        outcome (fun () ->
+            Modulo.schedule_with_min_ii ~budget_ratio ~cluster_policy ~placement_policy
+              ~min_ii cfg g)
+      in
+      got = want
+      && Mii.mii cfg g = Modulo_reference.mii cfg g
+      && Mii.mii_with_floor ~floor:min_ii (Dep_graph.make cfg g)
+         = Modulo_reference.mii_with_floor ~floor:min_ii cfg g)
+
 let suite =
   [
     Alcotest.test_case "res_mii on example" `Quick test_res_mii_example;
@@ -322,4 +380,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedules_valid;
     QCheck_alcotest.to_alcotest prop_rec_mii_cross_check;
     QCheck_alcotest.to_alcotest prop_push_late_preserves_validity;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
   ]

@@ -777,8 +777,52 @@ let test_daemon_concurrent_identity () =
   check_string "client 1 matches client 0" renders.(0) renders.(1);
   check_string "client 2 matches client 0" renders.(0) renders.(2)
 
+(* The daemon keeps its latencies in a bounded ring of 65,536 slots:
+   after more samples than slots it holds exactly the most recent ones,
+   the count keeps the total, and percentiles (nearest rank, as
+   [Stats.percentile]) cover the ring only. *)
+let test_latency_ring_wraps () =
+  let module R = Server.Latency_ring in
+  let slots = 65_536 in
+  let check_pcts what r expected =
+    let pct = R.percentile_of r in
+    List.iter
+      (fun (q, want) ->
+        Alcotest.(check (float 0.0)) (Printf.sprintf "%s: p%g" what q) want (pct q))
+      expected
+  in
+  let r = R.create () in
+  check_pcts "empty" r [ (50.0, 0.0); (99.0, 0.0) ];
+  List.iter (fun x -> R.add r (float_of_int x)) [ 3; 1; 2 ];
+  check_pcts "partial ring" r [ (0.0, 1.0); (50.0, 2.0); (100.0, 3.0) ];
+  (* Samples 1..slots fill exactly one lap: every sample is held. *)
+  let r = R.create () in
+  for x = 1 to slots do
+    R.add r (float_of_int x)
+  done;
+  check_int "one lap: count" slots (R.count r);
+  check_pcts "one full lap" r
+    [ (0.0, 1.0); (50.0, float_of_int (slots / 2)); (100.0, float_of_int slots) ];
+  (* 10 more overwrite the 10 oldest: the ring holds 11..slots + 10. *)
+  for x = slots + 1 to slots + 10 do
+    R.add r (float_of_int x)
+  done;
+  check_int "count is the total" (slots + 10) (R.count r);
+  check_pcts "after wrapping" r
+    [
+      (0.0, 11.0);
+      (50.0, float_of_int ((slots / 2) + 10));
+      (100.0, float_of_int (slots + 10));
+    ];
+  let held = List.init slots (fun i -> float_of_int (i + 11)) in
+  check_pcts "same as Stats.percentile" r
+    (List.map
+       (fun q -> (q, Ncdrf_report.Stats.percentile q held))
+       [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ])
+
 let suite =
   [
+    Alcotest.test_case "latency ring wraps" `Quick test_latency_ring_wraps;
     Alcotest.test_case "malformed frames are typed errors" `Quick test_malformed_frames;
     Alcotest.test_case "removed spill modes are protocol errors" `Quick
       test_removed_spill_modes_rejected;

@@ -150,6 +150,45 @@ let prop_corrupt_entry_is_miss =
           let recovered = Store.load t ~key ~decode:Option.some = Some payload in
           missed && recovered))
 
+(* Store writes are published without fsync, so an OS crash can leave
+   what the page cache had not flushed: a renamed entry of length zero,
+   a prefix of the entry, or an entry of the right length whose tail
+   blocks read back as zeros.  Each must read as a miss and leave the
+   slot usable. *)
+let test_crash_torn_entry_is_miss () =
+  with_store_dir (fun dir ->
+      let t = Store.open_store ~dir () in
+      let key = "torn\x00#view" and payload = String.init 600 (fun i -> Char.chr (i mod 251)) in
+      Store.save t ~key payload;
+      let path =
+        match entry_files dir with
+        | [ p ] -> p
+        | files -> Alcotest.failf "expected 1 entry, found %d" (List.length files)
+      in
+      let raw = read_file path in
+      let n = String.length raw in
+      let leftovers =
+        [
+          ("zero-length", "");
+          ("prefix", String.sub raw 0 (n / 2));
+          ("zero-filled tail", String.sub raw 0 (n / 2) ^ String.make (n - (n / 2)) '\x00');
+        ]
+      in
+      List.iter
+        (fun (what, content) ->
+          write_raw path content;
+          check_bool (what ^ " is a miss") true (Store.load t ~key ~decode:Option.some = None);
+          check_bool (what ^ " unlinked") false (Sys.file_exists path);
+          Store.save t ~key payload;
+          check_bool (what ^ ": slot recovers") true
+            (Store.load t ~key ~decode:Option.some = Some payload))
+        leftovers;
+      let litter =
+        List.filter (fun f -> Filename.check_suffix f ".tmp")
+          (Array.to_list (Sys.readdir (Filename.dirname path)))
+      in
+      check_int "no temp litter" 0 (List.length litter))
+
 (* ------------------------------------------------------------------ *)
 (* Stale temp reclamation.                                             *)
 (* ------------------------------------------------------------------ *)
@@ -433,6 +472,8 @@ let suite =
     Alcotest.test_case "store round-trips binary keys and payloads" `Quick
       test_store_roundtrip;
     QCheck_alcotest.to_alcotest prop_corrupt_entry_is_miss;
+    Alcotest.test_case "zero-length or torn entry is a miss" `Quick
+      test_crash_torn_entry_is_miss;
     Alcotest.test_case "stale temp files are reclaimed by age" `Quick
       test_stale_tmp_reclaim;
     Alcotest.test_case "size budget evicts least recently used" `Quick test_eviction_lru;

@@ -100,7 +100,11 @@ let test_max_passes_and_exact () =
             (got.Schedule.placements = want.Schedule.placements);
           check_bool (what ^ " exact stats") true (gs = ws))
         loops)
-    [ Config.dual ~latency:3; Config.k_cluster ~k:3 ~latency:3 () ]
+    [
+      Config.dual ~latency:3;
+      Config.k_cluster ~k:3 ~latency:3 ();
+      Config.k_cluster ~k:4 ~latency:3 ();
+    ]
 
 let test_paper_example () =
   check_equivalent "paper example" (Helpers.paper_schedule ())

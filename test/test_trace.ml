@@ -110,35 +110,44 @@ let rec rm_rf p =
   else Sys.remove p
 
 let test_write_file_no_tmp_litter () =
-  (* Point the writer at a path whose final rename must fail (the
-     target is a non-empty directory): the temp file may not survive. *)
-  let dir = Filename.temp_file "ncdrf_json" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> rm_rf dir)
-    (fun () ->
-      let target = Filename.concat dir "out" in
-      Sys.mkdir target 0o755;
-      let oc = open_out (Filename.concat target "occupied") in
-      close_out oc;
-      (match Json.write_file ~path:target "{}\n" with
-       | () -> Alcotest.fail "rename over a non-empty directory succeeded?"
-       | exception Sys_error _ -> ());
-      let leftovers =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".tmp")
-      in
-      Alcotest.(check (list string)) "no temp litter" [] leftovers;
-      (* The happy path still publishes (and also leaves no litter). *)
-      let good = Filename.concat dir "ok.json" in
-      Json.write_file ~path:good "[1]";
-      check_bool "published" true (Sys.file_exists good);
-      let tmps =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".tmp")
-      in
-      Alcotest.(check (list string)) "no temp litter after success" [] tmps)
+  (* Point each writer — the durable one and the no-fsync publisher —
+     at a path whose final rename must fail (the target is a non-empty
+     directory): the temp file may not survive. *)
+  List.iter
+    (fun (what, write) ->
+      let dir = Filename.temp_file "ncdrf_json" "" in
+      Sys.remove dir;
+      Sys.mkdir dir 0o755;
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let target = Filename.concat dir "out" in
+          Sys.mkdir target 0o755;
+          let oc = open_out (Filename.concat target "occupied") in
+          close_out oc;
+          (match write ~path:target "{}\n" with
+           | () -> Alcotest.failf "%s: rename over a non-empty directory succeeded?" what
+           | exception Sys_error _ -> ());
+          let leftovers =
+            Sys.readdir dir |> Array.to_list
+            |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+          in
+          Alcotest.(check (list string)) (what ^ ": no temp litter") [] leftovers;
+          (* The happy path still publishes (and also leaves no litter). *)
+          let good = Filename.concat dir "ok.json" in
+          write ~path:good "[1]";
+          Alcotest.(check string)
+            (what ^ ": published") "[1]"
+            (In_channel.with_open_bin good In_channel.input_all);
+          let tmps =
+            Sys.readdir dir |> Array.to_list
+            |> List.filter (fun f -> Filename.check_suffix f ".tmp")
+          in
+          Alcotest.(check (list string)) (what ^ ": no temp litter after success") [] tmps))
+    [
+      ("write_file", fun ~path s -> Json.write_file ~path s);
+      ("publish_file", fun ~path s -> Json.publish_file ~path s);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Stats.auto_histogram and span distributions.                        *)
