@@ -5,6 +5,8 @@
                kernels and register requirements under a chosen model
      dot       emit the dependence graph of a loop as Graphviz
      suite     summarize register pressure over the synthetic suite
+     bench     regenerate the paper's tables and figures (plus
+               ablations and extensions) on the synthetic suite
      sweep     requirement of one loop across latencies and models
      profile   analyze a --ledger run: slowest loops, cache hits,
                duration histograms
@@ -28,19 +30,6 @@ let model_conv =
   let parse s = Model.of_string s |> Result.map_error (fun e -> `Msg e) in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Model.to_string m))
 
-let spec_of ?read_ports ?write_ports ~clusters ~latency () =
-  {
-    Config.spec_latency = latency;
-    spec_clusters = clusters;
-    spec_read_ports = read_ports;
-    spec_write_ports = write_ports;
-  }
-
-let config_of ?read_ports ?write_ports ~clusters ~latency () =
-  match Config.of_spec (spec_of ?read_ports ?write_ports ~clusters ~latency ()) with
-  | Ok config -> config
-  | Stdlib.Error msg -> invalid_arg msg
-
 let latency_arg =
   let doc = "Latency of the floating-point adders and multipliers (3 or 6 in the paper)." in
   Arg.(value & opt int 3 & info [ "l"; "latency" ] ~docv:"CYCLES" ~doc)
@@ -62,6 +51,20 @@ let read_ports_arg =
 let write_ports_arg =
   let doc = "Cap each cluster's register-file writes per cycle (omit for unconstrained)." in
   Arg.(value & opt (some int) None & info [ "write-ports" ] ~docv:"N" ~doc)
+
+(* The machine flags, checked by [Config.of_spec]: a bad value is a
+   usage error naming its flag (exit 2), never an exception. *)
+let machine_term latency =
+  let spec spec_latency spec_clusters spec_read_ports spec_write_ports =
+    let spec = { Config.spec_latency; spec_clusters; spec_read_ports; spec_write_ports } in
+    match Config.of_spec spec with
+    | Ok _ -> `Ok spec
+    | Stdlib.Error msg -> `Error (true, msg)
+  in
+  Term.(ret (const spec $ latency $ clusters_arg $ read_ports_arg $ write_ports_arg))
+
+(* The machine of a spec [machine_term] accepted. *)
+let config_of spec = Result.get_ok (Config.of_spec spec)
 
 let model_arg =
   let doc = "Register file model: ideal, unified, partitioned or swapped." in
@@ -102,7 +105,7 @@ module Client = Ncdrf_server.Client
 module Store = Ncdrf_cache.Store
 
 (* ------------------------------------------------------------------ *)
-(* Persistent store + sharding options shared by suite and serve.       *)
+(* Persistent store + sharding options shared by suite, bench, serve.  *)
 (* ------------------------------------------------------------------ *)
 
 let shard_conv =
@@ -151,11 +154,6 @@ let open_ambient_store ~cache_dir ~cache_max_mb =
       Printf.eprintf "cannot open --cache-dir: %s\n" msg;
       exit 2)
 
-let apply_shard shard loops =
-  match shard with
-  | None -> loops
-  | Some (index, count) -> Suite_stats.shard ~index ~count loops
-
 (* Uniform failure reporting for every subcommand: legacy front-end
    exceptions, classified pipeline errors, and policy aborts all exit 1
    with a one-line diagnosis instead of a backtrace. *)
@@ -182,13 +180,12 @@ let handle_errors f =
 (* ------------------------------------------------------------------ *)
 
 let schedule_cmd =
-  let run verbose file name latency clusters read_ports write_ports model capacity
-      show_kernel =
+  let run verbose file name machine model capacity show_kernel =
     setup_logs verbose;
     handle_errors @@ fun () ->
     let loops = load_loops file name in
     if loops = [] then (Printf.eprintf "no matching loops\n"; exit 1);
-    let config = config_of ?read_ports ?write_ports ~clusters ~latency () in
+    let config = config_of machine in
     (* Printed through the protocol renderers, so `ncdrf client schedule`
        against a daemon produces these exact bytes. *)
     print_string (Protocol.render_machine_line (Format.asprintf "%a" Config.pp config));
@@ -210,8 +207,8 @@ let schedule_cmd =
   let doc = "Modulo-schedule loops and report register requirements." in
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
-      const run $ verbose_arg $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg
-      $ read_ports_arg $ write_ports_arg $ model_arg $ capacity_arg $ kernel_arg)
+      const run $ verbose_arg $ file_arg $ loop_name_arg $ machine_term latency_arg
+      $ model_arg $ capacity_arg $ kernel_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dot                                                                 *)
@@ -228,120 +225,56 @@ let dot_cmd =
   Cmd.v (Cmd.info "dot" ~doc) Term.(const run $ file_arg $ loop_name_arg)
 
 (* ------------------------------------------------------------------ *)
-(* suite                                                               *)
+(* suite and bench: one options term, one run setup                    *)
 (* ------------------------------------------------------------------ *)
 
-let write_failures_csv path failures =
-  Ncdrf_report.Csv.write path (Failures.to_csv_rows failures);
-  Format.printf "[failures: %s]@." path
+module Pool = Ncdrf_parallel.Pool
+module Telemetry = Ncdrf_telemetry.Telemetry
+module Trace = Ncdrf_telemetry.Trace
+module Ledger = Ncdrf_telemetry.Ledger
+module Json = Ncdrf_telemetry.Json
 
-let suite_cmd =
-  let run latency clusters read_ports write_ports size registers jobs timeout metrics
-      fail_fast max_failures inject failures_csv no_cache trace ledger cache_dir
-      cache_max_mb shard =
-    let module Pool = Ncdrf_parallel.Pool in
-    let module Telemetry = Ncdrf_telemetry.Telemetry in
-    let module Trace = Ncdrf_telemetry.Trace in
-    let module Ledger = Ncdrf_telemetry.Ledger in
-    (match inject with
-     | None -> ()
-     | Some spec ->
-       (match Fault.arm spec with
-        | Ok () -> ()
-        | Stdlib.Error msg ->
-          Printf.eprintf "bad --inject spec: %s\n" msg;
-          exit 2));
-    let failures = Failures.create ~fail_fast ?max_failures () in
-    handle_errors @@ fun () ->
-    Fun.protect ~finally:Fault.disarm @@ fun () ->
-    let config = config_of ?read_ports ?write_ports ~clusters ~latency () in
-    open_ambient_store ~cache_dir ~cache_max_mb;
-    let loops =
-      apply_shard shard
-        (List.map
-           (fun e ->
-             { Suite_stats.ddg = e.Ncdrf_workloads.Suite.ddg;
-               weight = e.Ncdrf_workloads.Suite.iterations })
-           (Ncdrf_workloads.Suite.full ~size ()))
-    in
-    Telemetry.enable (metrics <> None);
-    Trace.enable (trace <> None);
-    Ledger.enable (ledger <> None);
-    Ledger.set_label "suite";
-    if no_cache then Artifact.set_cache_enabled false;
-    let t0 = Telemetry.now () in
-    Pool.with_pool ~jobs (fun pool ->
-        let n_jobs = Pool.jobs pool in
-        (* Printed through the protocol renderers, so `ncdrf client
-           suite` against a daemon produces these exact bytes. *)
-        print_string
-          (Protocol.render_suite_header ~size
-             ~machine:(Format.asprintf "%a" Config.pp config)
-             ~jobs:n_jobs);
-        print_string (Protocol.render_suite_table_head ~registers);
-        (* One scheduling pass per loop, shared by the three models. *)
-        List.iter
-          (fun (model, ms) ->
-            let s, d = Suite_stats.allocatable ms ~r:registers in
-            print_string (Protocol.render_suite_row (model, s, d)))
-          (Suite_stats.measure_all ~pool ~failures ?timeout_s:timeout ~config
-             ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
-             loops));
-    print_string (Protocol.render_failure_summary (Failures.list failures));
-    (match metrics with
-     | None -> ()
-     | Some path ->
-       let wall = Telemetry.now () -. t0 in
-       let json =
-         Telemetry.Json.Obj
-           ([
-              ("schema", Telemetry.Json.String "ncdrf-suite-metrics/1");
-              ("jobs", Telemetry.Json.Int (max 1 jobs));
-              ("suite_size", Telemetry.Json.Int size);
-              ("wall_s", Telemetry.Json.Float wall);
-              ( "loops_per_sec",
-                if wall > 0.0 then
-                  Telemetry.Json.Float
-                    (float_of_int (Telemetry.counter "pipeline.loops") /. wall)
-                else Telemetry.Json.Null );
-              ("telemetry", Telemetry.to_json ());
-            ]
-           @
-           if Failures.count failures = 0 then []
-           else [ ("failures", Failures.to_json failures) ])
-       in
-       Telemetry.write_json ~path json;
-       Format.printf "[metrics: %s]@." path);
-    (match trace with
-     | None -> ()
-     | Some path ->
-       Trace.write_chrome ~path;
-       Format.printf "[trace: %s]@." path);
-    (match ledger with
-     | None -> ()
-     | Some path ->
-       Ledger.write ~path;
-       Format.printf "[ledger: %s]@." path);
-    (match failures_csv with
-     | None -> ()
-     | Some path -> write_failures_csv path failures);
-    0
+let inject_arg =
+  let doc =
+    "Arm a deterministic fault: stage=$(i,NAME)[,loop=$(i,REGEX)][,every=$(i,N)].  \
+     Matching pipeline points raise a classified 'injected' failure; off by \
+     default and zero-cost when disarmed."
   in
-  let size_arg =
-    let doc = "Number of loops in the synthetic suite." in
-    Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
+  let spec_conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Fault.parse s)),
+        fun ppf spec -> Format.pp_print_string ppf (Fault.spec_to_string spec) )
   in
-  let registers_arg =
-    let doc = "Register budget to test against." in
-    Arg.(value & opt int 32 & info [ "r"; "registers" ] ~docv:"N" ~doc)
-  in
+  Arg.(value & opt (some spec_conv) None & info [ "inject" ] ~docv:"SPEC" ~doc)
+
+let failures_arg =
+  let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
+  Arg.(value & opt (some string) None & info [ "failures" ] ~docv:"FILE" ~doc)
+
+type run_opts = {
+  machine : Config.spec;
+  jobs : int;
+  timeout : float option;
+  metrics : string option;
+  trace : string option;
+  ledger : string option;
+  no_cache : bool;
+  cache_dir : string option;
+  cache_max_mb : int;
+  shard : (int * int) option;
+  inject : Fault.spec option;
+  fail_fast : bool;
+  max_failures : int option;
+  failures_csv : string option;
+}
+
+let run_opts ~latency =
   let jobs_arg =
     let doc =
       "Worker domains for the per-loop pipeline (default: the recommended domain \
        count).  Results are identical whatever the value."
     in
-    Arg.(value & opt int (Ncdrf_parallel.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt int (Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let timeout_arg =
     let doc =
@@ -354,33 +287,6 @@ let suite_cmd =
   let metrics_arg =
     let doc = "Write a JSON telemetry report (timers, counters, stage spans) to $(docv)." in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let fail_fast_arg =
-    let doc =
-      "Abort on the first failed (loop, model) point instead of skipping and \
-       recording it (the default is to keep going)."
-    in
-    Arg.(value & flag & info [ "fail-fast" ] ~doc)
-  in
-  let max_failures_arg =
-    let doc = "Abort once more than $(docv) points have failed." in
-    Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
-  in
-  let inject_arg =
-    let doc =
-      "Arm a deterministic fault: stage=$(i,NAME)[,loop=$(i,REGEX)][,every=$(i,N)].  \
-       Matching pipeline points raise a classified 'injected' failure; off by \
-       default and zero-cost when disarmed."
-    in
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
-  in
-  let failures_arg =
-    let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
-    Arg.(value & opt (some string) None & info [ "failures" ] ~docv:"FILE" ~doc)
-  in
-  let no_cache_arg =
-    let doc = "Disable the compile cache (every stage recomputes)." in
-    Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
   let trace_arg =
     let doc =
@@ -398,13 +304,185 @@ let suite_cmd =
     in
     Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
   in
+  let no_cache_arg =
+    let doc = "Disable the compile cache (every stage recomputes)." in
+    Arg.(value & flag & info [ "no-cache" ] ~doc)
+  in
+  let fail_fast_arg =
+    let doc =
+      "Abort on the first failed (loop, model) point instead of skipping and \
+       recording it (the default is to keep going)."
+    in
+    Arg.(value & flag & info [ "fail-fast" ] ~doc)
+  in
+  let max_failures_arg =
+    let doc = "Abort once more than $(docv) points have failed." in
+    Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
+  in
+  let make machine jobs timeout metrics trace ledger no_cache cache_dir cache_max_mb
+      shard inject fail_fast max_failures failures_csv =
+    { machine; jobs; timeout; metrics; trace; ledger; no_cache; cache_dir; cache_max_mb;
+      shard; inject; fail_fast; max_failures; failures_csv }
+  in
+  Term.(
+    const make $ machine_term latency $ jobs_arg $ timeout_arg $ metrics_arg $ trace_arg
+    $ ledger_arg $ no_cache_arg $ cache_dir_arg $ cache_max_mb_arg $ shard_arg
+    $ inject_arg $ fail_fast_arg $ max_failures_arg $ failures_arg)
+
+(* Arm the fault, the store, the observability probes and the pool,
+   run [f] on the pool with the run's failure collector, then publish
+   the trace, the ledger and the failure manifest — also after a
+   failure-policy abort, which exits 1.  [f] prints its own report,
+   failure summary and metrics. *)
+let with_run o f =
+  let failures = Failures.create ~fail_fast:o.fail_fast ?max_failures:o.max_failures () in
+  Option.iter Fault.arm_spec o.inject;
+  let code =
+    handle_errors @@ fun () ->
+    Fun.protect ~finally:Fault.disarm @@ fun () ->
+    open_ambient_store ~cache_dir:o.cache_dir ~cache_max_mb:o.cache_max_mb;
+    Telemetry.enable (o.metrics <> None);
+    Trace.enable (o.trace <> None);
+    Ledger.enable (o.ledger <> None);
+    if o.no_cache then Artifact.set_cache_enabled false;
+    Pool.with_pool ~jobs:o.jobs (fun pool -> f pool failures);
+    0
+  in
+  Option.iter
+    (fun path ->
+      Trace.write_chrome ~path;
+      Printf.printf "[trace: %s]\n%!" path)
+    o.trace;
+  Option.iter
+    (fun path ->
+      Ledger.write ~path;
+      Printf.printf "[ledger: %s]\n%!" path)
+    o.ledger;
+  Option.iter
+    (fun path ->
+      Ncdrf_report.Csv.write path (Failures.to_csv_rows failures);
+      Printf.printf "[failures: %s]\n%!" path)
+    o.failures_csv;
+  code
+
+(* The synthetic suite, or the loops of one --shard of it. *)
+let suite_loops ?seed ~size shard =
+  let loops =
+    List.map
+      (fun e ->
+        { Suite_stats.ddg = e.Ncdrf_workloads.Suite.ddg;
+          weight = e.Ncdrf_workloads.Suite.iterations })
+      (Ncdrf_workloads.Suite.full ~size ?seed ())
+  in
+  match shard with
+  | None -> loops
+  | Some (index, count) -> Suite_stats.shard ~index ~count loops
+
+let suite_size_arg =
+  let doc = "Number of loops in the synthetic suite." in
+  Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
+
+let registers_arg =
+  let doc = "Register budget to test against." in
+  Arg.(value & opt int 32 & info [ "r"; "registers" ] ~docv:"N" ~doc)
+
+let suite_cmd =
+  let run o size registers =
+    with_run o @@ fun pool failures ->
+    let config = config_of o.machine in
+    let loops = suite_loops ~size o.shard in
+    Ledger.set_label "suite";
+    let t0 = Telemetry.now () in
+    (* Printed through the protocol renderers, so `ncdrf client suite`
+       against a daemon produces these exact bytes. *)
+    print_string
+      (Protocol.render_suite_header ~size
+         ~machine:(Format.asprintf "%a" Config.pp config)
+         ~jobs:(Pool.jobs pool));
+    print_string (Protocol.render_suite_table_head ~registers);
+    (* One scheduling pass per loop, shared by the three models. *)
+    List.iter
+      (fun (model, ms) ->
+        let s, d = Suite_stats.allocatable ms ~r:registers in
+        print_string (Protocol.render_suite_row (model, s, d)))
+      (Suite_stats.measure_all ~pool ~failures ?timeout_s:o.timeout ~config
+         ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
+         loops);
+    print_string (Protocol.render_failure_summary (Failures.list failures));
+    Option.iter
+      (fun path ->
+        let wall = Telemetry.now () -. t0 in
+        let loops = Telemetry.counter "pipeline.loops" in
+        Telemetry.write_json ~path
+          (Json.Obj
+             ([
+                ("schema", Json.String "ncdrf-suite-metrics/1");
+                ("jobs", Json.Int (Pool.jobs pool));
+                ("suite_size", Json.Int size);
+                ("wall_s", Json.Float wall);
+                ( "loops_per_sec",
+                  if wall > 0.0 then Json.Float (float_of_int loops /. wall)
+                  else Json.Null );
+                ("telemetry", Telemetry.to_json ());
+              ]
+             @
+             if Failures.count failures = 0 then []
+             else [ ("failures", Failures.to_json failures) ]));
+        Printf.printf "[metrics: %s]\n%!" path)
+      o.metrics
+  in
   let doc = "Register-pressure summary over the synthetic Perfect-Club-like suite." in
   Cmd.v (Cmd.info "suite" ~doc)
+    Term.(const run $ run_opts ~latency:latency_arg $ suite_size_arg $ registers_arg)
+
+let bench_cmd =
+  let run o names quick size seed csv_dir =
+    let size = Option.value size ~default:(if quick then 150 else 795) in
+    with_run o @@ fun pool failures ->
+    let machine ~latency = config_of { o.machine with Config.spec_latency = latency } in
+    let c =
+      Bench.create ~pool ~failures ~timeout_s:o.timeout ~machine ~csv_dir
+        (lazy (suite_loops ~seed ~size o.shard))
+    in
+    Bench.run c ~metrics:o.metrics ~size ~seed
+      (if names = [] then Bench.names else names)
+  in
+  let names_arg =
+    let doc =
+      "Experiments to run, in order (default: all): "
+      ^ String.concat ", " (List.map (Printf.sprintf "$(b,%s)") Bench.names)
+      ^ "."
+    in
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) Bench.names)) []
+      & info [] ~docv:"EXP" ~doc)
+  in
+  let quick_arg =
+    let doc = "Use a 150-loop suite instead of the paper's 795 (unless $(b,--size))." in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let size_arg =
+    let doc = "Number of loops in the synthetic suite (default 795)." in
+    Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc)
+  in
+  let seed_arg =
+    let doc = "Seed of the synthetic suite's generated loops." in
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
+  in
+  let csv_arg =
+    let doc = "Mirror each figure's series to a CSV file under $(docv)." in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
+  in
+  let doc =
+    "Regenerate the paper's tables and figures, plus ablations and extensions, on \
+     the synthetic suite.  The machine flags replace the paper's dual machine in \
+     every experiment that uses it; each experiment picks its own latencies."
+  in
+  Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const run $ latency_arg $ clusters_arg $ read_ports_arg $ write_ports_arg
-      $ size_arg $ registers_arg $ jobs_arg $ timeout_arg $ metrics_arg $ fail_fast_arg
-      $ max_failures_arg $ inject_arg $ failures_arg $ no_cache_arg $ trace_arg
-      $ ledger_arg $ cache_dir_arg $ cache_max_mb_arg $ shard_arg)
+      const run $ run_opts ~latency:(const 3) $ names_arg $ quick_arg $ size_arg
+      $ seed_arg $ csv_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -444,12 +522,13 @@ let sweep_cmd =
 (* ------------------------------------------------------------------ *)
 
 let simulate_cmd =
-  let run file name latency clusters read_ports write_ports iterations =
+  let run file name machine iterations =
     handle_errors @@ fun () ->
       let loops = load_loops file name in
       if loops = [] then (Printf.eprintf "no matching loops\n"; exit 1);
       let config =
-        config_of ?read_ports ?write_ports ~clusters:(max clusters 2) ~latency ()
+        config_of
+          { machine with Config.spec_clusters = max machine.Config.spec_clusters 2 }
       in
       let clustered_tag =
         if Config.num_clusters config = 2 then "dual"
@@ -488,8 +567,7 @@ let simulate_cmd =
   in
   Cmd.v (Cmd.info "simulate" ~doc)
     Term.(
-      const run $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg
-      $ read_ports_arg $ write_ports_arg $ iterations_arg)
+      const run $ file_arg $ loop_name_arg $ machine_term latency_arg $ iterations_arg)
 
 (* ------------------------------------------------------------------ *)
 (* kernels                                                             *)
@@ -518,7 +596,6 @@ let kernels_cmd =
 (* profile                                                             *)
 (* ------------------------------------------------------------------ *)
 
-module Ledger = Ncdrf_telemetry.Ledger
 module Stats = Ncdrf_report.Stats
 
 (* Everything below is a pure function of the ledger file, so the
@@ -833,7 +910,6 @@ let profile_cmd =
 (* ------------------------------------------------------------------ *)
 
 module Merge = Ncdrf_telemetry.Merge
-module Json = Ncdrf_telemetry.Json
 
 let merge_cmd =
   let run files metrics_out ledger_out trace_out strip =
@@ -971,14 +1047,7 @@ let serve_cmd =
   let run verbose socket jobs max_inflight queue timeout drain_grace metrics trace
       ledger inject cache_dir cache_max_mb =
     setup_logs verbose;
-    (match inject with
-     | None -> ()
-     | Some spec ->
-       (match Fault.arm spec with
-        | Ok () -> ()
-        | Stdlib.Error msg ->
-          Printf.eprintf "bad --inject spec: %s\n" msg;
-          exit 2));
+    Option.iter Fault.arm_spec inject;
     handle_errors @@ fun () ->
     Fun.protect ~finally:Fault.disarm @@ fun () ->
     Server.run
@@ -1041,13 +1110,6 @@ let serve_cmd =
        per compiled point."
     in
     Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
-  in
-  let inject_arg =
-    let doc =
-      "Arm a deterministic fault, as in $(b,ncdrf suite): matching points raise a \
-       classified 'injected' failure, which the daemon must contain."
-    in
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
   in
   let doc = "Serve scheduling requests over a Unix-domain socket (JSONL protocol)." in
   Cmd.v (Cmd.info "serve" ~doc)
@@ -1153,8 +1215,8 @@ let client_health_cmd ~name ~kind =
   Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg $ connect_timeout_arg)
 
 let client_schedule_cmd =
-  let run socket connect_timeout retries timeout file name latency clusters read_ports
-      write_ports model capacity show_kernel =
+  let run socket connect_timeout retries timeout file name spec model capacity
+      show_kernel =
     let source =
       try In_channel.with_open_text file In_channel.input_all
       with Sys_error msg ->
@@ -1166,7 +1228,7 @@ let client_schedule_cmd =
         {
           workload = Protocol.Source source;
           only = name;
-          spec = spec_of ?read_ports ?write_ports ~clusters ~latency ();
+          spec;
           model;
           capacity;
           spill_batch = 1;
@@ -1196,16 +1258,12 @@ let client_schedule_cmd =
   Cmd.v (Cmd.info "schedule" ~doc)
     Term.(
       const run $ socket_arg $ connect_timeout_arg $ retries_arg $ request_timeout_arg
-      $ file_arg $ loop_name_arg $ latency_arg $ clusters_arg $ read_ports_arg
-      $ write_ports_arg $ model_arg $ capacity_arg $ kernel_arg)
+      $ file_arg $ loop_name_arg $ machine_term latency_arg $ model_arg $ capacity_arg
+      $ kernel_arg)
 
 let client_suite_cmd =
-  let run socket connect_timeout retries timeout latency clusters read_ports write_ports
-      size registers failures_csv =
-    let kind =
-      Protocol.Suite
-        { spec = spec_of ?read_ports ?write_ports ~clusters ~latency (); size; registers }
-    in
+  let run socket connect_timeout retries timeout spec size registers failures_csv =
+    let kind = Protocol.Suite { spec; size; registers } in
     with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s:timeout
       ~on_body:(function
         | Protocol.Suite_report { machine; size; jobs; registers; rows; failures } ->
@@ -1224,24 +1282,11 @@ let client_suite_cmd =
           1)
       ()
   in
-  let size_arg =
-    let doc = "Number of loops in the synthetic suite." in
-    Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
-  in
-  let registers_arg =
-    let doc = "Register budget to test against." in
-    Arg.(value & opt int 32 & info [ "r"; "registers" ] ~docv:"N" ~doc)
-  in
-  let failures_arg =
-    let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
-    Arg.(value & opt (some string) None & info [ "failures" ] ~docv:"FILE" ~doc)
-  in
   let doc = "Run the suite summary on the daemon; output matches $(b,ncdrf suite)." in
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(
       const run $ socket_arg $ connect_timeout_arg $ retries_arg $ request_timeout_arg
-      $ latency_arg $ clusters_arg $ read_ports_arg $ write_ports_arg $ size_arg
-      $ registers_arg $ failures_arg)
+      $ machine_term latency_arg $ suite_size_arg $ registers_arg $ failures_arg)
 
 let client_cmd =
   let doc = "Talk to a running $(b,ncdrf serve) daemon." in
@@ -1276,67 +1321,16 @@ let example_cmd =
   let doc = "Schedule the paper's worked example and print every artifact." in
   Cmd.v (Cmd.info "example" ~doc) Term.(const run $ const ())
 
-(* One-screen usage covering every subcommand and the suite's
-   accumulated flags; printed to stderr (after cmdliner's own
-   diagnostic) whenever the command line does not parse, which exits 2
-   instead of cmdliner's default 124. *)
-let usage =
-  String.concat "\n"
-    [
-      "usage: ncdrf COMMAND [OPTION]...";
-      "";
-      "commands:";
-      "  schedule FILE   modulo-schedule loops; print schedules, kernels, requirements";
-      "  dot FILE        emit dependence graphs as Graphviz DOT";
-      "  suite           register-pressure summary over the synthetic suite";
-      "  sweep FILE      requirement of each loop across FP latencies and models";
-      "  simulate FILE   execute loops on the simulated machine vs the reference";
-      "  kernels         list built-in kernels with their register requirements";
-      "  profile LEDGER...  analyze --ledger runs (shard ledgers merge): slowest loops,";
-      "                  cache hits, histograms; --format json for machine-readable";
-      "  merge FILE...   union sharded --metrics/--ledger/--trace outputs into one run";
-      "  example         walk the paper's worked example";
-      "  serve           run the compile daemon on a Unix-domain socket";
-      "                  (--max-inflight N concurrent requests, default 4)";
-      "  client CMD      schedule/suite/health against a running daemon";
-      "";
-      "suite options:";
-      "  -l, --latency N    FP add/mul latency (default 3)";
-      "  -c, --clusters K   clusters/subfiles: 1 = unified, 2 = dual (default), K > 2";
-      "      --read-ports N   per-subfile register-file read-port cap (default: none)";
-      "      --write-ports N  per-subfile register-file write-port cap (default: none)";
-      "      --size N       loops in the synthetic suite (default 300)";
-      "  -r, --registers N  register budget to test against (default 32)";
-      "  -j, --jobs N       worker domains (results identical for any N)";
-      "      --timeout SECS per-point wall budget (typed deadline_exceeded failures)";
-      "      --metrics FILE JSON telemetry: spans with p50/p90/p99, counters";
-      "      --trace FILE   Chrome trace-event JSON (chrome://tracing, Perfetto)";
-      "      --ledger FILE  JSONL run ledger, one record per (config, loop) point";
-      "      --no-cache     disable the compile cache";
-      "      --cache-dir DIR   persistent artifact store shared across processes";
-      "      --cache-max-mb N  LRU-evict the store beyond N megabytes (0 = unlimited)";
-      "      --shard I/N    compile only shard I of N (merge outputs with ncdrf merge)";
-      "      --inject SPEC  arm a fault: stage=NAME[,loop=REGEX][,every=N]";
-      "      --fail-fast    abort on the first failed point";
-      "      --max-failures N  abort once more than N points have failed";
-      "      --failures FILE   write the failure manifest as CSV";
-      "";
-      "run 'ncdrf COMMAND --help' for the full manual of one command.";
-      "";
-    ]
-
 let () =
   let doc = "non-consistent dual register files for software-pipelined loops" in
   let info = Cmd.info "ncdrf" ~version:"1.0.0" ~doc in
   let group =
     Cmd.group info
-      [ schedule_cmd; dot_cmd; suite_cmd; sweep_cmd; simulate_cmd; kernels_cmd;
-        profile_cmd; merge_cmd; example_cmd; serve_cmd; client_cmd ]
+      [ schedule_cmd; dot_cmd; suite_cmd; bench_cmd; sweep_cmd; simulate_cmd;
+        kernels_cmd; profile_cmd; merge_cmd; example_cmd; serve_cmd; client_cmd ]
   in
   match Cmd.eval_value group with
   | Ok (`Ok code) -> exit code
   | Ok (`Help | `Version) -> exit 0
-  | Stdlib.Error (`Parse | `Term) ->
-    prerr_string usage;
-    exit 2
+  | Stdlib.Error (`Parse | `Term) -> exit 2
   | Stdlib.Error `Exn -> exit 125

@@ -183,13 +183,22 @@ let default_spec =
 
 let of_spec { spec_latency = latency; spec_clusters = clusters;
               spec_read_ports = read_ports; spec_write_ports = write_ports } =
-  match clusters with
-  | n when n < 1 || n > max_clusters ->
-    Error
-      (Printf.sprintf "unsupported cluster count %d (must be in [1, %d])" n max_clusters)
-  | 1 ->
-    Ok
-      (match read_ports, write_ports with
+  let ( let* ) = Result.bind in
+  let check flag ok v bound =
+    if ok then Ok () else Error (Printf.sprintf "%s %d: must be %s" flag v bound)
+  in
+  let port flag = function Some n -> check flag (n >= 1) n ">= 1" | None -> Ok () in
+  let* () =
+    check "--clusters" (clusters >= 1 && clusters <= max_clusters) clusters
+      (Printf.sprintf "in [1, %d]" max_clusters)
+  in
+  let* () = check "--latency" (latency >= 1) latency ">= 1" in
+  let* () = port "--read-ports" read_ports in
+  let* () = port "--write-ports" write_ports in
+  Ok
+    (match clusters with
+     | 1 -> (
+       match read_ports, write_ports with
        | None, None -> dual_unified ~latency
        | _ ->
          (* The unified machine's resources with register-file port caps. *)
@@ -201,5 +210,5 @@ let of_spec { spec_latency = latency; spec_clusters = clusters;
                  ~ls_units:2 ();
              |]
            ~add_latency:latency ~mul_latency:latency ())
-  | 2 when read_ports = None && write_ports = None -> Ok (dual ~latency)
-  | k -> Ok (k_cluster ?read_ports ?write_ports ~k ~latency ())
+     | 2 when read_ports = None && write_ports = None -> dual ~latency
+     | k -> k_cluster ?read_ports ?write_ports ~k ~latency ())

@@ -145,7 +145,8 @@ val default_spec : spec
 
 (** Build the machine a spec describes: 1 cluster is the unified
     machine ({!dual_unified}, or its port-capped variant), 2 uncapped
-    clusters is {!dual}, anything else {!k_cluster}.  [Error] on a
-    cluster count outside [[1, max_clusters]] — the wire protocol must
-    reject bad specs as typed errors, never exceptions. *)
+    clusters is {!dual}, anything else {!k_cluster}.  [Error], naming
+    the flag, on a cluster count outside [[1, max_clusters]], a latency
+    [< 1] or a port cap [< 1] — the CLI and the wire protocol must
+    reject bad specs as usage or typed errors, never exceptions. *)
 val of_spec : spec -> (t, string) result

@@ -167,26 +167,15 @@ let merge_experiments objs =
     let loops = sum_ints "loops" parts in
     let stages = List.filter_map (fun e -> field "stages" (fields_of e)) parts in
     let counters = List.filter_map (fun e -> field "counters" (fields_of e)) parts in
-    let serial =
-      if List.exists (fun e -> field "serial_wall_s" (fields_of e) <> None) parts
-      then
-        let s = sum_floats "serial_wall_s" parts in
-        [
-          ("serial_wall_s", Json.Float s);
-          ("speedup_vs_serial", if wall > 0.0 then Json.Float (s /. wall) else Json.Null);
-        ]
-      else []
-    in
     Json.Obj
-      ([
-         ("name", Json.String name);
-         ("wall_s", Json.Float wall);
-         ("loops", Json.Int loops);
-         ("loops_per_sec", rate ~count:loops ~seconds:wall);
-         ("stages", merge_keyed merge_span_objs stages);
-         ("counters", merge_counter_objs counters);
-       ]
-      @ serial)
+      [
+        ("name", Json.String name);
+        ("wall_s", Json.Float wall);
+        ("loops", Json.Int loops);
+        ("loops_per_sec", rate ~count:loops ~seconds:wall);
+        ("stages", merge_keyed merge_span_objs stages);
+        ("counters", merge_counter_objs counters);
+      ]
   in
   Json.List (List.map merge_one order)
 
@@ -281,8 +270,6 @@ let timing_keys =
   [
     "wall_s";
     "total_wall_s";
-    "serial_wall_s";
-    "speedup_vs_serial";
     "loops_per_sec";
     "uptime_s";
     "total_s";

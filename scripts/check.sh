@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 gate: build everything, run the full test suite, then smoke the
-# user-facing entry points — the quickstart example and a bench run with
-# metrics, checking that the compile cache actually engaged.
+# user-facing entry points — the quickstart example and `ncdrf bench` runs
+# with metrics, checking that the compile cache actually engaged.
 # Any failure here blocks a merge.
 set -eu
 cd "$(dirname "$0")/.."
@@ -79,7 +79,7 @@ dune exec examples/quickstart.exe > /dev/null
 # which would mean the telemetry or the cache wiring is broken).
 metrics=$(mktemp /tmp/ncdrf-metrics.XXXXXX.json)
 trap 'rm -f "$metrics"' EXIT
-dune exec bench/main.exe -- fig6 --quick --jobs 1 --metrics "$metrics" > /dev/null
+dune exec bin/ncdrf.exe -- bench fig6 --quick --jobs 1 --metrics "$metrics" > /dev/null
 test -s "$metrics" || { echo "check.sh: metrics JSON missing or empty" >&2; exit 1; }
 misses=$(grep -o '"cache.misses": *[0-9]*' "$metrics" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${misses:-}" ] || [ "$misses" -eq 0 ]; then
@@ -105,7 +105,7 @@ spill_metrics=$(mktemp /tmp/ncdrf-spillrun.XXXXXX.json)
 fig8_out=$(mktemp /tmp/ncdrf-fig8.XXXXXX.txt)
 fig8_pinned=$(mktemp /tmp/ncdrf-fig8-pinned.XXXXXX.txt)
 trap 'rm -f "$metrics" "$spill_metrics" "$fig8_out" "$fig8_pinned"' EXIT
-dune exec bench/main.exe -- fig8 --quick --jobs 1 --metrics "$spill_metrics" > "$fig8_out"
+dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 --metrics "$spill_metrics" > "$fig8_out"
 counter() {
   grep -o "\"$1\": *[0-9]*" "$2" | head -n1 | grep -o '[0-9]*$' || true
 }
@@ -132,6 +132,40 @@ if ! cmp -s "$fig8_pinned" scripts/fig8_quick.golden; then
   exit 1
 fi
 rm -f "$fig8_out" "$fig8_pinned"
+
+# The same byte identity for the suite path: the default `ncdrf suite`
+# table and its allocator, cache and loop counters must equal
+# scripts/suite.golden exactly.
+suite_out=$(mktemp /tmp/ncdrf-suite.XXXXXX.txt)
+suite_metrics=$(mktemp /tmp/ncdrf-suite.XXXXXX.json)
+suite_pinned=$(mktemp /tmp/ncdrf-suite-pinned.XXXXXX.txt)
+trap 'rm -f "$metrics" "$spill_metrics" "$suite_out" "$suite_metrics" "$suite_pinned"' EXIT
+dune exec bin/ncdrf.exe -- suite --jobs 1 --metrics "$suite_metrics" > "$suite_out"
+{
+  grep -v '^\[metrics: ' "$suite_out"
+  for c in alloc.probes alloc.pairs cache.misses pipeline.loops; do
+    echo "$c $(counter "$c" "$suite_metrics")"
+  done
+} > "$suite_pinned"
+if ! cmp -s "$suite_pinned" scripts/suite.golden; then
+  echo "check.sh: suite output or counters differ from scripts/suite.golden" >&2
+  diff scripts/suite.golden "$suite_pinned" >&2 || true
+  exit 1
+fi
+rm -f "$suite_out" "$suite_metrics" "$suite_pinned"
+
+# Bad machine flags and unknown experiments are usage errors (exit 2),
+# never an uncaught exception.
+for args in "suite --clusters 0" "suite --latency 0" "bench nosuch" \
+    "bench fig8 --quick --clusters 63"; do
+  code=0
+  # shellcheck disable=SC2086
+  dune exec bin/ncdrf.exe -- $args > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "check.sh: 'ncdrf $args' exited $code, expected 2" >&2
+    exit 1
+  fi
+done
 
 # Fault-isolation smoke: an injected keep-going suite run must succeed,
 # report the injected points in the metrics, and still print its table.
@@ -190,7 +224,7 @@ trace=$(mktemp /tmp/ncdrf-trace.XXXXXX.json)
 ledger=$(mktemp /tmp/ncdrf-ledger.XXXXXX.jsonl)
 profile_out=$(mktemp /tmp/ncdrf-profile.XXXXXX.txt)
 trap 'rm -f "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out"' EXIT
-dune exec bench/main.exe -- fig6 --quick --jobs 1 \
+dune exec bin/ncdrf.exe -- bench fig6 --quick --jobs 1 \
   --trace "$trace" --ledger "$ledger" > /dev/null
 events=$(grep -c '"ph": *"[BE]"' "$trace" || true)
 if [ "${events:-0}" -eq 0 ]; then
@@ -330,9 +364,9 @@ warm_m=$(mktemp /tmp/ncdrf-warm.XXXXXX.json)
 cold_out=$(mktemp /tmp/ncdrf-cold.XXXXXX.txt)
 warm_out=$(mktemp /tmp/ncdrf-warm.XXXXXX.txt)
 trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out"' EXIT
-dune exec bench/main.exe -- fig8 --quick --jobs 1 \
+dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$cold_m" > "$cold_out"
-dune exec bench/main.exe -- fig8 --quick --jobs 1 \
+dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$warm_m" > "$warm_out"
 disk_hits=$(grep -o '"cache.disk_hits": *[0-9]*' "$warm_m" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${disk_hits:-}" ] || [ "$disk_hits" -eq 0 ]; then

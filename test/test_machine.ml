@@ -237,6 +237,25 @@ let test_cluster_cap () =
   (match Config.of_spec (spec 63) with
    | Ok _ -> Alcotest.fail "63 clusters accepted by of_spec"
    | Error _ -> ());
+  (* Latencies and port caps below 1 are typed errors naming the flag,
+     not exceptions from Config.make. *)
+  List.iter
+    (fun (flag, bad) ->
+      match Config.of_spec bad with
+      | Ok _ -> Alcotest.failf "of_spec accepted a bad %s" flag
+      | Error msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "error names %s: %s" flag msg)
+          true
+          (String.starts_with ~prefix:(flag ^ " ") msg)
+      | exception Invalid_argument msg -> Alcotest.failf "of_spec raised: %s" msg)
+    [
+      ("--clusters", spec 0);
+      ("--latency", { Config.default_spec with Config.spec_latency = 0 });
+      ("--read-ports", { Config.default_spec with Config.spec_read_ports = Some 0 });
+      ( "--write-ports",
+        { Config.default_spec with Config.spec_clusters = 1; spec_write_ports = Some 0 } );
+    ];
   let raises what f =
     match f () with
     | _ -> Alcotest.failf "%s: accepted 63 clusters" what

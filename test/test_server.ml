@@ -420,12 +420,12 @@ let with_daemon ?(configure = fun o -> o) f =
     (fun () -> f path)
 
 let default_schedule_kind ?(workload = Protocol.Named "daxpy")
-    ?(model = Model.Swapped) () =
+    ?(model = Model.Swapped) ?(spec = Config.default_spec) () =
   Protocol.Schedule
     {
       workload;
       only = None;
-      spec = Config.default_spec;
+      spec;
       model;
       capacity = None;
       spill_batch = 1;
@@ -489,6 +489,20 @@ let test_daemon_roundtrip () =
    with
    | Protocol.Failed e ->
      check_string "typed source error" "parse" (Error.category_name e.Error.category)
+   | _ -> Alcotest.fail "expected a typed failure");
+  (* A machine spec Config.make would reject is a typed request error. *)
+  (match
+     roundtrip_ok client
+       {
+         Protocol.id = "s5";
+         timeout_s = None;
+         kind =
+           default_schedule_kind
+             ~spec:{ Config.default_spec with Config.spec_latency = 0 } ();
+       }
+   with
+   | Protocol.Failed e ->
+     check_string "typed machine error" "invalid_graph" (Error.category_name e.Error.category)
    | _ -> Alcotest.fail "expected a typed failure");
   (* An already-expired deadline is refused with the typed category. *)
   (match

@@ -427,6 +427,46 @@ let suite_metrics ~jobs ~wall_s ~loops ~hits =
           ] );
     ]
 
+(* A bench metrics document: one entry per experiment, each with a
+   schedule span and a pipeline.loops counter of [loops], plus one
+   failure record.  [serial] adds the wall-clock fields of older
+   files, which a merge must drop. *)
+let bench_metrics ?(serial = false) ~failure experiments =
+  let experiment (name, wall_s, loops) =
+    Json.Obj
+      ([ ("name", Json.String name); ("wall_s", Json.Float wall_s);
+         ("loops", Json.Int loops);
+         ("loops_per_sec", Json.Float (float_of_int loops /. wall_s));
+         ( "stages",
+           Json.Obj
+             [ ( "schedule",
+                 Json.Obj
+                   [ ("total_s", Json.Float wall_s); ("count", Json.Int loops);
+                     ("max_s", Json.Float 0.5) ] ) ] );
+         ("counters", Json.Obj [ ("pipeline.loops", Json.Int loops) ]) ]
+      @
+      if serial then
+        [ ("serial_wall_s", Json.Float (2.0 *. wall_s)); ("speedup_vs_serial", Json.Float 2.0) ]
+      else [])
+  in
+  Json.Obj
+    [
+      ("schema", Json.String "ncdrf-bench-metrics/1");
+      ("jobs", Json.Int 2);
+      ("recommended_jobs", Json.Int 2);
+      ("suite_size", Json.Int 150);
+      ("suite_seed", Json.Int 42);
+      ("total_wall_s", Json.Float 1.0);
+      ("experiments", Json.List (List.map experiment experiments));
+      ("failures", Json.List [ Json.String failure ]);
+    ]
+
+let rec has_key key = function
+  | Json.Obj fields ->
+    List.exists (fun (k, v) -> String.equal k key || has_key key v) fields
+  | Json.List items -> List.exists (has_key key) items
+  | _ -> false
+
 (* Path lookup into the Json tree: field "a.b.c" of nested objects. *)
 let rec json_path json = function
   | [] -> Some json
@@ -457,6 +497,39 @@ let test_merge_metrics () =
     check_bool "counters survive stripping" true
       (json_path stripped [ "telemetry"; "counters"; "cache.disk_hits" ]
       = Some (Json.Int 12)));
+  (* Bench shards: experiments union in first-seen order, per-experiment
+     wall clocks, loops, counters and span counts sum, failures
+     concatenate, and no serial-rerun field survives. *)
+  let b1 = bench_metrics ~serial:true ~failure:"a" [ ("fig6", 1.0, 10); ("fig8", 2.0, 20) ] in
+  let b2 = bench_metrics ~failure:"b" [ ("fig8", 3.0, 21); ("table1", 0.5, 5) ] in
+  (match Merge.merge_metrics [ b1; b2 ] with
+  | Error e -> Alcotest.failf "bench merge failed: %s" e
+  | Ok merged ->
+    let experiments =
+      match json_path merged [ "experiments" ] with
+      | Some (Json.List l) -> l
+      | _ -> Alcotest.fail "merged bench metrics carry no experiments list"
+    in
+    let names =
+      List.map (fun e -> json_path e [ "name" ]) experiments
+      |> List.map (function Some (Json.String n) -> n | _ -> "?")
+    in
+    Alcotest.(check (list string)) "experiments in first-seen order"
+      [ "fig6"; "fig8"; "table1" ] names;
+    let fig8 = List.nth experiments 1 in
+    check_bool "experiment wall clocks summed" true
+      (json_path fig8 [ "wall_s" ] = Some (Json.Float 5.0));
+    check_bool "experiment loops summed" true
+      (json_path fig8 [ "loops" ] = Some (Json.Int 41));
+    check_bool "experiment counters summed" true
+      (json_path fig8 [ "counters"; "pipeline.loops" ] = Some (Json.Int 41));
+    check_bool "experiment span counts summed" true
+      (json_path fig8 [ "stages"; "schedule"; "count" ] = Some (Json.Int 41));
+    check_bool "failures concatenated" true
+      (json_path merged [ "failures" ]
+      = Some (Json.List [ Json.String "a"; Json.String "b" ]));
+    check_bool "no serial_wall_s" false (has_key "serial_wall_s" merged);
+    check_bool "no speedup_vs_serial" false (has_key "speedup_vs_serial" merged));
   (match Merge.merge_metrics [] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "empty merge must error");
