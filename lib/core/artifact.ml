@@ -205,44 +205,77 @@ let raw_schedule ~config ddg =
 let scheduled ~config ddg =
   { ddg; config; mii = mii ~config ddg; raw = raw_schedule ~config ddg }
 
-let apply_model model sched =
-  match model with
-  | Model.Ideal | Model.Unified ->
-    (sched, Telemetry.time "alloc" (fun () -> Requirements.unified sched))
-  | Model.Partitioned ->
-    ( sched,
-      Telemetry.time "alloc" (fun () ->
-          (Requirements.partitioned sched).Requirements.requirement) )
-  | Model.Swapped ->
-    let swapped, _ = Telemetry.time "swap" (fun () -> Swap.improve sched) in
-    ( swapped,
-      Telemetry.time "alloc" (fun () ->
-          (Requirements.partitioned swapped).Requirements.requirement) )
-
 let count_swaps model before after =
   match model with
-  | Model.Swapped ->
+  | Model.Swapped when before != after ->
     (* A swap exchanges the clusters of two operations, so the swaps
        applied are the pairs of nodes that moved in opposite directions
        between the same two clusters.  A one-sided migration (a node
        whose move has no partner) is not half a swap: pair the moves
        per cluster pair instead of dividing the total, which would
        silently truncate on odd counts. *)
-    let n = Ddg.num_nodes before.Schedule.ddg in
-    let moves : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-    for v = 0 to n - 1 do
+    let k = Config.num_clusters before.Schedule.config in
+    let moves = Array.make (k * k) 0 in
+    for v = 0 to Ddg.num_nodes before.Schedule.ddg - 1 do
       let b = Schedule.cluster before v and a = Schedule.cluster after v in
-      if b <> a then
-        Hashtbl.replace moves (b, a)
-          (1 + Option.value ~default:0 (Hashtbl.find_opt moves (b, a)))
+      if b <> a then moves.((b * k) + a) <- moves.((b * k) + a) + 1
     done;
-    Hashtbl.fold
-      (fun (b, a) count acc ->
-        if b < a then
-          acc + min count (Option.value ~default:0 (Hashtbl.find_opt moves (a, b)))
-        else acc)
-      moves 0
-  | Model.Ideal | Model.Unified | Model.Partitioned -> 0
+    let swaps = ref 0 in
+    for b = 0 to k - 1 do
+      for a = b + 1 to k - 1 do
+        swaps := !swaps + min moves.((b * k) + a) moves.((a * k) + b)
+      done
+    done;
+    !swaps
+  | Model.Swapped | Model.Ideal | Model.Unified | Model.Partitioned -> 0
+
+(* What the views of one schedule share within one call: the analysis
+   of its cycles, built by the first view computed, and its Partitioned
+   requirement, which a Swapped view whose pass applies no swap reuses
+   (the pass then returns the schedule itself).  Nothing here outlives
+   the call or is cached. *)
+type shared = {
+  analysis : Requirements.analysis Lazy.t;
+  partitioned : int Lazy.t;
+}
+
+let shared_of sched =
+  let analysis = lazy (Requirements.analyse sched) in
+  {
+    analysis;
+    partitioned =
+      lazy
+        (Requirements.partitioned_of (Lazy.force analysis) sched).Requirements.requirement;
+  }
+
+let compute_view shared model sched =
+  match model with
+  | Model.Ideal | Model.Unified ->
+    let requirement =
+      Telemetry.time "alloc" (fun () ->
+          Requirements.unified_of (Lazy.force shared.analysis))
+    in
+    { sched; requirement; swaps = 0 }
+  | Model.Partitioned ->
+    let requirement = Telemetry.time "alloc" (fun () -> Lazy.force shared.partitioned) in
+    { sched; requirement; swaps = 0 }
+  | Model.Swapped ->
+    let swapped, _ =
+      Telemetry.time "swap" (fun () ->
+          Swap.improve ~analysis:(Lazy.force shared.analysis) sched)
+    in
+    let requirement =
+      Telemetry.time "alloc" (fun () ->
+          if swapped == sched then Lazy.force shared.partitioned
+          else
+            (Requirements.partitioned_of (Lazy.force shared.analysis) swapped)
+              .Requirements.requirement)
+    in
+    { sched = swapped; requirement; swaps = count_swaps model sched swapped }
+
+let apply_model model sched =
+  let v = compute_view (shared_of sched) model sched in
+  (v.sched, v.requirement)
 
 (* Ideal and Unified apply the same transform (no transform, unified
    allocation), so they share one view entry. *)
@@ -269,22 +302,28 @@ let schedule_key sched =
   ^ "#view:"
   ^ Digest.to_hex (Digest.bytes buf)
 
-let view_of_schedule ~model sched =
+let view_with shared ~key ~model sched =
   let ddg = sched.Schedule.ddg in
   stage_boundary ~stage:"alloc" ~config:sched.Schedule.config ddg @@ fun () ->
   let compute () =
     Fault.point ~stage:"alloc" ~key:(Ddg.name ddg);
-    let transformed, requirement = apply_model model sched in
-    View_of { sched = transformed; requirement; swaps = count_swaps model sched transformed }
+    View_of (compute_view shared model sched)
   in
   match
     memo ~loop:(Ddg.name ddg)
       ~disk:(view_codec ~config:sched.Schedule.config ddg)
-      (schedule_key sched ^ ":" ^ view_tag model)
+      (key ^ ":" ^ view_tag model)
       compute
   with
   | View_of v -> v
   | Mii_of _ | Raw_of _ | Spill_of _ -> wrong_stage ()
+
+let view_of_schedule ~model sched =
+  view_with (shared_of sched) ~key:(schedule_key sched) ~model sched
+
+let views_of_schedule ~models sched =
+  let shared = shared_of sched and key = schedule_key sched in
+  List.map (fun model -> view_with shared ~key ~model sched) models
 
 let view t ~model = view_of_schedule ~model t.raw
 

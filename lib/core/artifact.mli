@@ -86,6 +86,17 @@ val view : t -> model:Model.t -> view
     spiller's rounds; keyed on the schedule's content. *)
 val view_of_schedule : model:Model.t -> Schedule.t -> view
 
+(** The views of several models of one schedule, in the order of
+    [models]: each is {!view_of_schedule}'s view, memoized and stored
+    under the same key, but the misses share one
+    {!Requirements.analysis} of the schedule's cycles, built by the
+    first of them, and a Swapped view whose pass applies no swap reuses
+    the Partitioned requirement (computing it once if no Partitioned
+    view of this call has).  With observability on, the analysis build
+    is timed in the span of the first view computed: [alloc], or
+    [swap] for a Swapped view. *)
+val views_of_schedule : models:Model.t list -> Schedule.t -> view list
+
 (** The spiller's per-round scheduling step — modulo scheduling at
     [min_ii], spill loads pushed late — cached on
     [(config, ddg, min_ii)]. *)

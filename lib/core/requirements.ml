@@ -1,3 +1,4 @@
+open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_regalloc
 open Ncdrf_sched
@@ -11,206 +12,445 @@ type detail = {
   max_live : int array Lazy.t;
 }
 
-let unified ?strategy ?order sched =
-  let lifetimes = Lifetime.of_schedule sched in
-  Alloc.min_capacity ?strategy ?order ~ii:(Schedule.ii sched) lifetimes
+(* ------------------------------------------------------------------ *)
+(* The analysis of a schedule's cycles.  Lifetimes and conflict windows
+   depend on cycles only, and swapping moves no cycle, so one analysis
+   serves the Unified, Partitioned and Swapped readings of a schedule
+   and every schedule the swap pass derives from it. *)
 
-(* Lifetimes grouped by replication: [shared] values (Global or Shared
-   class) with the sorted cluster set whose subfiles must hold them,
-   plus per-cluster locals.  On a two-cluster machine every shared
-   value's member set is all clusters, which is the paper's dual-file
-   classification unchanged. *)
-type groups = {
-  shared : (Lifetime.t * int list) list;
-  locals : Lifetime.t list array;
+type analysis = {
+  ddg : Ddg.t;
+  ii : int;
+  num_clusters : int;
+  value_of : int array;
+  start : int array;
+  stop : int array;
+  consumer_start : int array;
+  consumers : int array;
+  table : Conflict.t Lazy.t;
+  scratch : Alloc.scratch Lazy.t;
+  mutable orders : (Alloc.order * int array) list;
 }
 
-let grouped ?lifetimes sched =
-  let n_clusters = Config.num_clusters sched.Schedule.config in
-  let locals = Array.make n_clusters [] in
-  let shared = ref [] in
-  let place l =
-    match Classify.value_class sched l.Lifetime.producer with
-    | Classify.Local c -> locals.(c) <- l :: locals.(c)
-    | cls ->
-      shared := (l, Classify.clusters_of ~num_clusters:n_clusters cls) :: !shared
-  in
-  let all =
-    match lifetimes with Some ls -> ls | None -> Lifetime.of_schedule sched
-  in
-  List.iter place all;
-  { shared = List.rev !shared; locals = Array.map List.rev locals }
+let rec count_flow acc = function
+  | [] -> acc
+  | e :: rest -> count_flow (if e.Ddg.kind = Ddg.Flow then acc + 1 else acc) rest
 
-let grouped_lifetimes ?lifetimes sched =
-  let g = grouped ?lifetimes sched in
-  (List.map fst g.shared, g.locals)
+(* Writes node [v]'s flow consumers from [pos] on and returns the cycle
+   at which the last finishes (a consumer across a loop-carried edge of
+   distance d finishes d * II later), at least [acc]: the stop of [v]'s
+   lifetime as [Lifetime.of_schedule] computes it. *)
+let rec fill_consumers sched ~ii consumers pos acc = function
+  | [] -> acc
+  | e :: rest when e.Ddg.kind <> Ddg.Flow ->
+    fill_consumers sched ~ii consumers pos acc rest
+  | e :: rest ->
+    let dst = e.Ddg.dst in
+    consumers.(pos) <- dst;
+    let finish =
+      Schedule.cycle sched dst + (e.Ddg.distance * ii)
+      + Config.latency sched.Schedule.config (Ddg.node sched.Schedule.ddg dst).Ddg.opcode
+    in
+    fill_consumers sched ~ii consumers (pos + 1) (max acc finish) rest
 
-(* The shared values replicated into cluster [c]'s subfile, in shared
-   order (the prefix of that cluster's conflict table). *)
-let shared_in groups c =
-  List.filter_map
-    (fun (l, members) -> if List.mem c members then Some l else None)
-    groups.shared
-
-let cluster_max_live ?lifetimes sched =
+let analyse sched =
+  let ddg = sched.Schedule.ddg in
   let ii = Schedule.ii sched in
-  let groups = grouped ?lifetimes sched in
-  Array.mapi
-    (fun c ls -> Lifetime.max_live ~ii (shared_in groups c @ ls))
-    groups.locals
-
-let max_live_cost ?lifetimes sched =
-  Array.fold_left max 0 (cluster_max_live ?lifetimes sched)
-
-(* Shared conflict tables for a joint allocation problem: one table per
-   cluster over (shared values replicated there) @ locals.(c) — each
-   cluster's replicated values occupy the index prefix of its table, so
-   a shared placement computed once transfers to every table via
-   [prefix] (the gtable index of each prefix slot).  On a two-cluster
-   machine every prefix is the full shared list and [gtable] aliases
-   [tables.(0)] exactly as the dual-file implementation did.  The tables
-   are built once per call, so the full-joint search of [partitioned]
-   and its lazy per-cluster, global and local searches all reuse the
-   same windows. *)
-type joint = {
-  num_globals : int;  (* number of shared (replicated) values *)
-  gtable : Conflict.t;  (* holds at least the shared values as a prefix *)
-  tables : Conflict.t array;
-  prefix : int array array;
-      (* per cluster: gtable index of each slot of its table prefix *)
-}
-
-let joint_of ~ii groups =
-  let gshared = List.map fst groups.shared in
-  let num_globals = List.length gshared in
-  if Array.length groups.locals = 0 then
-    { num_globals; gtable = Conflict.make ~ii gshared; tables = [||]; prefix = [||] }
-  else begin
-    let prefix =
-      Array.mapi
-        (fun c _ ->
-          groups.shared
-          |> List.mapi (fun gi (_, members) ->
-                 if List.mem c members then Some gi else None)
-          |> List.filter_map Fun.id
-          |> Array.of_list)
-        groups.locals
+  let n = Ddg.num_nodes ddg in
+  let value_of = Array.make n (-1) in
+  let consumer_start = Array.make (n + 1) 0 in
+  let values = ref 0 in
+  for v = 0 to n - 1 do
+    if Opcode.produces_value (Ddg.node ddg v).Ddg.opcode then begin
+      value_of.(v) <- !values;
+      incr values
+    end;
+    consumer_start.(v + 1) <- count_flow consumer_start.(v) (Ddg.succs ddg v)
+  done;
+  let consumers = Array.make consumer_start.(n) 0 in
+  let producer = Array.make !values 0 in
+  let start = Array.make !values 0 and stop = Array.make !values 0 in
+  for v = 0 to n - 1 do
+    let s = Schedule.cycle sched v in
+    let finish =
+      fill_consumers sched ~ii consumers consumer_start.(v) s (Ddg.succs ddg v)
     in
-    let tables =
-      Array.mapi (fun c ls -> Conflict.make ~ii (shared_in groups c @ ls)) groups.locals
-    in
-    let gtable =
-      if Array.length prefix.(0) = num_globals then tables.(0)
-      else Conflict.make ~ii gshared
-    in
-    { num_globals; gtable; tables; prefix }
-  end
-
-let global_indices j = List.init j.num_globals Fun.id
-
-let local_indices j ~cluster table =
-  let n_pre = Array.length j.prefix.(cluster) in
-  List.init (Conflict.size table - n_pre) (fun k -> n_pre + k)
-
-(* The allocation problems of a joint search — the shared values on
-   [gtable], then each cluster's locals on its own table — sorted once
-   and probed at every capacity.  A cluster's problem is prepared when
-   a probe first reaches it: most searches end at their first
-   capacity, often before every cluster is tried. *)
-type problems = {
-  shared_problem : Alloc.problem;
-  local_problems : Alloc.problem Lazy.t array;
-}
-
-let problems ?strategy ?order j =
+    let x = value_of.(v) in
+    if x >= 0 then begin
+      producer.(x) <- v;
+      start.(x) <- s;
+      stop.(x) <-
+        (if consumer_start.(v) = consumer_start.(v + 1) then
+           s + Config.latency sched.Schedule.config (Ddg.node ddg v).Ddg.opcode
+         else finish)
+    end
+  done;
+  let table = lazy (Conflict.create ~ii ~producer ~start ~stop) in
   {
-    shared_problem = Alloc.problem ?strategy ?order j.gtable (global_indices j);
-    local_problems =
-      Array.mapi
-        (fun c table ->
-          lazy (Alloc.problem ?strategy ?order table (local_indices j ~cluster:c table)))
-        j.tables;
+    ddg;
+    ii;
+    num_clusters = Config.num_clusters sched.Schedule.config;
+    value_of;
+    start;
+    stop;
+    consumer_start;
+    consumers;
+    table;
+    scratch = lazy (Alloc.scratch (Lazy.force table));
+    orders = [];
   }
 
-(* The registers of the placed shared values, by [gtable] index. *)
-let shared_registers j placed_globals =
-  let reg = Array.make (max 1 j.num_globals) (-1) in
-  List.iter (fun (i, r) -> reg.(i) <- r) placed_globals;
-  reg
+let check a sched =
+  if sched.Schedule.ddg != a.ddg || Schedule.ii sched <> a.ii then
+    invalid_arg "Requirements: the analysis is of another schedule's cycles"
 
-(* Cluster [c]'s locals on top of its prefix of the shared values. *)
-let solve_locals j ps ~reg ~capacity c =
-  let placed = Array.to_list (Array.mapi (fun slot gi -> (slot, reg.(gi))) j.prefix.(c)) in
-  Alloc.solve ~placed (Lazy.force ps.local_problems.(c)) ~capacity
+(* Every value in placement order, sorted once per order. *)
+let sorted (a : analysis) order =
+  match List.assoc_opt order a.orders with
+  | Some o -> o
+  | None ->
+    let o =
+      Alloc.sorted ~order (Lazy.force a.table) (Array.init (Array.length a.start) Fun.id)
+    in
+    a.orders <- (order, o) :: a.orders;
+    o
 
-(* Joint feasibility at a given capacity: place the shared values once
-   (their registers are shared by every subfile holding them), then
-   each cluster's locals on top of its own prefix. *)
-let joint_feasible j ps capacity =
-  match Alloc.solve ps.shared_problem ~capacity with
-  | None -> false
-  | Some placed_globals ->
-    let reg = shared_registers j placed_globals in
-    let ok = ref true in
-    for c = 0 to Array.length ps.local_problems - 1 do
-      if !ok then ok := solve_locals j ps ~reg ~capacity c <> None
-    done;
-    !ok
+(* A value's clusters as a bit set (bit c for cluster c;
+   [Config.max_clusters] keeps them within one int): its consumers'
+   clusters, its producer's when it has none — [Classify.value_class]'s
+   rule.  Two or more bits make it replicated. *)
+let members a sched =
+  let m = Array.make (Array.length a.start) 0 in
+  for v = 0 to Array.length a.value_of - 1 do
+    let x = a.value_of.(v) in
+    if x >= 0 then begin
+      let lo = a.consumer_start.(v) and hi = a.consumer_start.(v + 1) in
+      if lo = hi then m.(x) <- 1 lsl Schedule.cluster sched v
+      else
+        for e = lo to hi - 1 do
+          m.(x) <- m.(x) lor (1 lsl Schedule.cluster sched a.consumers.(e))
+        done
+    end
+  done;
+  m
 
-(* Any pair sharing a table is co-allocated by [joint_feasible], so a
-   pair width of [w] rules out every capacity <= w.  The search may
-   start there; error messages still report the original lower bound. *)
-let joint_floor j =
-  Array.fold_left
-    (fun acc t -> max acc (Conflict.max_width t + 1))
-    (Conflict.max_width j.gtable + 1)
-    j.tables
+let replicated m = m land (m - 1) <> 0
 
-let joint_requirement_tables ?strategy ?order ?upper ~ii ~groups j =
-  let globals = List.map fst groups.shared in
-  if globals = [] && Array.for_all (fun ls -> ls = []) groups.locals then 0
+let lowest_cluster m =
+  let c = ref 0 in
+  while (m lsr !c) land 1 = 0 do
+    incr c
+  done;
+  !c
+
+(* Per-cluster MaxLive, each value counted in every cluster of its set:
+   a live-count row over the kernel slots per cluster, plus the
+   instances live at every slot. *)
+let live_rows ~ii ~clusters =
+  (Array.init clusters (fun _ -> Array.make ii 0), Array.make clusters 0)
+
+let add_live (rows, whole) ~ii m ~start ~stop =
+  let m = ref m and c = ref 0 in
+  while !m <> 0 do
+    if !m land 1 <> 0 then
+      whole.(!c) <- whole.(!c) + Lifetime.add_instances rows.(!c) ~ii ~start ~stop;
+    m := !m lsr 1;
+    incr c
+  done
+
+let peaks (rows, whole) = Array.mapi (fun c w -> w + Array.fold_left max 0 rows.(c)) whole
+
+let cluster_live a members =
+  let live = live_rows ~ii:a.ii ~clusters:a.num_clusters in
+  Array.iteri
+    (fun x m -> add_live live ~ii:a.ii m ~start:a.start.(x) ~stop:a.stop.(x))
+    members;
+  peaks live
+
+let max_live_cost_of a sched =
+  check a sched;
+  Array.fold_left max 0 (cluster_live a (members a sched))
+
+(* The same bit set read off the graph, for callers holding lifetimes
+   rather than an analysis. *)
+let rec consumer_clusters sched acc = function
+  | [] -> acc
+  | e :: rest ->
+    consumer_clusters sched
+      (if e.Ddg.kind = Ddg.Flow then acc lor (1 lsl Schedule.cluster sched e.Ddg.dst)
+       else acc)
+      rest
+
+let value_members sched v =
+  match consumer_clusters sched 0 (Ddg.succs sched.Schedule.ddg v) with
+  | 0 -> 1 lsl Schedule.cluster sched v
+  | m -> m
+
+let max_live_cost ?lifetimes sched =
+  let ii = Schedule.ii sched in
+  if ii <= 0 then 0
   else begin
-    let all_of cluster = shared_in groups cluster @ groups.locals.(cluster) in
-    let lower =
-      Array.to_list
-        (Array.mapi (fun c _ -> Lifetime.max_live ~ii (all_of c)) groups.locals)
-      @ List.map (fun l -> Lifetime.min_registers ~ii l) globals
-      @ List.concat_map
-          (List.map (Lifetime.min_registers ~ii))
-          (Array.to_list groups.locals)
-      |> List.fold_left max 1
-    in
-    let upper =
-      match upper with
-      | Some u -> u
-      | None ->
-        (2
-        * Lifetime.total_min_registers ~ii
-            (globals @ List.concat (Array.to_list groups.locals)))
-        + 64
-    in
-    let ps = problems ?strategy ?order j in
+    let live = live_rows ~ii ~clusters:(Config.num_clusters sched.Schedule.config) in
+    List.iter
+      (fun l ->
+        add_live live ~ii
+          (value_members sched l.Lifetime.producer)
+          ~start:l.Lifetime.start ~stop:l.Lifetime.stop)
+      (match lifetimes with Some ls -> ls | None -> Lifetime.of_schedule sched);
+    Array.fold_left max 0 (peaks live)
+  end
+
+let grouped_lifetimes sched =
+  let locals = Array.make (Config.num_clusters sched.Schedule.config) [] in
+  let shared = ref [] in
+  List.iter
+    (fun l ->
+      let m = value_members sched l.Lifetime.producer in
+      if replicated m then shared := l :: !shared
+      else begin
+        let c = lowest_cluster m in
+        locals.(c) <- l :: locals.(c)
+      end)
+    (Lifetime.of_schedule sched);
+  (List.rev !shared, Array.map List.rev locals)
+
+(* ------------------------------------------------------------------ *)
+(* The joint search.  A joint problem lives on one table: the
+   replicated values [shared], placed once (their registers are shared
+   by every subfile holding them), then each group of [locals] — the
+   locals of cluster [clusters.(q)] — on top of the replicated values
+   that cluster's subfile holds.  Index subsets of the analysis table
+   replace the per-cluster tables: a value absent from a subfile simply
+   has no register while that subfile's locals are placed. *)
+
+type joint = {
+  table : Conflict.t;
+  scratch : Alloc.scratch;
+  members : int array;  (* per table index: the clusters holding it *)
+  shared : int array;  (* placement order *)
+  clusters : int array;  (* the cluster of each group of locals *)
+  locals : int array array;  (* per group, placement order *)
+  hide : bool;  (* some replicated value is absent from some group's subfile *)
+  saved : int array;  (* the registers of [shared] while groups hide some *)
+}
+
+(* [sorted] split into [groups] arrays by [group], each in sorted order. *)
+let partition sorted ~groups group =
+  let size = Array.make groups 0 in
+  Array.iter (fun x -> size.(group x) <- size.(group x) + 1) sorted;
+  let parts = Array.map (fun n -> Array.make n 0) size in
+  Array.fill size 0 groups 0;
+  Array.iter
+    (fun x ->
+      let g = group x in
+      parts.(g).(size.(g)) <- x;
+      size.(g) <- size.(g) + 1)
+    sorted;
+  parts
+
+(* The joint problem of a schedule's assignment: every value of the
+   analysis, grouped in one pass over the sorted order. *)
+let joint_of (a : analysis) ~order members =
+  let k = a.num_clusters in
+  let parts =
+    partition (sorted a order) ~groups:(k + 1) (fun x ->
+        let m = members.(x) in
+        if replicated m then 0 else 1 + lowest_cluster m)
+  in
+  let shared = parts.(0) and all = (1 lsl k) - 1 in
+  let hide = Array.exists (fun s -> members.(s) <> all) shared in
+  {
+    table = Lazy.force a.table;
+    scratch = Lazy.force a.scratch;
+    members;
+    shared;
+    clusters = Array.init k Fun.id;
+    locals = Array.sub parts 1 k;
+    hide;
+    saved = Array.make (if hide then Array.length shared else 0) 0;
+  }
+
+(* Cluster [c] in isolation: the replicated values its subfile holds,
+   then its locals. *)
+let isolated j c =
+  let held =
+    partition j.shared ~groups:2 (fun s -> if j.members.(s) land (1 lsl c) <> 0 then 0 else 1)
+  in
+  {
+    j with
+    shared = held.(0);
+    clusters = [| c |];
+    locals = [| j.locals.(c) |];
+    hide = false;
+    saved = [||];
+  }
+
+(* Group [q]'s locals on top of the replicated values its subfile
+   holds; they stay placed until [unplace]. *)
+let place_group ~strategy j ~capacity q =
+  let regs = Alloc.registers j.scratch in
+  if j.hide then begin
+    let bit = 1 lsl j.clusters.(q) in
+    for i = 0 to Array.length j.shared - 1 do
+      let s = j.shared.(i) in
+      regs.(s) <- (if j.members.(s) land bit <> 0 then j.saved.(i) else -1)
+    done
+  end;
+  Alloc.place ~strategy j.table j.scratch ~capacity j.locals.(q)
+
+let unplace j q =
+  let regs = Alloc.registers j.scratch and ls = j.locals.(q) in
+  for i = 0 to Array.length ls - 1 do
+    regs.(ls.(i)) <- -1
+  done
+
+let place_shared ~strategy j ~capacity =
+  Alloc.unassign_all j.scratch;
+  let ok = Alloc.place ~strategy j.table j.scratch ~capacity j.shared in
+  if ok && j.hide then begin
+    let regs = Alloc.registers j.scratch in
+    Array.iteri (fun i s -> j.saved.(i) <- regs.(s)) j.shared
+  end;
+  ok
+
+let feasible ~strategy j capacity =
+  let ok = ref (place_shared ~strategy j ~capacity) and q = ref 0 in
+  while !ok && !q < Array.length j.locals do
+    ok := place_group ~strategy j ~capacity !q;
+    unplace j !q;
+    incr q
+  done;
+  Alloc.flush_probes j.scratch;
+  !ok
+
+(* Sound lower bounds on a feasible capacity: each subfile's MaxLive
+   (replicated values counted in every subfile holding them) and the
+   longest value; plus the disjoint-allocation total for the default
+   upper bound. *)
+let lower_and_total j =
+  let ii = Conflict.ii j.table in
+  let groups = Array.length j.locals in
+  let rows = Array.init groups (fun _ -> Array.make ii 0) and whole = Array.make groups 0 in
+  let longest = ref 1 and total = ref 0 in
+  let add q i =
+    whole.(q) <-
+      whole.(q)
+      + Lifetime.add_instances rows.(q) ~ii ~start:(Conflict.start j.table i)
+          ~stop:(Conflict.stop j.table i)
+  in
+  let count i =
+    longest := max !longest (Conflict.min_registers j.table i);
+    total := !total + Conflict.min_registers j.table i
+  in
+  Array.iter
+    (fun s ->
+      count s;
+      Array.iteri (fun q c -> if j.members.(s) land (1 lsl c) <> 0 then add q s) j.clusters)
+    j.shared;
+  Array.iteri (fun q ls -> Array.iter (fun l -> count l; add q l) ls) j.locals;
+  let lower = ref !longest in
+  Array.iteri (fun q w -> lower := max !lower (w + Array.fold_left max 0 rows.(q))) whole;
+  (!lower, !total)
+
+(* Two values are co-allocated when both are replicated (placed in one
+   pass) or they share a subfile; a co-allocated pair of width [w] rules
+   out every capacity <= w, so the search may start above the widest. *)
+let pair_floor j =
+  let role = Array.make (max 1 (Conflict.size j.table)) 0 in
+  Array.iter (fun s -> role.(s) <- 1) j.shared;
+  Array.iter (Array.iter (fun l -> role.(l) <- 2)) j.locals;
+  let floor = ref 0 in
+  for i = 0 to Conflict.size j.table - 1 do
+    if role.(i) > 0 then begin
+      let row = Conflict.neighbours j.table i in
+      let k = ref 0 in
+      while !k < Array.length row do
+        let n = row.(!k) and width = row.(!k + 2) in
+        if width >= !floor && role.(n) > 0
+           && ((role.(i) = 1 && role.(n) = 1) || j.members.(i) land j.members.(n) <> 0)
+        then floor := width + 1;
+        k := !k + 3
+      done
+    end
+  done;
+  !floor
+
+let joint_search ~strategy ?upper j =
+  if Array.length j.shared = 0 && Array.for_all (fun ls -> Array.length ls = 0) j.locals
+  then 0
+  else begin
+    let ii = Conflict.ii j.table in
+    let lower, total = lower_and_total j in
+    (* The widest pair of the whole table bounds the co-allocated one. *)
+    let floor = if Conflict.max_width j.table < lower then 0 else pair_floor j in
+    let upper = match upper with Some u -> u | None -> (2 * total) + 64 in
     let rec search capacity =
       if capacity > upper then
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
           "no feasible joint capacity in [%d, %d] (%d globals, %d clusters)" lower upper
-          (List.length globals)
-          (Array.length groups.locals)
-      else if joint_feasible j ps capacity then capacity
+          (Array.length j.shared) (Array.length j.locals)
+      else if feasible ~strategy j capacity then capacity
       else search (capacity + 1)
     in
-    search (max lower (joint_floor j))
+    search (max lower floor)
   end
 
-(* Public entry point where every "global" is replicated in every
-   cluster — the historical dual-file shape. *)
-let groups_of_globals ~globals ~locals =
-  let members = List.init (max 1 (Array.length locals)) Fun.id in
-  { shared = List.map (fun l -> (l, members)) globals; locals }
+let joint_requirement ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) ?upper ~ii
+    ~globals ~locals () =
+  let k = Array.length locals in
+  let table = Conflict.make ~ii (globals @ List.concat (Array.to_list locals)) in
+  let members = Array.make (max 1 (Conflict.size table)) ((1 lsl k) - 1) in
+  let range lo n = Alloc.sorted ~order table (Array.init n (fun i -> lo + i)) in
+  let next = ref (List.length globals) in
+  let groups =
+    Array.mapi
+      (fun c ls ->
+        let lo = !next and n = List.length ls in
+        next := lo + n;
+        Array.fill members lo n (1 lsl c);
+        range lo n)
+      locals
+  in
+  joint_search ~strategy ?upper
+    {
+      table;
+      scratch = Alloc.scratch table;
+      members;
+      shared = range 0 (List.length globals);
+      clusters = Array.init k Fun.id;
+      locals = groups;
+      hide = false;
+      saved = [||];
+    }
 
-let joint_requirement ?strategy ?order ?upper ~ii ~globals ~locals () =
-  let groups = groups_of_globals ~globals ~locals in
-  joint_requirement_tables ?strategy ?order ?upper ~ii ~groups (joint_of ~ii groups)
+(* ------------------------------------------------------------------ *)
+(* The views. *)
+
+let unified_of ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) (a : analysis) =
+  let table = Lazy.force a.table in
+  Alloc.min_capacity_sorted ~strategy
+    ~floor:(Conflict.max_width table + 1)
+    table (Lazy.force a.scratch) (sorted a order)
+
+let unified ?strategy ?order sched = unified_of ?strategy ?order (analyse sched)
+
+(* Only [requirement] is searched up front; the breakdown costs k + 1
+   more searches plus k local ones, and most callers never read it. *)
+let partitioned_of ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) a sched =
+  check a sched;
+  let members = members a sched in
+  let j = joint_of a ~order members in
+  let alone ordered = Alloc.min_capacity_sorted ~strategy j.table j.scratch ordered in
+  {
+    requirement = joint_search ~strategy j;
+    cluster_requirements =
+      lazy (Array.init a.num_clusters (fun c -> joint_search ~strategy (isolated j c)));
+    global_requirement = lazy (alone j.shared);
+    local_requirements = lazy (Array.map alone j.locals);
+    max_live = lazy (cluster_live a members);
+  }
+
+let partitioned ?strategy ?order sched = partitioned_of ?strategy ?order (analyse sched) sched
 
 type allocation = {
   capacity : int;
@@ -218,85 +458,34 @@ type allocation = {
   locals : Alloc.placement list array;
 }
 
-let partitioned_allocation ?strategy ?order sched =
-  let ii = Schedule.ii sched in
-  let groups = grouped sched in
-  let j = joint_of ~ii groups in
-  let capacity = joint_requirement_tables ?strategy ?order ~ii ~groups j in
+let partitioned_allocation ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) sched =
+  let a = analyse sched in
+  let j = joint_of a ~order (members a sched) in
+  let capacity = joint_search ~strategy j in
   if capacity = 0 then
-    { capacity = 0; globals = []; locals = Array.map (fun _ -> []) groups.locals }
+    { capacity = 0; globals = []; locals = Array.map (fun _ -> []) j.locals }
   else begin
-    let placements table pairs =
-      List.map
-        (fun (i, r) -> { Alloc.value = Conflict.lifetime table i; register = r })
-        pairs
+    let bug what =
+      Error.errorf ~ii:a.ii ~stage:"alloc" Error.Internal
+        "partitioned_allocation: %s do not fit capacity %d (bug)" what capacity
     in
-    let ps = problems ?strategy ?order j in
-    match Alloc.solve ps.shared_problem ~capacity with
-    | None ->
-      Error.errorf ~ii ~stage:"alloc" Error.Internal
-        "partitioned_allocation: globals do not fit capacity %d (bug)" capacity
-    | Some placed_globals ->
-      let members = Array.of_list (List.map snd groups.shared) in
-      let reg = shared_registers j placed_globals in
-      let place_locals c table =
-        match solve_locals j ps ~reg ~capacity c with
-        | Some p -> placements table p
-        | None ->
-          Error.errorf ~ii ~stage:"alloc" Error.Internal
-            "partitioned_allocation: locals do not fit capacity %d (bug)" capacity
-      in
-      {
-        capacity;
-        globals =
-          List.map
-            (fun (i, r) ->
-              ({ Alloc.value = Conflict.lifetime j.gtable i; register = r }, members.(i)))
-            placed_globals;
-        locals = Array.mapi place_locals j.tables;
-      }
+    let regs = Alloc.registers j.scratch in
+    let placement i = { Alloc.value = Conflict.lifetime j.table i; register = regs.(i) } in
+    let clusters m =
+      List.filter (fun c -> m land (1 lsl c) <> 0) (List.init a.num_clusters Fun.id)
+    in
+    if not (place_shared ~strategy j ~capacity) then bug "globals";
+    let globals =
+      Array.to_list (Array.map (fun s -> (placement s, clusters j.members.(s))) j.shared)
+    in
+    let locals =
+      Array.mapi
+        (fun q ordered ->
+          if not (place_group ~strategy j ~capacity q) then bug "locals";
+          let p = Array.to_list (Array.map placement ordered) in
+          unplace j q;
+          p)
+        j.locals
+    in
+    { capacity; globals; locals }
   end
-
-(* Only [requirement] is searched up front; the breakdown costs k + 1
-   more searches plus k local ones, and most callers never read it. *)
-let partitioned ?strategy ?order sched =
-  let ii = Schedule.ii sched in
-  let groups = grouped sched in
-  let j = joint_of ~ii groups in
-  let cluster_requirements =
-    lazy
-      (Array.mapi
-         (fun c ls ->
-           (* The cluster in isolation: its replicated prefix plus its
-              locals, on its own table. *)
-           let groups_c =
-             {
-               shared = List.map (fun l -> (l, [ 0 ])) (shared_in groups c);
-               locals = [| ls |];
-             }
-           in
-           let n_pre = Array.length j.prefix.(c) in
-           let j_c =
-             {
-               num_globals = n_pre;
-               gtable = j.tables.(c);
-               tables = [| j.tables.(c) |];
-               prefix = [| Array.init n_pre Fun.id |];
-             }
-           in
-           joint_requirement_tables ?strategy ?order ~ii ~groups:groups_c j_c)
-         groups.locals)
-  in
-  {
-    requirement = joint_requirement_tables ?strategy ?order ~ii ~groups j;
-    cluster_requirements;
-    global_requirement =
-      lazy (Alloc.min_capacity_table ?strategy ?order j.gtable (global_indices j));
-    local_requirements =
-      lazy
-        (Array.mapi
-           (fun c t ->
-             Alloc.min_capacity_table ?strategy ?order t (local_indices j ~cluster:c t))
-           j.tables);
-    max_live = lazy (cluster_max_live sched);
-  }

@@ -92,10 +92,9 @@ let measure_all ?pool ?failures ?timeout_s ?deadline ~config ~models loops =
     let raw = Artifact.raw_schedule ~config loop.ddg in
     let rows =
       List.map
-        (fun model ->
-          let v = Artifact.view_of_schedule ~model raw in
+        (fun v ->
           { loop; requirement = v.Artifact.requirement; ii = Schedule.ii v.Artifact.sched })
-        models
+        (Artifact.views_of_schedule ~models raw)
     in
     (if Ncdrf_telemetry.Trace.active () then begin
        (match rows with

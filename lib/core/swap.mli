@@ -15,8 +15,8 @@
     The [Exact] estimate (full allocation) is provided as an ablation.
 
     The MaxLive estimate is maintained incrementally.  Lifetimes depend
-    only on cycles, which an exchange does not move, so they are
-    computed once per call; each cluster keeps a live count per kernel
+    only on cycles, which an exchange does not move, so they are read
+    once per call from the schedule's {!Requirements.analysis}; each cluster keeps a live count per kernel
     slot.  A pair is scored by moving only the values whose subfiles can
     change — the two operations' own values and the values they consume
     — and moving them back.  Candidates are recomputed after every
@@ -41,6 +41,15 @@ type stats = {
 val candidates : Schedule.t -> (int * int) list
 
 (** Run the greedy pass.  Single-cluster schedules are returned
-    unchanged.  [max_passes] (default [1000]) bounds the loop; the
-    estimate strictly decreases each swap, so it rarely binds. *)
-val improve : ?estimate:estimate -> ?max_passes:int -> Schedule.t -> Schedule.t * stats
+    unchanged, and so is a schedule no swap improves (the same value,
+    physically).  [max_passes] (default [1000]) bounds the loop; the
+    estimate strictly decreases each swap, so it rarely binds.
+    [analysis], when supplied, must be [Requirements.analyse] of a
+    schedule with [sched]'s cycles; the pass reads lifetimes and
+    consumers from it instead of rebuilding them. *)
+val improve :
+  ?estimate:estimate ->
+  ?max_passes:int ->
+  ?analysis:Requirements.analysis ->
+  Schedule.t ->
+  Schedule.t * stats

@@ -26,173 +26,197 @@ let conflict ~ii ~capacity (v, rv) (w, rw) =
     pos_mod (delta - d_min) capacity < width
   end
 
-(* Sorting indices into the table with the same keys (and stability) as
-   the original sort over lifetime values, with the polymorphic tuple
-   [compare] replaced by explicit int comparisons. *)
-let sort_indices table ~order indices =
-  let lt = Conflict.lifetime table in
+(* Indices of the table in placement order, stably.  Every order breaks
+   ties by producer, so over one schedule's values the order is total
+   and sorting a subset gives the same sequence as filtering the sorted
+   whole. *)
+let sorted ?(order = Start_time) table indices =
+  let by_producer a b = Int.compare (Conflict.producer table a) (Conflict.producer table b) in
+  let length i = Conflict.stop table i - Conflict.start table i in
   let cmp =
     match order with
     | Start_time ->
       fun a b ->
-        let la = lt a and lb = lt b in
-        let c = Int.compare la.Lifetime.start lb.Lifetime.start in
-        if c <> 0 then c
-        else Int.compare la.Lifetime.producer lb.Lifetime.producer
+        let c = Int.compare (Conflict.start table a) (Conflict.start table b) in
+        if c <> 0 then c else by_producer a b
     | Longest_first ->
       fun a b ->
-        let la = lt a and lb = lt b in
-        let c = Int.compare (Lifetime.length lb) (Lifetime.length la) in
-        if c <> 0 then c
-        else Int.compare la.Lifetime.producer lb.Lifetime.producer
-    | Node_order ->
-      fun a b -> Int.compare (lt a).Lifetime.producer (lt b).Lifetime.producer
+        let c = Int.compare (length b) (length a) in
+        if c <> 0 then c else by_producer a b
+    | Node_order -> by_producer
   in
-  List.stable_sort cmp indices
+  let ordered = Array.copy indices in
+  Array.stable_sort cmp ordered;
+  ordered
 
-(* Mutable allocation state, reusable across the capacity probes of a
-   [min_capacity] search: [marks] is the residue occupancy index for the
-   value being placed, generation-stamped so it is never cleared;
-   [assigned.(j)] is the register of table index [j], -1 if unplaced. *)
+(* Mutable allocation state over one table, reusable across passes:
+   [marks] is the residue occupancy index for the value being placed,
+   generation-stamped so it is never cleared; [registers.(j)] is the
+   register of table index [j], -1 if unplaced. *)
 type scratch = {
   mutable marks : int array;
   mutable stamp : int;
-  assigned : int array;
+  registers : int array;
   mutable probes : int;
 }
 
-let make_scratch table =
+let scratch table =
   {
     marks = [||];
     stamp = 0;
-    assigned = Array.make (max 1 (Conflict.size table)) (-1);
+    registers = Array.make (max 1 (Conflict.size table)) (-1);
     probes = 0;
   }
 
-let flush_probes scratch =
-  if scratch.probes > 0 then begin
-    Telemetry.incr ~by:scratch.probes "alloc.probes";
-    scratch.probes <- 0
+let registers s = s.registers
+let unassign_all s = Array.fill s.registers 0 (Array.length s.registers) (-1)
+
+let flush_probes s =
+  if s.probes > 0 then begin
+    Telemetry.incr ~by:s.probes "alloc.probes";
+    s.probes <- 0
   end
 
-(* One allocation pass at a fixed capacity.  [ordered] and [placed] hold
-   table indices; the result lists (index, register) in placement order.
-   Placement-identical to the original scan: a neighbour [j] at [rj]
-   forbids exactly the registers the original [conflict] test would have
-   rejected, and the per-strategy scans probe candidates in the same
-   sequence — only the feasibility test changed from an O(placed) list
-   walk per candidate to an O(1) occupancy lookup. *)
-let run_pass table ~strategy ~capacity ~placed ~scratch ordered =
-  Conflict.note_pass table;
-  let assigned = scratch.assigned in
-  Array.fill assigned 0 (Array.length assigned) (-1);
-  List.iter (fun (j, r) -> assigned.(j) <- r) placed;
-  if Array.length scratch.marks < capacity then
-    scratch.marks <- Array.make capacity 0;
-  let marks = scratch.marks in
-  let rec place acc hint = function
-    | [] -> Some (List.rev acc)
-    | i :: rest ->
-      if Conflict.min_registers table i > capacity then None
-      else begin
-        scratch.stamp <- scratch.stamp + 1;
-        let stamp = scratch.stamp in
-        let row = Conflict.neighbours table i in
-        let len = Array.length row in
-        let blocked = ref false in
-        let k = ref 0 in
-        while (not !blocked) && !k < len do
-          let rj = assigned.(row.(!k)) in
-          if rj >= 0 then begin
-            scratch.probes <- scratch.probes + 1;
-            let width = row.(!k + 2) in
-            if width >= capacity then blocked := true
-            else begin
-              (* [pos_mod] with one division: OCaml's [mod] keeps the
-                 dividend's sign, so a negative remainder needs one
-                 [capacity] added. *)
-              let start = (rj + row.(!k + 1)) mod capacity in
-              let start = if start < 0 then start + capacity else start in
-              for o = 0 to width - 1 do
-                let idx = start + o in
-                let idx = if idx >= capacity then idx - capacity else idx in
-                marks.(idx) <- stamp
-              done
-            end
-          end;
-          k := !k + 3
-        done;
-        if !blocked then None
-        else begin
-          let free r = marks.(r) <> stamp in
-          let reg =
-            match strategy with
-            | First_fit ->
-              let rec scan r =
-                if r >= capacity then None
-                else if free r then Some r
-                else scan (r + 1)
-              in
-              scan 0
-            | End_fit ->
-              let rec scan r =
-                if r < 0 then None else if free r then Some r else scan (r - 1)
-              in
-              scan (capacity - 1)
-            | Best_fit ->
-              (* Try registers in increasing circular distance from the
-                 hint (the end of the previously placed wand). *)
-              let rec scan k =
-                if k >= capacity then None
-                else begin
-                  let r = (hint + k) mod capacity (* hint >= 0 *) in
-                  if free r then Some r else scan (k + 1)
-                end
-              in
-              scan 0
-          in
-          match reg with
-          | None -> None
-          | Some r ->
-            assigned.(i) <- r;
-            place ((i, r) :: acc) (r + Conflict.min_registers table i) rest
-        end
-      end
-  in
-  place [] 0 ordered
+(* Index of the lowest (highest) set bit of a non-zero [x] below bit
+   62, by halving. *)
+let lowest_bit x =
+  let n = ref 0 and x = ref x in
+  if !x land 0xFFFFFFFF = 0 then begin n := 32; x := !x lsr 32 end;
+  if !x land 0xFFFF = 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x land 0xFF = 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x land 0xF = 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x land 0x1 = 0 then !n + 1 else !n
 
-(* An allocation problem over a table: the indices sorted once and one
-   scratch, reused by every capacity probe. *)
-type problem = {
-  table : Conflict.t;
-  strategy : strategy;
-  ordered : int list;
-  scratch : scratch;
-}
+let highest_bit x =
+  let n = ref 0 and x = ref x in
+  if !x lsr 32 <> 0 then begin n := 32; x := !x lsr 32 end;
+  if !x lsr 16 <> 0 then begin n := !n + 16; x := !x lsr 16 end;
+  if !x lsr 8 <> 0 then begin n := !n + 8; x := !x lsr 8 end;
+  if !x lsr 4 <> 0 then begin n := !n + 4; x := !x lsr 4 end;
+  if !x lsr 2 <> 0 then begin n := !n + 2; x := !x lsr 2 end;
+  if !x lsr 1 <> 0 then !n + 1 else !n
 
-let problem ?(strategy = First_fit) ?(order = Start_time) table indices =
-  { table; strategy; ordered = sort_indices table ~order indices; scratch = make_scratch table }
+(* Capacities up to this many registers keep the forbidden set in one
+   int bit set; larger ones mark an occupancy array. *)
+let word_capacity = 62
 
-let solve ?(placed = []) p ~capacity =
-  if p.ordered = [] then Some []
-  else if capacity <= 0 then None
+(* The register value [i] gets at [capacity], or -1.  A placed
+   neighbour [j] at [rj] forbids exactly the registers the [conflict]
+   test would reject: a circular run of [width] residues, one mask
+   operation (or an O(width) marking past [word_capacity]) instead of
+   an O(placed) walk per candidate.  Each strategy picks the register
+   its scan of the free registers meets first.  Allocates nothing. *)
+let pick table ~strategy ~capacity s ~hint i =
+  if Conflict.min_registers table i > capacity then -1
   else begin
-    let result =
-      run_pass p.table ~strategy:p.strategy ~capacity ~placed ~scratch:p.scratch p.ordered
-    in
-    flush_probes p.scratch;
-    result
+    let words = capacity <= word_capacity in
+    let full = if words then (1 lsl capacity) - 1 else 0 in
+    s.stamp <- s.stamp + 1;
+    let stamp = s.stamp and marks = s.marks and registers = s.registers in
+    let row = Conflict.neighbours table i in
+    let len = Array.length row in
+    let taken = ref 0 in
+    let blocked = ref false in
+    let k = ref 0 in
+    while (not !blocked) && !k < len do
+      let rj = registers.(row.(!k)) in
+      if rj >= 0 then begin
+        s.probes <- s.probes + 1;
+        let width = row.(!k + 2) in
+        if width >= capacity then blocked := true
+        else begin
+          (* [pos_mod] with one division: OCaml's [mod] keeps the
+             dividend's sign, so a negative remainder needs one
+             [capacity] added. *)
+          let start = (rj + row.(!k + 1)) mod capacity in
+          let start = if start < 0 then start + capacity else start in
+          if words then begin
+            let stop = start + width in
+            taken :=
+              !taken
+              lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
+                   else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
+          end
+          else
+            for o = 0 to width - 1 do
+              let idx = start + o in
+              let idx = if idx >= capacity then idx - capacity else idx in
+              marks.(idx) <- stamp
+            done
+        end
+      end;
+      k := !k + 3
+    done;
+    if !blocked then -1
+    else if words then begin
+      let free = full land lnot !taken in
+      if free = 0 then -1
+      else
+        match strategy with
+        | First_fit -> lowest_bit free
+        | End_fit -> highest_bit free
+        | Best_fit ->
+          (* The free registers rotated so bit 0 is the hint (the end
+             of the previously placed wand; [hint >= 0]): the lowest is
+             the nearest in increasing circular distance. *)
+          let h = hint mod capacity in
+          let rotated = (free lsr h) lor ((free lsl (capacity - h)) land full) in
+          (h + lowest_bit rotated) mod capacity
+    end
+    else
+      match strategy with
+      | First_fit ->
+        let r = ref 0 in
+        while !r < capacity && marks.(!r) = stamp do
+          incr r
+        done;
+        if !r < capacity then !r else -1
+      | End_fit ->
+        let r = ref (capacity - 1) in
+        while !r >= 0 && marks.(!r) = stamp do
+          decr r
+        done;
+        !r
+      | Best_fit ->
+        let k = ref 0 in
+        while !k < capacity && marks.((hint + !k) mod capacity) = stamp do
+          incr k
+        done;
+        if !k < capacity then (hint + !k) mod capacity else -1
+  end
+
+let place ~strategy table s ~capacity ordered =
+  let n = Array.length ordered in
+  if n = 0 then true
+  else if capacity <= 0 then false
+  else begin
+    Conflict.note_pass table;
+    if capacity > word_capacity && Array.length s.marks < capacity then
+      s.marks <- Array.make capacity 0;
+    let ok = ref true and k = ref 0 and hint = ref 0 in
+    while !ok && !k < n do
+      let i = ordered.(!k) in
+      let r = pick table ~strategy ~capacity s ~hint:!hint i in
+      if r < 0 then ok := false
+      else begin
+        s.registers.(i) <- r;
+        hint := r + Conflict.min_registers table i;
+        incr k
+      end
+    done;
+    !ok
   end
 
 (* Smallest capacity at which some in-subset pair conflicts at every
    register distance.  Capacities below it cannot succeed, so the search
    may start there — but error messages still report the original lower
    bound. *)
-let subset_width_floor table indices =
+let subset_width_floor table ordered =
   let member = Array.make (max 1 (Conflict.size table)) false in
-  List.iter (fun i -> member.(i) <- true) indices;
+  Array.iter (fun i -> member.(i) <- true) ordered;
   let floor = ref 0 in
-  List.iter
+  Array.iter
     (fun i ->
       let row = Conflict.neighbours table i in
       let k = ref 0 in
@@ -201,59 +225,70 @@ let subset_width_floor table indices =
           floor := row.(!k + 2) + 1;
         k := !k + 3
       done)
-    indices;
+    ordered;
   !floor
 
-let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) ?upper
-    table indices =
-  match indices with
-  | [] -> 0
-  | _ ->
-    let lifetimes = List.map (Conflict.lifetime table) indices in
+let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
+  if Array.length ordered = 0 then 0
+  else begin
     let ii = Conflict.ii table in
-    let lower =
-      max
-        (Lifetime.max_live ~ii lifetimes)
-        (List.fold_left (fun acc l -> max acc (Lifetime.min_registers ~ii l)) 1 lifetimes)
-    in
-    let upper =
-      match upper with
-      | Some u -> u
-      | None -> (2 * Lifetime.total_min_registers ~ii lifetimes) + 64
-    in
-    (* The sorted order and scratch survive every probe; each probe is
-       one [run_pass], not a from-scratch [allocate]. *)
-    let p = problem ~strategy ~order table indices in
+    let live = Array.make ii 0 in
+    let whole = ref 0 and longest = ref 1 and total = ref 0 in
+    Array.iter
+      (fun i ->
+        whole :=
+          !whole
+          + Lifetime.add_instances live ~ii ~start:(Conflict.start table i)
+              ~stop:(Conflict.stop table i);
+        longest := max !longest (Conflict.min_registers table i);
+        total := !total + Conflict.min_registers table i)
+      ordered;
+    let lower = max (!whole + Array.fold_left max 0 live) !longest in
+    let upper = match upper with Some u -> u | None -> (2 * !total) + 64 in
     let rec search capacity =
       if capacity > upper then
-        Ncdrf_error.Error.errorf ~ii ~stage:"alloc"
-          Ncdrf_error.Error.Alloc_infeasible
+        Ncdrf_error.Error.errorf ~ii ~stage:"alloc" Ncdrf_error.Error.Alloc_infeasible
           "no feasible capacity in [%d, %d] for %d lifetimes" lower upper
-          (List.length lifetimes)
-      else
-        match solve p ~capacity with
-        | Some _ -> capacity
-        | None -> search (capacity + 1)
+          (Array.length ordered)
+      else begin
+        unassign_all s;
+        let ok = place ~strategy table s ~capacity ordered in
+        flush_probes s;
+        if ok then capacity else search (capacity + 1)
+      end
     in
-    search (max lower (subset_width_floor table indices))
+    let floor =
+      match floor with Some f -> f | None -> subset_width_floor table ordered
+    in
+    search (max lower floor)
+  end
+
+let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) ?upper table
+    indices =
+  min_capacity_sorted ~strategy ?upper table (scratch table)
+    (sorted ~order table (Array.of_list indices))
 
 let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
     ~capacity lifetimes =
   if lifetimes = [] then Some []
   else if capacity <= 0 then None
   else begin
-    let pre = List.map (fun p -> p.value) placed in
-    let table = Conflict.make ~ii (pre @ lifetimes) in
+    let table = Conflict.make ~ii (List.map (fun p -> p.value) placed @ lifetimes) in
     let np = List.length placed in
-    let placed_idx = List.mapi (fun j p -> (j, p.register)) placed in
-    let indices = List.init (List.length lifetimes) (fun k -> np + k) in
-    match solve ~placed:placed_idx (problem ~strategy ~order table indices) ~capacity with
-    | None -> None
-    | Some pairs ->
+    let s = scratch table in
+    List.iteri (fun j p -> s.registers.(j) <- p.register) placed;
+    let ordered =
+      sorted ~order table (Array.init (List.length lifetimes) (fun k -> np + k))
+    in
+    let ok = place ~strategy table s ~capacity ordered in
+    flush_probes s;
+    if not ok then None
+    else
       Some
-        (List.map
-           (fun (i, r) -> { value = Conflict.lifetime table i; register = r })
-           pairs)
+        (Array.to_list
+           (Array.map
+              (fun i -> { value = Conflict.lifetime table i; register = s.registers.(i) })
+              ordered))
   end
 
 let registers_used placements =

@@ -63,24 +63,55 @@ val allocate :
 val min_capacity :
   ?strategy:strategy -> ?order:order -> ?upper:int -> ii:int -> Lifetime.t list -> int
 
-(** An allocation problem over a prebuilt {!Conflict.t}: the table
-    [indices] to place, sorted once in [order] (default [Start_time]),
-    and the occupancy scratch, allocated once.  Callers that allocate the
-    same lifetimes at several capacities (the joint capacity search of
-    [Requirements], the strategy ablations) build the table and the
-    problem once and {!solve} it per probe.  Not safe to share across
-    domains: the scratch is mutable. *)
-type problem
+(** {2 Flat allocation over a prebuilt table}
 
-val problem : ?strategy:strategy -> ?order:order -> Conflict.t -> int list -> problem
+    The calls the register-requirement searches make: one occupancy
+    {!scratch} per table, indices sorted once with {!sorted}, and a
+    {!place} pass per capacity probe that allocates nothing. *)
 
-(** [solve ~placed p ~capacity] places the problem's indices given
-    (already honoured) [placed] pairs of (table index, register),
-    returning (table index, register) pairs in placement order — the
-    result {!allocate} gives for the same lifetimes, minus the
-    list-to-table plumbing.  [Some []] for an empty problem, [None] if
-    some value does not fit or [capacity <= 0]. *)
-val solve : ?placed:(int * int) list -> problem -> capacity:int -> (int * int) list option
+(** [sorted ~order table indices] is a copy of [indices] in placement
+    order (default [Start_time]).  Every order breaks ties by producer
+    node, so over the values of one schedule the order is total:
+    filtering a sorted array to a subset gives that subset sorted. *)
+val sorted : ?order:order -> Conflict.t -> int array -> int array
+
+(** The mutable state of passes over one table: the register of every
+    table index (-1 when unplaced) and the occupancy marks.  Not safe
+    to share across domains. *)
+type scratch
+
+val scratch : Conflict.t -> scratch
+
+(** The register of every table index, -1 when unplaced.  {!place}
+    honours every register set here; callers set and clear entries to
+    choose which values count as already placed. *)
+val registers : scratch -> int array
+
+(** Set every register of the scratch to -1. *)
+val unassign_all : scratch -> unit
+
+(** [place ~strategy table s ~capacity ordered] places the values of
+    [ordered], in that order, on top of the registers already in [s],
+    writing each one's register into [registers s].  [false] as soon as
+    one does not fit (the values placed before it keep their
+    registers); [true] for an empty array.  Allocates nothing per value.
+    Work is counted in [s] until {!flush_probes}. *)
+val place : strategy:strategy -> Conflict.t -> scratch -> capacity:int -> int array -> bool
+
+(** Add the probes counted since the last flush to the [alloc.probes]
+    counter. *)
+val flush_probes : scratch -> unit
+
+(** Smallest capacity at which {!place} fits [ordered] (already in
+    placement order) on an empty scratch, searched upward from
+    [max floor lower], where [lower] is the values' MaxLive and longest
+    value and [floor] (default: computed) is one more than the widest
+    pair among them.  0 for an empty array; [upper] as for
+    {!min_capacity}.
+
+    @raise Ncdrf_error.Error.Error as {!min_capacity}. *)
+val min_capacity_sorted :
+  strategy:strategy -> ?upper:int -> ?floor:int -> Conflict.t -> scratch -> int array -> int
 
 (** {!min_capacity} over a prebuilt table and a subset of its indices.
     The sorted order and the occupancy scratch are built once and reused

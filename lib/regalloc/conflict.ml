@@ -2,7 +2,9 @@ open Ncdrf_telemetry
 
 type t = {
   ii : int;
-  lifetimes : Lifetime.t array;
+  producer : int array;
+  start : int array;
+  stop : int array;
   min_regs : int array;
   adj : int array array;
       (* adj.(i) is a flat stride-3 array of (j, d_min(j -> i), width)
@@ -21,84 +23,80 @@ let pos_mod a m = ((a mod m) + m) mod m
 
 (* The residue window of iteration shifts at which instances of [v] and
    [w] overlap: instance (k + d) of v vs instance k of w, for
-   d.ii < e_w - s_v and d.ii > s_w - e_v.  The bounds are separate
-   functions so [make] can take them without building a tuple. *)
-let d_min ~ii v w = fdiv (w.Lifetime.start - v.Lifetime.stop) ii + 1
-let d_max ~ii v w = cdiv (w.Lifetime.stop - v.Lifetime.start) ii - 1
-let shift_window ~ii v w = (d_min ~ii v w, d_max ~ii v w)
+   d.ii < e_w - s_v and d.ii > s_w - e_v.  [create] computes the same
+   bounds from its flat arrays. *)
+let shift_window ~ii v w =
+  ( fdiv (w.Lifetime.start - v.Lifetime.stop) ii + 1,
+    cdiv (w.Lifetime.stop - v.Lifetime.start) ii - 1 )
 
-(* Words per chunk of [make]'s pair record: 64 pairs of 4 words, small
-   enough that each chunk is a minor-heap allocation.  The first chunk
-   is cut to the most pairs [n] values can have, so a small table
-   allocates no more than it needs. *)
-let chunk_words = 256
+let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b
+
+let create ~ii ~producer ~start ~stop =
+  let n = Array.length start in
+  let min_regs = Array.init n (fun i -> ceil_div (stop.(i) - start.(i)) ii) in
+  (* Each bound as quotient and remainder by [ii], so a pair's window
+     takes no division: with [a = qa * ii + ra], [0 <= ra < ii],
+     [fdiv (a - b) ii] is [qa - qb], less one when [ra < rb], and
+     [cdiv (a - b) ii] is [qa - qb], plus one when [ra > rb]. *)
+  let quot a = Array.map (fun x -> fdiv x ii) a in
+  let qs = quot start and qe = quot stop in
+  let rs = Array.mapi (fun i x -> x - (qs.(i) * ii)) start
+  and re = Array.mapi (fun i x -> x - (qe.(i) * ii)) stop in
+  (* Two passes over the i < j pairs: the first counts each row's
+     degree, the second fills rows allocated at their exact size in pair
+     order, which leaves every row in ascending neighbour order. *)
+  let degree = Array.make n 0 in
+  let adj = Array.make n [||] and fill = Array.make n 0 in
+  let max_width = ref 0 and pairs = ref 0 in
+  for pass = 0 to 1 do
+    if pass = 1 then Array.iteri (fun i d -> adj.(i) <- Array.make (3 * d) 0) degree;
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        (* the window (i -> j): instance k + d of i overlaps instance k of j *)
+        let d_min = qs.(j) - qe.(i) + (if rs.(j) < re.(i) then 0 else 1)
+        and d_max = qe.(j) - qs.(i) - (if re.(j) > rs.(i) then 0 else 1) in
+        if d_max >= d_min then begin
+          let width = d_max - d_min + 1 in
+          if pass = 0 then begin
+            degree.(i) <- degree.(i) + 1;
+            degree.(j) <- degree.(j) + 1;
+            incr pairs;
+            if width > !max_width then max_width := width
+          end
+          else begin
+            let row = adj.(j) and k = fill.(j) in
+            row.(k) <- i;
+            row.(k + 1) <- d_min;
+            row.(k + 2) <- width;
+            fill.(j) <- k + 3;
+            (* window (j -> i) is (-d_max, -d_min) by antisymmetry *)
+            let row = adj.(i) and k = fill.(i) in
+            row.(k) <- j;
+            row.(k + 1) <- -d_max;
+            row.(k + 2) <- width;
+            fill.(i) <- k + 3
+          end
+        end
+      done
+    done
+  done;
+  if !pairs > 0 then Telemetry.incr ~by:!pairs "alloc.pairs";
+  { ii; producer; start; stop; min_regs; adj; max_width = !max_width; passes = Atomic.make 0 }
 
 let make ~ii lifetimes =
   let lifetimes = Array.of_list lifetimes in
-  let n = Array.length lifetimes in
-  let min_regs = Array.map (fun l -> Lifetime.min_registers ~ii l) lifetimes in
-  (* One pass over the i < j pairs computes each window once, records
-     every non-empty pair as (i, j, d_min(i -> j), width) in a list of
-     chunks and counts each row's degree.  Rows are then
-     allocated at their exact size and filled in pair order, which
-     leaves every row in ascending neighbour order.  Memory is
-     O(pairs). *)
-  let full = ref [] and cur = ref (Array.make (min chunk_words (2 * n * (n - 1))) 0) in
-  let len = ref 0 in
-  let degree = Array.make n 0 in
-  let max_width = ref 0 in
-  let pairs = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let d_min = d_min ~ii lifetimes.(i) lifetimes.(j)
-      and d_max = d_max ~ii lifetimes.(i) lifetimes.(j) in
-      if d_max >= d_min then begin
-        let width = d_max - d_min + 1 in
-        if !len = Array.length !cur then begin
-          full := !cur :: !full;
-          cur := Array.make chunk_words 0;
-          len := 0
-        end;
-        let c = !cur and k = !len in
-        c.(k) <- i;
-        c.(k + 1) <- j;
-        c.(k + 2) <- d_min;
-        c.(k + 3) <- width;
-        len := k + 4;
-        degree.(i) <- degree.(i) + 1;
-        degree.(j) <- degree.(j) + 1;
-        incr pairs;
-        if width > !max_width then max_width := width
-      end
-    done
-  done;
-  let adj = Array.map (fun d -> Array.make (3 * d) 0) degree in
-  let fill = Array.make n 0 in
-  let push i j d_min width =
-    let row = adj.(i) and k = fill.(i) in
-    row.(k) <- j;
-    row.(k + 1) <- d_min;
-    row.(k + 2) <- width;
-    fill.(i) <- k + 3
-  in
-  let scatter c len =
-    let k = ref 0 in
-    while !k < len do
-      let i = c.(!k) and j = c.(!k + 1) and d_min = c.(!k + 2) and width = c.(!k + 3) in
-      push j i d_min width;
-      (* window (j -> i) is (-d_max, -d_min) by antisymmetry *)
-      push i j (-(d_min + width - 1)) width;
-      k := !k + 4
-    done
-  in
-  List.iter (fun c -> scatter c (Array.length c)) (List.rev !full);
-  scatter !cur !len;
-  if !pairs > 0 then Telemetry.incr ~by:!pairs "alloc.pairs";
-  { ii; lifetimes; min_regs; adj; max_width = !max_width; passes = Atomic.make 0 }
+  create ~ii
+    ~producer:(Array.map (fun l -> l.Lifetime.producer) lifetimes)
+    ~start:(Array.map (fun l -> l.Lifetime.start) lifetimes)
+    ~stop:(Array.map (fun l -> l.Lifetime.stop) lifetimes)
 
 let ii t = t.ii
-let size t = Array.length t.lifetimes
-let lifetime t i = t.lifetimes.(i)
+let size t = Array.length t.start
+let producer t i = t.producer.(i)
+let start t i = t.start.(i)
+let stop t i = t.stop.(i)
+let lifetime t i =
+  { Lifetime.producer = t.producer.(i); start = t.start.(i); stop = t.stop.(i) }
 let min_registers t i = t.min_regs.(i)
 let neighbours t i = t.adj.(i)
 let max_width t = t.max_width

@@ -6,20 +6,21 @@
     — depends only on the two lifetimes and [ii], {e not} on the file
     capacity.  A conflict table therefore computes every pair's window
     once and serves all capacities probed by {!Alloc.min_capacity} and
-    every search of one requirement computation (the joint, per-cluster,
-    global and local searches share the caller's tables).
+    every search over one schedule's cycles (the unified, joint,
+    per-cluster, global and local searches run on index subsets of one
+    table).
 
     Placed at register [rj], neighbour [j] of value [i] forbids exactly
     the [width] residues [(rj + d_min(j→i)) mod capacity + [0, width)]
-    — an O(width) marking instead of an O(placed) scan per candidate
-    register.  Pairs whose window is empty ([width <= 0]) never conflict
+    — one circular run of residues instead of an O(placed) scan per
+    candidate register.  Pairs whose window is empty ([width <= 0]) never conflict
     at any capacity and are not stored; a pair with
     [width >= capacity] conflicts at {e every} register distance.
 
     Tables are immutable after construction (bar the atomic pass
     counter of {!note_pass}) and safe to share across domains.  There is
-    no cross-call memo: a table lives as long as the allocation problem
-    that built it. *)
+    no cross-call memo: a table lives as long as the analysis or
+    allocation problem that built it. *)
 
 type t
 
@@ -37,13 +38,24 @@ val pos_mod : int -> int -> int
     number of stored (non-empty-window) pairs. *)
 val make : ii:int -> Lifetime.t list -> t
 
+(** {!make} over flat arrays: index [i] is the lifetime of node
+    [producer.(i)] from [start.(i)] to [stop.(i)].  The arrays are
+    shared with the table, not copied; do not mutate them. *)
+val create : ii:int -> producer:int array -> start:int array -> stop:int array -> t
+
 val ii : t -> int
 
 (** Number of lifetimes in the table. *)
 val size : t -> int
 
-(** The lifetime at an index. *)
+(** The lifetime at an index (a fresh record). *)
 val lifetime : t -> int -> Lifetime.t
+
+(** The fields of {!lifetime}, without building the record. *)
+val producer : t -> int -> int
+
+val start : t -> int -> int
+val stop : t -> int -> int
 
 (** [min_registers t i] is [Lifetime.min_registers] of lifetime [i],
     precomputed. *)

@@ -42,32 +42,32 @@ let live_at_slot t ~ii ~slot =
   let r = (((slot - t.start) mod ii) + ii) mod ii in
   ceil_div (length t - r) ii
 
+let add_instances row ~ii ~start ~stop =
+  let len = stop - start in
+  if len <= 0 then 0
+  else begin
+    let slot = ref (((start mod ii) + ii) mod ii) in
+    for _ = 1 to len mod ii do
+      row.(!slot) <- row.(!slot) + 1;
+      incr slot;
+      if !slot = ii then slot := 0
+    done;
+    len / ii
+  end
+
 (* One walk of the lifetime list, accumulating per-slot occupancy into
    an array, instead of re-traversing the list once per kernel slot:
-   this is the spiller's lower-bound hot path.  Each value contributes
-   [floor (length / ii)] instances to every slot plus one more to the
-   [length mod ii] slots just past its start. *)
+   this is the spiller's lower-bound hot path. *)
 let max_live ~ii lifetimes =
   if ii <= 0 then 0
   else begin
     let live = Array.make ii 0 in
-    List.iter
-      (fun l ->
-        let len = length l in
-        if len > 0 then begin
-          let whole = len / ii and rem = len mod ii in
-          if whole > 0 then
-            for slot = 0 to ii - 1 do
-              live.(slot) <- live.(slot) + whole
-            done;
-          let start = ((l.start mod ii) + ii) mod ii in
-          for k = 0 to rem - 1 do
-            let slot = (start + k) mod ii in
-            live.(slot) <- live.(slot) + 1
-          done
-        end)
-      lifetimes;
-    Array.fold_left max 0 live
+    let whole =
+      List.fold_left
+        (fun acc l -> acc + add_instances live ~ii ~start:l.start ~stop:l.stop)
+        0 lifetimes
+    in
+    whole + Array.fold_left max 0 live
   end
 
 let min_registers ~ii t = ceil_div (length t) ii

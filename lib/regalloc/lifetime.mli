@@ -34,6 +34,14 @@ val live_at_slot : t -> ii:int -> slot:int -> int
     uses (paper Section 5.2). *)
 val max_live : ii:int -> t list -> int
 
+(** [add_instances row ~ii ~start ~stop] adds one value's live
+    instances to [row], a count per kernel slot ([ii] slots): one in
+    each of the [(stop - start) mod ii] slots from [start mod ii], and
+    returns [(stop - start) / ii], the instances live at every slot.
+    The MaxLive of a set of values is the sum of the returns plus the
+    largest entry of the row. *)
+val add_instances : int array -> ii:int -> start:int -> stop:int -> int
+
 (** [ceil (length / ii)]: registers the value needs on its own. *)
 val min_registers : ii:int -> t -> int
 

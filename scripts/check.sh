@@ -154,6 +154,27 @@ if ! cmp -s "$suite_pinned" scripts/suite.golden; then
 fi
 rm -f "$suite_out" "$suite_metrics" "$suite_pinned"
 
+# The same at four clusters with port caps, where values consumed by a
+# proper subset of the clusters (the Shared class) are replicated only
+# in those subfiles: scripts/suite_k4.golden pins that path end to end.
+suite_out=$(mktemp /tmp/ncdrf-suite-k4.XXXXXX.txt)
+suite_metrics=$(mktemp /tmp/ncdrf-suite-k4.XXXXXX.json)
+suite_pinned=$(mktemp /tmp/ncdrf-suite-k4-pinned.XXXXXX.txt)
+dune exec bin/ncdrf.exe -- suite --jobs 1 --clusters 4 --read-ports 4 --write-ports 2 \
+  --metrics "$suite_metrics" > "$suite_out"
+{
+  grep -v '^\[metrics: ' "$suite_out"
+  for c in alloc.probes cache.misses pipeline.loops; do
+    echo "$c $(counter "$c" "$suite_metrics")"
+  done
+} > "$suite_pinned"
+if ! cmp -s "$suite_pinned" scripts/suite_k4.golden; then
+  echo "check.sh: k = 4 suite output or counters differ from scripts/suite_k4.golden" >&2
+  diff scripts/suite_k4.golden "$suite_pinned" >&2 || true
+  exit 1
+fi
+rm -f "$suite_out" "$suite_metrics" "$suite_pinned"
+
 # Bad machine flags and unknown experiments are usage errors (exit 2),
 # never an uncaught exception.
 for args in "suite --clusters 0" "suite --latency 0" "bench nosuch" \

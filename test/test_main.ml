@@ -18,5 +18,6 @@ let () =
       ("extensions", Test_extensions.suite);
       ("sim", Test_sim.suite);
       ("kcluster", Test_kcluster.suite);
+      ("reqs", Test_requirements.suite);
       ("server", Test_server.suite);
     ]

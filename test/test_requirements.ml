@@ -1,0 +1,236 @@
+(* Differential tests of [Requirements] — one analysis per schedule,
+   index subsets of one conflict table — against the per-cluster-table
+   implementation it replaced ([Requirements_reference]): requirements,
+   every lazy breakdown field, MaxLive and the placements of
+   [partitioned_allocation], on the dual L3/L6 suite schedules and
+   their swapped variants and on random schedules at k in {1, 2, 3, 4}
+   with and without port caps, under every strategy and order.  Also
+   checks that the views [Artifact] computes from one shared analysis
+   equal the reference's. *)
+
+open Ncdrf_ir
+open Ncdrf_machine
+open Ncdrf_sched
+open Ncdrf_core
+open Ncdrf_regalloc
+module Ref = Requirements_reference
+
+let strategies = [ Alloc.First_fit; Alloc.Best_fit; Alloc.End_fit ]
+let orders = [ Alloc.Start_time; Alloc.Longest_first; Alloc.Node_order ]
+
+let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
+
+(* Every output of one schedule under one strategy and order, rendered
+   so a mismatch reports what differs.  [partitioned] is given as a
+   function so the analysis-sharing entry point can be checked too. *)
+let new_outputs
+    ?(partitioned = fun ~strategy ~order s -> Requirements.partitioned ~strategy ~order s)
+    ~strategy ~order sched =
+  let d = partitioned ~strategy ~order sched in
+  [
+    ("requirement", string_of_int d.Requirements.requirement);
+    ("clusters", ints (Lazy.force d.Requirements.cluster_requirements));
+    ("global", string_of_int (Lazy.force d.Requirements.global_requirement));
+    ("locals", ints (Lazy.force d.Requirements.local_requirements));
+    ("max_live", ints (Lazy.force d.Requirements.max_live));
+    ("unified", string_of_int (Requirements.unified ~strategy ~order sched));
+  ]
+
+let ref_outputs ~strategy ~order sched =
+  let d = Ref.partitioned ~strategy ~order sched in
+  [
+    ("requirement", string_of_int d.Ref.requirement);
+    ("clusters", ints (Lazy.force d.Ref.cluster_requirements));
+    ("global", string_of_int (Lazy.force d.Ref.global_requirement));
+    ("locals", ints (Lazy.force d.Ref.local_requirements));
+    ("max_live", ints (Lazy.force d.Ref.max_live));
+    ("unified", string_of_int (Ref.unified ~strategy ~order sched));
+  ]
+
+let placements ps =
+  String.concat ";"
+    (List.map
+       (fun p ->
+         Printf.sprintf "%d@%d-%d:r%d" p.Alloc.value.Lifetime.producer
+           p.Alloc.value.Lifetime.start p.Alloc.value.Lifetime.stop p.Alloc.register)
+       ps)
+
+let new_allocation ~strategy ~order sched =
+  let a = Requirements.partitioned_allocation ~strategy ~order sched in
+  Printf.sprintf "cap=%d globals=%s locals=%s" a.Requirements.capacity
+    (String.concat ";"
+       (List.map
+          (fun (p, cs) ->
+            placements [ p ] ^ "/" ^ String.concat "," (List.map string_of_int cs))
+          a.Requirements.globals))
+    (String.concat " | " (Array.to_list (Array.map placements a.Requirements.locals)))
+
+let ref_allocation ~strategy ~order sched =
+  let a = Ref.partitioned_allocation ~strategy ~order sched in
+  Printf.sprintf "cap=%d globals=%s locals=%s" a.Ref.capacity
+    (String.concat ";"
+       (List.map
+          (fun (p, cs) ->
+            placements [ p ] ^ "/" ^ String.concat "," (List.map string_of_int cs))
+          a.Ref.globals))
+    (String.concat " | " (Array.to_list (Array.map placements a.Ref.locals)))
+
+let render fields = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) fields)
+
+(* [None] when every output matches, else both renderings. *)
+let mismatch ?partitioned ~strategy ~order sched =
+  let got =
+    render
+      (new_outputs ?partitioned ~strategy ~order sched
+      @ [
+          ("max_live_cost", string_of_int (Requirements.max_live_cost sched));
+          ( "max_live_cost_lifetimes",
+            string_of_int
+              (Requirements.max_live_cost ~lifetimes:(Lifetime.of_schedule sched) sched) );
+          ("allocation", new_allocation ~strategy ~order sched);
+        ])
+  and want =
+    render
+      (ref_outputs ~strategy ~order sched
+      @ [
+          ("max_live_cost", string_of_int (Ref.max_live_cost sched));
+          ("max_live_cost_lifetimes", string_of_int (Ref.max_live_cost sched));
+          ("allocation", ref_allocation ~strategy ~order sched);
+        ])
+  in
+  if got = want then None else Some (got, want)
+
+let check what ?partitioned ~strategy ~order sched =
+  match mismatch ?partitioned ~strategy ~order sched with
+  | None -> ()
+  | Some (got, want) -> Alcotest.failf "%s:\n  new %s\n  ref %s" what got want
+
+(* The dual L3/L6 suite schedules and their swapped variants, at the
+   paper's strategy and order; the swapped variant is measured both
+   from its own analysis and from the raw schedule's, as the Swapped
+   view does. *)
+let test_suite_schedules () =
+  let strategy = Alloc.First_fit and order = Alloc.Start_time in
+  let loops = Ncdrf_workloads.Suite.full () in
+  List.iter
+    (fun latency ->
+      let config = Config.dual ~latency in
+      List.iter
+        (fun (e : Ncdrf_workloads.Suite.entry) ->
+          let raw = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
+          let what = Printf.sprintf "%s L%d" (Ddg.name e.Ncdrf_workloads.Suite.ddg) latency in
+          check what ~strategy ~order raw;
+          let a = Requirements.analyse raw in
+          let swapped, _ = Swap.improve ~analysis:a raw in
+          check (what ^ " swapped") ~strategy ~order swapped;
+          check (what ^ " swapped, shared analysis")
+            ~partitioned:(fun ~strategy ~order s ->
+              Requirements.partitioned_of ~strategy ~order a s)
+            ~strategy ~order swapped)
+        loops)
+    [ 3; 6 ]
+
+(* A random machine: k in {1, 2, 3, 4} clusters, latency 3 or 6, and
+   per-subfile port caps or none. *)
+let config_of ~k ~latency ~caps =
+  if caps then Config.k_cluster ~read_ports:2 ~write_ports:1 ~k ~latency ()
+  else Config.k_cluster ~k ~latency ()
+
+let prop_random_schedules =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, k, heavy, caps) ->
+        Printf.sprintf "seed=%d k=%d heavy=%b caps=%b" seed k heavy caps)
+      QCheck.Gen.(quad (int_bound 50_000) (int_range 1 4) bool bool)
+  in
+  QCheck.Test.make ~count:60 ~name:"Requirements = reference on random schedules" arb
+    (fun (seed, k, heavy, caps) ->
+      let params =
+        if heavy then Ncdrf_workloads.Generator.heavy else Ncdrf_workloads.Generator.default
+      in
+      let ddg = Ncdrf_workloads.Generator.generate params ~seed ~name:"req-eq" in
+      let config = config_of ~k ~latency:(if seed mod 2 = 0 then 3 else 6) ~caps in
+      let raw = Modulo.schedule config ddg in
+      let swapped, _ = Swap.improve raw in
+      List.for_all
+        (fun sched ->
+          List.for_all
+            (fun strategy ->
+              List.for_all
+                (fun order ->
+                  match mismatch ~strategy ~order sched with
+                  | None -> true
+                  | Some (got, want) -> QCheck.Test.fail_reportf "new %s\nref %s" got want)
+                orders)
+            strategies)
+        [ raw; swapped ])
+
+(* The views of one call share an analysis and reuse the Partitioned
+   requirement when no swap applies; each must equal the reference
+   computed from scratch, in either model order. *)
+let test_shared_views () =
+  let loops = Ncdrf_workloads.Suite.full ~size:120 () in
+  List.iter
+    (fun config ->
+      List.iter
+        (fun (e : Ncdrf_workloads.Suite.entry) ->
+          let raw = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
+          let ref_swapped, _ = Swap_reference.improve raw in
+          let want =
+            [
+              (Model.Unified, Ref.unified raw);
+              (Model.Partitioned, (Ref.partitioned raw).Ref.requirement);
+              (Model.Swapped, (Ref.partitioned ref_swapped).Ref.requirement);
+            ]
+          in
+          List.iter
+            (fun models ->
+              Artifact.clear_cache ();
+              List.iter2
+                (fun model v ->
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s %s %s" (Ddg.name raw.Schedule.ddg) config.Config.name
+                       (Model.to_string model))
+                    (List.assoc model want) v.Artifact.requirement;
+                  if model = Model.Swapped then
+                    Alcotest.(check bool) "swapped schedule" true
+                      (v.Artifact.sched.Schedule.placements = ref_swapped.Schedule.placements))
+                models
+                (Artifact.views_of_schedule ~models raw))
+            [
+              [ Model.Unified; Model.Partitioned; Model.Swapped ];
+              [ Model.Swapped; Model.Partitioned ];
+            ])
+        loops)
+    [ Config.dual ~latency:3; Config.k_cluster ~k:3 ~latency:6 () ];
+  Artifact.clear_cache ()
+
+(* The public joint search over explicit groups equals the reference's. *)
+let prop_joint_requirement =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, k) -> Printf.sprintf "seed=%d k=%d" seed k)
+      QCheck.Gen.(pair (int_bound 50_000) (int_range 1 4))
+  in
+  QCheck.Test.make ~count:60 ~name:"joint_requirement = reference" arb (fun (seed, k) ->
+      let ddg =
+        Ncdrf_workloads.Generator.generate Ncdrf_workloads.Generator.default ~seed
+          ~name:"joint-eq"
+      in
+      let sched = Modulo.schedule (config_of ~k ~latency:3 ~caps:false) ddg in
+      let globals, locals = Requirements.grouped_lifetimes sched in
+      let ref_globals, ref_locals = Ref.grouped_lifetimes sched in
+      let ii = Schedule.ii sched in
+      globals = ref_globals && locals = ref_locals
+      && Requirements.joint_requirement ~ii ~globals ~locals ()
+         = Ref.joint_requirement ~ii ~globals ~locals ()
+      && Requirements.joint_requirement ~ii ~globals ~locals:[||] ()
+         = Ref.joint_requirement ~ii ~globals ~locals:[||] ())
+
+let suite =
+  [
+    Alcotest.test_case "suite schedules = reference" `Slow test_suite_schedules;
+    Alcotest.test_case "shared-analysis views = reference" `Quick test_shared_views;
+    QCheck_alcotest.to_alcotest prop_random_schedules;
+    QCheck_alcotest.to_alcotest prop_joint_requirement;
+  ]
