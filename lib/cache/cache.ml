@@ -1,6 +1,21 @@
 module Telemetry = Ncdrf_telemetry.Telemetry
 module Trace = Ncdrf_telemetry.Trace
 
+(* A key carries its hash, computed once per lookup: the stripe and the
+   stripe's bucket are both read off it, and the table's resizes reuse
+   it instead of rehashing the string. *)
+module Key = struct
+  type t = {
+    hash : int;
+    key : string;
+  }
+
+  let equal a b = a.hash = b.hash && String.equal a.key b.key
+  let hash k = k.hash
+end
+
+module Tbl = Hashtbl.Make (Key)
+
 type 'a entry = {
   value : 'a;
   mutable last_use : int;  (** stripe-local tick of the most recent use *)
@@ -8,7 +23,7 @@ type 'a entry = {
 
 type 'a stripe = {
   lock : Mutex.t;
-  tbl : (string, 'a entry) Hashtbl.t;
+  tbl : 'a entry Tbl.t;
   mutable tick : int;
 }
 
@@ -36,8 +51,7 @@ let create ?(stripes = 8) ~name ~capacity () =
   {
     cache_name = name;
     stripes =
-      Array.init stripes (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 64; tick = 0 });
+      Array.init stripes (fun _ -> { lock = Mutex.create (); tbl = Tbl.create 64; tick = 0 });
     per_stripe;
     total_capacity = capacity;
     hit_count = Atomic.make 0;
@@ -48,7 +62,13 @@ let create ?(stripes = 8) ~name ~capacity () =
 let name t = t.cache_name
 let capacity t = t.total_capacity
 
-let stripe_of t key = t.stripes.(Hashtbl.hash key mod Array.length t.stripes)
+let key_of key = { Key.hash = Hashtbl.hash key; key }
+
+(* The table picks a bucket from the low bits of the (30-bit) hash, so
+   the stripe is picked from the high bits of its Fibonacci product: a
+   plain [hash mod stripes] would confine each stripe's keys to one
+   residue class of its buckets. *)
+let stripe_of t k = t.stripes.(((k.Key.hash * 0x9E3779B1) lsr 32) mod Array.length t.stripes)
 
 let with_lock s f =
   Mutex.lock s.lock;
@@ -62,9 +82,9 @@ let touch s e =
    for the LRU entry per eviction is cheaper than maintaining an intrusive
    list would be worth. *)
 let evict_over_capacity t s =
-  while Hashtbl.length s.tbl > t.per_stripe do
+  while Tbl.length s.tbl > t.per_stripe do
     let victim =
-      Hashtbl.fold
+      Tbl.fold
         (fun key e acc ->
           match acc with
           | Some (_, best) when best.last_use <= e.last_use -> acc
@@ -74,7 +94,7 @@ let evict_over_capacity t s =
     match victim with
     | None -> assert false (* length > capacity >= 1 implies an entry *)
     | Some (key, _) ->
-      Hashtbl.remove s.tbl key;
+      Tbl.remove s.tbl key;
       Atomic.incr t.eviction_count;
       Telemetry.incr "cache.evictions"
   done
@@ -84,26 +104,29 @@ let record_hit t =
   Telemetry.incr "cache.hits";
   Trace.note_cache ~hit:true
 
+(* The lookup's critical section cannot raise (key equality and the
+   tick update are total), so the lock is released without a
+   [Fun.protect] closure. *)
+let lookup s k =
+  Mutex.lock s.lock;
+  let found =
+    match Tbl.find_opt s.tbl k with
+    | Some e ->
+      touch s e;
+      Some e.value
+    | None -> None
+  in
+  Mutex.unlock s.lock;
+  found
+
 let find t ~key =
-  let s = stripe_of t key in
-  with_lock s (fun () ->
-      match Hashtbl.find_opt s.tbl key with
-      | Some e ->
-        touch s e;
-        Some e.value
-      | None -> None)
+  let k = key_of key in
+  lookup (stripe_of t k) k
 
 let find_or_add t ~key compute =
-  let s = stripe_of t key in
-  let cached =
-    with_lock s (fun () ->
-        match Hashtbl.find_opt s.tbl key with
-        | Some e ->
-          touch s e;
-          Some e.value
-        | None -> None)
-  in
-  match cached with
+  let k = key_of key in
+  let s = stripe_of t k in
+  match lookup s k with
   | Some v ->
     record_hit t;
     v
@@ -116,20 +139,20 @@ let find_or_add t ~key compute =
     Telemetry.incr "cache.misses";
     Trace.note_cache ~hit:false;
     with_lock s (fun () ->
-        match Hashtbl.find_opt s.tbl key with
+        match Tbl.find_opt s.tbl k with
         | Some e ->
           touch s e;
           e.value
         | None ->
           s.tick <- s.tick + 1;
-          Hashtbl.replace s.tbl key { value = v; last_use = s.tick };
+          Tbl.replace s.tbl k { value = v; last_use = s.tick };
           evict_over_capacity t s;
           v)
 
 let stats t =
   let size =
     Array.fold_left
-      (fun acc s -> acc + with_lock s (fun () -> Hashtbl.length s.tbl))
+      (fun acc s -> acc + with_lock s (fun () -> Tbl.length s.tbl))
       0 t.stripes
   in
   {
@@ -139,5 +162,6 @@ let stats t =
     size;
   }
 
-let clear t =
-  Array.iter (fun s -> with_lock s (fun () -> Hashtbl.reset s.tbl)) t.stripes
+(* [Tbl.clear] keeps each stripe's bucket array at the size it grew to,
+   so a sweep that clears between passes does not regrow it every pass. *)
+let clear t = Array.iter (fun s -> with_lock s (fun () -> Tbl.clear s.tbl)) t.stripes

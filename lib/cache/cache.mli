@@ -1,10 +1,12 @@
 (** Domain-safe bounded memo table for compilation artifacts.
 
-    A cache is a set of [stripes], each a [Mutex]-protected [Hashtbl]
+    A cache is a set of [stripes], each a [Mutex]-protected hash table
     keyed by strings; a key's stripe is fixed by its hash, so lookups of
     distinct keys from the {!Ncdrf_parallel.Pool} worker domains mostly
-    take distinct locks.  Each stripe evicts least-recently-used entries
-    once it exceeds its share of the capacity.
+    take distinct locks.  A lookup hashes its key once: the stripe and
+    the bucket are both read off that hash.  Each stripe evicts
+    least-recently-used entries once it exceeds its share of the
+    capacity.
 
     {b Determinism contract:} [find_or_add] may only be used with
     [compute] functions that are pure functions of the key — then a hit
@@ -53,5 +55,7 @@ val find : 'a t -> key:string -> 'a option
 
 val stats : _ t -> stats
 
-(** Drop every entry (counters are preserved). *)
+(** Drop every entry (counters are preserved).  The stripes keep the
+    bucket arrays they grew to, so refilling a cleared cache to its
+    former size does not resize them again. *)
 val clear : _ t -> unit

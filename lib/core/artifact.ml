@@ -286,21 +286,42 @@ let view_tag = function
 
 (* A view's input is the schedule, not just the graph: the spiller calls
    it on schedules of intermediate graphs at bumped IIs, so the key
-   includes the placements.  They are digested in a fixed-width binary
-   encoding — [ii], then each placement's cycle and cluster, 8 bytes
-   each — which is injective for a given graph and keeps keys short. *)
+   includes the placements.  They are appended as zigzag varints —
+   [ii], then each placement's cycle and cluster — so small values of
+   either sign take one byte.  Zigzag maps ints one-to-one onto
+   unsigned ints (read through [lsr]), a varint ends at its first byte
+   below 0x80, and a graph fixes the placement count, so the encoding
+   is injective for a given graph. *)
+let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
+
+let varint_size n =
+  let rec go size u = if u lsr 7 = 0 then size else go (size + 1) (u lsr 7) in
+  go 1 (zigzag n)
+
+let write_varint buf pos n =
+  let u = ref (zigzag n) and pos = ref pos in
+  while !u lsr 7 <> 0 do
+    Bytes.set buf !pos (Char.chr (0x80 lor (!u land 0x7f)));
+    u := !u lsr 7;
+    incr pos
+  done;
+  Bytes.set buf !pos (Char.chr !u);
+  !pos + 1
+
 let schedule_key sched =
+  let prefix = base_key ~config:sched.Schedule.config sched.Schedule.ddg ^ "#view:" in
   let placements = sched.Schedule.placements in
-  let buf = Bytes.create (8 * (1 + (2 * Array.length placements))) in
-  Bytes.set_int64_le buf 0 (Int64.of_int sched.Schedule.ii);
-  Array.iteri
-    (fun i p ->
-      Bytes.set_int64_le buf (8 * (1 + (2 * i))) (Int64.of_int p.Schedule.cycle);
-      Bytes.set_int64_le buf (8 * (2 + (2 * i))) (Int64.of_int p.Schedule.cluster))
+  let size = ref (String.length prefix + varint_size sched.Schedule.ii) in
+  Array.iter
+    (fun p -> size := !size + varint_size p.Schedule.cycle + varint_size p.Schedule.cluster)
     placements;
-  base_key ~config:sched.Schedule.config sched.Schedule.ddg
-  ^ "#view:"
-  ^ Digest.to_hex (Digest.bytes buf)
+  let buf = Bytes.create !size in
+  Bytes.blit_string prefix 0 buf 0 (String.length prefix);
+  let pos = ref (write_varint buf (String.length prefix) sched.Schedule.ii) in
+  Array.iter
+    (fun p -> pos := write_varint buf (write_varint buf !pos p.Schedule.cycle) p.Schedule.cluster)
+    placements;
+  Bytes.unsafe_to_string buf
 
 let view_with shared ~key ~model sched =
   let ddg = sched.Schedule.ddg in

@@ -18,11 +18,11 @@
     [Ddg.digest] (+ stage tag), so the four models and every capacity of
     the same [(config, loop)] share one scheduling pass, and repeated
     experiments (Figure 6 then Figure 7, the CSV re-emission of
-    Table 1, ...) hit instead of recomputing.  A view's key adds the MD5
-    of a fixed-width binary encoding of the schedule's II and
-    placements.  Building a key costs a hash, not a rendering: the
-    fingerprint is computed once per configuration by [Config.make] and
-    the graph digest once per graph, so a hit is a hash lookup.
+    Table 1, ...) hit instead of recomputing.  A view's key adds the
+    schedule's II and placements as zigzag varints ({!schedule_key}).
+    Building a key costs no rendering: the fingerprint is computed once
+    per configuration by [Config.make] and the graph digest once per
+    graph, so a hit is one hash of the key and a lookup.
 
     When an ambient {!Ncdrf_cache.Store} is open, the same keys address
     a second, on-disk tier: a memory miss consults the store before
@@ -81,6 +81,13 @@ val scheduled : config:Config.t -> Ddg.t -> t
 (** The model's view of the artifact's raw schedule (cached; [Ideal]
     and [Unified] share one entry — same transform). *)
 val view : t -> model:Model.t -> view
+
+(** The cache and store key of a schedule's views, before the model
+    tag: the graph's key, then the II and every placement's cycle and
+    cluster as zigzag varints.  Equal schedules of one graph under one
+    configuration get equal keys; schedules differing in II, in any
+    cycle or in any cluster get different ones. *)
+val schedule_key : Schedule.t -> string
 
 (** Like {!view} for a free-standing schedule, e.g. one of the
     spiller's rounds; keyed on the schedule's content. *)

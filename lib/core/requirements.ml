@@ -104,13 +104,44 @@ let check a sched =
   if sched.Schedule.ddg != a.ddg || Schedule.ii sched <> a.ii then
     invalid_arg "Requirements: the analysis is of another schedule's cycles"
 
+(* Value indices by start cycle, by a counting sort.  Indices are
+   numbered in producer order, so the stable pass breaks ties by
+   producer: [Alloc.sorted ~order:Start_time]'s order.  A modulo
+   schedule spans a few stages, but [Schedule.make] bounds no cycle (a
+   hand-edited store entry decodes to any), so cycles spread wider than
+   the values are comparison-sorted instead. *)
+let by_start (a : analysis) =
+  let start = a.start in
+  let n = Array.length start in
+  let lo = Array.fold_left min max_int start and hi = Array.fold_left max min_int start in
+  if n = 0 then [||]
+  else if hi - lo < 0 (* overflowed *) || hi - lo > (4 * n) + 64 then
+    Alloc.sorted ~order:Alloc.Start_time (Lazy.force a.table) (Array.init n Fun.id)
+  else begin
+    let count = Array.make (hi - lo + 2) 0 in
+    Array.iter (fun s -> count.(s - lo + 1) <- count.(s - lo + 1) + 1) start;
+    for c = 1 to hi - lo + 1 do
+      count.(c) <- count.(c) + count.(c - 1)
+    done;
+    let ordered = Array.make n 0 in
+    for x = 0 to n - 1 do
+      let c = start.(x) - lo in
+      ordered.(count.(c)) <- x;
+      count.(c) <- count.(c) + 1
+    done;
+    ordered
+  end
+
 (* Every value in placement order, sorted once per order. *)
 let sorted (a : analysis) order =
   match List.assoc_opt order a.orders with
   | Some o -> o
   | None ->
     let o =
-      Alloc.sorted ~order (Lazy.force a.table) (Array.init (Array.length a.start) Fun.id)
+      match order with
+      | Alloc.Start_time -> by_start a
+      | Alloc.Longest_first | Alloc.Node_order ->
+        Alloc.sorted ~order (Lazy.force a.table) (Array.init (Array.length a.start) Fun.id)
     in
     a.orders <- (order, o) :: a.orders;
     o

@@ -66,6 +66,11 @@ type analysis = private {
     order, as {!Lifetime.of_schedule} lists them. *)
 val analyse : Schedule.t -> analysis
 
+(** Every value index of the analysis in [order]'s placement order (as
+    {!Alloc.sorted} sorts them), computed once per order and kept in
+    [orders].  [Start_time] is a counting sort on start cycles. *)
+val sorted : analysis -> Alloc.order -> int array
+
 (** Requirement with a unified (or consistent dual) register file:
     smallest capacity allocating all values. *)
 val unified : ?strategy:Alloc.strategy -> ?order:Alloc.order -> Schedule.t -> int

@@ -38,25 +38,36 @@ let time_left t =
   match t.deadline with None -> infinity | Some d -> d -. Budget.now ()
 
 (* (domain id, thread id) -> installed token stack, innermost first.
-   The mutex is uncontended in batch mode and taken only at scope
-   entry/exit plus explicit checks, which sit at stage boundaries —
-   far off the placement hot path. *)
+   The mutex is taken at scope entry/exit and by [check] and [active]
+   while any token is installed anywhere; [Modulo] polls [check] on
+   every II attempt, so with the 2-job pool's domains contending, that
+   is on the scheduling hot path.  [installed] counts the tokens in the
+   table: batch runs without [--timeout] install none, and then a poll
+   is one atomic read.  A thread's own installs happen before its
+   polls, so a poll never misses the calling thread's token. *)
 let lock = Mutex.create ()
 let table : (int * int, token list) Hashtbl.t = Hashtbl.create 16
+let installed_count = Atomic.make 0
+
+let installed () = Atomic.get installed_count
 
 let key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
 let current_stack () =
-  let k = key () in
-  Mutex.lock lock;
-  let s = Option.value ~default:[] (Hashtbl.find_opt table k) in
-  Mutex.unlock lock;
-  s
+  if Atomic.get installed_count = 0 then []
+  else begin
+    let k = key () in
+    Mutex.lock lock;
+    let s = Option.value ~default:[] (Hashtbl.find_opt table k) in
+    Mutex.unlock lock;
+    s
+  end
 
 let active () = current_stack () <> []
 
 let with_token tok f =
   let k = key () in
+  Atomic.incr installed_count;
   Mutex.lock lock;
   let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
   Hashtbl.replace table k (tok :: prev);
@@ -64,7 +75,8 @@ let with_token tok f =
   let restore () =
     Mutex.lock lock;
     if prev = [] then Hashtbl.remove table k else Hashtbl.replace table k prev;
-    Mutex.unlock lock
+    Mutex.unlock lock;
+    Atomic.decr installed_count
   in
   Fun.protect ~finally:restore f
 

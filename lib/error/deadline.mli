@@ -48,6 +48,11 @@ val with_token : token -> (unit -> 'a) -> 'a
     {!make}d token; just [f ()] when [timeout_s] is [None]. *)
 val with_timeout : ?timeout_s:float -> (unit -> 'a) -> 'a
 
+(** Tokens installed across every thread and domain: 0 outside every
+    {!with_token} scope, which makes {!check} and {!active} one atomic
+    read. *)
+val installed : unit -> int
+
 (** True when any token is installed on the calling thread — lets hot
     paths skip polling entirely in batch mode. *)
 val active : unit -> bool

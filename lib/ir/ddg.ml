@@ -148,59 +148,94 @@ end
    injective serialization of everything that influences compilation:
    name, opcodes (with explicit location tags, so an array named
    "spill.0" cannot collide with spill slot 0), labels, and the edge
-   lists in adjacency order.  Graphs built by identical construction
-   sequences serialize identically; the memo is safe because graphs are
-   immutable once frozen. *)
+   lists in adjacency order; integers are decimal, each closed by ';'.
+   Graphs built by identical construction sequences serialize
+   identically; the memo is safe because graphs are immutable once
+   frozen.  The serialization is sized first and then written into one
+   exact-length buffer, so it allocates nothing but the buffer. *)
+
+(* Characters of [i] in decimal, as [string_of_int] renders it.  Digits
+   are counted on the non-positive side so [min_int] needs no negation. *)
+let decimal_width i =
+  let rec go w n = if n > -10 then w else go (w + 1) (n / 10) in
+  if i < 0 then go 2 i else go 1 (-i)
+
+(* Writes [i] in decimal and a ';' at [pos]; returns the next position. *)
+let write_int buf pos i =
+  let w = decimal_width i in
+  let first = if i < 0 then (Bytes.set buf pos '-'; pos + 1) else pos in
+  let n = ref (if i < 0 then i else -i) in
+  for p = pos + w - 1 downto first do
+    Bytes.set buf p (Char.chr (48 - (!n mod 10)));
+    n := !n / 10
+  done;
+  Bytes.set buf (pos + w) ';';
+  pos + w + 1
+
+let write_string buf pos s =
+  Bytes.blit_string s 0 buf pos (String.length s);
+  pos + String.length s
+
+let write_char buf pos c =
+  Bytes.set buf pos c;
+  pos + 1
+
+let location_size = function
+  | Opcode.Array a -> String.length a + 2
+  | Opcode.Spill k -> decimal_width k + 2
+
+let write_location buf pos = function
+  | Opcode.Array a -> write_char buf (write_string buf (write_char buf pos 'A') a) '\x00'
+  | Opcode.Spill k -> write_int buf (write_char buf pos 'K') k
+
+let opcode_size = function
+  | Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv | Opcode.Fcvt | Opcode.Fselect -> 1
+  | Opcode.Load loc | Opcode.Store loc -> 1 + location_size loc
+
+let write_opcode buf pos = function
+  | Opcode.Fadd -> write_char buf pos '+'
+  | Opcode.Fsub -> write_char buf pos '-'
+  | Opcode.Fmul -> write_char buf pos '*'
+  | Opcode.Fdiv -> write_char buf pos '/'
+  | Opcode.Fcvt -> write_char buf pos 'c'
+  | Opcode.Fselect -> write_char buf pos '?'
+  | Opcode.Load loc -> write_location buf (write_char buf pos 'L') loc
+  | Opcode.Store loc -> write_location buf (write_char buf pos 'S') loc
+
+let rec edges_size acc = function
+  | [] -> acc
+  | e :: rest ->
+    edges_size
+      (acc + decimal_width e.src + decimal_width e.dst + decimal_width e.distance + 4)
+      rest
+
+let rec write_edges buf pos = function
+  | [] -> pos
+  | e :: rest ->
+    let pos = write_int buf (write_int buf (write_int buf pos e.src) e.dst) e.distance in
+    write_edges buf (write_char buf pos (match e.kind with Flow -> 'f' | Mem -> 'm')) rest
+
+let serialize g =
+  let size = ref (String.length g.name + 1 + decimal_width (num_nodes g) + 1) in
+  Array.iter
+    (fun nd -> size := !size + opcode_size nd.opcode + String.length nd.label + 1)
+    g.node_arr;
+  Array.iter (fun es -> size := edges_size !size es) g.succ_arr;
+  let buf = Bytes.create !size in
+  let pos = ref (write_int buf (write_char buf (write_string buf 0 g.name) '\x00') (num_nodes g)) in
+  Array.iter
+    (fun nd ->
+      pos := write_char buf (write_string buf (write_opcode buf !pos nd.opcode) nd.label) '\x00')
+    g.node_arr;
+  Array.iter (fun es -> pos := write_edges buf !pos es) g.succ_arr;
+  assert (!pos = !size);
+  buf
+
 let digest g =
   match g.digest_memo with
   | Some d -> d
   | None ->
-    let buf = Buffer.create 256 in
-    let add = Buffer.add_string buf in
-    let add_int i =
-      add (string_of_int i);
-      Buffer.add_char buf ';'
-    in
-    let add_location = function
-      | Opcode.Array a ->
-        add "A";
-        add a;
-        Buffer.add_char buf '\x00'
-      | Opcode.Spill k ->
-        add "K";
-        add_int k
-    in
-    let add_opcode = function
-      | Opcode.Fadd -> add "+"
-      | Opcode.Fsub -> add "-"
-      | Opcode.Fmul -> add "*"
-      | Opcode.Fdiv -> add "/"
-      | Opcode.Fcvt -> add "c"
-      | Opcode.Fselect -> add "?"
-      | Opcode.Load loc ->
-        add "L";
-        add_location loc
-      | Opcode.Store loc ->
-        add "S";
-        add_location loc
-    in
-    add g.name;
-    Buffer.add_char buf '\x00';
-    add_int (num_nodes g);
-    Array.iter
-      (fun nd ->
-        add_opcode nd.opcode;
-        add nd.label;
-        Buffer.add_char buf '\x00')
-      g.node_arr;
-    let add_edge e =
-      add_int e.src;
-      add_int e.dst;
-      add_int e.distance;
-      add (match e.kind with Flow -> "f" | Mem -> "m")
-    in
-    Array.iter (List.iter add_edge) g.succ_arr;
-    let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+    let d = Digest.to_hex (Digest.bytes (serialize g)) in
     g.digest_memo <- Some d;
     d
 

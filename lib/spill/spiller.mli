@@ -55,6 +55,12 @@ type victim =
     can check the invariant on final outcomes. *)
 val next_spill_slot : Ddg.t -> int
 
+(** [spill_value ddg ~slot v] is the graph with node [v]'s value
+    spilled to spill slot [slot]: a store after [v] and one reload per
+    flow consumer, which then reads the reload.  [slot] must be
+    [next_spill_slot ddg]. *)
+val spill_value : Ddg.t -> slot:int -> int -> Ddg.t
+
 type outcome = {
   schedule : Schedule.t;  (** final schedule (after any model transform) *)
   raw_schedule : Schedule.t;

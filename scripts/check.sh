@@ -376,9 +376,11 @@ if [ -z "${dl:-}" ] || [ "$dl" -eq 0 ]; then
 fi
 
 # Persistent-store gate: a second process over the same --cache-dir must
-# replay the whole fig8-quick sweep from disk (disk_hits > 0), print a
-# byte-identical table, and cut the wall clock at least in half —
-# anything less means the disk tier is disconnected or not trusted.
+# replay the whole fig8-quick sweep from disk (every entry the cold run
+# wrote is a disk hit, and nothing misses), print a byte-identical
+# table, and cut the wall clock at least in half — anything less means
+# the disk tier is disconnected, not trusted, or keyed on something that
+# is not reproducible across processes.
 store_dir=$(mktemp -d /tmp/ncdrf-store.XXXXXX)
 cold_m=$(mktemp /tmp/ncdrf-cold.XXXXXX.json)
 warm_m=$(mktemp /tmp/ncdrf-warm.XXXXXX.json)
@@ -390,8 +392,11 @@ dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 \
 dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$warm_m" > "$warm_out"
 disk_hits=$(grep -o '"cache.disk_hits": *[0-9]*' "$warm_m" | head -n1 | grep -o '[0-9]*$' || true)
-if [ -z "${disk_hits:-}" ] || [ "$disk_hits" -eq 0 ]; then
-  echo "check.sh: disk-warm rerun reported no cache.disk_hits" >&2
+disk_writes=$(grep -o '"cache.disk_writes": *[0-9]*' "$cold_m" | head -n1 | grep -o '[0-9]*$' || true)
+warm_disk_misses=$(grep -o '"cache.disk_misses": *[0-9]*' "$warm_m" | head -n1 | grep -o '[0-9]*$' || true)
+if [ -z "${disk_hits:-}" ] || [ -z "${disk_writes:-}" ] || [ "$disk_writes" -eq 0 ] \
+   || [ "$disk_hits" -ne "$disk_writes" ] || [ "${warm_disk_misses:-0}" -ne 0 ]; then
+  echo "check.sh: disk-warm rerun must hit every entry the cold run wrote (cold cache.disk_writes=${disk_writes:-none}, warm cache.disk_hits=${disk_hits:-none}, warm cache.disk_misses=${warm_disk_misses:-0})" >&2
   exit 1
 fi
 # The [metrics: <path>] footer names a different temp file per run; the

@@ -1,6 +1,8 @@
 (* The compile cache and the staged-artifact layer built on it: cache
    unit behaviour (hit/miss accounting, LRU eviction, tiny capacities,
-   concurrent access), key injectivity (Ddg.digest, Config.fingerprint),
+   concurrent access, a model of random operation sequences), key
+   injectivity (Ddg.digest against its historical serializer,
+   Config.fingerprint, view keys),
    the determinism guard (cached runs byte-identical to cache-disabled
    runs), the swaps-under-capacity regression, and the rewritten
    cumulative distribution against the old fold. *)
@@ -94,6 +96,127 @@ let test_cache_concurrent () =
   check_bool "at least one miss per distinct key" true (s.Cache.misses >= 8);
   check_int "eight residents" 8 s.Cache.size
 
+(* The cache against a model, over random operation sequences at
+   capacities 1-16.  With one stripe the LRU order is global, so a
+   [Hashtbl] from key to last-use tick predicts every hit, miss,
+   eviction and resident; with the default eight stripes the model is
+   the set of keys ever added, and the cache must return the model's
+   value or nothing, never another key's. *)
+type cache_op =
+  | Add of int
+  | Peek of int
+  | Clear
+  | Stats
+
+let cache_key k = Printf.sprintf "key-%d-%s" k (String.make (k mod 5) '#')
+let cache_value k = (k * 7919) + 1
+
+let gen_cache_ops =
+  QCheck.Gen.(
+    pair (int_range 1 16)
+      (list_size (int_range 1 200)
+         (frequency
+            [
+              (6, map (fun k -> Add k) (int_bound 24));
+              (3, map (fun k -> Peek k) (int_bound 24));
+              (1, return Clear);
+              (1, return Stats);
+            ])))
+
+let print_cache_ops (capacity, ops) =
+  Printf.sprintf "capacity=%d [%s]" capacity
+    (String.concat ";"
+       (List.map
+          (function
+            | Add k -> Printf.sprintf "add %d" k
+            | Peek k -> Printf.sprintf "peek %d" k
+            | Clear -> "clear"
+            | Stats -> "stats")
+          ops))
+
+let prop_cache_lru_model =
+  QCheck.Test.make ~count:300 ~name:"one-stripe cache = LRU model (capacities 1-16)"
+    (QCheck.make ~print:print_cache_ops gen_cache_ops)
+    (fun (capacity, ops) ->
+      let c : int Cache.t = Cache.create ~stripes:1 ~name:"model" ~capacity () in
+      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let tick = ref 0 and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let use k =
+        incr tick;
+        Hashtbl.replace model k !tick
+      in
+      let evict () =
+        if Hashtbl.length model > capacity then begin
+          let victim, _ =
+            Hashtbl.fold
+              (fun k t (bk, bt) -> if t < bt then (k, t) else (bk, bt))
+              model (-1, max_int)
+          in
+          Hashtbl.remove model victim;
+          incr evictions
+        end
+      in
+      let step = function
+        | Add k ->
+          let computed = ref false in
+          let v =
+            Cache.find_or_add c ~key:(cache_key k) (fun () ->
+                computed := true;
+                cache_value k)
+          in
+          let resident = Hashtbl.mem model k in
+          if resident then incr hits else incr misses;
+          use k;
+          evict ();
+          v = cache_value k && !computed = not resident
+        | Peek k ->
+          let got = Cache.find c ~key:(cache_key k) in
+          if Hashtbl.mem model k then begin
+            use k;
+            got = Some (cache_value k)
+          end
+          else got = None
+        | Clear ->
+          Cache.clear c;
+          Hashtbl.reset model;
+          (Cache.stats c).Cache.size = 0
+        | Stats ->
+          let s = Cache.stats c in
+          s.Cache.hits = !hits && s.Cache.misses = !misses
+          && s.Cache.evictions = !evictions
+          && s.Cache.size = Hashtbl.length model
+      in
+      List.for_all step (ops @ [ Stats ]))
+
+let prop_cache_striped_model =
+  QCheck.Test.make ~count:300 ~name:"striped cache agrees with a Hashtbl model"
+    (QCheck.make ~print:print_cache_ops gen_cache_ops)
+    (fun (capacity, ops) ->
+      let c : int Cache.t = Cache.create ~name:"striped" ~capacity () in
+      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
+      let calls = ref 0 in
+      let step = function
+        | Add k ->
+          incr calls;
+          Hashtbl.replace model k (cache_value k);
+          Cache.find_or_add c ~key:(cache_key k) (fun () -> cache_value k) = cache_value k
+        | Peek k -> (
+          match Cache.find c ~key:(cache_key k) with
+          | None -> true
+          | Some v -> Hashtbl.find_opt model k = Some v)
+        | Clear ->
+          Cache.clear c;
+          Hashtbl.reset model;
+          (Cache.stats c).Cache.size = 0
+        | Stats ->
+          let s = Cache.stats c in
+          (* Eight stripes of ceil(capacity / 8) entries each. *)
+          s.Cache.hits + s.Cache.misses = !calls
+          && s.Cache.size <= Hashtbl.length model
+          && s.Cache.size <= 8 * ((capacity + 7) / 8)
+      in
+      List.for_all step (ops @ [ Stats ]))
+
 (* ------------------------------------------------------------------ *)
 (* Key injectivity: Ddg.digest and Config.fingerprint.                 *)
 (* ------------------------------------------------------------------ *)
@@ -110,6 +233,61 @@ let test_digest_deterministic_and_sensitive () =
   check_string "structurally equal graphs agree"
     (Ddg.digest (Ncdrf_workloads.Kernels.paper_example ()))
     (Ddg.digest (Ncdrf_workloads.Kernels.paper_example ()))
+
+(* The digest keys the compile cache, the store and shard assignment,
+   so it must keep its historical bytes: pinned for three kernels and
+   equal to the verbatim serializer of test/digest_reference.ml. *)
+let test_digest_pinned () =
+  let pinned =
+    [
+      ("paper-example", "71fcd0a999728f2e109273b1691930d4");
+      ("ll5-tridiag", "6a831ae5073e79258f18f3da76954498");
+      ("fft-butterfly", "c85317418840b793a04877cb1fcb4de7");
+    ]
+  in
+  List.iter
+    (fun (name, want) ->
+      match Ncdrf_workloads.Kernels.find name with
+      | None -> Alcotest.failf "no kernel %s" name
+      | Some g -> check_string (name ^ " digest") want (Ddg.digest g))
+    pinned;
+  List.iter
+    (fun (g, _) ->
+      check_string (Ddg.name g ^ " = reference") (Digest_reference.digest g) (Ddg.digest g))
+    (Ncdrf_workloads.Kernels.all ())
+
+(* Random graphs, and the graphs the spiller rewrites them into (spill
+   slots and reload labels add multi-digit integers and new edges). *)
+let prop_digest_matches_reference =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, heavy, picks) ->
+        Printf.sprintf "seed=%d heavy=%b picks=[%s]" seed heavy
+          (String.concat ";" (List.map string_of_int picks)))
+      QCheck.Gen.(triple (int_bound 50_000) bool (list_size (int_range 0 4) (int_bound 1000)))
+  in
+  QCheck.Test.make ~count:100 ~name:"Ddg.digest = reference serializer (with spill rewrites)"
+    arb (fun (seed, heavy, picks) ->
+      let params = if heavy then Generator.heavy else Generator.default in
+      let ddg = Generator.generate params ~seed ~name:(Printf.sprintf "dig-%d" seed) in
+      let agrees g = String.equal (Ddg.digest g) (Digest_reference.digest g) in
+      let producers g =
+        List.filter
+          (fun v -> Ddg.consumers g v <> [])
+          (List.init (Ddg.num_nodes g) Fun.id)
+      in
+      let rec go g = function
+        | [] -> agrees g
+        | pick :: rest -> (
+          agrees g
+          &&
+          match producers g with
+          | [] -> true
+          | vs ->
+            let v = List.nth vs (pick mod List.length vs) in
+            go (Ncdrf_spill.Spiller.spill_value g ~slot:(Ncdrf_spill.Spiller.next_spill_slot g) v) rest)
+      in
+      go ddg picks)
 
 let test_fingerprint_sensitive () =
   let fp = Config.fingerprint in
@@ -158,6 +336,48 @@ let test_view_keys_distinct () =
     (Ncdrf_workloads.Suite.full ~size:120 ());
   Artifact.clear_cache ();
   check_bool "some loops have a cross-cluster pair" true (!checked >= 40)
+
+(* View keys against single-field changes of one schedule: the II, one
+   cycle (small, large and negative, up to the int range) or one
+   cluster.  Every variant keys apart from the original and from every
+   other variant; a rebuilt equal schedule keys the same. *)
+let test_view_key_fields () =
+  let config = Config.dual ~latency:3 in
+  let ddg = Ncdrf_workloads.Kernels.paper_example () in
+  let base = Modulo.schedule config ddg in
+  let ii = Schedule.ii base and placements = base.Schedule.placements in
+  let with_ ?(ii = ii) v p =
+    let ps = Array.copy placements in
+    ps.(v) <- p ps.(v);
+    Schedule.make ~config ~ii ~placements:ps ddg
+  in
+  let cycles v =
+    [ placements.(v).Schedule.cycle + 1; -1; -64; 64; 1 lsl 40; -(1 lsl 40); max_int; min_int ]
+  in
+  let variants =
+    [ ("ii + 1", with_ ~ii:(ii + 1) 0 Fun.id); ("ii + 128", with_ ~ii:(ii + 128) 0 Fun.id) ]
+    @ List.concat_map
+        (fun v ->
+          ( Printf.sprintf "node %d cluster" v,
+            with_ v (fun p -> { p with Schedule.cluster = 1 - p.Schedule.cluster }) )
+          :: List.map
+               (fun c ->
+                 (Printf.sprintf "node %d cycle %d" v c, with_ v (fun p -> { p with Schedule.cycle = c })))
+               (cycles v))
+        [ 0; Array.length placements - 1 ]
+  in
+  let key = Artifact.schedule_key in
+  check_string "equal schedules, equal keys" (key base)
+    (key (Schedule.make ~config ~ii ~placements:(Array.copy placements) ddg));
+  let keys = ("base", key base) :: List.map (fun (what, s) -> (what, key s)) variants in
+  List.iteri
+    (fun i (what, k) ->
+      List.iteri
+        (fun j (what', k') ->
+          if i < j && String.equal k k' then
+            Alcotest.failf "view keys collide: %s and %s" what what')
+        keys)
+    keys
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: cached == warm == cache-disabled, for Pipeline.run.    *)
@@ -417,11 +637,17 @@ let suite =
     Alcotest.test_case "capacity-1 cache stays correct" `Quick test_cache_capacity_one;
     Alcotest.test_case "cache is safe under concurrent domains" `Quick
       test_cache_concurrent;
+    QCheck_alcotest.to_alcotest prop_cache_lru_model;
+    QCheck_alcotest.to_alcotest prop_cache_striped_model;
     Alcotest.test_case "ddg digest deterministic and sensitive" `Quick
       test_digest_deterministic_and_sensitive;
+    Alcotest.test_case "ddg digest pinned and = reference" `Quick test_digest_pinned;
+    QCheck_alcotest.to_alcotest prop_digest_matches_reference;
     Alcotest.test_case "config fingerprint sensitive" `Quick test_fingerprint_sensitive;
     Alcotest.test_case "view keys separate swapped schedules" `Quick
       test_view_keys_distinct;
+    Alcotest.test_case "view keys separate single-field changes" `Quick
+      test_view_key_fields;
     QCheck_alcotest.to_alcotest prop_pipeline_cold_warm_uncached;
     Alcotest.test_case "capacity-1 artifact cache stays correct" `Quick
       test_capacity_one_artifact_cache_correct;

@@ -6,7 +6,8 @@
    their swapped variants and on random schedules at k in {1, 2, 3, 4}
    with and without port caps, under every strategy and order.  Also
    checks that the views [Artifact] computes from one shared analysis
-   equal the reference's. *)
+   equal the reference's, and that the counting sort behind
+   [Requirements.sorted]'s start order equals [Alloc.sorted]'s. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -14,6 +15,9 @@ open Ncdrf_sched
 open Ncdrf_core
 open Ncdrf_regalloc
 module Ref = Requirements_reference
+
+let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 
 let strategies = [ Alloc.First_fit; Alloc.Best_fit; Alloc.End_fit ]
 let orders = [ Alloc.Start_time; Alloc.Longest_first; Alloc.Node_order ]
@@ -227,10 +231,70 @@ let prop_joint_requirement =
       && Requirements.joint_requirement ~ii ~globals ~locals:[||] ()
          = Ref.joint_requirement ~ii ~globals ~locals:[||] ())
 
+(* [Requirements.sorted]'s counting sort against the comparison sort it
+   replaces, on one schedule. *)
+let start_order_agrees sched =
+  let a = Requirements.analyse sched in
+  let all = Array.init (Array.length a.Requirements.start) Fun.id in
+  Requirements.sorted a Alloc.Start_time
+  = Alloc.sorted ~order:Alloc.Start_time (Lazy.force a.Requirements.table) all
+
+let test_start_order_suite () =
+  let checked = ref 0 in
+  List.iter
+    (fun latency ->
+      let config = Config.dual ~latency in
+      List.iter
+        (fun (e : Ncdrf_workloads.Suite.entry) ->
+          let raw = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
+          incr checked;
+          if not (start_order_agrees raw) then
+            Alcotest.failf "%s L%d: start order differs" (Ddg.name raw.Schedule.ddg) latency)
+        (Ncdrf_workloads.Suite.full ()))
+    [ 3; 6 ];
+  check_int "dual L3/L6 suite schedules" 1590 !checked;
+  (* Hand-built cycles: negative, and spread too wide to count. *)
+  let sched = Helpers.paper_schedule () in
+  let respread f =
+    Schedule.make ~config:sched.Schedule.config ~ii:(Schedule.ii sched)
+      ~placements:
+        (Array.mapi
+           (fun v p -> { p with Schedule.cycle = f v p.Schedule.cycle })
+           sched.Schedule.placements)
+      sched.Schedule.ddg
+  in
+  List.iter
+    (fun (what, f) -> check_bool what true (start_order_agrees (respread f)))
+    [
+      ("paper schedule", fun _ c -> c);
+      ("negative cycles", fun _ c -> c - 50);
+      ("reversed cycles", fun _ c -> -c);
+      ("wide cycles", fun v c -> if v = 0 then c + (1 lsl 40) else c);
+      ("extreme cycles", fun v c -> if v mod 2 = 0 then max_int - c else min_int + c);
+    ]
+
+let prop_start_order_random =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, k, heavy) -> Printf.sprintf "seed=%d k=%d heavy=%b" seed k heavy)
+      QCheck.Gen.(triple (int_bound 50_000) (int_range 1 4) bool)
+  in
+  QCheck.Test.make ~count:100 ~name:"counting-sort start order = Alloc.sorted" arb
+    (fun (seed, k, heavy) ->
+      let params =
+        if heavy then Ncdrf_workloads.Generator.heavy else Ncdrf_workloads.Generator.default
+      in
+      let ddg = Ncdrf_workloads.Generator.generate params ~seed ~name:"order-eq" in
+      let config = config_of ~k ~latency:(if seed mod 2 = 0 then 3 else 6) ~caps:false in
+      start_order_agrees (Modulo.schedule config ddg))
+
 let suite =
   [
     Alcotest.test_case "suite schedules = reference" `Slow test_suite_schedules;
     Alcotest.test_case "shared-analysis views = reference" `Quick test_shared_views;
     QCheck_alcotest.to_alcotest prop_random_schedules;
     QCheck_alcotest.to_alcotest prop_joint_requirement;
+    Alcotest.test_case "start order = Alloc.sorted on suite schedules" `Quick
+      test_start_order_suite;
+    QCheck_alcotest.to_alcotest prop_start_order_random;
   ]

@@ -375,6 +375,41 @@ let test_deadline_tokens () =
      check_string "outer wins" "canceled" (Error.category_name e.Error.category));
   check_bool "no token after scopes" false (Deadline.active ())
 
+(* [check] skips the table while no token is installed anywhere, so the
+   installed count must come back to zero however a scope exits, and a
+   token installed on a pool worker must still be honoured there. *)
+let test_deadline_installed_count () =
+  check_int "no token installed" 0 (Deadline.installed ());
+  (match
+     Deadline.with_token (Deadline.make ()) (fun () ->
+         Deadline.with_token (Deadline.make ()) (fun () ->
+             check_int "two tokens installed" 2 (Deadline.installed ());
+             failwith "scope exits by exception"))
+   with
+   | () -> Alcotest.fail "the scope must raise"
+   | exception Failure _ -> ());
+  check_int "count back to zero after the exception" 0 (Deadline.installed ());
+  let main = (Domain.self () :> int) in
+  let outcomes =
+    Ncdrf_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        Ncdrf_parallel.Pool.map pool
+          (fun i ->
+            (* Keep the caller busy on early items so a worker takes some. *)
+            if i < 2 then Unix.sleepf 0.02;
+            let tok = Deadline.make () in
+            Deadline.cancel ~reason:"worker" tok;
+            let honoured =
+              match Deadline.with_token tok (fun () -> Deadline.check ~stage:"t") with
+              | () -> false
+              | exception Error.Error e -> e.Error.category = Error.Canceled
+            in
+            ((Domain.self () :> int) <> main, honoured))
+          (List.init 16 Fun.id))
+  in
+  check_bool "some items ran on a worker domain" true (List.exists fst outcomes);
+  check_bool "every installed token was honoured" true (List.for_all snd outcomes);
+  check_int "count back to zero after the pool" 0 (Deadline.installed ())
+
 (* --timeout through the suite path: a zero budget fails every point
    with the typed deadline category; nothing crashes, nothing leaks. *)
 let test_suite_timeout () =
@@ -844,6 +879,7 @@ let suite =
     Alcotest.test_case "shared renderers" `Quick test_renderers;
     Alcotest.test_case "budget clock is monotonic" `Quick test_budget_clock_is_monotonic;
     Alcotest.test_case "deadline tokens" `Quick test_deadline_tokens;
+    Alcotest.test_case "deadline installed count" `Quick test_deadline_installed_count;
     Alcotest.test_case "suite --timeout" `Quick test_suite_timeout;
     Alcotest.test_case "daemon roundtrip + containment" `Quick test_daemon_roundtrip;
     Alcotest.test_case "daemon contains injected faults" `Quick
