@@ -754,21 +754,6 @@ let timed c name f =
   f c;
   let wall_s = Telemetry.now () -. t0 in
   let points = Telemetry.counter "pipeline.loops" in
-  let dists = Telemetry.distributions () in
-  let span_json (name, (s : Telemetry.span)) =
-    let dist =
-      match List.assoc_opt name dists with
-      | None -> []
-      | Some (d : Telemetry.distribution) ->
-        [ ("p50_s", Json.Float d.p50_s); ("p90_s", Json.Float d.p90_s);
-          ("p99_s", Json.Float d.p99_s) ]
-    in
-    ( name,
-      Json.Obj
-        ([ ("total_s", Json.Float s.total_s); ("count", Json.Int s.count);
-           ("max_s", Json.Float s.max_s) ]
-        @ dist) )
-  in
   Json.Obj
     [
       ("name", Json.String name);
@@ -776,7 +761,7 @@ let timed c name f =
       ("loops", Json.Int points);
       ( "loops_per_sec",
         if wall_s > 0.0 then Json.Float (float_of_int points /. wall_s) else Json.Null );
-      ("stages", Json.Obj (List.map span_json (Telemetry.spans ())));
+      ("stages", Telemetry.spans_json ());
       ( "counters",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Telemetry.counters ())) );
     ]

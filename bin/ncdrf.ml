@@ -598,51 +598,92 @@ let kernels_cmd =
 
 module Stats = Ncdrf_report.Stats
 
-(* Everything below is a pure function of the ledger file, so the
-   analysis of a given ledger is deterministic; ties in the duration
-   sorts break on record identity, never on insertion order. *)
-let print_profile ~top ?stage:stage_filter records =
-  let ms ns = float_of_int ns /. 1e6 in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
-  let labels =
-    List.sort_uniq String.compare (List.map (fun r -> r.Ledger.label) records)
+(* The analysis both renderers share, computed once.  It is a pure
+   function of the ledger file: ties in the duration sorts break on
+   record identity, never on insertion order. *)
+type profile = {
+  records : Ledger.record list;
+  labels : (string * Ledger.record list) list;  (** name-sorted *)
+  failed : int;
+  errors : (string * int) list;  (** failed points per error category *)
+  requests : (string * int) list;  (** points per daemon request id *)
+  slowest : Ledger.record list;  (** every record, slowest first *)
+  stages : (string * (int * Ledger.record) list) list;
+      (** per stage (name-sorted, [--stage]-filtered): every record's
+          nanoseconds in it, slowest first *)
+  missing_stage : string option;  (** a [--stage] that matched nothing *)
+}
+
+let analyze ?stage records =
+  let slowest_first ns_a a ns_b b =
+    match compare ns_b ns_a with 0 -> Ledger.compare_records a b | c -> c
   in
-  let failed = List.filter (fun r -> not r.Ledger.ok) records in
-  Format.printf "ledger: %d record(s), %d label(s), %d failed@." (List.length records)
-    (List.length labels) (List.length failed);
+  let count_by key =
+    List.sort_uniq String.compare (List.filter_map key records)
+    |> List.map (fun k ->
+           (k, List.length (List.filter (fun r -> key r = Some k) records)))
+  in
+  let stage_names =
+    List.sort_uniq String.compare
+      (List.concat_map (fun r -> List.map fst r.Ledger.stages) records)
+    |> List.filter (fun s -> Option.fold ~none:true ~some:(String.equal s) stage)
+  in
+  {
+    records;
+    labels =
+      List.sort_uniq String.compare (List.map (fun r -> r.Ledger.label) records)
+      |> List.map (fun l -> (l, List.filter (fun r -> r.Ledger.label = l) records));
+    failed = List.length (List.filter (fun r -> not r.Ledger.ok) records);
+    errors = count_by (fun r -> if r.Ledger.ok then None else r.Ledger.error);
+    requests =
+      count_by (fun r -> if r.Ledger.request = "" then None else Some r.Ledger.request);
+    slowest =
+      List.stable_sort
+        (fun a b -> slowest_first a.Ledger.total_ns a b.Ledger.total_ns b)
+        records;
+    stages =
+      List.map
+        (fun name ->
+          ( name,
+            List.filter_map
+              (fun r -> Option.map (fun ns -> (ns, r)) (List.assoc_opt name r.Ledger.stages))
+              records
+            |> List.stable_sort (fun (na, a) (nb, b) -> slowest_first na a nb b) ))
+        stage_names;
+    missing_stage = (if stage_names = [] then stage else None);
+  }
+
+let ms ns = float_of_int ns /. 1e6
+let sum f records = List.fold_left (fun acc r -> acc + f r) 0 records
+let take n l = List.filteri (fun i _ -> i < n) l
+
+let print_profile ~top p =
+  Format.printf "ledger: %d record(s), %d label(s), %d failed@." (List.length p.records)
+    (List.length p.labels) p.failed;
   let hit_rate h m =
     if h + m = 0 then ""
     else Printf.sprintf " (%.1f%% hit rate)" (100.0 *. float_of_int h /. float_of_int (h + m))
   in
-  let hits = sum (fun r -> r.Ledger.cache_hits)
-  and misses = sum (fun r -> r.Ledger.cache_misses) in
+  let hits = sum (fun r -> r.Ledger.cache_hits) p.records
+  and misses = sum (fun r -> r.Ledger.cache_misses) p.records in
   Format.printf "cache: %d hit(s) / %d miss(es)%s@." hits misses (hit_rate hits misses);
-  let dhits = sum (fun r -> r.Ledger.disk_hits)
-  and dmisses = sum (fun r -> r.Ledger.disk_misses) in
+  let dhits = sum (fun r -> r.Ledger.disk_hits) p.records
+  and dmisses = sum (fun r -> r.Ledger.disk_misses) p.records in
   (* Runs without a --cache-dir store have all-zero disk counters; stay
      silent so pre-store ledgers profile byte-identically. *)
   if dhits + dmisses > 0 then
     Format.printf "disk:  %d hit(s) / %d miss(es)%s@." dhits dmisses
       (hit_rate dhits dmisses);
-  if List.length labels > 1 then
+  if List.length p.labels > 1 then
     List.iter
-      (fun label ->
-        let mine = List.filter (fun r -> r.Ledger.label = label) records in
-        let h = List.fold_left (fun acc r -> acc + r.Ledger.cache_hits) 0 mine
-        and m = List.fold_left (fun acc r -> acc + r.Ledger.cache_misses) 0 mine in
+      (fun (label, mine) ->
+        let h = sum (fun r -> r.Ledger.cache_hits) mine
+        and m = sum (fun r -> r.Ledger.cache_misses) mine in
         Format.printf "  %-20s %d / %d%s@." label h m (hit_rate h m))
-      labels;
-  if failed <> [] then begin
+      p.labels;
+  if p.failed > 0 then begin
     Format.printf "@.failed points by category:@.";
-    let categories =
-      List.sort_uniq String.compare
-        (List.filter_map (fun r -> r.Ledger.error) failed)
-    in
-    List.iter
-      (fun cat ->
-        let n = List.length (List.filter (fun r -> r.Ledger.error = Some cat) failed) in
-        Format.printf "  errors.%-20s %d@." cat n)
-      categories
+    List.iter (fun (cat, n) -> Format.printf "  errors.%-20s %d@." cat n) p.errors
   end;
   let describe r =
     let opt name = function None -> "" | Some v -> Printf.sprintf ", %s %d" name v in
@@ -658,102 +699,33 @@ let print_profile ~top ?stage:stage_filter records =
       (match r.Ledger.error with None -> "" | Some e -> ", error " ^ e)
   in
   Format.printf "@.slowest points (total wall time):@.";
-  let by_total =
-    List.stable_sort
-      (fun a b ->
-        match compare b.Ledger.total_ns a.Ledger.total_ns with
-        | 0 -> Ledger.compare_records a b
-        | c -> c)
-      records
-  in
   List.iteri
     (fun i r ->
-      if i < top then
-        Format.printf "  %2d. %10.3f ms  %-16s (%s)@." (i + 1) (ms r.Ledger.total_ns)
-          r.Ledger.loop (describe r))
-    by_total;
-  let stages =
-    List.sort_uniq String.compare
-      (List.concat_map (fun r -> List.map fst r.Ledger.stages) records)
-  in
-  let stages =
-    match stage_filter with
-    | None -> stages
-    | Some s -> List.filter (String.equal s) stages
-  in
-  (match stage_filter, stages with
-  | Some s, [] -> Format.printf "@.stage %S: no records@." s
-  | _ -> ());
+      Format.printf "  %2d. %10.3f ms  %-16s (%s)@." (i + 1) (ms r.Ledger.total_ns)
+        r.Ledger.loop (describe r))
+    (take top p.slowest);
+  Option.iter (Format.printf "@.stage %S: no records@.") p.missing_stage;
   List.iter
-    (fun stage ->
-      let entries =
-        List.filter_map
-          (fun r ->
-            Option.map (fun ns -> (ns, r)) (List.assoc_opt stage r.Ledger.stages))
-          records
-        |> List.stable_sort (fun (na, a) (nb, b) ->
-               match compare nb na with
-               | 0 -> Ledger.compare_records a b
-               | c -> c)
-      in
+    (fun (stage, entries) ->
       Format.printf "@.top %d by stage %S:@." top stage;
       List.iteri
         (fun i (ns, r) ->
-          if i < top then
-            Format.printf "  %2d. %10.3f ms  %-16s (%s, %s)@." (i + 1) (ms ns)
-              r.Ledger.loop r.Ledger.config r.Ledger.label)
-        entries;
+          Format.printf "  %2d. %10.3f ms  %-16s (%s, %s)@." (i + 1) (ms ns)
+            r.Ledger.loop r.Ledger.config r.Ledger.label)
+        (take top entries);
       Format.printf "@.stage %S duration histogram (ms):@." stage;
       print_string
         (Stats.render_histogram
            ~label:(fun v -> Printf.sprintf "%.3f" v)
            (Stats.auto_histogram (List.map (fun (ns, _) -> ms ns) entries))))
-    stages
+    p.stages
 
 (* The same analysis as machine-readable JSON ("ncdrf-profile/1"), so
    CI can gate on ledger-derived stats without scraping the ASCII
    tables.  Durations are milliseconds, like the ASCII output. *)
-let profile_json ~top ?stage:stage_filter records =
+let profile_json ~top p =
   let module Json = Ncdrf_telemetry.Json in
-  let ms ns = float_of_int ns /. 1e6 in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 records in
-  let labels =
-    List.sort_uniq String.compare (List.map (fun r -> r.Ledger.label) records)
-  in
-  let failed = List.filter (fun r -> not r.Ledger.ok) records in
-  let by_label =
-    List.map
-      (fun label ->
-        let mine = List.filter (fun r -> r.Ledger.label = label) records in
-        let lsum f = List.fold_left (fun acc r -> acc + f r) 0 mine in
-        ( label,
-          Json.Obj
-            [
-              ("records", Json.Int (List.length mine));
-              ("cache_hits", Json.Int (lsum (fun r -> r.Ledger.cache_hits)));
-              ("cache_misses", Json.Int (lsum (fun r -> r.Ledger.cache_misses)));
-            ] ))
-      labels
-  in
-  let errors =
-    List.sort_uniq String.compare (List.filter_map (fun r -> r.Ledger.error) failed)
-    |> List.map (fun cat ->
-           ( cat,
-             Json.Int
-               (List.length (List.filter (fun r -> r.Ledger.error = Some cat) failed))
-           ))
-  in
-  let requests =
-    List.sort_uniq String.compare
-      (List.filter_map
-         (fun r -> if r.Ledger.request = "" then None else Some r.Ledger.request)
-         records)
-    |> List.map (fun id ->
-           ( id,
-             Json.Int
-               (List.length (List.filter (fun r -> r.Ledger.request = id) records))
-           ))
-  in
+  let ints l = Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) l) in
   let point_obj extra r =
     Json.Obj
       ([
@@ -761,41 +733,11 @@ let profile_json ~top ?stage:stage_filter records =
          ("config", Json.String r.Ledger.config);
          ("label", Json.String r.Ledger.label);
        ]
-      @ extra r)
+      @ extra)
   in
-  let take n l = List.filteri (fun i _ -> i < n) l in
-  let slowest =
-    List.stable_sort
-      (fun a b ->
-        match compare b.Ledger.total_ns a.Ledger.total_ns with
-        | 0 -> Ledger.compare_records a b
-        | c -> c)
-      records
-    |> take top
-    |> List.map
-         (point_obj (fun r -> [ ("total_ms", Json.Float (ms r.Ledger.total_ns)) ]))
-  in
-  let stages =
-    List.sort_uniq String.compare
-      (List.concat_map (fun r -> List.map fst r.Ledger.stages) records)
-  in
-  let stages =
-    match stage_filter with
-    | None -> stages
-    | Some s -> List.filter (String.equal s) stages
-  in
-  let stage_obj stage =
-    let entries =
-      List.filter_map
-        (fun r -> Option.map (fun ns -> (ns, r)) (List.assoc_opt stage r.Ledger.stages))
-        records
-      |> List.stable_sort (fun (na, a) (nb, b) ->
-             match compare nb na with
-             | 0 -> Ledger.compare_records a b
-             | c -> c)
-    in
+  let stage_obj (stage, entries) =
     let durations = List.map (fun (ns, _) -> ms ns) entries in
-    let pct p = match durations with [] -> 0.0 | l -> Stats.percentile p l in
+    let pct q = Stats.percentile q durations in
     ( stage,
       Json.Obj
         [
@@ -806,31 +748,48 @@ let profile_json ~top ?stage:stage_filter records =
           ("p99_ms", Json.Float (pct 99.0));
           ( "top",
             Json.List
-              (take top entries
-              |> List.map (fun (ns, r) ->
-                     point_obj (fun _ -> [ ("ms", Json.Float (ms ns)) ]) r)) );
+              (List.map
+                 (fun (ns, r) -> point_obj [ ("ms", Json.Float (ms ns)) ] r)
+                 (take top entries)) );
         ] )
   in
   Json.Obj
     ([
        ("schema", Json.String "ncdrf-profile/1");
-       ("records", Json.Int (List.length records));
-       ("labels", Json.Int (List.length labels));
-       ("failed", Json.Int (List.length failed));
+       ("records", Json.Int (List.length p.records));
+       ("labels", Json.Int (List.length p.labels));
+       ("failed", Json.Int p.failed);
        ( "cache",
-         Json.Obj
+         ints
            [
-             ("hits", Json.Int (sum (fun r -> r.Ledger.cache_hits)));
-             ("misses", Json.Int (sum (fun r -> r.Ledger.cache_misses)));
-             ("disk_hits", Json.Int (sum (fun r -> r.Ledger.disk_hits)));
-             ("disk_misses", Json.Int (sum (fun r -> r.Ledger.disk_misses)));
+             ("hits", sum (fun r -> r.Ledger.cache_hits) p.records);
+             ("misses", sum (fun r -> r.Ledger.cache_misses) p.records);
+             ("disk_hits", sum (fun r -> r.Ledger.disk_hits) p.records);
+             ("disk_misses", sum (fun r -> r.Ledger.disk_misses) p.records);
            ] );
-       ("by_label", Json.Obj by_label);
-       ("errors", Json.Obj errors);
+       ( "by_label",
+         Json.Obj
+           (List.map
+              (fun (label, mine) ->
+                ( label,
+                  ints
+                    [
+                      ("records", List.length mine);
+                      ("cache_hits", sum (fun r -> r.Ledger.cache_hits) mine);
+                      ("cache_misses", sum (fun r -> r.Ledger.cache_misses) mine);
+                    ] ))
+              p.labels) );
+       ("errors", ints p.errors);
      ]
-    @ (if requests = [] then [] else [ ("by_request", Json.Obj requests) ])
-    @ [ ("slowest", Json.List slowest); ("stages", Json.Obj (List.map stage_obj stages)) ]
-    )
+    @ (if p.requests = [] then [] else [ ("by_request", ints p.requests) ])
+    @ [
+        ( "slowest",
+          Json.List
+            (List.map
+               (fun r -> point_obj [ ("total_ms", Json.Float (ms r.Ledger.total_ns)) ] r)
+               (take top p.slowest)) );
+        ("stages", Json.Obj (List.map stage_obj p.stages));
+      ])
 
 let profile_cmd =
   let run files top stage format =
@@ -858,7 +817,7 @@ let profile_cmd =
       match format with
       | `Json ->
         print_string
-          (Ncdrf_telemetry.Json.to_string (profile_json ~top ?stage records));
+          (Ncdrf_telemetry.Json.to_string (profile_json ~top (analyze ?stage records)));
         print_newline ();
         0
       | `Ascii ->
@@ -869,7 +828,7 @@ let profile_cmd =
               Format.printf "  %-32s %d point(s)@." file (List.length rs))
             loaded
         end;
-        print_profile ~top ?stage records;
+        print_profile ~top (analyze ?stage records);
         0)
   in
   let ledger_file_arg =
@@ -1001,7 +960,7 @@ let merge_cmd =
   in
   let metrics_out_arg =
     let doc =
-      "Write the merged metrics JSON to $(docv): counters and span counts sum, \
+      "Write the merged metrics JSON to $(docv): counters, span counts and self times sum, \
        span maxima take the max, percentiles merge count-weighted."
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"OUT" ~doc)

@@ -37,19 +37,13 @@ let short_fingerprint config =
   String.sub (Digest.to_hex (Digest.string (Config.fingerprint config))) 0 12
 
 (* Harvest the ambient point context into one ledger record.  Stage
-   durations are summed per name (a point can record e.g. several
-   "alloc" spans across spill rounds) and kept as integer nanoseconds,
-   which round-trip exactly through JSON. *)
+   times are the self nanoseconds the point's stage frames summed per
+   name (a point can record e.g. several "alloc" frames across spill
+   rounds), so they are disjoint and add up to at most [total_ns]. *)
 let point_record ~models ~capacity ~t0 ~ok (p : Trace.point) =
   let opt v = if v < 0 then None else Some v in
   let stages =
-    let tbl : (string, float) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (name, dt) ->
-        Hashtbl.replace tbl name
-          (dt +. Option.value ~default:0.0 (Hashtbl.find_opt tbl name)))
-      p.Trace.stages;
-    Hashtbl.fold (fun name dt acc -> (name, int_of_float (dt *. 1e9)) :: acc) tbl []
+    List.map (fun (st : Trace.stage) -> (st.Trace.stage, st.Trace.ns)) p.Trace.stages
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {
@@ -204,10 +198,11 @@ let run ~config ~model ?capacity ?victim ddg =
     end
     else begin
     (* The "spill" span wraps the whole iterative spill loop, which
-       re-schedules and re-allocates internally — so the nested
-       "alloc"/"swap" records of those rounds are included in its
-       total.  Spans are inclusive wall time per stage, and only cache
-       misses record: a warm round contributes nothing. *)
+       re-schedules and re-allocates internally: its self time is the
+       loop's own work, and the nested "schedule"/"alloc"/"swap" frames
+       of its rounds count under their own names (its inclusive
+       [total_s] still covers them).  Only cache misses record: a warm
+       round contributes nothing. *)
     let outcome =
       Telemetry.time "spill" (fun () ->
           Spiller.run ~config

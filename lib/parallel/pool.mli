@@ -52,9 +52,9 @@ exception
 
     The submitting thread's ambient request id
     ([Ncdrf_telemetry.Trace.with_request]) is captured at submission
-    and re-installed around every job, so trace events, span samples
-    and ledger records produced by pool workers stay attributed to the
-    daemon request that submitted the map. *)
+    and re-installed around every job, so trace events and ledger
+    records produced by pool workers stay attributed to the daemon
+    request that submitted the map. *)
 val map : t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Like {!map} but returns per-item outcomes instead of raising:

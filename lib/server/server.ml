@@ -4,6 +4,7 @@ module Deadline = Ncdrf_error.Deadline
 module Telemetry = Ncdrf_telemetry.Telemetry
 module Trace = Ncdrf_telemetry.Trace
 module Ledger = Ncdrf_telemetry.Ledger
+module Ring = Ncdrf_telemetry.Ring
 module Json = Ncdrf_telemetry.Telemetry.Json
 module Pool = Ncdrf_parallel.Pool
 module Config = Ncdrf_machine.Config
@@ -46,42 +47,8 @@ let default_opts ~socket_path =
     cache_max_mb = 0;
   }
 
-(* The most recent request latencies, for the Stats frame and the
-   metrics file: a fixed ring of 65,536 slots, so a long-running
-   daemon's memory does not grow with every request it serves, plus the
-   total count ever added.  Percentiles are exact over the ring. *)
-module Latency_ring = struct
-  type t = {
-    slots : float array;
-    mutable next : int;  (* slot the next sample overwrites *)
-    mutable count : int;  (* samples ever added *)
-  }
-
-  let create () = { slots = Array.make 65_536 0.0; next = 0; count = 0 }
-
-  let add t x =
-    t.slots.(t.next) <- x;
-    t.next <- (if t.next + 1 = Array.length t.slots then 0 else t.next + 1);
-    t.count <- t.count + 1
-
-  let count t = t.count
-
-  (* Nearest-rank percentiles over the ring ([Stats.percentile]'s
-     rule): one sort, then any number of [q]s; 0 when empty. *)
-  let percentile_of t =
-    let n = min t.count (Array.length t.slots) in
-    if n = 0 then fun _ -> 0.0
-    else begin
-      let sorted = Array.sub t.slots 0 n in
-      Array.sort Float.compare sorted;
-      fun q ->
-        let rank = int_of_float (ceil (q /. 100.0 *. float_of_int n)) in
-        sorted.(max 0 (min (n - 1) (rank - 1)))
-    end
-end
-
 (* Requests execute concurrently up to [opts.max_inflight]: trace
-   context, span accumulation and deadline tokens are all sharded per
+   context, stage records and deadline tokens are all sharded per
    (domain, thread), so interleaved request executions on connection
    systhreads keep their observability state apart, and every record is
    stamped with the request id via [Trace.with_request].  Admission
@@ -98,8 +65,10 @@ type state = {
   mutable shed : int;
   mutable draining : bool;
   mutable active_tokens : Deadline.token list;
-  latencies : Latency_ring.t;
-      (* completed work-request wall times (admission + execution) *)
+  latencies : float Ring.t;
+      (* the most recent 65,536 completed work-request wall times
+         (admission + execution), plus the count ever added: a
+         long-running daemon's memory does not grow with traffic *)
   err_counts : (string, int) Hashtbl.t;
   kind_counts : (string, int) Hashtbl.t;
   started : float;
@@ -150,7 +119,7 @@ let note_category st name =
 
 let note_latency st dt =
   Mutex.lock st.lock;
-  Latency_ring.add st.latencies dt;
+  Ring.add st.latencies dt;
   Mutex.unlock st.lock
 
 (* Suite failures already bumped errors.* telemetry when the collector
@@ -231,7 +200,7 @@ let execute_suite st ~deadline ~spec ~size ~registers =
 let health_snapshot st =
   let cache = Artifact.cache_stats () in
   Mutex.lock st.lock;
-  let pct = Latency_ring.percentile_of st.latencies in
+  let pct = Ring.percentiles [ st.latencies ] in
   let snapshot =
     {
       Protocol.status = (if st.draining then "draining" else "ok");
@@ -273,9 +242,8 @@ let kind_name = function
    [Failed] response; the daemon itself never dies with a request. *)
 let execute st (req : Protocol.request) tok =
   let result =
-    (* Every trace event, span sample and ledger record below — on this
-       thread and on pool workers it submits to — carries the request
-       id. *)
+    (* Every trace event and ledger record below — on this thread and
+       on pool workers it submits to — carries the request id. *)
     Trace.with_request ~id:req.Protocol.id @@ fun () ->
     Error.protect ~stage:"request" ~loop:req.Protocol.id (fun () ->
         Pipeline.observe ~loop:req.Protocol.id
@@ -453,7 +421,7 @@ let publish st =
         Hashtbl.fold (fun k v acc -> (k, Json.Int v) :: acc) st.kind_counts []
         |> List.sort compare
       in
-      let pct = Latency_ring.percentile_of st.latencies in
+      let pct = Ring.percentiles [ st.latencies ] in
       Telemetry.write_json ~path
         (Json.Obj
            [
@@ -469,7 +437,7 @@ let publish st =
              ( "latency",
                Json.Obj
                  [
-                   ("count", Json.Int (Latency_ring.count st.latencies));
+                   ("count", Json.Int (Ring.added st.latencies));
                    ("p50_s", Json.Float (pct 50.0));
                    ("p90_s", Json.Float (pct 90.0));
                    ("p99_s", Json.Float (pct 99.0));
@@ -522,7 +490,7 @@ let run ?stop ?(handle_signals = true) opts =
       shed = 0;
       draining = false;
       active_tokens = [];
-      latencies = Latency_ring.create ();
+      latencies = Ring.create ~cap:65_536 0.0;
       err_counts = Hashtbl.create 16;
       kind_counts = Hashtbl.create 16;
       started = Telemetry.now ();

@@ -41,26 +41,6 @@ type opts = {
     persistent store. *)
 val default_opts : socket_path:string -> opts
 
-(** The daemon's latency record: the most recent 65,536 request
-    latencies in a ring, plus the total count ever added.  Stats frames
-    and the metrics file report exact nearest-rank percentiles over the
-    ring and the total as the count. *)
-module Latency_ring : sig
-  type t
-
-  val create : unit -> t
-
-  val add : t -> float -> unit
-
-  (** Samples ever added, including those the ring has overwritten. *)
-  val count : t -> int
-
-  (** [percentile_of t] sorts the ring once and returns the nearest-rank
-      percentile function over it ([Stats.percentile]'s rule); every
-      percentile of an empty ring is [0.]. *)
-  val percentile_of : t -> float -> float
-end
-
 (** [run opts] serves until stopped, then drains and returns the
     process exit code (0 on a clean drain).  [stop] supplies the stop
     flag (polled every 0.2 s) — tests flip it from another thread;

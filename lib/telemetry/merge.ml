@@ -33,8 +33,8 @@ let rate ~count ~seconds =
   if seconds > 0.0 then Json.Float (float_of_int count /. seconds) else Json.Null
 
 (* ------------------------------------------------------------------ *)
-(* Span merge: {total_s, count, max_s, [p50_s, p90_s, p99_s]}.
-   Totals and counts sum, max takes the max; percentiles merge by
+(* Span merge: {total_s, count, max_s, [p50_s, p90_s, p99_s], [self_s]}.
+   Totals, self times and counts sum, max takes the max; percentiles merge by
    count-weighted average — the files do not carry raw samples, and
    percentiles are timing fields outside the byte-comparability
    contract, so the approximation is explicit and acceptable. *)
@@ -69,10 +69,15 @@ let merge_span_objs objs =
         ("p99_s", Json.Float (Option.value ~default:0.0 (weighted "p99_s")));
       ]
   in
+  let self =
+    if List.exists (fun o -> field "self_s" (fields_of o) <> None) objs then
+      [ ("self_s", Json.Float (sum_floats "self_s" objs)) ]
+    else []
+  in
   Json.Obj
     ([ ("total_s", Json.Float total_s); ("count", Json.Int count);
        ("max_s", Json.Float max_s) ]
-    @ dist)
+    @ dist @ self)
 
 (* Union of keyed sub-objects ({"spans": {...}}, {"stages": {...}}),
    name-sorted like the writers emit them. *)
@@ -277,6 +282,7 @@ let timing_keys =
     "p50_s";
     "p90_s";
     "p99_s";
+    "self_s";
   ]
 
 let rec strip_timing = function

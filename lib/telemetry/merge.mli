@@ -2,7 +2,7 @@
 
     A sharded suite ([--shard i/N]) produces per-shard metrics JSONs and
     per-shard ledgers.  This module unions them: counters and span
-    counts sum, span maxima take the max, percentiles merge by
+    counts and self times sum, span maxima take the max, percentiles merge by
     count-weighted average (an approximation — the raw samples are not
     in the files — but percentiles are timing fields and excluded from
     byte-comparability anyway), ledgers concatenate and re-sort by

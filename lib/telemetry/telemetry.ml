@@ -1,5 +1,4 @@
 module Json = Json
-module Stats = Ncdrf_report.Stats
 
 external now_ns : unit -> int64 = "ncdrf_monotonic_ns"
 
@@ -7,62 +6,18 @@ let now () = Int64.to_float (now_ns ()) *. 1e-9
 
 type span = {
   total_s : float;
+  self_s : float;
   count : int;
   max_s : float;
 }
 
-type distribution = {
-  p50_s : float;
-  p90_s : float;
-  p99_s : float;
-}
-
 (* Counters are Atomic cells in one global table, created under the
-   lock (creation is rare, increments are lock-free).
-
-   Span accumulation is sharded per (domain, thread), the same
-   composite key the trace shards and Deadline tokens use: each thread
-   owns a table of accumulators (sums plus the raw samples, for
-   percentiles) keyed by (request id, span name), so concurrent
-   connection-handler systhreads on domain 0 never mutate one
-   accumulator concurrently, and samples stay attributable to the
-   request that produced them.  Recording takes the lock only for the
-   shard lookup (not for the accumulator update); [spans] and
-   [distributions] merge the shards — across requests — at read time.
-   Like the trace rings, readers must run after worker domains and
-   handler threads have quiesced. *)
+   lock (creation is rare, increments are lock-free).  Span records
+   live in the per-thread Trace shards (Trace.stage), merged by name at
+   read time. *)
 let on = Atomic.make false
 let lock = Mutex.create ()
 let counter_tbl : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
-
-type acc = {
-  mutable total_s : float;
-  mutable count : int;
-  mutable max_s : float;
-  mutable samples : float array;
-  mutable n_samples : int;
-}
-
-(* accs keyed by (request id, span name); "" = outside any request *)
-type span_shard = { accs : (string * string, acc) Hashtbl.t }
-
-let span_table : (int * int, span_shard) Hashtbl.t = Hashtbl.create 16
-let span_shards : span_shard list ref = ref []
-
-let my_span_shard () =
-  let k = ((Domain.self () :> int), Thread.id (Thread.self ())) in
-  Mutex.lock lock;
-  let s =
-    match Hashtbl.find_opt span_table k with
-    | Some s -> s
-    | None ->
-      let s = { accs = Hashtbl.create 16 } in
-      Hashtbl.add span_table k s;
-      span_shards := s :: !span_shards;
-      s
-  in
-  Mutex.unlock lock;
-  s
 
 let enable b = Atomic.set on b
 let enabled () = Atomic.get on
@@ -91,111 +46,43 @@ let counter name =
   | Some c -> Atomic.get c
   | None -> 0
 
-let record_span name seconds =
-  if Atomic.get on then begin
-    let shard = my_span_shard () in
-    let key = (Trace.current_request (), name) in
-    let a =
-      match Hashtbl.find_opt shard.accs key with
-      | Some a -> a
-      | None ->
-        let a =
-          { total_s = 0.0; count = 0; max_s = 0.0; samples = Array.make 16 0.0; n_samples = 0 }
-        in
-        Hashtbl.add shard.accs key a;
-        a
-    in
-    a.total_s <- a.total_s +. seconds;
-    a.count <- a.count + 1;
-    if seconds > a.max_s then a.max_s <- seconds;
-    (if a.n_samples = Array.length a.samples then begin
-       let grown = Array.make (2 * a.n_samples) 0.0 in
-       Array.blit a.samples 0 grown 0 a.n_samples;
-       a.samples <- grown
-     end);
-    a.samples.(a.n_samples) <- seconds;
-    a.n_samples <- a.n_samples + 1
-  end
+let record_span name seconds = if Atomic.get on then Trace.add_sample name seconds
 
 (* The thunk always runs; with both telemetry and tracing off the only
-   cost is two atomic loads.  When armed, the duration feeds the global
-   span (metrics), the ambient point context (ledger) and the event
-   ring (trace) as applicable. *)
+   cost is two atomic loads.  When armed, one frame on the calling
+   thread's stage stack feeds the span accumulator (metrics), the
+   ambient point (ledger) and the event ring (trace) as applicable. *)
 let time name f =
-  if not (Atomic.get on || Trace.active ()) then f ()
-  else begin
-    Trace.begin_span name;
-    let t0 = now () in
-    Fun.protect
-      ~finally:(fun () ->
-        let dt = now () -. t0 in
-        record_span name dt;
-        Trace.note_stage name dt;
-        Trace.end_span name)
-      f
-  end
+  let metrics = Atomic.get on in
+  if not (metrics || Trace.active ()) then f () else Trace.stage ~metrics name f
 
-let all_span_shards () =
-  with_lock (fun () -> !span_shards)
+let seconds ns = float_of_int ns /. 1e9
 
-(* Merge shard accumulators under a caller-chosen key projection:
-   [fst] of the (request, name) acc key for per-request views, [snd]
-   for the classic per-name views (requests collapsed). *)
-let merged_accs_by key_of =
+(* Per-name totals over every shard, with each name's sample rings. *)
+let merged () =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun shard ->
-      Hashtbl.iter
-        (fun key a ->
-          let key = key_of key in
-          let prev_span, prev_samples =
-            Option.value
-              (Hashtbl.find_opt tbl key)
-              ~default:({ total_s = 0.0; count = 0; max_s = 0.0 }, [])
-          in
-          let samples =
-            List.init a.n_samples (fun i -> a.samples.(i)) @ prev_samples
-          in
-          Hashtbl.replace tbl key
-            ( {
-                total_s = prev_span.total_s +. a.total_s;
-                count = prev_span.count + a.count;
-                max_s = Float.max prev_span.max_s a.max_s;
-              },
-              samples ))
-        shard.accs)
-    (all_span_shards ());
-  tbl
-
-let merged_accs () = merged_accs_by snd
-
-let request_spans () =
-  Hashtbl.fold (fun k (s, _) acc -> (k, s) :: acc) (merged_accs_by Fun.id) []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let sorted_bindings tbl value =
-  Hashtbl.fold (fun k v acc -> (k, value v) :: acc) tbl []
+    (fun (name, (a : Trace.acc)) ->
+      let (count, total, self, mx), rings =
+        Option.value (Hashtbl.find_opt tbl name) ~default:((0, 0, 0, 0), [])
+      in
+      Hashtbl.replace tbl name
+        ( (count + a.count, total + a.total_ns, self + a.self_ns, max mx a.max_ns),
+          a.samples :: rings ))
+    (Trace.accs ());
+  Hashtbl.fold
+    (fun name ((count, total, self, mx), rings) acc ->
+      ( name,
+        ( { total_s = seconds total; self_s = seconds self; count; max_s = seconds mx },
+          rings ) )
+      :: acc)
+    tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let spans () = sorted_bindings (merged_accs ()) fst
+let spans () = List.map (fun (name, (s, _)) -> (name, s)) (merged ())
 
 let span_count name =
-  match Hashtbl.find_opt (merged_accs ()) name with
-  | Some (s, _) -> s.count
-  | None -> 0
-
-let span_samples name =
-  match Hashtbl.find_opt (merged_accs ()) name with
-  | Some (_, samples) -> samples
-  | None -> []
-
-let distributions () =
-  sorted_bindings (merged_accs ()) (fun (_, samples) ->
-      {
-        p50_s = Stats.percentile 50.0 samples;
-        p90_s = Stats.percentile 90.0 samples;
-        p99_s = Stats.percentile 99.0 samples;
-      })
+  match List.assoc_opt name (merged ()) with Some (s, _) -> s.count | None -> 0
 
 let counters () =
   with_lock (fun () ->
@@ -203,32 +90,31 @@ let counters () =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let reset () =
-  with_lock (fun () ->
-      Hashtbl.reset counter_tbl;
-      List.iter (fun shard -> Hashtbl.reset shard.accs) !span_shards)
+  with_lock (fun () -> Hashtbl.reset counter_tbl);
+  Trace.reset_accs ()
+
+let spans_json () =
+  Json.Obj
+    (List.map
+       (fun (name, (s, rings)) ->
+         let pct = Ring.percentiles rings in
+         ( name,
+           Json.Obj
+             [
+               ("total_s", Json.Float s.total_s);
+               ("count", Json.Int s.count);
+               ("max_s", Json.Float s.max_s);
+               ("p50_s", Json.Float (pct 50.0));
+               ("p90_s", Json.Float (pct 90.0));
+               ("p99_s", Json.Float (pct 99.0));
+               ("self_s", Json.Float s.self_s);
+             ] ))
+       (merged ()))
 
 let to_json () =
-  let merged = merged_accs () in
-  let span_json ((name, (s, samples)) : string * (span * float list)) =
-    let dist =
-      match samples with
-      | [] -> []
-      | _ ->
-        [
-          ("p50_s", Json.Float (Stats.percentile 50.0 samples));
-          ("p90_s", Json.Float (Stats.percentile 90.0 samples));
-          ("p99_s", Json.Float (Stats.percentile 99.0 samples));
-        ]
-    in
-    ( name,
-      Json.Obj
-        ([ ("total_s", Json.Float s.total_s); ("count", Json.Int s.count);
-           ("max_s", Json.Float s.max_s) ]
-        @ dist) )
-  in
   Json.Obj
     [
-      ("spans", Json.Obj (List.map span_json (sorted_bindings merged Fun.id)));
+      ("spans", spans_json ());
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters ())));
     ]
 

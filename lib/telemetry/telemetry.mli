@@ -1,21 +1,17 @@
 (** Observability for the experiment pipeline: monotonic timers, named
     counters, per-stage spans and a JSON metrics emitter.
 
-    Counters live in one global, domain-safe registry (atomic cells);
-    span accumulation is sharded per (domain, thread) — like the
-    {!Trace} rings and [Ncdrf_error.Deadline] tokens — and merged at
-    read time, so neither pool workers nor the daemon's concurrent
-    connection-handler systhreads serialize or trample each other.
-    Within a shard, samples are keyed by (ambient request id, span
-    name); the classic per-name views ({!spans}, {!distributions},
-    {!to_json}) collapse requests, while {!request_spans} keeps them
-    apart.  Readers must run after worker domains and handler threads
-    have quiesced.  Recording is gated on {!enable} (default off) so
-    the hot pipeline pays one atomic load per stage when telemetry is
-    unused.
-
-    {!time} also feeds the event trace and the per-point run ledger
-    when those are armed — see {!Trace} and {!Ledger}. *)
+    Counters live in one global, domain-safe registry (atomic cells).
+    Spans have no store of their own: {!time} pushes one frame on the
+    calling thread's stage stack in its {!Trace} shard, and that one
+    record feeds the span accumulators behind {!spans}/{!to_json}, the
+    ambient point's stage times behind the {!Ledger}, and the event
+    trace.  Shards are per (domain, thread), so neither pool workers
+    nor the daemon's connection handlers serialize or trample each
+    other; readers merge them by name and must run after worker
+    domains and handler threads have quiesced.  Per-request stage
+    times are in the ledger, whose records carry the request id.
+    Recording is gated on {!enable} (default off). *)
 
 module Json = Json
 
@@ -39,49 +35,35 @@ val incr : ?by:int -> string -> unit
 (** Current value of a counter; 0 if never incremented. *)
 val counter : string -> int
 
-(** Accumulated statistics of one named span. *)
+(** Accumulated statistics of one named span, merged over threads. *)
 type span = {
-  total_s : float;  (** summed duration across all records *)
+  total_s : float;  (** summed inclusive duration across all records *)
+  self_s : float;
+      (** summed self time: each record's duration minus the records
+          nested in it on the same thread *)
   count : int;  (** number of records *)
-  max_s : float;  (** longest single record *)
+  max_s : float;  (** longest single record (inclusive) *)
 }
 
-(** Percentiles over a span's raw samples (nearest-rank). *)
-type distribution = {
-  p50_s : float;
-  p90_s : float;
-  p99_s : float;
-}
-
-(** [time name f] runs [f ()] and, when enabled, adds its duration to
-    span [name].  Exceptions propagate; the span still records.  Also
-    notes the duration on the ambient {!Trace} point and emits
-    begin/end trace events when those layers are armed. *)
+(** [time name f] runs [f ()] and, when enabled, records it as one
+    frame of span [name] ({!Trace.stage}): the span gains its
+    inclusive and self time, the ambient {!Trace} point its self time
+    (the ledger's stage times), and the event trace a B/E pair, as
+    those layers are armed.  Exceptions propagate; the frame still
+    records.  Disarmed, it costs two atomic loads. *)
 val time : string -> (unit -> 'a) -> 'a
 
-(** [record_span name seconds] adds one measurement directly. *)
+(** [record_span name seconds] adds one measurement directly (inclusive
+    and self), on the calling thread — a test hook. *)
 val record_span : string -> float -> unit
 
-(** All spans, sorted by name, merged across shards and requests. *)
+(** All spans, sorted by name. *)
 val spans : unit -> (string * span) list
-
-(** Per-(request id, span name) span statistics, sorted; the request
-    id is [""] for samples recorded outside any {!Trace.with_request}.
-    Lets tests and analyzers check that concurrent requests kept their
-    samples apart. *)
-val request_spans : unit -> ((string * string) * span) list
 
 (** Number of records of one span; 0 if never recorded.  The compile
     cache's effectiveness criterion — one ["schedule"] record per
     (config, loop) — is asserted against this. *)
 val span_count : string -> int
-
-(** Raw sample durations of one span, unordered; [] if never
-    recorded. *)
-val span_samples : string -> float list
-
-(** Per-span percentiles, sorted by name. *)
-val distributions : unit -> (string * distribution) list
 
 (** All counters, sorted by name. *)
 val counters : unit -> (string * int) list
@@ -90,10 +72,15 @@ val counters : unit -> (string * int) list
     Not safe concurrently with recording. *)
 val reset : unit -> unit
 
+(** Every span as one JSON object keyed by name, name-sorted:
+    [{name: {"total_s":..,"count":..,"max_s":..,
+             "p50_s":..,"p90_s":..,"p99_s":..,"self_s":..}}].
+    Percentiles are nearest-rank over the most recent
+    {!Trace.sample_cap} inclusive durations of each thread. *)
+val spans_json : unit -> Json.t
+
 (** Snapshot of the registry as JSON:
-    [{"spans": {name: {"total_s":..,"count":..,"max_s":..,
-                       "p50_s":..,"p90_s":..,"p99_s":..}},
-      "counters": {name: n}}]. *)
+    [{"spans": ]{!spans_json}[, "counters": {name: n}}]. *)
 val to_json : unit -> Json.t
 
 (** Write a JSON value to a file atomically (temp file + rename; the

@@ -27,27 +27,41 @@ type point = {
   mutable cache_misses : int;
   mutable disk_hits : int;
   mutable disk_misses : int;
-  mutable stages : (string * float) list;
+  mutable stages : stage list;
   mutable error : string option;
 }
 
-(* One shard per (domain, thread).  The ring is lazily grown up to the
-   capacity, then wraps (oldest events overwritten); [emitted] is the
-   lifetime event count, so [emitted - Array.length ring] events have
-   been dropped once the ring is saturated.  A shard is only ever
-   written by its owning thread; readers run after workers and
-   connection handlers have quiesced. *)
+and stage = { stage : string; mutable ns : int }
+
+type acc = {
+  mutable count : int;
+  mutable total_ns : int;
+  mutable self_ns : int;
+  mutable max_ns : int;
+  samples : float Ring.t;
+}
+
+(* One shard per (domain, thread): the event ring, the ambient point
+   context and request id, and the stage record — the stack of open
+   {!stage} frames ([open_child.(i)] is the inclusive time of the
+   children that frame [i] has seen so far) and the per-name
+   accumulators fed when frames close.  A shard is only ever written by
+   its owning thread; readers run after workers and connection handlers
+   have quiesced. *)
 type shard = {
   mutable track : int;
-  mutable ring : event array;
-  mutable emitted : int;
+  mutable ring : event Ring.t;
   mutable ctx : point option;
   mutable request : string;
+  mutable open_child : int array;
+  mutable depth : int;
+  accs : (string, acc) Hashtbl.t;
 }
 
 let events_on = Atomic.make false
 let context_demanded = Atomic.make false
-let ring_capacity = Atomic.make 65536
+let ring_capacity = 65536
+let sample_cap = 65536
 
 (* The registry is keyed by (domain id, thread id), the same composite
    key Ncdrf_error.Deadline uses: connection-handler systhreads in the
@@ -76,6 +90,8 @@ let dummy_event =
   { name = ""; phase = '?'; ts_ns = 0L; track = 0; request = ""; loop = ""; config = "";
     ii = -1 }
 
+let new_ring () = Ring.create ~cap:ring_capacity dummy_event
+
 let my () =
   let (dom, _) as k = key () in
   Mutex.lock registry_lock;
@@ -94,7 +110,10 @@ let my () =
           dom
         end
       in
-      let s = { track; ring = [||]; emitted = 0; ctx = None; request = "" } in
+      let s =
+        { track; ring = new_ring (); ctx = None; request = ""; open_child = Array.make 8 0;
+          depth = 0; accs = Hashtbl.create 8 }
+      in
       Hashtbl.add table k s;
       shards := s :: !shards;
       s
@@ -107,8 +126,6 @@ let enabled () = Atomic.get events_on
 let require_context b = Atomic.set context_demanded b
 let active () = Atomic.get events_on || Atomic.get context_demanded
 let set_track id = (my ()).track <- id
-let set_domain_id = set_track
-let set_ring_capacity n = Atomic.set ring_capacity (max 1 n)
 
 let all_shards () =
   Mutex.lock registry_lock;
@@ -123,16 +140,16 @@ let all_shards () =
 (* The ambient request id is installed unconditionally (not gated on
    [active]): it costs one registry lookup at scope entry, is only
    entered by the serving daemon, and the id must be visible to the
-   span recorder even when the event trace itself is off. *)
+   ledger even when the event trace itself is off. *)
 let with_request ~id f =
   let s = my () in
   let saved = s.request in
   s.request <- id;
   Fun.protect ~finally:(fun () -> s.request <- saved) f
 
-(* Read-only: never registers a shard, so probes from layers that are
-   armed independently of the trace (span accumulation, the ledger)
-   do not grow the registry. *)
+(* Read-only: never registers a shard, so callers that run whether or
+   not anything is armed (every pool submission) do not grow the
+   registry. *)
 let current_request () =
   let k = key () in
   Mutex.lock registry_lock;
@@ -151,47 +168,19 @@ let inherit_request () =
 (* Events                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let emit s ev =
-  let cap = Atomic.get ring_capacity in
-  let len = Array.length s.ring in
-  (if len < cap && s.emitted >= len then begin
-     (* amortized doubling toward the capacity; events seen so far are
-        exactly ring[0..len-1] in emission order, so a blit preserves
-        them in place *)
-     let len' = min cap (max 1024 (2 * len)) in
-     let ring' = Array.make len' dummy_event in
-     Array.blit s.ring 0 ring' 0 len;
-     s.ring <- ring'
-   end);
-  s.ring.(s.emitted mod Array.length s.ring) <- ev;
-  s.emitted <- s.emitted + 1
-
-let event_of s ~name ~phase =
+let emit s ~name ~phase =
   let loop, config, ii =
     match s.ctx with
     | Some p -> (p.loop, p.config, p.ii)
     | None -> ("", "", -1)
   in
-  { name; phase; ts_ns = now_ns (); track = s.track; request = s.request; loop;
-    config; ii }
+  Ring.add s.ring
+    { name; phase; ts_ns = now_ns (); track = s.track; request = s.request; loop;
+      config; ii }
 
-let begin_span name =
-  if Atomic.get events_on then begin
-    let s = my () in
-    emit s (event_of s ~name ~phase:'B')
-  end
-
-let end_span name =
-  if Atomic.get events_on then begin
-    let s = my () in
-    emit s (event_of s ~name ~phase:'E')
-  end
-
-let instant name =
-  if Atomic.get events_on then begin
-    let s = my () in
-    emit s (event_of s ~name ~phase:'i')
-  end
+let begin_span name = if Atomic.get events_on then emit (my ()) ~name ~phase:'B'
+let end_span name = if Atomic.get events_on then emit (my ()) ~name ~phase:'E'
+let instant name = if Atomic.get events_on then emit (my ()) ~name ~phase:'i'
 
 let with_context ~loop ~config ~fp f =
   if not (active ()) then f ()
@@ -244,7 +233,6 @@ let set_result ?mii ?ii ?clusters ?rounds ?spilled ?requirement ?maxlive ?spill_
       Option.iter (fun v -> p.spill_full <- v) spill_full)
 
 let set_error category = with_point (fun p -> p.error <- Some category)
-let note_stage name seconds = with_point (fun p -> p.stages <- (name, seconds) :: p.stages)
 
 let note_cache ~hit =
   with_point (fun p ->
@@ -256,14 +244,83 @@ let note_disk ~hit =
       if hit then p.disk_hits <- p.disk_hits + 1
       else p.disk_misses <- p.disk_misses + 1)
 
-let shard_events s =
-  let len = Array.length s.ring in
-  if len = 0 then []
-  else begin
-    let n = min s.emitted len in
-    let first = s.emitted - n in
-    List.init n (fun i -> s.ring.((first + i) mod len))
-  end
+(* ------------------------------------------------------------------ *)
+(* Stage record                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let rec add_self stages name ns =
+  match stages with
+  | [] -> false
+  | st :: rest ->
+    if String.equal st.stage name then begin
+      st.ns <- st.ns + ns;
+      true
+    end
+    else add_self rest name ns
+
+let record s name ~dur ~self =
+  let a =
+    match Hashtbl.find_opt s.accs name with
+    | Some a -> a
+    | None ->
+      let a =
+        { count = 0; total_ns = 0; self_ns = 0; max_ns = 0;
+          samples = Ring.create ~cap:sample_cap 0.0 }
+      in
+      Hashtbl.add s.accs name a;
+      a
+  in
+  a.count <- a.count + 1;
+  a.total_ns <- a.total_ns + dur;
+  a.self_ns <- a.self_ns + self;
+  if dur > a.max_ns then a.max_ns <- dur;
+  Ring.add a.samples (float_of_int dur /. 1e9)
+
+(* One frame per call: self time is the frame's duration minus the
+   inclusive durations of the frames nested in it on this thread, so
+   the self times of a point's stages are disjoint and sum to at most
+   the point's wall time. *)
+let stage ~metrics name f =
+  let s = my () in
+  let d = s.depth in
+  if d = Array.length s.open_child then begin
+    let grown = Array.make (2 * d) 0 in
+    Array.blit s.open_child 0 grown 0 d;
+    s.open_child <- grown
+  end;
+  s.open_child.(d) <- 0;
+  s.depth <- d + 1;
+  if Atomic.get events_on then emit s ~name ~phase:'B';
+  let t0 = now_ns () in
+  Fun.protect
+    ~finally:(fun () ->
+      let dur = Int64.to_int (Int64.sub (now_ns ()) t0) in
+      let self = dur - s.open_child.(d) in
+      s.depth <- d;
+      if d > 0 then s.open_child.(d - 1) <- s.open_child.(d - 1) + dur;
+      if metrics then record s name ~dur ~self;
+      (match s.ctx with
+      | Some p ->
+        if not (add_self p.stages name self) then
+          p.stages <- { stage = name; ns = self } :: p.stages
+      | None -> ());
+      if Atomic.get events_on then emit s ~name ~phase:'E')
+    f
+
+let add_sample name seconds =
+  let ns = Float.to_int (Float.round (seconds *. 1e9)) in
+  record (my ()) name ~dur:ns ~self:ns
+
+let accs () =
+  List.concat_map
+    (fun s -> Hashtbl.fold (fun name a acc -> (name, a) :: acc) s.accs [])
+    (all_shards ())
+
+let reset_accs () = List.iter (fun s -> Hashtbl.reset s.accs) (all_shards ())
+
+(* ------------------------------------------------------------------ *)
+(* Readers                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Shards sort by (track id, first timestamp): track ids repeat across
    pool generations (every pool numbers its workers 1..n-1), and a
@@ -271,7 +328,7 @@ let shard_events s =
    streams monotonic for trace viewers. *)
 let events () =
   all_shards ()
-  |> List.map (fun s -> (s, shard_events s))
+  |> List.map (fun s -> (s, Ring.to_list s.ring))
   |> List.filter (fun (_, evs) -> evs <> [])
   |> List.sort (fun (a, ae) (b, be) ->
          match compare a.track b.track with
@@ -279,17 +336,8 @@ let events () =
          | c -> c)
   |> List.concat_map snd
 
-let dropped () =
-  List.fold_left
-    (fun acc s -> acc + max 0 (s.emitted - Array.length s.ring))
-    0 (all_shards ())
-
-let reset () =
-  List.iter
-    (fun s ->
-      s.ring <- [||];
-      s.emitted <- 0)
-    (all_shards ())
+let dropped () = List.fold_left (fun acc s -> acc + Ring.dropped s.ring) 0 (all_shards ())
+let reset () = List.iter (fun s -> s.ring <- new_ring ()) (all_shards ())
 
 let to_chrome () =
   let evs = events () in

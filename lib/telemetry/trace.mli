@@ -1,8 +1,10 @@
-(** Event-level tracing: per-(domain, thread) ring buffers of
-    timestamped begin/end events plus an ambient per-point context,
-    exported as Chrome trace-event JSON (chrome://tracing, Perfetto).
+(** Event-level tracing and the per-thread stage record:
+    per-(domain, thread) shards holding a {!Ring} of the most recent
+    65536 timestamped begin/end events, an ambient per-point context, and the stage
+    stack and per-name accumulators behind {!Telemetry.time}.  Events
+    export as Chrome trace-event JSON (chrome://tracing, Perfetto).
 
-    Two independent demands switch the layer on:
+    Two independent demands switch the event and context layer on:
     {ul
     {- {!enable} arms event recording ([--trace]);}
     {- {!require_context} arms only the ambient context, without
@@ -11,16 +13,16 @@
     With both off every probe is one atomic load, and driver outputs
     are byte-identical to a build without the probes.
 
-    Each (domain, thread) pair owns one shard (ring buffer + context
-    slot + ambient request id), created on first use and registered
-    under the composite key [(Domain.self, Thread.id)] — the same key
-    [Ncdrf_error.Deadline] uses — so the serving daemon's concurrent
-    connection-handler systhreads (all on domain 0) each record into
-    their own shard instead of trampling a shared domain slot.
-    Recording needs no lock after the shard exists.  Readers
-    ({!events}, {!write_chrome}) must run after worker domains and
-    handler threads have quiesced — in the drivers, after the pool is
-    done; in the daemon, at drain.
+    Each (domain, thread) pair owns one shard, created on first use and
+    registered under the composite key [(Domain.self, Thread.id)] — the
+    same key [Ncdrf_error.Deadline] uses — so the serving daemon's
+    concurrent connection-handler systhreads (all on domain 0) each
+    record into their own shard instead of trampling a shared domain
+    slot.  This is the only per-thread registry of the observability
+    layer; recording needs no lock after the shard exists.  Readers
+    ({!events}, {!accs}, {!write_chrome}) must run after worker
+    domains and handler threads have quiesced — in the drivers, after
+    the pool is done; in the daemon, at drain.
 
     {2 Chrome-trace track scheme}
 
@@ -54,33 +56,24 @@ val require_context : bool -> unit
     done only to feed the trace (e.g. computing MaxLive). *)
 val active : unit -> bool
 
-(** Cap each shard's ring buffer (default 65536 events); once full,
-    the oldest events of that shard are overwritten. *)
-val set_ring_capacity : int -> unit
-
 (** Give the calling thread's shard a stable track id.  Pool workers
     call this with their worker slot index so traces get one track per
     pool slot instead of one per spawned domain. *)
 val set_track : int -> unit
 
-(** Deprecated spelling of {!set_track}, kept for callers that predate
-    the (domain, thread) re-keying. *)
-val set_domain_id : int -> unit
-
 (** {1 Request scope}
 
     The serving daemon runs each request under [with_request ~id], and
-    the id is stamped onto every trace event, span sample
-    ({!Telemetry.time}), and ledger record produced in that dynamic
-    extent.  Pool workers do not inherit it automatically (they are
+    the id is stamped onto every trace event and ledger record
+    produced in that dynamic extent.  Pool workers do not inherit it automatically (they are
     different threads); [Ncdrf_parallel.Pool] captures the submitting
     thread's id with {!inherit_request} and re-installs it around each
     job. *)
 
 (** [with_request ~id f] runs [f] with [id] as the calling thread's
     ambient request id (saving and restoring any outer id).  Installed
-    unconditionally — the id must be visible to span and ledger
-    recording even when event buffering is off. *)
+    unconditionally — the id must be visible to ledger recording even
+    when event buffering is off. *)
 val with_request : id:string -> (unit -> 'a) -> 'a
 
 (** The calling thread's ambient request id, [""] when outside any
@@ -114,9 +107,13 @@ type point = {
   mutable cache_misses : int;
   mutable disk_hits : int;  (** on-disk store lookups that decoded *)
   mutable disk_misses : int;
-  mutable stages : (string * float) list;  (** seconds, latest first *)
+  mutable stages : stage list;
+      (** self nanoseconds per stage name, in first-seen order reversed *)
   mutable error : string option;  (** error category name *)
 }
+
+(** One stage's summed self time within a point. *)
+and stage = { stage : string; mutable ns : int }
 
 (** [with_context ~loop ~config ~fp f] runs [f] with a fresh point
     context installed on the calling thread (saving and restoring any
@@ -142,15 +139,50 @@ val set_result :
 
 val set_error : string -> unit
 
-(** [note_stage name seconds] appends one stage duration to the current
-    point ({!Telemetry.time} calls this automatically). *)
-val note_stage : string -> float -> unit
-
 (** Attribute one compile-cache lookup to the current point. *)
 val note_cache : hit:bool -> unit
 
 (** Attribute one on-disk store lookup to the current point. *)
 val note_disk : hit:bool -> unit
+
+(** {1 Stage record} *)
+
+(** One shard's accumulator for one stage name: [count] frames closed,
+    their summed inclusive ([total_ns]) and self ([self_ns]) time, the
+    longest inclusive frame, and the inclusive durations in seconds of
+    the most recent {!sample_cap} frames (the percentile source). *)
+type acc = private {
+  mutable count : int;
+  mutable total_ns : int;
+  mutable self_ns : int;
+  mutable max_ns : int;
+  samples : float Ring.t;
+}
+
+(** Samples kept per accumulator (65536); older ones are overwritten,
+    the count and sums stay exact. *)
+val sample_cap : int
+
+(** [stage ~metrics name f] runs [f ()] as one frame on the calling
+    thread's stage stack (one registry lookup).  On exit, normal or
+    by exception, the frame's self time — its duration minus the
+    inclusive durations of the frames nested in it on this thread — is
+    added to the ambient point's [stages]; with [metrics] the frame
+    also feeds the shard's accumulator for [name]; with events armed it
+    is bracketed by B/E events.  {!Telemetry.time} is the caller. *)
+val stage : metrics:bool -> string -> (unit -> 'a) -> 'a
+
+(** [add_sample name seconds] records one frame of [seconds], inclusive
+    and self, into the calling thread's accumulator for [name] (no
+    point, no events).  A test hook behind {!Telemetry.record_span}. *)
+val add_sample : string -> float -> unit
+
+(** Every shard's accumulators, unmerged: one entry per (thread,
+    name) recorded since the last {!reset_accs}. *)
+val accs : unit -> (string * acc) list
+
+(** Drop every accumulator.  Not safe concurrently with recording. *)
+val reset_accs : unit -> unit
 
 (** {1 Events} *)
 
@@ -169,7 +201,10 @@ type event = {
   ii : int;
 }
 
+(** Bare events with no stage frame ([spill.round] brackets each spill
+    round with them); no-ops unless events are armed. *)
 val begin_span : string -> unit
+
 val end_span : string -> unit
 val instant : string -> unit
 

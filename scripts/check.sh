@@ -5,71 +5,74 @@
 # Any failure here blocks a merge.
 set -eu
 cd "$(dirname "$0")/.."
+
+# Every file this script writes lives in one scratch directory, removed
+# on exit together with any daemon a failed step left running.
+tmp=$(mktemp -d /tmp/ncdrf-check.XXXXXX)
+serv_a= serv_b= serv_c=
+cleanup() {
+  for p in $serv_a $serv_b $serv_c; do kill -TERM "$p" 2>/dev/null || true; done
+  rm -rf "$tmp"
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM
+
 dune build
 dune runtest
 
 # Allocator equivalence: the conflict-engine suite must actually run
 # against the Alloc_reference oracle — a skipped test would silently
 # void the byte-identity guarantee the rewrite rests on.
-equiv_out=$(mktemp /tmp/ncdrf-equiv.XXXXXX.txt)
+equiv_out=$tmp/conflict-suite.txt
 dune exec test/test_main.exe -- test conflict > "$equiv_out" 2>&1 || {
-  cat "$equiv_out" >&2; rm -f "$equiv_out"; exit 1; }
+  cat "$equiv_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*conflict' "$equiv_out" || true)
 if [ "${ok:-0}" -lt 4 ]; then
   echo "check.sh: expected 4 conflict equivalence tests to run, got $ok" >&2
-  rm -f "$equiv_out"
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$equiv_out" | grep '\[SKIP\]' | awk '{print $2}' \
     | grep -qx 'conflict'; then
   echo "check.sh: conflict equivalence tests were skipped" >&2
-  rm -f "$equiv_out"
   exit 1
 fi
-rm -f "$equiv_out"
 
 # Spiller equivalence: same deal for the spill suite, which pins the
 # rewritten spill loop to the verbatim Spiller_reference oracle (qcheck
 # byte-identity with the II floor off, plus equivalence on the kernel
 # zoo at the default floor-on loop).  A skip here would void that
 # guarantee too.
-spill_out=$(mktemp /tmp/ncdrf-spill-suite.XXXXXX.txt)
+spill_out=$tmp/spill-suite.txt
 dune exec test/test_main.exe -- test spill > "$spill_out" 2>&1 || {
-  cat "$spill_out" >&2; rm -f "$spill_out"; exit 1; }
+  cat "$spill_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*spill' "$spill_out" || true)
 if [ "${ok:-0}" -lt 26 ]; then
   echo "check.sh: expected 26 spill tests (incl. reference equivalence) to run, got $ok" >&2
-  rm -f "$spill_out"
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$spill_out" | grep '\[SKIP\]' | awk '{print $2}' \
     | grep -qx 'spill'; then
   echo "check.sh: spill equivalence tests were skipped" >&2
-  rm -f "$spill_out"
   exit 1
 fi
-rm -f "$spill_out"
 
 # Swap equivalence: the swap suite pins the incremental swap pass to
 # the full-recompute Swap_reference oracle (qcheck on random graphs plus
 # the scheduled suite at k = 2, 3, 4 and the example machine).  It must
 # run in full and must not be skipped.
-swap_out=$(mktemp /tmp/ncdrf-swap.XXXXXX.txt)
+swap_out=$tmp/swap-suite.txt
 dune exec test/test_main.exe -- test swap > "$swap_out" 2>&1 || {
-  cat "$swap_out" >&2; rm -f "$swap_out"; exit 1; }
+  cat "$swap_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*swap' "$swap_out" || true)
 if [ "${ok:-0}" -lt 6 ]; then
   echo "check.sh: expected 6 swap equivalence tests to run, got $ok" >&2
-  rm -f "$swap_out"
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$swap_out" | grep '\[SKIP\]' | awk '{print $2}' \
     | grep -qx 'swap'; then
   echo "check.sh: swap equivalence tests were skipped" >&2
-  rm -f "$swap_out"
   exit 1
 fi
-rm -f "$swap_out"
 
 # The quickstart example must keep running end to end.
 dune exec examples/quickstart.exe > /dev/null
@@ -77,8 +80,7 @@ dune exec examples/quickstart.exe > /dev/null
 # Bench smoke: fig6 with metrics. The JSON must exist and show the
 # artifact cache doing work (a run that never misses never computed,
 # which would mean the telemetry or the cache wiring is broken).
-metrics=$(mktemp /tmp/ncdrf-metrics.XXXXXX.json)
-trap 'rm -f "$metrics"' EXIT
+metrics=$tmp/metrics.json
 dune exec bin/ncdrf.exe -- bench fig6 --quick --jobs 1 --metrics "$metrics" > /dev/null
 test -s "$metrics" || { echo "check.sh: metrics JSON missing or empty" >&2; exit 1; }
 misses=$(grep -o '"cache.misses": *[0-9]*' "$metrics" | head -n1 | grep -o '[0-9]*$' || true)
@@ -101,10 +103,9 @@ fi
 # performance sweep instead, which drives the spill loop hard.  Every
 # spill round schedules once, so spill.full_reschedules must be
 # positive; zero would mean fig8 no longer reaches the spill loop.
-spill_metrics=$(mktemp /tmp/ncdrf-spillrun.XXXXXX.json)
-fig8_out=$(mktemp /tmp/ncdrf-fig8.XXXXXX.txt)
-fig8_pinned=$(mktemp /tmp/ncdrf-fig8-pinned.XXXXXX.txt)
-trap 'rm -f "$metrics" "$spill_metrics" "$fig8_out" "$fig8_pinned"' EXIT
+spill_metrics=$tmp/spillrun.json
+fig8_out=$tmp/fig8.txt
+fig8_pinned=$tmp/fig8-pinned.txt
 dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 --metrics "$spill_metrics" > "$fig8_out"
 counter() {
   grep -o "\"$1\": *[0-9]*" "$2" | head -n1 | grep -o '[0-9]*$' || true
@@ -131,15 +132,13 @@ if ! cmp -s "$fig8_pinned" scripts/fig8_quick.golden; then
   diff scripts/fig8_quick.golden "$fig8_pinned" >&2 || true
   exit 1
 fi
-rm -f "$fig8_out" "$fig8_pinned"
 
 # The same byte identity for the suite path: the default `ncdrf suite`
 # table and its allocator, cache and loop counters must equal
 # scripts/suite.golden exactly.
-suite_out=$(mktemp /tmp/ncdrf-suite.XXXXXX.txt)
-suite_metrics=$(mktemp /tmp/ncdrf-suite.XXXXXX.json)
-suite_pinned=$(mktemp /tmp/ncdrf-suite-pinned.XXXXXX.txt)
-trap 'rm -f "$metrics" "$spill_metrics" "$suite_out" "$suite_metrics" "$suite_pinned"' EXIT
+suite_out=$tmp/suite.txt
+suite_metrics=$tmp/suite.json
+suite_pinned=$tmp/suite-pinned.txt
 dune exec bin/ncdrf.exe -- suite --jobs 1 --metrics "$suite_metrics" > "$suite_out"
 {
   grep -v '^\[metrics: ' "$suite_out"
@@ -152,14 +151,13 @@ if ! cmp -s "$suite_pinned" scripts/suite.golden; then
   diff scripts/suite.golden "$suite_pinned" >&2 || true
   exit 1
 fi
-rm -f "$suite_out" "$suite_metrics" "$suite_pinned"
 
 # The same at four clusters with port caps, where values consumed by a
 # proper subset of the clusters (the Shared class) are replicated only
 # in those subfiles: scripts/suite_k4.golden pins that path end to end.
-suite_out=$(mktemp /tmp/ncdrf-suite-k4.XXXXXX.txt)
-suite_metrics=$(mktemp /tmp/ncdrf-suite-k4.XXXXXX.json)
-suite_pinned=$(mktemp /tmp/ncdrf-suite-k4-pinned.XXXXXX.txt)
+suite_out=$tmp/suite-k4.txt
+suite_metrics=$tmp/suite-k4.json
+suite_pinned=$tmp/suite-k4-pinned.txt
 dune exec bin/ncdrf.exe -- suite --jobs 1 --clusters 4 --read-ports 4 --write-ports 2 \
   --metrics "$suite_metrics" > "$suite_out"
 {
@@ -173,7 +171,6 @@ if ! cmp -s "$suite_pinned" scripts/suite_k4.golden; then
   diff scripts/suite_k4.golden "$suite_pinned" >&2 || true
   exit 1
 fi
-rm -f "$suite_out" "$suite_metrics" "$suite_pinned"
 
 # Bad machine flags and unknown experiments are usage errors (exit 2),
 # never an uncaught exception.
@@ -190,9 +187,8 @@ done
 
 # Fault-isolation smoke: an injected keep-going suite run must succeed,
 # report the injected points in the metrics, and still print its table.
-inj_metrics=$(mktemp /tmp/ncdrf-inject.XXXXXX.json)
-inj_out=$(mktemp /tmp/ncdrf-inject.XXXXXX.txt)
-trap 'rm -f "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out"' EXIT
+inj_metrics=$tmp/inject.json
+inj_out=$tmp/inject.txt
 dune exec bin/ncdrf.exe -- suite --size 60 --jobs 1 \
   --inject stage=schedule,every=7 --metrics "$inj_metrics" > "$inj_out"
 injected=$(grep -o '"errors.injected": *[0-9]*' "$inj_metrics" | head -n1 | grep -o '[0-9]*$' || true)
@@ -213,8 +209,7 @@ fi
 # actually build four-subfile machines — the cluster.subfiles counter
 # is bumped by the cluster count per point, so 4x the loop count proves
 # the flag reached the machine model rather than silently defaulting.
-k4_metrics=$(mktemp /tmp/ncdrf-k4.XXXXXX.json)
-trap 'rm -f "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics"' EXIT
+k4_metrics=$tmp/k4.json
 dune exec bin/ncdrf.exe -- suite --size 60 --jobs 1 --clusters 4 \
   --metrics "$k4_metrics" > /dev/null
 subfiles=$(grep -o '"cluster.subfiles": *[0-9]*' "$k4_metrics" | head -n1 | grep -o '[0-9]*$' || true)
@@ -228,8 +223,7 @@ fi
 # Port-budget smoke: a port-capped run must tag every point as capped —
 # zero ports.capped_points would mean the caps were dropped on the way
 # into the config (and the executor would never see them either).
-ports_metrics=$(mktemp /tmp/ncdrf-ports.XXXXXX.json)
-trap 'rm -f "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics"' EXIT
+ports_metrics=$tmp/ports.json
 dune exec bin/ncdrf.exe -- suite --size 60 --jobs 1 --read-ports 4 --write-ports 2 \
   --metrics "$ports_metrics" > /dev/null
 capped=$(grep -o '"ports.capped_points": *[0-9]*' "$ports_metrics" | head -n1 | grep -o '[0-9]*$' || true)
@@ -241,10 +235,9 @@ fi
 # Observability smoke: the same quick fig6 with --trace and --ledger must
 # produce a trace with real begin/end events and a ledger whose records
 # carry per-stage durations, and the profile analyzer must read it back.
-trace=$(mktemp /tmp/ncdrf-trace.XXXXXX.json)
-ledger=$(mktemp /tmp/ncdrf-ledger.XXXXXX.jsonl)
-profile_out=$(mktemp /tmp/ncdrf-profile.XXXXXX.txt)
-trap 'rm -f "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out"' EXIT
+trace=$tmp/trace.json
+ledger=$tmp/ledger.jsonl
+profile_out=$tmp/profile.txt
 dune exec bin/ncdrf.exe -- bench fig6 --quick --jobs 1 \
   --trace "$trace" --ledger "$ledger" > /dev/null
 events=$(grep -c '"ph": *"[BE]"' "$trace" || true)
@@ -267,14 +260,14 @@ grep -q 'slowest points' "$profile_out" || {
 # error classes.
 NCDRF=./_build/default/bin/ncdrf.exe
 dune build bin/ncdrf.exe
-sock_a="/tmp/ncdrf-serve-a.$$.sock"
-sock_b="/tmp/ncdrf-serve-b.$$.sock"
-serve_metrics=$(mktemp /tmp/ncdrf-serve.XXXXXX.json)
-client_suite=$(mktemp /tmp/ncdrf-client-suite.XXXXXX.txt)
-batch_suite=$(mktemp /tmp/ncdrf-batch-suite.XXXXXX.txt)
-shed_dir=$(mktemp -d /tmp/ncdrf-shed.XXXXXX)
-deadline_metrics=$(mktemp /tmp/ncdrf-deadline.XXXXXX.json)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b"' EXIT
+sock_a=$tmp/serve-a.sock
+sock_b=$tmp/serve-b.sock
+serve_metrics=$tmp/serve.json
+client_suite=$tmp/client-suite.txt
+batch_suite=$tmp/batch-suite.txt
+shed_dir=$tmp/shed
+mkdir "$shed_dir"
+deadline_metrics=$tmp/deadline.json
 
 "$NCDRF" serve --socket "$sock_a" --jobs 1 > /dev/null 2>&1 &
 serv_a=$!
@@ -285,18 +278,37 @@ cmp -s "$client_suite" "$batch_suite" || {
 kill -TERM "$serv_a"
 wait "$serv_a" || {
   echo "check.sh: clean daemon did not exit 0 on SIGTERM" >&2; exit 1; }
+serv_a=
 [ ! -e "$sock_a" ] || {
   echo "check.sh: daemon left its socket behind after drain" >&2; exit 1; }
 
+# The soak fills the daemon before the last client arrives: five
+# clients, each on its own machine config so that none is answered from
+# another's cache, take the four execution slots and the one queue
+# place (polled through `client stats`), so the sixth is shed by
+# construction rather than by timing.
 "$NCDRF" serve --socket "$sock_b" --jobs 1 --queue 1 \
   --inject stage=schedule,every=7 --metrics "$serve_metrics" > /dev/null 2>&1 &
 serv_b=$!
 client_pids=
-for i in 1 2 3 4 5 6; do
+soak_client() {  # index latency clusters
   { c=0; "$NCDRF" client suite --socket "$sock_b" --size 3000 --retries 0 \
-      > "$shed_dir/out.$i" 2>&1 || c=$?; echo "$c" > "$shed_dir/code.$i"; } &
+      --latency "$2" --clusters "$3" > "$shed_dir/out.$1" 2>&1 || c=$?
+    echo "$c" > "$shed_dir/code.$1"; } &
   client_pids="$client_pids $!"
+}
+soak_client 1 3 2; soak_client 2 6 2; soak_client 3 3 3; soak_client 4 6 3
+soak_client 5 3 4
+polls=0
+until "$NCDRF" client stats --socket "$sock_b" 2>/dev/null | grep -q ' 4 active, 1 queued '; do
+  polls=$((polls + 1))
+  if [ "$polls" -ge 300 ]; then
+    echo "check.sh: overload soak never filled the 4 slots and the queue place" >&2
+    exit 1
+  fi
+  sleep 0.1
 done
+soak_client 6 6 4
 for p in $client_pids; do wait "$p" || true; done
 served_clients=0; shed_clients=0
 for i in 1 2 3 4 5 6; do
@@ -315,6 +327,7 @@ fi
 kill -TERM "$serv_b"
 wait "$serv_b" || {
   echo "check.sh: faulted daemon did not exit 0 on SIGTERM" >&2; exit 1; }
+serv_b=
 srv_injected=$(grep -o '"errors.injected": *[0-9]*' "$serve_metrics" | head -n1 | grep -o '[0-9]*$' || true)
 srv_overloaded=$(grep -o '"errors.overloaded": *[0-9]*' "$serve_metrics" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${srv_injected:-}" ] || [ "$srv_injected" -eq 0 ]; then
@@ -331,9 +344,9 @@ fi
 # `ncdrf merge --trace` — must load with events attributed to every
 # request id.  (No requests/s assertion here: on a single-core box the
 # concurrency win is bounded by protocol/compute overlap.)
-sock_c="/tmp/ncdrf-serve-c.$$.sock"
-conc_dir=$(mktemp -d /tmp/ncdrf-conc.XXXXXX)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir"' EXIT
+sock_c=$tmp/serve-c.sock
+conc_dir=$tmp/conc
+mkdir "$conc_dir"
 "$NCDRF" serve --socket "$sock_c" --jobs 1 --max-inflight 4 \
   --metrics "$conc_dir/metrics.json" --trace "$conc_dir/trace.json" \
   --ledger "$conc_dir/ledger.jsonl" > /dev/null 2>&1 &
@@ -354,6 +367,7 @@ done
 kill -TERM "$serv_c"
 wait "$serv_c" || {
   echo "check.sh: concurrent daemon did not exit 0 on SIGTERM" >&2; exit 1; }
+serv_c=
 for key in '"max_inflight"' '"requests.inflight"' '"requests.queued"' \
     '"requests.by_kind"' '"p50_s"' '"p90_s"' '"p99_s"'; do
   grep -q "$key" "$conc_dir/metrics.json" || {
@@ -381,12 +395,12 @@ fi
 # table, and cut the wall clock at least in half — anything less means
 # the disk tier is disconnected, not trusted, or keyed on something that
 # is not reproducible across processes.
-store_dir=$(mktemp -d /tmp/ncdrf-store.XXXXXX)
-cold_m=$(mktemp /tmp/ncdrf-cold.XXXXXX.json)
-warm_m=$(mktemp /tmp/ncdrf-warm.XXXXXX.json)
-cold_out=$(mktemp /tmp/ncdrf-cold.XXXXXX.txt)
-warm_out=$(mktemp /tmp/ncdrf-warm.XXXXXX.txt)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out"' EXIT
+store_dir=$tmp/store
+mkdir "$store_dir"
+cold_m=$tmp/cold.json
+warm_m=$tmp/warm.json
+cold_out=$tmp/cold.txt
+warm_out=$tmp/warm.txt
 dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 \
   --cache-dir "$store_dir" --metrics "$cold_m" > "$cold_out"
 dune exec bin/ncdrf.exe -- bench fig8 --quick --jobs 1 \
@@ -404,11 +418,9 @@ fi
 if ! { grep -v '^\[metrics' "$cold_out" > "$cold_out.f"; \
        grep -v '^\[metrics' "$warm_out" > "$warm_out.f"; \
        cmp -s "$cold_out.f" "$warm_out.f"; }; then
-  rm -f "$cold_out.f" "$warm_out.f"
   echo "check.sh: disk-warm rerun output differs from the cold run" >&2
   exit 1
 fi
-rm -f "$cold_out.f" "$warm_out.f"
 cold_wall=$(grep -o '"total_wall_s": *[0-9.]*' "$cold_m" | head -n1 | grep -o '[0-9.]*$' || true)
 warm_wall=$(grep -o '"total_wall_s": *[0-9.]*' "$warm_m" | head -n1 | grep -o '[0-9.]*$' || true)
 if ! awk -v c="${cold_wall:-0}" -v w="${warm_wall:-1}" 'BEGIN { exit !(w * 2 <= c) }'; then
@@ -421,8 +433,8 @@ fi
 # normalized — both for the metrics JSON and the ledger.  The unsharded
 # files go through a single-input merge, which is the identity modulo
 # the same normalization.
-shard_dir=$(mktemp -d /tmp/ncdrf-shards.XXXXXX)
-trap 'rm -rf "$metrics" "$spill_metrics" "$inj_metrics" "$inj_out" "$k4_metrics" "$ports_metrics" "$trace" "$ledger" "$profile_out" "$serve_metrics" "$client_suite" "$batch_suite" "$shed_dir" "$deadline_metrics" "$sock_a" "$sock_b" "$sock_c" "$conc_dir" "$store_dir" "$cold_m" "$warm_m" "$cold_out" "$warm_out" "$shard_dir"' EXIT
+shard_dir=$tmp/shards
+mkdir "$shard_dir"
 "$NCDRF" suite --size 60 --jobs 1 \
   --metrics "$shard_dir/m0.json" --ledger "$shard_dir/l0.jsonl" > /dev/null
 "$NCDRF" suite --size 60 --jobs 1 --shard 0/2 \

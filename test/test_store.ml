@@ -419,7 +419,8 @@ let suite_metrics ~jobs ~wall_s ~loops ~hits =
                 [ ( "schedule",
                     Json.Obj
                       [ ("total_s", Json.Float wall_s); ("count", Json.Int loops);
-                        ("max_s", Json.Float 0.5) ] ) ] );
+                        ("max_s", Json.Float 0.5); ("self_s", Json.Float (wall_s /. 2.0)) ] )
+                ] );
             ( "counters",
               Json.Obj
                 [ ("cache.disk_hits", Json.Int hits);
@@ -489,11 +490,15 @@ let test_merge_metrics () =
       (at [ "telemetry"; "counters"; "cache.disk_hits" ] = Some (Json.Int 12));
     check_bool "span counts summed" true
       (at [ "telemetry"; "spans"; "schedule"; "count" ] = Some (Json.Int 61));
+    check_bool "span self times summed" true
+      (at [ "telemetry"; "spans"; "schedule"; "self_s" ] = Some (Json.Float 2.5));
     check_bool "jobs is the max" true (at [ "jobs" ] = Some (Json.Int 4));
     check_bool "wall clock summed" true (at [ "wall_s" ] = Some (Json.Float 5.0));
     (* strip_timing nulls every wall-clock field but keeps counts. *)
     let stripped = Merge.strip_timing merged in
     check_bool "wall_s stripped" true (json_path stripped [ "wall_s" ] = Some Json.Null);
+    check_bool "self_s stripped" true
+      (json_path stripped [ "telemetry"; "spans"; "schedule"; "self_s" ] = Some Json.Null);
     check_bool "counters survive stripping" true
       (json_path stripped [ "telemetry"; "counters"; "cache.disk_hits" ]
       = Some (Json.Int 12)));

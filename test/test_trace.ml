@@ -13,6 +13,7 @@ module Telemetry = Ncdrf_telemetry.Telemetry
 module Json = Ncdrf_telemetry.Json
 module Trace = Ncdrf_telemetry.Trace
 module Ledger = Ncdrf_telemetry.Ledger
+module Ring = Ncdrf_telemetry.Ring
 module Stats = Ncdrf_report.Stats
 module Pool = Ncdrf_parallel.Pool
 module Generator = Ncdrf_workloads.Generator
@@ -185,25 +186,65 @@ let test_span_distributions () =
       for i = 1 to 100 do
         Telemetry.record_span "s" (float_of_int i)
       done;
-      check_int "all samples kept" 100 (List.length (Telemetry.span_samples "s"));
-      (match List.assoc_opt "s" (Telemetry.distributions ()) with
-       | None -> Alcotest.fail "no distribution for a recorded span"
-       | Some d ->
-         check_float "p50 nearest-rank" 50.0 d.Telemetry.p50_s;
-         check_float "p90 nearest-rank" 90.0 d.Telemetry.p90_s;
-         check_float "p99 nearest-rank" 99.0 d.Telemetry.p99_s);
+      check_int "every sample counted" 100 (Telemetry.span_count "s");
       (* The metrics document carries the percentiles (additive keys). *)
-      let doc = Json.to_string (Telemetry.to_json ()) in
-      let contains key =
-        let n = String.length key in
-        let rec find i =
-          i + n <= String.length doc && (String.sub doc i n = key || find (i + 1))
-        in
-        find 0
+      let span =
+        match Telemetry.to_json () with
+        | Json.Obj doc -> (
+          match List.assoc_opt "spans" doc with
+          | Some (Json.Obj spans) -> (
+            match List.assoc_opt "s" spans with Some (Json.Obj f) -> f | _ -> [])
+          | _ -> [])
+        | _ -> []
       in
       List.iter
-        (fun key -> check_bool ("metrics JSON has " ^ key) true (contains key))
-        [ "\"p50_s\""; "\"p90_s\""; "\"p99_s\"" ])
+        (fun (key, want) ->
+          match List.assoc_opt key span with
+          | Some (Json.Float v) -> check_float (key ^ " nearest-rank") want v
+          | _ -> Alcotest.fail ("metrics JSON lacks " ^ key))
+        [ ("p50_s", 50.0); ("p90_s", 90.0); ("p99_s", 99.0); ("self_s", 5050.0) ])
+
+(* A daemon records spans under ever-new request ids: the accumulators
+   stay one per name per thread, their sample storage stays within the
+   cap, and the count stays exact. *)
+let test_span_storage_bounded () =
+  Telemetry.enable true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.enable false;
+      Telemetry.reset ())
+  @@ fun () ->
+  Telemetry.reset ();
+  for r = 1 to 1_000 do
+    Trace.with_request ~id:(Printf.sprintf "req%d" r) (fun () ->
+        for _ = 1 to 100 do
+          Telemetry.time "s" ignore
+        done)
+  done;
+  check_int "count is exact" 100_000 (Telemetry.span_count "s");
+  match List.filter (fun (n, _) -> n = "s") (Trace.accs ()) with
+  | [ (_, (a : Trace.acc)) ] ->
+    check_bool "sample storage within the cap" true
+      (Ring.allocated a.Trace.samples <= Trace.sample_cap);
+    check_int "the ring holds the cap" Trace.sample_cap (Ring.length a.Trace.samples);
+    check_int "the rest were dropped" (100_000 - Trace.sample_cap)
+      (Ring.dropped a.Trace.samples)
+  | l -> Alcotest.fail (Printf.sprintf "%d accumulators for one name" (List.length l))
+
+(* A ring holds the most recent [cap] of the items added, oldest first,
+   whatever the mix of growth and wrapping. *)
+let prop_ring_keeps_latest =
+  QCheck.Test.make ~count:200 ~name:"ring keeps the latest cap items"
+    QCheck.(pair (int_range 1 40) (int_range 0 200))
+    (fun (cap, n) ->
+      let r = Ring.create ~cap (-1) in
+      for i = 1 to n do
+        Ring.add r i
+      done;
+      let held = min n cap in
+      Ring.to_list r = List.init held (fun i -> n - held + 1 + i)
+      && Ring.added r = n
+      && Ring.allocated r <= cap)
 
 (* ------------------------------------------------------------------ *)
 (* Event trace: valid Chrome document with balanced, nested B/E.       *)
@@ -301,8 +342,8 @@ let test_trace_jobs_invariant () =
       check_bool "--jobs 2 emits the same event multiset as --jobs 1" true
         (serial = parallel))
 
-(* Two systhreads on one domain: the (domain, thread)-keyed registries
-   keep span samples and trace events apart — under the old
+(* Two systhreads on one domain: the (domain, thread)-keyed registry
+   keeps span accumulators and trace events apart — under the old
    domain-keyed scheme both threads shared one shard, so their B/E
    events interleaved on a single track and samples trampled each
    other.  Regression for the daemon's concurrent connection
@@ -331,16 +372,15 @@ let test_two_systhreads_do_not_interleave () =
   let t2 = Thread.create (body "beta") () in
   Thread.join t1;
   Thread.join t2;
-  (* Exact per-request sample counts: nothing lost, nothing leaked. *)
-  let count req name =
-    match List.assoc_opt (req, name) (Telemetry.request_spans ()) with
-    | Some (s : Telemetry.span) -> s.Telemetry.count
-    | None -> 0
-  in
-  check_int "alpha kept every sample" rounds (count "alpha" "work.alpha");
-  check_int "beta kept every sample" rounds (count "beta" "work.beta");
-  check_int "no cross-request samples" 0
-    (count "alpha" "work.beta" + count "beta" "work.alpha");
+  (* Each thread recorded into its own shard: one accumulator per
+     name, holding exactly that thread's samples. *)
+  let accs name = List.filter (fun (n, _) -> n = name) (Trace.accs ()) in
+  List.iter
+    (fun name ->
+      match accs name with
+      | [ (_, (a : Trace.acc)) ] -> check_int (name ^ " kept every sample") rounds a.Trace.count
+      | l -> Alcotest.fail (Printf.sprintf "%s: %d accumulators" name (List.length l)))
+    [ "work.alpha"; "work.beta" ];
   (* Each thread's events sit on their own track, stamped with their
      request id, and balance B/E with no interleaving. *)
   let evs = Trace.events () in
@@ -515,6 +555,89 @@ let test_ledger_jobs_invariant () =
       check_bool "--jobs 2 ledger identity set equals --jobs 1" true
         (serial = parallel))
 
+(* One stage record feeds the ledger and the metrics: every record's
+   stage self times fit in its wall time, and per stage the ledger's
+   nanoseconds sum to the metrics accumulators' self time exactly — on
+   the suite path and on a capacity sweep that spills (where the
+   "spill" frame nests the rounds' "schedule"/"alloc"/"swap" frames),
+   serially and on a 2-job pool. *)
+let test_stage_record_agrees () =
+  let loops = fixed_loops ~n:20 () in
+  let config = Config.dual ~latency:6 in
+  Telemetry.enable true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.enable false;
+      Telemetry.reset ())
+  @@ fun () ->
+  with_observability ~trace:false @@ fun () ->
+  let check what pool =
+    Artifact.clear_cache ();
+    Ledger.reset ();
+    Telemetry.reset ();
+    ignore (Suite_stats.measure_all ?pool ~config ~models:Model.all loops);
+    let perf =
+      Suite_stats.performance ?pool ~config ~model:Model.Partitioned ~capacity:16 loops
+    in
+    check_bool (what ^ ": the sweep spills") true (perf.Suite_stats.total_spills > 0);
+    let records = Ledger.records () in
+    List.iter
+      (fun (r : Ledger.record) ->
+        let sum = List.fold_left (fun acc (_, ns) -> acc + ns) 0 r.Ledger.stages in
+        if sum > r.Ledger.total_ns then
+          Alcotest.fail
+            (Printf.sprintf "%s: %s stages %d ns > total %d ns" what r.Ledger.loop sum
+               r.Ledger.total_ns))
+      records;
+    let totals pairs =
+      let tbl = Hashtbl.create 8 in
+      List.iter
+        (fun (name, ns) ->
+          Hashtbl.replace tbl name (ns + Option.value ~default:0 (Hashtbl.find_opt tbl name)))
+        pairs;
+      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+    in
+    let ledger = totals (List.concat_map (fun (r : Ledger.record) -> r.Ledger.stages) records) in
+    let metrics =
+      totals (List.map (fun (name, (a : Trace.acc)) -> (name, a.Trace.self_ns)) (Trace.accs ()))
+    in
+    check_bool (what ^ ": spill is a stage") true (List.mem_assoc "spill" ledger);
+    List.iter
+      (fun (name, ns) ->
+        check_int (Printf.sprintf "%s: %s ledger ns = metrics self ns" what name) ns
+          (Option.value ~default:(-1) (List.assoc_opt name ledger)))
+      metrics;
+    check_int (what ^ ": same stage names") (List.length metrics) (List.length ledger)
+  in
+  check "--jobs 1" None;
+  Pool.with_pool ~jobs:2 (fun pool -> check "--jobs 2" (Some pool))
+
+(* ------------------------------------------------------------------ *)
+(* ncdrf profile: pinned output over a hand-written ledger.            *)
+(* ------------------------------------------------------------------ *)
+
+(* test/profile.jsonl is a two-label ledger with a failed record, disk
+   traffic, a request id, a duration tie and two stages; the other
+   test/profile.* files hold the analyzer's exact output for it. *)
+let test_profile_pinned () =
+  let here name = Filename.concat (Filename.dirname Sys.executable_name) name in
+  let ncdrf = here (Filename.concat Filename.parent_dir_name "bin/ncdrf.exe") in
+  let read file = In_channel.with_open_bin (here file) In_channel.input_all in
+  List.iter
+    (fun (args, expected) ->
+      let cmd = Filename.quote_command ncdrf ("profile" :: here "profile.jsonl" :: args) in
+      let ic = Unix.open_process_in cmd in
+      let out = In_channel.input_all ic in
+      if Unix.close_process_in ic <> Unix.WEXITED 0 then Alcotest.fail (cmd ^ " failed");
+      Alcotest.(check string) (String.concat " " args) (read expected) out)
+    [
+      ([ "--top"; "2" ], "profile.txt");
+      ([ "--top"; "2"; "--format"; "json" ], "profile.json");
+      ([ "--top"; "1"; "--stage"; "alloc" ], "profile.alloc.txt");
+      ([ "--top"; "1"; "--stage"; "alloc"; "--format"; "json" ], "profile.alloc.json");
+      ([ "--stage"; "nosuch" ], "profile.nosuch.txt");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Standing invariant: arming observability changes no result byte.    *)
 (* ------------------------------------------------------------------ *)
@@ -575,6 +698,8 @@ let suite =
     Alcotest.test_case "auto_histogram covers the series" `Quick test_auto_histogram;
     Alcotest.test_case "span distributions are nearest-rank" `Quick
       test_span_distributions;
+    Alcotest.test_case "span storage is bounded" `Quick test_span_storage_bounded;
+    QCheck_alcotest.to_alcotest prop_ring_keeps_latest;
     Alcotest.test_case "chrome trace is valid with balanced B/E" `Quick
       test_trace_chrome_document;
     Alcotest.test_case "trace events invariant under --jobs" `Quick
@@ -588,5 +713,8 @@ let suite =
       test_ledger_file_roundtrip;
     Alcotest.test_case "ledger identity set invariant under --jobs" `Quick
       test_ledger_jobs_invariant;
+    Alcotest.test_case "ledger stages = metrics self time" `Quick
+      test_stage_record_agrees;
+    Alcotest.test_case "profile output is pinned" `Quick test_profile_pinned;
     QCheck_alcotest.to_alcotest prop_traced_equals_untraced;
   ]
