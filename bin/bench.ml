@@ -40,18 +40,9 @@ let measure_all c =
 let performance c =
   Suite_stats.performance ~pool:c.pool ?timeout_s:c.timeout_s ~failures:c.failures
 
-(* Map an experiment's own per-loop stage over the pool in input order,
-   with the same failure handling as the suite sweeps. *)
-let pool_map c f loops =
-  let f l = Ncdrf_error.Deadline.with_timeout ?timeout_s:c.timeout_s (fun () -> f l) in
-  List.filter_map
-    (function
-      | Ok v -> Some v
-      | Error (loop, e) ->
-        Failures.record c.failures
-          (Ncdrf_error.Error.classify_exn ~stage:"pipeline" ~loop e);
-        None)
-    (Pool.try_map_exn c.pool ~label:(fun l -> Ddg.name l.Suite_stats.ddg) f loops)
+(* An experiment's own per-loop stage, with the same pool, failure
+   handling and per-point deadline as the suite sweeps. *)
+let map c = Suite_stats.map ~pool:c.pool ?timeout_s:c.timeout_s ~failures:c.failures
 
 let banner title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -355,8 +346,8 @@ let run_spill_victims c =
       let spills = ref 0 and unfit = ref 0 in
       let bandwidth = float_of_int (Config.memory_bandwidth config) in
       let compiled =
-        pool_map c
-          (fun l ->
+        map c
+          ~f:(fun l ->
             (l, Pipeline.run ~config ~model:Model.Swapped ~capacity ~victim l.Suite_stats.ddg))
           loops
       in
@@ -488,8 +479,8 @@ let run_memory c =
       let base = ref 0.0 and effective = ref 0.0 and ideal = ref 0.0 in
       let bw = float_of_int (Config.memory_bandwidth config) in
       let compiled =
-        pool_map c
-          (fun l ->
+        map c
+          ~f:(fun l ->
             let st = Pipeline.run ~config ~model ~capacity l.Suite_stats.ddg in
             let r =
               Ncdrf_sim.Memory_system.simulate ~config:mem ~iterations:25

@@ -50,10 +50,10 @@ let () =
     end
   in
   show "unified" (Executor.run_unified ~iterations sched);
-  show "dual" (Executor.run_dual ~iterations sched);
+  show "dual" (Executor.run_clustered ~iterations sched);
   let swapped, stats = Swap.improve sched in
   Format.printf "@.after %d swap(s):@." stats.Swap.swaps;
-  show "swapped" (Executor.run_dual ~iterations swapped);
+  show "swapped" (Executor.run_clustered ~iterations swapped);
   Format.printf "@.first stores computed by the pipeline:@.";
   List.iteri
     (fun i e ->

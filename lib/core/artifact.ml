@@ -348,13 +348,8 @@ let views_of_schedule ~models sched =
 
 let view t ~model = view_of_schedule ~model t.raw
 
-let is_spill_load node =
-  match node.Ddg.opcode with
-  | Opcode.Load (Opcode.Spill _) -> true
-  | _ -> false
-
 let has_spill_load ddg =
-  Ddg.fold_nodes ddg ~init:false ~f:(fun acc n -> acc || is_spill_load n)
+  Ddg.fold_nodes ddg ~init:false ~f:(fun acc n -> acc || Opcode.is_spill_load n.Ddg.opcode)
 
 (* The spiller's scheduling step (Spiller.run's default), memoized.  No
    "schedule" span here: spiller rounds are profiled by the enclosing
@@ -371,10 +366,7 @@ let spill_schedule ~config ~min_ii ddg =
   if min_ii <= 1 && not (has_spill_load ddg) then raw_schedule ~config ddg
   else begin
     stage_boundary ~stage:"schedule" ~config ddg @@ fun () ->
-    let compute () =
-      let raw = Modulo.schedule_with_min_ii ~min_ii config ddg in
-      Spill_of (Adjust.push_late raw ~eligible:is_spill_load)
-    in
+    let compute () = Spill_of (Ncdrf_spill.Spiller.schedule_once config ~min_ii ddg) in
     match
       memo ~loop:(Ddg.name ddg) ~disk:(spill_codec ~config ddg)
         (base_key ~config ddg ^ "#spill:" ^ string_of_int min_ii)

@@ -28,9 +28,6 @@ type stats = {
   error : Ncdrf_error.Error.t option;
 }
 
-let requirement_of_model = Artifact.apply_model
-let count_swaps = Artifact.count_swaps
-
 (* Config fingerprints embed NUL-separated binary structure; the ledger
    carries the display name plus a short digest for identity. *)
 let short_fingerprint config =

@@ -11,14 +11,16 @@
     byte-identical to a cache-disabled run.
 
     When telemetry is enabled ([Ncdrf_telemetry.Telemetry.enable]),
-    cache-missing runs record inclusive wall-time spans for their
-    stages — ["mii"], ["schedule"], ["alloc"], ["swap"], ["spill"] —
-    and every run bumps the ["pipeline.loops"], ["pipeline.spilled"]
-    and ["pipeline.ii_bumps"] counters; the cache itself bumps
+    cache-missing runs record wall-time spans for their stages —
+    ["mii"], ["schedule"], ["alloc"], ["swap"], ["spill"] — and every
+    run bumps the ["pipeline.loops"], ["pipeline.spilled"] and
+    ["pipeline.ii_bumps"] counters; the cache itself bumps
     ["cache.hits"] / ["cache.misses"] / ["cache.evictions"].  The
     ["spill"] span wraps the whole iterative spill loop, so the
-    allocation/swap records of its inner rounds are nested inside its
-    total; a warm (cache-hitting) stage records no span. *)
+    schedule/allocation/swap records of its inner rounds nest inside
+    it: its [total_s] is inclusive, its [self_s] (and the ledger's
+    ["spill"] stage) is the spill loop's own time without them.  A warm
+    (cache-hitting) stage records no span. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -81,20 +83,6 @@ val observe :
   ?capacity:int ->
   (unit -> 'a) ->
   'a
-
-(** The model's requirement function on a fixed schedule (uncached;
-    alias of {!Artifact.apply_model}): returns the (possibly swapped)
-    schedule and its register requirement.  [Ideal] reports the unified
-    requirement but never fails to fit. *)
-val requirement_of_model :
-  Model.t -> Schedule.t -> Schedule.t * int
-
-(** Swaps applied between two schedules of the same graph, for the
-    [Swapped] model (alias of {!Artifact.count_swaps}): pairs of nodes
-    that exchanged clusters (moves in opposite directions between the
-    same two clusters, paired up).  One-sided migrations are not swaps
-    and are not counted.  Other models report 0. *)
-val count_swaps : Model.t -> Schedule.t -> Schedule.t -> int
 
 (** [run ~config ~model ?capacity ddg] compiles the loop.  Without
     [capacity], registers are unlimited (the paper's Section 5.3

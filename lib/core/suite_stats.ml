@@ -44,16 +44,9 @@ let shard ~index ~count loops =
    policy ([fail_fast] / [max_failures]) may abort during recording.
 
    [timeout_s] bounds each point with a fresh deadline token (the
-   [--timeout] flag); [deadline] installs one shared token around every
-   point — the serving daemon passes its per-request token here so
-   pool workers see the request's deadline and drain-cancellation even
-   though they run on other domains. *)
-let suite_map ?pool ?failures ?timeout_s ?deadline ~f loops =
-  let f =
-    match deadline with
-    | None -> f
-    | Some tok -> fun l -> Ncdrf_error.Deadline.with_token tok (fun () -> f l)
-  in
+   [--timeout] flag).  Tokens already installed on the calling thread
+   (a daemon request's) reach pool workers through [Pool]. *)
+let map ?pool ?failures ?timeout_s ~f loops =
   let f =
     match timeout_s with
     | None -> f
@@ -79,7 +72,7 @@ let suite_map ?pool ?failures ?timeout_s ?deadline ~f loops =
           None)
       outcomes
 
-let measure_all ?pool ?failures ?timeout_s ?deadline ~config ~models loops =
+let measure_all ?pool ?failures ?timeout_s ~config ~models loops =
   let one loop =
     (* Each loop is one observed point covering every model measured on
        it, so ledger-armed table runs get one record per (config, loop)
@@ -108,11 +101,11 @@ let measure_all ?pool ?failures ?timeout_s ?deadline ~config ~models loops =
      end);
     rows
   in
-  let per_loop = suite_map ?pool ?failures ?timeout_s ?deadline ~f:one loops in
+  let per_loop = map ?pool ?failures ?timeout_s ~f:one loops in
   List.mapi (fun i model -> (model, List.map (fun row -> List.nth row i) per_loop)) models
 
-let measure ?pool ?failures ?timeout_s ?deadline ~config ~model loops =
-  match measure_all ?pool ?failures ?timeout_s ?deadline ~config ~models:[ model ] loops with
+let measure ?pool ?failures ?timeout_s ~config ~model loops =
+  match measure_all ?pool ?failures ?timeout_s ~config ~models:[ model ] loops with
   | [ (_, ms) ] -> ms
   | _ -> assert false
 
@@ -168,7 +161,7 @@ type performance = {
   unfit : int;
 }
 
-let performance ?pool ?failures ?timeout_s ?deadline ~config ~model ~capacity loops =
+let performance ?pool ?failures ?timeout_s ~config ~model ~capacity loops =
   let ideal_time = ref 0.0 in
   let achieved_time = ref 0.0 in
   let traffic_num = ref 0.0 in
@@ -181,7 +174,7 @@ let performance ?pool ?failures ?timeout_s ?deadline ~config ~model ~capacity lo
      stays a serial fold in input order so the sums are bit-identical
      whatever the worker count. *)
   let compiled =
-    suite_map ?pool ?failures ?timeout_s ?deadline
+    map ?pool ?failures ?timeout_s
       ~f:(fun loop -> (loop, Pipeline.run ~config ~model ~capacity loop.ddg))
       loops
   in

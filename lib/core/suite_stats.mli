@@ -51,16 +51,14 @@ val shard : index:int -> count:int -> workload list -> workload list
     [timeout_s] gives each point its own wall deadline (the [--timeout]
     flag): an over-budget point raises the typed
     [Error.Deadline_exceeded], which [failures] records like any other
-    category.  [deadline] instead installs one {e shared}
-    {!Ncdrf_error.Deadline.token} around every point — the serving
-    daemon passes its per-request token here so the request's deadline
-    and drain-cancellation reach pool workers on other domains.  The
-    two compose (whichever constraint fires first wins). *)
+    category.  Deadline tokens installed on the calling thread (the
+    serving daemon's per-request token) bound every point too: the pool
+    re-installs them on its workers.  The two compose (whichever
+    constraint fires first wins). *)
 val measure_all :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   config:Config.t ->
   models:Model.t list ->
   workload list ->
@@ -71,8 +69,19 @@ val measure :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   config:Config.t -> model:Model.t -> workload list -> measurement list
+
+(** [map ?pool ?failures ?timeout_s ~f loops] is the per-loop engine
+    behind {!measure_all} and {!performance}, for experiments with a
+    per-loop stage of their own: [f] over [loops] in input order, with
+    the same pool fan-out, failure recording and per-point deadline. *)
+val map :
+  ?pool:Ncdrf_parallel.Pool.t ->
+  ?failures:Ncdrf_error.Failures.t ->
+  ?timeout_s:float ->
+  f:(workload -> 'a) ->
+  workload list ->
+  'a list
 
 (** Static cumulative distribution: fraction (in percent) of loops whose
     requirement is [<= r], for each [r] in [points]. *)
@@ -110,11 +119,10 @@ type performance = {
     stays in the aggregates and is counted in [unfit], with the
     divergence detail on [Pipeline.stats.error].
 
-    [timeout_s] / [deadline] bound each point exactly as in
+    [timeout_s] and installed tokens bound each point exactly as in
     {!measure_all}. *)
 val performance :
   ?pool:Ncdrf_parallel.Pool.t ->
   ?failures:Ncdrf_error.Failures.t ->
   ?timeout_s:float ->
-  ?deadline:Ncdrf_error.Deadline.token ->
   config:Config.t -> model:Model.t -> capacity:int -> workload list -> performance

@@ -11,7 +11,7 @@
    tighter). *)
 
 type token = {
-  deadline : float option;  (* absolute, monotonic seconds (Budget.now) *)
+  deadline : float option;  (* absolute, monotonic seconds (Telemetry.now) *)
   timeout_s : float option;  (* the original relative budget, for messages *)
   canceled : bool Atomic.t;
   mutable cancel_reason : string;
@@ -19,7 +19,7 @@ type token = {
 
 let make ?timeout_s () =
   {
-    deadline = Option.map (fun s -> Budget.now () +. s) timeout_s;
+    deadline = Option.map (fun s -> Ncdrf_telemetry.Telemetry.now () +. s) timeout_s;
     timeout_s;
     canceled = Atomic.make false;
     cancel_reason = "canceled";
@@ -32,10 +32,10 @@ let cancel ?(reason = "canceled") t =
 let canceled t = Atomic.get t.canceled
 
 let expired t =
-  match t.deadline with None -> false | Some d -> Budget.now () > d
+  match t.deadline with None -> false | Some d -> Ncdrf_telemetry.Telemetry.now () > d
 
 let time_left t =
-  match t.deadline with None -> infinity | Some d -> d -. Budget.now ()
+  match t.deadline with None -> infinity | Some d -> d -. Ncdrf_telemetry.Telemetry.now ()
 
 (* (domain id, thread id) -> installed token stack, innermost first.
    The mutex is taken at scope entry/exit and by [check] and [active]
@@ -65,20 +65,30 @@ let current_stack () =
 
 let active () = current_stack () <> []
 
-let with_token tok f =
+(* Push [toks] (innermost first) over the calling thread's stack for
+   the extent of [f]. *)
+let with_tokens toks f =
   let k = key () in
-  Atomic.incr installed_count;
+  let n = List.length toks in
+  ignore (Atomic.fetch_and_add installed_count n);
   Mutex.lock lock;
   let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
-  Hashtbl.replace table k (tok :: prev);
+  Hashtbl.replace table k (toks @ prev);
   Mutex.unlock lock;
   let restore () =
     Mutex.lock lock;
     if prev = [] then Hashtbl.remove table k else Hashtbl.replace table k prev;
     Mutex.unlock lock;
-    Atomic.decr installed_count
+    ignore (Atomic.fetch_and_add installed_count (-n))
   in
   Fun.protect ~finally:restore f
+
+let with_token tok f = with_tokens [ tok ] f
+
+let inherit_tokens () =
+  match current_stack () with
+  | [] -> fun f -> f ()
+  | stack -> fun f -> with_tokens stack f
 
 let with_timeout ?timeout_s f =
   match timeout_s with

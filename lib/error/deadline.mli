@@ -3,8 +3,10 @@
     The serving daemon gives every scheduling request a deadline and
     must be able to revoke in-flight work while draining; batch mode
     reuses the same machinery for [--timeout SECS] per-point budgets.
-    A {!token} carries an absolute monotonic deadline (never wall time
-    — see {!Budget.now}) plus a cancellation flag; it is installed
+    A {!token} carries an absolute deadline on the monotonic clock
+    ([Telemetry.now], CLOCK_MONOTONIC — never wall time, so an NTP
+    step in a long-running daemon cannot expire every in-flight
+    request) plus a cancellation flag; it is installed
     {e ambiently} for a dynamic scope with {!with_token}, and pipeline
     stages poll {!check} at their boundaries (stage entry, spill
     rounds, II attempts).  Expiry and cancellation surface as the typed
@@ -15,9 +17,11 @@
     Scopes nest: an inner token does not shadow an outer one — {!check}
     honors whichever constraint fires first (min-deadline, any-cancel).
     Installation is per (domain, thread), so concurrent daemon requests
-    on sibling systhreads and pool workers on other domains never see
-    each other's tokens; sharing one token across threads is the
-    intended way to bound a fanned-out request. *)
+    on sibling systhreads never see each other's tokens.  Work a
+    request fans out follows it: [Ncdrf_parallel.Pool] captures the
+    submitting thread's stack with {!inherit_tokens} and re-installs it around
+    every job, so a pool worker on another domain honours the same
+    deadline and drain-cancellation. *)
 
 type token
 
@@ -43,6 +47,12 @@ val time_left : token -> float
     the calling thread, stacking over (not replacing) any enclosing
     token. *)
 val with_token : token -> (unit -> 'a) -> 'a
+
+(** [inherit_tokens ()] captures the calling thread's installed tokens and
+    returns a wrapper that re-installs them (over any tokens already
+    there) on whatever thread runs the wrapped thunk; the identity
+    wrapper when none is installed. *)
+val inherit_tokens : unit -> (unit -> 'a) -> 'a
 
 (** [with_timeout ?timeout_s f] — {!with_token} around a fresh
     {!make}d token; just [f ()] when [timeout_s] is [None]. *)

@@ -4,7 +4,6 @@ type category =
   | Schedule_infeasible
   | Alloc_infeasible
   | Spill_diverged
-  | Budget_exhausted
   | Injected
   | Internal
   | Overloaded
@@ -29,7 +28,6 @@ let category_name = function
   | Schedule_infeasible -> "schedule_infeasible"
   | Alloc_infeasible -> "alloc_infeasible"
   | Spill_diverged -> "spill_diverged"
-  | Budget_exhausted -> "budget_exhausted"
   | Injected -> "injected"
   | Internal -> "internal"
   | Overloaded -> "overloaded"
@@ -38,8 +36,7 @@ let category_name = function
 
 let all_categories =
   [ Parse; Invalid_graph; Schedule_infeasible; Alloc_infeasible; Spill_diverged;
-    Budget_exhausted; Injected; Internal; Overloaded; Deadline_exceeded;
-    Canceled ]
+    Injected; Internal; Overloaded; Deadline_exceeded; Canceled ]
 
 let category_of_name name =
   List.find_opt (fun c -> category_name c = name) all_categories

@@ -31,7 +31,6 @@ type category =
   | Spill_diverged
       (** the iterative spiller hit its round/II-bump caps without
           fitting; a partial outcome is still available *)
-  | Budget_exhausted  (** a stage exceeded its step or wall-clock budget *)
   | Injected  (** a deterministic fault-injection point fired *)
   | Internal  (** everything else: a genuine bug surfaced and contained *)
   | Overloaded
@@ -61,9 +60,8 @@ exception Error of t
 
 (** Stable lower-snake-case name, the suffix of the [errors.*] counters:
     ["parse"], ["invalid_graph"], ["schedule_infeasible"],
-    ["alloc_infeasible"], ["spill_diverged"], ["budget_exhausted"],
-    ["injected"], ["internal"], ["overloaded"], ["deadline_exceeded"],
-    ["canceled"]. *)
+    ["alloc_infeasible"], ["spill_diverged"], ["injected"], ["internal"],
+    ["overloaded"], ["deadline_exceeded"], ["canceled"]. *)
 val category_name : category -> string
 
 val all_categories : category list

@@ -27,6 +27,10 @@ let is_store = function Store _ -> true | Fadd | Fsub | Fmul | Fdiv | Fcvt | Fse
 let is_memory op = is_load op || is_store op
 let produces_value op = not (is_store op)
 
+let is_spill_load = function
+  | Load (Spill _) -> true
+  | Load (Array _) | Store _ | Fadd | Fsub | Fmul | Fdiv | Fcvt | Fselect -> false
+
 let is_spill_access = function
   | Load (Spill _) | Store (Spill _) -> true
   | Load (Array _) | Store (Array _) -> false

@@ -46,6 +46,10 @@ val is_memory : t -> bool
     that define no register value. *)
 val produces_value : t -> bool
 
+(** [is_spill_load op] holds for loads from a {!location.Spill} slot:
+    the reloads the spiller inserts. *)
+val is_spill_load : t -> bool
+
 (** [is_spill_access op] holds for loads/stores whose location is a
     {!location.Spill} slot. *)
 val is_spill_access : t -> bool

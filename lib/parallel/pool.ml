@@ -95,16 +95,19 @@ let generic_map t outcome xs =
   if n = 0 then []
   else if is_serial t then List.map outcome (Array.to_list arr)
   else begin
-    (* Capture the submitting thread's ambient request id so work
-       stolen by pool workers (different threads, so a different
-       observability shard) is still attributed to the daemon request
-       that submitted it.  Identity outside any request. *)
-    let wrap = Ncdrf_telemetry.Trace.inherit_request () in
+    (* Capture the submitting thread's ambient request id and deadline
+       tokens so work stolen by pool workers (different threads, so a
+       different observability shard and token stack) is still
+       attributed to the daemon request that submitted it and bounded
+       by its deadline and drain-cancellation.  Identity outside any
+       request or token scope. *)
+    let request = Ncdrf_telemetry.Trace.inherit_request () in
+    let deadline = Ncdrf_error.Deadline.inherit_tokens () in
     let results = Array.make n None in
     let remaining = ref n in
     let all_done = Condition.create () in
     let job i () =
-      let r = wrap (fun () -> outcome arr.(i)) in
+      let r = request (fun () -> deadline (fun () -> outcome arr.(i))) in
       Mutex.lock t.lock;
       results.(i) <- Some r;
       decr remaining;

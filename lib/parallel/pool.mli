@@ -51,10 +51,11 @@ exception
     positional ["item %d"]) names the culprits.
 
     The submitting thread's ambient request id
-    ([Ncdrf_telemetry.Trace.with_request]) is captured at submission
-    and re-installed around every job, so trace events and ledger
-    records produced by pool workers stay attributed to the daemon
-    request that submitted the map. *)
+    ([Ncdrf_telemetry.Trace.with_request]) and deadline tokens
+    ([Ncdrf_error.Deadline.with_token]) are captured at submission and
+    re-installed around every job, so trace events and ledger records
+    produced by pool workers stay attributed to the daemon request that
+    submitted the map, and its deadline and cancellation reach them. *)
 val map : t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Like {!map} but returns per-item outcomes instead of raising:

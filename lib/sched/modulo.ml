@@ -1,8 +1,6 @@
 open Ncdrf_ir
 open Ncdrf_machine
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
-module Telemetry = Ncdrf_telemetry.Telemetry
 module Trace = Ncdrf_telemetry.Trace
 
 type cluster_policy =
@@ -227,8 +225,8 @@ let highest_unscheduled st =
 (* Place every unscheduled operation (highest priority first) within the
    state's budget, starting from [attempt]'s empty placement.  Returns
    false on budget exhaustion; raises only when a unit class has zero
-   capacity or the external [meter] runs out. *)
-let place_all st ~meter =
+   capacity. *)
+let place_all st =
   let ddg = st.ddg and ii = st.ii in
   let rec loop () =
     let v = highest_unscheduled st in
@@ -236,17 +234,6 @@ let place_all st ~meter =
     else if st.budget <= 0 then false
     else begin
       st.budget <- st.budget - 1;
-      (match meter with
-       | None -> ()
-       | Some m ->
-         Budget.spend m;
-         (match Budget.exceeded m with
-          | None -> ()
-          | Some reason ->
-            Telemetry.incr "budget.exhausted";
-            Error.errorf ~loop:(Ddg.name ddg) ~ii ~stage:"schedule"
-              Error.Budget_exhausted "%s after %d placements" reason
-              (Budget.steps_used m)));
       let from = estart st v in
       let cycle = try_window st v ~from in
       if cycle >= 0 then place st v ~cycle ~cluster:st.cluster.(v)
@@ -273,7 +260,7 @@ let schedule_of_state st =
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
-let attempt cfg ddg g ~ii ~budget ~meter ~policy ~placement =
+let attempt cfg ddg g ~ii ~budget ~policy ~placement =
   match heights g ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
@@ -297,11 +284,10 @@ let attempt cfg ddg g ~ii ~budget ~meter ~policy ~placement =
         budget;
       }
     in
-    if place_all st ~meter then Some (schedule_of_state st) else None
+    if place_all st then Some (schedule_of_state st) else None
 
-let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
-    ?(max_ii_slack = 128) ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii
-    cfg ddg =
+let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
+    ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii cfg ddg =
   (match Ddg.validate ddg with
    | Ok () -> ()
    | Error msg ->
@@ -315,9 +301,6 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
   let g = Dep_graph.make cfg ddg in
   let mii = Mii.mii_with_floor ~floor:min_ii g in
   let attempt_budget = budget_ratio * max 1 (Ddg.num_nodes ddg) in
-  (* One meter spans the whole II search: restarts at a larger II do not
-     refill the account. *)
-  let meter = if Budget.limited budget then Some (Budget.start budget) else None in
   let rec search ii =
     (* Deadline poll once per II attempt: a request canceled or expired
        mid-search dies with a typed error instead of grinding through
@@ -328,7 +311,7 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
       match
-        attempt cfg ddg g ~ii ~budget:attempt_budget ~meter ~policy:cluster_policy
+        attempt cfg ddg g ~ii ~budget:attempt_budget ~policy:cluster_policy
           ~placement:placement_policy
       with
       | Some s ->
@@ -345,6 +328,6 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
   in
   search mii
 
-let schedule ?budget ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg ddg =
-  schedule_with_min_ii ?budget ?budget_ratio ?max_ii_slack ?cluster_policy
+let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg ddg =
+  schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy
     ?placement_policy ~min_ii:1 cfg ddg

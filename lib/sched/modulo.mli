@@ -41,19 +41,16 @@ type placement_policy =
 
     [budget_ratio] (default 8) bounds placements per attempt at
     [budget_ratio * num_nodes]; [max_ii_slack] (default 128) bounds the
-    II search above MII.  [budget] (default
-    {!Ncdrf_error.Budget.unlimited}) additionally meters the {e whole}
-    II search in placements and wall clock; restarting at a larger II
-    does not refill the account.
+    II search above MII.  Wall-clock limits come from the ambient
+    {!Ncdrf_error.Deadline} tokens, polled once per II attempt.
 
     All failures raise the classified [Ncdrf_error.Error.Error]:
     [Schedule_infeasible] when no II up to [mii + max_ii_slack] admits a
     schedule or a unit class has zero capacity (does not happen for
-    valid graphs with sane bounds); [Budget_exhausted] when [budget]
-    runs out (also bumps the ["budget.exhausted"] telemetry counter);
-    [Invalid_graph] if the graph fails {!Ddg.validate}. *)
+    valid graphs with sane bounds); [Deadline_exceeded] or [Canceled]
+    when an installed token fires; [Invalid_graph] if the graph fails
+    {!Ddg.validate}. *)
 val schedule :
-  ?budget:Ncdrf_error.Budget.t ->
   ?budget_ratio:int ->
   ?max_ii_slack:int ->
   ?cluster_policy:cluster_policy ->
@@ -66,7 +63,6 @@ val schedule :
     [max mii min_ii] — used to force larger IIs (e.g. the paper's
     "reschedule with increased II" alternative to spilling). *)
 val schedule_with_min_ii :
-  ?budget:Ncdrf_error.Budget.t ->
   ?budget_ratio:int ->
   ?max_ii_slack:int ->
   ?cluster_policy:cluster_policy ->

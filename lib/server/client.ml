@@ -1,5 +1,4 @@
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
 
 type t = {
   fd : Unix.file_descr;
@@ -8,7 +7,7 @@ type t = {
 }
 
 let connect ?(connect_timeout_s = 5.0) path =
-  let t0 = Budget.now () in
+  let t0 = Ncdrf_telemetry.Telemetry.now () in
   let rec go () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
@@ -16,7 +15,7 @@ let connect ?(connect_timeout_s = 5.0) path =
       { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
     | exception Unix.Unix_error (((ENOENT | ECONNREFUSED) as e), _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      if Budget.now () -. t0 < connect_timeout_s then begin
+      if Ncdrf_telemetry.Telemetry.now () -. t0 < connect_timeout_s then begin
         (* The daemon may still be binding its socket; poll briefly. *)
         Unix.sleepf 0.05;
         go ()

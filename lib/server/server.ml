@@ -166,7 +166,7 @@ let execute_schedule ~workload ~only ~spec ~model ~capacity ~show_kernel =
   in
   Protocol.Scheduled { machine = Format.asprintf "%a" Config.pp config; points }
 
-let execute_suite st ~deadline ~spec ~size ~registers =
+let execute_suite st ~spec ~size ~registers =
   let config = build_config spec in
   let loops =
     List.map
@@ -179,7 +179,7 @@ let execute_suite st ~deadline ~spec ~size ~registers =
       (fun (model, ms) ->
         let static_pct, dynamic_pct = Suite_stats.allocatable ms ~r:registers in
         (model, static_pct, dynamic_pct))
-      (Suite_stats.measure_all ~pool:st.pool ~failures ~deadline ~config
+      (Suite_stats.measure_all ~pool:st.pool ~failures ~config
          ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
          loops)
   in
@@ -257,7 +257,7 @@ let execute st (req : Protocol.request) tok =
                       execute_schedule ~workload ~only ~spec ~model ~capacity
                         ~show_kernel
                     | Protocol.Suite { spec; size; registers } ->
-                      execute_suite st ~deadline:tok ~spec ~size ~registers
+                      execute_suite st ~spec ~size ~registers
                     | Protocol.Health | Protocol.Stats ->
                       Protocol.Health_report (health_snapshot st)))))
   in

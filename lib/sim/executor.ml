@@ -155,15 +155,6 @@ let clustered_machine sched =
     writes_now = Array.make n_clusters 0;
   }
 
-(* The spill store feeding loads of a slot, and the store->load
-   iteration distance for a given load. *)
-let spill_source ddg load_id =
-  match
-    List.find_opt (fun e -> e.Ddg.kind = Ddg.Mem) (Ddg.preds ddg load_id)
-  with
-  | Some e -> (e.Ddg.src, e.Ddg.distance)
-  | None -> corrupt "spill load %d has no memory source" load_id
-
 (* Extra cycles a subfile's port budget demands for [count] same-cycle
    accesses: a file with cap [c] serves [c] per cycle, so [count]
    accesses take [ceil(count / c)] cycles — [ceil - 1] stalls. *)
@@ -197,17 +188,24 @@ let run_on machine sched ~iterations =
         if Opcode.produces_value node.Ddg.opcode then push finishes t_finish (v, k);
         if t_finish > !last_cycle then last_cycle := t_finish)
   done;
+  let operands = Array.init n (Semantics.operand_edges ddg) in
+  let origins = Array.init n (Semantics.origin ddg) in
+  (* A value from before iteration 0 is its origin's live-in. *)
+  let live_in v ~iteration =
+    let o, d = origins.(v) in
+    Semantics.live_in ~loop ~node_id:o ~iteration:(iteration - d)
+  in
   let operand_values v k =
     let cluster = Schedule.cluster sched v in
     List.map
       (fun e ->
         let src_iter = k - e.Ddg.distance in
-        if src_iter < 0 then Semantics.live_in ~loop ~node_id:e.Ddg.src ~iteration:src_iter
+        if src_iter < 0 then live_in e.Ddg.src ~iteration:src_iter
         else begin
           incr reads;
           read_value machine ~consumer_cluster:cluster e.Ddg.src ~iteration:src_iter
         end)
-      (Semantics.operand_edges ddg v)
+      operands.(v)
   in
   let issue (v, k) =
     let node = Ddg.node ddg v in
@@ -215,9 +213,9 @@ let run_on machine sched ~iterations =
     | Opcode.Load (Opcode.Array a) ->
       Hashtbl.replace in_flight (v, k) (Semantics.array_input ~array_name:a ~iteration:k)
     | Opcode.Load (Opcode.Spill slot) ->
-      let _store, d = spill_source ddg v in
+      let _store, d = Semantics.spill_source ddg v in
       let x =
-        if k - d < 0 then Semantics.live_in ~loop ~node_id:v ~iteration:(k - d)
+        if k - d < 0 then live_in v ~iteration:k
         else
           match Hashtbl.find_opt spill_buffer (slot, k - d) with
           | Some x -> x
@@ -271,7 +269,6 @@ let run_on machine sched ~iterations =
   done;
   if !read_stalls > 0 then Telemetry.incr ~by:!read_stalls "ports.read_stalls";
   if !write_stalls > 0 then Telemetry.incr ~by:!write_stalls "ports.write_stalls";
-  ignore n;
   {
     stores = List.sort compare !stores;
     cycles = !last_cycle + 1 + !port_stalls;
@@ -284,4 +281,3 @@ let run_unified ~iterations sched =
   run_on (unified_machine sched) sched ~iterations
 
 let run_clustered ~iterations sched = run_on (clustered_machine sched) sched ~iterations
-let run_dual = run_clustered

@@ -51,6 +51,3 @@ val run_unified : iterations:int -> Schedule.t -> outcome
     @raise Ncdrf_error.Error.Error with category [Invalid_graph] if the
     schedule's machine has fewer than 2 clusters. *)
 val run_clustered : iterations:int -> Schedule.t -> outcome
-
-(** {!run_clustered} under its historical two-cluster name. *)
-val run_dual : iterations:int -> Schedule.t -> outcome

@@ -14,50 +14,32 @@ let equal_event a b =
 let equal_stores xs ys =
   List.length xs = List.length ys && List.for_all2 equal_event xs ys
 
-(* Value of the spill store feeding a spill load of this slot. *)
-let spill_store_of ddg slot =
-  let found =
-    Ddg.fold_nodes ddg ~init:None ~f:(fun acc n ->
-        match n.Ddg.opcode with
-        | Opcode.Store (Opcode.Spill s) when s = slot -> Some n
-        | _ -> acc)
-  in
-  match found with
-  | Some n -> n
-  | None -> invalid_arg (Printf.sprintf "Reference.run: spill slot %d has no store" slot)
-
 let run ~iterations ddg =
   let loop = Ddg.name ddg in
+  let n = Ddg.num_nodes ddg in
+  let operands = Array.init n (Semantics.operand_edges ddg) in
+  let origins = Array.init n (Semantics.origin ddg) in
   let memo : (int * int, float) Hashtbl.t = Hashtbl.create 256 in
   let rec value v k =
-    if k < 0 then Semantics.live_in ~loop ~node_id:v ~iteration:k
+    (* A spill load is transparent: it holds its origin's value of an
+       earlier iteration, live-ins included. *)
+    let o, d = origins.(v) in
+    if o <> v then value o (k - d)
+    else if k < 0 then Semantics.live_in ~loop ~node_id:v ~iteration:k
     else
       match Hashtbl.find_opt memo (v, k) with
       | Some x -> x
       | None ->
         let node = Ddg.node ddg v in
         let operands () =
-          List.map (fun e -> value e.Ddg.src (k - e.Ddg.distance)) (Semantics.operand_edges ddg v)
+          List.map (fun e -> value e.Ddg.src (k - e.Ddg.distance)) operands.(v)
         in
         let x =
           match node.Ddg.opcode with
           | Opcode.Load (Opcode.Array a) -> Semantics.array_input ~array_name:a ~iteration:k
-          | Opcode.Load (Opcode.Spill slot) ->
-            (* The load of iteration k reads what the slot's store wrote
-               [d] iterations earlier (the memory-ordering edge's
-               distance). *)
-            let store = spill_store_of ddg slot in
-            let d =
-              match
-                List.find_opt
-                  (fun e -> e.Ddg.kind = Ddg.Mem && e.Ddg.src = store.Ddg.id)
-                  (Ddg.preds ddg v)
-              with
-              | Some e -> e.Ddg.distance
-              | None -> 0
-            in
-            if k - d < 0 then Semantics.live_in ~loop ~node_id:v ~iteration:(k - d)
-            else value store.Ddg.id (k - d)
+          | Opcode.Load (Opcode.Spill _) ->
+            (* Never reached: a spill load is not its own origin. *)
+            invalid_arg "Reference.run: spill load without an origin"
           | Opcode.Store _ ->
             (match operands () with
              | [ x ] -> x

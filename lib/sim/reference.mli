@@ -15,9 +15,10 @@ type store_event = {
 }
 
 (** [run ~iterations ddg] interprets iterations [0 .. iterations-1] and
-    returns every array store, sorted by (array, iteration).  Spill
-    loads and stores are interpreted through their spill slots and do
-    not appear in the result. *)
+    returns every array store, sorted by (array, iteration).  A spill
+    load holds its {!Semantics.origin}'s value of an earlier iteration,
+    so spill code never changes the result; spill stores do not appear
+    in it. *)
 val run : iterations:int -> Ddg.t -> store_event list
 
 (** Store-list equality with {e bitwise} float comparison: the executor

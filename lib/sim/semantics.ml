@@ -65,7 +65,35 @@ let apply ~loop ~node_id op operands =
   | Opcode.Load _ | Opcode.Store _ ->
     invalid_arg "Semantics.apply: memory operations are interpreted, not computed"
 
-let operand_edges ddg v =
-  List.sort
-    (fun a b -> compare (a.Ddg.src, a.Ddg.distance) (b.Ddg.src, b.Ddg.distance))
-    (List.filter (fun e -> e.Ddg.kind = Ddg.Flow) (Ddg.preds ddg v))
+let spill_source ddg load =
+  match List.find_opt (fun e -> e.Ddg.kind = Ddg.Mem) (Ddg.preds ddg load) with
+  | Some e -> (e.Ddg.src, e.Ddg.distance)
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Semantics.spill_source: spill load %d has no memory source" load)
+
+(* A spill load of iteration k holds what its store wrote [d]
+   iterations earlier, which is the store's operand at its own edge
+   distance further back — itself possibly a reload.  A store without
+   an operand stores its invariant, so it is the origin then. *)
+let rec origin ddg v =
+  if not (Opcode.is_spill_load (Ddg.node ddg v).Ddg.opcode) then (v, 0)
+  else
+    let store, d = spill_source ddg v in
+    match operand_edges ddg store with
+    | e :: _ ->
+      let o, d' = origin ddg e.Ddg.src in
+      (o, d + e.Ddg.distance + d')
+    | [] -> (store, d)
+
+and operand_edges ddg v =
+  let key e =
+    let o, d = origin ddg e.Ddg.src in
+    ((o, e.Ddg.distance + d), e)
+  in
+  List.map snd
+    (List.sort
+       (fun (a, _) (b, _) -> compare a b)
+       (List.filter_map
+          (fun e -> if e.Ddg.kind = Ddg.Flow then Some (key e) else None)
+          (Ddg.preds ddg v)))

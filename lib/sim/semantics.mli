@@ -12,7 +12,8 @@
     - divisions are made safe by biasing the divisor away from zero in
       the same way on both sides;
     - values flowing from iterations before the first (recurrence
-      live-ins) come from {!live_in}. *)
+      live-ins) come from {!live_in}, keyed on the value's {!origin}
+      so a reload's live-in is the spilled value's. *)
 
 open Ncdrf_ir
 
@@ -34,7 +35,24 @@ val live_in : loop:string -> node_id:int -> iteration:int -> float
     interpreters, not here. *)
 val apply : loop:string -> node_id:int -> Opcode.t -> float list -> float
 
-(** Canonical operand order for a node's incoming flow edges: by source
-    id, then distance.  Both interpreters must use this order so
-    non-commutative operations agree. *)
+(** [spill_source ddg load] is the spill store a spill load reads and
+    the store-to-load iteration distance (its memory-ordering edge).
+
+    @raise Invalid_argument if [load] has no memory-ordering edge. *)
+val spill_source : Ddg.t -> int -> int * int
+
+(** [origin ddg v] is the node whose value [v] carries and how many
+    iterations back: a spill load of iteration [k] holds its origin's
+    value of iteration [k - distance], following the load's store and
+    the store's operand through chains of reloads.  Every other node is
+    its own origin at distance 0.  Keying operand order and live-ins on
+    the origin makes a spilled graph compute exactly what the original
+    graph does. *)
+val origin : Ddg.t -> int -> int * int
+
+(** Canonical operand order for a node's incoming flow edges: by the
+    source's {!origin}, then the edge distance plus the origin's
+    distance — by source id, then distance, on a graph without spill
+    code.  Both interpreters must use this order so non-commutative
+    operations agree. *)
 val operand_edges : Ddg.t -> int -> Ddg.edge list

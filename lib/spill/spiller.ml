@@ -42,12 +42,6 @@ let next_spill_slot ddg =
 (* A value may be spilled if its producer is not itself a spill load and
    it has not been spilled already (no spill-store consumer). *)
 let spillable ddg v =
-  let producer = Ddg.node ddg v in
-  let is_spill_load =
-    match producer.Ddg.opcode with
-    | Opcode.Load (Opcode.Spill _) -> true
-    | _ -> false
-  in
   let already_spilled =
     List.exists
       (fun e ->
@@ -56,7 +50,7 @@ let spillable ddg v =
         | _ -> false)
       (Ddg.consumers ddg v)
   in
-  (not is_spill_load) && not already_spilled
+  (not (Opcode.is_spill_load (Ddg.node ddg v).Ddg.opcode)) && not already_spilled
 
 (* Rewrite the graph to spill the value produced by node [v] into spill
    slot [slot] (the caller tracks the next free slot incrementally; it
@@ -88,14 +82,9 @@ let spill_value ddg ~slot v =
   let drop_edge e = e.Ddg.src = v && e.Ddg.kind = Ddg.Flow in
   Ddg.transform ddg ~drop_edge ~add_nodes:(store_node :: load_nodes) ~add_edges:edges ()
 
-let is_spill_load node =
-  match node.Ddg.opcode with
-  | Opcode.Load (Opcode.Spill _) -> true
-  | _ -> false
-
 let schedule_once config ~min_ii ddg =
   let raw = Modulo.schedule_with_min_ii ~min_ii config ddg in
-  Adjust.push_late raw ~eligible:is_spill_load
+  Adjust.push_late raw ~eligible:(fun n -> Opcode.is_spill_load n.Ddg.opcode)
 
 (* Consumer fan-out per node, computed once per graph round: [score]
    would otherwise re-walk [Ddg.consumers] on every call. *)
@@ -134,7 +123,7 @@ let pick_victim ~victim ~ii ~counts candidates =
    the suite boundary to prove containment there. *)
 let containable (e : Error.t) =
   match e.category with
-  | Error.Schedule_infeasible | Error.Budget_exhausted | Error.Alloc_infeasible -> true
+  | Error.Schedule_infeasible | Error.Alloc_infeasible -> true
   | Error.Parse | Error.Invalid_graph | Error.Spill_diverged | Error.Injected
   | Error.Internal | Error.Overloaded | Error.Deadline_exceeded | Error.Canceled ->
     false

@@ -381,13 +381,17 @@ if [ "${req_ids:-0}" -lt 4 ]; then
 fi
 
 # Deadline smoke: a zero budget must fail every point with the typed
-# deadline category, reported in the metrics, without crashing the run.
-"$NCDRF" suite --size 10 --jobs 1 --timeout 0 --metrics "$deadline_metrics" > /dev/null
-dl=$(grep -o '"errors.deadline_exceeded": *[0-9]*' "$deadline_metrics" | head -n1 | grep -o '[0-9]*$' || true)
-if [ -z "${dl:-}" ] || [ "$dl" -eq 0 ]; then
-  echo "check.sh: --timeout 0 suite reported no deadline_exceeded errors" >&2
-  exit 1
-fi
+# deadline category, reported in the metrics, without crashing the run —
+# serially and with pool workers, which inherit the point's token.
+for jobs in 1 2; do
+  "$NCDRF" suite --size 10 --jobs "$jobs" --timeout 0 --metrics "$deadline_metrics" > /dev/null
+  dl=$(grep -o '"errors.deadline_exceeded": *[0-9]*' "$deadline_metrics" | head -n1 | grep -o '[0-9]*$' || true)
+  dl_points=$(grep -o '"pipeline.loops": *[0-9]*' "$deadline_metrics" | head -n1 | grep -o '[0-9]*$' || true)
+  if [ -z "${dl_points:-}" ] || [ "$dl_points" -eq 0 ] || [ "${dl:-0}" -ne "$dl_points" ]; then
+    echo "check.sh: --timeout 0 suite at --jobs $jobs: ${dl:-0} deadline_exceeded of ${dl_points:-0} points" >&2
+    exit 1
+  fi
+done
 
 # Persistent-store gate: a second process over the same --cache-dir must
 # replay the whole fig8-quick sweep from disk (every entry the cold run

@@ -11,8 +11,6 @@ open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_sched
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
-module Telemetry = Ncdrf_telemetry.Telemetry
 
 type cluster_policy = Modulo.cluster_policy =
   | Balance
@@ -272,8 +270,8 @@ let highest_unscheduled st =
 (* Place every unscheduled operation (highest priority first) within the
    state's budget, starting from [attempt]'s empty placement.  Returns
    false on budget exhaustion; raises only when a unit class has zero
-   capacity or the external [meter] runs out. *)
-let place_all st ~meter =
+   capacity. *)
+let place_all st =
   let ddg = st.ddg and ii = st.ii in
   let rec loop () =
     let v = highest_unscheduled st in
@@ -281,17 +279,6 @@ let place_all st ~meter =
     else if st.budget <= 0 then false
     else begin
       st.budget <- st.budget - 1;
-      (match meter with
-       | None -> ()
-       | Some m ->
-         Budget.spend m;
-         (match Budget.exceeded m with
-          | None -> ()
-          | Some reason ->
-            Telemetry.incr "budget.exhausted";
-            Error.errorf ~loop:(Ddg.name ddg) ~ii ~stage:"schedule"
-              Error.Budget_exhausted "%s after %d placements" reason
-              (Budget.steps_used m)));
       let from = estart st v in
       (match try_window st v ~from with
        | Some (cycle, cluster) -> place st v ~cycle ~cluster
@@ -319,7 +306,7 @@ let schedule_of_state st =
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
-let attempt cfg ddg ~ii ~budget ~meter ~policy ~placement =
+let attempt cfg ddg ~ii ~budget ~policy ~placement =
   match heights cfg ddg ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
@@ -339,11 +326,10 @@ let attempt cfg ddg ~ii ~budget ~meter ~policy ~placement =
         budget;
       }
     in
-    if place_all st ~meter then Some (schedule_of_state st) else None
+    if place_all st then Some (schedule_of_state st) else None
 
-let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
-    ?(max_ii_slack = 128) ?(cluster_policy = Balance) ?(placement_policy = Asap)
-    ~min_ii cfg ddg =
+let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
+    ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii cfg ddg =
   (match Ddg.validate ddg with
    | Ok () -> ()
    | Error msg ->
@@ -355,9 +341,6 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
      exactly [max (Mii.mii cfg ddg) min_ii]. *)
   let mii = mii_with_floor ~floor:min_ii cfg ddg in
   let attempt_budget = budget_ratio * max 1 (Ddg.num_nodes ddg) in
-  (* One meter spans the whole II search: restarts at a larger II do not
-     refill the account. *)
-  let meter = if Budget.limited budget then Some (Budget.start budget) else None in
   let rec search ii =
     (* Deadline poll once per II attempt: a request canceled or expired
        mid-search dies with a typed error instead of grinding through
@@ -368,7 +351,7 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
       match
-        attempt cfg ddg ~ii ~budget:attempt_budget ~meter ~policy:cluster_policy
+        attempt cfg ddg ~ii ~budget:attempt_budget ~policy:cluster_policy
           ~placement:placement_policy
       with
       | Some s ->
@@ -378,7 +361,7 @@ let schedule_with_min_ii ?(budget = Budget.unlimited) ?(budget_ratio = 8)
   in
   search mii
 
-let schedule ?budget ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg
+let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg
     ddg =
-  schedule_with_min_ii ?budget ?budget_ratio ?max_ii_slack ?cluster_policy
+  schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy
     ?placement_policy ~min_ii:1 cfg ddg

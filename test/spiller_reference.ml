@@ -140,7 +140,7 @@ let pick_victim ~victim ~ii ~counts candidates =
    the suite boundary to prove containment there. *)
 let containable (e : Error.t) =
   match e.category with
-  | Error.Schedule_infeasible | Error.Budget_exhausted | Error.Alloc_infeasible -> true
+  | Error.Schedule_infeasible | Error.Alloc_infeasible -> true
   | Error.Parse | Error.Invalid_graph | Error.Spill_diverged | Error.Injected
   | Error.Internal | Error.Overloaded | Error.Deadline_exceeded | Error.Canceled ->
     false

@@ -113,7 +113,7 @@ let prop_k2_is_dual =
       Config.fingerprint dual = Config.fingerprint k2
       && line dual = line k2
       && (let sched = Modulo.schedule k2 ddg in
-          Ncdrf_sim.Executor.run_dual ~iterations:8 sched
+          Ncdrf_sim.Executor.run_clustered ~iterations:8 (Modulo.schedule dual ddg)
           = Ncdrf_sim.Executor.run_clustered ~iterations:8 sched
           && List.for_all
                (fun (_, cls) ->

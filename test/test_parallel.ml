@@ -149,17 +149,17 @@ let test_count_swaps_pairs_only () =
   let before = Helpers.paper_schedule () in
   (* A true swap: A4 goes 0 -> 1 while A6 goes 1 -> 0. *)
   let swapped = reclustered before [ ("A4", 1); ("A6", 0) ] in
-  check_int "one exchanged pair" 1 (Pipeline.count_swaps Model.Swapped before swapped);
+  check_int "one exchanged pair" 1 (Artifact.count_swaps Model.Swapped before swapped);
   (* Three one-sided migrations, no partner: not a swap.  The old
      [changed / 2] silently truncated this to 1. *)
   let migrated = reclustered before [ ("L1", 1); ("L2", 1); ("M3", 1) ] in
   check_int "one-sided migrations are not swaps" 0
-    (Pipeline.count_swaps Model.Swapped before migrated);
+    (Artifact.count_swaps Model.Swapped before migrated);
   (* A pair plus a lone migration counts the pair only. *)
   let mixed = reclustered before [ ("A4", 1); ("A6", 0); ("M5", 0) ] in
-  check_int "pair + lone migration" 1 (Pipeline.count_swaps Model.Swapped before mixed);
+  check_int "pair + lone migration" 1 (Artifact.count_swaps Model.Swapped before mixed);
   (* Other models never report swaps. *)
-  check_int "unified reports 0" 0 (Pipeline.count_swaps Model.Unified before swapped)
+  check_int "unified reports 0" 0 (Artifact.count_swaps Model.Unified before swapped)
 
 (* ------------------------------------------------------------------ *)
 (* Swap.candidates: bucketed scan == the old all-pairs scan.           *)

@@ -1,5 +1,5 @@
 (* The failure taxonomy and its enforcement: classification of the
-   legacy exception zoo, stage budgets as first-class outcomes, spiller
+   legacy exception zoo, typed scheduler infeasibility, spiller
    divergence containment, deterministic fault injection, the suite's
    keep-going / fail-fast policies, and the property that the pipeline
    never leaks a raw exception. *)
@@ -8,7 +8,6 @@ open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_core
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
 module Failures = Ncdrf_error.Failures
 module Fault = Ncdrf_fault.Fault
 module Pool = Ncdrf_parallel.Pool
@@ -28,8 +27,8 @@ let category : Error.category Alcotest.testable =
 
 let test_category_names () =
   let names = List.map Error.category_name Error.all_categories in
-  check_int "eleven categories" 11 (List.length names);
-  check_int "names are distinct" 11 (List.length (List.sort_uniq compare names));
+  check_int "ten categories" 10 (List.length names);
+  check_int "names are distinct" 10 (List.length (List.sort_uniq compare names));
   List.iter
     (fun n ->
       check_bool ("lower snake case: " ^ n) true
@@ -68,37 +67,6 @@ let test_protect_and_boundary () =
     Alcotest.check category "boundary re-raises classified" Error.Invalid_graph
       e.Error.category
 
-(* ------------------------------------------------------------------ *)
-(* Budgets.                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_budget_meter () =
-  check_bool "unlimited is unlimited" false (Budget.limited Budget.unlimited);
-  let m = Budget.start Budget.unlimited in
-  Budget.spend ~steps:1_000_000 m;
-  Alcotest.(check (option string)) "unlimited never exceeds" None (Budget.exceeded m);
-  let b = Budget.v ~max_steps:5 () in
-  check_bool "step-limited" true (Budget.limited b);
-  let m = Budget.start b in
-  for _ = 1 to 5 do Budget.spend m done;
-  Alcotest.(check (option string)) "at the limit" None (Budget.exceeded m);
-  Budget.spend m;
-  check_bool "over the limit" true (Budget.exceeded m <> None);
-  check_int "steps accounted" 6 (Budget.steps_used m)
-
-let test_scheduler_budget_exhaustion () =
-  let ddg = Helpers.example_ddg () in
-  let config = Helpers.example_config () in
-  (match Ncdrf_sched.Modulo.schedule ~budget:(Budget.v ~max_steps:1 ()) config ddg with
-   | _ -> Alcotest.fail "a 1-placement budget cannot schedule the example"
-   | exception Error.Error e ->
-     Alcotest.check category "budget exhausted" Error.Budget_exhausted e.Error.category;
-     check_string "stage" "schedule" e.Error.stage;
-     Alcotest.(check (option string)) "loop named" (Some (Ddg.name ddg)) e.Error.loop);
-  (* The same loop schedules fine with the default (unlimited) budget. *)
-  let sched = Ncdrf_sched.Modulo.schedule config ddg in
-  Helpers.check_valid "unlimited budget" sched
-
 let test_scheduler_infeasible_is_classified () =
   let ddg = Helpers.example_ddg () in
   let config = Helpers.example_config () in
@@ -135,7 +103,7 @@ let test_alloc_infeasible () =
 let test_spiller_divergence_terminates () =
   let ddg = Helpers.example_ddg () in
   let config = Helpers.example_config () in
-  let requirement = Pipeline.requirement_of_model Model.Unified in
+  let requirement = Artifact.apply_model Model.Unified in
   (* Capacity 1 is unreachable; with the caps pulled in the spiller must
      give up quickly and report how far it got. *)
   let outcome =
@@ -407,9 +375,6 @@ let suite =
     Alcotest.test_case "category names are stable keys" `Quick test_category_names;
     Alcotest.test_case "legacy exceptions classify" `Quick test_classify_builtins;
     Alcotest.test_case "protect and boundary contain" `Quick test_protect_and_boundary;
-    Alcotest.test_case "budget meter accounts steps" `Quick test_budget_meter;
-    Alcotest.test_case "scheduler budget exhaustion is typed" `Quick
-      test_scheduler_budget_exhaustion;
     Alcotest.test_case "scheduler infeasibility is typed" `Quick
       test_scheduler_infeasible_is_classified;
     Alcotest.test_case "allocation dead-ends are typed" `Quick test_alloc_infeasible;

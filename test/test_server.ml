@@ -1,14 +1,13 @@
 (* The serving layer: total codec (qcheck round-trip plus malformed
    frames that must come back as typed errors, never exceptions), the
    shared renderers behind the batch/client byte-identity invariant,
-   deadline tokens and the monotonic budget clock, and an in-process
+   deadline tokens and their monotonic clock, and an in-process
    daemon exercised over a real Unix socket: health, scheduling,
    fault containment, per-request deadlines, and a clean drain. *)
 
 open Ncdrf_machine
 open Ncdrf_core
 module Error = Ncdrf_error.Error
-module Budget = Ncdrf_error.Budget
 module Deadline = Ncdrf_error.Deadline
 module Failures = Ncdrf_error.Failures
 module Fault = Ncdrf_fault.Fault
@@ -329,19 +328,21 @@ let test_renderers () =
     (String.length summary > 0 && contains ~affix:"injected" summary)
 
 (* ------------------------------------------------------------------ *)
-(* Budget clock and deadline tokens.                                   *)
+(* Deadline clock and tokens.                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Pins the wall-metering clock source: Budget.now must be the
-   monotonic telemetry clock, never Unix.gettimeofday — a step of the
-   wall clock (NTP, DST) must not expire every in-flight deadline. *)
+(* Pins the deadline clock source: tokens read Telemetry.now, the
+   monotonic clock, never Unix.gettimeofday — a step of the wall clock
+   (NTP, DST) must not expire every in-flight deadline. *)
 let test_budget_clock_is_monotonic () =
-  let b = Budget.now () in
   let t = Telemetry.now () in
-  check_bool "Budget.now ticks with Telemetry.now (monotonic)" true
-    (Float.abs (b -. t) < 0.5);
+  let tok = Deadline.make ~timeout_s:60.0 () in
+  let left = Deadline.time_left tok in
+  let elapsed = Telemetry.now () -. t in
+  check_bool "time left counts down on Telemetry.now" true
+    (left <= 60.0 && left >= 60.0 -. elapsed -. 0.5);
   let wall = Unix.gettimeofday () in
-  check_bool "Budget.now is not the wall clock" true (Float.abs (b -. wall) > 1e6)
+  check_bool "Telemetry.now is not the wall clock" true (Float.abs (t -. wall) > 1e6)
 
 let test_deadline_tokens () =
   let tok = Deadline.make () in
@@ -408,6 +409,36 @@ let test_deadline_installed_count () =
   in
   check_bool "some items ran on a worker domain" true (List.exists fst outcomes);
   check_bool "every installed token was honoured" true (List.for_all snd outcomes);
+  check_int "count back to zero after the pool" 0 (Deadline.installed ())
+
+(* Work fanned out over the pool is bounded by the submitter's tokens:
+   a canceled token installed on the calling thread fails every job
+   with the typed category, on the calling domain and on the worker. *)
+let test_pool_jobs_inherit_tokens () =
+  let main = (Domain.self () :> int) in
+  let on_worker = Atomic.make false in
+  let tok = Deadline.make () in
+  Deadline.cancel ~reason:"submitter" tok;
+  let outcomes =
+    Ncdrf_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        Deadline.with_token tok (fun () ->
+            Ncdrf_parallel.Pool.try_map_exn pool
+              (fun (_ : int) ->
+                (* Slow jobs, so the worker domain takes some of them. *)
+                Unix.sleepf 0.01;
+                if (Domain.self () :> int) <> main then Atomic.set on_worker true;
+                Deadline.check ~stage:"t")
+              (List.init 16 Fun.id)))
+  in
+  check_bool "some jobs ran on the worker domain" true (Atomic.get on_worker);
+  List.iter
+    (function
+      | Ok () -> Alcotest.fail "a job escaped the submitter's canceled token"
+      | Stdlib.Error (_, Error.Error e) ->
+        check_string "typed cancellation" "canceled" (Error.category_name e.Error.category);
+        check_string "submitter's reason" "submitter" e.Error.message
+      | Stdlib.Error (_, e) -> Alcotest.failf "raw exception: %s" (Printexc.to_string e))
+    outcomes;
   check_int "count back to zero after the pool" 0 (Deadline.installed ())
 
 (* --timeout through the suite path: a zero budget fails every point
@@ -874,6 +905,8 @@ let suite =
     Alcotest.test_case "budget clock is monotonic" `Quick test_budget_clock_is_monotonic;
     Alcotest.test_case "deadline tokens" `Quick test_deadline_tokens;
     Alcotest.test_case "deadline installed count" `Quick test_deadline_installed_count;
+    Alcotest.test_case "pool jobs inherit deadline tokens" `Quick
+      test_pool_jobs_inherit_tokens;
     Alcotest.test_case "suite --timeout" `Quick test_suite_timeout;
     Alcotest.test_case "daemon roundtrip + containment" `Quick test_daemon_roundtrip;
     Alcotest.test_case "daemon contains injected faults" `Quick

@@ -38,14 +38,14 @@ let test_example_unified_execution () =
 let test_example_dual_execution () =
   let sched = Helpers.paper_schedule () in
   let expected = Reference.run ~iterations:20 sched.Schedule.ddg in
-  let outcome = Executor.run_dual ~iterations:20 sched in
+  let outcome = Executor.run_clustered ~iterations:20 sched in
   same_stores "paper example, dual" expected outcome.Executor.stores;
   check_int "capacity is the partitioned requirement" 29 outcome.Executor.capacity
 
 let test_example_swapped_execution () =
   let sched, _ = Swap.improve (Helpers.paper_schedule ()) in
   let expected = Reference.run ~iterations:20 sched.Schedule.ddg in
-  let outcome = Executor.run_dual ~iterations:20 sched in
+  let outcome = Executor.run_clustered ~iterations:20 sched in
   same_stores "paper example, swapped" expected outcome.Executor.stores;
   check_int "capacity matches the swapped requirement" 23 outcome.Executor.capacity
 
@@ -60,10 +60,10 @@ let test_all_kernels_execute_correctly () =
           let expected = Reference.run ~iterations ddg in
           let unified = Executor.run_unified ~iterations sched in
           same_stores (Ddg.name ddg ^ " unified") expected unified.Executor.stores;
-          let dual = Executor.run_dual ~iterations sched in
+          let dual = Executor.run_clustered ~iterations sched in
           same_stores (Ddg.name ddg ^ " dual") expected dual.Executor.stores;
           let swapped, _ = Swap.improve sched in
-          let sw = Executor.run_dual ~iterations swapped in
+          let sw = Executor.run_clustered ~iterations swapped in
           same_stores (Ddg.name ddg ^ " swapped") expected sw.Executor.stores)
         (Ncdrf_workloads.Kernels.all ()))
     [ 3; 6 ]
@@ -104,7 +104,7 @@ let test_recurrence_kernels_execute () =
       let sched = Modulo.schedule (Config.dual ~latency:6) ddg in
       let iterations = 50 in
       let expected = Reference.run ~iterations ddg in
-      let outcome = Executor.run_dual ~iterations sched in
+      let outcome = Executor.run_clustered ~iterations sched in
       same_stores name expected outcome.Executor.stores)
     [ "ll5-tridiag"; "ll11-first-sum"; "recurrence-d2"; "coupled-recurrence";
       "running-average" ]
@@ -130,7 +130,7 @@ let test_port_capped_machine_executes () =
 let test_dual_rejects_single_cluster () =
   let sched = Modulo.schedule (Config.pxly ~parallelism:2 ~latency:3) (Helpers.example_ddg ()) in
   try
-    ignore (Executor.run_dual ~iterations:4 sched);
+    ignore (Executor.run_clustered ~iterations:4 sched);
     Alcotest.fail "single-cluster dual execution accepted"
   with Ncdrf_error.Error.Error e ->
     Alcotest.check
@@ -171,9 +171,9 @@ let prop_executor_matches_reference =
       let iterations = Schedule.stages sched + 5 in
       let expected = Reference.run ~iterations ddg in
       let unified = Executor.run_unified ~iterations sched in
-      let dual = Executor.run_dual ~iterations sched in
+      let dual = Executor.run_clustered ~iterations sched in
       let swapped, _ = Swap.improve sched in
-      let sw = Executor.run_dual ~iterations swapped in
+      let sw = Executor.run_clustered ~iterations swapped in
       Reference.equal_stores expected unified.Executor.stores
       && Reference.equal_stores expected dual.Executor.stores
       && Reference.equal_stores expected sw.Executor.stores)
@@ -192,7 +192,145 @@ let prop_affinity_schedules_execute =
       let iterations = Schedule.stages sched + 4 in
       Reference.equal_stores
         (Reference.run ~iterations ddg)
-        (Executor.run_dual ~iterations sched).Executor.stores)
+        (Executor.run_clustered ~iterations sched).Executor.stores)
+
+(* --- Spilled programs compute the original loop --- *)
+
+(* The values a spill rewrite may pick, as the spiller does: producers
+   with consumers that are neither reloads nor already spilled. *)
+let spill_candidates g =
+  List.filter
+    (fun v ->
+      let consumers = Ddg.consumers g v in
+      consumers <> []
+      && (not (Opcode.is_spill_load (Ddg.node g v).Ddg.opcode))
+      && not
+           (List.exists
+              (fun e -> Opcode.is_spill_access (Ddg.node g e.Ddg.dst).Ddg.opcode)
+              consumers))
+    (List.init (Ddg.num_nodes g) Fun.id)
+
+let spill g v = Ncdrf_spill.Spiller.spill_value g ~slot:(Ncdrf_spill.Spiller.next_spill_slot g) v
+
+(* Every fitting final schedule of a Figure 8 slice — the 150-loop
+   suite on the dual machine at L in {3, 6} and R in {16, 32}, models
+   Unified, Partitioned and Swapped — executes to the stores the
+   reference interpreter computes on the ORIGINAL graph, spilled or
+   not.  Before reloads kept their origin's operand order and live-ins,
+   276 of these 1,755 points diverged, every one of them spilled. *)
+let test_fig8_slice_computes_original_loop () =
+  let iterations = 8 in
+  let points = ref 0 and spilled = ref 0 and diverged = ref [] in
+  List.iter
+    (fun (e : Ncdrf_workloads.Suite.entry) ->
+      let ddg = e.Ncdrf_workloads.Suite.ddg in
+      let expected = Reference.run ~iterations ddg in
+      List.iter
+        (fun (latency, capacity) ->
+          let config = Config.dual ~latency in
+          List.iter
+            (fun model ->
+              let stats = Pipeline.run ~config ~model ~capacity ddg in
+              if stats.Pipeline.fits then begin
+                incr points;
+                if stats.Pipeline.spilled > 0 then incr spilled;
+                let run =
+                  match model with
+                  | Model.Unified -> Executor.run_unified
+                  | Model.Ideal | Model.Partitioned | Model.Swapped -> Executor.run_clustered
+                in
+                let ok =
+                  match run ~iterations stats.Pipeline.schedule with
+                  | o -> Reference.equal_stores expected o.Executor.stores
+                  | exception Executor.Corrupted _ -> false
+                in
+                if not ok then
+                  diverged :=
+                    Printf.sprintf "%s L%d R%d %s" (Ddg.name ddg) latency capacity
+                      (Model.to_string model)
+                    :: !diverged
+              end)
+            [ Model.Unified; Model.Partitioned; Model.Swapped ])
+        [ (3, 16); (3, 32); (6, 16); (6, 32) ])
+    (Ncdrf_workloads.Suite.full ~size:150 ());
+  check_int "fitting points" 1755 !points;
+  check_bool "the slice exercises spilled schedules" true (!spilled > 0);
+  Alcotest.(check (list string)) "diverged points" [] (List.rev !diverged)
+
+(* Spilling is semantically invisible: the reference interpreter
+   computes the same stores on a graph, on any chain of spill rewrites
+   of it, and on the graph [Spill_cleanup] recovers from the chain. *)
+let prop_spill_rewrites_preserve_semantics =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, heavy, picks) ->
+        Printf.sprintf "seed=%d heavy=%b picks=[%s]" seed heavy
+          (String.concat ";" (List.map string_of_int picks)))
+      QCheck.Gen.(triple (int_bound 50_000) bool (list_size (int_range 1 4) (int_bound 1000)))
+  in
+  QCheck.Test.make ~count:200 ~name:"spill rewrites and cleanup preserve semantics" arb
+    (fun (seed, heavy, picks) ->
+      let params =
+        if heavy then Ncdrf_workloads.Generator.heavy else Ncdrf_workloads.Generator.default
+      in
+      let ddg = Ncdrf_workloads.Generator.generate params ~seed ~name:"spill-prop" in
+      let iterations = 6 in
+      let expected = Reference.run ~iterations ddg in
+      let agrees g = Reference.equal_stores expected (Reference.run ~iterations g) in
+      let rec go g = function
+        | [] -> agrees (fst (Spill_cleanup.run g))
+        | pick :: rest -> (
+          agrees g
+          &&
+          match spill_candidates g with
+          | [] -> true
+          | vs -> go (spill g (List.nth vs (pick mod List.length vs))) rest)
+      in
+      go ddg picks)
+
+(* The check above has teeth: a spill rewrite that wires a reload to the
+   wrong consumer, or reads it an iteration late, makes both the
+   reference and the executor disagree with the original loop. *)
+let test_wrong_spill_rewrite_diverges () =
+  let config = Helpers.example_config () in
+  let ddg = Helpers.example_ddg () in
+  let iterations = 12 in
+  let expected = Reference.run ~iterations ddg in
+  let l1 = (Helpers.node_by_label ddg "L1").Ddg.id in
+  let spilled = spill ddg l1 in
+  let reload =
+    List.find
+      (fun v -> Opcode.is_spill_load (Ddg.node spilled v).Ddg.opcode)
+      (List.init (Ddg.num_nodes spilled) Fun.id)
+  in
+  let consumer = (List.hd (Ddg.consumers spilled reload)).Ddg.dst in
+  let rewire ~dst ~distance =
+    Ddg.transform spilled
+      ~drop_edge:(fun e -> e.Ddg.src = reload && e.Ddg.kind = Ddg.Flow)
+      ~add_edges:[ { Ddg.src = reload; dst; distance; kind = Ddg.Flow } ]
+      ()
+  in
+  let a6 = (Helpers.node_by_label ddg "A6").Ddg.id in
+  check_bool "A6 does not read L1" true (a6 <> consumer);
+  List.iter
+    (fun (what, wrong) ->
+      check_bool (what ^ ": reference diverges") false
+        (Reference.equal_stores expected (Reference.run ~iterations wrong));
+      let sched = Ncdrf_spill.Spiller.schedule_once config ~min_ii:1 wrong in
+      let executed =
+        match Executor.run_unified ~iterations sched with
+        | o -> Reference.equal_stores expected o.Executor.stores
+        | exception Executor.Corrupted _ -> false
+      in
+      check_bool (what ^ ": executor diverges") false executed)
+    [ ("reload wired to the wrong consumer", rewire ~dst:a6 ~distance:0);
+      ("reload one iteration late", rewire ~dst:consumer ~distance:1) ];
+  (* The faithful rewrite, by contrast, agrees on both sides. *)
+  same_stores "faithful rewrite" expected (Reference.run ~iterations spilled);
+  same_stores "faithful rewrite executes" expected
+    (Executor.run_unified ~iterations
+       (Ncdrf_spill.Spiller.schedule_once config ~min_ii:1 spilled))
+      .Executor.stores
 
 (* --- Failure injection --- *)
 
@@ -242,7 +380,7 @@ let prop_mutations_caught =
            Reference.equal_stores expected
              (Executor.run_unified ~iterations mutated).Executor.stores
            && Reference.equal_stores expected
-                (Executor.run_dual ~iterations mutated).Executor.stores
+                (Executor.run_clustered ~iterations mutated).Executor.stores
          with Executor.Corrupted _ -> false))
 
 (* --- Memory system model --- *)
@@ -318,6 +456,10 @@ let suite =
       test_all_kernels_execute_correctly;
     Alcotest.test_case "spilled code executes correctly" `Quick
       test_spilled_code_executes_correctly;
+    Alcotest.test_case "fig8 slice computes the original loop" `Quick
+      test_fig8_slice_computes_original_loop;
+    Alcotest.test_case "a wrong spill rewrite diverges" `Quick
+      test_wrong_spill_rewrite_diverges;
     Alcotest.test_case "recurrence kernels execute" `Quick test_recurrence_kernels_execute;
     Alcotest.test_case "port-capped machine executes" `Quick
       test_port_capped_machine_executes;
@@ -332,4 +474,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_executor_matches_reference;
     QCheck_alcotest.to_alcotest prop_affinity_schedules_execute;
     QCheck_alcotest.to_alcotest prop_mutations_caught;
+    QCheck_alcotest.to_alcotest prop_spill_rewrites_preserve_semantics;
   ]
