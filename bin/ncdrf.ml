@@ -86,7 +86,10 @@ let verbose_arg =
   let doc = "Enable debug logging." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
+(* The daemon logs from concurrent handler threads, so reports go
+   through Logs' mutex: one message at a time, whole. *)
 let setup_logs verbose =
+  Logs_threaded.enable ();
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
@@ -143,6 +146,7 @@ let cache_max_mb_arg =
   in
   Arg.(value & opt int 0 & info [ "cache-max-mb" ] ~docv:"MB" ~doc)
 
+(* The one place any command opens the persistent store. *)
 let open_ambient_store ~cache_dir ~cache_max_mb =
   match cache_dir with
   | None -> ()
@@ -153,6 +157,61 @@ let open_ambient_store ~cache_dir ~cache_max_mb =
     with Sys_error msg ->
       Printf.eprintf "cannot open --cache-dir: %s\n" msg;
       exit 2)
+
+let metrics_arg =
+  let doc =
+    "Write a JSON telemetry report (timers, counters, stage spans) to $(docv); \
+     $(b,serve) publishes it, with its admission and latency figures, when it drains."
+  in
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+
+let trace_arg =
+  let doc =
+    "Write a Chrome trace-event JSON file to $(docv): begin/end events per \
+     pipeline stage on one track per worker domain, loadable in \
+     chrome://tracing or Perfetto."
+  in
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+let ledger_arg =
+  let doc =
+    "Write a JSONL run ledger to $(docv): one record per (config, loop) point \
+     with stage durations, cache traffic, II vs MII and error category \
+     ($(b,serve) adds one record per request).  Analyze it with $(b,ncdrf profile)."
+  in
+  Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
+
+let inject_arg =
+  let doc =
+    "Arm a deterministic fault: stage=$(i,NAME)[,loop=$(i,REGEX)][,every=$(i,N)].  \
+     Matching pipeline points raise a classified 'injected' failure; off by \
+     default and zero-cost when disarmed."
+  in
+  let spec_conv =
+    Arg.conv
+      ( (fun s -> Result.map_error (fun e -> `Msg e) (Fault.parse s)),
+        fun ppf spec -> Format.pp_print_string ppf (Fault.spec_to_string spec) )
+  in
+  Arg.(value & opt (some spec_conv) None & info [ "inject" ] ~docv:"SPEC" ~doc)
+
+(* What suite, bench and serve set up around their work: the fault to
+   inject, the store, and the observability outputs. *)
+type session = {
+  inject : Fault.spec option;
+  cache_dir : string option;
+  cache_max_mb : int;
+  metrics : string option;
+  trace : string option;
+  ledger : string option;
+}
+
+let session_term =
+  let make inject cache_dir cache_max_mb metrics trace ledger =
+    { inject; cache_dir; cache_max_mb; metrics; trace; ledger }
+  in
+  Term.(
+    const make $ inject_arg $ cache_dir_arg $ cache_max_mb_arg $ metrics_arg $ trace_arg
+    $ ledger_arg)
 
 (* Uniform failure reporting for every subcommand: legacy front-end
    exceptions, classified pipeline errors, and policy aborts all exit 1
@@ -175,34 +234,62 @@ let handle_errors f =
       (Error.to_string last);
     1
 
+module Telemetry = Ncdrf_telemetry.Telemetry
+module Trace = Ncdrf_telemetry.Trace
+module Ledger = Ncdrf_telemetry.Ledger
+
+(* One session for suite, bench and serve alike: arm the fault, open the
+   store, arm the probes, run [f] under the uniform failure reporting,
+   then publish the trace and the ledger — also after [f] raised, so an
+   aborted batch run still leaves them.  The metrics file is [f]'s own:
+   it carries the command's figures. *)
+let with_session s f =
+  Option.iter Fault.arm_spec s.inject;
+  handle_errors @@ fun () ->
+  Fun.protect ~finally:Fault.disarm @@ fun () ->
+  open_ambient_store ~cache_dir:s.cache_dir ~cache_max_mb:s.cache_max_mb;
+  Telemetry.enable (s.metrics <> None);
+  Trace.enable (s.trace <> None);
+  Ledger.enable (s.ledger <> None);
+  Fun.protect f ~finally:(fun () ->
+      Option.iter (fun path -> Trace.write_chrome ~path) s.trace;
+      Option.iter (fun path -> Ledger.write ~path) s.ledger)
+
 (* ------------------------------------------------------------------ *)
 (* schedule                                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* Print a response body the way every command does, batch or client,
+   so the two paths cannot drift: a schedule of no loops and a failed
+   request are one-line diagnoses (exit 1), and shedding that outlasted
+   the client's retries exits 3 so scripts can tell "daemon busy" from
+   "request bad". *)
+let print_body (body : Protocol.response_body) =
+  match body with
+  | Protocol.Scheduled { points = []; _ } ->
+    prerr_string "no matching loops\n";
+    1
+  | Protocol.Failed _ ->
+    prerr_string (Protocol.render_body body);
+    1
+  | Protocol.Overloaded _ ->
+    prerr_string (Protocol.render_body body);
+    3
+  | Protocol.Scheduled _ | Protocol.Suite_report _ | Protocol.Health_report _ ->
+    print_string (Protocol.render_body body);
+    0
+
+let kernel_arg =
+  let doc = "Also print the kernel (steady-state VLIW code)." in
+  Arg.(value & flag & info [ "k"; "kernel" ] ~doc)
 
 let schedule_cmd =
   let run verbose file name machine model capacity show_kernel =
     setup_logs verbose;
     handle_errors @@ fun () ->
-    let loops = load_loops file name in
-    if loops = [] then (Printf.eprintf "no matching loops\n"; exit 1);
-    let config = config_of machine in
-    (* Printed through the protocol renderers, so `ncdrf client schedule`
-       against a daemon produces these exact bytes. *)
-    print_string (Protocol.render_machine_line (Format.asprintf "%a" Config.pp config));
-    List.iter
-      (fun ddg ->
-        let stats = Pipeline.run ~config ~model ?capacity ddg in
-        let header = Format.asprintf "%a" Ddg.pp_stats ddg in
-        let kernel =
-          if show_kernel then Some (Kernel.render stats.Pipeline.schedule) else None
-        in
-        print_string (Protocol.render_point (Protocol.point_of_stats ~header ?kernel stats)))
-      loops;
-    0
-  in
-  let kernel_arg =
-    let doc = "Also print the kernel (steady-state VLIW code)." in
-    Arg.(value & flag & info [ "k"; "kernel" ] ~doc)
+    print_body
+      (Protocol.schedule_body ~config:(config_of machine) ~model ?capacity ~show_kernel
+         (load_loops file name))
   in
   let doc = "Modulo-schedule loops and report register requirements." in
   Cmd.v (Cmd.info "schedule" ~doc)
@@ -229,23 +316,7 @@ let dot_cmd =
 (* ------------------------------------------------------------------ *)
 
 module Pool = Ncdrf_parallel.Pool
-module Telemetry = Ncdrf_telemetry.Telemetry
-module Trace = Ncdrf_telemetry.Trace
-module Ledger = Ncdrf_telemetry.Ledger
 module Json = Ncdrf_telemetry.Json
-
-let inject_arg =
-  let doc =
-    "Arm a deterministic fault: stage=$(i,NAME)[,loop=$(i,REGEX)][,every=$(i,N)].  \
-     Matching pipeline points raise a classified 'injected' failure; off by \
-     default and zero-cost when disarmed."
-  in
-  let spec_conv =
-    Arg.conv
-      ( (fun s -> Result.map_error (fun e -> `Msg e) (Fault.parse s)),
-        fun ppf spec -> Format.pp_print_string ppf (Fault.spec_to_string spec) )
-  in
-  Arg.(value & opt (some spec_conv) None & info [ "inject" ] ~docv:"SPEC" ~doc)
 
 let failures_arg =
   let doc = "Write the failure manifest as CSV to $(docv) (atomic temp+rename)." in
@@ -255,27 +326,22 @@ type run_opts = {
   machine : Config.spec;
   jobs : int;
   timeout : float option;
-  metrics : string option;
-  trace : string option;
-  ledger : string option;
+  session : session;
   no_cache : bool;
-  cache_dir : string option;
-  cache_max_mb : int;
   shard : (int * int) option;
-  inject : Fault.spec option;
   fail_fast : bool;
   max_failures : int option;
   failures_csv : string option;
 }
 
-let run_opts ~latency =
-  let jobs_arg =
-    let doc =
-      "Worker domains for the per-loop pipeline (default: the recommended domain \
-       count).  Results are identical whatever the value."
-    in
-    Arg.(value & opt int (Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+let jobs_arg =
+  let doc =
+    "Worker domains for the per-loop pipeline (default: the recommended domain \
+     count).  Results are identical whatever the value."
   in
+  Arg.(value & opt int (Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
+let run_opts ~latency =
   let timeout_arg =
     let doc =
       "Per-point wall budget in seconds (monotonic clock): a (loop, model) point \
@@ -283,26 +349,6 @@ let run_opts ~latency =
        in the failure manifest like any other failure."
     in
     Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECS" ~doc)
-  in
-  let metrics_arg =
-    let doc = "Write a JSON telemetry report (timers, counters, stage spans) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let trace_arg =
-    let doc =
-      "Write a Chrome trace-event JSON file to $(docv): begin/end events per \
-       pipeline stage on one track per worker domain, loadable in \
-       chrome://tracing or Perfetto."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let ledger_arg =
-    let doc =
-      "Write a JSONL run ledger to $(docv): one record per (config, loop) point \
-       with stage durations, cache traffic, II vs MII and error category.  \
-       Analyze it with $(b,ncdrf profile)."
-    in
-    Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
   in
   let no_cache_arg =
     let doc = "Disable the compile cache (every stage recomputes)." in
@@ -319,64 +365,34 @@ let run_opts ~latency =
     let doc = "Abort once more than $(docv) points have failed." in
     Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
   in
-  let make machine jobs timeout metrics trace ledger no_cache cache_dir cache_max_mb
-      shard inject fail_fast max_failures failures_csv =
-    { machine; jobs; timeout; metrics; trace; ledger; no_cache; cache_dir; cache_max_mb;
-      shard; inject; fail_fast; max_failures; failures_csv }
+  let make machine jobs timeout session no_cache shard fail_fast max_failures failures_csv =
+    { machine; jobs; timeout; session; no_cache; shard; fail_fast; max_failures; failures_csv }
   in
   Term.(
-    const make $ machine_term latency $ jobs_arg $ timeout_arg $ metrics_arg $ trace_arg
-    $ ledger_arg $ no_cache_arg $ cache_dir_arg $ cache_max_mb_arg $ shard_arg
-    $ inject_arg $ fail_fast_arg $ max_failures_arg $ failures_arg)
+    const make $ machine_term latency $ jobs_arg $ timeout_arg $ session_term
+    $ no_cache_arg $ shard_arg $ fail_fast_arg $ max_failures_arg $ failures_arg)
 
-(* Arm the fault, the store, the observability probes and the pool,
-   run [f] on the pool with the run's failure collector, then publish
-   the trace, the ledger and the failure manifest — also after a
-   failure-policy abort, which exits 1.  [f] prints its own report,
-   failure summary and metrics. *)
+(* Run [f] on a pool with the run's failure collector in the run's
+   session, then name the trace and the ledger the session published
+   and publish the failure manifest — also after a failure-policy
+   abort, which exits 1.  [f] prints its own report, failure summary
+   and metrics. *)
 let with_run o f =
   let failures = Failures.create ~fail_fast:o.fail_fast ?max_failures:o.max_failures () in
-  Option.iter Fault.arm_spec o.inject;
   let code =
-    handle_errors @@ fun () ->
-    Fun.protect ~finally:Fault.disarm @@ fun () ->
-    open_ambient_store ~cache_dir:o.cache_dir ~cache_max_mb:o.cache_max_mb;
-    Telemetry.enable (o.metrics <> None);
-    Trace.enable (o.trace <> None);
-    Ledger.enable (o.ledger <> None);
+    with_session o.session @@ fun () ->
     if o.no_cache then Artifact.set_cache_enabled false;
     Pool.with_pool ~jobs:o.jobs (fun pool -> f pool failures);
     0
   in
-  Option.iter
-    (fun path ->
-      Trace.write_chrome ~path;
-      Printf.printf "[trace: %s]\n%!" path)
-    o.trace;
-  Option.iter
-    (fun path ->
-      Ledger.write ~path;
-      Printf.printf "[ledger: %s]\n%!" path)
-    o.ledger;
+  Option.iter (Printf.printf "[trace: %s]\n%!") o.session.trace;
+  Option.iter (Printf.printf "[ledger: %s]\n%!") o.session.ledger;
   Option.iter
     (fun path ->
       Ncdrf_report.Csv.write path (Failures.to_csv_rows failures);
       Printf.printf "[failures: %s]\n%!" path)
     o.failures_csv;
   code
-
-(* The synthetic suite, or the loops of one --shard of it. *)
-let suite_loops ?seed ~size shard =
-  let loops =
-    List.map
-      (fun e ->
-        { Suite_stats.ddg = e.Ncdrf_workloads.Suite.ddg;
-          weight = e.Ncdrf_workloads.Suite.iterations })
-      (Ncdrf_workloads.Suite.full ~size ?seed ())
-  in
-  match shard with
-  | None -> loops
-  | Some (index, count) -> Suite_stats.shard ~index ~count loops
 
 let suite_size_arg =
   let doc = "Number of loops in the synthetic suite." in
@@ -390,25 +406,15 @@ let suite_cmd =
   let run o size registers =
     with_run o @@ fun pool failures ->
     let config = config_of o.machine in
-    let loops = suite_loops ~size o.shard in
+    let loops = Protocol.suite_loops ~size ?shard:o.shard () in
     Ledger.set_label "suite";
     let t0 = Telemetry.now () in
-    (* Printed through the protocol renderers, so `ncdrf client suite`
-       against a daemon produces these exact bytes. *)
+    (* The daemon builds a `client suite` answer with the same builder
+       and `client suite` prints it with the same renderer. *)
     print_string
-      (Protocol.render_suite_header ~size
-         ~machine:(Format.asprintf "%a" Config.pp config)
-         ~jobs:(Pool.jobs pool));
-    print_string (Protocol.render_suite_table_head ~registers);
-    (* One scheduling pass per loop, shared by the three models. *)
-    List.iter
-      (fun (model, ms) ->
-        let s, d = Suite_stats.allocatable ms ~r:registers in
-        print_string (Protocol.render_suite_row (model, s, d)))
-      (Suite_stats.measure_all ~pool ~failures ?timeout_s:o.timeout ~config
-         ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
-         loops);
-    print_string (Protocol.render_failure_summary (Failures.list failures));
+      (Protocol.render_body
+         (Protocol.suite_body ~pool ~failures ?timeout_s:o.timeout ~config ~size ~registers
+            loops));
     Option.iter
       (fun path ->
         let wall = Telemetry.now () -. t0 in
@@ -429,7 +435,7 @@ let suite_cmd =
              if Failures.count failures = 0 then []
              else [ ("failures", Failures.to_json failures) ]));
         Printf.printf "[metrics: %s]\n%!" path)
-      o.metrics
+      o.session.metrics
   in
   let doc = "Register-pressure summary over the synthetic Perfect-Club-like suite." in
   Cmd.v (Cmd.info "suite" ~doc)
@@ -442,9 +448,9 @@ let bench_cmd =
     let machine ~latency = config_of { o.machine with Config.spec_latency = latency } in
     let c =
       Bench.create ~pool ~failures ~timeout_s:o.timeout ~machine ~csv_dir
-        (lazy (suite_loops ~seed ~size o.shard))
+        (lazy (Protocol.suite_loops ~seed ?shard:o.shard ~size ()))
     in
-    Bench.run c ~metrics:o.metrics ~size ~seed
+    Bench.run c ~metrics:o.session.metrics ~size ~seed
       (if names = [] then Bench.names else names)
   in
   let names_arg =
@@ -1003,12 +1009,9 @@ let socket_arg =
   Arg.(required & opt (some string) None & info [ "socket" ] ~docv:"PATH" ~doc)
 
 let serve_cmd =
-  let run verbose socket jobs max_inflight queue timeout drain_grace metrics trace
-      ledger inject cache_dir cache_max_mb =
+  let run verbose socket jobs max_inflight queue timeout drain_grace session =
     setup_logs verbose;
-    Option.iter Fault.arm_spec inject;
-    handle_errors @@ fun () ->
-    Fun.protect ~finally:Fault.disarm @@ fun () ->
+    with_session session @@ fun () ->
     Server.run
       {
         Server.socket_path = socket;
@@ -1017,25 +1020,21 @@ let serve_cmd =
         queue_bound = queue;
         default_timeout_s = timeout;
         drain_grace_s = drain_grace;
-        metrics;
-        trace;
-        ledger;
-        cache_dir;
-        cache_max_mb;
+        metrics = session.metrics;
       }
-  in
-  let jobs_arg =
-    let doc = "Worker domains of the shared compile pool." in
-    Arg.(value & opt int (Ncdrf_parallel.Pool.default_jobs ())
-         & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let max_inflight_arg =
     let doc =
       "Concurrent request execution slots: up to $(docv) admitted requests execute \
        at once on their connection threads (per-request observability is isolated \
-       by (domain, thread)-keyed shards and request-id stamping)."
+       by (domain, thread)-keyed shards and request-id stamping).  At least 1."
     in
-    Arg.(value & opt int 4 & info [ "max-inflight" ] ~docv:"N" ~doc)
+    (* With no slot, no work request could ever be admitted. *)
+    let check n =
+      if n >= 1 then `Ok n
+      else `Error (true, Printf.sprintf "--max-inflight %d: must be at least 1" n)
+    in
+    Term.(ret (const check $ Arg.(value & opt int 4 & info [ "max-inflight" ] ~docv:"N" ~doc)))
   in
   let queue_arg =
     let doc =
@@ -1055,27 +1054,11 @@ let serve_cmd =
     in
     Arg.(value & opt float 5.0 & info [ "drain-grace" ] ~docv:"SECS" ~doc)
   in
-  let metrics_arg =
-    let doc = "Publish final serving metrics JSON to $(docv) on drain (atomic temp+rename)." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let trace_arg =
-    let doc = "Publish a Chrome trace of the serving session to $(docv) on drain." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let ledger_arg =
-    let doc =
-      "Publish the run ledger to $(docv) on drain: one record per request plus one \
-       per compiled point."
-    in
-    Arg.(value & opt (some string) None & info [ "ledger" ] ~docv:"FILE" ~doc)
-  in
   let doc = "Serve scheduling requests over a Unix-domain socket (JSONL protocol)." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ verbose_arg $ socket_arg $ jobs_arg $ max_inflight_arg
-      $ queue_arg $ timeout_arg $ drain_grace_arg $ metrics_arg $ trace_arg
-      $ ledger_arg $ inject_arg $ cache_dir_arg $ cache_max_mb_arg)
+      $ queue_arg $ timeout_arg $ drain_grace_arg $ session_term)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)
@@ -1102,11 +1085,10 @@ let fresh_request_id () =
   incr req_counter;
   Printf.sprintf "cli-%d-%d" (Unix.getpid ()) !req_counter
 
-(* Issue one request and hand the successful body to [on_body]'s exit
-   code; every failure mode gets the uniform one-line diagnosis (exit 1)
-   except shedding that outlasted the retry budget, which exits 3 so
-   scripts can tell "daemon busy" from "request bad". *)
-let with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s ~on_body () =
+(* Issue one request and print the answer through [print_body], then
+   hand a successful body to [after]; a request that never got an
+   answer gets the uniform one-line diagnosis (exit 1). *)
+let with_client ?(after = ignore) ~socket ~connect_timeout ~retries ~kind ~timeout_s () =
   handle_errors @@ fun () ->
   let client = Client.connect ~connect_timeout_s:connect_timeout socket in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
@@ -1115,60 +1097,14 @@ let with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s ~on_body () =
   | Stdlib.Error e ->
     Printf.eprintf "error: %s\n" (Error.to_string e);
     1
-  | Ok resp -> (
-    match resp.Protocol.body with
-    | Protocol.Failed e ->
-      Printf.eprintf "error: %s\n" (Error.to_string e);
-      1
-    | Protocol.Overloaded { queue_depth; _ } ->
-      Printf.eprintf "overloaded: daemon queue full (depth %d), retries exhausted\n"
-        queue_depth;
-      3
-    | body -> on_body body)
-
-let print_health (h : Protocol.health) =
-  Printf.printf "status: %s\n" h.Protocol.status;
-  Printf.printf "uptime: %.1f s\n" h.Protocol.uptime_s;
-  Printf.printf "requests: %d served, %d shed, %d active, %d queued (queue bound %d, max inflight %d)\n"
-    h.Protocol.served h.Protocol.shed h.Protocol.active h.Protocol.queued
-    h.Protocol.queue_bound h.Protocol.max_inflight;
-  Printf.printf "pool: %d job(s)\n" h.Protocol.pool_jobs;
-  let lookups = h.Protocol.cache_hits + h.Protocol.cache_misses in
-  Printf.printf "cache: %d hit(s) / %d miss(es)%s, %d entr%s\n" h.Protocol.cache_hits
-    h.Protocol.cache_misses
-    (if lookups = 0 then ""
-     else
-       Printf.sprintf " (%.1f%% hit rate)"
-         (100.0 *. float_of_int h.Protocol.cache_hits /. float_of_int lookups))
-    h.Protocol.cache_entries
-    (if h.Protocol.cache_entries = 1 then "y" else "ies");
-  if h.Protocol.kind_counts <> [] then begin
-    Printf.printf "requests by kind:\n";
-    List.iter
-      (fun (kind, count) -> Printf.printf "  %-12s %d\n" kind count)
-      h.Protocol.kind_counts
-  end;
-  if h.Protocol.latency_p50_s > 0.0 then
-    Printf.printf "latency: p50 %.3f s, p90 %.3f s, p99 %.3f s\n"
-      h.Protocol.latency_p50_s h.Protocol.latency_p90_s h.Protocol.latency_p99_s;
-  if h.Protocol.error_counts <> [] then begin
-    Printf.printf "errors:\n";
-    List.iter
-      (fun (category, count) -> Printf.printf "  errors.%-20s %d\n" category count)
-      h.Protocol.error_counts
-  end
+  | Ok resp ->
+    let code = print_body resp.Protocol.body in
+    if code = 0 then after resp.Protocol.body;
+    code
 
 let client_health_cmd ~name ~kind =
   let run socket connect_timeout =
-    with_client ~socket ~connect_timeout ~retries:0 ~kind ~timeout_s:None
-      ~on_body:(function
-        | Protocol.Health_report h ->
-          print_health h;
-          0
-        | _ ->
-          Printf.eprintf "error: unexpected response kind\n";
-          1)
-      ()
+    with_client ~socket ~connect_timeout ~retries:0 ~kind ~timeout_s:None ()
   in
   let doc = "Query the daemon's health/stats snapshot (bypasses admission)." in
   Cmd.v (Cmd.info name ~doc) Term.(const run $ socket_arg $ connect_timeout_arg)
@@ -1195,23 +1131,7 @@ let client_schedule_cmd =
           show_kernel;
         }
     in
-    with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s:timeout
-      ~on_body:(function
-        | Protocol.Scheduled { points = []; _ } ->
-          Printf.eprintf "no matching loops\n";
-          1
-        | Protocol.Scheduled { machine; points } ->
-          print_string (Protocol.render_machine_line machine);
-          List.iter (fun p -> print_string (Protocol.render_point p)) points;
-          0
-        | _ ->
-          Printf.eprintf "error: unexpected response kind\n";
-          1)
-      ()
-  in
-  let kernel_arg =
-    let doc = "Also print the kernel (steady-state VLIW code)." in
-    Arg.(value & flag & info [ "k"; "kernel" ] ~doc)
+    with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s:timeout ()
   in
   let doc = "Compile a loop file on the daemon; output matches $(b,ncdrf schedule)." in
   Cmd.v (Cmd.info "schedule" ~doc)
@@ -1223,23 +1143,17 @@ let client_schedule_cmd =
 let client_suite_cmd =
   let run socket connect_timeout retries timeout spec size registers failures_csv =
     let kind = Protocol.Suite { spec; size; registers } in
-    with_client ~socket ~connect_timeout ~retries ~kind ~timeout_s:timeout
-      ~on_body:(function
-        | Protocol.Suite_report { machine; size; jobs; registers; rows; failures } ->
-          print_string (Protocol.render_suite_header ~size ~machine ~jobs);
-          print_string (Protocol.render_suite_table_head ~registers);
-          List.iter (fun row -> print_string (Protocol.render_suite_row row)) rows;
-          print_string (Protocol.render_failure_summary failures);
-          (match failures_csv with
-           | None -> ()
-           | Some path ->
-             Ncdrf_report.Csv.write path (Failures.csv_rows_of_list failures);
-             Format.printf "[failures: %s]@." path);
-          0
-        | _ ->
-          Printf.eprintf "error: unexpected response kind\n";
-          1)
-      ()
+    let write_failures = function
+      | Protocol.Suite_report { failures; _ } ->
+        Option.iter
+          (fun path ->
+            Ncdrf_report.Csv.write path (Failures.csv_rows_of_list failures);
+            Printf.printf "[failures: %s]\n%!" path)
+          failures_csv
+      | _ -> ()
+    in
+    with_client ~after:write_failures ~socket ~connect_timeout ~retries ~kind
+      ~timeout_s:timeout ()
   in
   let doc = "Run the suite summary on the daemon; output matches $(b,ncdrf suite)." in
   Cmd.v (Cmd.info "suite" ~doc)

@@ -9,11 +9,12 @@
    as they carry <= 9 significant digits, which every protocol-born
    float does).
 
-   This module also owns the *renderers* that turn response payloads
-   into the human-facing text of the batch driver.  Sharing them
-   between `ncdrf suite` and `ncdrf client suite` is what makes the
-   byte-identity invariant structural: both paths print through the
-   same code, so they cannot drift apart. *)
+   This module also owns the one builder of each work body
+   ([schedule_body], [suite_body]) and the one renderer of every body
+   ([render_body]).  The batch commands and the daemon build through
+   the same builders and print through the same renderer, which is
+   what makes the byte-identity invariant structural: `ncdrf suite`
+   and `ncdrf client suite` cannot drift apart. *)
 
 module Json = Ncdrf_telemetry.Telemetry.Json
 module Error = Ncdrf_error.Error
@@ -21,6 +22,9 @@ module Failures = Ncdrf_error.Failures
 module Config = Ncdrf_machine.Config
 module Model = Ncdrf_core.Model
 module Pipeline = Ncdrf_core.Pipeline
+module Suite_stats = Ncdrf_core.Suite_stats
+module Pool = Ncdrf_parallel.Pool
+module Suite = Ncdrf_workloads.Suite
 
 (* A line longer than this is rejected before JSON parsing: the daemon
    must bound the memory one client can make it buffer. 4 MiB leaves
@@ -511,9 +515,6 @@ let parse_response line =
 (* Shared renderers — the byte-identity layer                          *)
 (* ------------------------------------------------------------------ *)
 
-(* These reproduce (and are called by) the batch driver's printing, so
-   `ncdrf client suite` output is the same bytes as `ncdrf suite`. *)
-
 let render_suite_header ~size ~machine ~jobs =
   Printf.sprintf "suite of %d loops on %s (%d job%s)\n\n" size machine jobs
     (if jobs = 1 then "" else "s")
@@ -568,6 +569,56 @@ let render_point p =
   (match p.kernel with None -> () | Some k -> Buffer.add_string buf k);
   Buffer.contents buf
 
+let render_health h =
+  let buf = Buffer.create 512 in
+  let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  line "status: %s\n" h.status;
+  line "uptime: %.1f s\n" h.uptime_s;
+  line "requests: %d served, %d shed, %d active, %d queued (queue bound %d, max inflight %d)\n"
+    h.served h.shed h.active h.queued h.queue_bound h.max_inflight;
+  line "pool: %d job(s)\n" h.pool_jobs;
+  let lookups = h.cache_hits + h.cache_misses in
+  line "cache: %d hit(s) / %d miss(es)%s, %d entr%s\n" h.cache_hits h.cache_misses
+    (if lookups = 0 then ""
+     else
+       Printf.sprintf " (%.1f%% hit rate)"
+         (100.0 *. float_of_int h.cache_hits /. float_of_int lookups))
+    h.cache_entries
+    (if h.cache_entries = 1 then "y" else "ies");
+  if h.kind_counts <> [] then begin
+    line "requests by kind:\n";
+    List.iter (fun (kind, count) -> line "  %-12s %d\n" kind count) h.kind_counts
+  end;
+  if h.latency_p50_s > 0.0 then
+    line "latency: p50 %.3f s, p90 %.3f s, p99 %.3f s\n" h.latency_p50_s h.latency_p90_s
+      h.latency_p99_s;
+  if h.error_counts <> [] then begin
+    line "errors:\n";
+    List.iter
+      (fun (category, count) -> line "  errors.%-20s %d\n" category count)
+      h.error_counts
+  end;
+  Buffer.contents buf
+
+let render_body = function
+  | Scheduled { machine; points } ->
+    String.concat "" (render_machine_line machine :: List.map render_point points)
+  | Suite_report { machine; size; jobs; registers; rows; failures } ->
+    String.concat ""
+      (render_suite_header ~size ~machine ~jobs
+       :: render_suite_table_head ~registers
+       :: List.map render_suite_row rows)
+    ^ render_failure_summary failures
+  | Health_report h -> render_health h
+  | Failed e -> Printf.sprintf "error: %s\n" (Error.to_string e)
+  | Overloaded { queue_depth; _ } ->
+    Printf.sprintf "overloaded: daemon queue full (depth %d), retries exhausted\n"
+      queue_depth
+
+(* ------------------------------------------------------------------ *)
+(* Body builders — the one executor of each work request kind          *)
+(* ------------------------------------------------------------------ *)
+
 let point_of_stats ~header ?kernel (stats : Pipeline.stats) =
   {
     loop = stats.Pipeline.name;
@@ -585,3 +636,47 @@ let point_of_stats ~header ?kernel (stats : Pipeline.stats) =
     density = stats.Pipeline.density;
     kernel;
   }
+
+let machine_text config = Format.asprintf "%a" Config.pp config
+
+let schedule_body ~config ~model ?capacity ~show_kernel loops =
+  let point ddg =
+    let stats = Pipeline.run ~config ~model ?capacity ddg in
+    let header = Format.asprintf "%a" Ncdrf_ir.Ddg.pp_stats ddg in
+    let kernel =
+      if show_kernel then Some (Ncdrf_sched.Kernel.render stats.Pipeline.schedule) else None
+    in
+    point_of_stats ~header ?kernel stats
+  in
+  Scheduled { machine = machine_text config; points = List.map point loops }
+
+let suite_loops ?seed ?shard ~size () =
+  let loops =
+    List.map
+      (fun (e : Suite.entry) -> { Suite_stats.ddg = e.Suite.ddg; weight = e.Suite.iterations })
+      (Suite.full ~size ?seed ())
+  in
+  match shard with
+  | None -> loops
+  | Some (index, count) -> Suite_stats.shard ~index ~count loops
+
+(* One scheduling pass per loop, shared by the three models. *)
+let suite_body ~pool ~failures ?timeout_s ~config ~size ~registers loops =
+  let rows =
+    List.map
+      (fun (model, ms) ->
+        let static_pct, dynamic_pct = Suite_stats.allocatable ms ~r:registers in
+        (model, static_pct, dynamic_pct))
+      (Suite_stats.measure_all ~pool ~failures ?timeout_s ~config
+         ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
+         loops)
+  in
+  Suite_report
+    {
+      machine = machine_text config;
+      size;
+      jobs = Pool.jobs pool;
+      registers;
+      rows;
+      failures = Failures.list failures;
+    }

@@ -9,10 +9,12 @@
     (floats round-trip through the codec as long as they carry at most
     9 significant digits, which every protocol-born float does).
 
-    The module also owns the {e renderers} that turn response payloads
-    into the batch driver's human-facing text.  [ncdrf suite] and
-    [ncdrf client suite] both print through them, which is what makes
-    the byte-identity invariant structural rather than coincidental. *)
+    The module also owns the one {e builder} of each work body
+    ({!schedule_body}, {!suite_body}) and the one {e renderer} of every
+    body ({!render_body}).  The batch commands ([ncdrf schedule],
+    [ncdrf suite]) and the daemon build through the same builders, and
+    every command prints through [render_body], which is what makes the
+    byte-identity invariant structural rather than coincidental. *)
 
 module Config = Ncdrf_machine.Config
 module Model = Ncdrf_core.Model
@@ -141,8 +143,41 @@ val parse_response : string -> (response, Ncdrf_error.Error.t) result
     an error response can still be correlated by the client. *)
 val frame_id : string -> string option
 
-(** {2 Shared renderers} — the text both the batch driver and the
-    client print, guaranteeing byte-identical output on both paths. *)
+(** {2 Body builders} — the one executor of each work request kind,
+    called by the daemon and by the batch [schedule] and [suite]. *)
+
+(** [loops] compiled on [config] under [model], at [capacity] registers
+    per file (unlimited when absent), kernels rendered when
+    [show_kernel].  No loops give no points: "no matching loops". *)
+val schedule_body :
+  config:Config.t -> model:Model.t -> ?capacity:int -> show_kernel:bool ->
+  Ncdrf_ir.Ddg.t list -> response_body
+
+(** The synthetic suite of [size] loops (seeded by [seed]), or the loops
+    of one [shard] [(index, count)] of it. *)
+val suite_loops :
+  ?seed:int -> ?shard:int * int -> size:int -> unit -> Ncdrf_core.Suite_stats.workload list
+
+(** The Table 1 report of [loops] under the Unified, Partitioned and
+    Swapped models on [pool]: one scheduling pass per loop, failed
+    points recorded in [failures] (whose policy may abort by raising),
+    each point bounded by [timeout_s].  [size] is the size the header
+    names; [loops] may be one shard of it. *)
+val suite_body :
+  pool:Ncdrf_parallel.Pool.t -> failures:Ncdrf_error.Failures.t -> ?timeout_s:float ->
+  config:Config.t -> size:int -> registers:int -> Ncdrf_core.Suite_stats.workload list ->
+  response_body
+
+(** A wire point from pipeline stats, the header line and the kernel. *)
+val point_of_stats : header:string -> ?kernel:string -> Ncdrf_core.Pipeline.stats -> point
+
+(** {2 Renderers} *)
+
+(** The text every command prints for a body: the machine line and
+    points of a schedule; the header, table and failure summary of a
+    suite; a health snapshot; the one-line diagnosis of a failed or
+    shed request.  The functions below are its parts. *)
+val render_body : response_body -> string
 
 val render_suite_header : size:int -> machine:string -> jobs:int -> string
 val render_suite_table_head : registers:int -> string
@@ -153,7 +188,3 @@ val render_failure_summary : Ncdrf_error.Error.t list -> string
 
 val render_machine_line : string -> string
 val render_point : point -> string
-
-(** Build a wire point from pipeline stats plus the pre-rendered
-    header line and optional kernel text. *)
-val point_of_stats : header:string -> ?kernel:string -> Ncdrf_core.Pipeline.stats -> point

@@ -8,15 +8,11 @@ module Ring = Ncdrf_telemetry.Ring
 module Json = Ncdrf_telemetry.Telemetry.Json
 module Pool = Ncdrf_parallel.Pool
 module Config = Ncdrf_machine.Config
-module Model = Ncdrf_core.Model
 module Pipeline = Ncdrf_core.Pipeline
-module Suite_stats = Ncdrf_core.Suite_stats
 module Artifact = Ncdrf_core.Artifact
 module Ddg = Ncdrf_ir.Ddg
 module Loop_lang = Ncdrf_ir.Loop_lang
-module Kernel = Ncdrf_sched.Kernel
 module Kernels = Ncdrf_workloads.Kernels
-module Suite = Ncdrf_workloads.Suite
 
 type opts = {
   socket_path : string;
@@ -26,10 +22,6 @@ type opts = {
   default_timeout_s : float option;
   drain_grace_s : float;
   metrics : string option;
-  trace : string option;
-  ledger : string option;
-  cache_dir : string option;
-  cache_max_mb : int;
 }
 
 let default_opts ~socket_path =
@@ -41,10 +33,6 @@ let default_opts ~socket_path =
     default_timeout_s = None;
     drain_grace_s = 5.0;
     metrics = None;
-    trace = None;
-    ledger = None;
-    cache_dir = None;
-    cache_max_mb = 0;
   }
 
 (* Requests execute concurrently up to [opts.max_inflight]: trace
@@ -150,52 +138,16 @@ let loops_of_workload ~only workload =
   | None -> loops
   | Some name -> List.filter (fun g -> String.equal (Ddg.name g) name) loops
 
-let execute_schedule ~workload ~only ~spec ~model ~capacity ~show_kernel =
-  let config = build_config spec in
-  let loops = loops_of_workload ~only workload in
-  let points =
-    List.map
-      (fun ddg ->
-        let stats = Pipeline.run ~config ~model ?capacity ddg in
-        let header = Format.asprintf "%a" Ddg.pp_stats ddg in
-        let kernel =
-          if show_kernel then Some (Kernel.render stats.Pipeline.schedule) else None
-        in
-        Protocol.point_of_stats ~header ?kernel stats)
-      loops
-  in
-  Protocol.Scheduled { machine = Format.asprintf "%a" Config.pp config; points }
-
 let execute_suite st ~spec ~size ~registers =
-  let config = build_config spec in
-  let loops =
-    List.map
-      (fun (e : Suite.entry) -> { Suite_stats.ddg = e.Suite.ddg; weight = e.Suite.iterations })
-      (Suite.full ~size ())
-  in
   let failures = Failures.create () in
-  let rows =
-    List.map
-      (fun (model, ms) ->
-        let static_pct, dynamic_pct = Suite_stats.allocatable ms ~r:registers in
-        (model, static_pct, dynamic_pct))
-      (Suite_stats.measure_all ~pool:st.pool ~failures ~config
-         ~models:[ Model.Unified; Model.Partitioned; Model.Swapped ]
-         loops)
+  let body =
+    Protocol.suite_body ~pool:st.pool ~failures ~config:(build_config spec) ~size ~registers
+      (Protocol.suite_loops ~size ())
   in
-  let errs = Failures.list failures in
   List.iter
     (fun (e : Error.t) -> note_category st (Error.category_name e.Error.category))
-    errs;
-  Protocol.Suite_report
-    {
-      machine = Format.asprintf "%a" Config.pp config;
-      size;
-      jobs = Pool.jobs st.pool;
-      registers;
-      rows;
-      failures = errs;
-    }
+    (Failures.list failures);
+  body
 
 let health_snapshot st =
   let cache = Artifact.cache_stats () in
@@ -254,8 +206,9 @@ let execute st (req : Protocol.request) tok =
                     match req.Protocol.kind with
                     | Protocol.Schedule
                         { workload; only; spec; model; capacity; show_kernel; _ } ->
-                      execute_schedule ~workload ~only ~spec ~model ~capacity
+                      Protocol.schedule_body ~config:(build_config spec) ~model ?capacity
                         ~show_kernel
+                        (loops_of_workload ~only workload)
                     | Protocol.Suite { spec; size; registers } ->
                       execute_suite st ~spec ~size ~registers
                     | Protocol.Health | Protocol.Stats ->
@@ -410,7 +363,7 @@ let bind_socket path =
   Unix.listen fd 64;
   fd
 
-let publish st =
+let publish_metrics st =
   Option.iter
     (fun path ->
       let errors =
@@ -445,9 +398,7 @@ let publish st =
              ("errors", Json.Obj errors);
              ("telemetry", Telemetry.to_json ());
            ]))
-    st.opts.metrics;
-  Option.iter (fun path -> Trace.write_chrome ~path) st.opts.trace;
-  Option.iter (fun path -> Ledger.write ~path) st.opts.ledger
+    st.opts.metrics
 
 let run ?stop ?(handle_signals = true) opts =
   let stop =
@@ -461,21 +412,7 @@ let run ?stop ?(handle_signals = true) opts =
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)
   end;
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  Telemetry.enable (opts.metrics <> None);
-  Trace.enable (opts.trace <> None);
-  Ledger.enable (opts.ledger <> None);
   Ledger.set_label "serve";
-  (* Open the persistent artifact store before accepting: the daemon's
-     cold start is then warm for anything a previous process (batch or
-     daemon) already compiled, and everything it compiles outlives it. *)
-  (match opts.cache_dir with
-  | None -> ()
-  | Some dir ->
-    Ncdrf_cache.Store.set_ambient
-      (Some
-         (Ncdrf_cache.Store.open_store
-            ~max_bytes:(opts.cache_max_mb * 1024 * 1024)
-            ~dir ())));
   let listen_fd = bind_socket opts.socket_path in
   let pool = Pool.create ~jobs:opts.jobs () in
   let st =
@@ -540,5 +477,5 @@ let run ?stop ?(handle_signals = true) opts =
   end;
   List.iter Thread.join !conns;
   Pool.shutdown pool;
-  publish st;
+  publish_metrics st;
   0

@@ -15,30 +15,36 @@
     schedules, injected faults, expiry — becomes a typed [Failed]
     response and never kills the daemon.  On SIGTERM/SIGINT the daemon
     stops accepting, lets in-flight work finish within a grace window,
-    cancels the rest, and atomically publishes its metrics, trace and
-    ledger before exiting. *)
+    cancels the rest, and atomically publishes its serving metrics
+    before returning.
+
+    Work bodies are built by {!Protocol.schedule_body} and
+    {!Protocol.suite_body}, the same builders the batch commands use.
+    The daemon neither opens the persistent artifact store nor arms the
+    observability probes: its caller does both.  [ncdrf serve] does it
+    with the same code as a batch run: it opens [--cache-dir], arms
+    [--metrics]/[--trace]/[--ledger], and publishes the trace and the
+    ledger after [run] returns. *)
 
 type opts = {
   socket_path : string;
   jobs : int;  (** worker-pool size shared by all requests *)
-  max_inflight : int;  (** concurrent request execution slots *)
+  max_inflight : int;
+      (** concurrent request execution slots; at least 1, or no work
+          request is ever admitted *)
   queue_bound : int;  (** admission queue slots; beyond this, shed *)
   default_timeout_s : float option;
       (** deadline for requests that do not carry their own *)
   drain_grace_s : float;
       (** seconds to let in-flight work finish before cancelling *)
-  metrics : string option;  (** publish final metrics JSON here *)
-  trace : string option;  (** publish a Chrome trace here *)
-  ledger : string option;  (** publish the run ledger here *)
-  cache_dir : string option;
-      (** open the persistent artifact store here at startup, so the
-          daemon cold-starts warm from prior processes' work *)
-  cache_max_mb : int;  (** store size budget in MB; 0 = unlimited *)
+  metrics : string option;
+      (** publish the serving metrics JSON (schema
+          [ncdrf-serve-metrics/1]) here on drain; its telemetry section
+          is empty unless the caller armed [Telemetry] *)
 }
 
 (** Defaults: pool-default jobs, 4 inflight slots, queue bound 8, no
-    default deadline, 5 s drain grace, no observability outputs, no
-    persistent store. *)
+    default deadline, 5 s drain grace, no metrics file. *)
 val default_opts : socket_path:string -> opts
 
 (** [run opts] serves until stopped, then drains and returns the

@@ -9,9 +9,9 @@ cd "$(dirname "$0")/.."
 # Every file this script writes lives in one scratch directory, removed
 # on exit together with any daemon a failed step left running.
 tmp=$(mktemp -d /tmp/ncdrf-check.XXXXXX)
-serv_a= serv_b= serv_c=
+serv_a= serv_b= serv_c= log_reader=
 cleanup() {
-  for p in $serv_a $serv_b $serv_c; do kill -TERM "$p" 2>/dev/null || true; done
+  for p in $serv_a $serv_b $serv_c $log_reader; do kill -TERM "$p" 2>/dev/null || true; done
   rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -275,6 +275,31 @@ serv_a=$!
 "$NCDRF" suite --size 60 --jobs 1 > "$batch_suite"
 cmp -s "$client_suite" "$batch_suite" || {
   echo "check.sh: client suite output differs from batch suite" >&2; exit 1; }
+# The same holds for `client schedule` against `ncdrf schedule`, loop
+# file by loop file, and a --loop that matches nothing fails both ways
+# alike: exit 1 with the same one-line diagnosis.
+for f in loops/*.loop; do
+  b=$(basename "$f" .loop)
+  "$NCDRF" client schedule --socket "$sock_a" "$f" -k -r 16 > "$tmp/client-$b.txt"
+  "$NCDRF" schedule "$f" -k -r 16 > "$tmp/batch-$b.txt"
+  cmp -s "$tmp/client-$b.txt" "$tmp/batch-$b.txt" || {
+    echo "check.sh: client schedule output differs from batch schedule on $f" >&2; exit 1; }
+done
+for how in client batch; do
+  c=0
+  if [ "$how" = client ]; then
+    "$NCDRF" client schedule --socket "$sock_a" loops/conditionals.loop --loop no-such-loop \
+      > "$tmp/nomatch-$how.out" 2> "$tmp/nomatch-$how.err" || c=$?
+  else
+    "$NCDRF" schedule loops/conditionals.loop --loop no-such-loop \
+      > "$tmp/nomatch-$how.out" 2> "$tmp/nomatch-$how.err" || c=$?
+  fi
+  if [ "$c" -ne 1 ] || [ -s "$tmp/nomatch-$how.out" ] \
+      || [ "$(cat "$tmp/nomatch-$how.err")" != "no matching loops" ]; then
+    echo "check.sh: $how schedule of an unmatched --loop: exit $c, expected 1 and 'no matching loops'" >&2
+    exit 1
+  fi
+done
 kill -TERM "$serv_a"
 wait "$serv_a" || {
   echo "check.sh: clean daemon did not exit 0 on SIGTERM" >&2; exit 1; }
@@ -285,16 +310,27 @@ serv_a=
 # The soak fills the daemon before the last client arrives: five
 # clients, each on its own machine config so that none is answered from
 # another's cache, take the four execution slots and the one queue
-# place (polled through `client stats`), so the sixth is shed by
-# construction rather than by timing.
-"$NCDRF" serve --socket "$sock_b" --jobs 1 --queue 1 \
-  --inject stage=schedule,every=7 --metrics "$serve_metrics" > /dev/null 2>&1 &
+# place (polled through `client stats`), and the sixth is shed by
+# construction.  The daemon's debug log goes into a FIFO that nothing
+# reads until the shed is over.  Each held request logs one line per
+# scheduled loop, about 140 KB for a 3000-loop suite: more than a pipe
+# holds (64 KiB), so no held request can finish, and no slot or queue
+# place can free, before the reader starts.  Admission, `client stats`
+# and the shed itself log nothing, so they go on meanwhile.
+serve_log=$tmp/serve-b.log
+mkfifo "$serve_log"
+# This shell holds the FIFO open without reading it, so the daemon can
+# open it for writing; no child inherits that descriptor, so if this
+# script dies the daemon's writes fail instead of blocking forever.
+exec 3<> "$serve_log"
+"$NCDRF" serve -v --socket "$sock_b" --jobs 1 --queue 1 \
+  --inject stage=schedule,every=7 --metrics "$serve_metrics" > /dev/null 2> "$serve_log" 3<&- &
 serv_b=$!
 client_pids=
 soak_client() {  # index latency clusters
   { c=0; "$NCDRF" client suite --socket "$sock_b" --size 3000 --retries 0 \
       --latency "$2" --clusters "$3" > "$shed_dir/out.$1" 2>&1 || c=$?
-    echo "$c" > "$shed_dir/code.$1"; } &
+    echo "$c" > "$shed_dir/code.$1"; } 3<&- &
   client_pids="$client_pids $!"
 }
 soak_client 1 3 2; soak_client 2 6 2; soak_client 3 3 3; soak_client 4 6 3
@@ -309,6 +345,17 @@ until "$NCDRF" client stats --socket "$sock_b" 2>/dev/null | grep -q ' 4 active,
   sleep 0.1
 done
 soak_client 6 6 4
+polls=0
+until [ -e "$shed_dir/code.6" ]; do
+  polls=$((polls + 1))
+  if [ "$polls" -ge 300 ]; then
+    echo "check.sh: the sixth soak client got no answer while the daemon was full" >&2
+    exit 1
+  fi
+  sleep 0.1
+done
+cat "$serve_log" > /dev/null 3<&- &
+log_reader=$!
 for p in $client_pids; do wait "$p" || true; done
 served_clients=0; shed_clients=0
 for i in 1 2 3 4 5 6; do
@@ -328,6 +375,9 @@ kill -TERM "$serv_b"
 wait "$serv_b" || {
   echo "check.sh: faulted daemon did not exit 0 on SIGTERM" >&2; exit 1; }
 serv_b=
+kill "$log_reader" 2>/dev/null || true
+log_reader=
+exec 3<&-
 srv_injected=$(grep -o '"errors.injected": *[0-9]*' "$serve_metrics" | head -n1 | grep -o '[0-9]*$' || true)
 srv_overloaded=$(grep -o '"errors.overloaded": *[0-9]*' "$serve_metrics" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${srv_injected:-}" ] || [ "$srv_injected" -eq 0 ]; then

@@ -621,7 +621,7 @@ let test_daemon_contains_injected_fault () =
 
 (* The suite served over the wire carries exactly the rows a local run
    computes, and the rendered report is byte-identical to the batch
-   driver's (both print through the shared renderers). *)
+   driver's (both print through Protocol.render_body). *)
 let test_daemon_suite_identity () =
   with_daemon @@ fun path ->
   let client = Client.connect path in
@@ -662,12 +662,12 @@ let test_daemon_suite_identity () =
     check_bool "same models in order" true
       (List.map (fun (m, _, _) -> m) rows
       = List.map (fun (m, _, _) -> m) local_rows);
-    let render rows =
-      Protocol.render_suite_header ~size ~machine ~jobs
-      ^ Protocol.render_suite_table_head ~registers
-      ^ String.concat "" (List.map Protocol.render_suite_row rows)
+    let local =
+      Protocol.Suite_report
+        { machine; size; jobs; registers; rows = local_rows; failures = [] }
     in
-    check_string "rendered report byte-identical" (render local_rows) (render rows)
+    check_string "rendered report byte-identical" (Protocol.render_body local)
+      (Protocol.render_body body)
   | _ -> Alcotest.fail "expected a suite report"
 
 (* ------------------------------------------------------------------ *)
@@ -700,12 +700,8 @@ let reset_observability () =
 let observed_run ~tag ~concurrent kinds =
   reset_observability ();
   let tmp suffix = Filename.temp_file "ncdrf-obs" suffix in
-  let metrics = tmp ".json" and trace = tmp ".trace" and ledger = tmp ".jsonl" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ metrics; trace; ledger ])
+  let metrics = tmp ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove metrics with Sys_error _ -> ())
   @@ fun () ->
   let failures = ref [] in
   let fail_lock = Mutex.create () in
@@ -714,15 +710,12 @@ let observed_run ~tag ~concurrent kinds =
     failures := msg :: !failures;
     Mutex.unlock fail_lock
   in
+  (* The daemon's caller arms the probes, as `ncdrf serve` does. *)
+  Telemetry.enable true;
+  Trace.enable true;
+  Ledger.enable true;
   with_daemon
-    ~configure:(fun o ->
-      {
-        o with
-        max_inflight = 4;
-        metrics = Some metrics;
-        trace = Some trace;
-        ledger = Some ledger;
-      })
+    ~configure:(fun o -> { o with max_inflight = 4; metrics = Some metrics })
     (fun path ->
       let issue i kind =
         let id = Printf.sprintf "%s%d" tag i in
@@ -834,11 +827,8 @@ let test_daemon_concurrent_identity () =
                   kind = Protocol.Suite { spec = Config.default_spec; size; registers };
                 }
             with
-            | Ok { Protocol.body = Protocol.Suite_report { machine; jobs; rows; _ }; _ } ->
-              renders.(i) <-
-                Protocol.render_suite_header ~size ~machine ~jobs
-                ^ Protocol.render_suite_table_head ~registers
-                ^ String.concat "" (List.map Protocol.render_suite_row rows)
+            | Ok { Protocol.body = Protocol.Suite_report _ as body; _ } ->
+              renders.(i) <- Protocol.render_body body
             | Ok _ -> errors := "unexpected body" :: !errors
             | Stdlib.Error e -> errors := Error.to_string e :: !errors
             | exception e -> errors := Printexc.to_string e :: !errors)
@@ -894,6 +884,149 @@ let test_latency_ring_wraps () =
        (fun q -> (q, Ncdrf_report.Stats.percentile q held))
        [ 0.0; 25.0; 50.0; 90.0; 99.0; 100.0 ])
 
+(* [render_body] is the one printer of every answer: the parts in
+   order, and the exact health and diagnosis text `ncdrf client`
+   prints. *)
+let test_render_body () =
+  let failure = Error.make ~loop:"fir" ~stage:"schedule" Error.Injected "boom" in
+  check_string "suite report = header, table, rows, failures"
+    (Protocol.render_suite_header ~size:60 ~machine:"m" ~jobs:2
+    ^ Protocol.render_suite_table_head ~registers:32
+    ^ Protocol.render_suite_row (Model.Unified, 50.0, 25.0)
+    ^ Protocol.render_failure_summary [ failure ])
+    (Protocol.render_body
+       (Protocol.Suite_report
+          {
+            machine = "m";
+            size = 60;
+            jobs = 2;
+            registers = 32;
+            rows = [ (Model.Unified, 50.0, 25.0) ];
+            failures = [ failure ];
+          }));
+  check_string "schedule of no loops = machine line" "machine: m\n"
+    (Protocol.render_body (Protocol.Scheduled { machine = "m"; points = [] }));
+  check_string "failed" ("error: " ^ Error.to_string failure ^ "\n")
+    (Protocol.render_body (Protocol.Failed failure));
+  check_string "overloaded"
+    "overloaded: daemon queue full (depth 3), retries exhausted\n"
+    (Protocol.render_body (Protocol.Overloaded { queue_depth = 3; retry_after_s = 0.15 }));
+  let health =
+    {
+      Protocol.status = "ok";
+      uptime_s = 2.0;
+      served = 5;
+      shed = 1;
+      active = 4;
+      queued = 1;
+      queue_bound = 1;
+      max_inflight = 4;
+      pool_jobs = 1;
+      cache_hits = 1;
+      cache_misses = 3;
+      cache_entries = 1;
+      error_counts = [ ("overloaded", 1) ];
+      kind_counts = [ ("suite", 6) ];
+      latency_p50_s = 0.5;
+      latency_p90_s = 0.75;
+      latency_p99_s = 1.0;
+    }
+  in
+  check_string "health"
+    "status: ok\n\
+     uptime: 2.0 s\n\
+     requests: 5 served, 1 shed, 4 active, 1 queued (queue bound 1, max inflight 4)\n\
+     pool: 1 job(s)\n\
+     cache: 1 hit(s) / 3 miss(es) (25.0% hit rate), 1 entry\n\
+     requests by kind:\n\
+    \  suite        6\n\
+     latency: p50 0.500 s, p90 0.750 s, p99 1.000 s\n\
+     errors:\n\
+    \  errors.overloaded           1\n"
+    (Protocol.render_body (Protocol.Health_report health))
+
+(* ------------------------------------------------------------------ *)
+(* The ncdrf binary: a bad store or slot count is a usage error.       *)
+(* ------------------------------------------------------------------ *)
+
+(* Run the built ncdrf binary, which dune stages next to this test, and
+   return its exit code and stderr.  A run still alive after 30 s is a
+   daemon that should never have started: it is killed and the test
+   fails. *)
+let run_ncdrf args =
+  let here = Filename.dirname Sys.executable_name in
+  let ncdrf = Filename.concat here (Filename.concat Filename.parent_dir_name "bin/ncdrf.exe") in
+  let err_path = Filename.temp_file "ncdrf-stderr" ".txt" in
+  Fun.protect ~finally:(fun () -> Sys.remove err_path) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err = Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close null; Unix.close err)
+      (fun () -> Unix.create_process ncdrf (Array.of_list (ncdrf :: args)) null null err)
+  in
+  let rec wait polls =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when polls < 600 ->
+      Unix.sleepf 0.05;
+      wait (polls + 1)
+    | 0, _ ->
+      Unix.kill pid Sys.sigkill;
+      ignore (Unix.waitpid [] pid);
+      Alcotest.failf "ncdrf %s still running after 30 s" (String.concat " " args)
+    | _, Unix.WEXITED code -> code
+    | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.failf "ncdrf %s killed by signal %d" (String.concat " " args) n
+  in
+  let code = wait 0 in
+  (code, In_channel.with_open_bin err_path In_channel.input_all)
+
+let fresh_socket_path () =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "ncdrf-test-%d-%d.sock" (Unix.getpid ()) (Random.bits ()))
+
+(* A --cache-dir that names a regular file is refused the same way by
+   every command that opens the store — serve included, which used to
+   die with an uncaught Sys_error (exit 125) — and no daemon starts. *)
+let test_bad_cache_dir () =
+  let file = Filename.temp_file "ncdrf-not-a-dir" "" in
+  let socket = fresh_socket_path () in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  let runs =
+    List.map
+      (fun args ->
+        let what = String.concat " " (List.filter (fun a -> a <> socket) args) in
+        (what, run_ncdrf (args @ [ "--cache-dir"; file ])))
+      [ [ "suite"; "--size"; "1" ]; [ "bench"; "fig8"; "--quick" ]; [ "serve"; "--socket"; socket ] ]
+  in
+  let _, (_, expected) = List.hd runs in
+  List.iter
+    (fun (what, (code, err)) ->
+      check_int (what ^ ": exit 2") 2 code;
+      check_string (what ^ ": same message as suite") expected err;
+      check_bool (what ^ ": one line") true
+        (String.index_opt err '\n' = Some (String.length err - 1));
+      check_bool (what ^ ": names --cache-dir") true
+        (String.starts_with ~prefix:"cannot open --cache-dir: " err);
+      check_bool (what ^ ": no uncaught exception") false
+        (contains ~affix:"exception" err || contains ~affix:"Sys_error" err))
+    runs;
+  check_bool "no daemon bound the socket" false (Sys.file_exists socket)
+
+(* A daemon with no execution slot could never run a work request, so
+   --max-inflight below 1 is a usage error naming the flag, like the
+   machine flags, and no daemon starts. *)
+let test_max_inflight_below_one () =
+  let socket = fresh_socket_path () in
+  List.iter
+    (fun n ->
+      let code, err = run_ncdrf [ "serve"; "--socket"; socket; "--max-inflight=" ^ n ] in
+      check_int ("--max-inflight " ^ n ^ ": exit 2") 2 code;
+      check_bool ("--max-inflight " ^ n ^ ": names the flag") true
+        (contains ~affix:(Printf.sprintf "--max-inflight %s: must be at least 1" n) err);
+      check_bool "no daemon bound the socket" false (Sys.file_exists socket))
+    [ "0"; "-1" ]
+
 let suite =
   [
     Alcotest.test_case "latency ring wraps" `Quick test_latency_ring_wraps;
@@ -902,6 +1035,7 @@ let suite =
       test_removed_spill_modes_rejected;
     Alcotest.test_case "frame id recovery" `Quick test_frame_id_recovery;
     Alcotest.test_case "shared renderers" `Quick test_renderers;
+    Alcotest.test_case "one renderer for every body" `Quick test_render_body;
     Alcotest.test_case "budget clock is monotonic" `Quick test_budget_clock_is_monotonic;
     Alcotest.test_case "deadline tokens" `Quick test_deadline_tokens;
     Alcotest.test_case "deadline installed count" `Quick test_deadline_installed_count;
@@ -914,6 +1048,9 @@ let suite =
     Alcotest.test_case "daemon suite identity" `Quick test_daemon_suite_identity;
     Alcotest.test_case "concurrent clients byte-identical" `Quick
       test_daemon_concurrent_identity;
+    Alcotest.test_case "bad --cache-dir exits 2 everywhere" `Quick test_bad_cache_dir;
+    Alcotest.test_case "--max-inflight below 1 exits 2" `Quick
+      test_max_inflight_below_one;
     QCheck_alcotest.to_alcotest prop_concurrent_observability;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
