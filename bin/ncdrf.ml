@@ -1012,7 +1012,7 @@ let serve_cmd =
   let run verbose socket jobs max_inflight queue timeout drain_grace session =
     setup_logs verbose;
     with_session session @@ fun () ->
-    Server.run
+    let opts =
       {
         Server.socket_path = socket;
         jobs;
@@ -1022,6 +1022,13 @@ let serve_cmd =
         drain_grace_s = drain_grace;
         metrics = session.metrics;
       }
+    in
+    (* A path the daemon cannot listen on is a usage error naming the
+       flag, like an unusable --cache-dir. *)
+    try Server.run opts
+    with Server.Socket_unusable msg ->
+      Printf.eprintf "cannot bind --socket: %s\n" msg;
+      2
   in
   let max_inflight_arg =
     let doc =

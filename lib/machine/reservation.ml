@@ -1,12 +1,14 @@
 open Ncdrf_ir
 
+(* One flat table: [usage.((cluster * 3 + class) * ii + slot)] counts the
+   busy units of a class (0 = adder, 1 = multiplier, 2 = ls) and, after
+   the [3 * clusters] unit rows, one row each counts the machine-wide
+   load and store port use per slot. *)
 type t = {
   cfg : Config.t;
   ii : int;
-  (* usage.(cluster).(class).(slot) with class 0=adder 1=multiplier 2=ls *)
-  usage : int array array array;
-  load_use : int array;  (* per slot *)
-  store_use : int array;
+  usage : int array;
+  loads : int;  (* offset of the load-port row *)
 }
 
 let class_index op =
@@ -24,45 +26,51 @@ let capacity cfg cluster cls =
 
 let create cfg ~ii =
   if ii < 1 then invalid_arg "Reservation.create: ii must be >= 1";
-  let n_clusters = Config.num_clusters cfg in
-  let usage =
-    Array.init n_clusters (fun _ -> Array.init 3 (fun _ -> Array.make ii 0))
-  in
-  { cfg; ii; usage; load_use = Array.make ii 0; store_use = Array.make ii 0 }
+  let loads = 3 * Config.num_clusters cfg * ii in
+  { cfg; ii; usage = Array.make (loads + (2 * ii)) 0; loads }
 
 let ii t = t.ii
 let config t = t.cfg
 let slot t cycle = ((cycle mod t.ii) + t.ii) mod t.ii
 
+(* Index of the unit counter of [cls] in [cluster] at slot [s]. *)
+let unit_at t ~cluster cls s = (((cluster * 3) + cls) * t.ii) + s
+
+(* A caller's cluster must name a unit row, not a port row. *)
+let check_cluster t cluster =
+  if cluster < 0 || cluster >= Config.num_clusters t.cfg then
+    invalid_arg "Reservation: cluster out of range"
+
 let port_room t ~op ~cycle =
   let s = slot t cycle in
   if Opcode.is_load op then
     match t.cfg.Config.load_ports with
-    | Some cap -> t.load_use.(s) < cap
+    | Some cap -> t.usage.(t.loads + s) < cap
     | None -> true
   else if Opcode.is_store op then
     match t.cfg.Config.store_ports with
-    | Some cap -> t.store_use.(s) < cap
+    | Some cap -> t.usage.(t.loads + t.ii + s) < cap
     | None -> true
   else true
 
 let port_saturated t ~op ~cycle = not (port_room t ~op ~cycle)
 
 let cluster_room t ~op ~cycle ~cluster =
-  let s = slot t cycle in
+  check_cluster t cluster;
   let cls = class_index op in
-  t.usage.(cluster).(cls).(s) < capacity t.cfg cluster cls
+  t.usage.(unit_at t ~cluster cls (slot t cycle)) < capacity t.cfg cluster cls
 
-let book t ~op ~cycle ~cluster =
-  let s = slot t cycle in
-  let cls = class_index op in
-  t.usage.(cluster).(cls).(s) <- t.usage.(cluster).(cls).(s) + 1;
-  if Opcode.is_load op then t.load_use.(s) <- t.load_use.(s) + 1
-  else if Opcode.is_store op then t.store_use.(s) <- t.store_use.(s) + 1
+(* Bump every counter [op] holds at slot [s] in [cluster] by [by]. *)
+let bump t ~op ~cluster s ~by =
+  let u = unit_at t ~cluster (class_index op) s in
+  t.usage.(u) <- t.usage.(u) + by;
+  if Opcode.is_load op then t.usage.(t.loads + s) <- t.usage.(t.loads + s) + by
+  else if Opcode.is_store op then
+    t.usage.(t.loads + t.ii + s) <- t.usage.(t.loads + t.ii + s) + by
 
 let reserve_in t ~op ~cycle ~cluster =
   if cluster_room t ~op ~cycle ~cluster && port_room t ~op ~cycle then begin
-    book t ~op ~cycle ~cluster;
+    bump t ~op ~cluster (slot t cycle) ~by:1;
     true
   end
   else false
@@ -76,31 +84,27 @@ let reserve t ~op ~cycle =
        the lowest index. *)
     let best = ref (-1) and best_free = ref 0 in
     for cluster = 0 to Config.num_clusters t.cfg - 1 do
-      let free = capacity t.cfg cluster cls - t.usage.(cluster).(cls).(s) in
+      let free = capacity t.cfg cluster cls - t.usage.(unit_at t ~cluster cls s) in
       if free > !best_free then begin
         best := cluster;
         best_free := free
       end
     done;
-    if !best >= 0 then book t ~op ~cycle ~cluster:!best;
+    if !best >= 0 then bump t ~op ~cluster:!best s ~by:1;
     !best
   end
 
 let release t ~op ~cycle ~cluster =
+  check_cluster t cluster;
   let s = slot t cycle in
-  let cls = class_index op in
-  if t.usage.(cluster).(cls).(s) <= 0 then
+  if t.usage.(unit_at t ~cluster (class_index op) s) <= 0 then
     invalid_arg "Reservation.release: nothing reserved";
-  t.usage.(cluster).(cls).(s) <- t.usage.(cluster).(cls).(s) - 1;
-  if Opcode.is_load op then begin
-    if t.load_use.(s) <= 0 then invalid_arg "Reservation.release: load port underflow";
-    t.load_use.(s) <- t.load_use.(s) - 1
-  end
-  else if Opcode.is_store op then begin
-    if t.store_use.(s) <= 0 then invalid_arg "Reservation.release: store port underflow";
-    t.store_use.(s) <- t.store_use.(s) - 1
-  end
+  if Opcode.is_load op && t.usage.(t.loads + s) <= 0 then
+    invalid_arg "Reservation.release: load port underflow";
+  if Opcode.is_store op && t.usage.(t.loads + t.ii + s) <= 0 then
+    invalid_arg "Reservation.release: store port underflow";
+  bump t ~op ~cluster s ~by:(-1)
 
 let used t ~op ~cycle ~cluster =
-  let s = slot t cycle in
-  t.usage.(cluster).(class_index op).(s)
+  check_cluster t cluster;
+  t.usage.(unit_at t ~cluster (class_index op) (slot t cycle))

@@ -31,6 +31,16 @@ let shift_window ~ii v w =
 
 let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b
 
+(* Scratch rows for [create], one array per domain.  A build takes it
+   out of its domain's cell and puts it back when done, so two
+   systhreads of one domain (the daemon's request handlers) never write
+   the same array: a build that finds the cell empty allocates its own.
+   It grows to the largest table its domain has built, up to
+   [retained_words]: a larger one (over 200 lifetimes) is left to the
+   GC after its build, and the cell keeps what it held before. *)
+let scratch = Domain.DLS.new_key (fun () -> Atomic.make [||])
+let retained_words = 1 lsl 17
+
 let create ~ii ~producer ~start ~stop =
   let n = Array.length start in
   let min_regs = Array.init n (fun i -> ceil_div (stop.(i) - start.(i)) ii) in
@@ -42,44 +52,43 @@ let create ~ii ~producer ~start ~stop =
   let qs = quot start and qe = quot stop in
   let rs = Array.mapi (fun i x -> x - (qs.(i) * ii)) start
   and re = Array.mapi (fun i x -> x - (qe.(i) * ii)) stop in
-  (* Two passes over the i < j pairs: the first counts each row's
-     degree, the second fills rows allocated at their exact size in pair
-     order, which leaves every row in ascending neighbour order. *)
-  let degree = Array.make n 0 in
-  let adj = Array.make n [||] and fill = Array.make n 0 in
+  (* One pass over the i < j pairs computes each window once and
+     appends its two triples to rows [i] and [j] of the scratch, where
+     row [r] has room for all [n - 1] neighbours at [r * stride].  Row
+     [r] receives its pairs with smaller indices first, in ascending
+     order, then those with larger ones, so every row ascends; each is
+     then copied out at its exact length. *)
+  let stride = 3 * (n - 1) in
+  let cell = Domain.DLS.get scratch in
+  let taken = Atomic.exchange cell [||] in
+  let rows = if Array.length taken >= n * stride then taken else Array.make (n * stride) 0 in
+  let fill = Array.init n (fun r -> r * stride) in
   let max_width = ref 0 and pairs = ref 0 in
-  for pass = 0 to 1 do
-    if pass = 1 then Array.iteri (fun i d -> adj.(i) <- Array.make (3 * d) 0) degree;
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        (* the window (i -> j): instance k + d of i overlaps instance k of j *)
-        let d_min = qs.(j) - qe.(i) + (if rs.(j) < re.(i) then 0 else 1)
-        and d_max = qe.(j) - qs.(i) - (if re.(j) > rs.(i) then 0 else 1) in
-        if d_max >= d_min then begin
-          let width = d_max - d_min + 1 in
-          if pass = 0 then begin
-            degree.(i) <- degree.(i) + 1;
-            degree.(j) <- degree.(j) + 1;
-            incr pairs;
-            if width > !max_width then max_width := width
-          end
-          else begin
-            let row = adj.(j) and k = fill.(j) in
-            row.(k) <- i;
-            row.(k + 1) <- d_min;
-            row.(k + 2) <- width;
-            fill.(j) <- k + 3;
-            (* window (j -> i) is (-d_max, -d_min) by antisymmetry *)
-            let row = adj.(i) and k = fill.(i) in
-            row.(k) <- j;
-            row.(k + 1) <- -d_max;
-            row.(k + 2) <- width;
-            fill.(i) <- k + 3
-          end
-        end
-      done
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      (* the window (i -> j): instance k + d of i overlaps instance k of j *)
+      let d_min = qs.(j) - qe.(i) + (if rs.(j) < re.(i) then 0 else 1)
+      and d_max = qe.(j) - qs.(i) - (if re.(j) > rs.(i) then 0 else 1) in
+      if d_max >= d_min then begin
+        let width = d_max - d_min + 1 in
+        incr pairs;
+        if width > !max_width then max_width := width;
+        let k = fill.(j) in
+        rows.(k) <- i;
+        rows.(k + 1) <- d_min;
+        rows.(k + 2) <- width;
+        fill.(j) <- k + 3;
+        (* window (j -> i) is (-d_max, -d_min) by antisymmetry *)
+        let k = fill.(i) in
+        rows.(k) <- j;
+        rows.(k + 1) <- -d_max;
+        rows.(k + 2) <- width;
+        fill.(i) <- k + 3
+      end
     done
   done;
+  let adj = Array.init n (fun r -> Array.sub rows (r * stride) (fill.(r) - (r * stride))) in
+  Atomic.set cell (if Array.length rows <= retained_words then rows else taken);
   if !pairs > 0 then Telemetry.incr ~by:!pairs "alloc.pairs";
   { ii; producer; start; stop; min_regs; adj; max_width = !max_width; passes = Atomic.make 0 }
 

@@ -33,9 +33,14 @@ val shift_window : ii:int -> Lifetime.t -> Lifetime.t -> int * int
 val pos_mod : int -> int -> int
 
 (** Build a table for the lifetimes, in the given (significant) order:
-    index [i] of the table is element [i] of the list.  O(n²) window
-    computations, done once.  Bumps the [alloc.pairs] counter by the
-    number of stored (non-empty-window) pairs. *)
+    index [i] of the table is element [i] of the list.  One pass over
+    the O(n²) pairs computes each window once and appends it to both
+    rows in a scratch array with room for every neighbour, so each row
+    comes out in ascending neighbour order; the rows are then copied
+    out at their exact length.  The scratch is reused per domain and
+    is never shared by two concurrent builds, systhreads of one domain
+    included.  Bumps the [alloc.pairs] counter by the number of stored
+    (non-empty-window) pairs. *)
 val make : ii:int -> Lifetime.t list -> t
 
 (** {!make} over flat arrays: index [i] is the lifetime of node

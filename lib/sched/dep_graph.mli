@@ -1,10 +1,13 @@
 (** A loop's dependence graph on one machine, flattened into int
-    arrays once: each node's opcode, unit class and latency, and its
-    outgoing and incoming edges in compressed rows.  The modulo
-    scheduler builds one per {!Modulo.schedule_with_min_ii} call and
-    shares it between the MII bound ({!Mii.mii_with_floor}) and every
-    II attempt, so no probe or attempt walks the [Ddg] edge lists or
-    looks up a latency.  Do not mutate the arrays. *)
+    arrays once: each node's opcode, unit class and latency, its
+    outgoing and incoming edges in compressed rows, its strongly
+    connected components and the out-edge slots that lie on a cycle.
+    The modulo scheduler builds one per {!Modulo.schedule_with_min_ii}
+    call, checks the graph with the same pass, and shares it between
+    the MII bound ({!Mii.mii_with_floor}) and every II attempt, so no
+    probe or attempt walks the [Ddg] edge lists or looks up a latency.
+    Nothing is kept on the [Ddg] or across calls.  Do not mutate the
+    arrays. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -12,7 +15,8 @@ open Ncdrf_machine
 (** Node [v]'s outgoing edges are the slots
     [k] in [[succ_first.(v), succ_first.(v + 1))], in {!Ddg.succs}
     order; its incoming edges are the slots in
-    [[pred_first.(v), pred_first.(v + 1))], in {!Ddg.preds} order. *)
+    [[pred_first.(v), pred_first.(v + 1))], in {!Ddg.preds} order.  The
+    pred arrays are empty when the graph was made with [~preds:false]. *)
 type t = private {
   cfg : Config.t;
   ddg : Ddg.t;
@@ -29,9 +33,32 @@ type t = private {
   pred_src : int array;
   pred_dist : int array;
   pred_flow : bool array;
+  scc : int array;
+      (** each node's strongly connected component over the succ rows:
+          two nodes share an id exactly when each reaches the other.
+          When every edge runs from a lower id to a higher one the ids
+          are the node ids and no search runs; otherwise one iterative
+          Tarjan pass numbers them. *)
+  cycle_slots : int array;
+      (** the out-edge slots whose two ends share a component, in
+          ascending order: exactly the edges that lie on some cycle
+          (a self-loop included).  Only these can bound RecMII. *)
+  cycle_span : int;  (** nodes in the largest component; 0 when [n = 0] *)
+  valid : bool;
+      (** the graph passes every check of {!Ddg.validate}: node ids,
+          edge ends in range, distances non-negative, flow edges only
+          out of value-producing nodes, and no cycle of total distance
+          0 (found among the cycle slots) *)
 }
 
-val make : Config.t -> Ddg.t -> t
+(** [make cfg ddg] flattens [ddg] with one pass over its succ rows
+    plus, unless every edge runs forward in id order, one iterative
+    Tarjan pass.  With [~preds:false] (default [true]) it skips the
+    incoming rows, which only the scheduler reads.  A graph that fails
+    {!Ddg.validate} does not make it raise: [valid] is then false, and
+    if an edge leaves the node range no search runs, all nodes share
+    component 0 and every slot is a cycle slot. *)
+val make : ?preds:bool -> Config.t -> Ddg.t -> t
 
 (** [succ_weight g ~ii v k] is the constraint weight at [ii] of
     outgoing slot [k] of [v]: [lat.(v) - ii * succ_dist.(k)], the least

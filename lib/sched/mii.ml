@@ -22,21 +22,25 @@ let res_mii cfg ddg =
   List.fold_left max 1 (candidates @ port_bounds)
 
 (* No positive cycle at [ii] in the constraint graph (edge weights
-   [Dep_graph.succ_weight]): Bellman-Ford longest paths from every node
-   (all potentials start at 0, in the scratch [pot]) converge.  Without
-   a positive cycle a longest path has at most [n - 1] edges, so the
-   round bound is never what stops a feasible probe, and the answer
-   does not depend on the edge order. *)
-let feasible (g : Dep_graph.t) pot ~ii =
-  let n = g.n and lat = g.lat and src = g.succ_src in
-  let dst = g.succ_dst and dist = g.succ_dist in
-  Array.fill pot 0 n 0;
+   [Dep_graph.succ_weight]).  Every cycle lies inside one strongly
+   connected component, so only the cycle slots are relaxed:
+   Bellman-Ford longest paths from every node (all potentials start at
+   0, in the scratch [pot]) over those slots converge.  Without a
+   positive cycle a longest path over them stays inside one component,
+   so it has fewer than [cycle_span] edges and round [cycle_span] sees
+   no change: the round bound never stops a feasible probe, and the
+   answer does not depend on the slot order. *)
+let probe (g : Dep_graph.t) pot ~ii =
+  let lat = g.lat and src = g.succ_src and dst = g.succ_dst and dist = g.succ_dist in
+  let slots = g.cycle_slots in
+  Array.fill pot 0 g.n 0;
   let changed = ref true in
   let rounds = ref 0 in
-  while !changed && !rounds <= n + 1 do
+  while !changed && !rounds < g.cycle_span do
     changed := false;
     incr rounds;
-    for k = 0 to Array.length src - 1 do
+    for i = 0 to Array.length slots - 1 do
+      let k = slots.(i) in
       let v = src.(k) and w = dst.(k) in
       let d = pot.(v) + lat.(v) - (ii * dist.(k)) in
       if d > pot.(w) then begin
@@ -47,6 +51,8 @@ let feasible (g : Dep_graph.t) pot ~ii =
   done;
   not !changed
 
+let feasible g ~ii = probe g (Array.make g.Dep_graph.n 0) ~ii
+
 (* Smallest feasible II in [(lo, hi]], given [lo] infeasible and [hi]
    feasible.  The sum of all latencies is an upper bound on any
    circuit's latency, hence on RecMII (distances are >= 1 on
@@ -55,16 +61,20 @@ let rec search g pot lo hi =
   if hi - lo <= 1 then hi
   else begin
     let mid = (lo + hi) / 2 in
-    if feasible g pot ~ii:mid then search g pot lo mid else search g pot mid hi
+    if probe g pot ~ii:mid then search g pot lo mid else search g pot mid hi
   end
 
 let latency_sum (g : Dep_graph.t) ~init = Array.fold_left ( + ) init g.lat
 
+(* An acyclic graph has no cycle slot, hence RecMII 1 without a probe. *)
 let rec_mii_of (g : Dep_graph.t) =
-  let pot = Array.make g.n 0 in
-  if feasible g pot ~ii:1 then 1 else search g pot 1 (latency_sum g ~init:1)
+  if Array.length g.cycle_slots = 0 then 1
+  else begin
+    let pot = Array.make g.n 0 in
+    if probe g pot ~ii:1 then 1 else search g pot 1 (latency_sum g ~init:1)
+  end
 
-let rec_mii cfg ddg = rec_mii_of (Dep_graph.make cfg ddg)
+let rec_mii cfg ddg = rec_mii_of (Dep_graph.make ~preds:false cfg ddg)
 
 let rec_mii_by_circuits ?max_circuits cfg ddg =
   let n = Ddg.num_nodes ddg in
@@ -119,8 +129,9 @@ let mii cfg ddg = max (res_mii cfg ddg) (rec_mii cfg ddg)
 let mii_with_floor ~floor (g : Dep_graph.t) =
   let res = res_mii g.cfg g.ddg in
   if floor <= 1 then max (max res (rec_mii_of g)) floor
+  else if Array.length g.cycle_slots = 0 then max res floor
   else begin
     let pot = Array.make g.n 0 in
-    if feasible g pot ~ii:floor then max res floor
+    if probe g pot ~ii:floor then max res floor
     else max res (search g pot floor (latency_sum g ~init:floor))
   end

@@ -16,9 +16,15 @@ val res_mii : Config.t -> Ddg.t -> int
 (** Recurrence-constrained bound computed by binary search on the
     smallest [ii] for which the constraint graph with weights
     [latency src - ii * distance] has no positive cycle.  At least 1.
-    The graph is flattened into a {!Dep_graph.t} once per call, and
-    every probe of the search relaxes its edge arrays in place. *)
+    The graph is flattened into a {!Dep_graph.t} once per call, without
+    its incoming rows, and every probe of the search relaxes only the
+    {!Dep_graph.cycle_slots}: an acyclic graph gets 1 with no probe. *)
 val rec_mii : Config.t -> Ddg.t -> int
+
+(** [feasible g ~ii]: the constraint graph at [ii] has no positive
+    cycle, decided by Bellman-Ford over the cycle slots of [g] alone
+    (every cycle lies inside one strongly connected component). *)
+val feasible : Dep_graph.t -> ii:int -> bool
 
 (** Recurrence bound by direct enumeration of elementary circuits
     (Johnson).  Exponential in the worst case — used by tests to

@@ -43,12 +43,26 @@ let heights (g : Dep_graph.t) ~ii =
 
 (* Scheduling priority: nodes by height descending, ties by id
    ascending — the node a linear scan for the highest unscheduled one
-   would pick first.  [rank] inverts [order]. *)
+   would pick first.  [rank] inverts [order].  A counting sort: heights
+   are non-negative and at most the latency sum, so the buckets are as
+   few as the heights' range. *)
 let priority height =
-  let order = Array.init (Array.length height) Fun.id in
-  Array.stable_sort (fun a b -> Int.compare height.(b) height.(a)) order;
-  let rank = Array.make (Array.length order) 0 in
-  Array.iteri (fun r v -> rank.(v) <- r) order;
+  let n = Array.length height in
+  let top = Array.fold_left max 0 height in
+  (* [next.(b)]: the next free position of bucket [b = top - height] *)
+  let next = Array.make (top + 2) 0 in
+  Array.iter (fun h -> next.(top - h + 1) <- next.(top - h + 1) + 1) height;
+  for b = 1 to top do
+    next.(b) <- next.(b) + next.(b - 1)
+  done;
+  let order = Array.make n 0 and rank = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let b = top - height.(v) in
+    let r = next.(b) in
+    order.(r) <- v;
+    rank.(v) <- r;
+    next.(b) <- r + 1
+  done;
   (order, rank)
 
 type state = {
@@ -254,9 +268,13 @@ let place_all st =
   in
   loop ()
 
+(* The placements, already normalized (first cycle 0), so
+   [Schedule.normalize] has nothing left to copy. *)
 let schedule_of_state st =
+  let shift = Array.fold_left min max_int st.cycle in
   let placements =
-    Array.init st.g.n (fun v -> { Schedule.cycle = st.cycle.(v); cluster = st.cluster.(v) })
+    Array.init st.g.n (fun v ->
+        { Schedule.cycle = st.cycle.(v) - shift; cluster = st.cluster.(v) })
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
@@ -288,17 +306,23 @@ let attempt cfg ddg g ~ii ~budget ~policy ~placement =
 
 let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
     ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii cfg ddg =
-  (match Ddg.validate ddg with
-   | Ok () -> ()
-   | Error msg ->
-     Error.errorf ~loop:(Ddg.name ddg) ~stage:"schedule" Error.Invalid_graph
-       "Modulo.schedule: %s" msg);
-  (* One flattening of the graph serves the bound and every II attempt.
-     [mii_with_floor] avoids the full RecMII binary search when
-     [min_ii] already covers the recurrences — the spiller's monotone II
-     floor makes that the common case for spill rounds — and returns
-     exactly [max (Mii.mii cfg ddg) min_ii]. *)
+  (* One flattening of the graph checks it and serves the bound and
+     every II attempt.  Only a graph it rejects pays for
+     [Ddg.validate], which names the first problem.  [mii_with_floor]
+     avoids the full RecMII binary search when [min_ii] already covers
+     the recurrences — the spiller's monotone II floor makes that the
+     common case for spill rounds — and returns exactly
+     [max (Mii.mii cfg ddg) min_ii]. *)
   let g = Dep_graph.make cfg ddg in
+  if not g.valid then begin
+    let msg =
+      match Ddg.validate ddg with
+      | Error msg -> msg
+      | Ok () -> "malformed graph"
+    in
+    Error.errorf ~loop:(Ddg.name ddg) ~stage:"schedule" Error.Invalid_graph
+      "Modulo.schedule: %s" msg
+  end;
   let mii = Mii.mii_with_floor ~floor:min_ii g in
   let attempt_budget = budget_ratio * max 1 (Ddg.num_nodes ddg) in
   let rec search ii =

@@ -341,27 +341,40 @@ let handle_conn st fd =
    with Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+exception Socket_unusable of string
+
+let unusable path fmt =
+  Printf.ksprintf (fun why -> raise (Socket_unusable (Printf.sprintf "%s: %s" path why))) fmt
+
 let bind_socket path =
-  if Sys.file_exists path then begin
-    (* A leftover socket file from a killed daemon would make bind fail
-       forever; probe it and only reclaim the path if nobody answers. *)
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      try
-        Unix.connect probe (Unix.ADDR_UNIX path);
-        true
-      with Unix.Unix_error _ -> false
-    in
-    (try Unix.close probe with Unix.Unix_error _ -> ());
-    if live then
-      Error.errorf ~stage:"serve" Error.Internal
-        "socket %s is already being served" path
-    else Sys.remove path
-  end;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  fd
+  (match Unix.lstat path with
+   | { Unix.st_kind = Unix.S_SOCK; _ } ->
+     (* A leftover socket file from a killed daemon would make bind fail
+        forever; probe it and only reclaim the path if nobody answers. *)
+     let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+     let live =
+       try
+         Unix.connect probe (Unix.ADDR_UNIX path);
+         true
+       with Unix.Unix_error _ -> false
+     in
+     (try Unix.close probe with Unix.Unix_error _ -> ());
+     if live then unusable path "already being served";
+     (try Unix.unlink path
+      with Unix.Unix_error (e, _, _) -> unusable path "%s" (Unix.error_message e))
+   | _ -> unusable path "exists and is not a socket"
+   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+   | exception Unix.Unix_error (e, _, _) -> unusable path "%s" (Unix.error_message e));
+  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) -> unusable path "%s" (Unix.error_message e)
+  | fd -> (
+    try
+      Unix.bind fd (Unix.ADDR_UNIX path);
+      Unix.listen fd 64;
+      fd
+    with Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      unusable path "%s" (Unix.error_message e))
 
 let publish_metrics st =
   Option.iter

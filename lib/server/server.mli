@@ -51,6 +51,13 @@ val default_opts : socket_path:string -> opts
     process exit code (0 on a clean drain).  [stop] supplies the stop
     flag (polled every 0.2 s) — tests flip it from another thread;
     when [handle_signals] (default true), SIGTERM/SIGINT set it and
-    SIGPIPE is ignored.  Raises {!Ncdrf_error.Error.Error} if the
-    socket path is already being served. *)
+    SIGPIPE is ignored.  Raises {!Socket_unusable} before serving
+    anything if the socket cannot be bound. *)
 val run : ?stop:bool Atomic.t -> ?handle_signals:bool -> opts -> int
+
+(** [Socket_unusable "PATH: why"]: the daemon cannot listen on PATH.
+    [run] reclaims PATH only when it is a socket that nobody answers
+    (left by a killed daemon); a live socket, any other file, a
+    directory, a missing parent directory or a failed bind raise this,
+    and the file at PATH is left as it was. *)
+exception Socket_unusable of string

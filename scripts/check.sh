@@ -27,8 +27,8 @@ equiv_out=$tmp/conflict-suite.txt
 dune exec test/test_main.exe -- test conflict > "$equiv_out" 2>&1 || {
   cat "$equiv_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*conflict' "$equiv_out" || true)
-if [ "${ok:-0}" -lt 4 ]; then
-  echo "check.sh: expected 4 conflict equivalence tests to run, got $ok" >&2
+if [ "${ok:-0}" -lt 6 ]; then
+  echo "check.sh: expected 6 conflict tests (incl. equivalence) to run, got $ok" >&2
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$equiv_out" | grep '\[SKIP\]' | awk '{print $2}' \
@@ -71,6 +71,43 @@ fi
 if sed 's/.\[[0-9;]*m//g' "$swap_out" | grep '\[SKIP\]' | awk '{print $2}' \
     | grep -qx 'swap'; then
   echo "check.sh: swap equivalence tests were skipped" >&2
+  exit 1
+fi
+
+# Scheduler equivalence: the sched suite pins the flat-array scheduler
+# and MII bound to the verbatim Modulo_reference oracle (qcheck over
+# random loops and policies, the whole default suite at L3 and L6),
+# the binary-search RecMII to circuit enumeration, the cycle-slot
+# probes to the full-edge Bellman-Ford oracle and the flat SCC
+# partition to Graph_algos.scc.  It must run in full, unskipped.
+sched_out=$tmp/sched-suite.txt
+dune exec test/test_main.exe -- test sched > "$sched_out" 2>&1 || {
+  cat "$sched_out" >&2; exit 1; }
+ok=$(grep -c 'OK.*sched' "$sched_out" || true)
+if [ "${ok:-0}" -lt 30 ]; then
+  echo "check.sh: expected 30 sched tests (incl. reference equivalence) to run, got $ok" >&2
+  exit 1
+fi
+if sed 's/.\[[0-9;]*m//g' "$sched_out" | grep '\[SKIP\]' | awk '{print $2}' \
+    | grep -qx 'sched'; then
+  echo "check.sh: sched equivalence tests were skipped" >&2
+  exit 1
+fi
+
+# Requirement equivalence: the reqs suite pins Requirements (shared
+# conflict tables, counting-sort start order) to the
+# Requirements_reference oracle.  It must run in full, unskipped.
+reqs_out=$tmp/reqs-suite.txt
+dune exec test/test_main.exe -- test reqs > "$reqs_out" 2>&1 || {
+  cat "$reqs_out" >&2; exit 1; }
+ok=$(grep -c 'OK.*reqs' "$reqs_out" || true)
+if [ "${ok:-0}" -lt 6 ]; then
+  echo "check.sh: expected 6 reqs equivalence tests to run, got $ok" >&2
+  exit 1
+fi
+if sed 's/.\[[0-9;]*m//g' "$reqs_out" | grep '\[SKIP\]' | awk '{print $2}' \
+    | grep -qx 'reqs'; then
+  echo "check.sh: reqs equivalence tests were skipped" >&2
   exit 1
 fi
 

@@ -112,7 +112,8 @@ let prop_scheduled_equivalence =
 (* The pre-rewrite two-pass construction of the conflict rows (size
    the rows in one pass over the pairs, recompute every window to fill
    them in a second), kept as the oracle for [Conflict.make]'s one-pass
-   build: same rows, same order, same widest pair. *)
+   build, which computes each window once into a reused scratch: same
+   rows, same order, same widest pair. *)
 let two_pass_rows ~ii lifetimes =
   let lifetimes = Array.of_list lifetimes in
   let n = Array.length lifetimes in
@@ -168,6 +169,73 @@ let prop_rows_match_two_pass =
       Conflict.max_width table = max_width
       && Array.for_all Fun.id
            (Array.mapi (fun i row -> Conflict.neighbours table i = row) adj))
+
+(* Concurrent builders never share a scratch.  Two systhreads of one
+   domain (as the daemon runs its request handlers) and the two domains
+   of a pool build tables at the same time, yielding between builds;
+   every table's rows and widest pair equal a serial build's.  The
+   inputs mix scheduled suite loops with large random lifetime sets, so
+   builds are long enough for the runtime's 50 ms tick to switch
+   systhreads in the middle of one, and sizes alternate, so a scratch
+   another build wrote to would leave foreign triples in the rows. *)
+let test_concurrent_builds () =
+  let suite =
+    List.concat_map
+      (fun latency ->
+        let config = Config.dual ~latency in
+        List.map
+          (fun (e : Ncdrf_workloads.Suite.entry) ->
+            let s = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
+            (Schedule.ii s, Lifetime.of_schedule s))
+          (Ncdrf_workloads.Suite.full ~size:20 ()))
+      [ 3; 6 ]
+  in
+  let rng = Random.State.make [| 7 |] in
+  let large =
+    List.init 8 (fun k ->
+        ( 1 + (k mod 4),
+          lifetimes_of_raw
+            (List.init (120 + (10 * k)) (fun _ ->
+                 (Random.State.int rng 60, Random.State.int rng 30))) ))
+  in
+  let inputs =
+    List.concat (List.map2 (fun a b -> [ a; b ]) large (List.filteri (fun i _ -> i < 8) suite))
+    @ suite
+  in
+  let rows (ii, lifetimes) =
+    let t = Conflict.make ~ii lifetimes in
+    (Conflict.max_width t, Array.init (Conflict.size t) (Conflict.neighbours t))
+  in
+  let cases = List.map (fun input -> (input, rows input)) inputs in
+  let mismatches = Atomic.make 0 and builds = Atomic.make 0 in
+  (* Each systhread builds for at least 0.4 s, so several ticks fall
+     inside builds. *)
+  let build_all cases =
+    let until = Unix.gettimeofday () +. 0.4 in
+    while Unix.gettimeofday () < until do
+      List.iter
+        (fun (input, want) ->
+          if rows input <> want then Atomic.incr mismatches;
+          Atomic.incr builds;
+          Thread.yield ())
+        cases
+    done
+  in
+  let threads = List.map (Thread.create build_all) [ cases; List.rev cases ] in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "systhread builds = serial builds" 0 (Atomic.get mismatches);
+  Alcotest.(check bool) "both systhreads built" true (Atomic.get builds >= 2 * List.length cases);
+  let pooled =
+    Ncdrf_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+        Ncdrf_parallel.Pool.map pool
+          (fun input ->
+            let r = rows input in
+            Thread.yield ();
+            r)
+          (inputs @ List.rev inputs))
+  in
+  Alcotest.(check bool) "pool builds = serial builds" true
+    (pooled = List.map snd cases @ List.rev_map snd cases)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-seed fig8-slice byte-identity guard.                          *)
@@ -234,4 +302,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scheduled_equivalence;
     QCheck_alcotest.to_alcotest prop_rows_match_two_pass;
     Alcotest.test_case "fig8-slice byte identity" `Quick test_fig8_slice_byte_identity;
+    Alcotest.test_case "concurrent builds = serial builds" `Quick test_concurrent_builds;
   ]

@@ -8,6 +8,7 @@ open Ncdrf_sched
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 
 let tridiag () =
   match Ncdrf_workloads.Kernels.find "ll5-tridiag" with
@@ -348,6 +349,222 @@ let prop_matches_reference =
       && Mii.mii_with_floor ~floor:min_ii (Dep_graph.make cfg g)
          = Modulo_reference.mii_with_floor ~floor:min_ii cfg g)
 
+(* --- The flattening: SCC partition, cycle slots, validity --- *)
+
+(* Arbitrary digraphs, cycles of any distance and self-loops included:
+   every edge is a memory dependence, so only a zero-distance cycle can
+   make one invalid. *)
+let random_digraph =
+  QCheck.make
+    ~print:(fun (n, es) ->
+      Printf.sprintf "n=%d edges=[%s]" n
+        (String.concat ";" (List.map (fun (a, b, d) -> Printf.sprintf "%d->%d/%d" a b d) es)))
+    QCheck.Gen.(
+      int_range 1 14 >>= fun n ->
+      list_size (int_range 0 (3 * n)) (triple (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 2))
+      >|= fun es -> (n, es))
+
+let ddg_of_digraph (n, es) =
+  let b = Ddg.Builder.create ~name:"digraph" in
+  for v = 0 to n - 1 do
+    let op = if v mod 3 = 1 then Opcode.Fmul else Opcode.Fadd in
+    ignore (Ddg.Builder.add_node b op ~label:(Printf.sprintf "n%d" v))
+  done;
+  List.iter (fun (src, dst, distance) -> Ddg.Builder.add_edge b ~src ~dst ~distance Ddg.Mem) es;
+  Ddg.Builder.freeze b
+
+(* A partition as sorted lists, comparable whatever the numbering. *)
+let canonical comps = List.sort compare (List.map (List.sort compare) comps)
+
+let partition_of_flat (g : Dep_graph.t) =
+  let by_id = Hashtbl.create 8 in
+  for v = g.n - 1 downto 0 do
+    Hashtbl.replace by_id g.scc.(v)
+      (v :: Option.value ~default:[] (Hashtbl.find_opt by_id g.scc.(v)))
+  done;
+  canonical (Hashtbl.fold (fun _ vs acc -> vs :: acc) by_id [])
+
+(* The flat Tarjan pass against [Graph_algos.scc]: the same partition,
+   cycle slots exactly the slots whose ends share a component, the
+   largest component's size, and [valid] exactly [Ddg.validate]. *)
+let check_flattening cfg ddg =
+  let g = Dep_graph.make cfg ddg and h = Dep_graph.make ~preds:false cfg ddg in
+  let comps =
+    Graph_algos.scc ~num_nodes:g.n ~succs:(fun v ->
+        List.map (fun e -> e.Ddg.dst) (Ddg.succs ddg v))
+  in
+  let comp_of = Array.make g.n (-1) in
+  List.iteri (fun c vs -> List.iter (fun v -> comp_of.(v) <- c) vs) comps;
+  let slots =
+    List.filter
+      (fun k -> comp_of.(g.succ_src.(k)) = comp_of.(g.succ_dst.(k)))
+      (List.init (Array.length g.succ_dst) Fun.id)
+  in
+  partition_of_flat g = canonical comps
+  && Array.to_list g.cycle_slots = slots
+  && g.cycle_span = List.fold_left (fun acc c -> max acc (List.length c)) 0 comps
+  && g.valid = (Ddg.validate ddg = Ok ())
+  && h.scc = g.scc && h.cycle_slots = g.cycle_slots && h.valid = g.valid
+
+let prop_flat_scc_digraphs =
+  QCheck.Test.make ~count:400 ~name:"flat SCC partition = Graph_algos.scc (digraphs)"
+    random_digraph (fun input -> check_flattening (Config.dual ~latency:3) (ddg_of_digraph input))
+
+let prop_flat_scc_loops =
+  QCheck.Test.make ~count:100 ~name:"flat SCC partition = Graph_algos.scc (loops)"
+    generated_ddg (fun input -> check_flattening (Config.dual ~latency:6) (ddg_of input))
+
+(* The values a spill rewrite may pick, as the spiller does: producers
+   with consumers that are neither reloads nor already spilled. *)
+let spill_candidates g =
+  List.filter
+    (fun v ->
+      let consumers = Ddg.consumers g v in
+      consumers <> []
+      && (not (Opcode.is_spill_load (Ddg.node g v).Ddg.opcode))
+      && not
+           (List.exists
+              (fun e -> Opcode.is_spill_access (Ddg.node g e.Ddg.dst).Ddg.opcode)
+              consumers))
+    (List.init (Ddg.num_nodes g) Fun.id)
+
+(* Restricting the probe to the cycle slots decides the same question as
+   the full-edge Bellman-Ford of the oracle, at every II from 1 to the
+   latency sum. *)
+let same_feasibility cfg ddg =
+  let g = Dep_graph.make cfg ddg in
+  let latency_sum = Array.fold_left ( + ) 0 g.lat in
+  List.for_all
+    (fun ii ->
+      Mii.feasible g ~ii
+      = not
+          (Graph_algos_reference.has_positive_cycle ~num_nodes:g.n
+             ~edges:(Modulo_reference.constraint_edges cfg ddg ~ii)))
+    (List.init (max 1 latency_sum) (fun i -> i + 1))
+
+let prop_feasibility_digraphs =
+  QCheck.Test.make ~count:300 ~name:"cycle-slot probe = full-edge probe (digraphs)"
+    random_digraph (fun input -> same_feasibility (Config.dual ~latency:3) (ddg_of_digraph input))
+
+let prop_feasibility_spill_chains =
+  let arb =
+    QCheck.make
+      ~print:(fun ((seed, heavy), latency, picks) ->
+        Printf.sprintf "seed=%d heavy=%b lat=%d picks=[%s]" seed heavy latency
+          (String.concat ";" (List.map string_of_int picks)))
+      QCheck.Gen.(
+        triple
+          (pair (int_bound 100_000) bool)
+          (oneofl [ 3; 6 ])
+          (list_size (int_range 0 4) (int_bound 1000)))
+  in
+  QCheck.Test.make ~count:80 ~name:"cycle-slot probe = full-edge probe (spill chains)" arb
+    (fun (input, latency, picks) ->
+      let cfg = Config.dual ~latency in
+      let rec go g = function
+        | [] -> true
+        | pick :: rest -> (
+          match spill_candidates g with
+          | [] -> true
+          | vs ->
+            let v = List.nth vs (pick mod List.length vs) in
+            let g =
+              Ncdrf_spill.Spiller.spill_value g
+                ~slot:(Ncdrf_spill.Spiller.next_spill_slot g) v
+            in
+            same_feasibility cfg g && go g rest)
+      in
+      let g = ddg_of input in
+      same_feasibility cfg g && go g picks)
+
+(* The whole default suite (795 loops) at L3 and L6: the bound and every
+   schedule equal the pre-rewrite oracle's. *)
+let test_default_suite_matches_reference () =
+  let loops = Ncdrf_workloads.Suite.full () in
+  check_int "default suite size" 795 (List.length loops);
+  List.iter
+    (fun latency ->
+      let cfg = Config.dual ~latency in
+      List.iter
+        (fun (e : Ncdrf_workloads.Suite.entry) ->
+          let g = e.Ncdrf_workloads.Suite.ddg in
+          let name = Printf.sprintf "%s at L%d" (Ddg.name g) latency in
+          check_int (name ^ ": mii") (Modulo_reference.mii cfg g) (Mii.mii cfg g);
+          let want = Modulo_reference.schedule cfg g and got = Modulo.schedule cfg g in
+          check_int (name ^ ": ii") (Schedule.ii want) (Schedule.ii got);
+          check_bool (name ^ ": placements") true
+            (want.Schedule.placements = got.Schedule.placements))
+        loops)
+    [ 3; 6 ]
+
+(* [Ddg.t]'s representation, to forge graphs the builder refuses (a
+   negative distance, an edge out of range) and check that the
+   scheduler's own flattening still rejects them. *)
+type forged = {
+  name : string;
+  node_arr : Ddg.node array;
+  succ_arr : Ddg.edge list array;
+  pred_arr : Ddg.edge list array;
+  edge_count : int;
+  mutable digest_memo : string option;
+}
+
+let forge ops edges : Ddg.t =
+  let n = List.length ops in
+  let succ_arr = Array.make n [] and pred_arr = Array.make n [] in
+  List.iter
+    (fun (e : Ddg.edge) ->
+      succ_arr.(e.src) <- succ_arr.(e.src) @ [ e ];
+      if e.dst >= 0 && e.dst < n then pred_arr.(e.dst) <- pred_arr.(e.dst) @ [ e ])
+    edges;
+  Obj.magic
+    {
+      name = "forged";
+      node_arr =
+        Array.of_list
+          (List.mapi (fun id opcode -> { Ddg.id; opcode; label = Printf.sprintf "v%d" id }) ops);
+      succ_arr;
+      pred_arr;
+      edge_count = List.length edges;
+      digest_memo = None;
+    }
+
+(* Invalid graphs fail [Modulo.schedule] with the same [Invalid_graph]
+   error, message included, as the pre-rewrite scheduler, which ran
+   [Ddg.validate] first on every call. *)
+let test_invalid_graphs_same_error () =
+  let edge src dst distance kind = { Ddg.src; dst; distance; kind } in
+  let store = Opcode.Store (Opcode.Array "x") in
+  let cases =
+    [
+      ( "zero-distance cycle",
+        forge [ Opcode.Fadd; Opcode.Fmul; Opcode.Fadd ]
+          [ edge 0 1 0 Ddg.Flow; edge 1 2 0 Ddg.Flow; edge 2 0 1 Ddg.Flow; edge 2 1 0 Ddg.Flow ] );
+      ("zero-distance self-loop", forge [ Opcode.Fadd ] [ edge 0 0 0 Ddg.Flow ]);
+      ("negative distance", forge [ Opcode.Fadd; Opcode.Fmul ] [ edge 0 1 (-1) Ddg.Flow ]);
+      ("flow edge out of a store", forge [ store; Opcode.Fadd ] [ edge 0 1 0 Ddg.Flow ]);
+      ( "edge out of range",
+        forge [ Opcode.Fadd; Opcode.Fmul ] [ edge 0 1 0 Ddg.Flow; edge 1 5 0 Ddg.Mem ] );
+      ("negative edge end", forge [ Opcode.Fadd; Opcode.Fmul ] [ edge 0 (-1) 1 Ddg.Mem ]);
+    ]
+  in
+  let failure f =
+    match f () with
+    | _ -> Alcotest.fail "an invalid graph was scheduled"
+    | exception Ncdrf_error.Error.Error e ->
+      (Ncdrf_error.Error.category_name e.Ncdrf_error.Error.category, e.Ncdrf_error.Error.message)
+  in
+  List.iter
+    (fun (what, ddg) ->
+      let cfg = Config.dual ~latency:3 in
+      check_bool (what ^ ": Ddg.validate rejects it") true (Ddg.validate ddg <> Ok ());
+      check_bool (what ^ ": flattening rejects it") false (Dep_graph.make cfg ddg).valid;
+      let want = failure (fun () -> Modulo_reference.schedule cfg ddg) in
+      let got = failure (fun () -> Modulo.schedule cfg ddg) in
+      Alcotest.(check (pair string string)) (what ^ ": same error") want got;
+      check_string (what ^ ": category") "invalid_graph" (fst got))
+    cases
+
 let suite =
   [
     Alcotest.test_case "res_mii on example" `Quick test_res_mii_example;
@@ -381,4 +598,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_rec_mii_cross_check;
     QCheck_alcotest.to_alcotest prop_push_late_preserves_validity;
     QCheck_alcotest.to_alcotest prop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_flat_scc_digraphs;
+    QCheck_alcotest.to_alcotest prop_flat_scc_loops;
+    QCheck_alcotest.to_alcotest prop_feasibility_digraphs;
+    QCheck_alcotest.to_alcotest prop_feasibility_spill_chains;
+    Alcotest.test_case "default suite = Modulo_reference" `Quick
+      test_default_suite_matches_reference;
+    Alcotest.test_case "invalid graphs keep their error" `Quick test_invalid_graphs_same_error;
   ]

@@ -1013,6 +1013,43 @@ let test_bad_cache_dir () =
     runs;
   check_bool "no daemon bound the socket" false (Sys.file_exists socket)
 
+(* [serve --socket PATH] reclaims PATH only when it is a socket nobody
+   answers.  A regular file used to be deleted, a directory and a
+   missing parent directory used to kill the daemon with an uncaught
+   exception (exit 125).  Each is now a one-line usage error naming
+   --socket (exit 2), the process exits instead of serving, and the
+   file at PATH is left byte for byte. *)
+let test_unusable_socket_path () =
+  let dir = Filename.temp_file "ncdrf-socket-cases" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let file = Filename.concat dir "data" and sub = Filename.concat dir "sub" in
+  let missing = Filename.concat (Filename.concat dir "missing") "x.sock" in
+  let contents = "data\nnot a socket\n" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc contents);
+  Sys.mkdir sub 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ file; missing ];
+      List.iter (fun d -> if Sys.file_exists d then Sys.rmdir d) [ sub; dir ])
+  @@ fun () ->
+  List.iter
+    (fun (what, path) ->
+      let code, err = run_ncdrf [ "serve"; "--socket"; path; "--jobs"; "1" ] in
+      check_int (what ^ ": exit 2") 2 code;
+      check_bool (what ^ ": one line") true
+        (String.index_opt err '\n' = Some (String.length err - 1));
+      check_bool (what ^ ": names --socket") true
+        (String.starts_with ~prefix:("cannot bind --socket: " ^ path ^ ": ") err);
+      check_bool (what ^ ": no uncaught exception") false
+        (contains ~affix:"exception" err || contains ~affix:"Sys_error" err
+         || contains ~affix:"Unix_error" err))
+    [ ("regular file", file); ("directory", sub); ("missing directory", missing) ];
+  check_string "the regular file is intact" contents
+    (In_channel.with_open_bin file In_channel.input_all);
+  check_bool "the directory is intact" true (Sys.is_directory sub);
+  check_bool "nothing bound in the missing directory" false (Sys.file_exists missing)
+
 (* A daemon with no execution slot could never run a work request, so
    --max-inflight below 1 is a usage error naming the flag, like the
    machine flags, and no daemon starts. *)
@@ -1051,6 +1088,7 @@ let suite =
     Alcotest.test_case "bad --cache-dir exits 2 everywhere" `Quick test_bad_cache_dir;
     Alcotest.test_case "--max-inflight below 1 exits 2" `Quick
       test_max_inflight_below_one;
+    Alcotest.test_case "unusable --socket path exits 2" `Quick test_unusable_socket_path;
     QCheck_alcotest.to_alcotest prop_concurrent_observability;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
