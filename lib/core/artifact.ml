@@ -9,8 +9,6 @@ module Fault = Ncdrf_fault.Fault
 module Trace = Ncdrf_telemetry.Trace
 
 type t = {
-  ddg : Ddg.t;
-  config : Config.t;
   mii : int;
   raw : Schedule.t;
 }
@@ -24,8 +22,7 @@ type view = {
 (* One cache holds every stage; the variant keeps the table monomorphic
    while the key's stage tag keeps entries distinct. *)
 type cached =
-  | Mii_of of int
-  | Raw_of of Schedule.t
+  | Raw_of of int * Schedule.t
   | View_of of view
   | Spill_of of Schedule.t
 
@@ -75,13 +72,14 @@ let memo ~loop ?disk key compute =
 let wrong_stage () = invalid_arg "Artifact: cache key collided across stages"
 
 (* ------------------------------------------------------------------ *)
-(* Disk payload codecs.  Payloads carry only integers — an II plus
-   (cycle, cluster) placement pairs — and schedules are rebuilt through
-   [Schedule.make] against the config and graph the caller already
-   holds, so nothing structural is trusted from disk.  [Schedule.make]'s
-   validation rejecting a payload (graph changed shape under the same
-   digest is impossible, but a colliding or hand-edited entry is not)
-   reads as a miss. *)
+(* Disk payload codecs.  Payloads carry only integers — a schedule is
+   its II plus (cycle, cluster) placement pairs, and the raw and view
+   entries put their other integers in front of it, each ended by a
+   [!] — and schedules are rebuilt through [Schedule.make] against the
+   config and graph the caller already holds, so nothing structural is
+   trusted from disk.  [Schedule.make]'s validation rejecting a payload
+   (graph changed shape under the same digest is impossible, but a
+   colliding or hand-edited entry is not) reads as a miss. *)
 
 let encode_schedule s =
   let buf = Buffer.create 64 in
@@ -128,13 +126,21 @@ let decode_schedule ~config ddg str =
           | exception Invalid_argument _ -> None
       end)
 
-let mii_codec =
-  ( (function Mii_of m -> string_of_int m | _ -> wrong_stage ()),
-    fun str -> Option.map (fun m -> Mii_of m) (int_of_string_opt str) )
-
+(* [mii!ii|cycle,cluster|...]: an older store's payload, without the
+   MII prefix, fails to decode, so it reads as a miss and is
+   rewritten. *)
 let raw_codec ~config ddg =
-  ( (function Raw_of s -> encode_schedule s | _ -> wrong_stage ()),
-    fun str -> Option.map (fun s -> Raw_of s) (decode_schedule ~config ddg str) )
+  ( (function
+    | Raw_of (mii, s) -> string_of_int mii ^ "!" ^ encode_schedule s
+    | _ -> wrong_stage ()),
+    fun str ->
+      match String.split_on_char '!' str with
+      | [ mii_s; sched_s ] -> (
+        match int_of_string_opt mii_s with
+        | Some mii ->
+          Option.map (fun s -> Raw_of (mii, s)) (decode_schedule ~config ddg sched_s)
+        | None -> None)
+      | _ -> None )
 
 let spill_codec ~config ddg =
   ( (function Spill_of s -> encode_schedule s | _ -> wrong_stage ()),
@@ -173,37 +179,30 @@ let stage_boundary ~stage ~config ddg f =
       Ncdrf_error.Deadline.check ~stage;
       f ())
 
-let mii ~config ddg =
-  stage_boundary ~stage:"mii" ~config ddg @@ fun () ->
-  let compute () =
-    Fault.point ~stage:"mii" ~key:(Ddg.name ddg);
-    Mii_of (Telemetry.time "mii" (fun () -> Mii.mii config ddg))
-  in
-  match memo ~loop:(Ddg.name ddg) ~disk:mii_codec (base_key ~config ddg ^ "#mii") compute with
-  | Mii_of m ->
-    (* Stamped on the ambient point here, after the memo, so the ledger
-       sees the MII on cache hits too. *)
-    Trace.set_result ~mii:m ();
-    m
-  | Raw_of _ | View_of _ | Spill_of _ -> wrong_stage ()
-
-let raw_schedule ~config ddg =
+(* The one scheduling stage of a (config, loop) point: the MII is the
+   bound the scheduler's II search started from, so it is kept with the
+   schedule instead of being computed again. *)
+let scheduled ~config ddg =
   stage_boundary ~stage:"schedule" ~config ddg @@ fun () ->
   let compute () =
     Fault.point ~stage:"schedule" ~key:(Ddg.name ddg);
-    Raw_of (Telemetry.time "schedule" (fun () -> Modulo.schedule config ddg))
+    let mii, raw =
+      Telemetry.time "schedule" (fun () -> Modulo.schedule_with_mii config ddg)
+    in
+    Raw_of (mii, raw)
   in
   match
     memo ~loop:(Ddg.name ddg) ~disk:(raw_codec ~config ddg) (base_key ~config ddg ^ "#raw")
       compute
   with
-  | Raw_of s ->
-    Trace.set_ii (Schedule.ii s);
-    s
-  | Mii_of _ | View_of _ | Spill_of _ -> wrong_stage ()
+  | Raw_of (mii, raw) ->
+    (* Stamped on the ambient point here, after the memo, so the ledger
+       sees them on cache hits too. *)
+    Trace.set_result ~mii ~ii:(Schedule.ii raw) ();
+    { mii; raw }
+  | View_of _ | Spill_of _ -> wrong_stage ()
 
-let scheduled ~config ddg =
-  { ddg; config; mii = mii ~config ddg; raw = raw_schedule ~config ddg }
+let raw_schedule ~config ddg = (scheduled ~config ddg).raw
 
 let count_swaps model before after =
   match model with
@@ -337,7 +336,7 @@ let view_with shared ~key ~model sched =
       compute
   with
   | View_of v -> v
-  | Mii_of _ | Raw_of _ | Spill_of _ -> wrong_stage ()
+  | Raw_of _ | Spill_of _ -> wrong_stage ()
 
 let view_of_schedule ~model sched =
   view_with (shared_of sched) ~key:(schedule_key sched) ~model sched
@@ -345,8 +344,6 @@ let view_of_schedule ~model sched =
 let views_of_schedule ~models sched =
   let shared = shared_of sched and key = schedule_key sched in
   List.map (fun model -> view_with shared ~key ~model sched) models
-
-let view t ~model = view_of_schedule ~model t.raw
 
 let has_spill_load ddg =
   Ddg.fold_nodes ddg ~init:false ~f:(fun acc n -> acc || Opcode.is_spill_load n.Ddg.opcode)
@@ -373,5 +370,5 @@ let spill_schedule ~config ~min_ii ddg =
         compute
     with
     | Spill_of s -> s
-    | Mii_of _ | Raw_of _ | View_of _ -> wrong_stage ()
+    | Raw_of _ | View_of _ -> wrong_stage ()
   end

@@ -3,10 +3,12 @@
     Compiling a loop factors into stages that later stages and other
     register-file models can reuse:
 
-    {v ddg --> mii --> raw schedule --> per-model view v}
+    {v ddg --> (MII, raw schedule) --> per-model view v}
 
     - the {e raw schedule} (register-blind modulo schedule) and the
-      {e MII} depend only on [(config, ddg)];
+      {e MII} its II search started from depend only on
+      [(config, ddg)], and are one stage: one scheduler run computes
+      both, and one entry holds them;
     - a {e view} — the model-transformed schedule, its register
       requirement and the swaps applied — depends on the raw schedule
       and the model, but not on any capacity;
@@ -28,15 +30,15 @@
     a second, on-disk tier: a memory miss consults the store before
     computing, and a computed artifact is published back, so results
     survive the process and are shared across concurrent processes.
-    Disk payloads carry only integers (IIs and placements); schedules
-    are rebuilt through [Schedule.make], and any malformed entry
-    degrades to a miss.
+    Disk payloads carry only integers (MII, IIs, placements,
+    requirements); schedules are rebuilt through [Schedule.make], and
+    any malformed entry degrades to a miss.
 
     {b Determinism rule:} every compute function is a pure function of
     its key — the scheduler, allocator and swap pass are deterministic —
     so a cached run is byte-for-byte identical to a cold or
     cache-disabled run; the cache may only change wall time and
-    telemetry span counts.  Telemetry spans ([mii], [schedule], [alloc],
+    telemetry span counts.  Telemetry spans ([schedule], [alloc],
     [swap]) are recorded inside the compute functions, so span counts
     count {e cold} stage executions: one ["schedule"] record per
     (config, loop) however many models consume it.
@@ -45,19 +47,17 @@
     [Ncdrf_error.Error.boundary], so anything escaping a stage is a
     classified [Ncdrf_error.Error.Error] carrying the loop name and
     config fingerprint.  Each stage also compiles in an
-    [Ncdrf_fault.Fault.point] (stages ["mii"], ["schedule"], ["alloc"],
-    and ["cache"] in front of every lookup), armed only by explicit
+    [Ncdrf_fault.Fault.point] (stages ["schedule"], ["alloc"], and
+    ["cache"] in front of every lookup), armed only by explicit
     [--inject]; failures — injected or real — are never cached. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_sched
 
-(** A loop scheduled under a configuration, with the stages every model
-    shares. *)
+(** A loop scheduled under a configuration: the stage every model
+    shares.  [raw] carries the graph and the configuration. *)
 type t = private {
-  ddg : Ddg.t;
-  config : Config.t;
   mii : int;  (** lower bound of the graph *)
   raw : Schedule.t;  (** register-blind modulo schedule *)
 }
@@ -69,18 +69,13 @@ type view = {
   swaps : int;  (** exchanged pairs versus the raw schedule *)
 }
 
-(** MII of the graph (cached). *)
-val mii : config:Config.t -> Ddg.t -> int
-
-(** Raw modulo schedule of the graph (cached). *)
-val raw_schedule : config:Config.t -> Ddg.t -> Schedule.t
-
-(** MII + raw schedule bundled (both cached). *)
+(** MII and raw modulo schedule of the graph, from one scheduler run
+    (cached under one key).  With a trace point installed, stamps the
+    point's MII and II, on hits too. *)
 val scheduled : config:Config.t -> Ddg.t -> t
 
-(** The model's view of the artifact's raw schedule (cached; [Ideal]
-    and [Unified] share one entry — same transform). *)
-val view : t -> model:Model.t -> view
+(** [(scheduled ~config ddg).raw]. *)
+val raw_schedule : config:Config.t -> Ddg.t -> Schedule.t
 
 (** The cache and store key of a schedule's views, before the model
     tag: the graph's key, then the II and every placement's cycle and
@@ -89,8 +84,9 @@ val view : t -> model:Model.t -> view
     cycle or in any cluster get different ones. *)
 val schedule_key : Schedule.t -> string
 
-(** Like {!view} for a free-standing schedule, e.g. one of the
-    spiller's rounds; keyed on the schedule's content. *)
+(** The model's view of a schedule — a raw schedule or one of the
+    spiller's rounds — keyed on the schedule's content (cached; [Ideal]
+    and [Unified] share one entry — same transform). *)
 val view_of_schedule : model:Model.t -> Schedule.t -> view
 
 (** The views of several models of one schedule, in the order of

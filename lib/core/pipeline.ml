@@ -131,13 +131,13 @@ let run ~config ~model ?capacity ?victim ddg =
   Telemetry.incr "pipeline.loops";
   Telemetry.incr ~by:(Config.num_clusters config) "cluster.subfiles";
   if Config.has_port_caps config then Telemetry.incr "ports.capped_points";
-  let mii = Artifact.mii ~config ddg in
+  let a = Artifact.scheduled ~config ddg in
   let finish ?error ~final_ddg ~sched ~requirement ~fits ~spilled ~added_memops ~ii_bumps
       ~swaps () =
     {
       name = Ddg.name ddg;
       model;
-      mii;
+      mii = a.Artifact.mii;
       ii = Schedule.ii sched;
       stages = Schedule.stages sched;
       requirement;
@@ -153,47 +153,19 @@ let run ~config ~model ?capacity ?victim ddg =
       error;
     }
   in
-  match capacity, model with
-  | None, _ | Some _, Model.Ideal ->
-    let artifact = Artifact.scheduled ~config ddg in
-    let v = Artifact.view artifact ~model in
-    let fits =
-      match capacity, model with
-      | _, Model.Ideal | None, _ -> true
-      | Some cap, _ -> v.Artifact.requirement <= cap
-    in
-    if Trace.active () then
-      Trace.set_result ~ii:(Schedule.ii v.Artifact.sched)
-        ~requirement:v.Artifact.requirement
-        ~maxlive:(Requirements.max_live_cost v.Artifact.sched) ();
-    finish ~final_ddg:ddg ~sched:v.Artifact.sched ~requirement:v.Artifact.requirement
-      ~fits ~spilled:0 ~added_memops:0 ~ii_bumps:0 ~swaps:v.Artifact.swaps ()
-  | Some cap, _ ->
-    (* Round 0 of the spill loop schedules the original graph at the
-       free-running II and measures it — exactly what a capacity-less
-       run computes.  Doing that {e before} entering the spiller keeps
-       the common fits-immediately case out of the spill stage entirely
-       (and shares the raw-schedule memo entry with free runs of the
-       same point).  The spiller's entry fault point fires here so an
-       armed "spill" fault still hits every capacity run; the selection
-       hash is stateless, so the second firing inside [Spiller.run] on
-       the slow path decides identically (a no-op). *)
-    Fault.point ~stage:"spill" ~key:(Ddg.name ddg);
-    let raw0 = Artifact.spill_schedule ~config ~min_ii:1 ddg in
-    let v0 = Artifact.view_of_schedule ~model raw0 in
-    if v0.Artifact.requirement <= cap then begin
-      Telemetry.incr ~by:0 "pipeline.spilled";
-      Telemetry.incr ~by:0 "pipeline.ii_bumps";
-      if Trace.active () then
-        Trace.set_result
-          ~ii:(Schedule.ii v0.Artifact.sched)
-          ~rounds:0 ~spilled:0 ~requirement:v0.Artifact.requirement
-          ~maxlive:(Requirements.max_live_cost v0.Artifact.sched) ();
-      finish ~final_ddg:ddg ~sched:v0.Artifact.sched
-        ~requirement:v0.Artifact.requirement ~fits:true ~spilled:0 ~added_memops:0
-        ~ii_bumps:0 ~swaps:v0.Artifact.swaps ()
-    end
-    else begin
+  (* Every point measures the raw schedule's view first.  For a
+     capacity run that is the spill loop's round 0; measuring it
+     {e before} entering the spiller keeps the common fits-immediately
+     case out of the spill stage entirely.  The spiller's entry fault
+     point fires here so an armed "spill" fault still hits every
+     capacity run; the selection hash is stateless, so the second
+     firing inside [Spiller.run] on the slow path decides identically
+     (a no-op). *)
+  let spills = capacity <> None && model <> Model.Ideal in
+  if spills then Fault.point ~stage:"spill" ~key:(Ddg.name ddg);
+  let v = Artifact.view_of_schedule ~model a.Artifact.raw in
+  match capacity with
+  | Some cap when spills && v.Artifact.requirement > cap ->
     (* The "spill" span wraps the whole iterative spill loop, which
        re-schedules and re-allocates internally: its self time is the
        loop's own work, and the nested "schedule"/"alloc"/"swap" frames
@@ -234,4 +206,16 @@ let run ~config ~model ?capacity ?victim ddg =
       ~fits:outcome.Spiller.fits ~spilled:outcome.Spiller.spilled
       ~added_memops:outcome.Spiller.added_memops ~ii_bumps:outcome.Spiller.ii_bumps
       ~swaps ()
-    end
+  | Some _ | None ->
+    if spills then begin
+      Telemetry.incr ~by:0 "pipeline.spilled";
+      Telemetry.incr ~by:0 "pipeline.ii_bumps"
+    end;
+    if Trace.active () then begin
+      Trace.set_result ~ii:(Schedule.ii v.Artifact.sched)
+        ~requirement:v.Artifact.requirement
+        ~maxlive:(Requirements.max_live_cost v.Artifact.sched) ();
+      if spills then Trace.set_result ~rounds:0 ~spilled:0 ()
+    end;
+    finish ~final_ddg:ddg ~sched:v.Artifact.sched ~requirement:v.Artifact.requirement
+      ~fits:true ~spilled:0 ~added_memops:0 ~ii_bumps:0 ~swaps:v.Artifact.swaps ()

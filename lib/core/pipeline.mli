@@ -5,14 +5,14 @@
     This is the function every experiment in the paper is built from.
 
     Since the artifact refactor this is a thin wrapper over {!Artifact}:
-    MII, the raw schedule and the per-model view are memoized in the
-    compile cache, so running the four models (or several capacities) on
+    the MII with the raw schedule, and the per-model view, are memoized
+    in the compile cache, so running the four models (or several capacities) on
     the same [(config, loop)] schedules it once.  Results are
     byte-identical to a cache-disabled run.
 
     When telemetry is enabled ([Ncdrf_telemetry.Telemetry.enable]),
     cache-missing runs record wall-time spans for their stages —
-    ["mii"], ["schedule"], ["alloc"], ["swap"], ["spill"] — and every
+    ["schedule"], ["alloc"], ["swap"], ["spill"] — and every
     run bumps the ["pipeline.loops"], ["pipeline.spilled"] and
     ["pipeline.ii_bumps"] counters; the cache itself bumps
     ["cache.hits"] / ["cache.misses"] / ["cache.evictions"].  The

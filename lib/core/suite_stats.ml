@@ -93,11 +93,7 @@ let measure_all ?pool ?failures ?timeout_s ~config ~models loops =
        (match rows with
        | [ row ] -> Ncdrf_telemetry.Trace.set_result ~requirement:row.requirement ()
        | _ -> ());
-       (* MII straight from the bound computation, not Artifact.mii:
-          going through the artifact would add cache entries and fault
-          points that an untraced run does not have. *)
-       Ncdrf_telemetry.Trace.set_result ~mii:(Mii.mii config loop.ddg)
-         ~maxlive:(Requirements.max_live_cost raw) ()
+       Ncdrf_telemetry.Trace.set_result ~maxlive:(Requirements.max_live_cost raw) ()
      end);
     rows
   in

@@ -48,7 +48,7 @@ type category =
     knows the loop name or config fingerprint adds them if missing. *)
 type t = {
   category : category;
-  stage : string;  (** "parse", "mii", "schedule", "alloc", "swap", "spill", "cache", "pipeline" *)
+  stage : string;  (** "parse", "schedule", "alloc", "swap", "spill", "cache", "pipeline" *)
   loop : string option;  (** loop (DDG) name *)
   config : string option;  (** [Config.fingerprint] of the machine *)
   round : int option;  (** spill round, where applicable *)

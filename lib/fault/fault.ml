@@ -8,7 +8,7 @@ type spec = {
   every : int;
 }
 
-let stages = [ "parse"; "mii"; "schedule"; "alloc"; "spill"; "cache" ]
+let stages = [ "parse"; "schedule"; "alloc"; "spill"; "cache" ]
 
 let spec_to_string s =
   String.concat ","

@@ -27,7 +27,7 @@
 type spec
 
 (** Stages with compiled-in points:
-    ["parse"], ["mii"], ["schedule"], ["alloc"], ["spill"], ["cache"]. *)
+    ["parse"], ["schedule"], ["alloc"], ["spill"], ["cache"]. *)
 val stages : string list
 
 (** Parse ["stage=<name>,loop=<regex>,every=<N>"]. *)

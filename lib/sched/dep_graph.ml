@@ -147,7 +147,7 @@ let zero_distance_cycle ~n ~src ~dst ~dist slots ~indeg ~run ~ready =
     !removed < !zero
   end
 
-let make ?(preds = true) cfg ddg =
+let make cfg ddg =
   let n = Ddg.num_nodes ddg and m = Ddg.num_edges ddg in
   (* Node arrays, and the checks of [Ddg.validate] that need no search
      (node ids; edge ends in range, distances non-negative, flow edges
@@ -180,9 +180,7 @@ let make ?(preds = true) cfg ddg =
     in
     succ_first.(v + 1) <- fill succ_first.(v) (Ddg.succs ddg v)
   done;
-  let pred_first, pred_src, pred_dist, pred_flow =
-    if preds then pred_rows ddg ~n ~m else ([||], [||], [||], [||])
-  in
+  let pred_first, pred_src, pred_dist, pred_flow = pred_rows ddg ~n ~m in
   let scc, cycle_slots, cycle_span, zero_cycle =
     if not !ends_in_range then
       (* An edge leaves the graph: no partition exists, and every slot

@@ -15,8 +15,7 @@ open Ncdrf_machine
 (** Node [v]'s outgoing edges are the slots
     [k] in [[succ_first.(v), succ_first.(v + 1))], in {!Ddg.succs}
     order; its incoming edges are the slots in
-    [[pred_first.(v), pred_first.(v + 1))], in {!Ddg.preds} order.  The
-    pred arrays are empty when the graph was made with [~preds:false]. *)
+    [[pred_first.(v), pred_first.(v + 1))], in {!Ddg.preds} order. *)
 type t = private {
   cfg : Config.t;
   ddg : Ddg.t;
@@ -51,14 +50,13 @@ type t = private {
           0 (found among the cycle slots) *)
 }
 
-(** [make cfg ddg] flattens [ddg] with one pass over its succ rows
-    plus, unless every edge runs forward in id order, one iterative
-    Tarjan pass.  With [~preds:false] (default [true]) it skips the
-    incoming rows, which only the scheduler reads.  A graph that fails
+(** [make cfg ddg] flattens [ddg] with one pass over its succ rows,
+    one over its pred rows and, unless every edge runs forward in id
+    order, one iterative Tarjan pass.  A graph that fails
     {!Ddg.validate} does not make it raise: [valid] is then false, and
     if an edge leaves the node range no search runs, all nodes share
     component 0 and every slot is a cycle slot. *)
-val make : ?preds:bool -> Config.t -> Ddg.t -> t
+val make : Config.t -> Ddg.t -> t
 
 (** [succ_weight g ~ii v k] is the constraint weight at [ii] of
     outgoing slot [k] of [v]: [lat.(v) - ii * succ_dist.(k)], the least

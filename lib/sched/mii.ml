@@ -74,7 +74,7 @@ let rec_mii_of (g : Dep_graph.t) =
     if probe g pot ~ii:1 then 1 else search g pot 1 (latency_sum g ~init:1)
   end
 
-let rec_mii cfg ddg = rec_mii_of (Dep_graph.make ~preds:false cfg ddg)
+let rec_mii cfg ddg = rec_mii_of (Dep_graph.make cfg ddg)
 
 let rec_mii_by_circuits ?max_circuits cfg ddg =
   let n = Ddg.num_nodes ddg in

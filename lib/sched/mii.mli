@@ -16,8 +16,8 @@ val res_mii : Config.t -> Ddg.t -> int
 (** Recurrence-constrained bound computed by binary search on the
     smallest [ii] for which the constraint graph with weights
     [latency src - ii * distance] has no positive cycle.  At least 1.
-    The graph is flattened into a {!Dep_graph.t} once per call, without
-    its incoming rows, and every probe of the search relaxes only the
+    The graph is flattened into a {!Dep_graph.t} once per call, and
+    every probe of the search relaxes only the
     {!Dep_graph.cycle_slots}: an acyclic graph gets 1 with no probe. *)
 val rec_mii : Config.t -> Ddg.t -> int
 

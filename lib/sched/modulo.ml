@@ -304,7 +304,8 @@ let attempt cfg ddg g ~ii ~budget ~policy ~placement =
     in
     if place_all st then Some (schedule_of_state st) else None
 
-let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
+(* The II search with the bound it started from, [max mii min_ii]. *)
+let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
     ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii cfg ddg =
   (* One flattening of the graph checks it and serves the bound and
      every II attempt.  Only a graph it rejects pays for
@@ -350,8 +351,16 @@ let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
         Trace.instant "sched.ii_reject";
         search (ii + 1)
   in
-  search mii
+  (mii, search mii)
+
+let schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy
+    ~min_ii cfg ddg =
+  snd
+    (bound_and_schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy
+       ~min_ii cfg ddg)
 
 let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg ddg =
   schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy
     ?placement_policy ~min_ii:1 cfg ddg
+
+let schedule_with_mii cfg ddg = bound_and_schedule ~min_ii:1 cfg ddg

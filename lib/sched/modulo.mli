@@ -71,3 +71,8 @@ val schedule_with_min_ii :
   Config.t ->
   Ddg.t ->
   Schedule.t
+
+(** [schedule_with_mii config ddg] is [(Mii.mii config ddg, schedule
+    config ddg)] from one flattening of the graph: the MII is the bound
+    the II search started from, not a second computation. *)
+val schedule_with_mii : Config.t -> Ddg.t -> int * Schedule.t

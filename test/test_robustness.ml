@@ -144,6 +144,7 @@ let test_fault_spec_parsing () =
     | Stdlib.Error _ -> ()
   in
   rejected "stage=bogus";
+  rejected "stage=mii";
   rejected "every=2";
   rejected "stage=spill,every=0";
   rejected "stage=spill,unknown=1";

@@ -388,7 +388,7 @@ let partition_of_flat (g : Dep_graph.t) =
    cycle slots exactly the slots whose ends share a component, the
    largest component's size, and [valid] exactly [Ddg.validate]. *)
 let check_flattening cfg ddg =
-  let g = Dep_graph.make cfg ddg and h = Dep_graph.make ~preds:false cfg ddg in
+  let g = Dep_graph.make cfg ddg in
   let comps =
     Graph_algos.scc ~num_nodes:g.n ~succs:(fun v ->
         List.map (fun e -> e.Ddg.dst) (Ddg.succs ddg v))
@@ -404,7 +404,6 @@ let check_flattening cfg ddg =
   && Array.to_list g.cycle_slots = slots
   && g.cycle_span = List.fold_left (fun acc c -> max acc (List.length c)) 0 comps
   && g.valid = (Ddg.validate ddg = Ok ())
-  && h.scc = g.scc && h.cycle_slots = g.cycle_slots && h.valid = g.valid
 
 let prop_flat_scc_digraphs =
   QCheck.Test.make ~count:400 ~name:"flat SCC partition = Graph_algos.scc (digraphs)"
@@ -478,7 +477,8 @@ let prop_feasibility_spill_chains =
       same_feasibility cfg g && go g picks)
 
 (* The whole default suite (795 loops) at L3 and L6: the bound and every
-   schedule equal the pre-rewrite oracle's. *)
+   schedule equal the pre-rewrite oracle's, and so do the bound and
+   schedule [schedule_with_mii] returns together. *)
 let test_default_suite_matches_reference () =
   let loops = Ncdrf_workloads.Suite.full () in
   check_int "default suite size" 795 (List.length loops);
@@ -493,7 +493,12 @@ let test_default_suite_matches_reference () =
           let want = Modulo_reference.schedule cfg g and got = Modulo.schedule cfg g in
           check_int (name ^ ": ii") (Schedule.ii want) (Schedule.ii got);
           check_bool (name ^ ": placements") true
-            (want.Schedule.placements = got.Schedule.placements))
+            (want.Schedule.placements = got.Schedule.placements);
+          let mii, both = Modulo.schedule_with_mii cfg g in
+          check_int (name ^ ": schedule_with_mii bound") (Mii.mii cfg g) mii;
+          check_bool (name ^ ": schedule_with_mii schedule") true
+            (Schedule.ii both = Schedule.ii got
+            && both.Schedule.placements = got.Schedule.placements))
         loops)
     [ 3; 6 ]
 

@@ -486,14 +486,14 @@ let with_daemon ?(configure = fun o -> o) f =
     (fun () -> f path)
 
 let default_schedule_kind ?(workload = Protocol.Named "daxpy")
-    ?(model = Model.Swapped) ?(spec = Config.default_spec) () =
+    ?(model = Model.Swapped) ?(spec = Config.default_spec) ?capacity () =
   Protocol.Schedule
     {
       workload;
       only = None;
       spec;
       model;
-      capacity = None;
+      capacity;
       spill_batch = 1;
       spill_incremental = false;
       show_kernel = false;
@@ -618,6 +618,49 @@ let test_daemon_contains_injected_fault () =
   match roundtrip_ok client { Protocol.id = "h1"; timeout_s = None; kind = Protocol.Health } with
   | Protocol.Health_report h -> check_string "daemon alive" "ok" h.Protocol.status
   | _ -> Alcotest.fail "daemon died after injected fault"
+
+(* No stage name is dead: arming each of [Fault.stages] with every=1
+   fails a small capacity request from source (parse, cache, schedule,
+   alloc and spill all run for it) and bumps errors.injected.  The
+   artifact cache starts empty each time, so the compute stages miss. *)
+let test_every_fault_stage_fires () =
+  Telemetry.enable true;
+  Fun.protect
+    ~finally:(fun () ->
+      Fault.disarm ();
+      Telemetry.enable false;
+      Telemetry.reset ();
+      Artifact.clear_cache ())
+  @@ fun () ->
+  List.iter
+    (fun stage ->
+      Telemetry.reset ();
+      Artifact.clear_cache ();
+      (match Fault.arm ("stage=" ^ stage ^ ",every=1") with
+       | Ok () -> ()
+       | Stdlib.Error msg -> Alcotest.fail msg);
+      (with_daemon @@ fun path ->
+       let client = Client.connect path in
+       Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+       match
+         roundtrip_ok client
+           {
+             Protocol.id = "every-" ^ stage;
+             timeout_s = None;
+             kind =
+               default_schedule_kind
+                 ~workload:(Protocol.Source "loop faulted\n  y[i] = y[i] + $a * x[i]\n")
+                 ~model:Model.Partitioned ~capacity:4 ();
+           }
+       with
+       | Protocol.Failed e ->
+         check_string (stage ^ ": typed injected error") "injected"
+           (Error.category_name e.Error.category)
+       | _ -> Alcotest.failf "stage=%s: expected an injected failure" stage);
+      Fault.disarm ();
+      check_bool (stage ^ ": errors.injected > 0") true
+        (Telemetry.counter "errors.injected" > 0))
+    Fault.stages
 
 (* The suite served over the wire carries exactly the rows a local run
    computes, and the rendered report is byte-identical to the batch
@@ -1093,4 +1136,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
     QCheck_alcotest.to_alcotest prop_parse_total;
+    Alcotest.test_case "every fault stage fires" `Quick test_every_fault_stage_fires;
   ]

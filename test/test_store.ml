@@ -75,7 +75,7 @@ let test_store_roundtrip () =
          real use; payloads are arbitrary too. *)
       let cases =
         [ ("plain", "payload");
-          ("nul\x00key\x00#mii", "42");
+          ("nul\x00key\x00#raw", "42");
           ("newline\nkey", "line1\nline2\n");
           ("empty-payload", "");
           (String.make 300 '\xfe', String.make 5000 '\x00') ]
@@ -303,6 +303,59 @@ let test_disk_warm_determinism () =
           check_bool "warm process replayed from disk" true (s.Store.hits > 0);
           check_int "warm process missed nothing" 0 s.Store.misses;
           check_int "warm process rewrote nothing" 0 s.Store.writes))
+
+(* The raw-schedule entry carries its MII: [mii!ii|cycle,cluster|...].
+   An entry written without the MII (the format from before the MII
+   moved into it) or with a non-integer MII reads as a disk miss; the
+   point is recomputed, the entry rewritten in the current format, and
+   every model's result equals an uncached run's. *)
+let test_raw_payload_formats () =
+  with_store_dir (fun dir ->
+      let config = Config.dual ~latency:6 in
+      let ddg = List.hd (fixed_loops ()) in
+      let key = Config.fingerprint config ^ "\x01" ^ Ddg.digest ddg ^ "#raw" in
+      let results () =
+        List.map (fun model -> render_stats (Pipeline.run ~config ~model ddg)) Model.all
+      in
+      let saved = Store.ambient () in
+      Fun.protect
+        ~finally:(fun () ->
+          Store.set_ambient saved;
+          Artifact.set_cache_enabled true;
+          Artifact.clear_cache ())
+        (fun () ->
+          Store.set_ambient None;
+          Artifact.set_cache_enabled false;
+          let uncached = results () in
+          Artifact.set_cache_enabled true;
+          let sched = Modulo.schedule config ddg in
+          let schedule_payload =
+            String.concat "|"
+              (string_of_int (Schedule.ii sched)
+              :: List.init (Ddg.num_nodes ddg) (fun v ->
+                     Printf.sprintf "%d,%d" (Schedule.cycle sched v) (Schedule.cluster sched v)))
+          in
+          let current = Printf.sprintf "%d!%s" (Mii.mii config ddg) schedule_payload in
+          List.iter
+            (fun (what, payload) ->
+              let store = Store.open_store ~dir () in
+              Store.save store ~key payload;
+              Store.set_ambient (Some store);
+              Artifact.clear_cache ();
+              let before = Store.stats store in
+              ignore (Artifact.scheduled ~config ddg);
+              let after = Store.stats store in
+              check_int (what ^ ": read as a disk miss") 1
+                (after.Store.misses - before.Store.misses);
+              check_int (what ^ ": rewritten") 1 (after.Store.writes - before.Store.writes);
+              Alcotest.(check (option string))
+                (what ^ ": rewritten with its MII") (Some current)
+                (Store.load store ~key ~decode:Option.some);
+              Alcotest.(check (list string)) (what ^ ": == uncached") uncached (results ()))
+            [
+              ("format without MII", schedule_payload);
+              ("non-integer MII", "x!" ^ schedule_payload);
+            ]))
 
 (* ------------------------------------------------------------------ *)
 (* Shard partition.                                                    *)
@@ -562,4 +615,6 @@ let suite =
     Alcotest.test_case "shard ledgers merge to the unsharded order" `Quick
       test_merge_ledgers;
     Alcotest.test_case "shard metrics merge sums counters" `Quick test_merge_metrics;
+    Alcotest.test_case "raw entry without an integer MII is a miss" `Quick
+      test_raw_payload_formats;
   ]

@@ -612,6 +612,44 @@ let test_stage_record_agrees () =
   check "--jobs 1" None;
   Pool.with_pool ~jobs:2 (fun pool -> check "--jobs 2" (Some pool))
 
+(* Every ok ledger record carries its graph's MII, stamped from the
+   raw-schedule entry, on the suite path and on a capacity-16 sweep
+   that spills; and arming the probes adds no cache lookup: hits and
+   misses equal an unobserved run's. *)
+let test_ledger_mii () =
+  let loops = fixed_loops ~n:20 () in
+  let config = Config.dual ~latency:6 in
+  let run () =
+    Artifact.clear_cache ();
+    let before = Artifact.cache_stats () in
+    ignore (Suite_stats.measure_all ~config ~models:Model.all loops);
+    let perf =
+      Suite_stats.performance ~config ~model:Model.Partitioned ~capacity:16 loops
+    in
+    check_bool "the sweep spills" true (perf.Suite_stats.total_spills > 0);
+    let after = Artifact.cache_stats () in
+    Ncdrf_cache.Cache.(after.hits - before.hits, after.misses - before.misses)
+  in
+  let plain = run () in
+  let observed, records =
+    with_observability (fun () ->
+        Ledger.set_label "mii";
+        let counts = run () in
+        (counts, Ledger.records ()))
+  in
+  Alcotest.(check (pair int int)) "cache hits and misses as unobserved" plain observed;
+  check_int "a record per suite point and per sweep point" (2 * List.length loops)
+    (List.length records);
+  List.iter
+    (fun (r : Ledger.record) ->
+      let l =
+        List.find (fun l -> Ddg.name l.Suite_stats.ddg = r.Ledger.loop) loops
+      in
+      if r.Ledger.ok then
+        Alcotest.(check (option int)) (r.Ledger.loop ^ ": mii")
+          (Some (Mii.mii config l.Suite_stats.ddg)) r.Ledger.mii)
+    records
+
 (* ------------------------------------------------------------------ *)
 (* ncdrf profile: pinned output over a hand-written ledger.            *)
 (* ------------------------------------------------------------------ *)
@@ -717,4 +755,5 @@ let suite =
       test_stage_record_agrees;
     Alcotest.test_case "profile output is pinned" `Quick test_profile_pinned;
     QCheck_alcotest.to_alcotest prop_traced_equals_untraced;
+    Alcotest.test_case "ledger MII = Mii.mii" `Quick test_ledger_mii;
   ]
