@@ -209,6 +209,20 @@ if ! cmp -s "$suite_pinned" scripts/suite_k4.golden; then
   exit 1
 fi
 
+# The full paper sweep: every experiment of `ncdrf bench` at full size
+# must print scripts/bench_full.golden exactly, serially and on a
+# two-job pool, so each published table guards the parallel = serial
+# invariant too.
+for jobs in 1 2; do
+  bench_out=$tmp/bench-full-j$jobs.txt
+  dune exec bin/ncdrf.exe -- bench --jobs "$jobs" > "$bench_out"
+  if ! cmp -s "$bench_out" scripts/bench_full.golden; then
+    echo "check.sh: full bench at --jobs $jobs differs from scripts/bench_full.golden" >&2
+    diff scripts/bench_full.golden "$bench_out" >&2 || true
+    exit 1
+  fi
+done
+
 # Bad machine flags and unknown experiments are usage errors (exit 2),
 # never an uncaught exception.
 for args in "suite --clusters 0" "suite --latency 0" "bench nosuch" \
