@@ -54,12 +54,12 @@ let write_ports_arg =
 
 (* The machine flags, checked by [Config.of_spec]: a bad value is a
    usage error naming its flag (exit 2), never an exception. *)
+let checked_spec spec =
+  match Config.of_spec spec with Ok _ -> `Ok spec | Stdlib.Error msg -> `Error (true, msg)
+
 let machine_term latency =
   let spec spec_latency spec_clusters spec_read_ports spec_write_ports =
-    let spec = { Config.spec_latency; spec_clusters; spec_read_ports; spec_write_ports } in
-    match Config.of_spec spec with
-    | Ok _ -> `Ok spec
-    | Stdlib.Error msg -> `Error (true, msg)
+    checked_spec { Config.spec_latency; spec_clusters; spec_read_ports; spec_write_ports }
   in
   Term.(ret (const spec $ latency $ clusters_arg $ read_ports_arg $ write_ports_arg))
 
@@ -394,9 +394,19 @@ let with_run o f =
     o.failures_csv;
   code
 
+(* A suite size below 1 is a usage error naming the flag (exit 2). *)
+let size_conv =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 1 ->
+      Stdlib.Error (`Msg (Printf.sprintf "invalid value '%d', expected an integer >= 1" n))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let suite_size_arg =
   let doc = "Number of loops in the synthetic suite." in
-  Arg.(value & opt int 300 & info [ "size" ] ~docv:"N" ~doc)
+  Arg.(value & opt size_conv 300 & info [ "size" ] ~docv:"N" ~doc)
 
 let registers_arg =
   let doc = "Register budget to test against." in
@@ -470,7 +480,7 @@ let bench_cmd =
   in
   let size_arg =
     let doc = "Number of loops in the synthetic suite (default 795)." in
-    Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc)
+    Arg.(value & opt (some size_conv) None & info [ "size" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     let doc = "Seed of the synthetic suite's generated loops." in
@@ -580,8 +590,8 @@ let simulate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let kernels_cmd =
-  let run latency =
-    let config = Config.dual ~latency in
+  let run spec =
+    let config = config_of spec in
     Format.printf "built-in kernels on %a:@.@." Config.pp config;
     Format.printf "%-20s %4s %4s %6s %9s %8s@." "name" "ops" "II" "unif" "partition" "swapped";
     List.iter
@@ -596,7 +606,8 @@ let kernels_cmd =
     0
   in
   let doc = "List the built-in kernels with their register requirements." in
-  Cmd.v (Cmd.info "kernels" ~doc) Term.(const run $ latency_arg)
+  let dual spec_latency = checked_spec { Config.default_spec with spec_latency } in
+  Cmd.v (Cmd.info "kernels" ~doc) Term.(const run $ ret (const dual $ latency_arg))
 
 (* ------------------------------------------------------------------ *)
 (* profile                                                             *)

@@ -28,10 +28,8 @@ type 'a stripe = {
 }
 
 type 'a t = {
-  cache_name : string;
   stripes : 'a stripe array;
   per_stripe : int;  (** max entries per stripe *)
-  total_capacity : int;
   hit_count : int Atomic.t;
   miss_count : int Atomic.t;
   eviction_count : int Atomic.t;
@@ -49,18 +47,13 @@ let create ?(stripes = 8) ~name ~capacity () =
   if stripes < 1 then invalid_arg (Printf.sprintf "Cache.create %s: stripes < 1" name);
   let per_stripe = max 1 ((capacity + stripes - 1) / stripes) in
   {
-    cache_name = name;
     stripes =
       Array.init stripes (fun _ -> { lock = Mutex.create (); tbl = Tbl.create 64; tick = 0 });
     per_stripe;
-    total_capacity = capacity;
     hit_count = Atomic.make 0;
     miss_count = Atomic.make 0;
     eviction_count = Atomic.make 0;
   }
-
-let name t = t.cache_name
-let capacity t = t.total_capacity
 
 let key_of key = { Key.hash = Hashtbl.hash key; key }
 

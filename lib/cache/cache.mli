@@ -40,9 +40,6 @@ type stats = {
     @raise Invalid_argument if [capacity < 1] or [stripes < 1]. *)
 val create : ?stripes:int -> name:string -> capacity:int -> unit -> 'a t
 
-val name : _ t -> string
-val capacity : _ t -> int
-
 (** [find_or_add t ~key compute] returns the cached value for [key],
     running [compute ()] (outside the stripe lock) and inserting its
     result on a miss.  LRU bookkeeping counts both hits and inserts as

@@ -137,11 +137,11 @@ let is_entry path = Filename.check_suffix path ".art"
    a temp file is only reclaimed once it is old enough that no live
    publisher can still be mid-rename on it. *)
 
-let reclaim_stale ?(max_age_s = stale_tmp_age_s) t =
+let reclaim_stale t =
   let now = Unix.gettimeofday () in
   let removed = ref 0 in
   iter_files t (fun path st ->
-      if is_tmp path && now -. st.Unix.st_mtime > max_age_s then (
+      if is_tmp path && now -. st.Unix.st_mtime > stale_tmp_age_s then (
         match Sys.remove path with
         | () -> incr removed
         | exception Sys_error _ -> ()));
@@ -191,8 +191,6 @@ let open_store ?(max_bytes = 0) ~dir () =
   in
   sweep t;
   t
-
-let dir t = t.root
 
 let note_hit t =
   Atomic.incr t.hit_count;

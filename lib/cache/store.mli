@@ -30,8 +30,6 @@ type stats = {
     be created. *)
 val open_store : ?max_bytes:int -> dir:string -> unit -> t
 
-val dir : t -> string
-
 (** [load t ~key ~decode] consults the store.  The lookup counts as a hit
     only when the entry exists, self-checks, and [decode] accepts the
     payload; anything else is a miss (corrupt entries are unlinked so they
@@ -50,12 +48,12 @@ val save : t -> key:string -> string -> unit
     the store fits the byte budget. *)
 val sweep : t -> unit
 
-(** [reclaim_stale ?max_age_s t] removes [*.tmp] files older than
-    [max_age_s] (default 900s) left behind by killed processes.  Younger
-    temp files are presumed to belong to a live publisher mid-rename and
-    are left alone — the age probe mirrors the daemon's stale-socket
-    probe-reclaim.  Returns the number of files removed. *)
-val reclaim_stale : ?max_age_s:float -> t -> int
+(** [reclaim_stale t] removes [*.tmp] files older than 900 s, left
+    behind by killed processes.  Younger temp files are presumed to
+    belong to a live publisher mid-rename and are left alone — the age
+    probe mirrors the daemon's stale-socket probe-reclaim.  Returns the
+    number of files removed. *)
+val reclaim_stale : t -> int
 
 val stats : t -> stats
 

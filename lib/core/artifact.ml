@@ -35,7 +35,6 @@ let cache : cached Cache.t ref = ref (make_cache default_capacity)
 let enabled = Atomic.make true
 
 let set_cache_enabled b = Atomic.set enabled b
-let cache_enabled () = Atomic.get enabled
 let set_cache_capacity capacity = cache := make_cache capacity
 let clear_cache () = Cache.clear !cache
 let cache_stats () = Cache.stats !cache
@@ -271,10 +270,6 @@ let compute_view shared model sched =
               .Requirements.requirement)
     in
     { sched = swapped; requirement; swaps = count_swaps model sched swapped }
-
-let apply_model model sched =
-  let v = compute_view (shared_of sched) model sched in
-  (v.sched, v.requirement)
 
 (* Ideal and Unified apply the same transform (no transform, unified
    allocation), so they share one view entry. *)

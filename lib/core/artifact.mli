@@ -105,11 +105,6 @@ val views_of_schedule : models:Model.t list -> Schedule.t -> view list
     [(config, ddg, min_ii)]. *)
 val spill_schedule : config:Config.t -> min_ii:int -> Ddg.t -> Schedule.t
 
-(** The model's transform on a fixed schedule, uncached: returns the
-    (possibly swapped) schedule and its register requirement.  [Ideal]
-    reports the unified requirement but never fails to fit. *)
-val apply_model : Model.t -> Schedule.t -> Schedule.t * int
-
 (** Swaps applied between two schedules of the same graph, for the
     [Swapped] model: pairs of nodes that exchanged clusters (moves in
     opposite directions between the same two clusters, paired up).
@@ -122,8 +117,6 @@ val count_swaps : Model.t -> Schedule.t -> Schedule.t -> int
 (** Turn memoization off (every call recomputes) or back on.  Default:
     on. *)
 val set_cache_enabled : bool -> unit
-
-val cache_enabled : unit -> bool
 
 (** Replace the cache with an empty one of the given entry capacity
     (striping shrinks with small capacities, so [set_cache_capacity 1]

@@ -3,7 +3,10 @@ open Ncdrf_machine
 open Ncdrf_regalloc
 open Ncdrf_sched
 
-let render ?(width = 72) sched =
+(* Widest chart, in columns; longer spans are scaled down. *)
+let width = 72
+
+let render sched =
   let sched = Schedule.normalize sched in
   let ddg = sched.Schedule.ddg in
   let ii = Schedule.ii sched in

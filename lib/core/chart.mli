@@ -9,6 +9,6 @@
 open Ncdrf_sched
 
 (** [render sched] draws every value's lifetime against absolute cycles
-    of the first iteration.  [width] caps the chart width (default 72);
-    longer spans are scaled down. *)
-val render : ?width:int -> Schedule.t -> string
+    of the first iteration, at most 72 columns wide; longer spans are
+    scaled down. *)
+val render : Schedule.t -> string

@@ -6,13 +6,6 @@ type t =
   | Shared of int list
   | Local of int
 
-let equal a b =
-  match a, b with
-  | Global, Global -> true
-  | Shared x, Shared y -> x = y
-  | Local x, Local y -> x = y
-  | _, _ -> false
-
 let pp ppf = function
   | Global -> Format.pp_print_string ppf "GL"
   | Shared cs ->
@@ -20,11 +13,6 @@ let pp ppf = function
   | Local 0 -> Format.pp_print_string ppf "LO"
   | Local 1 -> Format.pp_print_string ppf "RO"
   | Local c -> Format.fprintf ppf "C%d" c
-
-let clusters_of ~num_clusters = function
-  | Global -> List.init num_clusters Fun.id
-  | Shared cs -> cs
-  | Local c -> [ c ]
 
 let value_class sched v =
   let ddg = sched.Schedule.ddg in
@@ -51,15 +39,3 @@ let classify sched =
         (node, value_class sched node.Ddg.id) :: acc
       else acc)
   |> List.rev
-
-let counts sched =
-  let n_clusters = Ncdrf_machine.Config.num_clusters sched.Schedule.config in
-  let locals = Array.make n_clusters 0 in
-  let globals = ref 0 in
-  let tally (_, cls) =
-    match cls with
-    | Global | Shared _ -> incr globals
-    | Local c -> locals.(c) <- locals.(c) + 1
-  in
-  List.iter tally (classify sched);
-  (!globals, locals)

@@ -20,12 +20,7 @@ type t =
       (** sorted consumer-cluster set; [2 <= length < num_clusters] *)
   | Local of int  (** cluster index *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-
-(** Clusters whose subfile must hold the value: all of them for
-    [Global], the member set for [Shared], a singleton for [Local]. *)
-val clusters_of : num_clusters:int -> t -> int list
 
 (** Class of the value produced by node [v].
 
@@ -34,7 +29,3 @@ val value_class : Schedule.t -> int -> t
 
 (** All value-producing nodes with their class, in node order. *)
 val classify : Schedule.t -> (Ddg.node * t) list
-
-(** Counts [(replicated, locals per cluster)]: [Global] and [Shared]
-    values both count as replicated. *)
-val counts : Schedule.t -> int * int array

@@ -20,5 +20,3 @@ let of_string s =
   | "swapped" -> Ok Swapped
   | other ->
     Error (Printf.sprintf "unknown model %S (expected ideal|unified|partitioned|swapped)" other)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

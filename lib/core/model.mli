@@ -16,5 +16,3 @@ val to_string : t -> string
 
 (** Inverse of {!to_string}; accepts any case. *)
 val of_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit

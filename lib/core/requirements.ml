@@ -231,20 +231,6 @@ let max_live_cost ?lifetimes sched =
     Array.fold_left max 0 (peaks live)
   end
 
-let grouped_lifetimes sched =
-  let locals = Array.make (Config.num_clusters sched.Schedule.config) [] in
-  let shared = ref [] in
-  List.iter
-    (fun l ->
-      let m = value_members sched l.Lifetime.producer in
-      if replicated m then shared := l :: !shared
-      else begin
-        let c = lowest_cluster m in
-        locals.(c) <- l :: locals.(c)
-      end)
-    (Lifetime.of_schedule sched);
-  (List.rev !shared, Array.map List.rev locals)
-
 (* ------------------------------------------------------------------ *)
 (* The joint search.  A joint problem lives on one table: the
    replicated values [shared], placed once (their registers are shared
@@ -281,10 +267,10 @@ let partition sorted ~groups group =
 
 (* The joint problem of a schedule's assignment: every value of the
    analysis, grouped in one pass over the sorted order. *)
-let joint_of (a : analysis) ~order members =
+let joint_of (a : analysis) members =
   let k = a.num_clusters in
   let parts =
-    partition (sorted a order) ~groups:(k + 1) (fun x ->
+    partition (sorted a Alloc.Start_time) ~groups:(k + 1) (fun x ->
         let m = members.(x) in
         if replicated m then 0 else 1 + lowest_cluster m)
   in
@@ -318,7 +304,7 @@ let isolated j c =
 
 (* Group [q]'s locals on top of the replicated values its subfile
    holds; they stay placed until [unplace]. *)
-let place_group ~strategy j ~capacity q =
+let place_group j ~capacity q =
   let regs = Alloc.registers j.scratch in
   if j.hide then begin
     let bit = 1 lsl j.clusters.(q) in
@@ -327,7 +313,7 @@ let place_group ~strategy j ~capacity q =
       regs.(s) <- (if j.members.(s) land bit <> 0 then j.saved.(i) else -1)
     done
   end;
-  Alloc.place ~strategy j.table j.scratch ~capacity j.locals.(q)
+  Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.locals.(q)
 
 let unplace j q =
   let regs = Alloc.registers j.scratch and ls = j.locals.(q) in
@@ -335,19 +321,19 @@ let unplace j q =
     regs.(ls.(i)) <- -1
   done
 
-let place_shared ~strategy j ~capacity =
+let place_shared j ~capacity =
   Alloc.unassign_all j.scratch;
-  let ok = Alloc.place ~strategy j.table j.scratch ~capacity j.shared in
+  let ok = Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.shared in
   if ok && j.hide then begin
     let regs = Alloc.registers j.scratch in
     Array.iteri (fun i s -> j.saved.(i) <- regs.(s)) j.shared
   end;
   ok
 
-let feasible ~strategy j capacity =
-  let ok = ref (place_shared ~strategy j ~capacity) and q = ref 0 in
+let feasible j capacity =
+  let ok = ref (place_shared j ~capacity) and q = ref 0 in
   while !ok && !q < Array.length j.locals do
-    ok := place_group ~strategy j ~capacity !q;
+    ok := place_group j ~capacity !q;
     unplace j !q;
     incr q
   done;
@@ -406,7 +392,7 @@ let pair_floor j =
   done;
   !floor
 
-let joint_search ~strategy ?upper j =
+let joint_search j =
   if Array.length j.shared = 0 && Array.for_all (fun ls -> Array.length ls = 0) j.locals
   then 0
   else begin
@@ -414,45 +400,17 @@ let joint_search ~strategy ?upper j =
     let lower, total = lower_and_total j in
     (* The widest pair of the whole table bounds the co-allocated one. *)
     let floor = if Conflict.max_width j.table < lower then 0 else pair_floor j in
-    let upper = match upper with Some u -> u | None -> (2 * total) + 64 in
+    let upper = (2 * total) + 64 in
     let rec search capacity =
       if capacity > upper then
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
           "no feasible joint capacity in [%d, %d] (%d globals, %d clusters)" lower upper
           (Array.length j.shared) (Array.length j.locals)
-      else if feasible ~strategy j capacity then capacity
+      else if feasible j capacity then capacity
       else search (capacity + 1)
     in
     search (max lower floor)
   end
-
-let joint_requirement ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) ?upper ~ii
-    ~globals ~locals () =
-  let k = Array.length locals in
-  let table = Conflict.make ~ii (globals @ List.concat (Array.to_list locals)) in
-  let members = Array.make (max 1 (Conflict.size table)) ((1 lsl k) - 1) in
-  let range lo n = Alloc.sorted ~order table (Array.init n (fun i -> lo + i)) in
-  let next = ref (List.length globals) in
-  let groups =
-    Array.mapi
-      (fun c ls ->
-        let lo = !next and n = List.length ls in
-        next := lo + n;
-        Array.fill members lo n (1 lsl c);
-        range lo n)
-      locals
-  in
-  joint_search ~strategy ?upper
-    {
-      table;
-      scratch = Alloc.scratch table;
-      members;
-      shared = range 0 (List.length globals);
-      clusters = Array.init k Fun.id;
-      locals = groups;
-      hide = false;
-      saved = [||];
-    }
 
 (* ------------------------------------------------------------------ *)
 (* The views. *)
@@ -467,21 +425,21 @@ let unified ?strategy ?order sched = unified_of ?strategy ?order (analyse sched)
 
 (* Only [requirement] is searched up front; the breakdown costs k + 1
    more searches plus k local ones, and most callers never read it. *)
-let partitioned_of ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) a sched =
+let partitioned_of a sched =
   check a sched;
   let members = members a sched in
-  let j = joint_of a ~order members in
-  let alone ordered = Alloc.min_capacity_sorted ~strategy j.table j.scratch ordered in
+  let j = joint_of a members in
+  let alone ordered = Alloc.min_capacity_sorted ~strategy:Alloc.First_fit j.table j.scratch ordered in
   {
-    requirement = joint_search ~strategy j;
+    requirement = joint_search j;
     cluster_requirements =
-      lazy (Array.init a.num_clusters (fun c -> joint_search ~strategy (isolated j c)));
+      lazy (Array.init a.num_clusters (fun c -> joint_search (isolated j c)));
     global_requirement = lazy (alone j.shared);
     local_requirements = lazy (Array.map alone j.locals);
     max_live = lazy (cluster_live a members);
   }
 
-let partitioned ?strategy ?order sched = partitioned_of ?strategy ?order (analyse sched) sched
+let partitioned sched = partitioned_of (analyse sched) sched
 
 type allocation = {
   capacity : int;
@@ -489,10 +447,10 @@ type allocation = {
   locals : Alloc.placement list array;
 }
 
-let partitioned_allocation ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) sched =
+let partitioned_allocation sched =
   let a = analyse sched in
-  let j = joint_of a ~order (members a sched) in
-  let capacity = joint_search ~strategy j in
+  let j = joint_of a (members a sched) in
+  let capacity = joint_search j in
   if capacity = 0 then
     { capacity = 0; globals = []; locals = Array.map (fun _ -> []) j.locals }
   else begin
@@ -505,14 +463,14 @@ let partitioned_allocation ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_t
     let clusters m =
       List.filter (fun c -> m land (1 lsl c) <> 0) (List.init a.num_clusters Fun.id)
     in
-    if not (place_shared ~strategy j ~capacity) then bug "globals";
+    if not (place_shared j ~capacity) then bug "globals";
     let globals =
       Array.to_list (Array.map (fun s -> (placement s, clusters j.members.(s))) j.shared)
     in
     let locals =
       Array.mapi
         (fun q ordered ->
-          if not (place_group ~strategy j ~capacity q) then bug "locals";
+          if not (place_group j ~capacity q) then bug "locals";
           let p = Array.to_list (Array.map placement ordered) in
           unplace j q;
           p)

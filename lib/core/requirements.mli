@@ -79,35 +79,16 @@ val unified : ?strategy:Alloc.strategy -> ?order:Alloc.order -> Schedule.t -> in
 val unified_of : ?strategy:Alloc.strategy -> ?order:Alloc.order -> analysis -> int
 
 (** Requirement detail with a non-consistent clustered register file
-    under the schedule's current cluster assignment. *)
-val partitioned :
-  ?strategy:Alloc.strategy -> ?order:Alloc.order -> Schedule.t -> detail
+    under the schedule's current cluster assignment, allocated First-Fit
+    in start-time order. *)
+val partitioned : Schedule.t -> detail
 
 (** [partitioned_of a sched] is {!partitioned} [sched] for any [sched]
     with the cycles [a] was built from (the analysed schedule or a
     swapped copy of it).
 
     @raise Invalid_argument if [sched] is of another graph or II. *)
-val partitioned_of :
-  ?strategy:Alloc.strategy -> ?order:Alloc.order -> analysis -> Schedule.t -> detail
-
-(** Smallest capacity jointly allocating the globals (one shared
-    placement, replicated in every cluster) plus each cluster's locals
-    on top of it.  [upper] caps the search (default: a generous
-    internal bound).
-
-    @raise Ncdrf_error.Error.Error with category [Alloc_infeasible] and
-    the range searched when no capacity up to [upper] is feasible (only
-    reachable with a small explicit [upper]). *)
-val joint_requirement :
-  ?strategy:Alloc.strategy ->
-  ?order:Alloc.order ->
-  ?upper:int ->
-  ii:int ->
-  globals:Lifetime.t list ->
-  locals:Lifetime.t list array ->
-  unit ->
-  int
+val partitioned_of : analysis -> Schedule.t -> detail
 
 (** Per-cluster MaxLive lower bound, maximised over clusters (each
     replicated value counted in every cluster holding it): the estimate
@@ -121,10 +102,6 @@ val max_live_cost : ?lifetimes:Lifetime.t list -> Schedule.t -> int
 (** {!max_live_cost} from an analysis of the schedule's cycles. *)
 val max_live_cost_of : analysis -> Schedule.t -> int
 
-(** Lifetimes grouped by class: [(replicated, per-cluster locals)].
-    [Global] and [Shared] values both land in the first component. *)
-val grouped_lifetimes : Schedule.t -> Lifetime.t list * Lifetime.t list array
-
 (** Concrete register assignment for a non-consistent clustered
     register file at the minimal capacity: each replicated value
     occupies the same index in every subfile of its replica set
@@ -137,5 +114,4 @@ type allocation = {
   locals : Alloc.placement list array;  (** per cluster *)
 }
 
-val partitioned_allocation :
-  ?strategy:Alloc.strategy -> ?order:Alloc.order -> Schedule.t -> allocation
+val partitioned_allocation : Schedule.t -> allocation

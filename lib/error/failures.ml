@@ -58,8 +58,6 @@ let count_by_category errors =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let by_category t = count_by_category (list t)
-
 let to_json t =
   let open Telemetry.Json in
   let field_opt name conv = function None -> [] | Some v -> [ (name, conv v) ] in

@@ -36,11 +36,9 @@ val count : t -> int
 (** All recorded failures, in record order. *)
 val list : t -> Error.t list
 
-(** [(category_name, count)] pairs, sorted by name, only non-zero. *)
-val by_category : t -> (string * int) list
-
-(** {!by_category} over a bare error list — the serving client renders
-    failure summaries from wire-decoded errors without a collector. *)
+(** [(category_name, count)] pairs of an error list, sorted by name,
+    only non-zero — the serving client renders failure summaries from
+    wire-decoded errors without a collector. *)
 val count_by_category : Error.t list -> (string * int) list
 
 (** The failure manifest for the [--metrics] JSON: a list of objects

@@ -128,8 +128,6 @@ module Builder = struct
     if distance < 0 then invalid_arg "Ddg.Builder.add_edge: negative distance";
     b.rev_edges <- { src; dst; distance; kind } :: b.rev_edges
 
-  let num_nodes b = b.count
-
   let freeze b : graph =
     let node_arr = Array.of_list (List.rev b.rev_nodes) in
     let n = Array.length node_arr in
@@ -252,23 +250,6 @@ let transform g ?(drop_edge = fun _ -> false) ?(add_nodes = []) ?(add_edges = []
   let extra e = Builder.add_edge b ~src:e.src ~dst:e.dst ~distance:e.distance e.kind in
   List.iter extra add_edges;
   Builder.freeze b
-
-let remove_nodes g ~keep ?(add_edges = []) () =
-  let n = num_nodes g in
-  let remap = Array.make n (-1) in
-  let b = Builder.create ~name:g.name in
-  let copy nd =
-    if keep nd then remap.(nd.id) <- Builder.add_node b nd.opcode ~label:nd.label
-  in
-  iter_nodes g ~f:copy;
-  let translate e =
-    let src = remap.(e.src) and dst = remap.(e.dst) in
-    if src >= 0 && dst >= 0 then
-      Builder.add_edge b ~src ~dst ~distance:e.distance e.kind
-  in
-  Array.iter (List.iter translate) g.succ_arr;
-  List.iter translate add_edges;
-  (Builder.freeze b, remap)
 
 let pp_stats ppf g =
   let adds = ref 0 and muls = ref 0 and mems = ref 0 in

@@ -79,7 +79,6 @@ module Builder : sig
       @raise Invalid_argument on out-of-range ids or negative distance. *)
   val add_edge : t -> src:int -> dst:int -> distance:int -> kind -> unit
 
-  val num_nodes : t -> int
   val freeze : t -> graph
 end
 
@@ -93,18 +92,6 @@ val transform :
   ?add_edges:edge list ->
   unit ->
   t
-
-(** Functional node removal used by spill-pattern cleanup: keep only the
-    nodes satisfying [keep]; edges incident to dropped nodes are dropped
-    too, [add_edges] (in {e old} ids, between kept nodes) are added, and
-    ids are re-densified.  Returns the new graph and the old-id -> new-id
-    map (-1 for dropped nodes). *)
-val remove_nodes :
-  t ->
-  keep:(node -> bool) ->
-  ?add_edges:edge list ->
-  unit ->
-  t * int array
 
 (** Hex content digest of the graph (name, opcodes, labels, edges in
     adjacency order), memoized on first use.  Two graphs built by the

@@ -296,11 +296,6 @@ let parse_string text =
   finish ();
   List.rev !loops
 
-let parse_one text =
-  match parse_string text with
-  | [ g ] -> g
-  | gs -> fail 0 "expected exactly one loop, found %d" (List.length gs)
-
 let parse_file path =
   let ic = open_in path in
   let len = in_channel_length ic in

@@ -31,9 +31,6 @@ exception Parse_error of { file : string option; line : int; message : string }
     @raise Expr.Compile_error on semantic errors (e.g. unknown scalars). *)
 val parse_string : string -> Ddg.t list
 
-(** Parse exactly one loop. *)
-val parse_one : string -> Ddg.t
-
 (** Like {!parse_string} on the file's contents; a [Parse_error] gains
     [file = Some path]. *)
 val parse_file : string -> Ddg.t list

@@ -7,9 +7,8 @@
 
 (** Memory locations named by loads and stores.  [Array] locations stand
     for streaming array references ([a(i)], one access per iteration);
-    [Spill] locations are compiler-introduced stack slots, either left
-    over from a lower-level front end (and then removed by
-    {!Spill_cleanup}) or introduced by the register spiller. *)
+    [Spill] locations are the stack slots the register spiller
+    introduces. *)
 type location =
   | Array of string
   | Spill of int
@@ -39,9 +38,6 @@ val fu_class : t -> fu_class
 val is_load : t -> bool
 val is_store : t -> bool
 
-(** [is_memory op] holds for loads and stores. *)
-val is_memory : t -> bool
-
 (** [produces_value op] is [false] exactly for stores, the only opcodes
     that define no register value. *)
 val produces_value : t -> bool
@@ -50,13 +46,4 @@ val produces_value : t -> bool
     the reloads the spiller inserts. *)
 val is_spill_load : t -> bool
 
-(** [is_spill_access op] holds for loads/stores whose location is a
-    {!location.Spill} slot. *)
-val is_spill_access : t -> bool
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
-
-(** Short mnemonic used in kernel listings, e.g. ["fmul"] or ["ld x"]. *)
-val mnemonic : t -> string

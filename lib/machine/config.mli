@@ -91,10 +91,6 @@ val k_cluster :
     [latency] (3 or 6), memory latency 1. *)
 val dual : latency:int -> t
 
-(** Same resources as {!dual} collapsed into a single cluster — the
-    unified register-file machine the paper compares against. *)
-val dual_unified : latency:int -> t
-
 (** The machine of the worked example (Section 4.1): two clusters of {1
     adder, 1 multiplier, 2 load/store units}, FP latency 3, memory
     latency 1. *)
@@ -144,7 +140,9 @@ type spec = {
 val default_spec : spec
 
 (** Build the machine a spec describes: 1 cluster is the unified
-    machine ({!dual_unified}, or its port-capped variant), 2 uncapped
+    machine ({!dual}'s resources in a single cluster, the unified
+    register-file machine the paper compares against, optionally
+    port-capped), 2 uncapped
     clusters is {!dual}, anything else {!k_cluster}.  [Error], naming
     the flag, on a cluster count outside [[1, max_clusters]], a latency
     [< 1] or a port cap [< 1] — the CLI and the wire protocol must

@@ -29,8 +29,6 @@ let create cfg ~ii =
   let loads = 3 * Config.num_clusters cfg * ii in
   { cfg; ii; usage = Array.make (loads + (2 * ii)) 0; loads }
 
-let ii t = t.ii
-let config t = t.cfg
 let slot t cycle = ((cycle mod t.ii) + t.ii) mod t.ii
 
 (* Index of the unit counter of [cls] in [cluster] at slot [s]. *)

@@ -12,8 +12,6 @@ open Ncdrf_ir
 type t
 
 val create : Config.t -> ii:int -> t
-val ii : t -> int
-val config : t -> Config.t
 
 (** [reserve t ~op ~cycle] books a unit for [op] at kernel slot
     [cycle mod ii].  Returns the chosen cluster (the feasible cluster

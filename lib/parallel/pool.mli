@@ -59,15 +59,10 @@ exception
 val map : t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Like {!map} but returns per-item outcomes instead of raising:
-    [Error (label, message)] for items whose [f] raised. *)
-val try_map :
-  t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list ->
-  ('b, string * string) result list
-
-(** Like {!try_map} but preserves the exception value instead of
-    flattening it to [Printexc.to_string] — the suite runner classifies
-    failures ({!Ncdrf_error.Error.classify_exn}) after the map settles,
-    in input order, which needs the original exception. *)
+    [Error (label, exn)] for items whose [f] raised, with the exception
+    value itself — the suite runner classifies failures
+    ({!Ncdrf_error.Error.classify_exn}) after the map settles, in input
+    order, which needs the original exception. *)
 val try_map_exn :
   t -> ?label:('a -> string) -> ('a -> 'b) -> 'a list ->
   ('b, string * exn) result list

@@ -263,11 +263,6 @@ let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
     search (max lower floor)
   end
 
-let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) ?upper table
-    indices =
-  min_capacity_sorted ~strategy ?upper table (scratch table)
-    (sorted ~order table (Array.of_list indices))
-
 let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
     ~capacity lifetimes =
   if lifetimes = [] then Some []
@@ -291,17 +286,14 @@ let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
               ordered))
   end
 
-let registers_used placements =
-  List.fold_left (fun acc p -> max acc (p.register + 1)) 0 placements
-
 let min_capacity ?(strategy = First_fit) ?(order = Start_time) ?upper ~ii
     lifetimes =
   match lifetimes with
   | [] -> 0
   | _ ->
     let table = Conflict.make ~ii lifetimes in
-    min_capacity_table ~strategy ~order ?upper table
-      (List.init (Conflict.size table) Fun.id)
+    min_capacity_sorted ~strategy ?upper table (scratch table)
+      (sorted ~order table (Array.init (Conflict.size table) Fun.id))
 
 let check ~ii ~capacity placements =
   let rec pairs = function

@@ -53,8 +53,8 @@ val allocate :
 
 (** Smallest capacity for which {!allocate} succeeds, searched upward
     from the [max_live]/longest-value lower bound.  0 for an empty value
-    list.  [upper] caps the search (default: a generous
-    [2 * total_min_registers + 64] internal bound).
+    list.  [upper] caps the search (default: twice the
+    values' summed {!Lifetime.min_registers}, plus 64).
 
     @raise Ncdrf_error.Error.Error with category [Alloc_infeasible] and
     the capacity range searched if no capacity up to [upper] works
@@ -112,24 +112,6 @@ val flush_probes : scratch -> unit
     @raise Ncdrf_error.Error.Error as {!min_capacity}. *)
 val min_capacity_sorted :
   strategy:strategy -> ?upper:int -> ?floor:int -> Conflict.t -> scratch -> int array -> int
-
-(** {!min_capacity} over a prebuilt table and a subset of its indices.
-    The sorted order and the occupancy scratch are built once and reused
-    by every capacity probe, and the search starts no lower than the
-    subset's pair-width floor (a pair whose shift window has
-    [width >= capacity] conflicts at every register distance).  Results
-    — including the error raised past [upper], which reports the
-    original lower bound — are identical to {!min_capacity} on the
-    corresponding lifetime list.
-
-    @raise Ncdrf_error.Error.Error as {!min_capacity}. *)
-val min_capacity_table :
-  ?strategy:strategy -> ?order:order -> ?upper:int -> Conflict.t -> int list -> int
-
-(** Registers used by a set of placements: highest register index + 1.
-    With First-Fit this is the compact requirement measure used
-    throughout the experiments. *)
-val registers_used : placement list -> int
 
 (** Exhaustive check that a set of placements is conflict-free —
     [Ok ()] or a message naming the colliding pair.  Test helper. *)

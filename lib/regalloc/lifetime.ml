@@ -71,5 +71,3 @@ let max_live ~ii lifetimes =
   end
 
 let min_registers ~ii t = ceil_div (length t) ii
-let total_min_registers ~ii lifetimes =
-  List.fold_left (fun acc l -> acc + min_registers ~ii l) 0 lifetimes

@@ -44,7 +44,3 @@ val add_instances : int array -> ii:int -> start:int -> stop:int -> int
 
 (** [ceil (length / ii)]: registers the value needs on its own. *)
 val min_registers : ii:int -> t -> int
-
-(** Sum over values of {!min_registers} — an upper bound on the
-    requirement (disjoint allocation always fits). *)
-val total_min_registers : ii:int -> t list -> int

@@ -14,7 +14,11 @@ let min_unroll ~ii lifetimes = List.fold_left max 1 (quanta ~ii lifetimes)
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
 
-let lcm_unroll ?(max_lcm = 4096) ~ii lifetimes =
+(* The lcm saturates here, keeping the result meaningful for
+   pathological lifetime mixes. *)
+let max_lcm = 4096
+
+let lcm_unroll ~ii lifetimes =
   List.fold_left (fun acc q -> if acc >= max_lcm then max_lcm else min max_lcm (lcm acc q)) 1
     (quanta ~ii lifetimes)
 
@@ -36,13 +40,9 @@ let at_unroll ~ii ~unroll lifetimes =
     kernel_instructions = unroll * ii;
   }
 
-let best ?max_unroll ~ii lifetimes =
+let best ~ii lifetimes =
   let lower = min_unroll ~ii lifetimes in
-  let upper =
-    match max_unroll with
-    | Some u -> max lower u
-    | None -> max lower (min (lcm_unroll ~ii lifetimes) 64)
-  in
+  let upper = max lower (min (lcm_unroll ~ii lifetimes) 64) in
   let candidate u = at_unroll ~ii ~unroll:u lifetimes in
   let better a b =
     if a.registers <> b.registers then a.registers < b.registers

@@ -29,19 +29,15 @@ val quanta : ii:int -> Lifetime.t list -> int list
 (** Smallest legal unroll: [max q_v] (1 for an empty list). *)
 val min_unroll : ii:int -> Lifetime.t list -> int
 
-(** [lcm q_v], saturating at [max_lcm] (default 4096) to keep the
-    result meaningful for pathological lifetime mixes. *)
-val lcm_unroll : ?max_lcm:int -> ii:int -> Lifetime.t list -> int
+(** [lcm q_v], saturating at 4096 to keep the result meaningful for
+    pathological lifetime mixes. *)
+val lcm_unroll : ii:int -> Lifetime.t list -> int
 
 (** Registers needed at a given unroll factor.
 
     @raise Invalid_argument if [unroll] is below {!min_unroll}. *)
 val registers : ii:int -> unroll:int -> Lifetime.t list -> int
 
-(** Allocation at a given unroll. *)
-val at_unroll : ii:int -> unroll:int -> Lifetime.t list -> allocation
-
 (** The allocation minimising registers (ties: fewer kernel copies) over
-    unrolls from {!min_unroll} to [max_unroll] (default
-    [min (lcm) 64]). *)
-val best : ?max_unroll:int -> ii:int -> Lifetime.t list -> allocation
+    unrolls from {!min_unroll} to [min (lcm_unroll) 64]. *)
+val best : ii:int -> Lifetime.t list -> allocation

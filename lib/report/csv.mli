@@ -1,24 +1,9 @@
-(** Minimal RFC-4180-style CSV input/output for experiment series. *)
-
-(** Quote a field if it contains a comma, quote or newline. *)
-val escape : string -> string
-
-val line : string list -> string
+(** Minimal RFC-4180-style CSV output for experiment series: a field
+    containing a comma, quote or newline is quoted, its quotes
+    doubled. *)
 
 (** [write path rows] writes the rows to [path] atomically: the data
     goes to a temp file in the same directory which is then renamed
     over [path], so an interrupted run can never leave a truncated
     file. *)
 val write : string -> string list list -> unit
-
-exception Parse_error of string
-
-(** Parse CSV text: the inverse of {!write} for any cell content
-    (commas, quotes and newlines round-trip).  Accepts LF and CRLF row
-    separators; a trailing newline does not produce an empty row.
-
-    @raise Parse_error on an unterminated quoted cell. *)
-val parse_string : string -> string list list
-
-(** [read path] parses the file's contents. *)
-val read : string -> string list list

@@ -50,19 +50,19 @@ let histogram ~lo ~width values =
     List.iter (fun v -> counts.(bucket v) <- counts.(bucket v) + 1) values;
     Array.to_list (Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts)
 
-let auto_histogram ?(buckets = 10) values =
+let auto_histogram values =
   match values with
   | [] -> []
   | v :: _ ->
     let lo = List.fold_left min v values in
     let hi = List.fold_left max v values in
     if hi <= lo then [ (lo, List.length values) ]
-    else histogram ~lo ~width:((hi -. lo) /. float_of_int (max 1 buckets)) values
+    else histogram ~lo ~width:((hi -. lo) /. 10.0) values
 
-let render_histogram ?(bar_width = 50) ~label buckets =
+let render_histogram ~label buckets =
   let peak = List.fold_left (fun acc (_, c) -> max acc c) 1 buckets in
   let line (lower, count) =
-    let bar = count * bar_width / peak in
+    let bar = count * 50 / peak in
     Printf.sprintf "%-12s |%s %d" (label lower) (String.make bar '#') count
   in
   String.concat "\n" (List.map line buckets) ^ "\n"

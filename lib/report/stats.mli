@@ -26,14 +26,14 @@ val percentile : float -> float list -> float
     bucket. *)
 val histogram : lo:float -> width:float -> float list -> (float * int) list
 
-(** Histogram with automatically chosen bounds: [buckets] (default 10)
-    equal-width buckets spanning the series' min..max (the maximum
+(** Histogram with automatically chosen bounds: 10 equal-width buckets
+    spanning the series' min..max (the maximum
     value lands in one extra top bucket; a constant series collapses to
     a single bucket).  [[]] on an empty series. *)
-val auto_histogram : ?buckets:int -> float list -> (float * int) list
+val auto_histogram : float list -> (float * int) list
 
-(** ASCII bar chart of a histogram, one bucket per line. *)
-val render_histogram :
-  ?bar_width:int -> label:(float -> string) -> (float * int) list -> string
+(** ASCII bar chart of a histogram, one bucket per line, the fullest
+    bucket's bar 50 characters long. *)
+val render_histogram : label:(float -> string) -> (float * int) list -> string
 
 val pp_summary : Format.formatter -> summary -> unit

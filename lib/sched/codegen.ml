@@ -84,32 +84,3 @@ let size sched = size_with_kernel_copies sched ~copies:1
 let size_with_unroll sched ~unroll =
   if unroll < 1 then invalid_arg "Codegen.size_with_unroll: unroll must be >= 1";
   size_with_kernel_copies sched ~copies:unroll
-
-let phase_label = function
-  | Prologue p -> Printf.sprintf "prologue[%d]" p
-  | Kernel -> "kernel"
-  | Epilogue p -> Printf.sprintf "epilogue[%d]" p
-
-let render sched =
-  let buf = Buffer.create 1024 in
-  let last_phase = ref None in
-  List.iter
-    (fun r ->
-      if !last_phase <> Some r.phase then begin
-        Buffer.add_string buf (Printf.sprintf "%s:\n" (phase_label r.phase));
-        last_phase := Some r.phase
-      end;
-      let cells =
-        match r.ops with
-        | [] -> "nop"
-        | ops ->
-          String.concat "  "
-            (List.map
-               (fun s ->
-                 Printf.sprintf "[%d] %s(c%d)" s.Kernel.stage s.Kernel.node.Ncdrf_ir.Ddg.label
-                   s.Kernel.cluster)
-               ops)
-      in
-      Buffer.add_string buf (Printf.sprintf "  %2d: %s\n" r.slot cells))
-    (generate sched);
-  Buffer.contents buf

@@ -44,5 +44,3 @@ val size : Schedule.t -> size
     [Ncdrf_regalloc.Mve.best], which lives above this library);
     prologue/epilogue as in {!size}. *)
 val size_with_unroll : Schedule.t -> unroll:int -> size
-
-val render : Schedule.t -> string

@@ -76,47 +76,6 @@ let rec_mii_of (g : Dep_graph.t) =
 
 let rec_mii cfg ddg = rec_mii_of (Dep_graph.make cfg ddg)
 
-let rec_mii_by_circuits ?max_circuits cfg ddg =
-  let n = Ddg.num_nodes ddg in
-  (* Deduplicate parallel edges: keep, per (src,dst), max latency and min
-     distance, which dominates any parallel combination. *)
-  let best = Hashtbl.create 16 in
-  let note e =
-    let lat = Config.latency cfg (Ddg.node ddg e.Ddg.src).Ddg.opcode in
-    let key = (e.Ddg.src, e.Ddg.dst) in
-    match Hashtbl.find_opt best key with
-    | Some (l, d) -> Hashtbl.replace best key (max l lat, min d e.Ddg.distance)
-    | None -> Hashtbl.replace best key (lat, e.Ddg.distance)
-  in
-  List.iter note (Ddg.edges ddg);
-  let succs v =
-    Hashtbl.fold (fun (s, d) _ acc -> if s = v then d :: acc else acc) best []
-  in
-  let circuits = Graph_algos.elementary_circuits ?max_circuits ~num_nodes:n ~succs () in
-  let circuit_bound nodes =
-    let pairs =
-      match nodes with
-      | [] -> []
-      | first :: _ ->
-        let rec walk = function
-          | [ last ] -> [ (last, first) ]
-          | a :: (b :: _ as rest) -> (a, b) :: walk rest
-          | [] -> []
-        in
-        walk nodes
-    in
-    let lat, dist =
-      List.fold_left
-        (fun (l, d) key ->
-          match Hashtbl.find_opt best key with
-          | Some (el, ed) -> (l + el, d + ed)
-          | None -> (l, d))
-        (0, 0) pairs
-    in
-    if dist = 0 then max_int else ceil_div lat dist
-  in
-  List.fold_left (fun acc c -> max acc (circuit_bound c)) 1 circuits
-
 let mii cfg ddg = max (res_mii cfg ddg) (rec_mii cfg ddg)
 
 (* [max (mii g.cfg g.ddg) floor] without the full RecMII binary search

@@ -26,14 +26,6 @@ val rec_mii : Config.t -> Ddg.t -> int
     (every cycle lies inside one strongly connected component). *)
 val feasible : Dep_graph.t -> ii:int -> bool
 
-(** Recurrence bound by direct enumeration of elementary circuits
-    (Johnson).  Exponential in the worst case — used by tests to
-    cross-check {!rec_mii} and by the CLI to report critical circuits.
-    When parallel edges join the same node pair the maximal
-    latency/minimal distance edge is used, which dominates every
-    parallel-edge combination. *)
-val rec_mii_by_circuits : ?max_circuits:int -> Config.t -> Ddg.t -> int
-
 val mii : Config.t -> Ddg.t -> int
 
 (** [mii_with_floor ~floor g] is exactly

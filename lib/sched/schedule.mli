@@ -28,17 +28,9 @@ val ii : t -> int
 val cycle : t -> int -> int
 val cluster : t -> int -> int
 
-(** Dependence weight of an edge at this [ii]:
-    [latency(src) - ii * distance].  The schedule must satisfy
-    [cycle dst >= cycle src + weight] for every edge. *)
-val edge_weight : t -> Ddg.edge -> int
-
 (** Number of pipeline stages: the kernel executes this many iterations
     concurrently in steady state. *)
 val stages : t -> int
-
-(** Issue cycle of the earliest operation. *)
-val first_cycle : t -> int
 
 (** A copy with all cycles shifted so the earliest operation issues at
     cycle 0 (uniform shifts preserve validity). *)

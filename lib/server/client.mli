@@ -16,15 +16,12 @@ val connect : ?connect_timeout_s:float -> string -> t
 
 val close : t -> unit
 
-(** One request, one response, no retries. *)
-val roundtrip :
-  t -> Protocol.request -> (Protocol.response, Ncdrf_error.Error.t) result
-
-(** [request t req] is {!roundtrip} that, on an [Overloaded] answer,
-    sleeps for the daemon's [retry_after_s] hint (or the exponential
-    backoff floor, whichever is larger, plus deterministic jitter) and
-    retries up to [retries] (default 5) times.  The final [Overloaded]
-    is returned to the caller if the daemon never yields. *)
+(** [request t req] sends one request and reads its response; on an
+    [Overloaded] answer it sleeps for the daemon's [retry_after_s] hint
+    (or the exponential backoff floor, whichever is larger, plus
+    deterministic jitter) and retries up to [retries] (default 5)
+    times.  The final [Overloaded] is returned to the caller if the
+    daemon never yields. *)
 val request :
   ?retries:int ->
   t ->

@@ -451,7 +451,10 @@ let parse_request line =
       Suite
         {
           spec = spec_of_json (field "config" kvs);
-          size = int_of "size" (field "size" kvs);
+          size =
+            (match int_of "size" (field "size" kvs) with
+             | n when n >= 1 -> n
+             | n -> bad "size %d: must be >= 1" n);
           registers = int_of "registers" (field "registers" kvs);
         }
     | "health" -> Health

@@ -179,8 +179,6 @@ val point_of_stats : header:string -> ?kernel:string -> Ncdrf_core.Pipeline.stat
     shed request.  The functions below are its parts. *)
 val render_body : response_body -> string
 
-val render_suite_header : size:int -> machine:string -> jobs:int -> string
-val render_suite_table_head : registers:int -> string
 val render_suite_row : Model.t * float * float -> string
 
 (** Empty on an empty list, so clean runs print nothing extra. *)

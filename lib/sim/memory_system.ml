@@ -7,8 +7,6 @@ type config = {
   tolerance : int;
 }
 
-let default_config = { banks = 8; service_time = 2; tolerance = 4 }
-
 type result = {
   base_cycles : int;
   effective_cycles : int;
@@ -26,7 +24,7 @@ let bank_base location =
   | Opcode.Array a -> hash ("arr:" ^ a)
   | Opcode.Spill k -> hash (Printf.sprintf "spill:%d" k)
 
-let simulate ?(config = default_config) ~iterations sched =
+let simulate ~config ~iterations sched =
   if iterations < 1 then invalid_arg "Memory_system.simulate: iterations must be >= 1";
   let sched = Schedule.normalize sched in
   let ddg = sched.Schedule.ddg in

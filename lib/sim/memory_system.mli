@@ -24,8 +24,6 @@ type config = {
   tolerance : int;  (** queueing the decoupling buffer absorbs, cycles *)
 }
 
-val default_config : config
-
 type result = {
   base_cycles : int;  (** cycles the schedule alone needs *)
   effective_cycles : int;  (** with memory back-pressure *)
@@ -37,4 +35,4 @@ type result = {
 
 (** Replay [iterations] steady-state iterations of the schedule's loads
     and stores. *)
-val simulate : ?config:config -> iterations:int -> Schedule.t -> result
+val simulate : config:config -> iterations:int -> Schedule.t -> result

@@ -18,16 +18,3 @@ let density sched =
   else
     float_of_int memops
     /. (float_of_int (Schedule.ii sched) *. float_of_int bandwidth)
-
-let aggregate_density scheds =
-  let num, den =
-    List.fold_left
-      (fun (num, den) (sched, weight) ->
-        let ddg = sched.Schedule.ddg in
-        let cfg = sched.Schedule.config in
-        let bandwidth = float_of_int (Config.memory_bandwidth cfg) in
-        ( num +. (weight *. float_of_int (memops_per_iteration ddg)),
-          den +. (weight *. float_of_int (Schedule.ii sched) *. bandwidth) ))
-      (0.0, 0.0) scheds
-  in
-  if num = 0.0 then 0.0 else if den = 0.0 then infinity else num /. den

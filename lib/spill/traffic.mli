@@ -18,10 +18,3 @@ val memops_per_iteration : Ddg.t -> int
     with zero bandwidth is [infinity], distinguishing "no traffic" from
     "no bus". *)
 val density : Schedule.t -> float
-
-(** Weighted average density over a collection of loops, each weighted
-    by its execution time [weight * ii] (the paper's dynamic
-    weighting): [sum (w * memops) / sum (w * ii * bandwidth)].  Zero
-    weighted traffic is 0.0; nonzero traffic over zero aggregate
-    bandwidth is [infinity]. *)
-val aggregate_density : (Schedule.t * float) list -> float

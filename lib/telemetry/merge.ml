@@ -299,7 +299,7 @@ let rec strip_timing = function
 (* ------------------------------------------------------------------ *)
 (* Traces *)
 
-(* Merge Chrome trace-event documents ({!Trace.to_chrome} output, or
+(* Merge Chrome trace-event documents ({!Trace.write_chrome} output, or
    anything with a "traceEvents" list).  Track ids collide across
    independent processes (every daemon numbers domain-0 as tid 0 and
    connection threads from 1000), so each input is re-namespaced onto

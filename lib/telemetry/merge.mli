@@ -24,7 +24,7 @@
 val merge_metrics : Json.t list -> (Json.t, string) result
 
 (** [merge_traces jsons] merges Chrome trace-event documents
-    ({!Trace.to_chrome} output): each input's events are re-namespaced
+    ({!Trace.write_chrome} output): each input's events are re-namespaced
     onto their own [pid] (input order, 1-based) so track ids from
     independent processes cannot collide, metadata records (thread
     names) come first in input order, and timed events follow in one

@@ -20,7 +20,6 @@ let lock = Mutex.create ()
 let counter_tbl : (string, int Atomic.t) Hashtbl.t = Hashtbl.create 16
 
 let enable b = Atomic.set on b
-let enabled () = Atomic.get on
 
 let with_lock f =
   Mutex.lock lock;
@@ -45,8 +44,6 @@ let counter name =
   match Hashtbl.find_opt counter_tbl name with
   | Some c -> Atomic.get c
   | None -> 0
-
-let record_span name seconds = if Atomic.get on then Trace.add_sample name seconds
 
 (* The thunk always runs; with both telemetry and tracing off the only
    cost is two atomic loads.  When armed, one frame on the calling

@@ -26,8 +26,6 @@ val now_ns : unit -> int64
     atomic load; {!time} still runs its thunk. *)
 val enable : bool -> unit
 
-val enabled : unit -> bool
-
 (** [incr name] bumps counter [name] by [by] (default 1), creating it
     at zero on first use.  Domain-safe. *)
 val incr : ?by:int -> string -> unit
@@ -52,10 +50,6 @@ type span = {
     those layers are armed.  Exceptions propagate; the frame still
     records.  Disarmed, it costs two atomic loads. *)
 val time : string -> (unit -> 'a) -> 'a
-
-(** [record_span name seconds] adds one measurement directly (inclusive
-    and self), on the calling thread — a test hook. *)
-val record_span : string -> float -> unit
 
 (** All spans, sorted by name. *)
 val spans : unit -> (string * span) list

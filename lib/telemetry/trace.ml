@@ -122,7 +122,6 @@ let my () =
   s
 
 let enable b = Atomic.set events_on b
-let enabled () = Atomic.get events_on
 let require_context b = Atomic.set context_demanded b
 let active () = Atomic.get events_on || Atomic.get context_demanded
 let set_track id = (my ()).track <- id
@@ -306,10 +305,6 @@ let stage ~metrics name f =
       | None -> ());
       if Atomic.get events_on then emit s ~name ~phase:'E')
     f
-
-let add_sample name seconds =
-  let ns = Float.to_int (Float.round (seconds *. 1e9)) in
-  record (my ()) name ~dur:ns ~self:ns
 
 let accs () =
   List.concat_map

@@ -47,8 +47,6 @@
 (** Turn event buffering on or off. *)
 val enable : bool -> unit
 
-val enabled : unit -> bool
-
 (** Demand the ambient context even when event buffering is off. *)
 val require_context : bool -> unit
 
@@ -172,11 +170,6 @@ val sample_cap : int
     is bracketed by B/E events.  {!Telemetry.time} is the caller. *)
 val stage : metrics:bool -> string -> (unit -> 'a) -> 'a
 
-(** [add_sample name seconds] records one frame of [seconds], inclusive
-    and self, into the calling thread's accumulator for [name] (no
-    point, no events).  A test hook behind {!Telemetry.record_span}. *)
-val add_sample : string -> float -> unit
-
 (** Every shard's accumulators, unmerged: one entry per (thread,
     name) recorded since the last {!reset_accs}. *)
 val accs : unit -> (string * acc) list
@@ -221,12 +214,9 @@ val reset : unit -> unit
 
 (** {1 Export} *)
 
-(** The buffered events as a Chrome trace-event document: one [pid],
-    one [tid] per track (see the track scheme above) with a
-    [thread_name] metadata record, timestamps in microseconds relative
-    to the earliest event, and [args] carrying the request id and the
-    ambient loop/config/II. *)
-val to_chrome : unit -> Json.t
-
-(** Write {!to_chrome} atomically ({!Json.write_file}). *)
+(** Write the buffered events atomically ({!Json.write_file}) as a
+    Chrome trace-event document: one [pid], one [tid] per track (see
+    the track scheme above) with a [thread_name] metadata record,
+    timestamps in microseconds relative to the earliest event, and
+    [args] carrying the request id and the ambient loop/config/II. *)
 val write_chrome : path:string -> unit

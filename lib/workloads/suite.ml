@@ -6,9 +6,6 @@ type entry = {
   generated : bool;
 }
 
-let named () =
-  List.map (fun (ddg, iterations) -> { ddg; iterations; generated = false }) (Kernels.all ())
-
 (* Log-normal-ish weight: a few loops dominate, as in the paper where
    the high-pressure loops carry 30-50% of the cycles. *)
 let weight_of rng =
@@ -18,8 +15,12 @@ let weight_of rng =
   Float.round (exp (4.0 +. (1.6 *. gaussian)) +. 1.0)
 
 let full ?(size = 795) ?(seed = 42) () =
-  let base = named () in
-  let n_generated = max 0 (size - List.length base) in
+  if size < 0 then invalid_arg "Suite.full: size must be >= 0";
+  let base =
+    List.filteri (fun i _ -> i < size)
+      (List.map (fun (ddg, iterations) -> { ddg; iterations; generated = false }) (Kernels.all ()))
+  in
+  let n_generated = size - List.length base in
   let rng = Random.State.make [| seed; 0x5eed |] in
   let one i =
     (* A slice of the suite uses the heavier parameter set: bigger

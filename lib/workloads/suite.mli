@@ -15,12 +15,13 @@ type entry = {
   generated : bool;
 }
 
-(** Named kernels only (48 loops: the paper example plus the DSL kernels). *)
-val named : unit -> entry list
+(** [full ()] is the default suite: exactly [size] loops (default 795,
+    the paper's count), the 48 named kernels (the paper example plus
+    the DSL kernels) first, then generated loops; a [size] below 48
+    keeps the first [size] named kernels.  Deterministic for a given
+    [seed] (default 42).
 
-(** [full ()] is the default suite: named kernels + generated loops,
-    [size] total (default 795, the paper's count).  Deterministic for a
-    given [seed] (default 42). *)
+    @raise Invalid_argument if [size < 0]. *)
 val full : ?size:int -> ?seed:int -> unit -> entry list
 
 (** Total weighted execution share of the [n] heaviest loops — used in

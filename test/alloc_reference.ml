@@ -96,7 +96,8 @@ let min_capacity ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) ?uppe
     let upper =
       match upper with
       | Some u -> u
-      | None -> (2 * Lifetime.total_min_registers ~ii lifetimes) + 64
+      | None ->
+        (2 * List.fold_left (fun acc l -> acc + Lifetime.min_registers ~ii l) 0 lifetimes) + 64
     in
     let rec search capacity =
       if capacity > upper then

@@ -8,6 +8,11 @@ open Ncdrf_sched
 let example_ddg () = Ncdrf_workloads.Kernels.paper_example ()
 let example_config () = Config.example ()
 
+(* Loads and stores of a spill slot: the spiller's memory traffic. *)
+let is_spill_access = function
+  | Opcode.Load (Opcode.Spill _) | Opcode.Store (Opcode.Spill _) -> true
+  | _ -> false
+
 let node_by_label ddg label =
   let found =
     Ddg.fold_nodes ddg ~init:None ~f:(fun acc n ->
@@ -74,3 +79,16 @@ let contains haystack needle =
 let configs () =
   [ Config.dual ~latency:3; Config.dual ~latency:6; Config.pxly ~parallelism:1 ~latency:3;
     Config.pxly ~parallelism:2 ~latency:6; Config.example () ]
+
+(* Values by class: [(replicated, locals per cluster)], [Global] and
+   [Shared] values both counting as replicated. *)
+let class_counts sched =
+  let locals = Array.make (Config.num_clusters sched.Schedule.config) 0 in
+  let replicated = ref 0 in
+  List.iter
+    (fun (_, cls) ->
+      match cls with
+      | Ncdrf_core.Classify.Global | Ncdrf_core.Classify.Shared _ -> incr replicated
+      | Ncdrf_core.Classify.Local c -> locals.(c) <- locals.(c) + 1)
+    (Ncdrf_core.Classify.classify sched);
+  (!replicated, locals)

@@ -46,6 +46,9 @@ module Alloc = struct
       if ok then Some (Array.to_list (Array.map (fun i -> (i, regs.(i))) p.ordered))
       else None
     end
+
+  let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) table indices =
+    min_capacity_sorted ~strategy table (scratch table) (sorted ~order table (Array.of_list indices))
 end
 
 type detail = {
@@ -70,6 +73,12 @@ type groups = {
   locals : Lifetime.t list array;
 }
 
+(* Clusters whose subfile must hold a value of class [cls]. *)
+let clusters_of ~num_clusters = function
+  | Classify.Global -> List.init num_clusters Fun.id
+  | Classify.Shared cs -> cs
+  | Classify.Local c -> [ c ]
+
 let grouped ?lifetimes sched =
   let n_clusters = Config.num_clusters sched.Schedule.config in
   let locals = Array.make n_clusters [] in
@@ -78,17 +87,13 @@ let grouped ?lifetimes sched =
     match Classify.value_class sched l.Lifetime.producer with
     | Classify.Local c -> locals.(c) <- l :: locals.(c)
     | cls ->
-      shared := (l, Classify.clusters_of ~num_clusters:n_clusters cls) :: !shared
+      shared := (l, clusters_of ~num_clusters:n_clusters cls) :: !shared
   in
   let all =
     match lifetimes with Some ls -> ls | None -> Lifetime.of_schedule sched
   in
   List.iter place all;
   { shared = List.rev !shared; locals = Array.map List.rev locals }
-
-let grouped_lifetimes ?lifetimes sched =
-  let g = grouped ?lifetimes sched in
-  (List.map fst g.shared, g.locals)
 
 (* The shared values replicated into cluster [c]'s subfile, in shared
    order (the prefix of that cluster's conflict table). *)
@@ -230,7 +235,9 @@ let joint_requirement_tables ?strategy ?order ?upper ~ii ~groups j =
       | Some u -> u
       | None ->
         (2
-        * Lifetime.total_min_registers ~ii
+        * List.fold_left
+            (fun acc l -> acc + Lifetime.min_registers ~ii l)
+            0
             (globals @ List.concat (Array.to_list groups.locals)))
         + 64
     in
@@ -246,16 +253,6 @@ let joint_requirement_tables ?strategy ?order ?upper ~ii ~groups j =
     in
     search (max lower (joint_floor j))
   end
-
-(* Public entry point where every "global" is replicated in every
-   cluster — the historical dual-file shape. *)
-let groups_of_globals ~globals ~locals =
-  let members = List.init (max 1 (Array.length locals)) Fun.id in
-  { shared = List.map (fun l -> (l, members)) globals; locals }
-
-let joint_requirement ?strategy ?order ?upper ~ii ~globals ~locals () =
-  let groups = groups_of_globals ~globals ~locals in
-  joint_requirement_tables ?strategy ?order ?upper ~ii ~groups (joint_of ~ii groups)
 
 type allocation = {
   capacity : int;

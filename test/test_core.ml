@@ -22,7 +22,7 @@ let test_paper_schedule_is_valid () =
 let test_table3_classification () =
   let sched = Helpers.paper_schedule () in
   let expect label cls =
-    check_bool label true (Classify.equal (class_of sched label) cls)
+    check_bool label true (class_of sched label = cls)
   in
   expect "L1" Classify.Global;
   expect "L2" (Classify.Local 0);
@@ -46,7 +46,7 @@ let test_table3_register_counts () =
 let test_table4_after_swap () =
   let sched = Helpers.paper_schedule_swapped () in
   let expect label cls =
-    check_bool label true (Classify.equal (class_of sched label) cls)
+    check_bool label true (class_of sched label = cls)
   in
   expect "L1" (Classify.Local 0);
   expect "M5" (Classify.Local 0);
@@ -152,7 +152,7 @@ let test_ideal_never_fails_to_fit () =
 
 let test_classify_counts () =
   let sched = Helpers.paper_schedule () in
-  let globals, locals = Classify.counts sched in
+  let globals, locals = Helpers.class_counts sched in
   check_int "global values" 1 globals;
   check_int "left values" 2 locals.(0);
   check_int "right values" 3 locals.(1)

@@ -103,13 +103,6 @@ let test_codegen_unrolled () =
   check_int "prologue unchanged" base.Codegen.prologue_rows unrolled.Codegen.prologue_rows;
   check_bool "operations grow" true (unrolled.Codegen.operations > base.Codegen.operations)
 
-let test_codegen_render () =
-  let sched = Helpers.paper_schedule () in
-  let text = Codegen.render sched in
-  List.iter
-    (fun s -> check_bool s true (Helpers.contains text s))
-    [ "prologue[0]"; "kernel"; "epilogue[12]"; "L1"; "S7" ]
-
 let test_codegen_stage_filter () =
   let sched = Helpers.paper_schedule () in
   let rows = Codegen.generate sched in
@@ -178,7 +171,7 @@ let test_affinity_reduces_globals_on_average () =
     List.fold_left
       (fun acc (g, _) ->
         let sched = Modulo.schedule ~cluster_policy:policy config g in
-        let globals, _ = Classify.counts sched in
+        let globals, _ = Helpers.class_counts sched in
         acc + globals)
       0
       (Ncdrf_workloads.Kernels.all ())
@@ -280,28 +273,28 @@ let test_chart_render_example () =
   List.iter
     (fun s -> check_bool s true (Helpers.contains text s))
     [ "L1"; "GL"; "LO"; "RO"; "peak 42"; "len  13" ];
-  (* Scaled rendering stays within the width cap. *)
-  let narrow = Chart.render ~width:20 sched in
-  let too_wide =
-    List.exists (fun l -> String.length l > 80) (String.split_on_char '\n' narrow)
+  (* A schedule spanning more than the 72-column cap is scaled down:
+     every bar (the third field of a value's row) fits 73 columns. *)
+  let long =
+    Schedule.make ~config:sched.Schedule.config ~ii:1
+      ~placements:
+        (Array.map (fun p -> { p with Schedule.cycle = 10 * p.Schedule.cycle }) sched.Schedule.placements)
+      sched.Schedule.ddg
   in
-  check_bool "respects width cap" false too_wide
+  let scaled = Chart.render long in
+  check_bool "scaled" true (Helpers.contains scaled "1 col =");
+  let bars =
+    List.filter_map
+      (fun l ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+        | _ :: _ :: bar :: _ when String.contains bar '#' -> Some bar
+        | _ -> None)
+      (String.split_on_char '\n' scaled)
+  in
+  check_int "one bar per value" 6 (List.length bars);
+  check_bool "respects width cap" true (List.for_all (fun b -> String.length b <= 73) bars)
 
 (* --- Report helpers --- *)
-
-let test_table_render () =
-  let t = Ncdrf_report.Table.create ~columns:[ "name"; "value" ] in
-  Ncdrf_report.Table.add_row t [ "a"; "1" ];
-  Ncdrf_report.Table.add_row t [ "bb" ];
-  check_int "rows" 2 (Ncdrf_report.Table.num_rows t);
-  let text = Ncdrf_report.Table.render t in
-  check_bool "has header" true (Helpers.contains text "name");
-  check_bool "pads short rows" true (Helpers.contains text "bb");
-  (try
-     Ncdrf_report.Table.add_row t [ "x"; "y"; "z" ];
-     Alcotest.fail "overlong row accepted"
-   with Invalid_argument _ -> ());
-  check_int "to_rows includes header" 3 (List.length (Ncdrf_report.Table.to_rows t))
 
 let test_stats_summary () =
   let values = [ 5.0; 1.0; 3.0; 2.0; 4.0 ] in
@@ -330,11 +323,13 @@ let test_stats_histogram () =
   check_bool "renders bars" true (Helpers.contains text "#")
 
 let test_csv_escaping () =
-  let check_str = Alcotest.(check string) in
-  check_str "plain" "abc" (Ncdrf_report.Csv.escape "abc");
-  check_str "comma" "\"a,b\"" (Ncdrf_report.Csv.escape "a,b");
-  check_str "quote" "\"a\"\"b\"" (Ncdrf_report.Csv.escape "a\"b");
-  check_str "line" "a,\"b,c\",d" (Ncdrf_report.Csv.line [ "a"; "b,c"; "d" ])
+  let path = Filename.temp_file "ncdrf" ".csv" in
+  Ncdrf_report.Csv.write path [ [ "abc"; "a,b"; "a\"b" ]; [ "a"; "b,c"; "d" ] ];
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  Alcotest.(check string) "quoted where needed" "abc,\"a,b\",\"a\"\"b\"\na,\"b,c\",d\n" text
 
 let test_csv_write_roundtrip () =
   let path = Filename.temp_file "ncdrf" ".csv" in
@@ -359,7 +354,6 @@ let suite =
     Alcotest.test_case "codegen: phases on example" `Quick test_codegen_phases_example;
     Alcotest.test_case "codegen: operation count" `Quick test_codegen_operation_count;
     Alcotest.test_case "codegen: unrolled kernel" `Quick test_codegen_unrolled;
-    Alcotest.test_case "codegen: render" `Quick test_codegen_render;
     Alcotest.test_case "codegen: stage filters" `Quick test_codegen_stage_filter;
     Alcotest.test_case "spill victims all fit" `Quick test_spill_victims_all_fit;
     Alcotest.test_case "best-ratio keeps reloads cheap" `Quick
@@ -375,7 +369,6 @@ let suite =
     Alcotest.test_case "push-late on all ops saves registers" `Quick
       test_push_late_all_ops_saves_registers;
     Alcotest.test_case "chart renders the example" `Quick test_chart_render_example;
-    Alcotest.test_case "report: table" `Quick test_table_render;
     Alcotest.test_case "report: stats summary" `Quick test_stats_summary;
     Alcotest.test_case "report: stats histogram" `Quick test_stats_histogram;
     Alcotest.test_case "report: csv escaping" `Quick test_csv_escaping;

@@ -25,13 +25,11 @@ let test_opcode_predicates () =
     (Opcode.produces_value (Opcode.Store (Opcode.Array "x")));
   check_bool "load produces a value" true
     (Opcode.produces_value (Opcode.Load (Opcode.Array "x")));
-  check_bool "spill access" true (Opcode.is_spill_access (Opcode.Load (Opcode.Spill 0)));
-  check_bool "array access is not spill" false
-    (Opcode.is_spill_access (Opcode.Load (Opcode.Array "x")));
-  check_bool "equal spill slots" true
-    (Opcode.equal (Opcode.Load (Opcode.Spill 1)) (Opcode.Load (Opcode.Spill 1)));
-  check_bool "different slots differ" false
-    (Opcode.equal (Opcode.Load (Opcode.Spill 1)) (Opcode.Load (Opcode.Spill 2)))
+  check_bool "spill load" true (Opcode.is_spill_load (Opcode.Load (Opcode.Spill 0)));
+  check_bool "array load is not a spill load" false
+    (Opcode.is_spill_load (Opcode.Load (Opcode.Array "x")));
+  check_bool "spill store is not a spill load" false
+    (Opcode.is_spill_load (Opcode.Store (Opcode.Spill 0)))
 
 (* --- Ddg --- *)
 
@@ -128,19 +126,6 @@ let test_transform_add_and_drop () =
   check_bool "still valid" true (Ddg.validate g' = Ok ());
   ignore s
 
-let test_remove_nodes_remaps () =
-  let b, (a, l, r, s) = diamond () in
-  let g = Ddg.Builder.freeze b in
-  let keep node = node.Ddg.id <> r in
-  let g', remap = Ddg.remove_nodes g ~keep () in
-  check_int "one fewer node" 3 (Ddg.num_nodes g');
-  check_int "dropped maps to -1" (-1) remap.(r);
-  check_bool "kept nodes remapped" true (remap.(a) >= 0 && remap.(l) >= 0 && remap.(s) >= 0);
-  check_int "edge to r dropped" 2 (Ddg.num_edges g');
-  check_bool "still valid" true (Ddg.validate g' = Ok ())
-
-(* --- Expr DSL --- *)
-
 let test_expr_example_structure () =
   let open Expr in
   let g =
@@ -205,6 +190,11 @@ let test_expr_select_compiles () =
 
 (* --- Loop language --- *)
 
+let parse_one text =
+  match Loop_lang.parse_string text with
+  | [ g ] -> g
+  | gs -> Alcotest.failf "expected one loop, parsed %d" (List.length gs)
+
 let test_loop_lang_parses_example () =
   let text =
     {|
@@ -213,7 +203,7 @@ loop example
   z[i] = (x[i] * $r + y[i]) * $t + x[i]
 |}
   in
-  let g = Loop_lang.parse_one text in
+  let g = parse_one text in
   check_string "name" "example" (Ddg.name g);
   check_int "nodes" 7 (Ddg.num_nodes g);
   check_bool "valid" true (Ddg.validate g = Ok ())
@@ -226,7 +216,7 @@ loop tridiag
   xout[i] = x
 |}
   in
-  let g = Loop_lang.parse_one text in
+  let g = parse_one text in
   check_bool "has carried edge" true
     (List.exists (fun e -> e.Ddg.distance = 1) (Ddg.edges g));
   check_int "nodes" 5 (Ddg.num_nodes g)
@@ -241,14 +231,14 @@ let test_loop_lang_multiple_loops () =
 
 let test_loop_lang_select () =
   let g =
-    Loop_lang.parse_one "loop ifconv\n  o[i] = select(x[i] - $t, x[i], 0.0 * x[i])\n"
+    parse_one "loop ifconv\n  o[i] = select(x[i] - $t, x[i], 0.0 * x[i])\n"
   in
   check_bool "has a select node" true
     (List.exists (fun n -> n.Ddg.opcode = Opcode.Fselect) (Ddg.nodes g));
   check_bool "valid" true (Ddg.validate g = Ok ())
 
 let test_loop_lang_operators_and_unary_minus () =
-  let g = Loop_lang.parse_one "loop ops\n  o[i] = -x[i] / (y[i] - 2.0) + cvt(n[i])\n" in
+  let g = parse_one "loop ops\n  o[i] = -x[i] / (y[i] - 2.0) + cvt(n[i])\n" in
   check_bool "valid" true (Ddg.validate g = Ok ());
   (* -x is 0-x: sub, div, sub, add, cvt + 3 loads + store = 9 *)
   check_int "nodes" 9 (Ddg.num_nodes g)
@@ -266,48 +256,6 @@ let test_loop_lang_errors () =
   expect_error "loop a\n  o[j] = x[i]\n";
   expect_error "loop a\n  o[i] = x[i] ^ 2\n";
   expect_error "loop\n"
-
-(* --- Spill cleanup --- *)
-
-let spilled_graph () =
-  (* load a -> store spill.0; load spill.0 -> add -> store out.
-     After cleanup: load a -> add -> store out. *)
-  let b = Ddg.Builder.create ~name:"spilled" in
-  let n op l = Ddg.Builder.add_node b op ~label:l in
-  let ld = n (Opcode.Load (Opcode.Array "a")) "ld" in
-  let st_sp = n (Opcode.Store (Opcode.Spill 0)) "st.sp" in
-  let ld_sp = n (Opcode.Load (Opcode.Spill 0)) "ld.sp" in
-  let add = n Opcode.Fadd "add" in
-  let st = n (Opcode.Store (Opcode.Array "out")) "st" in
-  let e ?(kind = Ddg.Flow) ?(distance = 0) src dst =
-    Ddg.Builder.add_edge b ~src ~dst ~distance kind
-  in
-  e ld st_sp;
-  e ~kind:Ddg.Mem st_sp ld_sp;
-  e ld_sp add;
-  e add st;
-  Ddg.Builder.freeze b
-
-let test_spill_cleanup_removes_pair () =
-  let g = spilled_graph () in
-  let cleaned, removed = Spill_cleanup.run g in
-  check_int "removed" 2 removed;
-  check_int "nodes" 3 (Ddg.num_nodes cleaned);
-  check_int "no spill memops left" 0
-    (Ddg.fold_nodes cleaned ~init:0 ~f:(fun acc n ->
-         if Opcode.is_spill_access n.Ddg.opcode then acc + 1 else acc));
-  (* The producer must now feed the add directly. *)
-  let ld = Helpers.node_by_label cleaned "ld" in
-  let add = Helpers.node_by_label cleaned "add" in
-  check_bool "reconnected" true
-    (List.exists (fun e -> e.Ddg.dst = add.Ddg.id) (Ddg.consumers cleaned ld.Ddg.id));
-  check_bool "valid" true (Ddg.validate cleaned = Ok ())
-
-let test_spill_cleanup_noop_without_spills () =
-  let g = Helpers.example_ddg () in
-  let cleaned, removed = Spill_cleanup.run g in
-  check_int "nothing removed" 0 removed;
-  check_int "same nodes" (Ddg.num_nodes g) (Ddg.num_nodes cleaned)
 
 (* --- Dot --- *)
 
@@ -348,7 +296,7 @@ let test_elementary_circuits () =
     | 4 -> [ 0; 4 ]
     | _ -> []
   in
-  let circuits = Graph_algos.elementary_circuits ~num_nodes:5 ~succs () in
+  let circuits = Mii_reference.elementary_circuits ~num_nodes:5 ~succs in
   check_int "three circuits" 3 (List.length circuits)
 
 let test_longest_paths_and_positive_cycle () =
@@ -363,20 +311,6 @@ let test_longest_paths_and_positive_cycle () =
   check_bool "non-positive cycle ok" false
     (Graph_algos_reference.has_positive_cycle ~num_nodes:2 ~edges:[ (0, 1, 1); (1, 0, -1) ])
 
-let test_topological_order () =
-  let succs = function 0 -> [ 1; 2 ] | 1 -> [ 3 ] | 2 -> [ 3 ] | _ -> [] in
-  let order = Graph_algos.topological_order ~num_nodes:4 ~succs in
-  let pos v = ref 0 |> fun r -> List.iteri (fun i x -> if x = v then r := i) order; !r in
-  check_bool "0 before 3" true (pos 0 < pos 3);
-  check_bool "1 before 3" true (pos 1 < pos 3);
-  try
-    ignore
-      (Graph_algos.topological_order ~num_nodes:2 ~succs:(function
-        | 0 -> [ 1 ]
-        | _ -> [ 0 ]));
-    Alcotest.fail "cyclic graph accepted"
-  with Invalid_argument _ -> ()
-
 let suite =
   [
     Alcotest.test_case "opcode fu classes" `Quick test_fu_classes;
@@ -387,7 +321,6 @@ let suite =
     Alcotest.test_case "flow out of store rejected" `Quick test_flow_out_of_store_rejected;
     Alcotest.test_case "builder rejects bad edges" `Quick test_builder_rejects_bad_edges;
     Alcotest.test_case "transform adds and drops" `Quick test_transform_add_and_drop;
-    Alcotest.test_case "remove_nodes remaps" `Quick test_remove_nodes_remaps;
     Alcotest.test_case "expr: example structure" `Quick test_expr_example_structure;
     Alcotest.test_case "expr: CSE shares subexpressions" `Quick
       test_expr_cse_shares_subexpressions;
@@ -402,13 +335,10 @@ let suite =
     Alcotest.test_case "loop lang: operators" `Quick
       test_loop_lang_operators_and_unary_minus;
     Alcotest.test_case "loop lang: errors" `Quick test_loop_lang_errors;
-    Alcotest.test_case "spill cleanup removes pair" `Quick test_spill_cleanup_removes_pair;
-    Alcotest.test_case "spill cleanup no-op" `Quick test_spill_cleanup_noop_without_spills;
     Alcotest.test_case "dot render" `Quick test_dot_render_mentions_nodes;
     Alcotest.test_case "scc" `Quick test_scc_triangle;
     Alcotest.test_case "scc topological order" `Quick test_scc_topological_order;
     Alcotest.test_case "elementary circuits" `Quick test_elementary_circuits;
     Alcotest.test_case "longest paths / positive cycles" `Quick
       test_longest_paths_and_positive_cycle;
-    Alcotest.test_case "topological order" `Quick test_topological_order;
   ]

@@ -178,8 +178,7 @@ let test_fingerprint_matches_reference () =
     [
       Config.dual ~latency:3;
       Config.dual ~latency:6;
-      Config.dual_unified ~latency:3;
-      Config.dual_unified ~latency:6;
+      of_spec (spec ~clusters:1 3);
       Config.k_cluster ~k:3 ~latency:3 ();
       Config.k_cluster ~k:4 ~latency:6 ();
       Config.k_cluster ~read_ports:4 ~write_ports:2 ~k:3 ~latency:3 ();

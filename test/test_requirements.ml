@@ -24,32 +24,42 @@ let orders = [ Alloc.Start_time; Alloc.Longest_first; Alloc.Node_order ]
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
+(* Partitioned requirements are computed at the paper's strategy and
+   order only; unified ones under every strategy and order. *)
+let paper ~strategy ~order = strategy = Alloc.First_fit && order = Alloc.Start_time
+
 (* Every output of one schedule under one strategy and order, rendered
    so a mismatch reports what differs.  [partitioned] is given as a
    function so the analysis-sharing entry point can be checked too. *)
-let new_outputs
-    ?(partitioned = fun ~strategy ~order s -> Requirements.partitioned ~strategy ~order s)
-    ~strategy ~order sched =
-  let d = partitioned ~strategy ~order sched in
-  [
-    ("requirement", string_of_int d.Requirements.requirement);
-    ("clusters", ints (Lazy.force d.Requirements.cluster_requirements));
-    ("global", string_of_int (Lazy.force d.Requirements.global_requirement));
-    ("locals", ints (Lazy.force d.Requirements.local_requirements));
-    ("max_live", ints (Lazy.force d.Requirements.max_live));
-    ("unified", string_of_int (Requirements.unified ~strategy ~order sched));
-  ]
+let new_outputs ?(partitioned = Requirements.partitioned) ~strategy ~order sched =
+  let unified = [ ("unified", string_of_int (Requirements.unified ~strategy ~order sched)) ] in
+  if not (paper ~strategy ~order) then unified
+  else begin
+    let d = partitioned sched in
+    [
+      ("requirement", string_of_int d.Requirements.requirement);
+      ("clusters", ints (Lazy.force d.Requirements.cluster_requirements));
+      ("global", string_of_int (Lazy.force d.Requirements.global_requirement));
+      ("locals", ints (Lazy.force d.Requirements.local_requirements));
+      ("max_live", ints (Lazy.force d.Requirements.max_live));
+    ]
+    @ unified
+  end
 
 let ref_outputs ~strategy ~order sched =
-  let d = Ref.partitioned ~strategy ~order sched in
-  [
-    ("requirement", string_of_int d.Ref.requirement);
-    ("clusters", ints (Lazy.force d.Ref.cluster_requirements));
-    ("global", string_of_int (Lazy.force d.Ref.global_requirement));
-    ("locals", ints (Lazy.force d.Ref.local_requirements));
-    ("max_live", ints (Lazy.force d.Ref.max_live));
-    ("unified", string_of_int (Ref.unified ~strategy ~order sched));
-  ]
+  let unified = [ ("unified", string_of_int (Ref.unified ~strategy ~order sched)) ] in
+  if not (paper ~strategy ~order) then unified
+  else begin
+    let d = Ref.partitioned sched in
+    [
+      ("requirement", string_of_int d.Ref.requirement);
+      ("clusters", ints (Lazy.force d.Ref.cluster_requirements));
+      ("global", string_of_int (Lazy.force d.Ref.global_requirement));
+      ("locals", ints (Lazy.force d.Ref.local_requirements));
+      ("max_live", ints (Lazy.force d.Ref.max_live));
+    ]
+    @ unified
+  end
 
 let placements ps =
   String.concat ";"
@@ -59,8 +69,8 @@ let placements ps =
            p.Alloc.value.Lifetime.start p.Alloc.value.Lifetime.stop p.Alloc.register)
        ps)
 
-let new_allocation ~strategy ~order sched =
-  let a = Requirements.partitioned_allocation ~strategy ~order sched in
+let new_allocation sched =
+  let a = Requirements.partitioned_allocation sched in
   Printf.sprintf "cap=%d globals=%s locals=%s" a.Requirements.capacity
     (String.concat ";"
        (List.map
@@ -69,8 +79,8 @@ let new_allocation ~strategy ~order sched =
           a.Requirements.globals))
     (String.concat " | " (Array.to_list (Array.map placements a.Requirements.locals)))
 
-let ref_allocation ~strategy ~order sched =
-  let a = Ref.partitioned_allocation ~strategy ~order sched in
+let ref_allocation sched =
+  let a = Ref.partitioned_allocation sched in
   Printf.sprintf "cap=%d globals=%s locals=%s" a.Ref.capacity
     (String.concat ";"
        (List.map
@@ -91,16 +101,16 @@ let mismatch ?partitioned ~strategy ~order sched =
           ( "max_live_cost_lifetimes",
             string_of_int
               (Requirements.max_live_cost ~lifetimes:(Lifetime.of_schedule sched) sched) );
-          ("allocation", new_allocation ~strategy ~order sched);
-        ])
+        ]
+      @ if paper ~strategy ~order then [ ("allocation", new_allocation sched) ] else [])
   and want =
     render
       (ref_outputs ~strategy ~order sched
       @ [
           ("max_live_cost", string_of_int (Ref.max_live_cost sched));
           ("max_live_cost_lifetimes", string_of_int (Ref.max_live_cost sched));
-          ("allocation", ref_allocation ~strategy ~order sched);
-        ])
+        ]
+      @ if paper ~strategy ~order then [ ("allocation", ref_allocation sched) ] else [])
   in
   if got = want then None else Some (got, want)
 
@@ -128,8 +138,7 @@ let test_suite_schedules () =
           let swapped, _ = Swap.improve ~analysis:a raw in
           check (what ^ " swapped") ~strategy ~order swapped;
           check (what ^ " swapped, shared analysis")
-            ~partitioned:(fun ~strategy ~order s ->
-              Requirements.partitioned_of ~strategy ~order a s)
+            ~partitioned:(Requirements.partitioned_of a)
             ~strategy ~order swapped)
         loops)
     [ 3; 6 ]
@@ -209,28 +218,6 @@ let test_shared_views () =
     [ Config.dual ~latency:3; Config.k_cluster ~k:3 ~latency:6 () ];
   Artifact.clear_cache ()
 
-(* The public joint search over explicit groups equals the reference's. *)
-let prop_joint_requirement =
-  let arb =
-    QCheck.make
-      ~print:(fun (seed, k) -> Printf.sprintf "seed=%d k=%d" seed k)
-      QCheck.Gen.(pair (int_bound 50_000) (int_range 1 4))
-  in
-  QCheck.Test.make ~count:60 ~name:"joint_requirement = reference" arb (fun (seed, k) ->
-      let ddg =
-        Ncdrf_workloads.Generator.generate Ncdrf_workloads.Generator.default ~seed
-          ~name:"joint-eq"
-      in
-      let sched = Modulo.schedule (config_of ~k ~latency:3 ~caps:false) ddg in
-      let globals, locals = Requirements.grouped_lifetimes sched in
-      let ref_globals, ref_locals = Ref.grouped_lifetimes sched in
-      let ii = Schedule.ii sched in
-      globals = ref_globals && locals = ref_locals
-      && Requirements.joint_requirement ~ii ~globals ~locals ()
-         = Ref.joint_requirement ~ii ~globals ~locals ()
-      && Requirements.joint_requirement ~ii ~globals ~locals:[||] ()
-         = Ref.joint_requirement ~ii ~globals ~locals:[||] ())
-
 (* [Requirements.sorted]'s counting sort against the comparison sort it
    replaces, on one schedule. *)
 let start_order_agrees sched =
@@ -293,7 +280,6 @@ let suite =
     Alcotest.test_case "suite schedules = reference" `Slow test_suite_schedules;
     Alcotest.test_case "shared-analysis views = reference" `Quick test_shared_views;
     QCheck_alcotest.to_alcotest prop_random_schedules;
-    QCheck_alcotest.to_alcotest prop_joint_requirement;
     Alcotest.test_case "start order = Alloc.sorted on suite schedules" `Quick
       test_start_order_suite;
     QCheck_alcotest.to_alcotest prop_start_order_random;

@@ -85,16 +85,11 @@ let test_alloc_infeasible () =
   let sched = Helpers.paper_schedule () in
   let lifetimes = Ncdrf_regalloc.Lifetime.of_schedule sched in
   check_bool "fixture has lifetimes" true (lifetimes <> []);
-  (match Ncdrf_regalloc.Alloc.min_capacity ~upper:0 ~ii:1 lifetimes with
-   | _ -> Alcotest.fail "capacity 0 allocated real lifetimes"
-   | exception Error.Error e ->
-     Alcotest.check category "min_capacity" Error.Alloc_infeasible e.Error.category;
-     check_string "stage" "alloc" e.Error.stage);
-  let globals, locals = Requirements.grouped_lifetimes sched in
-  match Requirements.joint_requirement ~upper:0 ~ii:1 ~globals ~locals () with
-  | _ -> Alcotest.fail "joint capacity 0 allocated real lifetimes"
+  match Ncdrf_regalloc.Alloc.min_capacity ~upper:0 ~ii:1 lifetimes with
+  | _ -> Alcotest.fail "capacity 0 allocated real lifetimes"
   | exception Error.Error e ->
-    Alcotest.check category "joint_requirement" Error.Alloc_infeasible e.Error.category
+    Alcotest.check category "min_capacity" Error.Alloc_infeasible e.Error.category;
+    check_string "stage" "alloc" e.Error.stage
 
 (* ------------------------------------------------------------------ *)
 (* Spiller divergence is an outcome, not a hang or a raw exception.    *)
@@ -103,7 +98,10 @@ let test_alloc_infeasible () =
 let test_spiller_divergence_terminates () =
   let ddg = Helpers.example_ddg () in
   let config = Helpers.example_config () in
-  let requirement = Artifact.apply_model Model.Unified in
+  let requirement s =
+    let v = Artifact.view_of_schedule ~model:Model.Unified s in
+    (v.Artifact.sched, v.Artifact.requirement)
+  in
   (* Capacity 1 is unreachable; with the caps pulled in the spiller must
      give up quickly and report how far it got. *)
   let outcome =
@@ -245,7 +243,7 @@ let test_failures_keep_going () =
   Alcotest.(check (list (pair string int)))
     "per-category counts"
     [ ("injected", 2); ("internal", 1) ]
-    (Failures.by_category f);
+    (Failures.count_by_category (Failures.list f));
   match Failures.to_csv_rows f with
   | header :: rows ->
     Alcotest.(check (list string)) "csv header"
@@ -313,9 +311,9 @@ let test_parse_error_names_the_file () =
     check_bool "line recorded" true (line >= 1)
 
 let test_csv_error_names_the_position () =
-  match Ncdrf_report.Csv.parse_string "a,b\nc,\"oops" with
+  match Csv_reference.parse_string "a,b\nc,\"oops" with
   | _ -> Alcotest.fail "unterminated quote accepted"
-  | exception Ncdrf_report.Csv.Parse_error msg ->
+  | exception Csv_reference.Parse_error msg ->
     check_bool "position reported" true
       (Helpers.contains msg "opened at line 2, column 3")
 

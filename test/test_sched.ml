@@ -57,7 +57,7 @@ let test_rec_mii_matches_circuits () =
       List.iter
         (fun (g, _) ->
           let bs = Mii.rec_mii cfg g in
-          let circ = Mii.rec_mii_by_circuits cfg g in
+          let circ = Mii_reference.rec_mii_by_circuits cfg g in
           if bs <> circ then
             Alcotest.failf "%s on %s: binary-search %d <> circuits %d" (Ddg.name g)
               cfg.Config.name bs circ)
@@ -113,7 +113,8 @@ let test_schedule_achieves_mii_mostly () =
 
 let test_normalize_starts_at_zero () =
   let sched = Modulo.schedule (Config.dual ~latency:3) (Helpers.example_ddg ()) in
-  check_int "first cycle" 0 (Schedule.first_cycle sched)
+  check_int "first cycle" 0
+    (Array.fold_left (fun acc p -> min acc p.Schedule.cycle) max_int sched.Schedule.placements)
 
 let test_schedule_make_validations () =
   let ddg = Helpers.example_ddg () in
@@ -280,7 +281,7 @@ let prop_rec_mii_cross_check =
     (fun input ->
       let g = ddg_of input in
       let cfg = Config.dual ~latency:6 in
-      Mii.rec_mii cfg g = Mii.rec_mii_by_circuits cfg g)
+      Mii.rec_mii cfg g = Mii_reference.rec_mii_by_circuits cfg g)
 
 let prop_push_late_preserves_validity =
   QCheck.Test.make ~count:40 ~name:"push_late keeps schedules valid" generated_ddg
@@ -423,7 +424,7 @@ let spill_candidates g =
       && (not (Opcode.is_spill_load (Ddg.node g v).Ddg.opcode))
       && not
            (List.exists
-              (fun e -> Opcode.is_spill_access (Ddg.node g e.Ddg.dst).Ddg.opcode)
+              (fun e -> Helpers.is_spill_access (Ddg.node g e.Ddg.dst).Ddg.opcode)
               consumers))
     (List.init (Ddg.num_nodes g) Fun.id)
 

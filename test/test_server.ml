@@ -254,6 +254,13 @@ let test_malformed_frames () =
   check_request_error "missing id" {|{"kind":"health"}|};
   check_request_error "id of wrong type" {|{"id":5,"kind":"health"}|};
   check_request_error "schedule missing fields" {|{"id":"x","kind":"schedule"}|};
+  check_request_error "suite of 0 loops"
+    (Protocol.render_request
+       {
+         Protocol.id = "x";
+         timeout_s = None;
+         kind = Protocol.Suite { spec = Config.default_spec; size = 0; registers = 32 };
+       });
   check_request_error "bad model"
     {|{"id":"x","kind":"schedule","workload":{"kernel":"daxpy"},"config":{"latency":3,"clusters":2},"model":"quantum","spill_batch":1,"spill_incremental":false,"show_kernel":false}|};
   (match Protocol.parse_response {|{"id":"x","status":"weird"}|} with
@@ -267,6 +274,25 @@ let test_malformed_frames () =
    with
    | Stdlib.Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown category: expected a parse error")
+
+(* A suite smaller than the 48 named kernels measures exactly the loops
+   its header announces. *)
+let test_small_suite () =
+  Telemetry.enable true;
+  Telemetry.reset ();
+  Fun.protect ~finally:(fun () ->
+      Telemetry.enable false;
+      Telemetry.reset ();
+      Artifact.clear_cache ())
+  @@ fun () ->
+  let body =
+    Ncdrf_parallel.Pool.with_pool ~jobs:1 (fun pool ->
+        Protocol.suite_body ~pool ~failures:(Failures.create ()) ~config:(Config.dual ~latency:3)
+          ~size:10 ~registers:32 (Protocol.suite_loops ~size:10 ()))
+  in
+  check_bool "header" true
+    (Helpers.contains (Protocol.render_body body) "suite of 10 loops on ");
+  check_int "pipeline.loops" 10 (Telemetry.counter "pipeline.loops")
 
 (* The batched and incremental spill modes are gone; their wire fields
    remain, and any value but the defaults is a protocol error that names
@@ -315,10 +341,11 @@ let test_renderers () =
     (Protocol.render_failure_summary []);
   check_string "suite row" "unified      |  50.0% loops  25.0% cycles\n"
     (Protocol.render_suite_row (Model.Unified, 50.0, 25.0));
-  check_string "table head" "model        | allocatable in 32 regs\n"
-    (Protocol.render_suite_table_head ~registers:32);
-  check_string "suite header" "suite of 60 loops on m (1 job)\n\n"
-    (Protocol.render_suite_header ~size:60 ~machine:"m" ~jobs:1);
+  check_string "suite header and table head"
+    "suite of 60 loops on m (1 job)\n\nmodel        | allocatable in 32 regs\n"
+    (Protocol.render_body
+       (Protocol.Suite_report
+          { machine = "m"; size = 60; jobs = 1; registers = 32; rows = []; failures = [] }));
   check_string "machine line" "machine: m\n" (Protocol.render_machine_line "m");
   let summary =
     Protocol.render_failure_summary
@@ -500,7 +527,7 @@ let default_schedule_kind ?(workload = Protocol.Named "daxpy")
     }
 
 let roundtrip_ok client req =
-  match Client.roundtrip client req with
+  match Client.request ~retries:0 client req with
   | Ok resp ->
     check_string "response echoes request id" req.Protocol.id resp.Protocol.req_id;
     resp.Protocol.body
@@ -797,12 +824,11 @@ let prop_concurrent_observability =
   QCheck.Test.make ~count:3 ~name:"concurrent requests keep observability apart"
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 2 4))
     (fun n ->
-      let was = Artifact.cache_enabled () in
       Artifact.set_cache_enabled false;
       Artifact.clear_cache ();
       Fun.protect
         ~finally:(fun () ->
-          Artifact.set_cache_enabled was;
+          Artifact.set_cache_enabled true;
           Artifact.clear_cache ();
           Telemetry.enable false;
           Trace.enable false;
@@ -933,8 +959,7 @@ let test_latency_ring_wraps () =
 let test_render_body () =
   let failure = Error.make ~loop:"fir" ~stage:"schedule" Error.Injected "boom" in
   check_string "suite report = header, table, rows, failures"
-    (Protocol.render_suite_header ~size:60 ~machine:"m" ~jobs:2
-    ^ Protocol.render_suite_table_head ~registers:32
+    ("suite of 60 loops on m (2 jobs)\n\nmodel        | allocatable in 32 regs\n"
     ^ Protocol.render_suite_row (Model.Unified, 50.0, 25.0)
     ^ Protocol.render_failure_summary [ failure ])
     (Protocol.render_body
@@ -1137,4 +1162,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_response_roundtrip;
     QCheck_alcotest.to_alcotest prop_parse_total;
     Alcotest.test_case "every fault stage fires" `Quick test_every_fault_stage_fires;
+    Alcotest.test_case "suite --size 10 measures 10 loops" `Quick test_small_suite;
   ]

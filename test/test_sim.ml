@@ -206,7 +206,7 @@ let spill_candidates g =
       && (not (Opcode.is_spill_load (Ddg.node g v).Ddg.opcode))
       && not
            (List.exists
-              (fun e -> Opcode.is_spill_access (Ddg.node g e.Ddg.dst).Ddg.opcode)
+              (fun e -> Helpers.is_spill_access (Ddg.node g e.Ddg.dst).Ddg.opcode)
               consumers))
     (List.init (Ddg.num_nodes g) Fun.id)
 
@@ -258,8 +258,8 @@ let test_fig8_slice_computes_original_loop () =
   Alcotest.(check (list string)) "diverged points" [] (List.rev !diverged)
 
 (* Spilling is semantically invisible: the reference interpreter
-   computes the same stores on a graph, on any chain of spill rewrites
-   of it, and on the graph [Spill_cleanup] recovers from the chain. *)
+   computes the same stores on a graph and on any chain of spill
+   rewrites of it. *)
 let prop_spill_rewrites_preserve_semantics =
   let arb =
     QCheck.make
@@ -268,7 +268,7 @@ let prop_spill_rewrites_preserve_semantics =
           (String.concat ";" (List.map string_of_int picks)))
       QCheck.Gen.(triple (int_bound 50_000) bool (list_size (int_range 1 4) (int_bound 1000)))
   in
-  QCheck.Test.make ~count:200 ~name:"spill rewrites and cleanup preserve semantics" arb
+  QCheck.Test.make ~count:200 ~name:"spill rewrites preserve semantics" arb
     (fun (seed, heavy, picks) ->
       let params =
         if heavy then Ncdrf_workloads.Generator.heavy else Ncdrf_workloads.Generator.default
@@ -278,7 +278,7 @@ let prop_spill_rewrites_preserve_semantics =
       let expected = Reference.run ~iterations ddg in
       let agrees g = Reference.equal_stores expected (Reference.run ~iterations g) in
       let rec go g = function
-        | [] -> agrees (fst (Spill_cleanup.run g))
+        | [] -> agrees g
         | pick :: rest -> (
           agrees g
           &&

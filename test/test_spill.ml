@@ -46,7 +46,7 @@ let test_spill_adds_store_and_loads () =
     (outcome.Spiller.added_memops >= (2 * outcome.Spiller.spilled));
   let spill_ops =
     Ddg.fold_nodes outcome.Spiller.ddg ~init:0 ~f:(fun acc n ->
-        if Opcode.is_spill_access n.Ddg.opcode then acc + 1 else acc)
+        if Helpers.is_spill_access n.Ddg.opcode then acc + 1 else acc)
   in
   check_int "spill ops in graph" outcome.Spiller.added_memops spill_ops
 
@@ -119,18 +119,6 @@ let test_traffic_density () =
   in
   Alcotest.(check (float 1e-9)) "density" expected (Traffic.density sched);
   check_int "memops" 3 (Traffic.memops_per_iteration ddg)
-
-let test_aggregate_density_weighted () =
-  let config = Config.dual ~latency:3 in
-  let s1 = Modulo.schedule config (Helpers.example_ddg ()) in
-  let s2 = Modulo.schedule config (kernel "daxpy") in
-  let agg = Traffic.aggregate_density [ (s1, 1.0); (s2, 0.0) ] in
-  Alcotest.(check (float 1e-9)) "zero weight ignored" (Traffic.density s1) agg;
-  let agg2 = Traffic.aggregate_density [ (s1, 2.0); (s2, 2.0) ] in
-  check_bool "between the two densities" true
-    (let lo = min (Traffic.density s1) (Traffic.density s2)
-     and hi = max (Traffic.density s1) (Traffic.density s2) in
-     agg2 >= lo -. 1e-9 && agg2 <= hi +. 1e-9)
 
 let test_spiller_under_partitioned_model () =
   let config = Config.dual ~latency:6 in
@@ -412,13 +400,7 @@ let test_density_zero_bandwidth_is_infinite () =
     Array.init (Ddg.num_nodes g) (fun v -> { Schedule.cycle = v; cluster = 0 })
   in
   let sched = Schedule.make ~config ~ii:1 ~placements g in
-  check_bool "density is infinite" true (Traffic.density sched = infinity);
-  check_bool "aggregate density is infinite" true
-    (Traffic.aggregate_density [ (sched, 1.0) ] = infinity);
-  (* No traffic at all stays 0, even when the denominator is 0 too. *)
-  Alcotest.(check (float 0.0)) "empty aggregate" 0.0 (Traffic.aggregate_density []);
-  Alcotest.(check (float 0.0)) "zero-weight aggregate" 0.0
-    (Traffic.aggregate_density [ (sched, 0.0) ])
+  check_bool "density is infinite" true (Traffic.density sched = infinity)
 
 (* --- Fission regressions --- *)
 
@@ -521,7 +503,6 @@ let suite =
       test_spill_raises_ii_under_memory_pressure;
     Alcotest.test_case "safety valve II bump" `Quick test_safety_valve_ii_bump;
     Alcotest.test_case "traffic density" `Quick test_traffic_density;
-    Alcotest.test_case "aggregate density is weighted" `Quick test_aggregate_density_weighted;
     Alcotest.test_case "spiller under the swapped model" `Quick
       test_spiller_under_partitioned_model;
     Alcotest.test_case "fission: splits the example" `Quick test_fission_splits_example;

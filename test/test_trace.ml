@@ -184,10 +184,17 @@ let test_span_distributions () =
     (fun () ->
       Telemetry.reset ();
       for i = 1 to 100 do
-        Telemetry.record_span "s" (float_of_int i)
+        Telemetry.time "s" (fun () -> ignore (Sys.opaque_identity (List.init (50 * i) Fun.id)))
       done;
       check_int "every sample counted" 100 (Telemetry.span_count "s");
-      (* The metrics document carries the percentiles (additive keys). *)
+      let samples =
+        List.concat_map
+          (fun (name, (a : Trace.acc)) -> if name = "s" then Ring.to_list a.Trace.samples else [])
+          (Trace.accs ())
+      in
+      check_int "every sample held" 100 (List.length samples);
+      (* The metrics document carries the samples' nearest-rank
+         percentiles and their sum (additive keys). *)
       let span =
         match Telemetry.to_json () with
         | Json.Obj doc -> (
@@ -197,12 +204,15 @@ let test_span_distributions () =
           | _ -> [])
         | _ -> []
       in
+      let field key =
+        match List.assoc_opt key span with
+        | Some (Json.Float v) -> v
+        | _ -> Alcotest.fail ("metrics JSON lacks " ^ key)
+      in
       List.iter
-        (fun (key, want) ->
-          match List.assoc_opt key span with
-          | Some (Json.Float v) -> check_float (key ^ " nearest-rank") want v
-          | _ -> Alcotest.fail ("metrics JSON lacks " ^ key))
-        [ ("p50_s", 50.0); ("p90_s", 90.0); ("p99_s", 99.0); ("self_s", 5050.0) ])
+        (fun (key, q) -> check_float (key ^ " nearest-rank") (Stats.percentile q samples) (field key))
+        [ ("p50_s", 50.0); ("p90_s", 90.0); ("p99_s", 99.0) ];
+      Alcotest.(check (float 1e-6)) "self_s" (List.fold_left ( +. ) 0.0 samples) (field "self_s"))
 
 (* A daemon records spans under ever-new request ids: the accumulators
    stay one per name per thread, their sample storage stays within the

@@ -67,6 +67,12 @@ let test_suite_size_and_determinism () =
   let s1 = Ncdrf_workloads.Suite.full ~size:100 ~seed:1 () in
   let s2 = Ncdrf_workloads.Suite.full ~size:100 ~seed:1 () in
   check_int "size" 100 (List.length s1);
+  (* Below the 48 named kernels the suite is their prefix. *)
+  List.iter
+    (fun size ->
+      check_int (Printf.sprintf "size %d" size) size
+        (List.length (Ncdrf_workloads.Suite.full ~size ())))
+    [ 0; 1; 10; 48; 49 ];
   let weights e = List.map (fun x -> x.Ncdrf_workloads.Suite.iterations) e in
   check_bool "deterministic weights" true (weights s1 = weights s2);
   List.iter
