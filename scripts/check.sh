@@ -229,29 +229,41 @@ done
 
 # EXPERIMENTS.md's fenced tables are copies of that output: a fenced
 # block whose first two words start a line of scripts/bench_full.golden
-# (a table header) must appear there verbatim, line for line.
-awk -v golden=scripts/bench_full.golden '
+# (a table header) must appear there verbatim, line for line, and
+# exactly five blocks (table1, fig8, fig9, cost, cluster-sweep) must be
+# headed so, or a drifted header would drop its table from the check.
+awk -v golden=scripts/bench_full.golden -v want=5 '
   function head(s,   w) { split(s, w, " "); return w[1] " " w[2] }
-  function matches(   i, j, seen) {
+  function matches(   i, j) {
     for (i = 1; i <= n; i++) {
       if (head(g[i]) != head(b[1])) continue
       seen = 1
       for (j = 1; j <= m && g[i + j - 1] == b[j]; j++) ;
       if (j > m) return 1
     }
-    return !seen
+    return 0
   }
   BEGIN { while ((getline line < golden) > 0) g[++n] = line }
   /^```/ {
-    if (inside && m > 0 && !matches()) {
-      printf "check.sh: EXPERIMENTS.md table at line %d differs from %s\n", start, golden > "/dev/stderr"
-      bad = 1
+    if (inside && m > 0) {
+      seen = 0
+      if (!matches() && seen) {
+        printf "check.sh: EXPERIMENTS.md table at line %d differs from %s\n", start, golden > "/dev/stderr"
+        bad = 1
+      }
+      tables += seen
     }
     inside = !inside; m = 0; start = NR + 1
     next
   }
   inside { b[++m] = $0 }
-  END { exit bad }
+  END {
+    if (tables != want) {
+      printf "check.sh: EXPERIMENTS.md has %d tables headed as in %s, expected %d\n", tables, golden, want > "/dev/stderr"
+      bad = 1
+    }
+    exit bad
+  }
 ' EXPERIMENTS.md
 
 # Bad machine flags and unknown experiments are usage errors (exit 2),

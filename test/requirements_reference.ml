@@ -13,24 +13,23 @@ open Ncdrf_sched
 open Ncdrf_core
 module Error = Ncdrf_error.Error
 
-(* The list-level allocation problem the per-cluster tables used: the
-   indices sorted once, placed per probe on top of [placed] pairs of
-   (table index, register), returning the pairs in placement order. *)
+(* The list-level allocation problem the per-cluster tables used, at
+   the paper's First-Fit strategy and start-time order: the indices
+   sorted once, placed per probe on top of [placed] pairs of (table
+   index, register), returning the pairs in placement order. *)
 module Alloc = struct
   include Alloc
 
   type problem = {
     table : Conflict.t;
-    strategy : strategy;
     ordered : int array;
     scratch : scratch;
   }
 
-  let problem ?(strategy = First_fit) ?(order = Start_time) table indices =
+  let problem table indices =
     {
       table;
-      strategy;
-      ordered = sorted ~order table (Array.of_list indices);
+      ordered = sorted ~order:Start_time table (Array.of_list indices);
       scratch = scratch table;
     }
 
@@ -41,14 +40,15 @@ module Alloc = struct
       unassign_all p.scratch;
       let regs = registers p.scratch in
       List.iter (fun (j, r) -> regs.(j) <- r) placed;
-      let ok = place ~strategy:p.strategy p.table p.scratch ~capacity p.ordered in
+      let ok = place ~strategy:First_fit p.table p.scratch ~capacity p.ordered in
       flush_probes p.scratch;
       if ok then Some (Array.to_list (Array.map (fun i -> (i, regs.(i))) p.ordered))
       else None
     end
 
-  let min_capacity_table ?(strategy = First_fit) ?(order = Start_time) table indices =
-    min_capacity_sorted ~strategy table (scratch table) (sorted ~order table (Array.of_list indices))
+  let min_capacity_table table indices =
+    min_capacity_sorted ~strategy:First_fit table (scratch table)
+      (sorted ~order:Start_time table (Array.of_list indices))
 end
 
 type detail = {
@@ -172,13 +172,13 @@ type problems = {
   local_problems : Alloc.problem Lazy.t array;
 }
 
-let problems ?strategy ?order j =
+let problems j =
   {
-    shared_problem = Alloc.problem ?strategy ?order j.gtable (global_indices j);
+    shared_problem = Alloc.problem j.gtable (global_indices j);
     local_problems =
       Array.mapi
         (fun c table ->
-          lazy (Alloc.problem ?strategy ?order table (local_indices j ~cluster:c table)))
+          lazy (Alloc.problem table (local_indices j ~cluster:c table)))
         j.tables;
   }
 
@@ -216,7 +216,7 @@ let joint_floor j =
     (Conflict.max_width j.gtable + 1)
     j.tables
 
-let joint_requirement_tables ?strategy ?order ?upper ~ii ~groups j =
+let joint_requirement_tables ~ii ~groups j =
   let globals = List.map fst groups.shared in
   if globals = [] && Array.for_all (fun ls -> ls = []) groups.locals then 0
   else begin
@@ -231,17 +231,14 @@ let joint_requirement_tables ?strategy ?order ?upper ~ii ~groups j =
       |> List.fold_left max 1
     in
     let upper =
-      match upper with
-      | Some u -> u
-      | None ->
-        (2
-        * List.fold_left
-            (fun acc l -> acc + Lifetime.min_registers ~ii l)
-            0
-            (globals @ List.concat (Array.to_list groups.locals)))
-        + 64
+      (2
+      * List.fold_left
+          (fun acc l -> acc + Lifetime.min_registers ~ii l)
+          0
+          (globals @ List.concat (Array.to_list groups.locals)))
+      + 64
     in
-    let ps = problems ?strategy ?order j in
+    let ps = problems j in
     let rec search capacity =
       if capacity > upper then
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
@@ -260,11 +257,11 @@ type allocation = {
   locals : Alloc.placement list array;
 }
 
-let partitioned_allocation ?strategy ?order sched =
+let partitioned_allocation sched =
   let ii = Schedule.ii sched in
   let groups = grouped sched in
   let j = joint_of ~ii groups in
-  let capacity = joint_requirement_tables ?strategy ?order ~ii ~groups j in
+  let capacity = joint_requirement_tables ~ii ~groups j in
   if capacity = 0 then
     { capacity = 0; globals = []; locals = Array.map (fun _ -> []) groups.locals }
   else begin
@@ -273,7 +270,7 @@ let partitioned_allocation ?strategy ?order sched =
         (fun (i, r) -> { Alloc.value = Conflict.lifetime table i; register = r })
         pairs
     in
-    let ps = problems ?strategy ?order j in
+    let ps = problems j in
     match Alloc.solve ps.shared_problem ~capacity with
     | None ->
       Error.errorf ~ii ~stage:"alloc" Error.Internal
@@ -301,7 +298,7 @@ let partitioned_allocation ?strategy ?order sched =
 
 (* Only [requirement] is searched up front; the breakdown costs k + 1
    more searches plus k local ones, and most callers never read it. *)
-let partitioned ?strategy ?order sched =
+let partitioned sched =
   let ii = Schedule.ii sched in
   let groups = grouped sched in
   let j = joint_of ~ii groups in
@@ -326,19 +323,19 @@ let partitioned ?strategy ?order sched =
                prefix = [| Array.init n_pre Fun.id |];
              }
            in
-           joint_requirement_tables ?strategy ?order ~ii ~groups:groups_c j_c)
+           joint_requirement_tables ~ii ~groups:groups_c j_c)
          groups.locals)
   in
   {
-    requirement = joint_requirement_tables ?strategy ?order ~ii ~groups j;
+    requirement = joint_requirement_tables ~ii ~groups j;
     cluster_requirements;
     global_requirement =
-      lazy (Alloc.min_capacity_table ?strategy ?order j.gtable (global_indices j));
+      lazy (Alloc.min_capacity_table j.gtable (global_indices j));
     local_requirements =
       lazy
         (Array.mapi
            (fun c t ->
-             Alloc.min_capacity_table ?strategy ?order t (local_indices j ~cluster:c t))
+             Alloc.min_capacity_table t (local_indices j ~cluster:c t))
            j.tables);
     max_live = lazy (cluster_max_live sched);
   }

@@ -187,7 +187,7 @@ let test_concurrent_builds () =
           (fun (e : Ncdrf_workloads.Suite.entry) ->
             let s = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
             (Schedule.ii s, Lifetime.of_schedule s))
-          (Ncdrf_workloads.Suite.full ~size:20 ()))
+          (Ncdrf_workloads.Suite.full ~size:48 ()))
       [ 3; 6 ]
   in
   let rng = Random.State.make [| 7 |] in

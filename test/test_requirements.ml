@@ -4,7 +4,8 @@
    every lazy breakdown field, MaxLive and the placements of
    [partitioned_allocation], on the dual L3/L6 suite schedules and
    their swapped variants and on random schedules at k in {1, 2, 3, 4}
-   with and without port caps, under every strategy and order.  Also
+   with and without port caps, the unified requirement under every
+   strategy and order.  Also
    checks that the views [Artifact] computes from one shared analysis
    equal the reference's, and that the counting sort behind
    [Requirements.sorted]'s start order equals [Alloc.sorted]'s. *)
@@ -24,42 +25,36 @@ let orders = [ Alloc.Start_time; Alloc.Longest_first; Alloc.Node_order ]
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
-(* Partitioned requirements are computed at the paper's strategy and
-   order only; unified ones under every strategy and order. *)
-let paper ~strategy ~order = strategy = Alloc.First_fit && order = Alloc.Start_time
+(* Every partitioned output of one schedule (requirements, every lazy
+   breakdown field, MaxLive, MaxLive cost and the placements) at the
+   paper's First-Fit strategy and start-time order, the only ones the
+   partitioned path has, rendered so a mismatch reports what differs.
+   [partitioned] is given as a function so the analysis-sharing entry
+   point can be checked too. *)
+let new_outputs ?(partitioned = Requirements.partitioned) sched =
+  let d = partitioned sched in
+  [
+    ("requirement", string_of_int d.Requirements.requirement);
+    ("clusters", ints (Lazy.force d.Requirements.cluster_requirements));
+    ("global", string_of_int (Lazy.force d.Requirements.global_requirement));
+    ("locals", ints (Lazy.force d.Requirements.local_requirements));
+    ("max_live", ints (Lazy.force d.Requirements.max_live));
+    ("max_live_cost", string_of_int (Requirements.max_live_cost sched));
+    ( "max_live_cost_lifetimes",
+      string_of_int (Requirements.max_live_cost ~lifetimes:(Lifetime.of_schedule sched) sched) );
+  ]
 
-(* Every output of one schedule under one strategy and order, rendered
-   so a mismatch reports what differs.  [partitioned] is given as a
-   function so the analysis-sharing entry point can be checked too. *)
-let new_outputs ?(partitioned = Requirements.partitioned) ~strategy ~order sched =
-  let unified = [ ("unified", string_of_int (Requirements.unified ~strategy ~order sched)) ] in
-  if not (paper ~strategy ~order) then unified
-  else begin
-    let d = partitioned sched in
-    [
-      ("requirement", string_of_int d.Requirements.requirement);
-      ("clusters", ints (Lazy.force d.Requirements.cluster_requirements));
-      ("global", string_of_int (Lazy.force d.Requirements.global_requirement));
-      ("locals", ints (Lazy.force d.Requirements.local_requirements));
-      ("max_live", ints (Lazy.force d.Requirements.max_live));
-    ]
-    @ unified
-  end
-
-let ref_outputs ~strategy ~order sched =
-  let unified = [ ("unified", string_of_int (Ref.unified ~strategy ~order sched)) ] in
-  if not (paper ~strategy ~order) then unified
-  else begin
-    let d = Ref.partitioned sched in
-    [
-      ("requirement", string_of_int d.Ref.requirement);
-      ("clusters", ints (Lazy.force d.Ref.cluster_requirements));
-      ("global", string_of_int (Lazy.force d.Ref.global_requirement));
-      ("locals", ints (Lazy.force d.Ref.local_requirements));
-      ("max_live", ints (Lazy.force d.Ref.max_live));
-    ]
-    @ unified
-  end
+let ref_outputs sched =
+  let d = Ref.partitioned sched in
+  [
+    ("requirement", string_of_int d.Ref.requirement);
+    ("clusters", ints (Lazy.force d.Ref.cluster_requirements));
+    ("global", string_of_int (Lazy.force d.Ref.global_requirement));
+    ("locals", ints (Lazy.force d.Ref.local_requirements));
+    ("max_live", ints (Lazy.force d.Ref.max_live));
+    ("max_live_cost", string_of_int (Ref.max_live_cost sched));
+    ("max_live_cost_lifetimes", string_of_int (Ref.max_live_cost sched));
+  ]
 
 let placements ps =
   String.concat ";"
@@ -91,40 +86,33 @@ let ref_allocation sched =
 
 let render fields = String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) fields)
 
-(* [None] when every output matches, else both renderings. *)
-let mismatch ?partitioned ~strategy ~order sched =
-  let got =
-    render
-      (new_outputs ?partitioned ~strategy ~order sched
-      @ [
-          ("max_live_cost", string_of_int (Requirements.max_live_cost sched));
-          ( "max_live_cost_lifetimes",
-            string_of_int
-              (Requirements.max_live_cost ~lifetimes:(Lifetime.of_schedule sched) sched) );
-        ]
-      @ if paper ~strategy ~order then [ ("allocation", new_allocation sched) ] else [])
-  and want =
-    render
-      (ref_outputs ~strategy ~order sched
-      @ [
-          ("max_live_cost", string_of_int (Ref.max_live_cost sched));
-          ("max_live_cost_lifetimes", string_of_int (Ref.max_live_cost sched));
-        ]
-      @ if paper ~strategy ~order then [ ("allocation", ref_allocation sched) ] else [])
-  in
+(* [None] when every partitioned output matches, else both renderings. *)
+let mismatch ?partitioned sched =
+  let got = render (new_outputs ?partitioned sched @ [ ("allocation", new_allocation sched) ])
+  and want = render (ref_outputs sched @ [ ("allocation", ref_allocation sched) ]) in
   if got = want then None else Some (got, want)
 
-let check what ?partitioned ~strategy ~order sched =
-  match mismatch ?partitioned ~strategy ~order sched with
-  | None -> ()
-  | Some (got, want) -> Alcotest.failf "%s:\n  new %s\n  ref %s" what got want
+(* [None] when the unified requirement matches under [strategy] and
+   [order], else both values. *)
+let unified_mismatch ~strategy ~order sched =
+  let got = Requirements.unified ~strategy ~order sched
+  and want = Ref.unified ~strategy ~order sched in
+  if got = want then None
+  else Some (Printf.sprintf "unified=%d" got, Printf.sprintf "unified=%d" want)
 
-(* The dual L3/L6 suite schedules and their swapped variants, at the
-   paper's strategy and order; the swapped variant is measured both
-   from its own analysis and from the raw schedule's, as the Swapped
-   view does. *)
+(* The partitioned outputs and the unified requirement at the default
+   strategy and order. *)
+let check what ?partitioned sched =
+  let unified = unified_mismatch ~strategy:Alloc.First_fit ~order:Alloc.Start_time sched in
+  match mismatch ?partitioned sched, unified with
+  | None, None -> ()
+  | Some (got, want), _ | None, Some (got, want) ->
+    Alcotest.failf "%s:\n  new %s\n  ref %s" what got want
+
+(* The dual L3/L6 suite schedules and their swapped variants; the
+   swapped variant is measured both from its own analysis and from the
+   raw schedule's, as the Swapped view does. *)
 let test_suite_schedules () =
-  let strategy = Alloc.First_fit and order = Alloc.Start_time in
   let loops = Ncdrf_workloads.Suite.full () in
   List.iter
     (fun latency ->
@@ -133,13 +121,13 @@ let test_suite_schedules () =
         (fun (e : Ncdrf_workloads.Suite.entry) ->
           let raw = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
           let what = Printf.sprintf "%s L%d" (Ddg.name e.Ncdrf_workloads.Suite.ddg) latency in
-          check what ~strategy ~order raw;
+          check what raw;
           let a = Requirements.analyse raw in
           let swapped, _ = Swap.improve ~analysis:a raw in
-          check (what ^ " swapped") ~strategy ~order swapped;
+          check (what ^ " swapped") swapped;
           check (what ^ " swapped, shared analysis")
             ~partitioned:(Requirements.partitioned_of a)
-            ~strategy ~order swapped)
+            swapped)
         loops)
     [ 3; 6 ]
 
@@ -165,17 +153,19 @@ let prop_random_schedules =
       let config = config_of ~k ~latency:(if seed mod 2 = 0 then 3 else 6) ~caps in
       let raw = Modulo.schedule config ddg in
       let swapped, _ = Swap.improve raw in
+      let agrees = function
+        | None -> true
+        | Some (got, want) -> QCheck.Test.fail_reportf "new %s\nref %s" got want
+      in
       List.for_all
         (fun sched ->
-          List.for_all
-            (fun strategy ->
-              List.for_all
-                (fun order ->
-                  match mismatch ~strategy ~order sched with
-                  | None -> true
-                  | Some (got, want) -> QCheck.Test.fail_reportf "new %s\nref %s" got want)
-                orders)
-            strategies)
+          agrees (mismatch sched)
+          && List.for_all
+               (fun strategy ->
+                 List.for_all
+                   (fun order -> agrees (unified_mismatch ~strategy ~order sched))
+                   orders)
+               strategies)
         [ raw; swapped ])
 
 (* The views of one call share an analysis and reuse the Partitioned

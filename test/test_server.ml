@@ -476,7 +476,7 @@ let test_suite_timeout () =
       (fun (e : Ncdrf_workloads.Suite.entry) ->
         { Suite_stats.ddg = e.Ncdrf_workloads.Suite.ddg;
           weight = e.Ncdrf_workloads.Suite.iterations })
-      (Ncdrf_workloads.Suite.full ~size:8 ())
+      (Ncdrf_workloads.Suite.full ~size:48 ())
   in
   let failures = Failures.create () in
   let ms =
@@ -696,7 +696,7 @@ let test_daemon_suite_identity () =
   with_daemon @@ fun path ->
   let client = Client.connect path in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-  let size = 12 and registers = 32 in
+  let size = 48 and registers = 32 in
   let body =
     roundtrip_ok client
       {
@@ -835,7 +835,7 @@ let prop_concurrent_observability =
           Ledger.enable false;
           reset_observability ())
       @@ fun () ->
-      let sizes = List.init n (fun i -> 4 + (2 * i)) in
+      let sizes = List.init n (fun i -> 48 + (2 * i)) in
       (* Pre-warm the suite-generation cache so neither run records the
          one-off generation work under a request id. *)
       List.iter (fun size -> ignore (Ncdrf_workloads.Suite.full ~size ())) sizes;
