@@ -642,28 +642,28 @@ let analyze ?stage records =
   in
   let stage_names =
     List.sort_uniq String.compare
-      (List.concat_map (fun r -> List.map fst r.Ledger.stages) records)
+      (List.concat_map (fun r -> List.map fst r.Trace.stages) records)
     |> List.filter (fun s -> Option.fold ~none:true ~some:(String.equal s) stage)
   in
   {
     records;
     labels =
-      List.sort_uniq String.compare (List.map (fun r -> r.Ledger.label) records)
-      |> List.map (fun l -> (l, List.filter (fun r -> r.Ledger.label = l) records));
-    failed = List.length (List.filter (fun r -> not r.Ledger.ok) records);
-    errors = count_by (fun r -> if r.Ledger.ok then None else r.Ledger.error);
+      List.sort_uniq String.compare (List.map (fun r -> r.Trace.label) records)
+      |> List.map (fun l -> (l, List.filter (fun r -> r.Trace.label = l) records));
+    failed = List.length (List.filter (fun r -> not r.Trace.ok) records);
+    errors = count_by (fun r -> if r.Trace.ok then None else r.Trace.error);
     requests =
-      count_by (fun r -> if r.Ledger.request = "" then None else Some r.Ledger.request);
+      count_by (fun r -> if r.Trace.request = "" then None else Some r.Trace.request);
     slowest =
       List.stable_sort
-        (fun a b -> slowest_first a.Ledger.total_ns a b.Ledger.total_ns b)
+        (fun a b -> slowest_first a.Trace.total_ns a b.Trace.total_ns b)
         records;
     stages =
       List.map
         (fun name ->
           ( name,
             List.filter_map
-              (fun r -> Option.map (fun ns -> (ns, r)) (List.assoc_opt name r.Ledger.stages))
+              (fun r -> Option.map (fun ns -> (ns, r)) (List.assoc_opt name r.Trace.stages))
               records
             |> List.stable_sort (fun (na, a) (nb, b) -> slowest_first na a nb b) ))
         stage_names;
@@ -681,11 +681,11 @@ let print_profile ~top p =
     if h + m = 0 then ""
     else Printf.sprintf " (%.1f%% hit rate)" (100.0 *. float_of_int h /. float_of_int (h + m))
   in
-  let hits = sum (fun r -> r.Ledger.cache_hits) p.records
-  and misses = sum (fun r -> r.Ledger.cache_misses) p.records in
+  let hits = sum (fun r -> r.Trace.cache_hits) p.records
+  and misses = sum (fun r -> r.Trace.cache_misses) p.records in
   Format.printf "cache: %d hit(s) / %d miss(es)%s@." hits misses (hit_rate hits misses);
-  let dhits = sum (fun r -> r.Ledger.disk_hits) p.records
-  and dmisses = sum (fun r -> r.Ledger.disk_misses) p.records in
+  let dhits = sum (fun r -> r.Trace.disk_hits) p.records
+  and dmisses = sum (fun r -> r.Trace.disk_misses) p.records in
   (* Runs without a --cache-dir store have all-zero disk counters; stay
      silent so pre-store ledgers profile byte-identically. *)
   if dhits + dmisses > 0 then
@@ -694,8 +694,8 @@ let print_profile ~top p =
   if List.length p.labels > 1 then
     List.iter
       (fun (label, mine) ->
-        let h = sum (fun r -> r.Ledger.cache_hits) mine
-        and m = sum (fun r -> r.Ledger.cache_misses) mine in
+        let h = sum (fun r -> r.Trace.cache_hits) mine
+        and m = sum (fun r -> r.Trace.cache_misses) mine in
         Format.printf "  %-20s %d / %d%s@." label h m (hit_rate h m))
       p.labels;
   if p.failed > 0 then begin
@@ -704,22 +704,22 @@ let print_profile ~top p =
   end;
   let describe r =
     let opt name = function None -> "" | Some v -> Printf.sprintf ", %s %d" name v in
-    Printf.sprintf "%s, %s%s%s%s%s%s%s" r.Ledger.config r.Ledger.label
-      (opt "cap" r.Ledger.capacity)
-      (match r.Ledger.ii, r.Ledger.mii with
+    Printf.sprintf "%s, %s%s%s%s%s%s%s" r.Trace.config r.Trace.label
+      (opt "cap" r.Trace.capacity)
+      (match r.Trace.ii, r.Trace.mii with
       | Some ii, Some mii -> Printf.sprintf ", II %d/MII %d" ii mii
       | Some ii, None -> Printf.sprintf ", II %d" ii
       | None, _ -> "")
-      (opt "rounds" r.Ledger.rounds)
-      (opt "spilled" r.Ledger.spilled)
-      (opt "maxlive" r.Ledger.maxlive)
-      (match r.Ledger.error with None -> "" | Some e -> ", error " ^ e)
+      (opt "rounds" r.Trace.rounds)
+      (opt "spilled" r.Trace.spilled)
+      (opt "maxlive" r.Trace.maxlive)
+      (match r.Trace.error with None -> "" | Some e -> ", error " ^ e)
   in
   Format.printf "@.slowest points (total wall time):@.";
   List.iteri
     (fun i r ->
-      Format.printf "  %2d. %10.3f ms  %-16s (%s)@." (i + 1) (ms r.Ledger.total_ns)
-        r.Ledger.loop (describe r))
+      Format.printf "  %2d. %10.3f ms  %-16s (%s)@." (i + 1) (ms r.Trace.total_ns)
+        r.Trace.loop (describe r))
     (take top p.slowest);
   Option.iter (Format.printf "@.stage %S: no records@.") p.missing_stage;
   List.iter
@@ -728,7 +728,7 @@ let print_profile ~top p =
       List.iteri
         (fun i (ns, r) ->
           Format.printf "  %2d. %10.3f ms  %-16s (%s, %s)@." (i + 1) (ms ns)
-            r.Ledger.loop r.Ledger.config r.Ledger.label)
+            r.Trace.loop r.Trace.config r.Trace.label)
         (take top entries);
       Format.printf "@.stage %S duration histogram (ms):@." stage;
       print_string
@@ -746,9 +746,9 @@ let profile_json ~top p =
   let point_obj extra r =
     Json.Obj
       ([
-         ("loop", Json.String r.Ledger.loop);
-         ("config", Json.String r.Ledger.config);
-         ("label", Json.String r.Ledger.label);
+         ("loop", Json.String r.Trace.loop);
+         ("config", Json.String r.Trace.config);
+         ("label", Json.String r.Trace.label);
        ]
       @ extra)
   in
@@ -779,10 +779,10 @@ let profile_json ~top p =
        ( "cache",
          ints
            [
-             ("hits", sum (fun r -> r.Ledger.cache_hits) p.records);
-             ("misses", sum (fun r -> r.Ledger.cache_misses) p.records);
-             ("disk_hits", sum (fun r -> r.Ledger.disk_hits) p.records);
-             ("disk_misses", sum (fun r -> r.Ledger.disk_misses) p.records);
+             ("hits", sum (fun r -> r.Trace.cache_hits) p.records);
+             ("misses", sum (fun r -> r.Trace.cache_misses) p.records);
+             ("disk_hits", sum (fun r -> r.Trace.disk_hits) p.records);
+             ("disk_misses", sum (fun r -> r.Trace.disk_misses) p.records);
            ] );
        ( "by_label",
          Json.Obj
@@ -792,8 +792,8 @@ let profile_json ~top p =
                   ints
                     [
                       ("records", List.length mine);
-                      ("cache_hits", sum (fun r -> r.Ledger.cache_hits) mine);
-                      ("cache_misses", sum (fun r -> r.Ledger.cache_misses) mine);
+                      ("cache_hits", sum (fun r -> r.Trace.cache_hits) mine);
+                      ("cache_misses", sum (fun r -> r.Trace.cache_misses) mine);
                     ] ))
               p.labels) );
        ("errors", ints p.errors);
@@ -803,7 +803,7 @@ let profile_json ~top p =
         ( "slowest",
           Json.List
             (List.map
-               (fun r -> point_obj [ ("total_ms", Json.Float (ms r.Ledger.total_ns)) ] r)
+               (fun r -> point_obj [ ("total_ms", Json.Float (ms r.Trace.total_ns)) ] r)
                (take top p.slowest)) );
         ("stages", Json.Obj (List.map stage_obj p.stages));
       ])
@@ -917,54 +917,53 @@ let merge_cmd =
     let metrics_in = List.filter_map (function `Metrics j -> Some j | _ -> None) inputs in
     let ledgers_in = List.filter_map (function `Ledger r -> Some r | _ -> None) inputs in
     let traces_in = List.filter_map (function `Trace j -> Some j | _ -> None) inputs in
-    (match (metrics_in, metrics_out) with
-    | [], None -> ()
-    | [], Some _ ->
-      Printf.eprintf "merge: --metrics given but no metrics inputs\n";
-      exit 1
-    | _ :: _, None ->
-      Printf.eprintf "merge: metrics inputs given but no --metrics OUT\n";
-      exit 1
-    | docs, Some path -> (
-      match Merge.merge_metrics docs with
-      | Stdlib.Error msg ->
-        Printf.eprintf "merge: %s\n" msg;
+    (* Every input kind pairs with its --OUT flag.  All three pairings
+       are checked, and every merge is computed, before any output is
+       written. *)
+    let paired kind inputs out =
+      match (inputs, out) with
+      | [], None -> None
+      | [], Some _ ->
+        Printf.eprintf "merge: --%s given but no %s inputs\n" kind kind;
         exit 1
-      | Ok merged ->
-        let merged = if strip then Merge.strip_timing merged else merged in
-        Ncdrf_telemetry.Telemetry.write_json ~path merged;
-        Format.printf "[metrics: %s]@." path));
-    (match (ledgers_in, ledger_out) with
-    | [], None -> ()
-    | [], Some _ ->
-      Printf.eprintf "merge: --ledger given but no ledger inputs\n";
-      exit 1
-    | _ :: _, None ->
-      Printf.eprintf "merge: ledger inputs given but no --ledger OUT\n";
-      exit 1
-    | shards, Some path ->
-      let records = Merge.merge_ledgers shards in
-      let records =
-        if strip then List.map Merge.strip_record_timing records else records
-      in
-      Json.write_file ~prefix:".ledger" ~path (Ledger.to_jsonl records);
-      Format.printf "[ledger: %s]@." path);
-    (match (traces_in, trace_out) with
-    | [], None -> ()
-    | [], Some _ ->
-      Printf.eprintf "merge: --trace given but no trace inputs\n";
-      exit 1
-    | _ :: _, None ->
-      Printf.eprintf "merge: trace inputs given but no --trace OUT\n";
-      exit 1
-    | docs, Some path -> (
-      match Merge.merge_traces docs with
-      | Stdlib.Error msg ->
-        Printf.eprintf "merge: %s\n" msg;
+      | _ :: _, None ->
+        Printf.eprintf "merge: %s inputs given but no --%s OUT\n" kind kind;
         exit 1
-      | Ok merged ->
-        Json.write_file ~prefix:".trace" ~path (Json.to_string merged ^ "\n");
-        Format.printf "[trace: %s]@." path));
+      | _ :: _, Some path -> Some (inputs, path)
+    in
+    let metrics = paired "metrics" metrics_in metrics_out in
+    let ledgers = paired "ledger" ledgers_in ledger_out in
+    let traces = paired "trace" traces_in trace_out in
+    let merged merge =
+      Option.map (fun (inputs, path) ->
+          match merge inputs with
+          | Ok doc -> (doc, path)
+          | Stdlib.Error msg ->
+            Printf.eprintf "merge: %s\n" msg;
+            exit 1)
+    in
+    let metrics = merged Merge.merge_metrics metrics in
+    let traces = merged Merge.merge_traces traces in
+    Option.iter
+      (fun (doc, path) ->
+        let doc = if strip then Merge.strip_timing doc else doc in
+        Ncdrf_telemetry.Telemetry.write_json ~path doc;
+        Format.printf "[metrics: %s]@." path)
+      metrics;
+    Option.iter
+      (fun (shards, path) ->
+        let records = Merge.merge_ledgers shards in
+        let records =
+          if strip then List.map Merge.strip_record_timing records else records
+        in
+        Json.write_file ~prefix:".ledger" ~path (Ledger.to_jsonl records);
+        Format.printf "[ledger: %s]@." path)
+      ledgers;
+    Option.iter
+      (fun (doc, path) ->
+        Json.write_file ~prefix:".trace" ~path (Json.to_string doc ^ "\n");
+        Format.printf "[trace: %s]@." path)
+      traces;
     0
   in
   let files_arg =

@@ -197,7 +197,10 @@ let scheduled ~config ddg =
   | Raw_of (mii, raw) ->
     (* Stamped on the ambient point here, after the memo, so the ledger
        sees them on cache hits too. *)
-    Trace.set_result ~mii ~ii:(Schedule.ii raw) ();
+    if Trace.active () then
+      Trace.update (fun p ->
+          p.Trace.mii <- Some mii;
+          p.Trace.ii <- Some (Schedule.ii raw));
     { mii; raw }
   | View_of _ | Spill_of _ -> wrong_stage ()
 

@@ -33,68 +33,60 @@ type stats = {
 let short_fingerprint config =
   String.sub (Digest.to_hex (Digest.string (Config.fingerprint config))) 0 12
 
-(* Harvest the ambient point context into one ledger record.  Stage
-   times are the self nanoseconds the point's stage frames summed per
+(* The generic observed-unit wrapper: install a fresh point as the
+   ambient trace context under the given labels, and finish it into the
+   ledger on return or raise.  Stage self times accumulate into it per
    name (a point can record e.g. several "alloc" frames across spill
-   rounds), so they are disjoint and add up to at most [total_ns]. *)
-let point_record ~models ~capacity ~t0 ~ok (p : Trace.point) =
-  let opt v = if v < 0 then None else Some v in
-  let stages =
-    List.map (fun (st : Trace.stage) -> (st.Trace.stage, st.Trace.ns)) p.Trace.stages
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  {
-    Ledger.label = Ledger.label ();
-    request = Trace.current_request ();
-    loop = p.Trace.loop;
-    config = p.Trace.config;
-    fp = p.Trace.fp;
-    models;
-    capacity;
-    clusters = opt p.Trace.clusters;
-    mii = opt p.Trace.mii;
-    ii = opt p.Trace.ii;
-    rounds = opt p.Trace.rounds;
-    spilled = opt p.Trace.spilled;
-    requirement = opt p.Trace.requirement;
-    maxlive = opt p.Trace.maxlive;
-    spill_full = opt p.Trace.spill_full;
-    cache_hits = p.Trace.cache_hits;
-    cache_misses = p.Trace.cache_misses;
-    disk_hits = p.Trace.disk_hits;
-    disk_misses = p.Trace.disk_misses;
-    stages;
-    total_ns = Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0);
-    ok;
-    error = p.Trace.error;
-  }
-
-(* The generic observed-unit wrapper: install an ambient trace context
-   under the given labels and harvest it into one ledger record on
-   return or raise.  [with_point] instantiates it for (config, loop)
-   compilation points; the serving daemon instantiates it per request
-   (loop = request id, config = "serve/<kind>"). *)
+   rounds), so they are disjoint and add up to at most [total_ns].
+   [with_point] instantiates it for (config, loop) compilation points;
+   the serving daemon instantiates it per request (loop = request id,
+   config = "serve/<kind>"). *)
 let observe ~loop ~config ?(fp = "") ?(models = "") ?capacity f =
   if not (Trace.active ()) then f ()
   else begin
     let t0 = Telemetry.now_ns () in
-    Trace.with_context ~loop ~config ~fp @@ fun () ->
-    let record ~ok =
-      if Ledger.enabled () then
-        Option.iter
-          (fun p -> Ledger.add (point_record ~models ~capacity ~t0 ~ok p))
-          (Trace.current ())
+    let p =
+      {
+        Trace.label = Ledger.label ();
+        request = Trace.current_request ();
+        loop;
+        config;
+        fp;
+        models;
+        capacity;
+        clusters = None;
+        mii = None;
+        ii = None;
+        rounds = None;
+        spilled = None;
+        requirement = None;
+        maxlive = None;
+        spill_full = None;
+        cache_hits = 0;
+        cache_misses = 0;
+        disk_hits = 0;
+        disk_misses = 0;
+        stages = [];
+        total_ns = 0;
+        ok = true;
+        error = None;
+      }
     in
-    match f () with
+    let finish ~ok =
+      p.total_ns <- Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0);
+      p.ok <- ok;
+      Ledger.add p
+    in
+    match Trace.with_context p f with
     | v ->
-      record ~ok:true;
+      finish ~ok:true;
       v
     | exception e ->
       (match e with
       | Sys.Break -> ()
       | _ ->
-        Trace.set_error (Error.category_name (Error.category_of_exn e));
-        record ~ok:false);
+        p.error <- Some (Error.category_name (Error.category_of_exn e));
+        finish ~ok:false);
       raise e
   end
 
@@ -104,7 +96,7 @@ let with_point ~config ~models ?capacity ddg f =
     let models = String.concat "+" (List.map Model.to_string models) in
     observe ~loop:(Ddg.name ddg) ~config:config.Config.name
       ~fp:(short_fingerprint config) ~models ?capacity (fun () ->
-        Trace.set_result ~clusters:(Config.num_clusters config) ();
+        Trace.update (fun p -> p.Trace.clusters <- Some (Config.num_clusters config));
         f ())
   end
 
@@ -191,16 +183,16 @@ let run ~config ~model ?capacity ?victim ddg =
     let swaps =
       Artifact.count_swaps model outcome.Spiller.raw_schedule outcome.Spiller.schedule
     in
-    if Trace.active () then begin
-      Trace.set_result
-        ~ii:(Schedule.ii outcome.Spiller.schedule)
-        ~rounds:outcome.Spiller.rounds ~spilled:outcome.Spiller.spilled
-        ~requirement:outcome.Spiller.requirement
-        ~maxlive:(Requirements.max_live_cost outcome.Spiller.schedule) ();
-      Option.iter
-        (fun (e : Error.t) -> Trace.set_error (Error.category_name e.Error.category))
-        outcome.Spiller.error
-    end;
+    if Trace.active () then
+      Trace.update (fun p ->
+          p.Trace.ii <- Some (Schedule.ii outcome.Spiller.schedule);
+          p.Trace.rounds <- Some outcome.Spiller.rounds;
+          p.Trace.spilled <- Some outcome.Spiller.spilled;
+          p.Trace.requirement <- Some outcome.Spiller.requirement;
+          p.Trace.maxlive <- Some (Requirements.max_live_cost outcome.Spiller.schedule);
+          Option.iter
+            (fun (e : Error.t) -> p.Trace.error <- Some (Error.category_name e.Error.category))
+            outcome.Spiller.error);
     finish ?error:outcome.Spiller.error ~final_ddg:outcome.Spiller.ddg
       ~sched:outcome.Spiller.schedule ~requirement:outcome.Spiller.requirement
       ~fits:outcome.Spiller.fits ~spilled:outcome.Spiller.spilled
@@ -211,11 +203,14 @@ let run ~config ~model ?capacity ?victim ddg =
       Telemetry.incr ~by:0 "pipeline.spilled";
       Telemetry.incr ~by:0 "pipeline.ii_bumps"
     end;
-    if Trace.active () then begin
-      Trace.set_result ~ii:(Schedule.ii v.Artifact.sched)
-        ~requirement:v.Artifact.requirement
-        ~maxlive:(Requirements.max_live_cost v.Artifact.sched) ();
-      if spills then Trace.set_result ~rounds:0 ~spilled:0 ()
-    end;
+    if Trace.active () then
+      Trace.update (fun p ->
+          p.Trace.ii <- Some (Schedule.ii v.Artifact.sched);
+          p.Trace.requirement <- Some v.Artifact.requirement;
+          p.Trace.maxlive <- Some (Requirements.max_live_cost v.Artifact.sched);
+          if spills then begin
+            p.Trace.rounds <- Some 0;
+            p.Trace.spilled <- Some 0
+          end);
     finish ~final_ddg:ddg ~sched:v.Artifact.sched ~requirement:v.Artifact.requirement
       ~fits:true ~spilled:0 ~added_memops:0 ~ii_bumps:0 ~swaps:v.Artifact.swaps ()

@@ -51,15 +51,12 @@ type stats = {
 }
 
 (** [with_point ~config ~models ?capacity ddg f] runs [f] as one
-    observed (config, loop) point: when tracing or the run ledger is
-    armed ([Ncdrf_telemetry.Trace.active]) it installs the ambient
-    trace context (loop name, config name, short fingerprint digest),
-    and — when the ledger is armed — harvests the context into one
-    {!Ncdrf_telemetry.Ledger} record when [f] returns {e or} raises
-    (failed points record their error category and re-raise; [Sys.Break]
-    is exempt).  A pass-through when neither layer is armed.  {!run}
-    wraps itself in it; drivers that measure loops without {!run} (the
-    suite tables) wrap their per-loop work the same way. *)
+    observed (config, loop) point: {!observe} under the loop name, the
+    config name and a short fingerprint digest, with the machine's
+    cluster count stamped on the point.  A pass-through when neither
+    tracing nor the ledger is armed ([Ncdrf_telemetry.Trace.active]).
+    {!run} wraps itself in it; drivers that measure loops without
+    {!run} (the suite tables) wrap their per-loop work the same way. *)
 val with_point :
   config:Ncdrf_machine.Config.t ->
   models:Model.t list ->
@@ -68,13 +65,19 @@ val with_point :
   (unit -> 'a) ->
   'a
 
-(** The generic observed-unit wrapper {!with_point} is built on: an
-    ambient trace context under arbitrary labels, harvested into one
-    ledger record on return or raise.  The serving daemon wraps each
-    request in it ([loop] = request id, [config] = ["serve/<kind>"]),
-    so a ledger of a serving session carries one record per request
-    alongside the per-point records of the work it fanned out.  A
-    pass-through when neither tracing nor the ledger is armed. *)
+(** The generic observed-unit wrapper {!with_point} is built on.
+    When tracing or the ledger is armed it builds one
+    {!Ncdrf_telemetry.Trace.point} under the given labels, installs it
+    as the ambient context while [f] runs (the stages stamp its fields
+    in place), then stamps [total_ns] and [ok] and adds it to the
+    ledger when [f] returns {e or} raises: failed units record their
+    error category and re-raise ([Sys.Break] is exempt).  The ledger
+    keeps the point itself, and nothing writes it after it is added.
+    The serving daemon wraps each request in it ([loop] = request id,
+    [config] = ["serve/<kind>"]), so a ledger of a serving session
+    carries one record per request alongside the per-point records of
+    the work it fanned out.  A pass-through when neither tracing nor
+    the ledger is armed. *)
 val observe :
   loop:string ->
   config:string ->

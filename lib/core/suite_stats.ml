@@ -89,12 +89,12 @@ let measure_all ?pool ?failures ?timeout_s ~config ~models loops =
           { loop; requirement = v.Artifact.requirement; ii = Schedule.ii v.Artifact.sched })
         (Artifact.views_of_schedule ~models raw)
     in
-    (if Ncdrf_telemetry.Trace.active () then begin
-       (match rows with
-       | [ row ] -> Ncdrf_telemetry.Trace.set_result ~requirement:row.requirement ()
-       | _ -> ());
-       Ncdrf_telemetry.Trace.set_result ~maxlive:(Requirements.max_live_cost raw) ()
-     end);
+    if Ncdrf_telemetry.Trace.active () then
+      Ncdrf_telemetry.Trace.update (fun p ->
+          (match rows with
+          | [ row ] -> p.Ncdrf_telemetry.Trace.requirement <- Some row.requirement
+          | _ -> ());
+          p.Ncdrf_telemetry.Trace.maxlive <- Some (Requirements.max_live_cost raw));
     rows
   in
   let per_loop = map ?pool ?failures ?timeout_s ~f:one loops in

@@ -335,19 +335,19 @@ let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
       Error.errorf ~loop:(Ddg.name ddg) ~ii:(mii + max_ii_slack) ~stage:"schedule"
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
-      match
+      let found =
         attempt cfg ddg g ~ii ~budget:attempt_budget ~policy:cluster_policy
           ~placement:placement_policy
-      with
+      in
+      (* The ambient point carries the II just tried: the chosen one on
+         success, and on a reject the instant event carries the II that
+         failed. *)
+      if Trace.active () then Trace.update (fun p -> p.Trace.ii <- Some ii);
+      match found with
       | Some s ->
         Log.debug (fun m -> m "%s: scheduled at II=%d (MII=%d)" (Ddg.name ddg) ii mii);
-        Trace.set_ii ii;
         s
       | None ->
-        (* Rejected IIs show up in the event trace: the ambient context
-           is stamped with the II that just failed so the instant event
-           carries it. *)
-        Trace.set_ii ii;
         Trace.instant "sched.ii_reject";
         search (ii + 1)
   in

@@ -300,5 +300,6 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
     iterate ddg ~min_ii:1 ~spilled:0 ~ii_bumps:0 ~rounds:0 ~last:None
       ~next_slot:(next_spill_slot ddg) ~counts:(consumer_counts ddg)
   in
-  if Trace.active () then Trace.set_result ~spill_full:!full_reschedules ();
+  if Trace.active () then
+    Trace.update (fun p -> p.Trace.spill_full <- Some !full_reschedules);
   outcome

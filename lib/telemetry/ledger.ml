@@ -1,38 +1,6 @@
-type record = {
-  label : string;
-  request : string;  (* daemon request id; "" in batch runs *)
-  loop : string;
-  config : string;
-  fp : string;
-  models : string;
-  capacity : int option;
-  clusters : int option;
-  mii : int option;
-  ii : int option;
-  rounds : int option;
-  spilled : int option;
-  requirement : int option;
-  maxlive : int option;
-  spill_full : int option;
-  cache_hits : int;
-  cache_misses : int;
-  disk_hits : int;
-  disk_misses : int;
-  stages : (string * int) list;
-  total_ns : int;
-  ok : bool;
-  error : string option;
-}
+type record = Trace.point
 
-let on = Atomic.make false
-
-(* The ledger piggybacks on the trace context: arming the ledger
-   demands the ambient point context even when event buffering is off. *)
-let enable b =
-  Atomic.set on b;
-  Trace.require_context b
-
-let enabled () = Atomic.get on
+let enable b = Atomic.set Trace.ledger_armed b
 
 let lock = Mutex.create ()
 let current_label = ref ""
@@ -50,7 +18,7 @@ let label () =
   l
 
 let add r =
-  if Atomic.get on then begin
+  if Atomic.get Trace.ledger_armed then begin
     Mutex.lock lock;
     recorded := r :: !recorded;
     Mutex.unlock lock
@@ -70,14 +38,14 @@ let reset () =
 (* Identity of a record: everything but durations.  Sorting on it makes
    the written ledger independent of completion order, so --jobs N and
    --jobs 1 runs produce the same record sequence. *)
-let identity r =
+let identity (r : record) =
   (r.label, r.request, r.config, r.models, r.capacity, r.loop, r.fp, r.ok, r.error)
 
 let compare_records a b = compare (identity a) (identity b)
 
 let opt_int = function None -> Json.Null | Some v -> Json.Int v
 
-let to_json r =
+let to_json (r : record) =
   Json.Obj
     ([ ("label", Json.String r.label) ]
     (* emitted only when set, so batch ledgers keep their pre-request
@@ -193,7 +161,7 @@ let of_json json =
     in
     Ok
       {
-        label;
+        Trace.label;
         request;
         loop;
         config;

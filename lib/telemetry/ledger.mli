@@ -5,42 +5,14 @@
     whole run atomically, sorted by record identity so the file is
     independent of completion order (--jobs N equals --jobs 1). *)
 
-type record = {
-  label : string;  (** experiment name ("fig8", "suite", ...) *)
-  request : string;
-      (** daemon request id that produced the point ([""] in batch
-          runs; rendered in JSON only when non-empty, so batch ledgers
-          keep their pre-request byte layout) *)
-  loop : string;
-  config : string;  (** config display name *)
-  fp : string;  (** short hex digest of the config fingerprint *)
-  models : string;  (** models measured, "+"-joined *)
-  capacity : int option;  (** register capacity; [None] = unconstrained *)
-  clusters : int option;  (** machine cluster count *)
-  mii : int option;
-  ii : int option;
-  rounds : int option;  (** spill rounds *)
-  spilled : int option;
-  requirement : int option;
-  maxlive : int option;
-  spill_full : int option;
-      (** spill rounds scheduled by a full II search; [None] when the
-          point never entered the spill loop *)
-  cache_hits : int;
-  cache_misses : int;
-  disk_hits : int;  (** on-disk store lookups that decoded (0 pre-disk-tier) *)
-  disk_misses : int;
-  stages : (string * int) list;  (** stage name -> nanoseconds, name-sorted *)
-  total_ns : int;  (** wall time of the whole point *)
-  ok : bool;
-  error : string option;  (** error category name when [not ok] *)
-}
+(** A ledger record is the per-point record the pipeline stamped while
+    it was the ambient trace context; see {!Trace.point} for its
+    fields.  {!add} stores it by reference: once added it is final. *)
+type record = Trace.point
 
-(** Arming the ledger also demands the trace context
-    ({!Trace.require_context}).  Off by default. *)
+(** Arm or disarm the ledger: sets {!Trace.ledger_armed}, the one flag
+    that also demands the ambient point.  Off by default. *)
 val enable : bool -> unit
-
-val enabled : unit -> bool
 
 (** Label stamped on subsequently added records (the experiment name).
     Set it before the points run, not concurrently with them. *)
@@ -48,7 +20,8 @@ val set_label : string -> unit
 
 val label : unit -> string
 
-(** Append one record (dropped when disarmed).  Thread-safe. *)
+(** Append one finished record, without copying (dropped when
+    disarmed).  Thread-safe. *)
 val add : record -> unit
 
 (** All records in insertion order. *)

@@ -353,4 +353,4 @@ let merge_ledgers shards =
   List.stable_sort Ledger.compare_records (List.concat shards)
 
 let strip_record_timing (r : Ledger.record) =
-  { r with Ledger.total_ns = 0; stages = List.map (fun (k, _) -> (k, 0)) r.Ledger.stages }
+  { r with Trace.total_ns = 0; stages = List.map (fun (k, _) -> (k, 0)) r.Trace.stages }

@@ -11,34 +11,40 @@ type event = {
   ii : int;
 }
 
-type point = {
-  loop : string;
-  config : string;
-  fp : string;
-  mutable ii : int;
-  mutable mii : int;
-  mutable clusters : int;
-  mutable rounds : int;
-  mutable spilled : int;
-  mutable requirement : int;
-  mutable maxlive : int;
-  mutable spill_full : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable disk_hits : int;
-  mutable disk_misses : int;
-  mutable stages : stage list;
-  mutable error : string option;
-}
-
-and stage = { stage : string; mutable ns : int }
-
 type acc = {
   mutable count : int;
   mutable total_ns : int;
   mutable self_ns : int;
   mutable max_ns : int;
   samples : float Ring.t;
+}
+
+(* The per-point record and the ledger line: stamped by the pipeline
+   while installed as a shard's ambient context, then stored as is. *)
+type point = {
+  label : string;
+  request : string;
+  loop : string;
+  config : string;
+  fp : string;
+  models : string;
+  capacity : int option;
+  mutable clusters : int option;
+  mutable mii : int option;
+  mutable ii : int option;
+  mutable rounds : int option;
+  mutable spilled : int option;
+  mutable requirement : int option;
+  mutable maxlive : int option;
+  mutable spill_full : int option;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable disk_hits : int;
+  mutable disk_misses : int;
+  mutable stages : (string * int) list;
+  mutable total_ns : int;
+  mutable ok : bool;
+  mutable error : string option;
 }
 
 (* One shard per (domain, thread): the event ring, the ambient point
@@ -59,7 +65,7 @@ type shard = {
 }
 
 let events_on = Atomic.make false
-let context_demanded = Atomic.make false
+let ledger_armed = Atomic.make false
 let ring_capacity = 65536
 let sample_cap = 65536
 
@@ -122,8 +128,7 @@ let my () =
   s
 
 let enable b = Atomic.set events_on b
-let require_context b = Atomic.set context_demanded b
-let active () = Atomic.get events_on || Atomic.get context_demanded
+let active () = Atomic.get events_on || Atomic.get ledger_armed
 let set_track id = (my ()).track <- id
 
 let all_shards () =
@@ -170,7 +175,7 @@ let inherit_request () =
 let emit s ~name ~phase =
   let loop, config, ii =
     match s.ctx with
-    | Some p -> (p.loop, p.config, p.ii)
+    | Some p -> (p.loop, p.config, Option.value p.ii ~default:(-1))
     | None -> ("", "", -1)
   in
   Ring.add s.ring
@@ -181,81 +186,39 @@ let begin_span name = if Atomic.get events_on then emit (my ()) ~name ~phase:'B'
 let end_span name = if Atomic.get events_on then emit (my ()) ~name ~phase:'E'
 let instant name = if Atomic.get events_on then emit (my ()) ~name ~phase:'i'
 
-let with_context ~loop ~config ~fp f =
-  if not (active ()) then f ()
-  else begin
-    let s = my () in
-    let saved = s.ctx in
-    s.ctx <-
-      Some
-        {
-          loop;
-          config;
-          fp;
-          ii = -1;
-          mii = -1;
-          clusters = -1;
-          rounds = -1;
-          spilled = -1;
-          requirement = -1;
-          maxlive = -1;
-          spill_full = -1;
-          cache_hits = 0;
-          cache_misses = 0;
-          disk_hits = 0;
-          disk_misses = 0;
-          stages = [];
-          error = None;
-        };
-    Fun.protect ~finally:(fun () -> s.ctx <- saved) f
-  end
+let with_context p f =
+  let s = my () in
+  let saved = s.ctx in
+  s.ctx <- Some p;
+  Fun.protect ~finally:(fun () -> s.ctx <- saved) f
 
 let current () = if active () then (my ()).ctx else None
-
-let with_point f =
-  if active () then
-    match (my ()).ctx with
-    | Some p -> f p
-    | None -> ()
-
-let set_ii ii = with_point (fun p -> p.ii <- ii)
-
-let set_result ?mii ?ii ?clusters ?rounds ?spilled ?requirement ?maxlive ?spill_full () =
-  with_point (fun p ->
-      Option.iter (fun v -> p.mii <- v) mii;
-      Option.iter (fun v -> p.ii <- v) ii;
-      Option.iter (fun v -> p.clusters <- v) clusters;
-      Option.iter (fun v -> p.rounds <- v) rounds;
-      Option.iter (fun v -> p.spilled <- v) spilled;
-      Option.iter (fun v -> p.requirement <- v) requirement;
-      Option.iter (fun v -> p.maxlive <- v) maxlive;
-      Option.iter (fun v -> p.spill_full <- v) spill_full)
-
-let set_error category = with_point (fun p -> p.error <- Some category)
+let update f = match current () with Some p -> f p | None -> ()
 
 let note_cache ~hit =
-  with_point (fun p ->
-      if hit then p.cache_hits <- p.cache_hits + 1
-      else p.cache_misses <- p.cache_misses + 1)
+  match current () with
+  | Some p ->
+    if hit then p.cache_hits <- p.cache_hits + 1 else p.cache_misses <- p.cache_misses + 1
+  | None -> ()
 
 let note_disk ~hit =
-  with_point (fun p ->
-      if hit then p.disk_hits <- p.disk_hits + 1
-      else p.disk_misses <- p.disk_misses + 1)
+  match current () with
+  | Some p ->
+    if hit then p.disk_hits <- p.disk_hits + 1 else p.disk_misses <- p.disk_misses + 1
+  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Stage record                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec add_self stages name ns =
-  match stages with
-  | [] -> false
-  | st :: rest ->
-    if String.equal st.stage name then begin
-      st.ns <- st.ns + ns;
-      true
-    end
-    else add_self rest name ns
+(* Stages stay name-sorted, the order the ledger writes them in. *)
+let rec add_stage name ns = function
+  | [] -> [ (name, ns) ]
+  | ((n, v) as st) :: rest ->
+    let c = String.compare n name in
+    if c = 0 then (n, v + ns) :: rest
+    else if c > 0 then (name, ns) :: st :: rest
+    else st :: add_stage name ns rest
 
 let record s name ~dur ~self =
   let a =
@@ -298,11 +261,7 @@ let stage ~metrics name f =
       s.depth <- d;
       if d > 0 then s.open_child.(d - 1) <- s.open_child.(d - 1) + dur;
       if metrics then record s name ~dur ~self;
-      (match s.ctx with
-      | Some p ->
-        if not (add_self p.stages name self) then
-          p.stages <- { stage = name; ns = self } :: p.stages
-      | None -> ());
+      (match s.ctx with Some p -> p.stages <- add_stage name self p.stages | None -> ());
       if Atomic.get events_on then emit s ~name ~phase:'E')
     f
 

@@ -4,12 +4,12 @@
     stack and per-name accumulators behind {!Telemetry.time}.  Events
     export as Chrome trace-event JSON (chrome://tracing, Perfetto).
 
-    Two independent demands switch the event and context layer on:
+    Two flags switch the event and context layer on:
     {ul
     {- {!enable} arms event recording ([--trace]);}
-    {- {!require_context} arms only the ambient context, without
-       buffering events — the run ledger needs the per-point context
-       but no event stream ([--ledger]).}}
+    {- {!ledger_armed}, set only by [Ledger.enable], arms the run
+       ledger ([--ledger]): the ambient point is installed, and added
+       to the ledger when it completes, without buffering events.}}
     With both off every probe is one atomic load, and driver outputs
     are byte-identical to a build without the probes.
 
@@ -47,11 +47,14 @@
 (** Turn event buffering on or off. *)
 val enable : bool -> unit
 
-(** Demand the ambient context even when event buffering is off. *)
-val require_context : bool -> unit
+(** The run ledger's armed flag.  [Ledger.enable] sets it and
+    [Ledger.add] reads it; it also demands the ambient point when
+    event buffering is off. *)
+val ledger_armed : bool Atomic.t
 
-(** True when events or the context are demanded — gate for any work
-    done only to feed the trace (e.g. computing MaxLive). *)
+(** True when events or the ledger are armed — gate for any work done
+    only to feed the trace or the ledger (building a point, building an
+    {!update} closure, computing MaxLive). *)
 val active : unit -> bool
 
 (** Give the calling thread's shard a stable track id.  Pool workers
@@ -83,65 +86,6 @@ val current_request : unit -> string
     runs the wrapped thunk; the identity wrapper when there is no
     ambient request. *)
 val inherit_request : unit -> (unit -> 'a) -> 'a
-
-(** {1 Ambient context} *)
-
-(** Mutable per-point context: results are filled in by the pipeline
-    stages as they run, then harvested into a ledger record. *)
-type point = {
-  loop : string;
-  config : string;  (** config display name *)
-  fp : string;  (** short hex digest of the config fingerprint *)
-  mutable ii : int;  (** chosen II; -1 = unknown *)
-  mutable mii : int;
-  mutable clusters : int;  (** machine cluster count; -1 = unknown *)
-  mutable rounds : int;  (** spill rounds; -1 = no spill pass *)
-  mutable spilled : int;
-  mutable requirement : int;
-  mutable maxlive : int;
-  mutable spill_full : int;
-      (** spill rounds scheduled by a full II search; -1 = no spill pass *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable disk_hits : int;  (** on-disk store lookups that decoded *)
-  mutable disk_misses : int;
-  mutable stages : stage list;
-      (** self nanoseconds per stage name, in first-seen order reversed *)
-  mutable error : string option;  (** error category name *)
-}
-
-(** One stage's summed self time within a point. *)
-and stage = { stage : string; mutable ns : int }
-
-(** [with_context ~loop ~config ~fp f] runs [f] with a fresh point
-    context installed on the calling thread (saving and restoring any
-    outer context).  A no-op pass-through when {!active} is false. *)
-val with_context : loop:string -> config:string -> fp:string -> (unit -> 'a) -> 'a
-
-(** The calling thread's current point, if inside {!with_context}. *)
-val current : unit -> point option
-
-val set_ii : int -> unit
-
-val set_result :
-  ?mii:int ->
-  ?ii:int ->
-  ?clusters:int ->
-  ?rounds:int ->
-  ?spilled:int ->
-  ?requirement:int ->
-  ?maxlive:int ->
-  ?spill_full:int ->
-  unit ->
-  unit
-
-val set_error : string -> unit
-
-(** Attribute one compile-cache lookup to the current point. *)
-val note_cache : hit:bool -> unit
-
-(** Attribute one on-disk store lookup to the current point. *)
-val note_disk : hit:bool -> unit
 
 (** {1 Stage record} *)
 
@@ -220,3 +164,62 @@ val reset : unit -> unit
     timestamps in microseconds relative to the earliest event, and
     [args] carrying the request id and the ambient loop/config/II. *)
 val write_chrome : path:string -> unit
+
+(** {1 Ambient context} *)
+
+(** One (config, loop) point — or one daemon request — and its ledger
+    record: the single per-point record.  [Ncdrf_core.Pipeline.observe]
+    builds it, installs it as the ambient context with
+    {!with_context}, lets the pipeline stages stamp its mutable fields
+    through {!update} as they run, then finalizes [total_ns], [ok] and
+    [error] and hands it to [Ledger.add], which stores it as is.  An
+    absent result is [None] (rendered [null] in the ledger).  Declared
+    last, so the labels it shares with {!event} and {!acc} ([loop],
+    [ii], [total_ns], ...) resolve to it where no type is known. *)
+type point = {
+  label : string;  (** experiment name ("fig8", "suite", ...) *)
+  request : string;
+      (** daemon request id that produced the point ([""] in batch
+          runs; rendered in JSON only when non-empty, so batch ledgers
+          keep their pre-request byte layout) *)
+  loop : string;
+  config : string;  (** config display name *)
+  fp : string;  (** short hex digest of the config fingerprint *)
+  models : string;  (** models measured, "+"-joined *)
+  capacity : int option;  (** register capacity; [None] = unconstrained *)
+  mutable clusters : int option;  (** machine cluster count *)
+  mutable mii : int option;
+  mutable ii : int option;  (** chosen II; the event arg [ii] while scheduling *)
+  mutable rounds : int option;  (** spill rounds; [None] = no spill pass *)
+  mutable spilled : int option;
+  mutable requirement : int option;
+  mutable maxlive : int option;
+  mutable spill_full : int option;
+      (** spill rounds scheduled by a full II search; [None] when the
+          point never entered the spill loop *)
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable disk_hits : int;  (** on-disk store lookups that decoded (0 pre-disk-tier) *)
+  mutable disk_misses : int;
+  mutable stages : (string * int) list;
+      (** stage name -> summed self nanoseconds, name-sorted *)
+  mutable total_ns : int;  (** wall time of the whole point *)
+  mutable ok : bool;
+  mutable error : string option;  (** error category name *)
+}
+
+(** [with_context p f] runs [f] with [p] installed as the calling
+    thread's ambient point (saving and restoring any outer one).  The
+    caller checks {!active} before building [p]. *)
+val with_context : point -> (unit -> 'a) -> 'a
+
+(** [update f] applies [f] to the calling thread's ambient point, if
+    any.  Callers check {!active} before building [f], so a disarmed
+    stamp costs one atomic load. *)
+val update : (point -> unit) -> unit
+
+(** Attribute one compile-cache lookup to the current point. *)
+val note_cache : hit:bool -> unit
+
+(** Attribute one on-disk store lookup to the current point. *)
+val note_disk : hit:bool -> unit

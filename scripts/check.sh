@@ -227,6 +227,24 @@ for jobs in 1 2; do
   fi
 done
 
+# The run ledger's bytes: a small fig8 sweep with injected spill faults
+# (failed points, spilled points, ok points) must write, once timing
+# fields are stripped, scripts/fig8_ledger.golden exactly, serially and
+# on a two-job pool.
+for jobs in 1 2; do
+  ledger_raw=$tmp/fig8-ledger-j$jobs.jsonl
+  ledger_pinned=$tmp/fig8-ledger-j$jobs.stripped.jsonl
+  dune exec bin/ncdrf.exe -- bench fig8 --size 12 --inject 'stage=spill,every=5' \
+    --jobs "$jobs" --ledger "$ledger_raw" > /dev/null
+  dune exec bin/ncdrf.exe -- merge --strip-timing --ledger "$ledger_pinned" \
+    "$ledger_raw" > /dev/null
+  if ! cmp -s "$ledger_pinned" scripts/fig8_ledger.golden; then
+    echo "check.sh: fig8 ledger at --jobs $jobs differs from scripts/fig8_ledger.golden" >&2
+    diff scripts/fig8_ledger.golden "$ledger_pinned" >&2 || true
+    exit 1
+  fi
+done
+
 # EXPERIMENTS.md's fenced tables are copies of that output: a fenced
 # block whose first two words start a line of scripts/bench_full.golden
 # (a table header) must appear there verbatim, line for line, and
@@ -616,4 +634,33 @@ if [ "${shard_points:-0}" -lt 2 ]; then
   exit 1
 fi
 
-echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.full_reschedules=$fulls, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK)"
+# `ncdrf merge` pairs each input kind with its --OUT flag, and checks
+# all three pairings and computes every merge before writing anything:
+# each of the six mismatches, and a trace input that cannot merge, exits
+# 1 with its message and leaves no output file, even when another
+# pairing in the same call is valid.
+merge_out=$tmp/merge-out
+m0=$shard_dir/m0.json l0=$shard_dir/l0.jsonl bad_trace=$tmp/bad-trace.json
+echo '{"traceEvents": 5}' > "$bad_trace"
+while IFS='|' read -r args message; do
+  rm -rf "$merge_out"
+  mkdir "$merge_out"
+  code=0
+  # shellcheck disable=SC2086
+  "$NCDRF" merge $args > "$tmp/merge.stdout" 2> "$tmp/merge.stderr" || code=$?
+  if [ "$code" -ne 1 ] || [ "$(cat "$tmp/merge.stderr")" != "$message" ] \
+      || [ -n "$(ls -A "$merge_out")" ]; then
+    echo "check.sh: 'ncdrf merge $args' exited $code, printed '$(cat "$tmp/merge.stderr")', left '$(ls -A "$merge_out")'" >&2
+    exit 1
+  fi
+done <<MISMATCHES
+--metrics $merge_out/m --ledger $merge_out/l $l0|merge: --metrics given but no metrics inputs
+--ledger $merge_out/l $m0 $l0|merge: metrics inputs given but no --metrics OUT
+--metrics $merge_out/m --ledger $merge_out/l $m0|merge: --ledger given but no ledger inputs
+--metrics $merge_out/m $m0 $l0|merge: ledger inputs given but no --ledger OUT
+--metrics $merge_out/m --trace $merge_out/t $m0|merge: --trace given but no trace inputs
+--metrics $merge_out/m $m0 $trace|merge: trace inputs given but no --trace OUT
+--metrics $merge_out/m --trace $merge_out/t $m0 $bad_trace|merge: trace document has no "traceEvents" list
+MISMATCHES
+
+echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.full_reschedules=$fulls, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK, fig8 ledger golden OK, 7 bad merges write nothing)"

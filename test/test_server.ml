@@ -621,13 +621,13 @@ let test_daemon_contains_injected_fault () =
   with_daemon @@ fun path ->
   let client = Client.connect path in
   Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+  (* The artifact cache is process-wide: a warm hit would skip the
+     schedule stage the fault is armed on. *)
+  Artifact.clear_cache ();
   (match Fault.arm "stage=schedule,every=1" with
    | Ok () -> ()
    | Stdlib.Error msg -> Alcotest.fail msg);
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  (* A (kernel, model) pair no other test schedules: the shared artifact
-     cache is process-wide, and a warm hit would skip the schedule stage
-     the fault is armed on. *)
   (match
      roundtrip_ok client
        {
@@ -752,9 +752,9 @@ let event_projection (e : Trace.event) =
    e.Trace.ii)
 
 let ledger_projection (r : Ledger.record) =
-  (r.Ledger.request, r.Ledger.label, r.Ledger.loop, r.Ledger.config,
-   r.Ledger.fp, r.Ledger.models, r.Ledger.capacity, r.Ledger.ok,
-   r.Ledger.error)
+  (r.Trace.request, r.Trace.label, r.Trace.loop, r.Trace.config,
+   r.Trace.fp, r.Trace.models, r.Trace.capacity, r.Trace.ok,
+   r.Trace.error)
 
 let reset_observability () =
   Trace.reset ();

@@ -13,6 +13,7 @@ open Ncdrf_core
 module Store = Ncdrf_cache.Store
 module Json = Ncdrf_telemetry.Json
 module Ledger = Ncdrf_telemetry.Ledger
+module Trace = Ncdrf_telemetry.Trace
 module Merge = Ncdrf_telemetry.Merge
 module Generator = Ncdrf_workloads.Generator
 
@@ -414,7 +415,7 @@ let test_shard_partition () =
 
 let record ~label ~loop ~config ~total_ns =
   {
-    Ledger.label;
+    Trace.label;
     request = "";
     loop;
     config;
@@ -450,11 +451,11 @@ let test_merge_ledgers () =
   check_string "merged shard order == unsharded order"
     (Ledger.to_jsonl unsharded) (Ledger.to_jsonl merged);
   let stripped = Merge.strip_record_timing a in
-  check_int "total_ns zeroed" 0 stripped.Ledger.total_ns;
+  check_int "total_ns zeroed" 0 stripped.Trace.total_ns;
   check_bool "stage durations zeroed" true
-    (List.for_all (fun (_, ns) -> ns = 0) stripped.Ledger.stages);
-  check_string "identity untouched" a.Ledger.loop stripped.Ledger.loop;
-  check_int "counts untouched" a.Ledger.disk_hits stripped.Ledger.disk_hits
+    (List.for_all (fun (_, ns) -> ns = 0) stripped.Trace.stages);
+  check_string "identity untouched" a.Trace.loop stripped.Trace.loop;
+  check_int "counts untouched" a.Trace.disk_hits stripped.Trace.disk_hits
 
 let suite_metrics ~jobs ~wall_s ~loops ~hits =
   Json.Obj

@@ -433,7 +433,7 @@ let test_two_systhreads_do_not_interleave () =
 
 let sample_record : Ledger.record =
   {
-    Ledger.label = "t";
+    Trace.label = "t";
     request = "";
     loop = "loop-1";
     config = "dual-L3";
@@ -461,7 +461,7 @@ let sample_record : Ledger.record =
 let failed_record =
   {
     sample_record with
-    Ledger.loop = "loop-2";
+    Trace.loop = "loop-2";
     capacity = None;
     mii = None;
     ii = None;
@@ -479,7 +479,7 @@ let test_ledger_record_roundtrip () =
   List.iter
     (fun (r : Ledger.record) ->
       match Ledger.parse_line (Json.to_compact (Ledger.to_json r)) with
-      | Ok r' -> check_bool ("record round-trips: " ^ r.Ledger.loop) true (r = r')
+      | Ok r' -> check_bool ("record round-trips: " ^ r.Trace.loop) true (r = r')
       | Error e -> Alcotest.fail e)
     [ sample_record; failed_record ]
 
@@ -493,8 +493,8 @@ let test_ledger_parses_spill_incremental_line () =
   match Ledger.parse_line line with
   | Error e -> Alcotest.fail e
   | Ok r ->
-    check_bool "spill_full kept" true (r.Ledger.spill_full = Some 3);
-    check_bool "rounds kept" true (r.Ledger.rounds = Some 2);
+    check_bool "spill_full kept" true (r.Trace.spill_full = Some 3);
+    check_bool "rounds kept" true (r.Trace.rounds = Some 2);
     let rendered = Json.to_compact (Ledger.to_json r) in
     check_bool "spill_full rendered" true (Helpers.contains rendered "\"spill_full\":3");
     check_bool "no spill_incremental key" false
@@ -525,28 +525,79 @@ let test_ledger_file_roundtrip () =
             check_bool "pipeline records carry stage durations" true
               (List.exists
                  (fun (r : Ledger.record) ->
-                   r.Ledger.label = "file"
-                   && r.Ledger.loop <> "loop-1"
-                   && r.Ledger.loop <> "loop-2"
-                   && List.mem_assoc "schedule" r.Ledger.stages)
+                   r.Trace.label = "file"
+                   && r.Trace.loop <> "loop-1"
+                   && r.Trace.loop <> "loop-2"
+                   && List.mem_assoc "schedule" r.Trace.stages)
                  loaded)))
+
+(* The ledger stores each point record by reference, so a record must
+   be final once added: nothing that runs after it — later points, a
+   point that raised, the stage frames of the outer unit it was nested
+   in — may write to it.  Capacity points run inside an outer observed
+   unit (the daemon's request-then-points shape), the third one failing
+   on an injected spill fault; each record is snapshotted through
+   [Ledger.to_json] as it is added, and the records read back after the
+   run must render the same. *)
+let test_ledger_record_final_once_added () =
+  let loops = fixed_loops ~n:5 () in
+  let config = Config.dual ~latency:6 in
+  with_observability @@ fun () ->
+  Ledger.set_label "final";
+  Artifact.clear_cache ();
+  let snapshots = ref [] in
+  let snapshot_last () =
+    match List.rev (Ledger.records ()) with
+    | r :: _ -> snapshots := Json.to_compact (Ledger.to_json r) :: !snapshots
+    | [] -> Alcotest.fail "no record added"
+  in
+  Pipeline.observe ~loop:"request-1" ~config:"serve/test" (fun () ->
+      Telemetry.time "serve.request" (fun () ->
+          List.iteri
+            (fun i l ->
+              let run () =
+                Pipeline.run ~config ~model:Model.Partitioned ~capacity:16 l.Suite_stats.ddg
+              in
+              (if i = 2 then begin
+                 (match Ncdrf_fault.Fault.arm "stage=spill,every=1" with
+                 | Ok () -> ()
+                 | Stdlib.Error msg -> Alcotest.fail msg);
+                 Fun.protect ~finally:Ncdrf_fault.Fault.disarm (fun () ->
+                     match run () with
+                     | _ -> Alcotest.fail "the armed point did not raise"
+                     | exception Ncdrf_error.Error.Error _ -> ())
+               end
+               else ignore (run ()));
+              snapshot_last ())
+            loops));
+  snapshot_last ();
+  let records = Ledger.records () in
+  check_int "a record per point and one for the outer unit" (List.length loops + 1)
+    (List.length records);
+  check_int "one failed point" 1
+    (List.length (List.filter (fun (r : Ledger.record) -> not r.Trace.ok) records));
+  check_bool "the outer unit's frame is its own stage" true
+    (List.mem_assoc "serve.request" (List.nth records (List.length loops)).Trace.stages);
+  Alcotest.(check (list string))
+    "records read back = snapshots taken when added" (List.rev !snapshots)
+    (List.map (fun r -> Json.to_compact (Ledger.to_json r)) records)
 
 (* Everything deterministic about a record: identity plus the result
    fields that may not depend on worker count.  Durations are the one
    thing allowed to differ. *)
 let ledger_identity (r : Ledger.record) =
-  ( ( r.Ledger.label,
-      r.Ledger.config,
-      r.Ledger.models,
-      r.Ledger.capacity,
-      r.Ledger.loop,
-      r.Ledger.fp ),
-    ( r.Ledger.ok,
-      r.Ledger.error,
-      List.map fst r.Ledger.stages,
-      r.Ledger.cache_hits,
-      r.Ledger.cache_misses ),
-    (r.Ledger.mii, r.Ledger.ii, r.Ledger.requirement, r.Ledger.maxlive) )
+  ( ( r.Trace.label,
+      r.Trace.config,
+      r.Trace.models,
+      r.Trace.capacity,
+      r.Trace.loop,
+      r.Trace.fp ),
+    ( r.Trace.ok,
+      r.Trace.error,
+      List.map fst r.Trace.stages,
+      r.Trace.cache_hits,
+      r.Trace.cache_misses ),
+    (r.Trace.mii, r.Trace.ii, r.Trace.requirement, r.Trace.maxlive) )
 
 let test_ledger_jobs_invariant () =
   let loops = fixed_loops () in
@@ -593,11 +644,11 @@ let test_stage_record_agrees () =
     let records = Ledger.records () in
     List.iter
       (fun (r : Ledger.record) ->
-        let sum = List.fold_left (fun acc (_, ns) -> acc + ns) 0 r.Ledger.stages in
-        if sum > r.Ledger.total_ns then
+        let sum = List.fold_left (fun acc (_, ns) -> acc + ns) 0 r.Trace.stages in
+        if sum > r.Trace.total_ns then
           Alcotest.fail
-            (Printf.sprintf "%s: %s stages %d ns > total %d ns" what r.Ledger.loop sum
-               r.Ledger.total_ns))
+            (Printf.sprintf "%s: %s stages %d ns > total %d ns" what r.Trace.loop sum
+               r.Trace.total_ns))
       records;
     let totals pairs =
       let tbl = Hashtbl.create 8 in
@@ -607,7 +658,7 @@ let test_stage_record_agrees () =
         pairs;
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
     in
-    let ledger = totals (List.concat_map (fun (r : Ledger.record) -> r.Ledger.stages) records) in
+    let ledger = totals (List.concat_map (fun (r : Ledger.record) -> r.Trace.stages) records) in
     let metrics =
       totals (List.map (fun (name, (a : Trace.acc)) -> (name, a.Trace.self_ns)) (Trace.accs ()))
     in
@@ -653,11 +704,11 @@ let test_ledger_mii () =
   List.iter
     (fun (r : Ledger.record) ->
       let l =
-        List.find (fun l -> Ddg.name l.Suite_stats.ddg = r.Ledger.loop) loops
+        List.find (fun l -> Ddg.name l.Suite_stats.ddg = r.Trace.loop) loops
       in
-      if r.Ledger.ok then
-        Alcotest.(check (option int)) (r.Ledger.loop ^ ": mii")
-          (Some (Mii.mii config l.Suite_stats.ddg)) r.Ledger.mii)
+      if r.Trace.ok then
+        Alcotest.(check (option int)) (r.Trace.loop ^ ": mii")
+          (Some (Mii.mii config l.Suite_stats.ddg)) r.Trace.mii)
     records
 
 (* ------------------------------------------------------------------ *)
@@ -759,6 +810,8 @@ let suite =
       test_ledger_parses_spill_incremental_line;
     Alcotest.test_case "ledger file round-trips identity-sorted" `Quick
       test_ledger_file_roundtrip;
+    Alcotest.test_case "a ledger record is final once added" `Quick
+      test_ledger_record_final_once_added;
     Alcotest.test_case "ledger identity set invariant under --jobs" `Quick
       test_ledger_jobs_invariant;
     Alcotest.test_case "ledger stages = metrics self time" `Quick
