@@ -160,10 +160,11 @@ let run ~config ~model ?capacity ?victim ddg =
   | Some cap when spills && v.Artifact.requirement > cap ->
     (* The "spill" span wraps the whole iterative spill loop, which
        re-schedules and re-allocates internally: its self time is the
-       loop's own work, and the nested "schedule"/"alloc"/"swap" frames
-       of its rounds count under their own names (its inclusive
+       loop's own work, rescheduling included (a round's schedule
+       records no frame), and the nested "alloc"/"swap" frames of its
+       rounds' views count under their own names (its inclusive
        [total_s] still covers them).  Only cache misses record: a warm
-       round contributes nothing. *)
+       view contributes nothing. *)
     let outcome =
       Telemetry.time "spill" (fun () ->
           Spiller.run ~config

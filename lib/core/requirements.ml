@@ -189,7 +189,7 @@ let add_live (rows, whole) ~ii m ~start ~stop =
     incr c
   done
 
-let peaks (rows, whole) = Array.mapi (fun c w -> w + Array.fold_left max 0 rows.(c)) whole
+let peaks (rows, whole) = Array.mapi (fun c w -> w + Array.fold_left Int.max 0 rows.(c)) whole
 
 let cluster_live a members =
   let live = live_rows ~ii:a.ii ~clusters:a.num_clusters in
@@ -228,7 +228,7 @@ let max_live_cost ?lifetimes sched =
           (value_members sched l.Lifetime.producer)
           ~start:l.Lifetime.start ~stop:l.Lifetime.stop)
       (match lifetimes with Some ls -> ls | None -> Lifetime.of_schedule sched);
-    Array.fold_left max 0 (peaks live)
+    Array.fold_left Int.max 0 (peaks live)
   end
 
 (* ------------------------------------------------------------------ *)

@@ -152,23 +152,44 @@ end
    frozen.  The serialization is sized first and then written into one
    exact-length buffer, so it allocates nothing but the buffer. *)
 
-(* Characters of [i] in decimal, as [string_of_int] renders it.  Digits
-   are counted on the non-positive side so [min_int] needs no negation. *)
+(* Characters of [i] in decimal, as [string_of_int] renders it.  Ids,
+   distances and slots are almost all below 100, so those widths are
+   two comparisons; wider and negative values count digits on the
+   non-positive side, so [min_int] needs no negation. *)
 let decimal_width i =
-  let rec go w n = if n > -10 then w else go (w + 1) (n / 10) in
-  if i < 0 then go 2 i else go 1 (-i)
+  if i >= 0 && i < 10 then 1
+  else if i >= 0 && i < 100 then 2
+  else begin
+    let rec go w n = if n > -10 then w else go (w + 1) (n / 10) in
+    if i < 0 then go 2 i else go 1 (-i)
+  end
 
-(* Writes [i] in decimal and a ';' at [pos]; returns the next position. *)
+(* Writes [i] in decimal and a ';' at [pos]; returns the next position.
+   One- and two-digit values are written directly, without a division
+   loop. *)
 let write_int buf pos i =
-  let w = decimal_width i in
-  let first = if i < 0 then (Bytes.set buf pos '-'; pos + 1) else pos in
-  let n = ref (if i < 0 then i else -i) in
-  for p = pos + w - 1 downto first do
-    Bytes.set buf p (Char.chr (48 - (!n mod 10)));
-    n := !n / 10
-  done;
-  Bytes.set buf (pos + w) ';';
-  pos + w + 1
+  if i >= 0 && i < 10 then begin
+    Bytes.set buf pos (Char.unsafe_chr (48 + i));
+    Bytes.set buf (pos + 1) ';';
+    pos + 2
+  end
+  else if i >= 0 && i < 100 then begin
+    Bytes.set buf pos (Char.unsafe_chr (48 + (i / 10)));
+    Bytes.set buf (pos + 1) (Char.unsafe_chr (48 + (i mod 10)));
+    Bytes.set buf (pos + 2) ';';
+    pos + 3
+  end
+  else begin
+    let w = decimal_width i in
+    let first = if i < 0 then (Bytes.set buf pos '-'; pos + 1) else pos in
+    let n = ref (if i < 0 then i else -i) in
+    for p = pos + w - 1 downto first do
+      Bytes.set buf p (Char.chr (48 - (!n mod 10)));
+      n := !n / 10
+    done;
+    Bytes.set buf (pos + w) ';';
+    pos + w + 1
+  end
 
 let write_string buf pos s =
   Bytes.blit_string s 0 buf pos (String.length s);
@@ -237,19 +258,69 @@ let digest g =
     g.digest_memo <- Some d;
     d
 
-let transform g ?(drop_edge = fun _ -> false) ?(add_nodes = []) ?(add_edges = []) () =
-  let b = Builder.create ~name:g.name in
-  iter_nodes g ~f:(fun nd -> ignore (Builder.add_node b nd.opcode ~label:nd.label));
-  let copy (op, label) = ignore (Builder.add_node b op ~label) in
-  List.iter copy add_nodes;
-  let keep e =
-    if not (drop_edge e) then
-      Builder.add_edge b ~src:e.src ~dst:e.dst ~distance:e.distance e.kind
+(* Whether [preds] lists its edges in ascending source order.  A
+   [Builder] graph lists each node's preds in edge-creation order; a
+   graph built by [spill] lists them by source, then by position in the
+   source's succ list, which is the order [Builder.freeze] gives a
+   graph whose edges were added source by source. *)
+let rec by_source = function
+  | a :: (b :: _ as rest) -> a.src <= b.src && by_source rest
+  | [ _ ] | [] -> true
+
+let spill g v ~store ~reload =
+  let n = num_nodes g in
+  if v < 0 || v >= n then invalid_arg (Printf.sprintf "Ddg.spill: id %d out of range" v);
+  let consumers = List.filter (fun e -> e.kind = Flow) g.succ_arr.(v) in
+  let c = List.length consumers in
+  let store_op, store_label = store in
+  let node_arr =
+    Array.init (n + 1 + c) (fun i ->
+        if i < n then g.node_arr.(i)
+        else if i = n then { id = n; opcode = store_op; label = store_label }
+        else
+          let opcode, label = reload (i - n - 1) in
+          { id = i; opcode; label })
   in
-  Array.iter (List.iter keep) g.succ_arr;
-  let extra e = Builder.add_edge b ~src:e.src ~dst:e.dst ~distance:e.distance e.kind in
-  List.iter extra add_edges;
-  Builder.freeze b
+  let succ_arr = Array.make (n + 1 + c) [] and pred_arr = Array.make (n + 1 + c) [] in
+  Array.blit g.succ_arr 0 succ_arr 0 n;
+  (* Edges into an old node come in ascending source order, equal
+     sources in their succ-list order (a stable sort keeps it); a list
+     already in that order, as every list of a graph [spill] built is,
+     is shared.  The reload edges come after them, the reloads being
+     the newest nodes. *)
+  for w = 0 to n - 1 do
+    let es = g.pred_arr.(w) in
+    pred_arr.(w) <-
+      (if by_source es then es else List.stable_sort (fun a b -> Int.compare a.src b.src) es)
+  done;
+  let to_store = { src = v; dst = n; distance = 0; kind = Flow } in
+  succ_arr.(v) <- List.filter (fun e -> e.kind <> Flow) g.succ_arr.(v) @ [ to_store ];
+  pred_arr.(n) <- [ to_store ];
+  List.iter
+    (fun e ->
+      let w = e.dst in
+      pred_arr.(w) <- List.filter (fun e -> not (e.src = v && e.kind = Flow)) pred_arr.(w))
+    consumers;
+  let rec reroute i acc = function
+    | [] -> List.rev acc
+    | e :: rest ->
+      let load = n + 1 + i in
+      let fetch = { src = n; dst = load; distance = 0; kind = Mem } in
+      let feed = { src = load; dst = e.dst; distance = e.distance; kind = Flow } in
+      pred_arr.(load) <- [ fetch ];
+      succ_arr.(load) <- [ feed ];
+      pred_arr.(e.dst) <- pred_arr.(e.dst) @ [ feed ];
+      reroute (i + 1) (fetch :: acc) rest
+  in
+  succ_arr.(n) <- reroute 0 [] consumers;
+  {
+    name = g.name;
+    node_arr;
+    succ_arr;
+    pred_arr;
+    edge_count = g.edge_count + 1 + c;
+    digest_memo = None;
+  }
 
 let pp_stats ppf g =
   let adds = ref 0 and muls = ref 0 and mems = ref 0 in

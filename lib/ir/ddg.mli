@@ -51,9 +51,6 @@ val consumers : t -> int -> edge list
 val iter_nodes : t -> f:(node -> unit) -> unit
 val fold_nodes : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
-(** Counts of operations per functional-unit class. *)
-val class_counts : t -> adds:int ref -> muls:int ref -> mems:int ref -> unit
-
 val num_loads : t -> int
 val num_stores : t -> int
 val num_memory_ops : t -> int
@@ -82,16 +79,23 @@ module Builder : sig
   val freeze : t -> graph
 end
 
-(** Functional update used by the spiller: a copy of the graph minus the
-    edges matching [drop_edge], plus [add_nodes] (the [i]-th new node gets
-    id [num_nodes t + i]) and [add_edges] (which may reference new ids). *)
-val transform :
-  t ->
-  ?drop_edge:(edge -> bool) ->
-  ?add_nodes:(Opcode.t * string) list ->
-  ?add_edges:edge list ->
-  unit ->
-  t
+(** [spill g v ~store ~reload] is [g] with the value of node [v]
+    routed through memory: a new node [store] (id [num_nodes g]) reads
+    [v] over a distance-0 flow edge, and for the [i]-th flow edge out
+    of [v] (in {!succs} order) a new node [reload i] (id
+    [num_nodes g + 1 + i]) follows [store] over a distance-0 [Mem] edge
+    and feeds that edge's consumer over a flow edge of the same
+    distance, replacing it.  Every other edge stays.
+
+    The graph is built from [g]'s arrays: the lists of the nodes the
+    rewrite does not touch are shared with [g].  Its adjacency lists
+    come out in the order a {!Builder} gives when the kept edges are
+    added source by source in {!succs} order and the new edges after
+    them ([v]'s edge to [store], then each reload's fetch and feed), so
+    graphs spilled the same way digest alike.
+
+    @raise Invalid_argument if [v] is out of range. *)
+val spill : t -> int -> store:Opcode.t * string -> reload:(int -> Opcode.t * string) -> t
 
 (** Hex content digest of the graph (name, opcodes, labels, edges in
     adjacency order), memoized on first use.  Two graphs built by the

@@ -29,7 +29,9 @@ let create cfg ~ii =
   let loads = 3 * Config.num_clusters cfg * ii in
   { cfg; ii; usage = Array.make (loads + (2 * ii)) 0; loads }
 
-let slot t cycle = ((cycle mod t.ii) + t.ii) mod t.ii
+let slot t cycle =
+  let r = cycle mod t.ii in
+  if r < 0 then r + t.ii else r
 
 (* Index of the unit counter of [cls] in [cluster] at slot [s]. *)
 let unit_at t ~cluster cls s = (((cluster * 3) + cls) * t.ii) + s
@@ -39,8 +41,8 @@ let check_cluster t cluster =
   if cluster < 0 || cluster >= Config.num_clusters t.cfg then
     invalid_arg "Reservation: cluster out of range"
 
-let port_room t ~op ~cycle =
-  let s = slot t cycle in
+(* Whether a machine-wide port is free for [op] at slot [s]. *)
+let port_room_at t ~op s =
   if Opcode.is_load op then
     match t.cfg.Config.load_ports with
     | Some cap -> t.usage.(t.loads + s) < cap
@@ -51,12 +53,8 @@ let port_room t ~op ~cycle =
     | None -> true
   else true
 
+let port_room t ~op ~cycle = port_room_at t ~op (slot t cycle)
 let port_saturated t ~op ~cycle = not (port_room t ~op ~cycle)
-
-let cluster_room t ~op ~cycle ~cluster =
-  check_cluster t cluster;
-  let cls = class_index op in
-  t.usage.(unit_at t ~cluster cls (slot t cycle)) < capacity t.cfg cluster cls
 
 (* Bump every counter [op] holds at slot [s] in [cluster] by [by]. *)
 let bump t ~op ~cluster s ~by =
@@ -67,16 +65,19 @@ let bump t ~op ~cluster s ~by =
     t.usage.(t.loads + t.ii + s) <- t.usage.(t.loads + t.ii + s) + by
 
 let reserve_in t ~op ~cycle ~cluster =
-  if cluster_room t ~op ~cycle ~cluster && port_room t ~op ~cycle then begin
-    bump t ~op ~cluster (slot t cycle) ~by:1;
+  check_cluster t cluster;
+  let s = slot t cycle and cls = class_index op in
+  if t.usage.(unit_at t ~cluster cls s) < capacity t.cfg cluster cls && port_room_at t ~op s
+  then begin
+    bump t ~op ~cluster s ~by:1;
     true
   end
   else false
 
 let reserve t ~op ~cycle =
-  if not (port_room t ~op ~cycle) then -1
+  let s = slot t cycle in
+  if not (port_room_at t ~op s) then -1
   else begin
-    let s = slot t cycle in
     let cls = class_index op in
     (* The cluster with the most free units of the class; ties go to
        the lowest index. *)

@@ -1,5 +1,4 @@
 open Ncdrf_ir
-open Ncdrf_machine
 open Ncdrf_sched
 
 type t = {
@@ -10,31 +9,31 @@ type t = {
 
 let length t = t.stop - t.start
 
-let of_schedule sched =
-  let ddg = sched.Schedule.ddg in
-  let cfg = sched.Schedule.config in
+let of_graph (g : Dep_graph.t) sched =
   let ii = Schedule.ii sched in
-  let lifetime node =
-    if not (Opcode.produces_value node.Ddg.opcode) then None
+  let rec collect v acc =
+    if v < 0 then acc
+    else if not (Opcode.produces_value g.op.(v)) then collect (v - 1) acc
     else begin
-      let start = Schedule.cycle sched node.Ddg.id in
-      let finish_of e =
-        let consumer = Ddg.node ddg e.Ddg.dst in
-        Schedule.cycle sched consumer.Ddg.id
-        + (e.Ddg.distance * ii)
-        + Config.latency cfg consumer.Ddg.opcode
-      in
-      let stop =
-        match Ddg.consumers ddg node.Ddg.id with
-        | [] -> start + Config.latency cfg node.Ddg.opcode
-        | consumers -> List.fold_left (fun acc e -> max acc (finish_of e)) start consumers
-      in
-      Some { producer = node.Ddg.id; start; stop }
+      let start = Schedule.cycle sched v in
+      let lo = g.succ_first.(v) and hi = g.succ_first.(v + 1) in
+      let stop = ref start and consumed = ref false in
+      for k = lo to hi - 1 do
+        if g.succ_flow.(k) then begin
+          let w = g.succ_dst.(k) in
+          let finish = Schedule.cycle sched w + (g.succ_dist.(k) * ii) + g.lat.(w) in
+          consumed := true;
+          if finish > !stop then stop := finish
+        end
+      done;
+      let stop = if !consumed then !stop else start + g.lat.(v) in
+      collect (v - 1) ({ producer = v; start; stop } :: acc)
     end
   in
-  Ddg.fold_nodes ddg ~init:[] ~f:(fun acc n ->
-      match lifetime n with Some l -> l :: acc | None -> acc)
-  |> List.rev
+  collect (g.n - 1) []
+
+let of_schedule sched =
+  of_graph (Dep_graph.make sched.Schedule.config sched.Schedule.ddg) sched
 
 let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b
 
@@ -67,7 +66,7 @@ let max_live ~ii lifetimes =
         (fun acc l -> acc + add_instances live ~ii ~start:l.start ~stop:l.stop)
         0 lifetimes
     in
-    whole + Array.fold_left max 0 live
+    whole + Array.fold_left Int.max 0 live
   end
 
 let min_registers ~ii t = ceil_div (length t) ii

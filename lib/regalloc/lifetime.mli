@@ -24,6 +24,11 @@ val length : t -> int
     in node-id order. *)
 val of_schedule : Schedule.t -> t list
 
+(** [of_schedule sched], read off [g], the flat graph of the schedule's
+    graph under its configuration ({!Dep_graph.make}).  [of_schedule]
+    is this over a graph it flattens. *)
+val of_graph : Dep_graph.t -> Schedule.t -> t list
+
 (** Number of live instances of the value at a steady-state cycle [c]
     with [c mod ii = slot]: successive definitions are II apart, so this
     is [ceil ((length - r) / ii)] with [r = (slot - start) mod ii]. *)

@@ -2,44 +2,31 @@ open Ncdrf_ir
 open Ncdrf_machine
 module Error = Ncdrf_error.Error
 
-let push_late sched ~eligible =
-  let ddg = sched.Schedule.ddg in
-  let cfg = sched.Schedule.config in
-  let ii = Schedule.ii sched in
-  let n = Ddg.num_nodes ddg in
-  let cycle = Array.init n (fun v -> Schedule.cycle sched v) in
-  let cluster = Array.init n (fun v -> Schedule.cluster sched v) in
-  (* Rebuild the reservation table from the current placements. *)
-  let rt = Reservation.create cfg ~ii in
-  let book v =
-    let op = (Ddg.node ddg v).Ddg.opcode in
-    if not (Reservation.reserve_in rt ~op ~cycle:cycle.(v) ~cluster:cluster.(v)) then
-      invalid_arg "Adjust.push_late: input schedule is resource-invalid"
-  in
-  for v = 0 to n - 1 do
-    book v
-  done;
-  let weight e =
-    Config.latency cfg (Ddg.node ddg e.Ddg.src).Ddg.opcode - (ii * e.Ddg.distance)
-  in
-  (* Latest cycle allowed by successors; earliest by predecessors. *)
+let push_late_in (g : Dep_graph.t) rt ~ii ~cycle ~cluster ~eligible =
+  (* Latest cycle allowed by successors ([max_int] without one);
+     earliest by predecessors ([min_int] without one). *)
   let lstart v =
-    List.fold_left
-      (fun acc e -> min acc (cycle.(e.Ddg.dst) - weight e))
-      max_int (Ddg.succs ddg v)
+    let hi = ref max_int in
+    for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+      let c = cycle.(g.succ_dst.(k)) - Dep_graph.succ_weight g ~ii v k in
+      if c < !hi then hi := c
+    done;
+    !hi
   in
   let estart v =
-    List.fold_left
-      (fun acc e -> max acc (cycle.(e.Ddg.src) + weight e))
-      min_int (Ddg.preds ddg v)
+    let lo = ref min_int in
+    for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
+      let c = cycle.(g.pred_src.(k)) + Dep_graph.pred_weight g ~ii k in
+      if c > !lo then lo := c
+    done;
+    !lo
   in
   let try_move v =
-    let node = Ddg.node ddg v in
     let hi = lstart v in
     if hi = max_int || hi <= cycle.(v) then ()
     else begin
-      let lo = max (cycle.(v) + 1) (estart v) in
-      let op = node.Ddg.opcode in
+      let lo = Int.max (cycle.(v) + 1) (estart v) in
+      let op = g.op.(v) in
       Reservation.release rt ~op ~cycle:cycle.(v) ~cluster:cluster.(v);
       let rec attempt c =
         if c < lo then begin
@@ -49,9 +36,9 @@ let push_late sched ~eligible =
              [-noassert] would erase, silently keeping the bad table. *)
           if not (Reservation.reserve_in rt ~op ~cycle:cycle.(v) ~cluster:cluster.(v))
           then
-            Error.errorf ~loop:(Ddg.name ddg) ~ii ~stage:"schedule" Error.Internal
+            Error.errorf ~loop:(Ddg.name g.ddg) ~ii ~stage:"schedule" Error.Internal
               "Adjust.push_late: lost the reservation of %s at cycle %d"
-              node.Ddg.label cycle.(v)
+              (Ddg.node g.ddg v).Ddg.label cycle.(v)
         end
         else
           match Reservation.reserve rt ~op ~cycle:c with
@@ -63,13 +50,39 @@ let push_late sched ~eligible =
       attempt hi
     end
   in
-  (* Latest-first so chained eligible nodes cascade downward. *)
-  let order =
-    List.sort
-      (fun a b -> Int.compare cycle.(b.Ddg.id) cycle.(a.Ddg.id))
-      (List.filter eligible (Ddg.nodes ddg))
-  in
-  List.iter (fun nd -> try_move nd.Ddg.id) order;
+  (* Latest-first so chained eligible nodes cascade downward; a stable
+     sort keeps equal cycles in id order. *)
+  let count = ref 0 in
+  let order = Array.make g.n 0 in
+  for v = 0 to g.n - 1 do
+    if eligible g.op.(v) then begin
+      order.(!count) <- v;
+      incr count
+    end
+  done;
+  let order = Array.sub order 0 !count in
+  Array.stable_sort (fun a b -> Int.compare cycle.(b) cycle.(a)) order;
+  Array.iter try_move order
+
+let push_late (g : Dep_graph.t) sched ~eligible =
+  let ddg = sched.Schedule.ddg in
+  let cfg = sched.Schedule.config in
+  let ii = Schedule.ii sched in
+  let n = g.n in
+  if n <> Ddg.num_nodes ddg then invalid_arg "Adjust.push_late: graph and schedule differ";
+  let cycle = Array.make n 0 and cluster = Array.make n 0 in
+  Array.iteri
+    (fun v p ->
+      cycle.(v) <- p.Schedule.cycle;
+      cluster.(v) <- p.Schedule.cluster)
+    sched.Schedule.placements;
+  (* Rebuild the reservation table from the current placements. *)
+  let rt = Reservation.create cfg ~ii in
+  for v = 0 to n - 1 do
+    if not (Reservation.reserve_in rt ~op:g.op.(v) ~cycle:cycle.(v) ~cluster:cluster.(v)) then
+      invalid_arg "Adjust.push_late: input schedule is resource-invalid"
+  done;
+  push_late_in g rt ~ii ~cycle ~cluster ~eligible;
   let placements =
     Array.init n (fun v -> { Schedule.cycle = cycle.(v); cluster = cluster.(v) })
   in

@@ -2,17 +2,37 @@
 
     {!push_late} moves selected operations to the latest
     dependence-feasible cycle with a free resource slot.  The spiller
-    uses it on spill loads: the modulo scheduler places operations at
+    uses it on spill loads ({!Modulo.schedule_late}): the modulo scheduler places operations at
     their earliest feasible cycle, which would leave a reloaded value
     live from just after its spill store to its consumer and defeat the
     spill; pushing the load down shrinks the reloaded lifetime to
     roughly the load latency. *)
 
-open Ncdrf_ir
+(** [push_late g sched ~eligible] returns an equivalent valid schedule
+    in which every node whose opcode satisfies [eligible] (and having
+    at least one successor) has been moved as late as its scheduled
+    successors and resources allow.  Nodes are processed latest-first;
+    ineligible nodes do not move.  [g] is the flat graph of the
+    schedule's graph under its configuration ({!Dep_graph.make}); the
+    pass reads the edges and latencies from it.
 
-(** [push_late sched ~eligible] returns an equivalent valid schedule in
-    which every node satisfying [eligible] (and having at least one
-    successor) has been moved as late as its scheduled successors and
-    resources allow.  Nodes are processed latest-first; ineligible nodes
-    do not move. *)
-val push_late : Schedule.t -> eligible:(Ddg.node -> bool) -> Schedule.t
+    @raise Invalid_argument if [g] has another node count than the
+    schedule's graph, or the schedule is resource-invalid. *)
+val push_late :
+  Dep_graph.t -> Schedule.t -> eligible:(Ncdrf_ir.Opcode.t -> bool) -> Schedule.t
+
+(** The pass itself, on a placement in progress: [cycle] and [cluster]
+    hold every node's placement and [rt] books exactly them at [ii];
+    the moves update all three.  {!push_late} is this over a rebuilt
+    table; {!Modulo.schedule_late} runs it on the II search's own
+    table before normalizing.  The pass only compares cycles, so any
+    common offset of [cycle] leaves the result the same up to that
+    offset. *)
+val push_late_in :
+  Dep_graph.t ->
+  Ncdrf_machine.Reservation.t ->
+  ii:int ->
+  cycle:int array ->
+  cluster:int array ->
+  eligible:(Ncdrf_ir.Opcode.t -> bool) ->
+  unit

@@ -147,7 +147,32 @@ let zero_distance_cycle ~n ~src ~dst ~dist slots ~indeg ~run ~ready =
     !removed < !zero
   end
 
-let make cfg ddg =
+(* The out-edge slots whose two ends share a component, ascending. *)
+let cycle_slots_of ~src ~dst (scc : int array) =
+  let m = Array.length dst in
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    if scc.(src.(k)) = scc.(dst.(k)) then incr count
+  done;
+  let slots = Array.make !count 0 in
+  let i = ref 0 in
+  for k = 0 to m - 1 do
+    if scc.(src.(k)) = scc.(dst.(k)) then begin
+      slots.(!i) <- k;
+      incr i
+    end
+  done;
+  slots
+
+(* The graph the calling domain's last [spill] built: the spill loop
+   builds each round's graph with [spill], and the round's scheduling
+   step asks [make] for the same graph.  A systhread of the domain may
+   replace it at any time; a stale entry is only a miss.  One graph per
+   domain is held, never more, and only the spill loop sets it: a
+   graph held here outlives the minor heap. *)
+let last : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
+let flatten cfg ddg =
   let n = Ddg.num_nodes ddg and m = Ddg.num_edges ddg in
   (* Node arrays, and the checks of [Ddg.validate] that need no search
      (node ids; edge ends in range, distances non-negative, flow edges
@@ -163,22 +188,21 @@ let make cfg ddg =
   let succ_first = Array.make (n + 1) 0 and succ_src = Array.make m 0 in
   let succ_dst = Array.make m 0 and succ_dist = Array.make m 0 in
   let succ_flow = Array.make m false in
+  let rec fill v value k = function
+    | [] -> k
+    | e :: es ->
+      let w = e.Ddg.dst and flow = e.Ddg.kind = Ddg.Flow in
+      if w < 0 || w >= n then ends_in_range := false;
+      if w <= v then forward := false;
+      if e.Ddg.distance < 0 || (flow && not value) then well_formed := false;
+      succ_src.(k) <- v;
+      succ_dst.(k) <- w;
+      succ_dist.(k) <- e.Ddg.distance;
+      succ_flow.(k) <- flow;
+      fill v value (k + 1) es
+  in
   for v = 0 to n - 1 do
-    let value = Opcode.produces_value op.(v) in
-    let rec fill k = function
-      | [] -> k
-      | e :: es ->
-        let w = e.Ddg.dst and flow = e.Ddg.kind = Ddg.Flow in
-        if w < 0 || w >= n then ends_in_range := false;
-        if w <= v then forward := false;
-        if e.Ddg.distance < 0 || (flow && not value) then well_formed := false;
-        succ_src.(k) <- v;
-        succ_dst.(k) <- w;
-        succ_dist.(k) <- e.Ddg.distance;
-        succ_flow.(k) <- flow;
-        fill (k + 1) es
-    in
-    succ_first.(v + 1) <- fill succ_first.(v) (Ddg.succs ddg v)
+    succ_first.(v + 1) <- fill v (Opcode.produces_value op.(v)) succ_first.(v) (Ddg.succs ddg v)
   done;
   let pred_first, pred_src, pred_dist, pred_flow = pred_rows ddg ~n ~m in
   let scc, cycle_slots, cycle_span, zero_cycle =
@@ -197,18 +221,14 @@ let make cfg ddg =
         components ~n ~first:succ_first ~dst:succ_dst ~comp:scc ~index:a ~low:b ~stack:c
           ~call:(Array.make n 0) ~next:(Array.make n 0)
       in
-      let count = ref 0 in
-      for k = 0 to m - 1 do
-        if scc.(succ_src.(k)) = scc.(succ_dst.(k)) then incr count
+      (* Name each component by its smallest node ([a] maps Tarjan's
+         numbers), as [spill] extends them. *)
+      Array.fill a 0 n (-1);
+      for v = 0 to n - 1 do
+        if a.(scc.(v)) < 0 then a.(scc.(v)) <- v;
+        scc.(v) <- a.(scc.(v))
       done;
-      let slots = Array.make !count 0 in
-      let i = ref 0 in
-      for k = 0 to m - 1 do
-        if scc.(succ_src.(k)) = scc.(succ_dst.(k)) then begin
-          slots.(!i) <- k;
-          incr i
-        end
-      done;
+      let slots = cycle_slots_of ~src:succ_src ~dst:succ_dst scc in
       ( scc,
         slots,
         span,
@@ -237,6 +257,105 @@ let make cfg ddg =
     cycle_span;
     valid = !ends_in_range && !well_formed && not zero_cycle;
   }
+
+let make cfg ddg =
+  match Domain.DLS.get last with
+  | Some g when g.ddg == ddg && g.cfg == cfg -> g
+  | Some _ | None -> flatten cfg ddg
+
+(* The rows of [Ddg.spill g.ddg v], and its components without a
+   search.  The store-reload-consumer paths replace [v]'s flow edges,
+   so the old nodes reach each other exactly as before and keep their
+   components; a reload lies on a cycle exactly when its consumer
+   reaches [v], that is, shares [v]'s component, and the store when
+   some reload does.  Every other new node is a component of its own.
+   A cycle through the spill code carries the distance of the edge it
+   replaces, so [g] valid means no cycle of distance 0. *)
+let spill g v ~store ~reload =
+  let ddg = Ddg.spill g.ddg v ~store ~reload in
+  if not g.valid then flatten g.cfg ddg
+  else begin
+    let n = g.n and n' = Ddg.num_nodes ddg and m' = Ddg.num_edges ddg in
+    let added = Array.init (n' - n) (fun i -> (Ddg.node ddg (n + i)).Ddg.opcode) in
+    let op = Array.append g.op added in
+    (* Every succ row but [v]'s is [g]'s; [v]'s loses its flow slots
+       and gains the store; the store's row fetches the reloads, and
+       each reload's row feeds the consumer of one lost slot. *)
+    let first = Array.make (n' + 1) 0 and src = Array.make m' 0 and dst = Array.make m' 0 in
+    let dist = Array.make m' 0 and flow = Array.make m' false in
+    let k = ref 0 in
+    let put u w d f =
+      src.(!k) <- u;
+      dst.(!k) <- w;
+      dist.(!k) <- d;
+      flow.(!k) <- f;
+      incr k
+    in
+    for u = 0 to n - 1 do
+      first.(u) <- !k;
+      for s = g.succ_first.(u) to g.succ_first.(u + 1) - 1 do
+        if u <> v || not g.succ_flow.(s) then put u g.succ_dst.(s) g.succ_dist.(s) g.succ_flow.(s)
+      done;
+      if u = v then put v n 0 true
+    done;
+    first.(n) <- !k;
+    for load = n + 1 to n' - 1 do
+      put n load 0 false
+    done;
+    (* The components: a reload joins [v]'s exactly when its consumer
+       is in it, and the store when some reload does. *)
+    let own = g.scc.(v) in
+    let scc = Array.make n' 0 in
+    Array.blit g.scc 0 scc 0 n;
+    scc.(n) <- n;
+    let load = ref (n + 1) in
+    for s = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+      if g.succ_flow.(s) then begin
+        let w = g.succ_dst.(s) in
+        first.(!load) <- !k;
+        put !load w g.succ_dist.(s) true;
+        scc.(!load) <- (if g.scc.(w) = own then own else !load);
+        if g.scc.(w) = own then scc.(n) <- own;
+        incr load
+      end
+    done;
+    first.(n') <- !k;
+    let span = ref 0 in
+    for u = 0 to n' - 1 do
+      if scc.(u) = own then incr span
+    done;
+    let value u = Opcode.produces_value op.(u) in
+    let well_formed = ref (value v) in
+    for u = n + 1 to n' - 1 do
+      if not (value u) then well_formed := false
+    done;
+    let pred_first, pred_src, pred_dist, pred_flow = pred_rows ddg ~n:n' ~m:m' in
+    let g' =
+      {
+        g with
+        ddg;
+        n = n';
+        op;
+        fu = Array.append g.fu (Array.map Opcode.fu_class added);
+        lat = Array.append g.lat (Array.map (Config.latency g.cfg) added);
+        succ_first = first;
+        succ_src = src;
+        succ_dst = dst;
+        succ_dist = dist;
+        succ_flow = flow;
+        pred_first;
+        pred_src;
+        pred_dist;
+        pred_flow;
+        scc;
+        cycle_slots = cycle_slots_of ~src ~dst scc;
+        cycle_span = max g.cycle_span !span;
+        valid = !well_formed;
+      }
+    in
+    Domain.DLS.set last (Some g');
+    g'
+  end
 
 let succ_weight g ~ii v k = g.lat.(v) - (ii * g.succ_dist.(k))
 let pred_weight g ~ii k = g.lat.(g.pred_src.(k)) - (ii * g.pred_dist.(k))

@@ -6,8 +6,10 @@
     call, checks the graph with the same pass, and shares it between
     the MII bound ({!Mii.mii_with_floor}) and every II attempt, so no
     probe or attempt walks the [Ddg] edge lists or looks up a latency.
-    Nothing is kept on the [Ddg] or across calls.  Do not mutate the
-    arrays. *)
+    The spill loop extends one round's graph into the next ({!spill}),
+    and reads lifetimes and victims off it.  Nothing is kept on the
+    [Ddg]; each domain remembers only the last graph a spill round
+    built.  Do not mutate the arrays. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -33,11 +35,12 @@ type t = private {
   pred_dist : int array;
   pred_flow : bool array;
   scc : int array;
-      (** each node's strongly connected component over the succ rows:
-          two nodes share an id exactly when each reaches the other.
-          When every edge runs from a lower id to a higher one the ids
-          are the node ids and no search runs; otherwise one iterative
-          Tarjan pass numbers them. *)
+      (** each node's strongly connected component over the succ rows,
+          named by its smallest node: two nodes share an id exactly
+          when each reaches the other.  When every edge runs from a
+          lower id to a higher one the ids are the node ids and no
+          search runs; otherwise one iterative Tarjan pass finds
+          them. *)
   cycle_slots : int array;
       (** the out-edge slots whose two ends share a component, in
           ascending order: exactly the edges that lie on some cycle
@@ -55,8 +58,22 @@ type t = private {
     order, one iterative Tarjan pass.  A graph that fails
     {!Ddg.validate} does not make it raise: [valid] is then false, and
     if an edge leaves the node range no search runs, all nodes share
-    component 0 and every slot is a cycle slot. *)
+    component 0 and every slot is a cycle slot.
+
+    The calling domain remembers the last graph {!spill} built: asked
+    for that same graph ([ddg] and [cfg] physically equal), [make]
+    returns it instead of flattening anew. *)
 val make : Config.t -> Ddg.t -> t
+
+(** [spill g v ~store ~reload] equals [make g.cfg (Ddg.spill g.ddg v
+    ~store ~reload)], but finds the components without a search: they
+    follow from [g]'s (the spill code joins [v]'s component exactly
+    where a reloaded consumer is in it), and [valid] from [g]'s.  An
+    invalid [g] is flattened by [make].
+
+    @raise Invalid_argument if [v] is out of range. *)
+val spill :
+  t -> int -> store:Opcode.t * string -> reload:(int -> Opcode.t * string) -> t
 
 (** [succ_weight g ~ii v k] is the constraint weight at [ii] of
     outgoing slot [k] of [v]: [lat.(v) - ii * succ_dist.(k)], the least

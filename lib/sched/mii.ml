@@ -3,23 +3,28 @@ open Ncdrf_machine
 
 let ceil_div a b = (a + b - 1) / b
 
-let res_mii cfg ddg =
-  let adds = ref 0 and muls = ref 0 and mems = ref 0 in
-  Ddg.class_counts ddg ~adds ~muls ~mems;
+(* One pass over the flat unit classes; only memory operations are
+   asked whether they load or store. *)
+let res_mii_of (g : Dep_graph.t) =
+  let cfg = g.cfg in
+  let adds = ref 0 and muls = ref 0 and mems = ref 0 and loads = ref 0 and stores = ref 0 in
+  for v = 0 to g.n - 1 do
+    match g.fu.(v) with
+    | Opcode.Adder -> incr adds
+    | Opcode.Multiplier -> incr muls
+    | Opcode.Memory ->
+      incr mems;
+      if Opcode.is_load g.op.(v) then incr loads
+      else if Opcode.is_store g.op.(v) then incr stores
+  done;
   let bound count units = if count = 0 then 1 else if units = 0 then max_int else ceil_div count units in
-  let candidates =
-    [
-      bound !adds (Config.total_adders cfg);
-      bound !muls (Config.total_multipliers cfg);
-      bound !mems (Config.total_ls_units cfg);
-    ]
-  in
-  let port_bounds =
-    let loads = Ddg.num_loads ddg and stores = Ddg.num_stores ddg in
-    let of_cap count = function Some cap -> [ bound count cap ] | None -> [] in
-    of_cap loads cfg.Config.load_ports @ of_cap stores cfg.Config.store_ports
-  in
-  List.fold_left max 1 (candidates @ port_bounds)
+  let of_cap count = function Some cap -> bound count cap | None -> 1 in
+  max
+    (max (bound !adds (Config.total_adders cfg)) (bound !muls (Config.total_multipliers cfg)))
+    (max (bound !mems (Config.total_ls_units cfg))
+       (max (of_cap !loads cfg.Config.load_ports) (of_cap !stores cfg.Config.store_ports)))
+
+let res_mii cfg ddg = res_mii_of (Dep_graph.make cfg ddg)
 
 (* No positive cycle at [ii] in the constraint graph (edge weights
    [Dep_graph.succ_weight]).  Every cycle lies inside one strongly
@@ -76,7 +81,9 @@ let rec_mii_of (g : Dep_graph.t) =
 
 let rec_mii cfg ddg = rec_mii_of (Dep_graph.make cfg ddg)
 
-let mii cfg ddg = max (res_mii cfg ddg) (rec_mii cfg ddg)
+let mii cfg ddg =
+  let g = Dep_graph.make cfg ddg in
+  max (res_mii_of g) (rec_mii_of g)
 
 (* [max (mii g.cfg g.ddg) floor] without the full RecMII binary search
    when the floor already dominates.  One feasibility probe at [floor]
@@ -86,7 +93,7 @@ let mii cfg ddg = max (res_mii cfg ddg) (rec_mii cfg ddg)
    each round's floor is the previous round's achieved II, which almost
    always still covers the spilled graph's recurrences. *)
 let mii_with_floor ~floor (g : Dep_graph.t) =
-  let res = res_mii g.cfg g.ddg in
+  let res = res_mii_of g in
   if floor <= 1 then max (max res (rec_mii_of g)) floor
   else if Array.length g.cycle_slots = 0 then max res floor
   else begin

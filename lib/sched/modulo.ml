@@ -48,7 +48,7 @@ let heights (g : Dep_graph.t) ~ii =
    few as the heights' range. *)
 let priority height =
   let n = Array.length height in
-  let top = Array.fold_left max 0 height in
+  let top = Array.fold_left Int.max 0 height in
   (* [next.(b)]: the next free position of bucket [b = top - height] *)
   let next = Array.make (top + 2) 0 in
   Array.iter (fun h -> next.(top - h + 1) <- next.(top - h + 1) + 1) height;
@@ -271,14 +271,14 @@ let place_all st =
 (* The placements, already normalized (first cycle 0), so
    [Schedule.normalize] has nothing left to copy. *)
 let schedule_of_state st =
-  let shift = Array.fold_left min max_int st.cycle in
+  let shift = Array.fold_left Int.min max_int st.cycle in
   let placements =
     Array.init st.g.n (fun v ->
         { Schedule.cycle = st.cycle.(v) - shift; cluster = st.cluster.(v) })
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
-let attempt cfg ddg g ~ii ~budget ~policy ~placement =
+let attempt cfg ddg g ~ii ~budget ~policy ~placement ~late =
   match heights g ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
@@ -302,11 +302,18 @@ let attempt cfg ddg g ~ii ~budget ~policy ~placement =
         budget;
       }
     in
-    if place_all st then Some (schedule_of_state st) else None
+    if place_all st then begin
+      Option.iter
+        (fun eligible ->
+          Adjust.push_late_in g st.rt ~ii ~cycle:st.cycle ~cluster:st.cluster ~eligible)
+        late;
+      Some (schedule_of_state st)
+    end
+    else None
 
 (* The II search with the bound it started from, [max mii min_ii]. *)
 let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
-    ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii cfg ddg =
+    ?(cluster_policy = Balance) ?(placement_policy = Asap) ?late ~min_ii cfg ddg =
   (* One flattening of the graph checks it and serves the bound and
      every II attempt.  Only a graph it rejects pays for
      [Ddg.validate], which names the first problem.  [mii_with_floor]
@@ -337,7 +344,7 @@ let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
     else
       let found =
         attempt cfg ddg g ~ii ~budget:attempt_budget ~policy:cluster_policy
-          ~placement:placement_policy
+          ~placement:placement_policy ~late
       in
       (* The ambient point carries the II just tried: the chosen one on
          success, and on a reject the instant event carries the II that
@@ -364,3 +371,5 @@ let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg d
     ?placement_policy ~min_ii:1 cfg ddg
 
 let schedule_with_mii cfg ddg = bound_and_schedule ~min_ii:1 cfg ddg
+
+let schedule_late ~late ~min_ii cfg ddg = snd (bound_and_schedule ~late ~min_ii cfg ddg)

@@ -76,3 +76,12 @@ val schedule_with_min_ii :
     config ddg)] from one flattening of the graph: the MII is the bound
     the II search started from, not a second computation. *)
 val schedule_with_mii : Config.t -> Ddg.t -> int * Schedule.t
+
+(** [schedule_late ~late ~min_ii config ddg] is
+    [Adjust.push_late g (schedule_with_min_ii ~min_ii config ddg) ~eligible:late]
+    for [g = Dep_graph.make config ddg], the spiller's scheduling step,
+    in one pass: the push-late pass runs on the II search's own
+    placement and reservation table before the schedule is
+    normalized, instead of on a rebuilt copy. *)
+val schedule_late :
+  late:(Opcode.t -> bool) -> min_ii:int -> Config.t -> Ddg.t -> Schedule.t

@@ -33,10 +33,10 @@ let edge_weight t e =
   Config.latency t.config src_op - (t.ii * e.Ddg.distance)
 
 let first_cycle t =
-  Array.fold_left (fun acc p -> min acc p.cycle) max_int t.placements
+  Array.fold_left (fun acc p -> Int.min acc p.cycle) max_int t.placements
 
 let last_cycle t =
-  Array.fold_left (fun acc p -> max acc p.cycle) min_int t.placements
+  Array.fold_left (fun acc p -> Int.max acc p.cycle) min_int t.placements
 
 let stages t =
   if Array.length t.placements = 0 then 0

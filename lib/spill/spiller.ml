@@ -37,83 +37,69 @@ let next_spill_slot ddg =
     | Opcode.Fadd | Opcode.Fsub | Opcode.Fmul | Opcode.Fdiv | Opcode.Fcvt | Opcode.Fselect ->
       -1
   in
-  1 + Ddg.fold_nodes ddg ~init:(-1) ~f:(fun acc n -> max acc (slot_of n))
+  1 + Ddg.fold_nodes ddg ~init:(-1) ~f:(fun acc n -> Int.max acc (slot_of n))
 
 (* A value may be spilled if its producer is not itself a spill load and
    it has not been spilled already (no spill-store consumer). *)
-let spillable ddg v =
-  let already_spilled =
-    List.exists
-      (fun e ->
-        match (Ddg.node ddg e.Ddg.dst).Ddg.opcode with
-        | Opcode.Store (Opcode.Spill _) -> true
-        | _ -> false)
-      (Ddg.consumers ddg v)
-  in
-  (not (Opcode.is_spill_load (Ddg.node ddg v).Ddg.opcode)) && not already_spilled
+let spillable (g : Dep_graph.t) v =
+  let already_spilled = ref false in
+  for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+    if g.succ_flow.(k) then
+      match g.op.(g.succ_dst.(k)) with
+      | Opcode.Store (Opcode.Spill _) -> already_spilled := true
+      | _ -> ()
+  done;
+  (not (Opcode.is_spill_load g.op.(v))) && not !already_spilled
 
-(* Rewrite the graph to spill the value produced by node [v] into spill
-   slot [slot] (the caller tracks the next free slot incrementally; it
-   must equal [next_spill_slot ddg]). *)
-let spill_value ddg ~slot v =
-  let consumers = Ddg.consumers ddg v in
-  let base = Ddg.num_nodes ddg in
-  let store_id = base in
-  let store_node = (Opcode.Store (Opcode.Spill slot), Printf.sprintf "sS%d" slot) in
-  let load_nodes =
-    List.mapi
-      (fun i _ -> (Opcode.Load (Opcode.Spill slot), Printf.sprintf "sL%d.%d" slot i))
-      consumers
-  in
-  let reload_edges =
-    List.concat
-      (List.mapi
-         (fun i e ->
-           let load_id = base + 1 + i in
-           [
-             { Ddg.src = store_id; dst = load_id; distance = 0; kind = Ddg.Mem };
-             { Ddg.src = load_id; dst = e.Ddg.dst; distance = e.Ddg.distance; kind = Ddg.Flow };
-           ])
-         consumers)
-  in
-  let edges =
-    { Ddg.src = v; dst = store_id; distance = 0; kind = Ddg.Flow } :: reload_edges
-  in
-  let drop_edge e = e.Ddg.src = v && e.Ddg.kind = Ddg.Flow in
-  Ddg.transform ddg ~drop_edge ~add_nodes:(store_node :: load_nodes) ~add_edges:edges ()
+(* The spill code of slot [slot]: its store, and the reload of the
+   [i]-th consumer. *)
+let store_node slot = (Opcode.Store (Opcode.Spill slot), "sS" ^ string_of_int slot)
+
+let reload_node slot i =
+  (Opcode.Load (Opcode.Spill slot), "sL" ^ string_of_int slot ^ "." ^ string_of_int i)
+
+let spill_value ddg ~slot v = Ddg.spill ddg v ~store:(store_node slot) ~reload:(reload_node slot)
 
 let schedule_once config ~min_ii ddg =
-  let raw = Modulo.schedule_with_min_ii ~min_ii config ddg in
-  Adjust.push_late raw ~eligible:(fun n -> Opcode.is_spill_load n.Ddg.opcode)
+  Modulo.schedule_late ~late:Opcode.is_spill_load ~min_ii config ddg
 
-(* Consumer fan-out per node, computed once per graph round: [score]
-   would otherwise re-walk [Ddg.consumers] on every call. *)
-let consumer_counts ddg =
-  Array.init (Ddg.num_nodes ddg) (fun v -> List.length (Ddg.consumers ddg v))
+(* Consumer fan-out of node [v]: its flow out-edges. *)
+let consumer_count (g : Dep_graph.t) v =
+  let count = ref 0 in
+  for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+    if g.succ_flow.(k) then incr count
+  done;
+  !count
 
-(* Larger score = better victim. *)
-let score ~victim ~ii ~consumers l =
+(* Larger score = better victim.  Only the heuristics that weigh
+   consumers count them. *)
+let score ~victim ~ii g l =
   match victim with
   | Longest_lifetime -> (float_of_int (Lifetime.length l), 0.0)
   | Best_ratio ->
     let freed = float_of_int (Lifetime.min_registers ~ii l) in
-    (freed /. float_of_int (1 + consumers), float_of_int (Lifetime.length l))
+    ( freed /. float_of_int (1 + consumer_count g l.Lifetime.producer),
+      float_of_int (Lifetime.length l) )
   | Fewest_consumers ->
-    (-.float_of_int consumers, float_of_int (Lifetime.length l))
+    (-.float_of_int (consumer_count g l.Lifetime.producer), float_of_int (Lifetime.length l))
 
-(* Each candidate is scored exactly once; the incumbent's key is kept,
-   not recomputed per comparison.  The strict lexicographic [>] keeps
-   the first of equal-scoring candidates, as the original fold did. *)
-let pick_victim ~victim ~ii ~counts candidates =
+(* Each spillable lifetime is scored exactly once; the incumbent's key
+   is kept, not recomputed per comparison.  The strict lexicographic
+   [>] keeps the first of equal-scoring candidates, as the original
+   fold did. *)
+let pick_victim ~victim ~ii g lifetimes =
   List.fold_left
     (fun acc l ->
-      let s = score ~victim ~ii ~consumers:counts.(l.Lifetime.producer) l in
-      match acc with
-      | None -> Some (l, s)
-      | Some (_, best) ->
-        let a1, a2 = s and b1, b2 = best in
-        if a1 > b1 || (a1 = b1 && a2 > b2) then Some (l, s) else acc)
-    None candidates
+      let v = l.Lifetime.producer in
+      if not (spillable g v) then acc
+      else
+        let s = score ~victim ~ii g l in
+        match acc with
+        | None -> Some (l, s)
+        | Some (_, best) ->
+          let a1, a2 = s and b1, b2 = best in
+          if a1 > b1 || (a1 = b1 && a2 > b2) then Some (l, s) else acc)
+    None lifetimes
   |> Option.map fst
 
 (* A mid-round scheduling/allocation failure with a partial outcome in
@@ -155,11 +141,16 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
           Error.Spill_diverged message)
       fmt
   in
-  (* [next_slot] is the next free spill slot, tracked incrementally
-     (each spill adds exactly one slot) instead of re-folding the whole
-     graph every round; [counts] is the consumer fan-out of the current
-     graph.  Both survive II bumps unchanged — the graph does too. *)
-  let rec iterate ddg ~min_ii ~spilled ~ii_bumps ~rounds ~last ~next_slot ~counts =
+  (* [g] is the current graph, flattened: round 0 flattens the input,
+     and each spill extends the last round's flattening by the spill
+     code ([Dep_graph.spill]), which the round's scheduling step then
+     finds instead of flattening the graph again.  Lifetimes and victim
+     selection read it too.  [next_slot] is the next free spill slot,
+     tracked incrementally (each spill adds exactly one slot) instead
+     of re-folding the whole graph every round.  Both survive II bumps
+     unchanged — the graph does too. *)
+  let rec iterate (g : Dep_graph.t) ~min_ii ~spilled ~ii_bumps ~rounds ~last ~next_slot =
+    let ddg = g.ddg in
     (* Deadline poll once per spill round, outside the containable-error
        region: an expired request must surface as Deadline_exceeded,
        never degrade to Spill_diverged. *)
@@ -193,7 +184,7 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
           (* Shared between the bound and victim selection: a pruned
              round otherwise measures the same raw schedule's lifetimes
              twice. *)
-          let raw_lifetimes = lazy (Lifetime.of_schedule raw) in
+          let raw_lifetimes = lazy (Lifetime.of_graph g raw) in
           let over =
             match lower_bound with
             | Some lb when lb raw ~lifetimes:raw_lifetimes > capacity ->
@@ -252,29 +243,28 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
           match lower_bound with
           | None ->
             let s = fst (view ()) in
-            (s, Lifetime.of_schedule s)
+            (s, Lifetime.of_graph g s)
           | Some _ -> (raw, Lazy.force raw_lifetimes)
         in
-        let ii = Schedule.ii sel in
-        let candidates =
-          List.filter (fun l -> spillable ddg l.Lifetime.producer) lifetimes
-        in
-        match pick_victim ~victim ~ii ~counts candidates with
+        match pick_victim ~victim ~ii:(Schedule.ii sel) g lifetimes with
         | Some l ->
           Log.debug (fun m ->
               m "%s: spilling value of node %d (lifetime %d), over capacity %d"
                 (Ddg.name ddg) l.Lifetime.producer (Lifetime.length l) capacity);
           let last = Some (raw, view, ddg) in
-          let ddg = spill_value ddg ~slot:next_slot l.Lifetime.producer in
-          assert (next_spill_slot ddg = next_slot + 1);
+          let g =
+            Dep_graph.spill g l.Lifetime.producer ~store:(store_node next_slot)
+              ~reload:(reload_node next_slot)
+          in
+          assert (next_spill_slot g.ddg = next_slot + 1);
           (* Monotone II floor: II never recovers once spilling has
              pushed it up (spill code only adds resource usage and
              dependences), so the next round's II search starts at the
              last achieved II instead of rediscovering it from
              [min_ii]. *)
           let min_ii = if ii_floor then max min_ii (Schedule.ii raw) else min_ii in
-          iterate ddg ~min_ii ~spilled:(spilled + 1) ~ii_bumps ~rounds:(rounds + 1) ~last
-            ~next_slot:(next_slot + 1) ~counts:(consumer_counts ddg)
+          iterate g ~min_ii ~spilled:(spilled + 1) ~ii_bumps ~rounds:(rounds + 1) ~last
+            ~next_slot:(next_slot + 1)
         | None ->
           let req_of () = snd (view ()) in
           if ii_bumps >= max_ii_bumps then
@@ -289,16 +279,16 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
             Log.debug (fun m ->
                 m "%s: no spill candidate left (req %d > %d), rescheduling at II=%d"
                   (Ddg.name ddg) (req_of ()) capacity bumped);
-            iterate ddg ~min_ii:bumped ~spilled ~ii_bumps:(ii_bumps + 1)
+            iterate g ~min_ii:bumped ~spilled ~ii_bumps:(ii_bumps + 1)
               ~rounds:(rounds + 1)
               ~last:(Some (raw, view, ddg))
-              ~next_slot ~counts
+              ~next_slot
           end
       end
   in
   let outcome =
-    iterate ddg ~min_ii:1 ~spilled:0 ~ii_bumps:0 ~rounds:0 ~last:None
-      ~next_slot:(next_spill_slot ddg) ~counts:(consumer_counts ddg)
+    iterate (Dep_graph.make config ddg) ~min_ii:1 ~spilled:0 ~ii_bumps:0 ~rounds:0 ~last:None
+      ~next_slot:(next_spill_slot ddg)
   in
   if Trace.active () then
     Trace.update (fun p -> p.Trace.spill_full <- Some !full_reschedules);

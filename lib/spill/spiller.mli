@@ -63,8 +63,8 @@ val spill_value : Ddg.t -> slot:int -> int -> Ddg.t
 
 (** One round's scheduling step, [run]'s default [schedule]: the modulo
     schedule at II floor [min_ii], then every spill load pushed as late
-    as its consumers allow ({!Adjust.push_late}), so a reloaded value
-    is live only just before its use. *)
+    as its consumers allow ({!Modulo.schedule_late}), so a reloaded
+    value is live only just before its use. *)
 val schedule_once : Config.t -> min_ii:int -> Ddg.t -> Schedule.t
 
 type outcome = {

@@ -44,14 +44,15 @@ fi
 # Spiller equivalence: same deal for the spill suite, which pins the
 # rewritten spill loop to the verbatim Spiller_reference oracle (qcheck
 # byte-identity with the II floor off, plus equivalence on the kernel
-# zoo at the default floor-on loop).  A skip here would void that
-# guarantee too.
+# zoo at the default floor-on loop) and the array-built spill rewrite
+# to the Builder copy (Transform_reference).  A skip here would void
+# that guarantee too.
 spill_out=$tmp/spill-suite.txt
 dune exec test/test_main.exe -- test spill > "$spill_out" 2>&1 || {
   cat "$spill_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*spill' "$spill_out" || true)
-if [ "${ok:-0}" -lt 25 ]; then
-  echo "check.sh: expected 25 spill tests (incl. reference equivalence) to run, got $ok" >&2
+if [ "${ok:-0}" -lt 27 ]; then
+  echo "check.sh: expected 27 spill tests (incl. reference equivalence) to run, got $ok" >&2
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$spill_out" | grep '\[SKIP\]' | awk '{print $2}' \
@@ -81,6 +82,7 @@ fi
 # Scheduler equivalence: the sched suite pins the flat-array scheduler
 # and MII bound to the verbatim Modulo_reference oracle (qcheck over
 # random loops and policies, the whole default suite at L3 and L6),
+# the flat push-late pass to the verbatim Adjust_reference,
 # the binary-search RecMII to circuit enumeration, the cycle-slot
 # probes to the full-edge Bellman-Ford oracle and the flat SCC
 # partition to Graph_algos.scc.  It must run in full, unskipped.
@@ -88,8 +90,8 @@ sched_out=$tmp/sched-suite.txt
 dune exec test/test_main.exe -- test sched > "$sched_out" 2>&1 || {
   cat "$sched_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*sched' "$sched_out" || true)
-if [ "${ok:-0}" -lt 30 ]; then
-  echo "check.sh: expected 30 sched tests (incl. reference equivalence) to run, got $ok" >&2
+if [ "${ok:-0}" -lt 31 ]; then
+  echo "check.sh: expected 31 sched tests (incl. reference equivalence) to run, got $ok" >&2
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$sched_out" | grep '\[SKIP\]' | awk '{print $2}' \
@@ -164,7 +166,7 @@ fi
 # golden file and says why.
 {
   grep -v '^\[metrics: ' "$fig8_out"
-  for c in alloc.probes spill.full_reschedules cache.misses pipeline.spilled; do
+  for c in alloc.probes spill.full_reschedules spill.lb_pruned cache.misses pipeline.spilled; do
     echo "$c $(counter "$c" "$spill_metrics")"
   done
 } > "$fig8_pinned"

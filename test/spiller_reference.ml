@@ -92,7 +92,7 @@ let spill_value ddg ~slot v =
     { Ddg.src = v; dst = store_id; distance = 0; kind = Ddg.Flow } :: reload_edges
   in
   let drop_edge e = e.Ddg.src = v && e.Ddg.kind = Ddg.Flow in
-  Ddg.transform ddg ~drop_edge ~add_nodes:(store_node :: load_nodes) ~add_edges:edges ()
+  Transform_reference.transform ddg ~drop_edge ~add_nodes:(store_node :: load_nodes) ~add_edges:edges ()
 
 let is_spill_load node =
   match node.Ddg.opcode with
@@ -101,7 +101,7 @@ let is_spill_load node =
 
 let schedule_once config ~min_ii ddg =
   let raw = Modulo.schedule_with_min_ii ~min_ii config ddg in
-  Adjust.push_late raw ~eligible:is_spill_load
+  Adjust_reference.push_late raw ~eligible:is_spill_load
 
 (* Consumer fan-out per node, computed once per graph round: [score]
    would otherwise re-walk [Ddg.consumers] on every call. *)

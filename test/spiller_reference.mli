@@ -37,6 +37,10 @@ type outcome = Spiller.outcome = {
 
 val next_spill_slot : Ddg.t -> int
 
+(** The spill rewrite through {!Transform_reference.transform}: the
+    oracle of [Ddg.spill]. *)
+val spill_value : Ddg.t -> slot:int -> int -> Ddg.t
+
 (** Identical contract to [Spiller.run ~ii_floor:false]; see that
     module's documentation. *)
 val run :

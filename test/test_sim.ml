@@ -305,7 +305,7 @@ let test_wrong_spill_rewrite_diverges () =
   in
   let consumer = (List.hd (Ddg.consumers spilled reload)).Ddg.dst in
   let rewire ~dst ~distance =
-    Ddg.transform spilled
+    Transform_reference.transform spilled
       ~drop_edge:(fun e -> e.Ddg.src = reload && e.Ddg.kind = Ddg.Flow)
       ~add_edges:[ { Ddg.src = reload; dst; distance; kind = Ddg.Flow } ]
       ()

@@ -489,6 +489,85 @@ let test_incremental_spill_slots () =
     (before + outcome.Spiller.spilled)
     (Spiller.next_spill_slot outcome.Spiller.ddg)
 
+(* --- The array-built spill rewrite vs the Builder copy --- *)
+
+let same_flat (a : Dep_graph.t) (b : Dep_graph.t) =
+  a.n = b.n && a.op = b.op && a.fu = b.fu && a.lat = b.lat
+  && a.succ_first = b.succ_first && a.succ_src = b.succ_src && a.succ_dst = b.succ_dst
+  && a.succ_dist = b.succ_dist && a.succ_flow = b.succ_flow
+  && a.pred_first = b.pred_first && a.pred_src = b.pred_src && a.pred_dist = b.pred_dist
+  && a.pred_flow = b.pred_flow && a.scc = b.scc && a.cycle_slots = b.cycle_slots
+  && a.cycle_span = b.cycle_span && a.valid = b.valid
+  && Ddg.digest a.ddg = Ddg.digest b.ddg
+
+let same_lists a b =
+  Ddg.num_nodes a = Ddg.num_nodes b
+  && Ddg.num_edges a = Ddg.num_edges b
+  && Ddg.nodes a = Ddg.nodes b
+  && List.for_all
+       (fun v -> Ddg.succs a v = Ddg.succs b v && Ddg.preds a v = Ddg.preds b v)
+       (List.init (Ddg.num_nodes a) Fun.id)
+
+(* A chain of spills from a random loop, each victim picked among all
+   nodes (a store too, which leaves an invalid graph), long enough to
+   reach slots of two digits.  At every step [Ddg.spill] must give the
+   oracle's digest and adjacency lists, and [Dep_graph.spill] what
+   [Dep_graph.make] gives for the new graph. *)
+let prop_spill_rewrite_matches_transform =
+  let arb =
+    QCheck.make
+      ~print:(fun ((seed, heavy), latency, picks) ->
+        Printf.sprintf "seed=%d heavy=%b lat=%d picks=[%s]" seed heavy latency
+          (String.concat ";" (List.map string_of_int picks)))
+      QCheck.Gen.(
+        triple
+          (pair (int_bound 100_000) bool)
+          (oneofl [ 3; 6 ])
+          (list_size (int_range 1 14) (int_bound 1000)))
+  in
+  QCheck.Test.make ~count:120 ~name:"Ddg.spill = Builder rewrite, flat spill = make" arb
+    (fun ((seed, heavy), latency, picks) ->
+      let params =
+        if heavy then Ncdrf_workloads.Generator.heavy else Ncdrf_workloads.Generator.default
+      in
+      let ddg = Ncdrf_workloads.Generator.generate params ~seed ~name:"spill-rw" in
+      let config = Config.dual ~latency in
+      let rec go (g : Dep_graph.t) = function
+        | [] -> true
+        | pick :: rest ->
+          let ddg = g.Dep_graph.ddg in
+          let v = pick mod Ddg.num_nodes ddg in
+          let slot = Spiller.next_spill_slot ddg in
+          let want = Spiller_reference.spill_value ddg ~slot v in
+          let got = Spiller.spill_value ddg ~slot v in
+          let g' =
+            Dep_graph.spill g v
+              ~store:(Opcode.Store (Opcode.Spill slot), Printf.sprintf "sS%d" slot)
+              ~reload:(fun i ->
+                (Opcode.Load (Opcode.Spill slot), Printf.sprintf "sL%d.%d" slot i))
+          in
+          Ddg.digest got = Ddg.digest want
+          && same_lists got want
+          && same_lists g'.Dep_graph.ddg want
+          && same_flat g' (Dep_graph.make config want)
+          && go g' rest
+      in
+      go (Dep_graph.make config ddg) picks)
+
+(* The scheduling step of a spill round reuses the graph the round
+   built: [Dep_graph.make] returns it rather than flattening again. *)
+let test_round_graph_is_reused () =
+  let config = Config.dual ~latency:3 in
+  let g = Dep_graph.make config (Helpers.example_ddg ()) in
+  let g' =
+    Dep_graph.spill g 0 ~store:(Opcode.Store (Opcode.Spill 0), "sS0")
+      ~reload:(fun i -> (Opcode.Load (Opcode.Spill 0), Printf.sprintf "sL0.%d" i))
+  in
+  check_bool "same graph, same flattening" true
+    (Dep_graph.make config g'.Dep_graph.ddg == g');
+  check_bool "another configuration flattens anew" true
+    (Dep_graph.make (Config.dual ~latency:3) g'.Dep_graph.ddg != g')
+
 let suite =
   [
     Alcotest.test_case "no spill when capacity suffices" `Quick
@@ -528,4 +607,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_lower_bound_preserves_outcomes;
     Alcotest.test_case "II floor divergence case stays equally good" `Quick
       test_ii_floor_divergence_case;
+    QCheck_alcotest.to_alcotest prop_spill_rewrite_matches_transform;
+    Alcotest.test_case "a round's graph is flattened once" `Quick test_round_graph_is_reused;
   ]
