@@ -627,7 +627,9 @@ let run_lifetime_postpass c =
         (fun l ->
           let sched = Artifact.raw_schedule ~config l.Suite_stats.ddg in
           base := !base + Requirements.unified sched;
-          let adjusted = Adjust.push_late (Dep_graph.make config l.Suite_stats.ddg) sched ~eligible:(fun _ -> true) in
+          let adjusted =
+            Modulo.schedule_late ~late:(fun _ -> true) ~min_ii:1 config l.Suite_stats.ddg
+          in
           pushed := !pushed + Requirements.unified adjusted)
         loops;
       Printf.printf "latency %d: unified registers %d -> %d (%.1f%% saved), same II\n%!"

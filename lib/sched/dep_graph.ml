@@ -172,7 +172,7 @@ let cycle_slots_of ~src ~dst (scc : int array) =
    graph held here outlives the minor heap. *)
 let last : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let flatten cfg ddg =
+let flatten ?derive cfg ddg =
   let n = Ddg.num_nodes ddg and m = Ddg.num_edges ddg in
   (* Node arrays, and the checks of [Ddg.validate] that need no search
      (node ids; edge ends in range, distances non-negative, flow edges
@@ -215,19 +215,25 @@ let flatten cfg ddg =
          order the graph topologically: no cycle, no search. *)
       (Array.init n Fun.id, [||], min n 1, false)
     else begin
-      let scc = Array.make n (-1) in
       let a = Array.make n (-1) and b = Array.make n 0 and c = Array.make (n + 1) 0 in
-      let span =
-        components ~n ~first:succ_first ~dst:succ_dst ~comp:scc ~index:a ~low:b ~stack:c
-          ~call:(Array.make n 0) ~next:(Array.make n 0)
+      let scc, span =
+        match derive with
+        | Some derive -> derive ~first:succ_first ~dst:succ_dst
+        | None ->
+          let scc = Array.make n (-1) in
+          let span =
+            components ~n ~first:succ_first ~dst:succ_dst ~comp:scc ~index:a ~low:b
+              ~stack:c ~call:(Array.make n 0) ~next:(Array.make n 0)
+          in
+          (* Name each component by its smallest node ([a] maps
+             Tarjan's numbers), as [spill] derives them. *)
+          Array.fill a 0 n (-1);
+          for v = 0 to n - 1 do
+            if a.(scc.(v)) < 0 then a.(scc.(v)) <- v;
+            scc.(v) <- a.(scc.(v))
+          done;
+          (scc, span)
       in
-      (* Name each component by its smallest node ([a] maps Tarjan's
-         numbers), as [spill] extends them. *)
-      Array.fill a 0 n (-1);
-      for v = 0 to n - 1 do
-        if a.(scc.(v)) < 0 then a.(scc.(v)) <- v;
-        scc.(v) <- a.(scc.(v))
-      done;
       let slots = cycle_slots_of ~src:succ_src ~dst:succ_dst scc in
       ( scc,
         slots,
@@ -263,99 +269,31 @@ let make cfg ddg =
   | Some g when g.ddg == ddg && g.cfg == cfg -> g
   | Some _ | None -> flatten cfg ddg
 
-(* The rows of [Ddg.spill g.ddg v], and its components without a
+(* [Ddg.spill g.ddg v]'s components follow from [g]'s, without a
    search.  The store-reload-consumer paths replace [v]'s flow edges,
    so the old nodes reach each other exactly as before and keep their
-   components; a reload lies on a cycle exactly when its consumer
-   reaches [v], that is, shares [v]'s component, and the store when
-   some reload does.  Every other new node is a component of its own.
-   A cycle through the spill code carries the distance of the edge it
-   replaces, so [g] valid means no cycle of distance 0. *)
+   components; a reload (one out-edge, to its consumer) lies on a cycle
+   exactly when its consumer shares [v]'s component, and the store
+   when some reload does.  Every other new node is a component of its
+   own.  An invalid [g] may have no components to extend: it is
+   searched afresh. *)
 let spill g v ~store ~reload =
   let ddg = Ddg.spill g.ddg v ~store ~reload in
-  if not g.valid then flatten g.cfg ddg
-  else begin
-    let n = g.n and n' = Ddg.num_nodes ddg and m' = Ddg.num_edges ddg in
-    let added = Array.init (n' - n) (fun i -> (Ddg.node ddg (n + i)).Ddg.opcode) in
-    let op = Array.append g.op added in
-    (* Every succ row but [v]'s is [g]'s; [v]'s loses its flow slots
-       and gains the store; the store's row fetches the reloads, and
-       each reload's row feeds the consumer of one lost slot. *)
-    let first = Array.make (n' + 1) 0 and src = Array.make m' 0 and dst = Array.make m' 0 in
-    let dist = Array.make m' 0 and flow = Array.make m' false in
-    let k = ref 0 in
-    let put u w d f =
-      src.(!k) <- u;
-      dst.(!k) <- w;
-      dist.(!k) <- d;
-      flow.(!k) <- f;
-      incr k
-    in
-    for u = 0 to n - 1 do
-      first.(u) <- !k;
-      for s = g.succ_first.(u) to g.succ_first.(u + 1) - 1 do
-        if u <> v || not g.succ_flow.(s) then put u g.succ_dst.(s) g.succ_dist.(s) g.succ_flow.(s)
-      done;
-      if u = v then put v n 0 true
-    done;
-    first.(n) <- !k;
-    for load = n + 1 to n' - 1 do
-      put n load 0 false
-    done;
-    (* The components: a reload joins [v]'s exactly when its consumer
-       is in it, and the store when some reload does. *)
-    let own = g.scc.(v) in
-    let scc = Array.make n' 0 in
-    Array.blit g.scc 0 scc 0 n;
-    scc.(n) <- n;
-    let load = ref (n + 1) in
-    for s = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
-      if g.succ_flow.(s) then begin
-        let w = g.succ_dst.(s) in
-        first.(!load) <- !k;
-        put !load w g.succ_dist.(s) true;
-        scc.(!load) <- (if g.scc.(w) = own then own else !load);
-        if g.scc.(w) = own then scc.(n) <- own;
-        incr load
+  let derive ~first ~dst =
+    let n' = Array.length first - 1 and own = g.scc.(v) in
+    let scc = Array.init n' (fun u -> if u < g.n then g.scc.(u) else u) in
+    for load = g.n + 1 to n' - 1 do
+      if g.scc.(dst.(first.(load))) = own then begin
+        scc.(load) <- own;
+        scc.(g.n) <- own
       end
     done;
-    first.(n') <- !k;
-    let span = ref 0 in
-    for u = 0 to n' - 1 do
-      if scc.(u) = own then incr span
-    done;
-    let value u = Opcode.produces_value op.(u) in
-    let well_formed = ref (value v) in
-    for u = n + 1 to n' - 1 do
-      if not (value u) then well_formed := false
-    done;
-    let pred_first, pred_src, pred_dist, pred_flow = pred_rows ddg ~n:n' ~m:m' in
-    let g' =
-      {
-        g with
-        ddg;
-        n = n';
-        op;
-        fu = Array.append g.fu (Array.map Opcode.fu_class added);
-        lat = Array.append g.lat (Array.map (Config.latency g.cfg) added);
-        succ_first = first;
-        succ_src = src;
-        succ_dst = dst;
-        succ_dist = dist;
-        succ_flow = flow;
-        pred_first;
-        pred_src;
-        pred_dist;
-        pred_flow;
-        scc;
-        cycle_slots = cycle_slots_of ~src ~dst scc;
-        cycle_span = max g.cycle_span !span;
-        valid = !well_formed;
-      }
-    in
-    Domain.DLS.set last (Some g');
-    g'
-  end
+    let span = Array.fold_left (fun k c -> if c = own then k + 1 else k) 0 scc in
+    (scc, Int.max g.cycle_span span)
+  in
+  let g' = if g.valid then flatten ~derive g.cfg ddg else flatten g.cfg ddg in
+  Domain.DLS.set last (Some g');
+  g'
 
 let succ_weight g ~ii v k = g.lat.(v) - (ii * g.succ_dist.(k))
 let pred_weight g ~ii k = g.lat.(g.pred_src.(k)) - (ii * g.pred_dist.(k))

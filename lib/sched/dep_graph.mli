@@ -66,10 +66,10 @@ type t = private {
 val make : Config.t -> Ddg.t -> t
 
 (** [spill g v ~store ~reload] equals [make g.cfg (Ddg.spill g.ddg v
-    ~store ~reload)], but finds the components without a search: they
-    follow from [g]'s (the spill code joins [v]'s component exactly
-    where a reloaded consumer is in it), and [valid] from [g]'s.  An
-    invalid [g] is flattened by [make].
+    ~store ~reload)], flattened the same way, but for a valid [g] the
+    components come from [g]'s instead of a Tarjan pass: the spill
+    code joins [v]'s component exactly where a reloaded consumer is in
+    it.  The calling domain remembers the result for {!make}.
 
     @raise Invalid_argument if [v] is out of range. *)
 val spill :

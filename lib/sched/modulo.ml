@@ -278,6 +278,76 @@ let schedule_of_state st =
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
+(* Push-late over a complete placement: each operation whose opcode
+   satisfies [eligible] (latest first, so chained ones cascade down)
+   moves to the latest cycle its successors and a free slot allow,
+   never earlier than now or than its predecessors allow.  Used on
+   spill loads: placed as early as possible, a reload would keep its
+   value live from just after the store to its consumer and defeat the
+   spill.  Moves only compare cycles, so any common offset of the
+   placement gives the same result up to that offset. *)
+let push_late st ~eligible =
+  let g = st.g and ii = st.ii and rt = st.rt and cycle = st.cycle and cluster = st.cluster in
+  (* Latest cycle allowed by successors ([max_int] without one);
+     earliest by predecessors ([min_int] without one). *)
+  let lstart v =
+    let hi = ref max_int in
+    for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
+      let c = cycle.(g.succ_dst.(k)) - Dep_graph.succ_weight g ~ii v k in
+      if c < !hi then hi := c
+    done;
+    !hi
+  in
+  let estart v =
+    let lo = ref min_int in
+    for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
+      let c = cycle.(g.pred_src.(k)) + Dep_graph.pred_weight g ~ii k in
+      if c > !lo then lo := c
+    done;
+    !lo
+  in
+  let try_move v =
+    let hi = lstart v in
+    if hi = max_int || hi <= cycle.(v) then ()
+    else begin
+      let lo = Int.max (cycle.(v) + 1) (estart v) in
+      let op = g.op.(v) in
+      Reservation.release rt ~op ~cycle:cycle.(v) ~cluster:cluster.(v);
+      let rec attempt c =
+        if c < lo then begin
+          (* No later slot: put it back where it was.  The slot was just
+             released, so failing to re-reserve it means the table is
+             corrupt — raise a typed error rather than an assert that
+             [-noassert] would erase, silently keeping the bad table. *)
+          if not (Reservation.reserve_in rt ~op ~cycle:cycle.(v) ~cluster:cluster.(v))
+          then
+            Error.errorf ~loop:(Ddg.name g.ddg) ~ii ~stage:"schedule" Error.Internal
+              "Modulo.push_late: lost the reservation of %s at cycle %d"
+              (Ddg.node g.ddg v).Ddg.label cycle.(v)
+        end
+        else
+          match Reservation.reserve rt ~op ~cycle:c with
+          | -1 -> attempt (c - 1)
+          | new_cluster ->
+            cycle.(v) <- c;
+            cluster.(v) <- new_cluster
+      in
+      attempt hi
+    end
+  in
+  (* Latest-first; a stable sort keeps equal cycles in id order. *)
+  let count = ref 0 in
+  let order = Array.make g.n 0 in
+  for v = 0 to g.n - 1 do
+    if eligible g.op.(v) then begin
+      order.(!count) <- v;
+      incr count
+    end
+  done;
+  let order = Array.sub order 0 !count in
+  Array.stable_sort (fun a b -> Int.compare cycle.(b) cycle.(a)) order;
+  Array.iter try_move order
+
 let attempt cfg ddg g ~ii ~budget ~policy ~placement ~late =
   match heights g ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
@@ -303,10 +373,7 @@ let attempt cfg ddg g ~ii ~budget ~policy ~placement ~late =
       }
     in
     if place_all st then begin
-      Option.iter
-        (fun eligible ->
-          Adjust.push_late_in g st.rt ~ii ~cycle:st.cycle ~cluster:st.cluster ~eligible)
-        late;
+      Option.iter (fun eligible -> push_late st ~eligible) late;
       Some (schedule_of_state st)
     end
     else None

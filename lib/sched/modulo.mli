@@ -78,10 +78,16 @@ val schedule_with_min_ii :
 val schedule_with_mii : Config.t -> Ddg.t -> int * Schedule.t
 
 (** [schedule_late ~late ~min_ii config ddg] is
-    [Adjust.push_late g (schedule_with_min_ii ~min_ii config ddg) ~eligible:late]
-    for [g = Dep_graph.make config ddg], the spiller's scheduling step,
-    in one pass: the push-late pass runs on the II search's own
-    placement and reservation table before the schedule is
-    normalized, instead of on a rebuilt copy. *)
+    [schedule_with_min_ii ~min_ii config ddg] followed by a push-late
+    pass: every operation whose opcode satisfies [late] and that has a
+    successor moves to the latest cycle its successors and a free
+    resource slot allow (latest operations first, so chained ones
+    cascade down); the others keep their placement, and the II is
+    unchanged.  The pass runs on the II search's own placement and
+    reservation table, before the schedule is normalized.  The spiller
+    pushes its spill loads down this way
+    ([Spiller.schedule_once]): placed as early as
+    possible, a reload would keep its value live from just after the
+    store to its consumer and defeat the spill. *)
 val schedule_late :
   late:(Opcode.t -> bool) -> min_ii:int -> Config.t -> Ddg.t -> Schedule.t

@@ -142,9 +142,10 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
       fmt
   in
   (* [g] is the current graph, flattened: round 0 flattens the input,
-     and each spill extends the last round's flattening by the spill
-     code ([Dep_graph.spill]), which the round's scheduling step then
-     finds instead of flattening the graph again.  Lifetimes and victim
+     and each spill flattens the spilled graph with its components
+     carried over from the last round's ([Dep_graph.spill]), which the
+     round's scheduling step then finds instead of flattening the graph
+     again.  Lifetimes and victim
      selection read it too.  [next_slot] is the next free spill slot,
      tracked incrementally (each spill adds exactly one slot) instead
      of re-folding the whole graph every round.  Both survive II bumps

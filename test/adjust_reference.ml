@@ -1,7 +1,8 @@
-(* [Adjust.push_late] as it stood when it walked the [Ddg] edge lists,
-   kept verbatim as the test oracle for the flat-graph pass: on the
-   same schedule both must return the same placements.  Do not
-   "improve" this file. *)
+(* The push-late pass ([Adjust.push_late]) as it stood when it walked
+   the [Ddg] edge lists, kept verbatim as the test oracle for the
+   flat-graph pass inside [Modulo.schedule_late]: on the same schedule
+   both must return the same placements.  Do not "improve" this
+   file. *)
 
 open Ncdrf_ir
 open Ncdrf_sched

@@ -193,11 +193,14 @@ let test_kernel_render_mentions_all_ops () =
   let table = Kernel.render_schedule_table sched in
   check_bool "table has stages" true (Helpers.contains table "stage")
 
-(* --- Adjust (push late) --- *)
+(* --- Push late --- *)
 
 let test_push_late_moves_only_eligible () =
   let sched = Modulo.schedule (Config.example ()) (Helpers.example_ddg ()) in
-  let adjusted = Adjust.push_late (Dep_graph.make (Config.example ()) sched.Schedule.ddg) sched ~eligible:(fun _ -> false) in
+  let adjusted =
+    Modulo.schedule_late ~late:(fun _ -> false) ~min_ii:1 (Config.example ())
+      (Helpers.example_ddg ())
+  in
   let same =
     Ddg.fold_nodes sched.Schedule.ddg ~init:true ~f:(fun acc n ->
         acc
@@ -221,7 +224,7 @@ let test_push_late_shrinks_load_lifetime () =
   let sched = Modulo.schedule cfg g in
   let is_y_op = function Opcode.Load (Opcode.Array "y") -> true | _ -> false in
   let is_y n = is_y_op n.Ddg.opcode in
-  let adjusted = Adjust.push_late (Dep_graph.make cfg g) sched ~eligible:is_y_op in
+  let adjusted = Modulo.schedule_late ~late:is_y_op ~min_ii:1 cfg g in
   Helpers.check_valid "adjusted" adjusted;
   let lifetime_len s =
     let y = List.find is_y (Ddg.nodes g) in
@@ -290,7 +293,7 @@ let prop_push_late_preserves_validity =
       let g = ddg_of input in
       let cfg = Config.dual ~latency:3 in
       let sched = Modulo.schedule cfg g in
-      let adjusted = Adjust.push_late (Dep_graph.make cfg g) sched ~eligible:Opcode.is_load in
+      let adjusted = Modulo.schedule_late ~late:Opcode.is_load ~min_ii:1 cfg g in
       Schedule.validate adjusted = Ok () && Schedule.ii adjusted = Schedule.ii sched)
 
 (* The scheduler against the verbatim pre-rewrite oracle
@@ -478,12 +481,11 @@ let prop_feasibility_spill_chains =
       let g = ddg_of input in
       same_feasibility cfg g && go g picks)
 
-(* Push-late over the flat graph against the verbatim list-walking
-   oracle (Adjust_reference): on schedules of random loops with spill
-   code, at random II floors, the same placements whether only the
-   spill loads or every operation may move, both from a schedule
-   ([Adjust.push_late]) and on the II search's own placement
-   ([Modulo.schedule_late]). *)
+(* Push-late over the flat graph, on the II search's own placement
+   ([Modulo.schedule_late]), against the verbatim list-walking oracle
+   (Adjust_reference) run on the finished schedule: on random loops
+   with spill code, at random II floors, the same II and placements
+   whether only the spill loads or every operation may move. *)
 let prop_push_late_matches_reference =
   let arb =
     QCheck.make
@@ -508,15 +510,11 @@ let prop_push_late_matches_reference =
       in
       let g = List.fold_left spill (ddg_of input) picks in
       let raw = Modulo.schedule_with_min_ii ~min_ii:floor cfg g in
-      let flat = Dep_graph.make cfg g in
       List.for_all
         (fun eligible ->
           let want = Adjust_reference.push_late raw ~eligible:(fun n -> eligible n.Ddg.opcode) in
-          let got = Adjust.push_late flat raw ~eligible in
           let fused = Modulo.schedule_late ~late:eligible ~min_ii:floor cfg g in
-          Schedule.ii got = Schedule.ii want
-          && got.Schedule.placements = want.Schedule.placements
-          && Schedule.ii fused = Schedule.ii want
+          Schedule.ii fused = Schedule.ii want
           && fused.Schedule.placements = want.Schedule.placements)
         [ Opcode.is_spill_load; (fun _ -> true) ])
 
