@@ -29,7 +29,7 @@ type cached =
 let default_capacity = 65536
 
 let make_cache capacity =
-  Cache.create ~stripes:(max 1 (min 8 capacity)) ~name:"artifact" ~capacity ()
+  Cache.create ~stripes:(Int.max 1 (Int.min 8 capacity)) ~name:"artifact" ~capacity ()
 
 let cache : cached Cache.t ref = ref (make_cache default_capacity)
 let enabled = Atomic.make true
@@ -224,7 +224,7 @@ let count_swaps model before after =
     let swaps = ref 0 in
     for b = 0 to k - 1 do
       for a = b + 1 to k - 1 do
-        swaps := !swaps + min moves.((b * k) + a) moves.((a * k) + b)
+        swaps := !swaps + Int.min moves.((b * k) + a) moves.((a * k) + b)
       done
     done;
     !swaps
@@ -233,8 +233,10 @@ let count_swaps model before after =
 (* What the views of one schedule share within one call: the analysis
    of its cycles, built by the first view computed, and its Partitioned
    requirement, which a Swapped view whose pass applies no swap reuses
-   (the pass then returns the schedule itself).  Nothing here outlives
-   the call or is cached. *)
+   (the pass then returns the schedule itself).  The analysis also
+   holds the schedule's occupancy, which bounds the Partitioned search
+   and starts the swap pass; the pass's final occupancy bounds the
+   Swapped search.  Nothing here outlives the call or is cached. *)
 type shared = {
   analysis : Requirements.analysis Lazy.t;
   partitioned : int Lazy.t;
@@ -246,7 +248,8 @@ let shared_of sched =
     analysis;
     partitioned =
       lazy
-        (Requirements.partitioned_of (Lazy.force analysis) sched).Requirements.requirement;
+        (let a = Lazy.force analysis in
+         Requirements.requirement_of a (Lazy.force a.Requirements.occupancy));
   }
 
 let compute_view shared model sched =
@@ -261,16 +264,14 @@ let compute_view shared model sched =
     let requirement = Telemetry.time "alloc" (fun () -> Lazy.force shared.partitioned) in
     { sched; requirement; swaps = 0 }
   | Model.Swapped ->
-    let swapped, _ =
+    let swapped, _, occupancy =
       Telemetry.time "swap" (fun () ->
-          Swap.improve ~analysis:(Lazy.force shared.analysis) sched)
+          Swap.improve_occupancy (Lazy.force shared.analysis) sched)
     in
     let requirement =
       Telemetry.time "alloc" (fun () ->
           if swapped == sched then Lazy.force shared.partitioned
-          else
-            (Requirements.partitioned_of (Lazy.force shared.analysis) swapped)
-              .Requirements.requirement)
+          else Requirements.requirement_of (Lazy.force shared.analysis) occupancy)
     in
     { sched = swapped; requirement; swaps = count_swaps model sched swapped }
 

@@ -115,7 +115,7 @@ let spill_lower_bound ~config ~model raw ~lifetimes =
   | Model.Partitioned -> Requirements.max_live_cost ~lifetimes:(Lazy.force lifetimes) raw
   | Model.Swapped ->
     let ml = Regalloc.Lifetime.max_live ~ii:(Schedule.ii raw) (Lazy.force lifetimes) in
-    let k = max 1 (Config.num_clusters config) in
+    let k = Int.max 1 (Config.num_clusters config) in
     (ml + k - 1) / k
 
 let run ~config ~model ?capacity ?victim ddg =

@@ -18,18 +18,29 @@ type detail = {
    serves the Unified, Partitioned and Swapped readings of a schedule
    and every schedule the swap pass derives from it. *)
 
+type occupancy = {
+  members : int array;
+  whole : int array;
+  rows : int array array;
+  peaks : int array;
+}
+
 type analysis = {
-  ddg : Ddg.t;
+  sched : Schedule.t;
   ii : int;
   num_clusters : int;
   value_of : int array;
+  producer : int array;
   start : int array;
   stop : int array;
   consumer_start : int array;
   consumers : int array;
+  longest : int;
+  total : int;
+  occupancy : occupancy Lazy.t;
   table : Conflict.t Lazy.t;
   scratch : Alloc.scratch Lazy.t;
-  mutable orders : (Alloc.order * int array) list;
+  orders : int array array;
 }
 
 let rec count_flow acc = function
@@ -51,115 +62,22 @@ let rec fill_consumers sched ~ii consumers pos acc = function
       Schedule.cycle sched dst + (e.Ddg.distance * ii)
       + Config.latency sched.Schedule.config (Ddg.node sched.Schedule.ddg dst).Ddg.opcode
     in
-    fill_consumers sched ~ii consumers (pos + 1) (max acc finish) rest
-
-let analyse sched =
-  let ddg = sched.Schedule.ddg in
-  let ii = Schedule.ii sched in
-  let n = Ddg.num_nodes ddg in
-  let value_of = Array.make n (-1) in
-  let consumer_start = Array.make (n + 1) 0 in
-  let values = ref 0 in
-  for v = 0 to n - 1 do
-    if Opcode.produces_value (Ddg.node ddg v).Ddg.opcode then begin
-      value_of.(v) <- !values;
-      incr values
-    end;
-    consumer_start.(v + 1) <- count_flow consumer_start.(v) (Ddg.succs ddg v)
-  done;
-  let consumers = Array.make consumer_start.(n) 0 in
-  let producer = Array.make !values 0 in
-  let start = Array.make !values 0 and stop = Array.make !values 0 in
-  for v = 0 to n - 1 do
-    let s = Schedule.cycle sched v in
-    let finish =
-      fill_consumers sched ~ii consumers consumer_start.(v) s (Ddg.succs ddg v)
-    in
-    let x = value_of.(v) in
-    if x >= 0 then begin
-      producer.(x) <- v;
-      start.(x) <- s;
-      stop.(x) <-
-        (if consumer_start.(v) = consumer_start.(v + 1) then
-           s + Config.latency sched.Schedule.config (Ddg.node ddg v).Ddg.opcode
-         else finish)
-    end
-  done;
-  let table = lazy (Conflict.create ~ii ~producer ~start ~stop) in
-  {
-    ddg;
-    ii;
-    num_clusters = Config.num_clusters sched.Schedule.config;
-    value_of;
-    start;
-    stop;
-    consumer_start;
-    consumers;
-    table;
-    scratch = lazy (Alloc.scratch (Lazy.force table));
-    orders = [];
-  }
-
-let check a sched =
-  if sched.Schedule.ddg != a.ddg || Schedule.ii sched <> a.ii then
-    invalid_arg "Requirements: the analysis is of another schedule's cycles"
-
-(* Value indices by start cycle, by a counting sort.  Indices are
-   numbered in producer order, so the stable pass breaks ties by
-   producer: [Alloc.sorted ~order:Start_time]'s order.  A modulo
-   schedule spans a few stages, but [Schedule.make] bounds no cycle (a
-   hand-edited store entry decodes to any), so cycles spread wider than
-   the values are comparison-sorted instead. *)
-let by_start (a : analysis) =
-  let start = a.start in
-  let n = Array.length start in
-  let lo = Array.fold_left min max_int start and hi = Array.fold_left max min_int start in
-  if n = 0 then [||]
-  else if hi - lo < 0 (* overflowed *) || hi - lo > (4 * n) + 64 then
-    Alloc.sorted ~order:Alloc.Start_time (Lazy.force a.table) (Array.init n Fun.id)
-  else begin
-    let count = Array.make (hi - lo + 2) 0 in
-    Array.iter (fun s -> count.(s - lo + 1) <- count.(s - lo + 1) + 1) start;
-    for c = 1 to hi - lo + 1 do
-      count.(c) <- count.(c) + count.(c - 1)
-    done;
-    let ordered = Array.make n 0 in
-    for x = 0 to n - 1 do
-      let c = start.(x) - lo in
-      ordered.(count.(c)) <- x;
-      count.(c) <- count.(c) + 1
-    done;
-    ordered
-  end
-
-(* Every value in placement order, sorted once per order. *)
-let sorted (a : analysis) order =
-  match List.assoc_opt order a.orders with
-  | Some o -> o
-  | None ->
-    let o =
-      match order with
-      | Alloc.Start_time -> by_start a
-      | Alloc.Longest_first | Alloc.Node_order ->
-        Alloc.sorted ~order (Lazy.force a.table) (Array.init (Array.length a.start) Fun.id)
-    in
-    a.orders <- (order, o) :: a.orders;
-    o
+    fill_consumers sched ~ii consumers (pos + 1) (Int.max acc finish) rest
 
 (* A value's clusters as a bit set (bit c for cluster c;
    [Config.max_clusters] keeps them within one int): its consumers'
    clusters, its producer's when it has none — [Classify.value_class]'s
    rule.  Two or more bits make it replicated. *)
-let members a sched =
-  let m = Array.make (Array.length a.start) 0 in
-  for v = 0 to Array.length a.value_of - 1 do
-    let x = a.value_of.(v) in
+let members_with ~value_of ~consumer_start ~consumers ~values sched =
+  let m = Array.make values 0 in
+  for v = 0 to Array.length value_of - 1 do
+    let x = value_of.(v) in
     if x >= 0 then begin
-      let lo = a.consumer_start.(v) and hi = a.consumer_start.(v + 1) in
+      let lo = consumer_start.(v) and hi = consumer_start.(v + 1) in
       if lo = hi then m.(x) <- 1 lsl Schedule.cluster sched v
       else
         for e = lo to hi - 1 do
-          m.(x) <- m.(x) lor (1 lsl Schedule.cluster sched a.consumers.(e))
+          m.(x) <- m.(x) lor (1 lsl Schedule.cluster sched consumers.(e))
         done
     end
   done;
@@ -177,10 +95,7 @@ let lowest_cluster m =
 (* Per-cluster MaxLive, each value counted in every cluster of its set:
    a live-count row over the kernel slots per cluster, plus the
    instances live at every slot. *)
-let live_rows ~ii ~clusters =
-  (Array.init clusters (fun _ -> Array.make ii 0), Array.make clusters 0)
-
-let add_live (rows, whole) ~ii m ~start ~stop =
+let add_live ~rows ~whole ~ii m ~start ~stop =
   let m = ref m and c = ref 0 in
   while !m <> 0 do
     if !m land 1 <> 0 then
@@ -189,18 +104,159 @@ let add_live (rows, whole) ~ii m ~start ~stop =
     incr c
   done
 
-let peaks (rows, whole) = Array.mapi (fun c w -> w + Array.fold_left Int.max 0 rows.(c)) whole
+let row_max row =
+  let top = ref 0 in
+  for s = 0 to Array.length row - 1 do
+    top := Int.max !top row.(s)
+  done;
+  !top
 
-let cluster_live a members =
-  let live = live_rows ~ii:a.ii ~clusters:a.num_clusters in
-  Array.iteri
-    (fun x m -> add_live live ~ii:a.ii m ~start:a.start.(x) ~stop:a.stop.(x))
-    members;
-  peaks live
+let occupancy_with ~ii ~num_clusters ~start ~stop members =
+  let rows = Array.init num_clusters (fun _ -> Array.make ii 0) in
+  let whole = Array.make num_clusters 0 in
+  for x = 0 to Array.length members - 1 do
+    add_live ~rows ~whole ~ii members.(x) ~start:start.(x) ~stop:stop.(x)
+  done;
+  let peaks = Array.make num_clusters 0 in
+  for c = 0 to num_clusters - 1 do
+    peaks.(c) <- whole.(c) + row_max rows.(c)
+  done;
+  { members; whole; rows; peaks }
 
-let max_live_cost_of a sched =
+let ceil_div a b = if a <= 0 then 0 else (a + b - 1) / b
+
+let analyse sched =
+  let ddg = sched.Schedule.ddg in
+  let ii = Schedule.ii sched in
+  let num_clusters = Config.num_clusters sched.Schedule.config in
+  let n = Ddg.num_nodes ddg in
+  let value_of = Array.make n (-1) in
+  let consumer_start = Array.make (n + 1) 0 in
+  let values = ref 0 in
+  for v = 0 to n - 1 do
+    if Opcode.produces_value (Ddg.node ddg v).Ddg.opcode then begin
+      value_of.(v) <- !values;
+      incr values
+    end;
+    consumer_start.(v + 1) <- count_flow consumer_start.(v) (Ddg.succs ddg v)
+  done;
+  let consumers = Array.make consumer_start.(n) 0 in
+  let producer = Array.make !values 0 in
+  let start = Array.make !values 0 and stop = Array.make !values 0 in
+  let longest = ref 1 and total = ref 0 in
+  for v = 0 to n - 1 do
+    let s = Schedule.cycle sched v in
+    let finish =
+      fill_consumers sched ~ii consumers consumer_start.(v) s (Ddg.succs ddg v)
+    in
+    let x = value_of.(v) in
+    if x >= 0 then begin
+      producer.(x) <- v;
+      start.(x) <- s;
+      stop.(x) <-
+        (if consumer_start.(v) = consumer_start.(v + 1) then
+           s + Config.latency sched.Schedule.config (Ddg.node ddg v).Ddg.opcode
+         else finish);
+      let regs = ceil_div (stop.(x) - s) ii in
+      longest := Int.max !longest regs;
+      total := !total + regs
+    end
+  done;
+  let table = lazy (Conflict.create ~ii ~producer ~start ~stop) in
+  {
+    sched;
+    ii;
+    num_clusters;
+    value_of;
+    producer;
+    start;
+    stop;
+    consumer_start;
+    consumers;
+    longest = !longest;
+    total = !total;
+    occupancy =
+      lazy
+        (occupancy_with ~ii ~num_clusters ~start ~stop
+           (members_with ~value_of ~consumer_start ~consumers ~values:!values sched));
+    table;
+    scratch = lazy (Alloc.scratch (Lazy.force table));
+    orders = Array.make 3 [||];
+  }
+
+let check a sched =
+  if sched.Schedule.ddg != a.sched.Schedule.ddg || Schedule.ii sched <> a.ii then
+    invalid_arg "Requirements: the analysis is of another schedule's cycles"
+
+let occupancy_of a sched =
   check a sched;
-  Array.fold_left max 0 (cluster_live a (members a sched))
+  if sched == a.sched then Lazy.force a.occupancy
+  else
+    occupancy_with ~ii:a.ii ~num_clusters:a.num_clusters ~start:a.start ~stop:a.stop
+      (members_with ~value_of:a.value_of ~consumer_start:a.consumer_start
+         ~consumers:a.consumers ~values:(Array.length a.start) sched)
+
+(* Value indices by start cycle, by a counting sort.  Indices are
+   numbered in producer order, so the stable pass breaks ties by
+   producer: [Alloc.sorted ~order:Start_time]'s order.  A modulo
+   schedule spans a few stages, but [Schedule.make] bounds no cycle (a
+   hand-edited store entry decodes to any), so cycles spread wider than
+   the values are comparison-sorted instead. *)
+let by_start (a : analysis) =
+  let start = a.start in
+  let n = Array.length start in
+  let lo = ref max_int and hi = ref min_int in
+  for x = 0 to n - 1 do
+    lo := Int.min !lo start.(x);
+    hi := Int.max !hi start.(x)
+  done;
+  let lo = !lo and hi = !hi in
+  if n = 0 then [||]
+  else if hi - lo < 0 (* overflowed *) || hi - lo > (4 * n) + 64 then
+    Alloc.sorted ~order:Alloc.Start_time (Lazy.force a.table) (Array.init n Fun.id)
+  else begin
+    let count = Conflict.borrow (hi - lo + 2) in
+    Array.fill count 0 (hi - lo + 2) 0;
+    for x = 0 to n - 1 do
+      let c = start.(x) - lo + 1 in
+      count.(c) <- count.(c) + 1
+    done;
+    for c = 1 to hi - lo + 1 do
+      count.(c) <- count.(c) + count.(c - 1)
+    done;
+    let ordered = Array.make n 0 in
+    for x = 0 to n - 1 do
+      let c = start.(x) - lo in
+      ordered.(count.(c)) <- x;
+      count.(c) <- count.(c) + 1
+    done;
+    Conflict.give_back count;
+    ordered
+  end
+
+let order_index = function
+  | Alloc.Start_time -> 0
+  | Alloc.Longest_first -> 1
+  | Alloc.Node_order -> 2
+
+(* Every value in placement order, sorted once per order.  An unsorted
+   slot holds [[||]], which is also the order of an empty analysis. *)
+let sorted (a : analysis) order =
+  let i = order_index order in
+  let n = Array.length a.start in
+  if Array.length a.orders.(i) = n then a.orders.(i)
+  else begin
+    let o =
+      match order with
+      | Alloc.Start_time -> by_start a
+      | Alloc.Longest_first | Alloc.Node_order ->
+        Alloc.sorted ~order (Lazy.force a.table) (Array.init n Fun.id)
+    in
+    a.orders.(i) <- o;
+    o
+  end
+
+let max_live_cost_of a sched = row_max (occupancy_of a sched).peaks
 
 (* The same bit set read off the graph, for callers holding lifetimes
    rather than an analysis. *)
@@ -221,118 +277,160 @@ let max_live_cost ?lifetimes sched =
   let ii = Schedule.ii sched in
   if ii <= 0 then 0
   else begin
-    let live = live_rows ~ii ~clusters:(Config.num_clusters sched.Schedule.config) in
+    let k = Config.num_clusters sched.Schedule.config in
+    let rows = Array.init k (fun _ -> Array.make ii 0) and whole = Array.make k 0 in
     List.iter
       (fun l ->
-        add_live live ~ii
+        add_live ~rows ~whole ~ii
           (value_members sched l.Lifetime.producer)
           ~start:l.Lifetime.start ~stop:l.Lifetime.stop)
       (match lifetimes with Some ls -> ls | None -> Lifetime.of_schedule sched);
-    Array.fold_left Int.max 0 (peaks live)
+    let cost = ref 0 in
+    for c = 0 to k - 1 do
+      cost := Int.max !cost (whole.(c) + row_max rows.(c))
+    done;
+    !cost
   end
 
 (* ------------------------------------------------------------------ *)
 (* The joint search.  A joint problem lives on one table: the
-   replicated values [shared], placed once (their registers are shared
-   by every subfile holding them), then each group of [locals] — the
-   locals of cluster [clusters.(q)] — on top of the replicated values
-   that cluster's subfile holds.  Index subsets of the analysis table
+   replicated values, placed once (their registers are shared by every
+   subfile holding them), then each group of locals — the locals of
+   cluster [clusters.(q)] — on top of the replicated values that
+   cluster's subfile holds.  Index subsets of the analysis table
    replace the per-cluster tables: a value absent from a subfile simply
-   has no register while that subfile's locals are placed. *)
+   has no register while that subfile's locals are placed.
+
+   The groups sit in one flat [layout]: with [g = Array.length
+   clusters], entries [0 .. g + 1] are offsets into the array itself,
+   group 0 (the replicated values) spanning [layout.(0)] to
+   [layout.(1) - 1] and group [q + 1] (cluster [clusters.(q)]'s locals)
+   [layout.(q + 1)] to [layout.(q + 2) - 1], each in placement order.
+   While groups hide some replicated value, the registers of group 0
+   are saved from [layout.(g + 1)] on. *)
 
 type joint = {
   table : Conflict.t;
   scratch : Alloc.scratch;
   members : int array;  (* per table index: the clusters holding it *)
-  shared : int array;  (* placement order *)
+  mask : int;  (* a value is in the problem iff its members meet the mask *)
   clusters : int array;  (* the cluster of each group of locals *)
-  locals : int array array;  (* per group, placement order *)
+  layout : int array;
   hide : bool;  (* some replicated value is absent from some group's subfile *)
-  saved : int array;  (* the registers of [shared] while groups hide some *)
 }
 
-(* [sorted] split into [groups] arrays by [group], each in sorted order. *)
-let partition sorted ~groups group =
-  let size = Array.make groups 0 in
-  Array.iter (fun x -> size.(group x) <- size.(group x) + 1) sorted;
-  let parts = Array.map (fun n -> Array.make n 0) size in
-  Array.fill size 0 groups 0;
-  Array.iter
-    (fun x ->
-      let g = group x in
-      parts.(g).(size.(g)) <- x;
-      size.(g) <- size.(g) + 1)
-    sorted;
-  parts
+let groups j = Array.length j.clusters
+let group_pos j g = j.layout.(g)
+let group_len j g = j.layout.(g + 1) - j.layout.(g)
+let saved_at j = j.layout.(groups j + 1)
 
-(* The joint problem of a schedule's assignment: every value of the
-   analysis, grouped in one pass over the sorted order. *)
-let joint_of (a : analysis) members =
+let is_empty j = j.layout.(groups j + 1) = j.layout.(0)
+
+(* Words a layout of [values] values over [groups] groups may need. *)
+let layout_words ~groups ~values = groups + 2 + (2 * values)
+
+(* The joint problem of an assignment of the analysis's values, laid
+   out in [layout] (at least [layout_words] long) by a counting pass
+   over the sorted order: group [q + 1]'s count goes to [layout.(q + 3)]
+   so that the prefix sum leaves each group's start one slot right of
+   its own offset, and the placing pass then advances that slot to the
+   group's end. *)
+let joint_of (a : analysis) members layout =
   let k = a.num_clusters in
-  let parts =
-    partition (sorted a Alloc.Start_time) ~groups:(k + 1) (fun x ->
-        let m = members.(x) in
-        if replicated m then 0 else 1 + lowest_cluster m)
-  in
-  let shared = parts.(0) and all = (1 lsl k) - 1 in
-  let hide = Array.exists (fun s -> members.(s) <> all) shared in
+  let sorted = sorted a Alloc.Start_time in
+  let group m = if replicated m then 0 else 1 + lowest_cluster m in
+  let all = (1 lsl k) - 1 in
+  Array.fill layout 0 (k + 2) 0;
+  let hide = ref false in
+  for i = 0 to Array.length sorted - 1 do
+    let m = members.(sorted.(i)) in
+    let g = group m in
+    if g = 0 && m <> all then hide := true;
+    if g < k then layout.(g + 2) <- layout.(g + 2) + 1
+  done;
+  layout.(1) <- k + 2;
+  for g = 2 to k + 1 do
+    layout.(g) <- layout.(g - 1) + layout.(g)
+  done;
+  for i = 0 to Array.length sorted - 1 do
+    let x = sorted.(i) in
+    let slot = group members.(x) + 1 in
+    layout.(layout.(slot)) <- x;
+    layout.(slot) <- layout.(slot) + 1
+  done;
+  layout.(0) <- k + 2;
   {
     table = Lazy.force a.table;
     scratch = Lazy.force a.scratch;
     members;
-    shared;
+    mask = all;
     clusters = Array.init k Fun.id;
-    locals = Array.sub parts 1 k;
-    hide;
-    saved = Array.make (if hide then Array.length shared else 0) 0;
+    layout;
+    hide = !hide;
   }
 
 (* Cluster [c] in isolation: the replicated values its subfile holds,
-   then its locals. *)
+   then its locals, in a layout of their own. *)
 let isolated j c =
-  let held =
-    partition j.shared ~groups:2 (fun s -> if j.members.(s) land (1 lsl c) <> 0 then 0 else 1)
-  in
-  {
-    j with
-    shared = held.(0);
-    clusters = [| c |];
-    locals = [| j.locals.(c) |];
-    hide = false;
-    saved = [||];
-  }
+  let bit = 1 lsl c in
+  let shared_pos = group_pos j 0 and shared_len = group_len j 0 in
+  let locals_pos = group_pos j (c + 1) and locals_len = group_len j (c + 1) in
+  let held = ref 0 in
+  for i = shared_pos to shared_pos + shared_len - 1 do
+    if j.members.(j.layout.(i)) land bit <> 0 then incr held
+  done;
+  let layout = Array.make (3 + !held + locals_len) 0 in
+  layout.(0) <- 3;
+  layout.(1) <- 3 + !held;
+  layout.(2) <- 3 + !held + locals_len;
+  let p = ref 3 in
+  for i = shared_pos to shared_pos + shared_len - 1 do
+    let s = j.layout.(i) in
+    if j.members.(s) land bit <> 0 then begin
+      layout.(!p) <- s;
+      incr p
+    end
+  done;
+  Array.blit j.layout locals_pos layout !p locals_len;
+  { j with mask = bit; clusters = [| c |]; layout; hide = false }
 
-(* Group [q]'s locals on top of the replicated values its subfile
+(* Group [q + 1]'s locals on top of the replicated values its subfile
    holds; they stay placed until [unplace]. *)
 let place_group j ~capacity q =
   let regs = Alloc.registers j.scratch in
   if j.hide then begin
-    let bit = 1 lsl j.clusters.(q) in
-    for i = 0 to Array.length j.shared - 1 do
-      let s = j.shared.(i) in
-      regs.(s) <- (if j.members.(s) land bit <> 0 then j.saved.(i) else -1)
+    let bit = 1 lsl j.clusters.(q) and saved = saved_at j in
+    for i = 0 to group_len j 0 - 1 do
+      let s = j.layout.(group_pos j 0 + i) in
+      regs.(s) <- (if j.members.(s) land bit <> 0 then j.layout.(saved + i) else -1)
     done
   end;
-  Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.locals.(q)
+  Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.layout
+    ~pos:(group_pos j (q + 1)) ~len:(group_len j (q + 1))
 
 let unplace j q =
-  let regs = Alloc.registers j.scratch and ls = j.locals.(q) in
-  for i = 0 to Array.length ls - 1 do
-    regs.(ls.(i)) <- -1
+  let regs = Alloc.registers j.scratch in
+  for i = group_pos j (q + 1) to group_pos j (q + 2) - 1 do
+    regs.(j.layout.(i)) <- -1
   done
 
 let place_shared j ~capacity =
   Alloc.unassign_all j.scratch;
-  let ok = Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.shared in
+  let ok =
+    Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.layout
+      ~pos:(group_pos j 0) ~len:(group_len j 0)
+  in
   if ok && j.hide then begin
-    let regs = Alloc.registers j.scratch in
-    Array.iteri (fun i s -> j.saved.(i) <- regs.(s)) j.shared
+    let regs = Alloc.registers j.scratch and saved = saved_at j in
+    for i = 0 to group_len j 0 - 1 do
+      j.layout.(saved + i) <- regs.(j.layout.(group_pos j 0 + i))
+    done
   end;
   ok
 
 let feasible j capacity =
   let ok = ref (place_shared j ~capacity) and q = ref 0 in
-  while !ok && !q < Array.length j.locals do
+  while !ok && !q < groups j do
     ok := place_group j ~capacity !q;
     unplace j !q;
     incr q
@@ -343,61 +441,84 @@ let feasible j capacity =
 (* Sound lower bounds on a feasible capacity: each subfile's MaxLive
    (replicated values counted in every subfile holding them) and the
    longest value; plus the disjoint-allocation total for the default
-   upper bound. *)
+   upper bound.  The full joint of an assignment reads them off the
+   analysis and the assignment's occupancy; a cluster in isolation
+   counts its own values here, in rows from the domain's scratch. *)
 let lower_and_total j =
   let ii = Conflict.ii j.table in
-  let groups = Array.length j.locals in
-  let rows = Array.init groups (fun _ -> Array.make ii 0) and whole = Array.make groups 0 in
+  let g = groups j in
+  (* Group [q]'s row at [q * ii], its whole instances at [g * ii + q]. *)
+  let rows = Conflict.borrow ((g * ii) + g) in
+  Array.fill rows 0 ((g * ii) + g) 0;
+  let whole = g * ii in
   let longest = ref 1 and total = ref 0 in
   let add q i =
-    whole.(q) <-
-      whole.(q)
-      + Lifetime.add_instances rows.(q) ~ii ~start:(Conflict.start j.table i)
-          ~stop:(Conflict.stop j.table i)
+    let slot = ref ((((Conflict.start j.table i mod ii) + ii) mod ii) + (q * ii)) in
+    let len = Conflict.stop j.table i - Conflict.start j.table i in
+    if len > 0 then begin
+      for _ = 1 to len mod ii do
+        rows.(!slot) <- rows.(!slot) + 1;
+        incr slot;
+        if !slot = (q + 1) * ii then slot := q * ii
+      done;
+      rows.(whole + q) <- rows.(whole + q) + (len / ii)
+    end
   in
-  let count i =
-    longest := max !longest (Conflict.min_registers j.table i);
-    total := !total + Conflict.min_registers j.table i
-  in
-  Array.iter
-    (fun s ->
-      count s;
-      Array.iteri (fun q c -> if j.members.(s) land (1 lsl c) <> 0 then add q s) j.clusters)
-    j.shared;
-  Array.iteri (fun q ls -> Array.iter (fun l -> count l; add q l) ls) j.locals;
+  for p = group_pos j 0 to group_pos j (g + 1) - 1 do
+    let i = j.layout.(p) in
+    let regs = Conflict.min_registers j.table i in
+    longest := Int.max !longest regs;
+    total := !total + regs
+  done;
+  for p = group_pos j 0 to group_pos j 1 - 1 do
+    let s = j.layout.(p) in
+    for q = 0 to g - 1 do
+      if j.members.(s) land (1 lsl j.clusters.(q)) <> 0 then add q s
+    done
+  done;
+  for q = 0 to g - 1 do
+    for p = group_pos j (q + 1) to group_pos j (q + 2) - 1 do
+      add q j.layout.(p)
+    done
+  done;
   let lower = ref !longest in
-  Array.iteri (fun q w -> lower := max !lower (w + Array.fold_left max 0 rows.(q))) whole;
+  for q = 0 to g - 1 do
+    let top = ref 0 in
+    for slot = q * ii to ((q + 1) * ii) - 1 do
+      top := Int.max !top rows.(slot)
+    done;
+    lower := Int.max !lower (rows.(whole + q) + !top)
+  done;
+  Conflict.give_back rows;
   (!lower, !total)
 
 (* Two values are co-allocated when both are replicated (placed in one
    pass) or they share a subfile; a co-allocated pair of width [w] rules
-   out every capacity <= w, so the search may start above the widest. *)
+   out every capacity <= w, so the search may start above the widest.
+   A value is in the problem iff its members meet the joint's mask. *)
 let pair_floor j =
-  let role = Array.make (max 1 (Conflict.size j.table)) 0 in
-  Array.iter (fun s -> role.(s) <- 1) j.shared;
-  Array.iter (Array.iter (fun l -> role.(l) <- 2)) j.locals;
   let floor = ref 0 in
-  for i = 0 to Conflict.size j.table - 1 do
-    if role.(i) > 0 then begin
-      let row = Conflict.neighbours j.table i in
-      let k = ref 0 in
-      while !k < Array.length row do
-        let n = row.(!k) and width = row.(!k + 2) in
-        if width >= !floor && role.(n) > 0
-           && ((role.(i) = 1 && role.(n) = 1) || j.members.(i) land j.members.(n) <> 0)
-        then floor := width + 1;
-        k := !k + 3
-      done
-    end
+  for p = group_pos j 0 to group_pos j (groups j + 1) - 1 do
+    let i = j.layout.(p) in
+    let mi = j.members.(i) in
+    let row = Conflict.neighbours j.table i in
+    let k = ref 0 in
+    while !k < Array.length row do
+      let width = row.(!k + 2) in
+      if width >= !floor then begin
+        let mn = j.members.(row.(!k)) in
+        if mn land j.mask <> 0 && ((replicated mi && replicated mn) || mi land mn <> 0)
+        then floor := width + 1
+      end;
+      k := !k + 3
+    done
   done;
   !floor
 
-let joint_search j =
-  if Array.length j.shared = 0 && Array.for_all (fun ls -> Array.length ls = 0) j.locals
-  then 0
+let joint_search j ~lower ~total =
+  if is_empty j then 0
   else begin
     let ii = Conflict.ii j.table in
-    let lower, total = lower_and_total j in
     (* The widest pair of the whole table bounds the co-allocated one. *)
     let floor = if Conflict.max_width j.table < lower then 0 else pair_floor j in
     let upper = (2 * total) + 64 in
@@ -405,12 +526,24 @@ let joint_search j =
       if capacity > upper then
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
           "no feasible joint capacity in [%d, %d] (%d globals, %d clusters)" lower upper
-          (Array.length j.shared) (Array.length j.locals)
+          (group_len j 0) (groups j)
       else if feasible j capacity then capacity
       else search (capacity + 1)
     in
-    search (max lower floor)
+    search (Int.max lower floor)
   end
+
+let general_search j =
+  let lower, total = lower_and_total j in
+  joint_search j ~lower ~total
+
+(* The full joint's bounds are constants of the analysis and of the
+   assignment's occupancy. *)
+let full_search (a : analysis) occ j =
+  joint_search j ~lower:(Int.max a.longest (row_max occ.peaks)) ~total:a.total
+
+let fresh_layout (a : analysis) =
+  Array.make (layout_words ~groups:a.num_clusters ~values:(Array.length a.start)) 0
 
 (* ------------------------------------------------------------------ *)
 (* The views. *)
@@ -423,20 +556,34 @@ let unified_of ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) (a : an
 
 let unified ?strategy ?order sched = unified_of ?strategy ?order (analyse sched)
 
+(* The table, its scratch and the start order are built before the
+   layout is borrowed, so no build finds the domain's scratch out. *)
+let requirement_of (a : analysis) occ =
+  ignore (Lazy.force a.scratch);
+  ignore (sorted a Alloc.Start_time);
+  let layout =
+    Conflict.borrow (layout_words ~groups:a.num_clusters ~values:(Array.length a.start))
+  in
+  let r = full_search a occ (joint_of a occ.members layout) in
+  Conflict.give_back layout;
+  r
+
 (* Only [requirement] is searched up front; the breakdown costs k + 1
    more searches plus k local ones, and most callers never read it. *)
 let partitioned_of a sched =
-  check a sched;
-  let members = members a sched in
-  let j = joint_of a members in
-  let alone ordered = Alloc.min_capacity_sorted ~strategy:Alloc.First_fit j.table j.scratch ordered in
+  let occ = occupancy_of a sched in
+  let j = joint_of a occ.members (fresh_layout a) in
+  let alone g =
+    Alloc.min_capacity_sorted ~strategy:Alloc.First_fit j.table j.scratch
+      (Array.sub j.layout (group_pos j g) (group_len j g))
+  in
   {
-    requirement = joint_search j;
+    requirement = full_search a occ j;
     cluster_requirements =
-      lazy (Array.init a.num_clusters (fun c -> joint_search (isolated j c)));
-    global_requirement = lazy (alone j.shared);
-    local_requirements = lazy (Array.map alone j.locals);
-    max_live = lazy (cluster_live a members);
+      lazy (Array.init a.num_clusters (fun c -> general_search (isolated j c)));
+    global_requirement = lazy (alone 0);
+    local_requirements = lazy (Array.init a.num_clusters (fun c -> alone (c + 1)));
+    max_live = lazy (Array.copy occ.peaks);
   }
 
 let partitioned sched = partitioned_of (analyse sched) sched
@@ -449,10 +596,11 @@ type allocation = {
 
 let partitioned_allocation sched =
   let a = analyse sched in
-  let j = joint_of a (members a sched) in
-  let capacity = joint_search j in
+  let occ = Lazy.force a.occupancy in
+  let j = joint_of a occ.members (fresh_layout a) in
+  let capacity = full_search a occ j in
   if capacity = 0 then
-    { capacity = 0; globals = []; locals = Array.map (fun _ -> []) j.locals }
+    { capacity = 0; globals = []; locals = Array.make a.num_clusters [] }
   else begin
     let bug what =
       Error.errorf ~ii:a.ii ~stage:"alloc" Error.Internal
@@ -460,21 +608,20 @@ let partitioned_allocation sched =
     in
     let regs = Alloc.registers j.scratch in
     let placement i = { Alloc.value = Conflict.lifetime j.table i; register = regs.(i) } in
+    let group g = Array.sub j.layout (group_pos j g) (group_len j g) in
     let clusters m =
       List.filter (fun c -> m land (1 lsl c) <> 0) (List.init a.num_clusters Fun.id)
     in
     if not (place_shared j ~capacity) then bug "globals";
     let globals =
-      Array.to_list (Array.map (fun s -> (placement s, clusters j.members.(s))) j.shared)
+      Array.to_list (Array.map (fun s -> (placement s, clusters j.members.(s))) (group 0))
     in
     let locals =
-      Array.mapi
-        (fun q ordered ->
+      Array.init a.num_clusters (fun q ->
           if not (place_group j ~capacity q) then bug "locals";
-          let p = Array.to_list (Array.map placement ordered) in
+          let p = Array.to_list (Array.map placement (group (q + 1))) in
           unplace j q;
           p)
-        j.locals
     in
     { capacity; globals; locals }
   end

@@ -36,20 +36,43 @@ type detail = {
   max_live : int array Lazy.t;  (** per-cluster MaxLive lower bound *)
 }
 
-(** The part of a register-requirement computation that depends only
-    on a schedule's cycles: every value's lifetime, its consumers and
-    one conflict table over all values.  Swapping moves no cycle, so one
-    analysis serves the Unified, Partitioned and Swapped views of a
-    schedule and every schedule {!Swap.improve} derives from it; a view
-    adds only each value's cluster set under its assignment.
+(** A cluster assignment's occupancy of the subfiles, over the values
+    of an {!analysis}: each value counted in every subfile that holds
+    it, one live-instance row per cluster over the kernel slots, the
+    same accumulation as {!Lifetime.max_live}.  The swap pass keeps one
+    up to date across its exchanges. *)
+type occupancy = {
+  members : int array;
+      (** value index -> the clusters whose subfiles hold it, as a bit
+          set (bit [c] for cluster [c]): its consumers' clusters, its
+          producer's when it has none.  Two or more bits make it
+          replicated. *)
+  whole : int array;  (** per cluster: instances live at every slot *)
+  rows : int array array;
+      (** per cluster and kernel slot: the instances live there beyond
+          [whole] *)
+  peaks : int array;  (** per cluster: its MaxLive, [whole] plus its row's maximum *)
+}
 
-    The conflict table is built on first use.  An analysis holds
-    mutable allocation scratch: use it from one domain at a time. *)
+(** The part of a register-requirement computation that depends only
+    on a schedule's cycles: every value's lifetime, its consumers, the
+    longest and summed register needs of the values, and one conflict
+    table over all values.  Swapping moves no cycle, so one analysis
+    serves the Unified, Partitioned and Swapped views of a schedule
+    and every schedule {!Swap.improve} derives from it; a view adds only
+    each value's cluster set under its assignment.  The occupancy of
+    the analysed schedule's own assignment is computed once, for both
+    the Partitioned requirement's bound and the swap pass's start.
+
+    The conflict table and the occupancy are built on first use.  An
+    analysis holds mutable allocation scratch: use it from one domain
+    at a time. *)
 type analysis = private {
-  ddg : Ncdrf_ir.Ddg.t;
+  sched : Schedule.t;  (** the analysed schedule *)
   ii : int;
   num_clusters : int;
   value_of : int array;  (** node id -> value index, -1 for a store *)
+  producer : int array;  (** value index -> node id *)
   start : int array;  (** value index -> issue cycle of its producer *)
   stop : int array;  (** value index -> cycle its last consumer finishes *)
   consumer_start : int array;
@@ -57,14 +80,26 @@ type analysis = private {
           [consumers.(consumer_start.(v) .. consumer_start.(v + 1) - 1)],
           in [Ddg.consumers] order *)
   consumers : int array;
+  longest : int;  (** the most registers one value needs, at least 1 *)
+  total : int;  (** the registers the values need, summed *)
+  occupancy : occupancy Lazy.t;  (** of [sched]'s assignment *)
   table : Conflict.t Lazy.t;  (** all values, by value index *)
   scratch : Alloc.scratch Lazy.t;
-  mutable orders : (Alloc.order * int array) list;  (** sorted value indices *)
+  orders : int array array;
+      (** sorted value indices per {!Alloc.order}, filled by {!sorted} *)
 }
 
 (** The analysis of a schedule's cycles.  Values are indexed in node
     order, as {!Lifetime.of_schedule} lists them. *)
 val analyse : Schedule.t -> analysis
+
+(** [occupancy_of a sched] is the occupancy of [sched]'s assignment, for
+    any [sched] with the cycles [a] was built from: [a.occupancy] when
+    [sched] is the analysed schedule itself, computed otherwise.  Do not
+    mutate it.
+
+    @raise Invalid_argument if [sched] is of another graph or II. *)
+val occupancy_of : analysis -> Schedule.t -> occupancy
 
 (** Every value index of the analysis in [order]'s placement order (as
     {!Alloc.sorted} sorts them), computed once per order and kept in
@@ -82,6 +117,12 @@ val unified_of : ?strategy:Alloc.strategy -> ?order:Alloc.order -> analysis -> i
     under the schedule's current cluster assignment, allocated First-Fit
     in start-time order. *)
 val partitioned : Schedule.t -> detail
+
+(** [requirement_of a occ] is [(partitioned_of a sched).requirement]
+    for the schedule whose assignment has occupancy [occ]: the joint
+    search alone, its lower bound read off [occ.peaks] and [a.longest].
+    It allocates nothing beyond what the analysis builds on first use. *)
+val requirement_of : analysis -> occupancy -> int
 
 (** [partitioned_of a sched] is {!partitioned} [sched] for any [sched]
     with the cycles [a] was built from (the analysed schedule or a

@@ -71,15 +71,16 @@ let candidates sched =
   !pairs
 
 (* Incremental per-cluster MaxLive.  Lifetimes and consumers depend
-   only on cycles, so they come from the schedule's analysis; what a
-   swap changes is which subfiles hold a value.  A value's member
-   clusters are its consumers' clusters (its producer's cluster when it
-   has none), so exchanging [a] and [b] can only move the values of [a]
-   and [b] themselves and the values they consume.  Each cluster keeps
-   a live-count row over the kernel slots, split as [base] (the
-   [length / ii] instances a value has live at every slot) plus
-   [partial] (one more instance in the [length mod ii] slots just past
-   its start) — the same accumulation as [Lifetime.max_live] — so
+   only on cycles, so they come from the schedule's analysis, and the
+   rows start from the analysis's occupancy of the schedule's own
+   assignment; what a swap changes is which subfiles hold a value.  A
+   value's member clusters are its consumers' clusters (its producer's
+   cluster when it has none), so exchanging [a] and [b] can only move
+   the values of [a] and [b] themselves and the values they consume.
+   Each cluster keeps a live-count row over the kernel slots, split as
+   [whole] (the [length / ii] instances a value has live at every slot)
+   plus [rows] (one more instance in the [length mod ii] slots just
+   past its start) — the same accumulation as [Lifetime.max_live] — so
    moving a value costs O(ii) at worst.  Cluster sets are int bit sets
    (bit [c] for cluster [c]; [Config.max_clusters] keeps them within
    one int), and the moves of a scored pair go to a preallocated undo
@@ -87,25 +88,25 @@ let candidates sched =
 type rows = {
   ii : int;
   cluster : int array;  (* current cluster of every node *)
+  producer : int array;  (* the analysis's value -> node map *)
   consumer_start : int array;  (* the analysis's consumer rows *)
   consumers : int array;
-  len : int array;  (* lifetime length by node id; 0 for stores *)
-  start : int array;  (* kernel slot of each lifetime's start *)
-  members : int array;  (* current member-cluster set of each value *)
+  span : int array;
+      (* per value [x] at [3 * x]: its whole instances, the slots it
+         covers once more, and the kernel slot of its start *)
   touch_start : int array;
   touches : int array;
       (* [touches.(touch_start.(v) .. touch_start.(v + 1) - 1)]: the
          values whose members depend on node [v]'s cluster — its own,
          and the values it consumes *)
-  base : int array;
-  partial : int array array;
-  peak : int array;  (* per cluster: base + max partial *)
+  occ : Requirements.occupancy;  (* current members, rows and peaks *)
   undo_value : int array;  (* moves of the pair being scored *)
   undo_members : int array;
   mutable undo_len : int;
 }
 
-let members_of r v =
+let members_of r x =
+  let v = r.producer.(x) in
   let lo = r.consumer_start.(v) and hi = r.consumer_start.(v + 1) in
   if lo = hi then 1 lsl r.cluster.(v)
   else begin
@@ -116,48 +117,50 @@ let members_of r v =
     !set
   end
 
-let add r ~sign c v =
-  let len = r.len.(v) in
-  if len > 0 then begin
-    r.base.(c) <- r.base.(c) + (sign * (len / r.ii));
-    let row = r.partial.(c) in
-    let slot = ref r.start.(v) in
-    for _ = 1 to len mod r.ii do
-      row.(!slot) <- row.(!slot) + sign;
-      incr slot;
-      if !slot = r.ii then slot := 0
-    done
-  end
+let add r ~sign c x =
+  let occ = r.occ in
+  occ.whole.(c) <- occ.whole.(c) + (sign * r.span.(3 * x));
+  let row = occ.rows.(c) in
+  let slot = ref r.span.((3 * x) + 2) in
+  for _ = 1 to r.span.((3 * x) + 1) do
+    row.(!slot) <- row.(!slot) + sign;
+    incr slot;
+    if !slot = r.ii then slot := 0
+  done
 
-let add_set r ~sign set v =
+let add_set r ~sign set x =
   let set = ref set and c = ref 0 in
   while !set <> 0 do
-    if !set land 1 <> 0 then add r ~sign !c v;
+    if !set land 1 <> 0 then add r ~sign !c x;
     set := !set lsr 1;
     incr c
   done
 
 let peak_of r c =
-  let row = r.partial.(c) in
+  let row = r.occ.rows.(c) in
   let top = ref 0 in
   for s = 0 to r.ii - 1 do
     if row.(s) > !top then top := row.(s)
   done;
-  r.base.(c) + !top
+  r.occ.whole.(c) + !top
 
 let rows_of (a : Requirements.analysis) sched =
-  let n = Array.length a.value_of in
-  let k = Config.num_clusters sched.Schedule.config in
+  let n = Array.length a.value_of and values = Array.length a.start in
   let ii = a.ii in
-  let len = Array.make n 0 and start = Array.make n 0 in
+  let span = Array.make (3 * values) 0 in
+  for x = 0 to values - 1 do
+    let len = a.stop.(x) - a.start.(x) in
+    if len > 0 then begin
+      span.(3 * x) <- len / ii;
+      span.((3 * x) + 1) <- len mod ii;
+      span.((3 * x) + 2) <- ((a.start.(x) mod ii) + ii) mod ii
+    end
+  done;
   (* A node touches its own value and, once per flow edge, each value it
      consumes: count the rows, then fill own values first. *)
   let touch_start = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    let x = a.value_of.(v) in
-    if x >= 0 then begin
-      len.(v) <- a.stop.(x) - a.start.(x);
-      start.(v) <- ((a.start.(x) mod ii) + ii) mod ii;
+    if a.value_of.(v) >= 0 then begin
       touch_start.(v + 1) <- touch_start.(v + 1) + 1;
       for e = a.consumer_start.(v) to a.consumer_start.(v + 1) - 1 do
         let d = a.consumers.(e) in
@@ -167,66 +170,62 @@ let rows_of (a : Requirements.analysis) sched =
   done;
   let widest = ref 0 in
   for v = 0 to n - 1 do
-    widest := max !widest touch_start.(v + 1);
+    widest := Int.max !widest touch_start.(v + 1);
     touch_start.(v + 1) <- touch_start.(v) + touch_start.(v + 1)
   done;
   let touches = Array.make touch_start.(n) 0 in
   let fill = Array.sub touch_start 0 n in
-  let push d v =
-    touches.(fill.(d)) <- v;
+  let push d x =
+    touches.(fill.(d)) <- x;
     fill.(d) <- fill.(d) + 1
   in
   for v = 0 to n - 1 do
-    if a.value_of.(v) >= 0 then push v v
+    let x = a.value_of.(v) in
+    if x >= 0 then push v x
   done;
   for v = 0 to n - 1 do
-    if a.value_of.(v) >= 0 then
+    let x = a.value_of.(v) in
+    if x >= 0 then
       for e = a.consumer_start.(v) to a.consumer_start.(v + 1) - 1 do
-        push a.consumers.(e) v
+        push a.consumers.(e) x
       done
   done;
-  let r =
-    {
-      ii;
-      cluster = Array.init n (Schedule.cluster sched);
-      consumer_start = a.consumer_start;
-      consumers = a.consumers;
-      len;
-      start;
-      members = Array.make n 0;
-      touch_start;
-      touches;
-      base = Array.make k 0;
-      partial = Array.init k (fun _ -> Array.make ii 0);
-      peak = Array.make k 0;
-      undo_value = Array.make (2 * !widest) 0;
-      undo_members = Array.make (2 * !widest) 0;
-      undo_len = 0;
-    }
-  in
-  for v = 0 to n - 1 do
-    if a.value_of.(v) >= 0 then begin
-      let m = members_of r v in
-      r.members.(v) <- m;
-      add_set r ~sign:1 m v
-    end
-  done;
-  for c = 0 to k - 1 do
-    r.peak.(c) <- peak_of r c
-  done;
-  r
+  let start = Requirements.occupancy_of a sched in
+  {
+    ii;
+    cluster = Array.init n (Schedule.cluster sched);
+    producer = a.producer;
+    consumer_start = a.consumer_start;
+    consumers = a.consumers;
+    span;
+    touch_start;
+    touches;
+    occ =
+      {
+        Requirements.members = Array.copy start.Requirements.members;
+        whole = Array.copy start.Requirements.whole;
+        rows = Array.map Array.copy start.Requirements.rows;
+        peaks = Array.copy start.Requirements.peaks;
+      };
+    undo_value = Array.make (2 * !widest) 0;
+    undo_members = Array.make (2 * !widest) 0;
+    undo_len = 0;
+  }
 
-let rows_cost r = Array.fold_left max 0 r.peak
+let rows_cost r =
+  let cost = ref 0 in
+  Array.iter (fun p -> cost := Int.max !cost p) r.occ.peaks;
+  !cost
 
-let exchange r a b =
-  let ca = r.cluster.(a) in
-  r.cluster.(a) <- r.cluster.(b);
-  r.cluster.(b) <- ca
+let exchange cluster a b =
+  let ca = cluster.(a) in
+  cluster.(a) <- cluster.(b);
+  cluster.(b) <- ca
 
-let move r v ~dst =
-  add_set r ~sign:(-1) r.members.(v) v;
-  add_set r ~sign:1 dst v;
-  r.members.(v) <- dst
+let move r x ~dst =
+  add_set r ~sign:(-1) r.occ.members.(x) x;
+  add_set r ~sign:1 dst x;
+  r.occ.members.(x) <- dst
 
 (* Move every value touched by node [node] whose members changed,
    logging each move's old members so the caller can undo it; returns
@@ -234,11 +233,11 @@ let move r v ~dst =
 let move_changed r node touched =
   let touched = ref touched in
   for i = r.touch_start.(node) to r.touch_start.(node + 1) - 1 do
-    let v = r.touches.(i) in
-    let old = r.members.(v) and now = members_of r v in
+    let x = r.touches.(i) in
+    let old = r.occ.members.(x) and now = members_of r x in
     if old <> now then begin
-      move r v ~dst:now;
-      r.undo_value.(r.undo_len) <- v;
+      move r x ~dst:now;
+      r.undo_value.(r.undo_len) <- x;
       r.undo_members.(r.undo_len) <- old;
       r.undo_len <- r.undo_len + 1;
       touched := !touched lor old lor now
@@ -251,27 +250,28 @@ let move_changed r node touched =
    is moved at most once: on its second visit its members are already
    current. *)
 let apply r a b =
-  exchange r a b;
+  exchange r.cluster a b;
   r.undo_len <- 0;
   move_changed r b (move_changed r a 0)
 
 let score r a b =
   let touched = apply r a b in
+  let peaks = r.occ.peaks in
   let cost = ref 0 in
-  for c = 0 to Array.length r.peak - 1 do
-    let p = if touched land (1 lsl c) <> 0 then peak_of r c else r.peak.(c) in
+  for c = 0 to Array.length peaks - 1 do
+    let p = if touched land (1 lsl c) <> 0 then peak_of r c else peaks.(c) in
     if p > !cost then cost := p
   done;
   for i = r.undo_len - 1 downto 0 do
     move r r.undo_value.(i) ~dst:r.undo_members.(i)
   done;
-  exchange r a b;
+  exchange r.cluster a b;
   !cost
 
 let commit r a b =
   let touched = apply r a b in
-  for c = 0 to Array.length r.peak - 1 do
-    if touched land (1 lsl c) <> 0 then r.peak.(c) <- peak_of r c
+  for c = 0 to Array.length r.occ.peaks - 1 do
+    if touched land (1 lsl c) <> 0 then r.occ.peaks.(c) <- peak_of r c
   done
 
 let cost ~estimate a sched =
@@ -281,52 +281,70 @@ let cost ~estimate a sched =
 
 (* Steepest descent: each pass scores every candidate and applies the
    first pair reaching the minimum, provided it is below the current
-   cost.  [Max_live] scores through the incremental rows; [Exact]
-   reallocates a swapped copy of the schedule per candidate. *)
-let improve ?(estimate = Max_live) ?(max_passes = 1000) ?analysis sched =
-  let a = match analysis with Some a -> a | None -> Requirements.analyse sched in
-  if Config.num_clusters sched.Schedule.config < 2 then begin
-    let c = cost ~estimate a sched in
-    (sched, { swaps = 0; initial_cost = c; final_cost = c })
+   cost.  [score] sees the schedule before the exchange it scores;
+   [cluster] is every node's current cluster, kept by [commit]. *)
+let descend ~max_passes ~(cluster : int array) ~score ~commit ~initial_cost sched =
+  let first, second = bucket_pairs sched in
+  let current = ref sched in
+  let rec loop current_cost swaps passes =
+    if passes >= max_passes then (current_cost, swaps)
+    else begin
+      (* The first cross-cluster pair reaching the minimum, if it is
+         below the current cost. *)
+      let best = ref (-1) and best_cost = ref current_cost in
+      for p = 0 to Array.length first - 1 do
+        let a = first.(p) and b = second.(p) in
+        if cluster.(a) <> cluster.(b) then begin
+          let c = score !current a b in
+          if c < !best_cost then begin
+            best := p;
+            best_cost := c
+          end
+        end
+      done;
+      if !best < 0 then (current_cost, swaps)
+      else begin
+        let a = first.(!best) and b = second.(!best) in
+        commit a b;
+        current := Schedule.swap_clusters !current a b;
+        loop !best_cost (swaps + 1) (passes + 1)
+      end
+    end
+  in
+  let final_cost, swaps = loop initial_cost 0 0 in
+  (!current, { swaps; initial_cost; final_cost })
+
+let single_cluster sched = Config.num_clusters sched.Schedule.config < 2
+
+let improve_occupancy ?(max_passes = 1000) (a : Requirements.analysis) sched =
+  if single_cluster sched then begin
+    let c = Requirements.max_live_cost_of a sched in
+    (sched, { swaps = 0; initial_cost = c; final_cost = c }, Requirements.occupancy_of a sched)
   end
   else begin
-    let first, second = bucket_pairs sched in
-    let current = ref sched in
-    let initial_cost, score, commit =
-      match estimate with
-      | Max_live ->
-        let r = rows_of a sched in
-        (rows_cost r, score r, commit r)
-      | Exact ->
-        ( cost ~estimate a sched,
-          (fun x y -> cost ~estimate a (Schedule.swap_clusters !current x y)),
-          fun _ _ -> () )
+    let r = rows_of a sched in
+    let swapped, stats =
+      descend ~max_passes ~cluster:r.cluster
+        ~score:(fun _ x y -> score r x y)
+        ~commit:(commit r) ~initial_cost:(rows_cost r) sched
     in
-    let rec loop current_cost swaps passes =
-      if passes >= max_passes then (current_cost, swaps)
-      else begin
-        (* The first cross-cluster pair reaching the minimum, if it is
-           below the current cost. *)
-        let best = ref (-1) and best_cost = ref current_cost in
-        for p = 0 to Array.length first - 1 do
-          let a = first.(p) and b = second.(p) in
-          if Schedule.cluster !current a <> Schedule.cluster !current b then begin
-            let c = score a b in
-            if c < !best_cost then begin
-              best := p;
-              best_cost := c
-            end
-          end
-        done;
-        if !best < 0 then (current_cost, swaps)
-        else begin
-          let a = first.(!best) and b = second.(!best) in
-          commit a b;
-          current := Schedule.swap_clusters !current a b;
-          loop !best_cost (swaps + 1) (passes + 1)
-        end
-      end
-    in
-    let final_cost, swaps = loop initial_cost 0 0 in
-    (!current, { swaps; initial_cost; final_cost })
+    (swapped, stats, r.occ)
   end
+
+(* [Exact] reallocates a swapped copy of the schedule per candidate. *)
+let improve ?(estimate = Max_live) ?(max_passes = 1000) ?analysis sched =
+  let a = match analysis with Some a -> a | None -> Requirements.analyse sched in
+  match estimate with
+  | Max_live ->
+    let swapped, stats, _ = improve_occupancy ~max_passes a sched in
+    (swapped, stats)
+  | Exact ->
+    let c = cost ~estimate a sched in
+    if single_cluster sched then (sched, { swaps = 0; initial_cost = c; final_cost = c })
+    else begin
+      let cluster = Array.init (Ddg.num_nodes sched.Schedule.ddg) (Schedule.cluster sched) in
+      descend ~max_passes ~cluster
+        ~score:(fun current x y -> cost ~estimate a (Schedule.swap_clusters current x y))
+        ~commit:(fun x y -> exchange cluster x y)
+        ~initial_cost:c sched
+    end

@@ -16,10 +16,11 @@
 
     The MaxLive estimate is maintained incrementally.  Lifetimes depend
     only on cycles, which an exchange does not move, so they are read
-    once per call from the schedule's {!Requirements.analysis}; each cluster keeps a live count per kernel
-    slot.  A pair is scored by moving only the values whose subfiles can
-    change — the two operations' own values and the values they consume
-    — and moving them back.  Candidates are recomputed after every
+    once per call from the schedule's {!Requirements.analysis}, and the
+    per-cluster live counts per kernel slot start from its
+    {!Requirements.occupancy}.  A pair is scored by moving only the
+    values whose subfiles can change — the two operations' own values
+    and the values they consume — and moving them back.  Candidates are recomputed after every
     accepted swap: when more than two operations share a (class, slot)
     bucket, an exchange changes which pairs sit on different clusters. *)
 
@@ -53,3 +54,14 @@ val improve :
   ?analysis:Requirements.analysis ->
   Schedule.t ->
   Schedule.t * stats
+
+(** [improve_occupancy a sched] is {!improve} [~analysis:a sched] with
+    the [Max_live] estimate, plus the occupancy of the returned
+    schedule's assignment, which the pass keeps up to date as it swaps:
+    {!Requirements.requirement_of} reads its bound from it.  Do not
+    mutate it: on a single-cluster machine it is the analysis's own. *)
+val improve_occupancy :
+  ?max_passes:int ->
+  Requirements.analysis ->
+  Schedule.t ->
+  Schedule.t * stats * Requirements.occupancy

@@ -64,7 +64,7 @@ let scratch table =
   {
     marks = [||];
     stamp = 0;
-    registers = Array.make (max 1 (Conflict.size table)) (-1);
+    registers = Array.make (Int.max 1 (Conflict.size table)) (-1);
     probes = 0;
   }
 
@@ -126,11 +126,20 @@ let pick table ~strategy ~capacity s ~hint i =
         let width = row.(!k + 2) in
         if width >= capacity then blocked := true
         else begin
-          (* [pos_mod] with one division: OCaml's [mod] keeps the
-             dividend's sign, so a negative remainder needs one
-             [capacity] added. *)
-          let start = (rj + row.(!k + 1)) mod capacity in
-          let start = if start < 0 then start + capacity else start in
+          (* [pos_mod] without a division: [rj] is in [0, capacity)
+             and a window's shift is almost always within one
+             capacity of it, so one correction suffices; [mod] is the
+             fallback. *)
+          let start = rj + row.(!k + 1) in
+          let start =
+            if start >= capacity then
+              if start < 2 * capacity then start - capacity else start mod capacity
+            else if start >= 0 then start
+            else if start >= -capacity then start + capacity
+            else
+              let r = start mod capacity in
+              if r < 0 then r + capacity else r
+          in
           if words then begin
             let stop = start + width in
             taken :=
@@ -186,16 +195,15 @@ let pick table ~strategy ~capacity s ~hint i =
         if !k < capacity then (hint + !k) mod capacity else -1
   end
 
-let place ~strategy table s ~capacity ordered =
-  let n = Array.length ordered in
-  if n = 0 then true
+let place ~strategy table s ~capacity ordered ~pos ~len =
+  if len = 0 then true
   else if capacity <= 0 then false
   else begin
     Conflict.note_pass table;
     if capacity > word_capacity && Array.length s.marks < capacity then
       s.marks <- Array.make capacity 0;
-    let ok = ref true and k = ref 0 and hint = ref 0 in
-    while !ok && !k < n do
+    let ok = ref true and k = ref pos and hint = ref 0 in
+    while !ok && !k < pos + len do
       let i = ordered.(!k) in
       let r = pick table ~strategy ~capacity s ~hint:!hint i in
       if r < 0 then ok := false
@@ -213,37 +221,45 @@ let place ~strategy table s ~capacity ordered =
    may start there — but error messages still report the original lower
    bound. *)
 let subset_width_floor table ordered =
-  let member = Array.make (max 1 (Conflict.size table)) false in
-  Array.iter (fun i -> member.(i) <- true) ordered;
+  let member = Conflict.borrow (Conflict.size table) in
+  Array.fill member 0 (Conflict.size table) 0;
+  Array.iter (fun i -> member.(i) <- 1) ordered;
   let floor = ref 0 in
   Array.iter
     (fun i ->
       let row = Conflict.neighbours table i in
       let k = ref 0 in
       while !k < Array.length row do
-        if member.(row.(!k)) && row.(!k + 2) >= !floor then
+        if member.(row.(!k)) = 1 && row.(!k + 2) >= !floor then
           floor := row.(!k + 2) + 1;
         k := !k + 3
       done)
     ordered;
+  Conflict.give_back member;
   !floor
 
 let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
   if Array.length ordered = 0 then 0
   else begin
     let ii = Conflict.ii table in
-    let live = Array.make ii 0 in
+    let live = Conflict.borrow ii in
+    Array.fill live 0 ii 0;
     let whole = ref 0 and longest = ref 1 and total = ref 0 in
-    Array.iter
-      (fun i ->
-        whole :=
-          !whole
-          + Lifetime.add_instances live ~ii ~start:(Conflict.start table i)
-              ~stop:(Conflict.stop table i);
-        longest := max !longest (Conflict.min_registers table i);
-        total := !total + Conflict.min_registers table i)
-      ordered;
-    let lower = max (!whole + Array.fold_left max 0 live) !longest in
+    for k = 0 to Array.length ordered - 1 do
+      let i = ordered.(k) in
+      whole :=
+        !whole
+        + Lifetime.add_instances live ~ii ~start:(Conflict.start table i)
+            ~stop:(Conflict.stop table i);
+      longest := Int.max !longest (Conflict.min_registers table i);
+      total := !total + Conflict.min_registers table i
+    done;
+    let top = ref 0 in
+    for slot = 0 to ii - 1 do
+      top := Int.max !top live.(slot)
+    done;
+    Conflict.give_back live;
+    let lower = Int.max (!whole + !top) !longest in
     let upper = match upper with Some u -> u | None -> (2 * !total) + 64 in
     let rec search capacity =
       if capacity > upper then
@@ -252,7 +268,7 @@ let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
           (Array.length ordered)
       else begin
         unassign_all s;
-        let ok = place ~strategy table s ~capacity ordered in
+        let ok = place ~strategy table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
         flush_probes s;
         if ok then capacity else search (capacity + 1)
       end
@@ -260,7 +276,7 @@ let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
     let floor =
       match floor with Some f -> f | None -> subset_width_floor table ordered
     in
-    search (max lower floor)
+    search (Int.max lower floor)
   end
 
 let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
@@ -275,7 +291,7 @@ let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
     let ordered =
       sorted ~order table (Array.init (List.length lifetimes) (fun k -> np + k))
     in
-    let ok = place ~strategy table s ~capacity ordered in
+    let ok = place ~strategy table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
     flush_probes s;
     if not ok then None
     else

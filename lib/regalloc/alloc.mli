@@ -90,13 +90,21 @@ val registers : scratch -> int array
 (** Set every register of the scratch to -1. *)
 val unassign_all : scratch -> unit
 
-(** [place ~strategy table s ~capacity ordered] places the values of
-    [ordered], in that order, on top of the registers already in [s],
-    writing each one's register into [registers s].  [false] as soon as
-    one does not fit (the values placed before it keep their
-    registers); [true] for an empty array.  Allocates nothing per value.
-    Work is counted in [s] until {!flush_probes}. *)
-val place : strategy:strategy -> Conflict.t -> scratch -> capacity:int -> int array -> bool
+(** [place ~strategy table s ~capacity ordered ~pos ~len] places the
+    values [ordered.(pos) .. ordered.(pos + len - 1)], in that order, on
+    top of the registers already in [s], writing each one's register
+    into [registers s].  [false] as soon as one does not fit (the values
+    placed before it keep their registers); [true] when [len = 0].
+    Allocates nothing.  Work is counted in [s] until {!flush_probes}. *)
+val place :
+  strategy:strategy ->
+  Conflict.t ->
+  scratch ->
+  capacity:int ->
+  int array ->
+  pos:int ->
+  len:int ->
+  bool
 
 (** Add the probes counted since the last flush to the [alloc.probes]
     counter. *)

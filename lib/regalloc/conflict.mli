@@ -32,14 +32,27 @@ val shift_window : ii:int -> Lifetime.t -> Lifetime.t -> int * int
 (** Positive remainder: [pos_mod a m] is in [[0, m)] for [m > 0]. *)
 val pos_mod : int -> int -> int
 
+(** [borrow words] is an int array of at least [words] elements with
+    arbitrary contents: the calling domain's scratch, taken out of its
+    cell, or a fresh array when the cell is empty or too small.  Table
+    builds and the allocation searches take their temporaries from it
+    so that neither allocates per call.  Hand it back with
+    {!give_back}; a borrow that is never handed back (an exception)
+    only costs the next borrow an allocation. *)
+val borrow : int -> int array
+
+(** Put a borrowed array back in the calling domain's cell (arrays
+    over 2{^17} words are left to the GC).  Do not use it afterwards. *)
+val give_back : int array -> unit
+
 (** Build a table for the lifetimes, in the given (significant) order:
     index [i] of the table is element [i] of the list.  One pass over
     the O(n²) pairs computes each window once and appends it to both
     rows in a scratch array with room for every neighbour, so each row
     comes out in ascending neighbour order; the rows are then copied
-    out at their exact length.  The scratch is reused per domain and
-    is never shared by two concurrent builds, systhreads of one domain
-    included.  Bumps the [alloc.pairs] counter by the number of stored
+    out at their exact length.  The scratch is {!borrow}ed, so it is
+    reused per domain and never shared by two concurrent builds,
+    systhreads of one domain included.  Bumps the [alloc.pairs] counter by the number of stored
     (non-empty-window) pairs. *)
 val make : ii:int -> Lifetime.t list -> t
 

@@ -7,9 +7,9 @@ type allocation = {
 let ceil_div a b = (a + b - 1) / b
 
 let quanta ~ii lifetimes =
-  List.map (fun l -> max 1 (ceil_div (Lifetime.length l) ii)) lifetimes
+  List.map (fun l -> Int.max 1 (ceil_div (Lifetime.length l) ii)) lifetimes
 
-let min_unroll ~ii lifetimes = List.fold_left max 1 (quanta ~ii lifetimes)
+let min_unroll ~ii lifetimes = List.fold_left Int.max 1 (quanta ~ii lifetimes)
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
@@ -19,7 +19,7 @@ let lcm a b = a / gcd a b * b
 let max_lcm = 4096
 
 let lcm_unroll ~ii lifetimes =
-  List.fold_left (fun acc q -> if acc >= max_lcm then max_lcm else min max_lcm (lcm acc q)) 1
+  List.fold_left (fun acc q -> if acc >= max_lcm then max_lcm else Int.min max_lcm (lcm acc q)) 1
     (quanta ~ii lifetimes)
 
 (* Smallest divisor of [u] that is >= q. *)
@@ -42,7 +42,7 @@ let at_unroll ~ii ~unroll lifetimes =
 
 let best ~ii lifetimes =
   let lower = min_unroll ~ii lifetimes in
-  let upper = max lower (min (lcm_unroll ~ii lifetimes) 64) in
+  let upper = Int.max lower (Int.min (lcm_unroll ~ii lifetimes) 64) in
   let candidate u = at_unroll ~ii ~unroll:u lifetimes in
   let better a b =
     if a.registers <> b.registers then a.registers < b.registers

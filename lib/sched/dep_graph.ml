@@ -213,7 +213,7 @@ let flatten ?derive cfg ddg =
     else if !forward then
       (* Every edge runs from a lower id to a higher one, so the ids
          order the graph topologically: no cycle, no search. *)
-      (Array.init n Fun.id, [||], min n 1, false)
+      (Array.init n Fun.id, [||], Int.min n 1, false)
     else begin
       let a = Array.make n (-1) and b = Array.make n 0 and c = Array.make (n + 1) 0 in
       let scc, span =

@@ -19,10 +19,10 @@ let res_mii_of (g : Dep_graph.t) =
   done;
   let bound count units = if count = 0 then 1 else if units = 0 then max_int else ceil_div count units in
   let of_cap count = function Some cap -> bound count cap | None -> 1 in
-  max
-    (max (bound !adds (Config.total_adders cfg)) (bound !muls (Config.total_multipliers cfg)))
-    (max (bound !mems (Config.total_ls_units cfg))
-       (max (of_cap !loads cfg.Config.load_ports) (of_cap !stores cfg.Config.store_ports)))
+  Int.max
+    (Int.max (bound !adds (Config.total_adders cfg)) (bound !muls (Config.total_multipliers cfg)))
+    (Int.max (bound !mems (Config.total_ls_units cfg))
+       (Int.max (of_cap !loads cfg.Config.load_ports) (of_cap !stores cfg.Config.store_ports)))
 
 let res_mii cfg ddg = res_mii_of (Dep_graph.make cfg ddg)
 
@@ -83,7 +83,7 @@ let rec_mii cfg ddg = rec_mii_of (Dep_graph.make cfg ddg)
 
 let mii cfg ddg =
   let g = Dep_graph.make cfg ddg in
-  max (res_mii_of g) (rec_mii_of g)
+  Int.max (res_mii_of g) (rec_mii_of g)
 
 (* [max (mii g.cfg g.ddg) floor] without the full RecMII binary search
    when the floor already dominates.  One feasibility probe at [floor]
@@ -94,10 +94,10 @@ let mii cfg ddg =
    always still covers the spilled graph's recurrences. *)
 let mii_with_floor ~floor (g : Dep_graph.t) =
   let res = res_mii_of g in
-  if floor <= 1 then max (max res (rec_mii_of g)) floor
-  else if Array.length g.cycle_slots = 0 then max res floor
+  if floor <= 1 then Int.max (Int.max res (rec_mii_of g)) floor
+  else if Array.length g.cycle_slots = 0 then Int.max res floor
   else begin
     let pot = Array.make g.n 0 in
-    if probe g pot ~ii:floor then max res floor
-    else max res (search g pot floor (latency_sum g ~init:floor))
+    if probe g pot ~ii:floor then Int.max res floor
+    else Int.max res (search g pot floor (latency_sum g ~init:floor))
   end

@@ -399,7 +399,7 @@ let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
       "Modulo.schedule: %s" msg
   end;
   let mii = Mii.mii_with_floor ~floor:min_ii g in
-  let attempt_budget = budget_ratio * max 1 (Ddg.num_nodes ddg) in
+  let attempt_budget = budget_ratio * Int.max 1 (Ddg.num_nodes ddg) in
   let rec search ii =
     (* Deadline poll once per II attempt: a request canceled or expired
        mid-search dies with a typed error instead of grinding through

@@ -263,7 +263,7 @@ let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
              dependences), so the next round's II search starts at the
              last achieved II instead of rediscovering it from
              [min_ii]. *)
-          let min_ii = if ii_floor then max min_ii (Schedule.ii raw) else min_ii in
+          let min_ii = if ii_floor then Int.max min_ii (Schedule.ii raw) else min_ii in
           iterate g ~min_ii ~spilled:(spilled + 1) ~ii_bumps ~rounds:(rounds + 1) ~last
             ~next_slot:(next_slot + 1)
         | None ->

@@ -20,6 +20,32 @@ trap 'exit 1' INT TERM
 dune build
 dune runtest
 
+# Int-only kernels: the compiled scheduling, allocation and swap paths
+# call no polymorphic comparison.  Without flambda, [max]/[min] on ints
+# compile to calls of [Stdlib.max]/[min], which compare through
+# [caml_greaterequal]; a stray [compare] or [=] on a boxed type calls
+# the C comparison directly.  Scans each module's native object.
+poly=$tmp/polycompare.txt
+: > "$poly"
+for m in sched/Mii sched/Modulo sched/Dep_graph core/Requirements regalloc/Alloc \
+    regalloc/Conflict regalloc/Lifetime core/Swap spill/Spiller core/Pipeline \
+    core/Artifact; do
+  dir=${m%/*} mod=${m#*/}
+  obj=_build/default/lib/$dir/.ncdrf_$dir.objs/native/ncdrf_${dir}__$mod.o
+  if [ ! -f "$obj" ]; then
+    echo "check.sh: missing native object $obj" >&2
+    exit 1
+  fi
+  objdump -dr "$obj" \
+    | grep -oE 'camlStdlib\.(max|min)_[0-9]+|caml_(compare|equal|notequal|greaterequal|greaterthan|lessequal|lessthan)([^A-Za-z0-9_]|$)' \
+    | sed "s|^|$mod: |" >> "$poly" || true
+done
+if [ -s "$poly" ]; then
+  echo "check.sh: polymorphic comparison in an int-only kernel:" >&2
+  sort "$poly" | uniq -c >&2
+  exit 1
+fi
+
 # Every exported value of lib/ has a caller outside its module, or is a
 # reviewed test hook (scripts/test_hooks.txt).
 scripts/exports.sh > "$tmp/exports.txt" || { cat "$tmp/exports.txt" >&2; exit 1; }

@@ -40,7 +40,10 @@ module Alloc = struct
       unassign_all p.scratch;
       let regs = registers p.scratch in
       List.iter (fun (j, r) -> regs.(j) <- r) placed;
-      let ok = place ~strategy:First_fit p.table p.scratch ~capacity p.ordered in
+      let ok =
+        place ~strategy:First_fit p.table p.scratch ~capacity p.ordered ~pos:0
+          ~len:(Array.length p.ordered)
+      in
       flush_probes p.scratch;
       if ok then Some (Array.to_list (Array.map (fun i -> (i, regs.(i))) p.ordered))
       else None
