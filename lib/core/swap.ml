@@ -222,14 +222,16 @@ let exchange cluster a b =
   cluster.(a) <- cluster.(b);
   cluster.(b) <- ca
 
+(* Only the clusters that gain or lose the value change rows. *)
 let move r x ~dst =
-  add_set r ~sign:(-1) r.occ.members.(x) x;
-  add_set r ~sign:1 dst x;
+  let old = r.occ.members.(x) in
+  add_set r ~sign:(-1) (old land lnot dst) x;
+  add_set r ~sign:1 (dst land lnot old) x;
   r.occ.members.(x) <- dst
 
 (* Move every value touched by node [node] whose members changed,
    logging each move's old members so the caller can undo it; returns
-   [touched] plus the clusters whose rows changed. *)
+   [touched] plus the clusters that gained or lost a value. *)
 let move_changed r node touched =
   let touched = ref touched in
   for i = r.touch_start.(node) to r.touch_start.(node + 1) - 1 do
@@ -240,7 +242,7 @@ let move_changed r node touched =
       r.undo_value.(r.undo_len) <- x;
       r.undo_members.(r.undo_len) <- old;
       r.undo_len <- r.undo_len + 1;
-      touched := !touched lor old lor now
+      touched := !touched lor (old lxor now)
     end
   done;
   !touched
@@ -254,18 +256,40 @@ let apply r a b =
   r.undo_len <- 0;
   move_changed r b (move_changed r a 0)
 
-let score r a b =
-  let touched = apply r a b in
+(* [peak_of], or any value of at least [bound] once the peak reaches it. *)
+let peak_below r c ~bound =
+  let row = r.occ.rows.(c) and whole = r.occ.whole.(c) in
+  let top = ref 0 and s = ref 0 in
+  while !s < r.ii && whole + !top < bound do
+    if row.(!s) > !top then top := row.(!s);
+    incr s
+  done;
+  whole + !top
+
+(* The estimate after exchanging [a] and [b], or any value of at least
+   [bound] when it is not below [bound] (the caller only keeps a pair
+   scoring below its best so far).  Only the subfiles of the two
+   clusters involved gain or lose values, so a third cluster already at
+   [bound] rules the pair out before anything moves. *)
+let score r ~bound a b =
+  let ca = r.cluster.(a) and cb = r.cluster.(b) in
   let peaks = r.occ.peaks in
   let cost = ref 0 in
   for c = 0 to Array.length peaks - 1 do
-    let p = if touched land (1 lsl c) <> 0 then peak_of r c else peaks.(c) in
-    if p > !cost then cost := p
+    if c <> ca && c <> cb && peaks.(c) > !cost then cost := peaks.(c)
   done;
-  for i = r.undo_len - 1 downto 0 do
-    move r r.undo_value.(i) ~dst:r.undo_members.(i)
-  done;
-  exchange r.cluster a b;
+  if !cost < bound then begin
+    let touched = apply r a b in
+    if touched land (1 lsl ca) <> 0 then cost := Int.max !cost (peak_below r ca ~bound)
+    else cost := Int.max !cost peaks.(ca);
+    if !cost < bound then
+      if touched land (1 lsl cb) <> 0 then cost := Int.max !cost (peak_below r cb ~bound)
+      else cost := Int.max !cost peaks.(cb);
+    for i = r.undo_len - 1 downto 0 do
+      move r r.undo_value.(i) ~dst:r.undo_members.(i)
+    done;
+    exchange r.cluster a b
+  end;
   !cost
 
 let commit r a b =
@@ -281,7 +305,8 @@ let cost ~estimate a sched =
 
 (* Steepest descent: each pass scores every candidate and applies the
    first pair reaching the minimum, provided it is below the current
-   cost.  [score] sees the schedule before the exchange it scores;
+   cost.  [score] sees the schedule before the exchange it scores and
+   the best cost so far, below which alone its answer must be exact;
    [cluster] is every node's current cluster, kept by [commit]. *)
 let descend ~max_passes ~(cluster : int array) ~score ~commit ~initial_cost sched =
   let first, second = bucket_pairs sched in
@@ -295,7 +320,7 @@ let descend ~max_passes ~(cluster : int array) ~score ~commit ~initial_cost sche
       for p = 0 to Array.length first - 1 do
         let a = first.(p) and b = second.(p) in
         if cluster.(a) <> cluster.(b) then begin
-          let c = score !current a b in
+          let c = score !current ~bound:!best_cost a b in
           if c < !best_cost then begin
             best := p;
             best_cost := c
@@ -325,7 +350,7 @@ let improve_occupancy ?(max_passes = 1000) (a : Requirements.analysis) sched =
     let r = rows_of a sched in
     let swapped, stats =
       descend ~max_passes ~cluster:r.cluster
-        ~score:(fun _ x y -> score r x y)
+        ~score:(fun _ ~bound x y -> score r ~bound x y)
         ~commit:(commit r) ~initial_cost:(rows_cost r) sched
     in
     (swapped, stats, r.occ)
@@ -344,7 +369,8 @@ let improve ?(estimate = Max_live) ?(max_passes = 1000) ?analysis sched =
     else begin
       let cluster = Array.init (Ddg.num_nodes sched.Schedule.ddg) (Schedule.cluster sched) in
       descend ~max_passes ~cluster
-        ~score:(fun current x y -> cost ~estimate a (Schedule.swap_clusters current x y))
+        ~score:(fun current ~bound:_ x y ->
+          cost ~estimate a (Schedule.swap_clusters current x y))
         ~commit:(fun x y -> exchange cluster x y)
         ~initial_cost:c sched
     end

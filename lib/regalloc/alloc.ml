@@ -101,6 +101,79 @@ let highest_bit x =
    int bit set; larger ones mark an occupancy array. *)
 let word_capacity = 62
 
+
+(* The registers value [i]'s placed neighbours forbid at [capacity <=
+   word_capacity], as a bit set: all of them as soon as one pair
+   conflicts at every register distance.  Probes are counted locally
+   and added to [s] once. *)
+let taken_word table s ~capacity i =
+  let full = (1 lsl capacity) - 1 and registers = s.registers in
+  let row = Conflict.neighbours table i in
+  let len = Array.length row in
+  let taken = ref 0 and probes = ref 0 and k = ref 0 in
+  while !k < len do
+    let rj = registers.(row.(!k)) in
+    if rj >= 0 then begin
+      incr probes;
+      let width = row.(!k + 2) in
+      if width >= capacity then begin
+        taken := full;
+        k := len
+      end
+      else begin
+        (* [pos_mod] without a division: [rj] is in [0, capacity)
+           and a window's shift is almost always within one capacity
+           of it, so one correction suffices; [mod] is the fallback.
+           Inline, so that no call spills the loop's registers. *)
+        let start = rj + row.(!k + 1) in
+        let start =
+          if start >= capacity then
+            if start < 2 * capacity then start - capacity else start mod capacity
+          else if start >= 0 then start
+          else if start >= -capacity then start + capacity
+          else
+            let r = start mod capacity in
+            if r < 0 then r + capacity else r
+        in
+        let stop = start + width in
+        taken :=
+          !taken
+          lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
+               else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
+      end
+    end;
+    k := !k + 3
+  done;
+  s.probes <- s.probes + !probes;
+  !taken
+
+(* The same past [word_capacity]: stamps the forbidden registers in
+   [marks]; [false] when one pair conflicts at every distance. *)
+let mark_taken table s ~capacity i =
+  s.stamp <- s.stamp + 1;
+  let stamp = s.stamp and marks = s.marks and registers = s.registers in
+  let row = Conflict.neighbours table i in
+  let len = Array.length row in
+  let blocked = ref false and probes = ref 0 and k = ref 0 in
+  while (not !blocked) && !k < len do
+    let rj = registers.(row.(!k)) in
+    if rj >= 0 then begin
+      incr probes;
+      let width = row.(!k + 2) in
+      if width >= capacity then blocked := true
+      else begin
+        let start = Conflict.pos_mod (rj + row.(!k + 1)) capacity in
+        for o = 0 to width - 1 do
+          let idx = start + o in
+          marks.(if idx >= capacity then idx - capacity else idx) <- stamp
+        done
+      end
+    end;
+    k := !k + 3
+  done;
+  s.probes <- s.probes + !probes;
+  not !blocked
+
 (* The register value [i] gets at [capacity], or -1.  A placed
    neighbour [j] at [rj] forbids exactly the registers the [conflict]
    test would reject: a circular run of [width] residues, one mask
@@ -109,90 +182,44 @@ let word_capacity = 62
    its scan of the free registers meets first.  Allocates nothing. *)
 let pick table ~strategy ~capacity s ~hint i =
   if Conflict.min_registers table i > capacity then -1
-  else begin
-    let words = capacity <= word_capacity in
-    let full = if words then (1 lsl capacity) - 1 else 0 in
-    s.stamp <- s.stamp + 1;
-    let stamp = s.stamp and marks = s.marks and registers = s.registers in
-    let row = Conflict.neighbours table i in
-    let len = Array.length row in
-    let taken = ref 0 in
-    let blocked = ref false in
-    let k = ref 0 in
-    while (not !blocked) && !k < len do
-      let rj = registers.(row.(!k)) in
-      if rj >= 0 then begin
-        s.probes <- s.probes + 1;
-        let width = row.(!k + 2) in
-        if width >= capacity then blocked := true
-        else begin
-          (* [pos_mod] without a division: [rj] is in [0, capacity)
-             and a window's shift is almost always within one
-             capacity of it, so one correction suffices; [mod] is the
-             fallback. *)
-          let start = rj + row.(!k + 1) in
-          let start =
-            if start >= capacity then
-              if start < 2 * capacity then start - capacity else start mod capacity
-            else if start >= 0 then start
-            else if start >= -capacity then start + capacity
-            else
-              let r = start mod capacity in
-              if r < 0 then r + capacity else r
-          in
-          if words then begin
-            let stop = start + width in
-            taken :=
-              !taken
-              lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
-                   else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
-          end
-          else
-            for o = 0 to width - 1 do
-              let idx = start + o in
-              let idx = if idx >= capacity then idx - capacity else idx in
-              marks.(idx) <- stamp
-            done
-        end
-      end;
-      k := !k + 3
-    done;
-    if !blocked then -1
-    else if words then begin
-      let free = full land lnot !taken in
-      if free = 0 then -1
-      else
-        match strategy with
-        | First_fit -> lowest_bit free
-        | End_fit -> highest_bit free
-        | Best_fit ->
-          (* The free registers rotated so bit 0 is the hint (the end
-             of the previously placed wand; [hint >= 0]): the lowest is
-             the nearest in increasing circular distance. *)
-          let h = hint mod capacity in
-          let rotated = (free lsr h) lor ((free lsl (capacity - h)) land full) in
-          (h + lowest_bit rotated) mod capacity
-    end
+  else if capacity <= word_capacity then begin
+    let full = (1 lsl capacity) - 1 in
+    let free = full land lnot (taken_word table s ~capacity i) in
+    if free = 0 then -1
     else
       match strategy with
-      | First_fit ->
-        let r = ref 0 in
-        while !r < capacity && marks.(!r) = stamp do
-          incr r
-        done;
-        if !r < capacity then !r else -1
-      | End_fit ->
-        let r = ref (capacity - 1) in
-        while !r >= 0 && marks.(!r) = stamp do
-          decr r
-        done;
-        !r
+      | First_fit -> lowest_bit free
+      | End_fit -> highest_bit free
       | Best_fit ->
-        let k = ref 0 in
-        while !k < capacity && marks.((hint + !k) mod capacity) = stamp do
-          incr k
-        done;
-        if !k < capacity then (hint + !k) mod capacity else -1
+        (* The free registers rotated so bit 0 is the hint (the end
+           of the previously placed wand; [hint >= 0]): the lowest is
+           the nearest in increasing circular distance. *)
+        let h = hint mod capacity in
+        let rotated = (free lsr h) lor ((free lsl (capacity - h)) land full) in
+        (h + lowest_bit rotated) mod capacity
+  end
+  else if not (mark_taken table s ~capacity i) then -1
+  else begin
+    let marks = s.marks and stamp = s.stamp in
+    match strategy with
+    | First_fit ->
+      let r = ref 0 in
+      while !r < capacity && marks.(!r) = stamp do
+        incr r
+      done;
+      if !r < capacity then !r else -1
+    | End_fit ->
+      let r = ref (capacity - 1) in
+      while !r >= 0 && marks.(!r) = stamp do
+        decr r
+      done;
+      !r
+    | Best_fit ->
+      let k = ref 0 in
+      while !k < capacity && marks.((hint + !k) mod capacity) = stamp do
+        incr k
+      done;
+      if !k < capacity then (hint + !k) mod capacity else -1
   end
 
 let place ~strategy table s ~capacity ordered ~pos ~len =
@@ -209,7 +236,8 @@ let place ~strategy table s ~capacity ordered ~pos ~len =
       if r < 0 then ok := false
       else begin
         s.registers.(i) <- r;
-        hint := r + Conflict.min_registers table i;
+        (* Only Best-Fit reads the end of the last wand. *)
+        if strategy = Best_fit then hint := r + Conflict.min_registers table i;
         incr k
       end
     done;
