@@ -126,6 +126,9 @@ let run ~config ~model ?capacity ?victim ddg =
   let a = Artifact.scheduled ~config ddg in
   let finish ?error ~final_ddg ~sched ~requirement ~fits ~spilled ~added_memops ~ii_bumps
       ~swaps () =
+    (* [sched] schedules [final_ddg] (or a graph of the same digest), so
+       one count serves both figures. *)
+    let memops = Traffic.memops_per_iteration final_ddg in
     {
       name = Ddg.name ddg;
       model;
@@ -138,8 +141,8 @@ let run ~config ~model ?capacity ?victim ddg =
       spilled;
       added_memops;
       ii_bumps;
-      memops_per_iter = Traffic.memops_per_iteration final_ddg;
-      density = Traffic.density sched;
+      memops_per_iter = memops;
+      density = Traffic.density ~memops sched;
       swaps;
       schedule = sched;
       error;

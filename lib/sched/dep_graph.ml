@@ -172,7 +172,7 @@ let cycle_slots_of ~src ~dst (scc : int array) =
    graph held here outlives the minor heap. *)
 let last : t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-let flatten ?derive cfg ddg =
+let flatten cfg ddg =
   let n = Ddg.num_nodes ddg and m = Ddg.num_edges ddg in
   (* Node arrays, and the checks of [Ddg.validate] that need no search
      (node ids; edge ends in range, distances non-negative, flow edges
@@ -216,23 +216,10 @@ let flatten ?derive cfg ddg =
       (Array.init n Fun.id, [||], Int.min n 1, false)
     else begin
       let a = Array.make n (-1) and b = Array.make n 0 and c = Array.make (n + 1) 0 in
-      let scc, span =
-        match derive with
-        | Some derive -> derive ~first:succ_first ~dst:succ_dst
-        | None ->
-          let scc = Array.make n (-1) in
-          let span =
-            components ~n ~first:succ_first ~dst:succ_dst ~comp:scc ~index:a ~low:b
-              ~stack:c ~call:(Array.make n 0) ~next:(Array.make n 0)
-          in
-          (* Name each component by its smallest node ([a] maps
-             Tarjan's numbers), as [spill] derives them. *)
-          Array.fill a 0 n (-1);
-          for v = 0 to n - 1 do
-            if a.(scc.(v)) < 0 then a.(scc.(v)) <- v;
-            scc.(v) <- a.(scc.(v))
-          done;
-          (scc, span)
+      let scc = Array.make n (-1) in
+      let span =
+        components ~n ~first:succ_first ~dst:succ_dst ~comp:scc ~index:a ~low:b
+          ~stack:c ~call:(Array.make n 0) ~next:(Array.make n 0)
       in
       let slots = cycle_slots_of ~src:succ_src ~dst:succ_dst scc in
       ( scc,
@@ -269,29 +256,12 @@ let make cfg ddg =
   | Some g when g.ddg == ddg && g.cfg == cfg -> g
   | Some _ | None -> flatten cfg ddg
 
-(* [Ddg.spill g.ddg v]'s components follow from [g]'s, without a
-   search.  The store-reload-consumer paths replace [v]'s flow edges,
-   so the old nodes reach each other exactly as before and keep their
-   components; a reload (one out-edge, to its consumer) lies on a cycle
-   exactly when its consumer shares [v]'s component, and the store
-   when some reload does.  Every other new node is a component of its
-   own.  An invalid [g] may have no components to extend: it is
-   searched afresh. *)
+(* The spilled graph is flattened afresh: deriving its components from
+   [g]'s instead of a Tarjan pass measured no faster over the spill
+   loop.  Remembering it lets the round's scheduling step skip the
+   flattening. *)
 let spill g v ~store ~reload =
-  let ddg = Ddg.spill g.ddg v ~store ~reload in
-  let derive ~first ~dst =
-    let n' = Array.length first - 1 and own = g.scc.(v) in
-    let scc = Array.init n' (fun u -> if u < g.n then g.scc.(u) else u) in
-    for load = g.n + 1 to n' - 1 do
-      if g.scc.(dst.(first.(load))) = own then begin
-        scc.(load) <- own;
-        scc.(g.n) <- own
-      end
-    done;
-    let span = Array.fold_left (fun k c -> if c = own then k + 1 else k) 0 scc in
-    (scc, Int.max g.cycle_span span)
-  in
-  let g' = if g.valid then flatten ~derive g.cfg ddg else flatten g.cfg ddg in
+  let g' = flatten g.cfg (Ddg.spill g.ddg v ~store ~reload) in
   Domain.DLS.set last (Some g');
   g'
 

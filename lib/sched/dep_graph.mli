@@ -35,12 +35,11 @@ type t = private {
   pred_dist : int array;
   pred_flow : bool array;
   scc : int array;
-      (** each node's strongly connected component over the succ rows,
-          named by its smallest node: two nodes share an id exactly
-          when each reaches the other.  When every edge runs from a
-          lower id to a higher one the ids are the node ids and no
-          search runs; otherwise one iterative Tarjan pass finds
-          them. *)
+      (** each node's strongly connected component over the succ rows:
+          two nodes share an id exactly when each reaches the other.
+          When every edge runs from a lower id to a higher one the ids
+          are the node ids and no search runs; otherwise they are the
+          numbers one iterative Tarjan pass gives them. *)
   cycle_slots : int array;
       (** the out-edge slots whose two ends share a component, in
           ascending order: exactly the edges that lie on some cycle
@@ -65,11 +64,9 @@ type t = private {
     returns it instead of flattening anew. *)
 val make : Config.t -> Ddg.t -> t
 
-(** [spill g v ~store ~reload] equals [make g.cfg (Ddg.spill g.ddg v
-    ~store ~reload)], flattened the same way, but for a valid [g] the
-    components come from [g]'s instead of a Tarjan pass: the spill
-    code joins [v]'s component exactly where a reloaded consumer is in
-    it.  The calling domain remembers the result for {!make}.
+(** [spill g v ~store ~reload] is the flattening of [Ddg.spill g.ddg v
+    ~store ~reload] on [g.cfg], which the calling domain remembers for
+    {!make}.
 
     @raise Invalid_argument if [v] is out of range. *)
 val spill :

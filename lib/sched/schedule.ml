@@ -33,14 +33,25 @@ let edge_weight t e =
   Config.latency t.config src_op - (t.ii * e.Ddg.distance)
 
 let first_cycle t =
-  Array.fold_left (fun acc p -> Int.min acc p.cycle) max_int t.placements
+  let first = ref max_int in
+  for v = 0 to Array.length t.placements - 1 do
+    first := Int.min !first t.placements.(v).cycle
+  done;
+  !first
 
-let last_cycle t =
-  Array.fold_left (fun acc p -> Int.max acc p.cycle) min_int t.placements
-
+(* The first and last cycle in one int loop: every pipeline point asks. *)
 let stages t =
-  if Array.length t.placements = 0 then 0
-  else ((last_cycle t - first_cycle t) / t.ii) + 1
+  let n = Array.length t.placements in
+  if n = 0 then 0
+  else begin
+    let first = ref max_int and last = ref min_int in
+    for v = 0 to n - 1 do
+      let c = t.placements.(v).cycle in
+      first := Int.min !first c;
+      last := Int.max !last c
+    done;
+    ((!last - !first) / t.ii) + 1
+  end
 
 let normalize t =
   let shift = first_cycle t in

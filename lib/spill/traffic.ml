@@ -2,17 +2,17 @@ open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_sched
 
-let memops_per_iteration ddg = Ddg.num_memory_ops ddg
+(* Loads and stores in one pass over the nodes. *)
+let memops_per_iteration ddg =
+  Ddg.fold_nodes ddg ~init:0 ~f:(fun acc n ->
+      if Opcode.is_load n.Ddg.opcode || Opcode.is_store n.Ddg.opcode then acc + 1 else acc)
 
 (* Zero traffic is density 0 whatever the machine; traffic on a machine
    with no memory bandwidth is infinitely dense, not free — returning
    0.0 for both conflated "nothing to transfer" with "nothing can
    transfer". *)
-let density sched =
-  let ddg = sched.Schedule.ddg in
-  let cfg = sched.Schedule.config in
-  let bandwidth = Config.memory_bandwidth cfg in
-  let memops = memops_per_iteration ddg in
+let density ~memops sched =
+  let bandwidth = Config.memory_bandwidth sched.Schedule.config in
   if memops = 0 then 0.0
   else if bandwidth = 0 then infinity
   else

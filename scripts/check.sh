@@ -127,14 +127,15 @@ if sed 's/.\[[0-9;]*m//g' "$sched_out" | grep '\[SKIP\]' | awk '{print $2}' \
 fi
 
 # Requirement equivalence: the reqs suite pins Requirements (shared
-# conflict tables, counting-sort start order) to the
-# Requirements_reference oracle.  It must run in full, unskipped.
+# conflict tables, counting-sort start order, the shared occupancy's
+# bounds) to the Requirements_reference oracle.  It must run in full,
+# unskipped.
 reqs_out=$tmp/reqs-suite.txt
 dune exec test/test_main.exe -- test reqs > "$reqs_out" 2>&1 || {
   cat "$reqs_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*reqs' "$reqs_out" || true)
-if [ "${ok:-0}" -lt 5 ]; then
-  echo "check.sh: expected 5 reqs equivalence tests to run, got $ok" >&2
+if [ "${ok:-0}" -lt 6 ]; then
+  echo "check.sh: expected 6 reqs equivalence tests to run, got $ok" >&2
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$reqs_out" | grep '\[SKIP\]' | awk '{print $2}' \

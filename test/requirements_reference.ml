@@ -342,3 +342,100 @@ let partitioned sched =
            j.tables);
     max_live = lazy (cluster_max_live sched);
   }
+
+(* The full joint problem's bounds as every search recomputed them
+   before an analysis kept its occupancy: [members], the grouping and
+   [lower_and_total] verbatim from that version of [Requirements], on
+   the analysis's arrays.  The tests check that the bound the shared
+   occupancy gives equals [lower_and_total] of this joint. *)
+module Joint = struct
+  open Requirements
+
+  let members a sched =
+    let m = Array.make (Array.length a.start) 0 in
+    for v = 0 to Array.length a.value_of - 1 do
+      let x = a.value_of.(v) in
+      if x >= 0 then begin
+        let lo = a.consumer_start.(v) and hi = a.consumer_start.(v + 1) in
+        if lo = hi then m.(x) <- 1 lsl Schedule.cluster sched v
+        else
+          for e = lo to hi - 1 do
+            m.(x) <- m.(x) lor (1 lsl Schedule.cluster sched a.consumers.(e))
+          done
+      end
+    done;
+    m
+
+  let replicated m = m land (m - 1) <> 0
+
+  let lowest_cluster m =
+    let c = ref 0 in
+    while (m lsr !c) land 1 = 0 do
+      incr c
+    done;
+    !c
+
+  type joint = {
+    table : Conflict.t;
+    members : int array;
+    shared : int array;
+    clusters : int array;
+    locals : int array array;
+  }
+
+  let partition sorted ~groups group =
+    let size = Array.make groups 0 in
+    Array.iter (fun x -> size.(group x) <- size.(group x) + 1) sorted;
+    let parts = Array.map (fun n -> Array.make n 0) size in
+    Array.fill size 0 groups 0;
+    Array.iter
+      (fun x ->
+        let g = group x in
+        parts.(g).(size.(g)) <- x;
+        size.(g) <- size.(g) + 1)
+      sorted;
+    parts
+
+  let joint_of (a : analysis) members =
+    let k = a.num_clusters in
+    let parts =
+      partition (sorted a Alloc.Start_time) ~groups:(k + 1) (fun x ->
+          let m = members.(x) in
+          if replicated m then 0 else 1 + lowest_cluster m)
+    in
+    {
+      table = Lazy.force a.table;
+      members;
+      shared = parts.(0);
+      clusters = Array.init k Fun.id;
+      locals = Array.sub parts 1 k;
+    }
+
+  let lower_and_total j =
+    let ii = Conflict.ii j.table in
+    let groups = Array.length j.locals in
+    let rows = Array.init groups (fun _ -> Array.make ii 0) and whole = Array.make groups 0 in
+    let longest = ref 1 and total = ref 0 in
+    let add q i =
+      whole.(q) <-
+        whole.(q)
+        + Lifetime.add_instances rows.(q) ~ii ~start:(Conflict.start j.table i)
+            ~stop:(Conflict.stop j.table i)
+    in
+    let count i =
+      longest := max !longest (Conflict.min_registers j.table i);
+      total := !total + Conflict.min_registers j.table i
+    in
+    Array.iter
+      (fun s ->
+        count s;
+        Array.iteri (fun q c -> if j.members.(s) land (1 lsl c) <> 0 then add q s) j.clusters)
+      j.shared;
+    Array.iteri (fun q ls -> Array.iter (fun l -> count l; add q l) ls) j.locals;
+    let lower = ref !longest in
+    Array.iteri (fun q w -> lower := max !lower (w + Array.fold_left max 0 rows.(q))) whole;
+    (!lower, !total)
+
+  (* The bounds of the joint problem of [sched]'s assignment. *)
+  let bounds a sched = lower_and_total (joint_of a (members a sched))
+end

@@ -7,8 +7,10 @@
    with and without port caps, the unified requirement under every
    strategy and order.  Also
    checks that the views [Artifact] computes from one shared analysis
-   equal the reference's, and that the counting sort behind
-   [Requirements.sorted]'s start order equals [Alloc.sorted]'s. *)
+   equal the reference's, that the counting sort behind
+   [Requirements.sorted]'s start order equals [Alloc.sorted]'s, and
+   that the occupancy an analysis and the swap pass share bounds the
+   joint search exactly as the per-search recomputation did. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -265,6 +267,42 @@ let prop_start_order_random =
       let config = config_of ~k ~latency:(if seed mod 2 = 0 then 3 else 6) ~caps:false in
       start_order_agrees (Modulo.schedule config ddg))
 
+(* The shared occupancy against the bounds every joint search used to
+   recompute ([Ref.Joint], verbatim): member sets, and the full joint's
+   lower bound and total, for the analysed schedule and for the
+   occupancy the swap pass hands on; the Swapped requirement read from
+   it, and [partitioned_of] on the swapped schedule, equal the
+   reference's on that schedule. *)
+let occupancy_agrees a sched (occ : Requirements.occupancy) =
+  let lower, total = Ref.Joint.bounds a sched in
+  occ.Requirements.members = Ref.Joint.members a sched
+  && Array.fold_left Int.max a.Requirements.longest occ.Requirements.peaks = lower
+  && a.Requirements.total = total
+  && occ.Requirements.peaks = (Requirements.occupancy_of a sched).Requirements.peaks
+
+let prop_shared_bounds =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, k, heavy) -> Printf.sprintf "seed=%d k=%d heavy=%b" seed k heavy)
+      QCheck.Gen.(triple (int_bound 50_000) (oneofl [ 2; 4 ]) bool)
+  in
+  QCheck.Test.make ~count:120 ~name:"shared occupancy bounds = recomputed (k = 2, 4)" arb
+    (fun (seed, k, heavy) ->
+      let params =
+        if heavy then Ncdrf_workloads.Generator.heavy else Ncdrf_workloads.Generator.default
+      in
+      let ddg = Ncdrf_workloads.Generator.generate params ~seed ~name:"bounds-eq" in
+      let config = config_of ~k ~latency:(if seed mod 2 = 0 then 3 else 6) ~caps:false in
+      let raw = Modulo.schedule config ddg in
+      let a = Requirements.analyse raw in
+      let swapped, stats, occ = Swap.improve_occupancy a raw in
+      let want = (Ref.partitioned swapped).Ref.requirement in
+      occupancy_agrees a raw (Lazy.force a.Requirements.occupancy)
+      && occupancy_agrees a swapped occ
+      && (stats.Swap.swaps > 0 || swapped == raw)
+      && Requirements.requirement_of a occ = want
+      && (Requirements.partitioned_of a swapped).Requirements.requirement = want)
+
 let suite =
   [
     Alcotest.test_case "suite schedules = reference" `Slow test_suite_schedules;
@@ -273,4 +311,5 @@ let suite =
     Alcotest.test_case "start order = Alloc.sorted on suite schedules" `Quick
       test_start_order_suite;
     QCheck_alcotest.to_alcotest prop_start_order_random;
+    QCheck_alcotest.to_alcotest prop_shared_bounds;
   ]

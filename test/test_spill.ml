@@ -117,8 +117,9 @@ let test_traffic_density () =
   let expected =
     3.0 /. (float_of_int (Schedule.ii sched) *. 2.0)
   in
-  Alcotest.(check (float 1e-9)) "density" expected (Traffic.density sched);
-  check_int "memops" 3 (Traffic.memops_per_iteration ddg)
+  let memops = Traffic.memops_per_iteration ddg in
+  Alcotest.(check (float 1e-9)) "density" expected (Traffic.density ~memops sched);
+  check_int "memops" 3 memops
 
 let test_spiller_under_partitioned_model () =
   let config = Config.dual ~latency:6 in
@@ -400,7 +401,8 @@ let test_density_zero_bandwidth_is_infinite () =
     Array.init (Ddg.num_nodes g) (fun v -> { Schedule.cycle = v; cluster = 0 })
   in
   let sched = Schedule.make ~config ~ii:1 ~placements g in
-  check_bool "density is infinite" true (Traffic.density sched = infinity)
+  check_bool "density is infinite" true
+    (Traffic.density ~memops:(Traffic.memops_per_iteration g) sched = infinity)
 
 (* --- Fission regressions --- *)
 
