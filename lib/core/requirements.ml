@@ -295,17 +295,17 @@ let max_live_cost ?lifetimes sched =
 (* ------------------------------------------------------------------ *)
 (* The joint search.  A joint problem lives on one table: the
    replicated values, placed once (their registers are shared by every
-   subfile holding them), then each group of locals — the locals of
-   cluster [clusters.(q)] — on top of the replicated values that
+   subfile holding them), then each of [groups] groups of locals — the
+   locals of cluster [first + q] — on top of the replicated values that
    cluster's subfile holds.  Index subsets of the analysis table
    replace the per-cluster tables: a value absent from a subfile simply
    has no register while that subfile's locals are placed.
 
-   The groups sit in one flat [layout]: with [g = Array.length
-   clusters], entries [0 .. g + 1] are offsets into the array itself,
-   group 0 (the replicated values) spanning [layout.(0)] to
-   [layout.(1) - 1] and group [q + 1] (cluster [clusters.(q)]'s locals)
-   [layout.(q + 1)] to [layout.(q + 2) - 1], each in placement order.
+   The groups sit in one flat [layout]: with [g = groups], entries
+   [0 .. g + 1] are offsets into the array itself, group 0 (the
+   replicated values) spanning [layout.(0)] to [layout.(1) - 1] and
+   group [q + 1] (cluster [first + q]'s locals) [layout.(q + 1)] to
+   [layout.(q + 2) - 1], each in placement order.
    While groups hide some replicated value, the registers of group 0
    are saved from [layout.(g + 1)] on. *)
 
@@ -314,17 +314,17 @@ type joint = {
   scratch : Alloc.scratch;
   members : int array;  (* per table index: the clusters holding it *)
   mask : int;  (* a value is in the problem iff its members meet the mask *)
-  clusters : int array;  (* the cluster of each group of locals *)
+  first : int;  (* the cluster of the first group of locals *)
+  groups : int;  (* groups of locals *)
   layout : int array;
   hide : bool;  (* some replicated value is absent from some group's subfile *)
 }
 
-let groups j = Array.length j.clusters
 let group_pos j g = j.layout.(g)
 let group_len j g = j.layout.(g + 1) - j.layout.(g)
-let saved_at j = j.layout.(groups j + 1)
+let saved_at j = j.layout.(j.groups + 1)
 
-let is_empty j = j.layout.(groups j + 1) = j.layout.(0)
+let is_empty j = j.layout.(j.groups + 1) = j.layout.(0)
 
 (* Words a layout of [values] values over [groups] groups may need. *)
 let layout_words ~groups ~values = groups + 2 + (2 * values)
@@ -364,7 +364,8 @@ let joint_of (a : analysis) members layout =
     scratch = Lazy.force a.scratch;
     members;
     mask = all;
-    clusters = Array.init k Fun.id;
+    first = 0;
+    groups = k;
     layout;
     hide = !hide;
   }
@@ -392,14 +393,14 @@ let isolated j c =
     end
   done;
   Array.blit j.layout locals_pos layout !p locals_len;
-  { j with mask = bit; clusters = [| c |]; layout; hide = false }
+  { j with mask = bit; first = c; groups = 1; layout; hide = false }
 
 (* Group [q + 1]'s locals on top of the replicated values its subfile
    holds; they stay placed until [unplace]. *)
 let place_group j ~capacity q =
   let regs = Alloc.registers j.scratch in
   if j.hide then begin
-    let bit = 1 lsl j.clusters.(q) and saved = saved_at j in
+    let bit = 1 lsl (j.first + q) and saved = saved_at j in
     for i = 0 to group_len j 0 - 1 do
       let s = j.layout.(group_pos j 0 + i) in
       regs.(s) <- (if j.members.(s) land bit <> 0 then j.layout.(saved + i) else -1)
@@ -430,7 +431,7 @@ let place_shared j ~capacity =
 
 let feasible j capacity =
   let ok = ref (place_shared j ~capacity) and q = ref 0 in
-  while !ok && !q < groups j do
+  while !ok && !q < j.groups do
     ok := place_group j ~capacity !q;
     unplace j !q;
     incr q
@@ -446,7 +447,7 @@ let feasible j capacity =
    counts its own values here, in rows from the domain's scratch. *)
 let lower_and_total j =
   let ii = Conflict.ii j.table in
-  let g = groups j in
+  let g = j.groups in
   (* Group [q]'s row at [q * ii], its whole instances at [g * ii + q]. *)
   let rows = Conflict.borrow ((g * ii) + g) in
   Array.fill rows 0 ((g * ii) + g) 0;
@@ -473,7 +474,7 @@ let lower_and_total j =
   for p = group_pos j 0 to group_pos j 1 - 1 do
     let s = j.layout.(p) in
     for q = 0 to g - 1 do
-      if j.members.(s) land (1 lsl j.clusters.(q)) <> 0 then add q s
+      if j.members.(s) land (1 lsl (j.first + q)) <> 0 then add q s
     done
   done;
   for q = 0 to g - 1 do
@@ -498,7 +499,7 @@ let lower_and_total j =
    A value is in the problem iff its members meet the joint's mask. *)
 let pair_floor j =
   let floor = ref 0 in
-  for p = group_pos j 0 to group_pos j (groups j + 1) - 1 do
+  for p = group_pos j 0 to group_pos j (j.groups + 1) - 1 do
     let i = j.layout.(p) in
     let mi = j.members.(i) in
     let row = Conflict.neighbours j.table i in
@@ -526,7 +527,7 @@ let joint_search j ~lower ~total =
       if capacity > upper then
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
           "no feasible joint capacity in [%d, %d] (%d globals, %d clusters)" lower upper
-          (group_len j 0) (groups j)
+          (group_len j 0) j.groups
       else if feasible j capacity then capacity
       else search (capacity + 1)
     in
