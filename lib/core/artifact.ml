@@ -249,7 +249,7 @@ let shared_of sched =
     partitioned =
       lazy
         (let a = Lazy.force analysis in
-         Requirements.requirement_of a (Lazy.force a.Requirements.occupancy));
+         Requirements.requirement_of a (Requirements.occupancy_of a sched));
   }
 
 let compute_view shared model sched =

@@ -442,56 +442,20 @@ let feasible j capacity =
 (* Sound lower bounds on a feasible capacity: each subfile's MaxLive
    (replicated values counted in every subfile holding them) and the
    longest value; plus the disjoint-allocation total for the default
-   upper bound.  The full joint of an assignment reads them off the
-   analysis and the assignment's occupancy; a cluster in isolation
-   counts its own values here, in rows from the domain's scratch. *)
-let lower_and_total j =
-  let ii = Conflict.ii j.table in
-  let g = j.groups in
-  (* Group [q]'s row at [q * ii], its whole instances at [g * ii + q]. *)
-  let rows = Conflict.borrow ((g * ii) + g) in
-  Array.fill rows 0 ((g * ii) + g) 0;
-  let whole = g * ii in
+   upper bound.  Every problem's subfiles are some of its assignment's,
+   so MaxLive comes from the occupancy: for the full joint the longest
+   value and the total are the analysis's, and a cluster in isolation
+   counts its own values. *)
+let full_bounds (a : analysis) occ = (Int.max a.longest (row_max occ.peaks), a.total)
+
+let isolated_bounds j occ =
   let longest = ref 1 and total = ref 0 in
-  let add q i =
-    let slot = ref ((((Conflict.start j.table i mod ii) + ii) mod ii) + (q * ii)) in
-    let len = Conflict.stop j.table i - Conflict.start j.table i in
-    if len > 0 then begin
-      for _ = 1 to len mod ii do
-        rows.(!slot) <- rows.(!slot) + 1;
-        incr slot;
-        if !slot = (q + 1) * ii then slot := q * ii
-      done;
-      rows.(whole + q) <- rows.(whole + q) + (len / ii)
-    end
-  in
-  for p = group_pos j 0 to group_pos j (g + 1) - 1 do
-    let i = j.layout.(p) in
-    let regs = Conflict.min_registers j.table i in
+  for p = group_pos j 0 to group_pos j (j.groups + 1) - 1 do
+    let regs = Conflict.min_registers j.table j.layout.(p) in
     longest := Int.max !longest regs;
     total := !total + regs
   done;
-  for p = group_pos j 0 to group_pos j 1 - 1 do
-    let s = j.layout.(p) in
-    for q = 0 to g - 1 do
-      if j.members.(s) land (1 lsl (j.first + q)) <> 0 then add q s
-    done
-  done;
-  for q = 0 to g - 1 do
-    for p = group_pos j (q + 1) to group_pos j (q + 2) - 1 do
-      add q j.layout.(p)
-    done
-  done;
-  let lower = ref !longest in
-  for q = 0 to g - 1 do
-    let top = ref 0 in
-    for slot = q * ii to ((q + 1) * ii) - 1 do
-      top := Int.max !top rows.(slot)
-    done;
-    lower := Int.max !lower (rows.(whole + q) + !top)
-  done;
-  Conflict.give_back rows;
-  (!lower, !total)
+  (Int.max !longest occ.peaks.(j.first), !total)
 
 (* Two values are co-allocated when both are replicated (placed in one
    pass) or they share a subfile; a co-allocated pair of width [w] rules
@@ -534,14 +498,9 @@ let joint_search j ~lower ~total =
     search (Int.max lower floor)
   end
 
-let general_search j =
-  let lower, total = lower_and_total j in
+let full_search a occ j =
+  let lower, total = full_bounds a occ in
   joint_search j ~lower ~total
-
-(* The full joint's bounds are constants of the analysis and of the
-   assignment's occupancy. *)
-let full_search (a : analysis) occ j =
-  joint_search j ~lower:(Int.max a.longest (row_max occ.peaks)) ~total:a.total
 
 let fresh_layout (a : analysis) =
   Array.make (layout_words ~groups:a.num_clusters ~values:(Array.length a.start)) 0
@@ -581,7 +540,11 @@ let partitioned_of a sched =
   {
     requirement = full_search a occ j;
     cluster_requirements =
-      lazy (Array.init a.num_clusters (fun c -> general_search (isolated j c)));
+      lazy
+        (Array.init a.num_clusters (fun c ->
+             let jc = isolated j c in
+             let lower, total = isolated_bounds jc occ in
+             joint_search jc ~lower ~total));
     global_requirement = lazy (alone 0);
     local_requirements = lazy (Array.init a.num_clusters (fun c -> alone (c + 1)));
     max_live = lazy (Array.copy occ.peaks);
