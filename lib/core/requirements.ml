@@ -43,26 +43,24 @@ type analysis = {
   orders : int array array;
 }
 
-let rec count_flow acc = function
-  | [] -> acc
-  | e :: rest -> count_flow (if e.Ddg.kind = Ddg.Flow then acc + 1 else acc) rest
-
-(* Writes node [v]'s flow consumers from [pos] on and returns the cycle
-   at which the last finishes (a consumer across a loop-carried edge of
+(* Appends node [v]'s flow consumers to [consumers] from
+   [consumer_start.(v + 1)] on, advancing it, and returns the cycle at
+   which the last finishes (a consumer across a loop-carried edge of
    distance d finishes d * II later), at least [acc]: the stop of [v]'s
    lifetime as [Lifetime.of_schedule] computes it. *)
-let rec fill_consumers sched ~ii consumers pos acc = function
+let rec fill_consumers sched ~ii consumers consumer_start v acc = function
   | [] -> acc
   | e :: rest when e.Ddg.kind <> Ddg.Flow ->
-    fill_consumers sched ~ii consumers pos acc rest
+    fill_consumers sched ~ii consumers consumer_start v acc rest
   | e :: rest ->
-    let dst = e.Ddg.dst in
+    let dst = e.Ddg.dst and pos = consumer_start.(v + 1) in
     consumers.(pos) <- dst;
+    consumer_start.(v + 1) <- pos + 1;
     let finish =
       Schedule.cycle sched dst + (e.Ddg.distance * ii)
       + Config.latency sched.Schedule.config (Ddg.node sched.Schedule.ddg dst).Ddg.opcode
     in
-    fill_consumers sched ~ii consumers (pos + 1) (Int.max acc finish) rest
+    fill_consumers sched ~ii consumers consumer_start v (Int.max acc finish) rest
 
 (* A value's clusters as a bit set (bit c for cluster c;
    [Config.max_clusters] keeps them within one int): its consumers'
@@ -131,24 +129,24 @@ let analyse sched =
   let num_clusters = Config.num_clusters sched.Schedule.config in
   let n = Ddg.num_nodes ddg in
   let value_of = Array.make n (-1) in
-  let consumer_start = Array.make (n + 1) 0 in
   let values = ref 0 in
   for v = 0 to n - 1 do
     if Opcode.produces_value (Ddg.node ddg v).Ddg.opcode then begin
       value_of.(v) <- !values;
       incr values
-    end;
-    consumer_start.(v + 1) <- count_flow consumer_start.(v) (Ddg.succs ddg v)
+    end
   done;
-  let consumers = Array.make consumer_start.(n) 0 in
+  (* One walk of each node's edge list fills its consumer row; the
+     edge count bounds the rows' total length. *)
+  let consumer_start = Array.make (n + 1) 0 in
+  let consumers = Array.make (Ddg.num_edges ddg) 0 in
   let producer = Array.make !values 0 in
   let start = Array.make !values 0 and stop = Array.make !values 0 in
   let longest = ref 1 and total = ref 0 in
   for v = 0 to n - 1 do
     let s = Schedule.cycle sched v in
-    let finish =
-      fill_consumers sched ~ii consumers consumer_start.(v) s (Ddg.succs ddg v)
-    in
+    consumer_start.(v + 1) <- consumer_start.(v);
+    let finish = fill_consumers sched ~ii consumers consumer_start v s (Ddg.succs ddg v) in
     let x = value_of.(v) in
     if x >= 0 then begin
       producer.(x) <- v;

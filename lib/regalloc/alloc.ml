@@ -69,7 +69,13 @@ let scratch table =
   }
 
 let registers s = s.registers
-let unassign_all s = Array.fill s.registers 0 (Array.length s.registers) (-1)
+(* A loop rather than [Array.fill]: a table holds tens of values, and
+   every capacity probe clears them. *)
+let unassign_all s =
+  let r = s.registers in
+  for i = 0 to Array.length r - 1 do
+    r.(i) <- -1
+  done
 
 let flush_probes s =
   if s.probes > 0 then begin
@@ -102,53 +108,10 @@ let highest_bit x =
 let word_capacity = 62
 
 
-(* The registers value [i]'s placed neighbours forbid at [capacity <=
-   word_capacity], as a bit set: all of them as soon as one pair
-   conflicts at every register distance.  Probes are counted locally
-   and added to [s] once. *)
-let taken_word table s ~capacity i =
-  let full = (1 lsl capacity) - 1 and registers = s.registers in
-  let row = Conflict.neighbours table i in
-  let len = Array.length row in
-  let taken = ref 0 and probes = ref 0 and k = ref 0 in
-  while !k < len do
-    let rj = registers.(row.(!k)) in
-    if rj >= 0 then begin
-      incr probes;
-      let width = row.(!k + 2) in
-      if width >= capacity then begin
-        taken := full;
-        k := len
-      end
-      else begin
-        (* [pos_mod] without a division: [rj] is in [0, capacity)
-           and a window's shift is almost always within one capacity
-           of it, so one correction suffices; [mod] is the fallback.
-           Inline, so that no call spills the loop's registers. *)
-        let start = rj + row.(!k + 1) in
-        let start =
-          if start >= capacity then
-            if start < 2 * capacity then start - capacity else start mod capacity
-          else if start >= 0 then start
-          else if start >= -capacity then start + capacity
-          else
-            let r = start mod capacity in
-            if r < 0 then r + capacity else r
-        in
-        let stop = start + width in
-        taken :=
-          !taken
-          lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
-               else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
-      end
-    end;
-    k := !k + 3
-  done;
-  s.probes <- s.probes + !probes;
-  !taken
-
-(* The same past [word_capacity]: stamps the forbidden registers in
-   [marks]; [false] when one pair conflicts at every distance. *)
+(* Past [word_capacity]: stamps the registers value [i]'s placed
+   neighbours forbid in [marks]; [false] when one pair conflicts at
+   every register distance.  Probes are counted locally and added to
+   [s] once. *)
 let mark_taken table s ~capacity i =
   s.stamp <- s.stamp + 1;
   let stamp = s.stamp and marks = s.marks and registers = s.registers in
@@ -183,8 +146,48 @@ let mark_taken table s ~capacity i =
 let pick table ~strategy ~capacity s ~hint i =
   if Conflict.min_registers table i > capacity then -1
   else if capacity <= word_capacity then begin
-    let full = (1 lsl capacity) - 1 in
-    let free = full land lnot (taken_word table s ~capacity i) in
+    (* The forbidden registers as a bit set: all of them as soon as one
+       pair conflicts at every register distance.  Probes are counted
+       locally and added to [s] once. *)
+    let full = (1 lsl capacity) - 1 and registers = s.registers in
+    let row = Conflict.neighbours table i in
+    let len = Array.length row in
+    let taken = ref 0 and probes = ref 0 and k = ref 0 in
+    while !k < len do
+      let rj = registers.(row.(!k)) in
+      if rj >= 0 then begin
+        incr probes;
+        let width = row.(!k + 2) in
+        if width >= capacity then begin
+          taken := full;
+          k := len
+        end
+        else begin
+          (* [pos_mod] without a division: [rj] is in [0, capacity)
+             and a window's shift is almost always within one capacity
+             of it, so one correction suffices; [mod] is the fallback.
+             Inline, so that no call spills the loop's registers. *)
+          let start = rj + row.(!k + 1) in
+          let start =
+            if start >= capacity then
+              if start < 2 * capacity then start - capacity else start mod capacity
+            else if start >= 0 then start
+            else if start >= -capacity then start + capacity
+            else
+              let r = start mod capacity in
+              if r < 0 then r + capacity else r
+          in
+          let stop = start + width in
+          taken :=
+            !taken
+            lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
+                 else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
+        end
+      end;
+      k := !k + 3
+    done;
+    s.probes <- s.probes + !probes;
+    let free = full land lnot !taken in
     if free = 0 then -1
     else
       match strategy with
