@@ -298,11 +298,6 @@ let commit r a b =
     if touched land (1 lsl c) <> 0 then r.occ.peaks.(c) <- peak_of r c
   done
 
-let cost ~estimate a sched =
-  match estimate with
-  | Max_live -> Requirements.max_live_cost_of a sched
-  | Exact -> (Requirements.partitioned_of a sched).Requirements.requirement
-
 (* Steepest descent: each pass scores every candidate and applies the
    first pair reaching the minimum, provided it is below the current
    cost.  [score] sees the schedule before the exchange it scores and
@@ -364,13 +359,13 @@ let improve ?(estimate = Max_live) ?(max_passes = 1000) ?analysis sched =
     let swapped, stats, _ = improve_occupancy ~max_passes a sched in
     (swapped, stats)
   | Exact ->
-    let c = cost ~estimate a sched in
+    let cost s = (Requirements.partitioned_of a s).Requirements.requirement in
+    let c = cost sched in
     if single_cluster sched then (sched, { swaps = 0; initial_cost = c; final_cost = c })
     else begin
       let cluster = Array.init (Ddg.num_nodes sched.Schedule.ddg) (Schedule.cluster sched) in
       descend ~max_passes ~cluster
-        ~score:(fun current ~bound:_ x y ->
-          cost ~estimate a (Schedule.swap_clusters current x y))
+        ~score:(fun current ~bound:_ x y -> cost (Schedule.swap_clusters current x y))
         ~commit:(fun x y -> exchange cluster x y)
         ~initial_cost:c sched
     end
