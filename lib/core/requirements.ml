@@ -329,10 +329,10 @@ let layout_words ~groups ~values = groups + 2 + (2 * values)
 
 (* The joint problem of an assignment of the analysis's values, laid
    out in [layout] (at least [layout_words] long) by a counting pass
-   over the sorted order: group [q + 1]'s count goes to [layout.(q + 3)]
-   so that the prefix sum leaves each group's start one slot right of
-   its own offset, and the placing pass then advances that slot to the
-   group's end. *)
+   over the sorted order: group [g]'s count goes to [layout.(g + 2)]
+   (the last group's is not needed), so that the prefix sum leaves each
+   group's start one slot right of its own offset, and the placing pass
+   then advances that slot to the group's end. *)
 let joint_of (a : analysis) members layout =
   let k = a.num_clusters in
   let sorted = sorted a Alloc.Start_time in

@@ -107,61 +107,29 @@ let highest_bit x =
    int bit set; larger ones mark an occupancy array. *)
 let word_capacity = 62
 
-
-(* Past [word_capacity]: stamps the registers value [i]'s placed
-   neighbours forbid in [marks]; [false] when one pair conflicts at
-   every register distance.  Probes are counted locally and added to
-   [s] once. *)
-let mark_taken table s ~capacity i =
-  s.stamp <- s.stamp + 1;
-  let stamp = s.stamp and marks = s.marks and registers = s.registers in
-  let row = Conflict.neighbours table i in
-  let len = Array.length row in
-  let blocked = ref false and probes = ref 0 and k = ref 0 in
-  while (not !blocked) && !k < len do
-    let rj = registers.(row.(!k)) in
-    if rj >= 0 then begin
-      incr probes;
-      let width = row.(!k + 2) in
-      if width >= capacity then blocked := true
-      else begin
-        let start = Conflict.pos_mod (rj + row.(!k + 1)) capacity in
-        for o = 0 to width - 1 do
-          let idx = start + o in
-          marks.(if idx >= capacity then idx - capacity else idx) <- stamp
-        done
-      end
-    end;
-    k := !k + 3
-  done;
-  s.probes <- s.probes + !probes;
-  not !blocked
-
 (* The register value [i] gets at [capacity], or -1.  A placed
    neighbour [j] at [rj] forbids exactly the registers the [conflict]
    test would reject: a circular run of [width] residues, one mask
    operation (or an O(width) marking past [word_capacity]) instead of
    an O(placed) walk per candidate.  Each strategy picks the register
-   its scan of the free registers meets first.  Allocates nothing. *)
+   its scan of the free registers meets first.  Allocates nothing;
+   probes are counted locally and added to [s] once. *)
 let pick table ~strategy ~capacity s ~hint i =
   if Conflict.min_registers table i > capacity then -1
-  else if capacity <= word_capacity then begin
-    (* The forbidden registers as a bit set: all of them as soon as one
-       pair conflicts at every register distance.  Probes are counted
-       locally and added to [s] once. *)
-    let full = (1 lsl capacity) - 1 and registers = s.registers in
+  else begin
+    let words = capacity <= word_capacity in
+    let full = if words then (1 lsl capacity) - 1 else 0 in
+    s.stamp <- s.stamp + 1;
+    let stamp = s.stamp and marks = s.marks and registers = s.registers in
     let row = Conflict.neighbours table i in
     let len = Array.length row in
-    let taken = ref 0 and probes = ref 0 and k = ref 0 in
-    while !k < len do
+    let taken = ref 0 and blocked = ref false and probes = ref 0 and k = ref 0 in
+    while (not !blocked) && !k < len do
       let rj = registers.(row.(!k)) in
       if rj >= 0 then begin
         incr probes;
         let width = row.(!k + 2) in
-        if width >= capacity then begin
-          taken := full;
-          k := len
-        end
+        if width >= capacity then blocked := true
         else begin
           (* [pos_mod] without a division: [rj] is in [0, capacity)
              and a window's shift is almost always within one capacity
@@ -177,52 +145,60 @@ let pick table ~strategy ~capacity s ~hint i =
               let r = start mod capacity in
               if r < 0 then r + capacity else r
           in
-          let stop = start + width in
-          taken :=
-            !taken
-            lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
-                 else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
+          if words then begin
+            let stop = start + width in
+            taken :=
+              !taken
+              lor (if stop <= capacity then ((1 lsl width) - 1) lsl start
+                   else full lxor ((1 lsl start) - 1) lor ((1 lsl (stop - capacity)) - 1))
+          end
+          else
+            for o = 0 to width - 1 do
+              let idx = start + o in
+              let idx = if idx >= capacity then idx - capacity else idx in
+              marks.(idx) <- stamp
+            done
         end
       end;
       k := !k + 3
     done;
     s.probes <- s.probes + !probes;
-    let free = full land lnot !taken in
-    if free = 0 then -1
+    if !blocked then -1
+    else if words then begin
+      let free = full land lnot !taken in
+      if free = 0 then -1
+      else
+        match strategy with
+        | First_fit -> lowest_bit free
+        | End_fit -> highest_bit free
+        | Best_fit ->
+          (* The free registers rotated so bit 0 is the hint (the end
+             of the previously placed wand; [hint >= 0]): the lowest is
+             the nearest in increasing circular distance. *)
+          let h = hint mod capacity in
+          let rotated = (free lsr h) lor ((free lsl (capacity - h)) land full) in
+          (h + lowest_bit rotated) mod capacity
+    end
     else
       match strategy with
-      | First_fit -> lowest_bit free
-      | End_fit -> highest_bit free
+      | First_fit ->
+        let r = ref 0 in
+        while !r < capacity && marks.(!r) = stamp do
+          incr r
+        done;
+        if !r < capacity then !r else -1
+      | End_fit ->
+        let r = ref (capacity - 1) in
+        while !r >= 0 && marks.(!r) = stamp do
+          decr r
+        done;
+        !r
       | Best_fit ->
-        (* The free registers rotated so bit 0 is the hint (the end
-           of the previously placed wand; [hint >= 0]): the lowest is
-           the nearest in increasing circular distance. *)
-        let h = hint mod capacity in
-        let rotated = (free lsr h) lor ((free lsl (capacity - h)) land full) in
-        (h + lowest_bit rotated) mod capacity
-  end
-  else if not (mark_taken table s ~capacity i) then -1
-  else begin
-    let marks = s.marks and stamp = s.stamp in
-    match strategy with
-    | First_fit ->
-      let r = ref 0 in
-      while !r < capacity && marks.(!r) = stamp do
-        incr r
-      done;
-      if !r < capacity then !r else -1
-    | End_fit ->
-      let r = ref (capacity - 1) in
-      while !r >= 0 && marks.(!r) = stamp do
-        decr r
-      done;
-      !r
-    | Best_fit ->
-      let k = ref 0 in
-      while !k < capacity && marks.((hint + !k) mod capacity) = stamp do
-        incr k
-      done;
-      if !k < capacity then (hint + !k) mod capacity else -1
+        let k = ref 0 in
+        while !k < capacity && marks.((hint + !k) mod capacity) = stamp do
+          incr k
+        done;
+        if !k < capacity then (hint + !k) mod capacity else -1
   end
 
 let place ~strategy table s ~capacity ordered ~pos ~len =
