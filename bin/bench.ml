@@ -275,37 +275,33 @@ let run_fig9 c =
 (* ------------------------------------------------------------------ *)
 
 let run_ablation c =
-  banner "Ablation: allocation schema (Wands-Only order)";
   let loops = loops c in
   let config = c.machine ~latency:6 in
   let schedules =
     List.map (fun l -> Artifact.raw_schedule ~config l.Suite_stats.ddg) loops
   in
-  let total strategy order =
-    List.fold_left (fun acc sched -> acc + Requirements.unified ~strategy ~order sched) 0
-      schedules
-  in
-  Printf.printf "total unified registers over the suite (lower is better):\n";
-  List.iter
-    (fun (name, strategy) ->
-      Printf.printf "  %-10s %d\n%!" name (total strategy Alloc.Start_time))
-    [ ("first-fit", Alloc.First_fit); ("best-fit", Alloc.Best_fit);
-      ("end-fit", Alloc.End_fit) ];
   banner "Ablation: lifetime ordering (First-Fit schema)";
+  let total order =
+    List.fold_left
+      (fun acc sched ->
+        acc
+        + Alloc.min_capacity ~order ~ii:(Schedule.ii sched) (Lifetime.of_schedule sched))
+      0 schedules
+  in
   List.iter
-    (fun (name, order) -> Printf.printf "  %-14s %d\n%!" name (total Alloc.First_fit order))
+    (fun (name, order) -> Printf.printf "  %-14s %d\n%!" name (total order))
     [ ("start-time", Alloc.Start_time); ("longest-first", Alloc.Longest_first);
       ("node-order", Alloc.Node_order) ];
   banner "Ablation: swap estimate (MaxLive vs exact allocation)";
-  let swap_cost estimate =
+  let swap_cost improve =
     List.fold_left
       (fun acc sched ->
-        let swapped, _ = Swap.improve ~estimate sched in
+        let swapped, _ = improve sched in
         acc + (Requirements.partitioned swapped).Requirements.requirement)
       0 schedules
   in
-  Printf.printf "  %-10s %d\n%!" "maxlive" (swap_cost Swap.Max_live);
-  Printf.printf "  %-10s %d\n%!" "exact" (swap_cost Swap.Exact);
+  Printf.printf "  %-10s %d\n%!" "maxlive" (swap_cost (fun s -> Swap.improve s));
+  Printf.printf "  %-10s %d\n%!" "exact" (swap_cost Swap.improve_exact);
   banner "Ablation: spilling vs rescheduling at increased II (paper 5.4 option 1)";
   let capacity = 32 in
   let spill_time, bump_time =
@@ -366,27 +362,6 @@ let run_spill_victims c =
       ("best-ratio", Ncdrf_spill.Spiller.Best_ratio);
       ("fewest-consumers", Ncdrf_spill.Spiller.Fewest_consumers) ]
 
-let run_cluster_policy c =
-  banner "Extension: cluster-aware scheduling (paper 4.1 option 1, declined there)";
-  let loops = loops c in
-  List.iter
-    (fun latency ->
-      let config = c.machine ~latency in
-      Printf.printf "\n-- latency %d: registers required over the suite\n" latency;
-      let total policy swap =
-        List.fold_left
-          (fun acc l ->
-            let sched = Modulo.schedule ~cluster_policy:policy config l.Suite_stats.ddg in
-            let sched = if swap then fst (Swap.improve sched) else sched in
-            acc + (Requirements.partitioned sched).Requirements.requirement)
-          0 loops
-      in
-      Printf.printf "  %-26s %d\n%!" "balance (paper, no swap)" (total Modulo.Balance false);
-      Printf.printf "  %-26s %d\n%!" "balance + swap (paper)" (total Modulo.Balance true);
-      Printf.printf "  %-26s %d\n%!" "affinity (no swap)" (total Modulo.Affinity false);
-      Printf.printf "  %-26s %d\n%!" "affinity + swap" (total Modulo.Affinity true))
-    [ 3; 6 ]
-
 let run_mve c =
   banner "Extension: rotating register file vs modulo variable expansion";
   let loops = loops c in
@@ -436,31 +411,6 @@ let run_doubling c =
                "   (as effective)"
              else ""))
         [ 16; 32 ])
-    [ 3; 6 ]
-
-let run_scheduler_policy c =
-  banner "Extension: lifetime-sensitive bidirectional placement (Huff'93-style)";
-  let loops = loops c in
-  List.iter
-    (fun latency ->
-      let config = c.machine ~latency in
-      let asap_regs = ref 0 and bidir_regs = ref 0 in
-      let asap_ii = ref 0 and bidir_ii = ref 0 in
-      List.iter
-        (fun l ->
-          let a = Modulo.schedule ~placement_policy:Modulo.Asap config l.Suite_stats.ddg in
-          let b =
-            Modulo.schedule ~placement_policy:Modulo.Bidirectional config l.Suite_stats.ddg
-          in
-          asap_regs := !asap_regs + Requirements.unified a;
-          bidir_regs := !bidir_regs + Requirements.unified b;
-          asap_ii := !asap_ii + Schedule.ii a;
-          bidir_ii := !bidir_ii + Schedule.ii b)
-        loops;
-      Printf.printf
-        "latency %d: ASAP %d regs (II sum %d) vs bidirectional %d regs (II sum %d), %.1f%% saved\n%!"
-        latency !asap_regs !asap_ii !bidir_regs !bidir_ii
-        (100.0 *. float_of_int (!asap_regs - !bidir_regs) /. float_of_int !asap_regs))
     [ 3; 6 ]
 
 let run_memory c =
@@ -714,10 +664,8 @@ let experiments =
     ("fig9", run_fig9);
     ("ablation", run_ablation);
     ("spill-victims", run_spill_victims);
-    ("cluster-policy", run_cluster_policy);
     ("mve", run_mve);
     ("doubling", run_doubling);
-    ("scheduler-policy", run_scheduler_policy);
     ("memory", run_memory);
     ("fission", run_fission);
     ("cost", run_cost);

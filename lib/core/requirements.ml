@@ -40,7 +40,7 @@ type analysis = {
   occupancy : occupancy Lazy.t;
   table : Conflict.t Lazy.t;
   scratch : Alloc.scratch Lazy.t;
-  orders : int array array;
+  mutable order : int array;
 }
 
 (* Appends node [v]'s flow consumers to [consumers] from
@@ -179,7 +179,7 @@ let analyse sched =
            (members_with ~value_of ~consumer_start ~consumers ~values:!values sched));
     table;
     scratch = lazy (Alloc.scratch (Lazy.force table));
-    orders = Array.make 3 [||];
+    order = [||];
   }
 
 let check a sched =
@@ -196,7 +196,7 @@ let occupancy_of a sched =
 
 (* Value indices by start cycle, by a counting sort.  Indices are
    numbered in producer order, so the stable pass breaks ties by
-   producer: [Alloc.sorted ~order:Start_time]'s order.  A modulo
+   producer: [Alloc.sorted]'s start-time order.  A modulo
    schedule spans a few stages, but [Schedule.make] bounds no cycle (a
    hand-edited store entry decodes to any), so cycles spread wider than
    the values are comparison-sorted instead. *)
@@ -211,7 +211,7 @@ let by_start (a : analysis) =
   let lo = !lo and hi = !hi in
   if n = 0 then [||]
   else if hi - lo < 0 (* overflowed *) || hi - lo > (4 * n) + 64 then
-    Alloc.sorted ~order:Alloc.Start_time (Lazy.force a.table) (Array.init n Fun.id)
+    Alloc.sorted (Lazy.force a.table) (Array.init n Fun.id)
   else begin
     let count = Conflict.borrow (hi - lo + 2) in
     Array.fill count 0 (hi - lo + 2) 0;
@@ -232,27 +232,11 @@ let by_start (a : analysis) =
     ordered
   end
 
-let order_index = function
-  | Alloc.Start_time -> 0
-  | Alloc.Longest_first -> 1
-  | Alloc.Node_order -> 2
-
-(* Every value in placement order, sorted once per order.  An unsorted
-   slot holds [[||]], which is also the order of an empty analysis. *)
-let sorted (a : analysis) order =
-  let i = order_index order in
-  let n = Array.length a.start in
-  if Array.length a.orders.(i) = n then a.orders.(i)
-  else begin
-    let o =
-      match order with
-      | Alloc.Start_time -> by_start a
-      | Alloc.Longest_first | Alloc.Node_order ->
-        Alloc.sorted ~order (Lazy.force a.table) (Array.init n Fun.id)
-    in
-    a.orders.(i) <- o;
-    o
-  end
+(* Every value in start order, sorted once.  Until then [order] holds
+   [[||]], which is also the order of an empty analysis. *)
+let sorted (a : analysis) =
+  if Array.length a.order <> Array.length a.start then a.order <- by_start a;
+  a.order
 
 let max_live_cost_of a sched = row_max (occupancy_of a sched).peaks
 
@@ -335,7 +319,7 @@ let layout_words ~groups ~values = groups + 2 + (2 * values)
    then advances that slot to the group's end. *)
 let joint_of (a : analysis) members layout =
   let k = a.num_clusters in
-  let sorted = sorted a Alloc.Start_time in
+  let sorted = sorted a in
   let group m = if replicated m then 0 else 1 + lowest_cluster m in
   let all = (1 lsl k) - 1 in
   Array.fill layout 0 (k + 2) 0;
@@ -404,8 +388,8 @@ let place_group j ~capacity q =
       regs.(s) <- (if j.members.(s) land bit <> 0 then j.layout.(saved + i) else -1)
     done
   end;
-  Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.layout
-    ~pos:(group_pos j (q + 1)) ~len:(group_len j (q + 1))
+  Alloc.place j.table j.scratch ~capacity j.layout ~pos:(group_pos j (q + 1))
+    ~len:(group_len j (q + 1))
 
 let unplace j q =
   let regs = Alloc.registers j.scratch in
@@ -416,8 +400,8 @@ let unplace j q =
 let place_shared j ~capacity =
   Alloc.unassign_all j.scratch;
   let ok =
-    Alloc.place ~strategy:Alloc.First_fit j.table j.scratch ~capacity j.layout
-      ~pos:(group_pos j 0) ~len:(group_len j 0)
+    Alloc.place j.table j.scratch ~capacity j.layout ~pos:(group_pos j 0)
+      ~len:(group_len j 0)
   in
   if ok && j.hide then begin
     let regs = Alloc.registers j.scratch and saved = saved_at j in
@@ -506,19 +490,18 @@ let fresh_layout (a : analysis) =
 (* ------------------------------------------------------------------ *)
 (* The views. *)
 
-let unified_of ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) (a : analysis) =
+let unified_of (a : analysis) =
   let table = Lazy.force a.table in
-  Alloc.min_capacity_sorted ~strategy
-    ~floor:(Conflict.max_width table + 1)
-    table (Lazy.force a.scratch) (sorted a order)
+  Alloc.min_capacity_sorted ~floor:(Conflict.max_width table + 1) table (Lazy.force a.scratch)
+    (sorted a)
 
-let unified ?strategy ?order sched = unified_of ?strategy ?order (analyse sched)
+let unified sched = unified_of (analyse sched)
 
 (* The table, its scratch and the start order are built before the
    layout is borrowed, so no build finds the domain's scratch out. *)
 let requirement_of (a : analysis) occ =
   ignore (Lazy.force a.scratch);
-  ignore (sorted a Alloc.Start_time);
+  ignore (sorted a);
   let layout =
     Conflict.borrow (layout_words ~groups:a.num_clusters ~values:(Array.length a.start))
   in
@@ -532,7 +515,7 @@ let partitioned_of a sched =
   let occ = occupancy_of a sched in
   let j = joint_of a occ.members (fresh_layout a) in
   let alone g =
-    Alloc.min_capacity_sorted ~strategy:Alloc.First_fit j.table j.scratch
+    Alloc.min_capacity_sorted j.table j.scratch
       (Array.sub j.layout (group_pos j g) (group_len j g))
   in
   {
@@ -585,5 +568,6 @@ let partitioned_allocation sched =
           unplace j q;
           p)
     in
+    Alloc.flush_probes j.scratch;
     { capacity; globals; locals }
   end

@@ -85,8 +85,9 @@ type analysis = private {
   occupancy : occupancy Lazy.t;  (** of [sched]'s assignment *)
   table : Conflict.t Lazy.t;  (** all values, by value index *)
   scratch : Alloc.scratch Lazy.t;
-  orders : int array array;
-      (** sorted value indices per {!Alloc.order}, filled by {!sorted} *)
+  mutable order : int array;
+      (** the value indices in start order once {!sorted} has run,
+          [[||]] before *)
 }
 
 (** The analysis of a schedule's cycles.  Values are indexed in node
@@ -101,17 +102,18 @@ val analyse : Schedule.t -> analysis
     @raise Invalid_argument if [sched] is of another graph or II. *)
 val occupancy_of : analysis -> Schedule.t -> occupancy
 
-(** Every value index of the analysis in [order]'s placement order (as
-    {!Alloc.sorted} sorts them), computed once per order and kept in
-    [orders].  [Start_time] is a counting sort on start cycles. *)
-val sorted : analysis -> Alloc.order -> int array
+(** Every value index of the analysis in start-time order (as
+    {!Alloc.sorted} sorts them), by a counting sort on start cycles,
+    computed once and kept in [order]. *)
+val sorted : analysis -> int array
 
 (** Requirement with a unified (or consistent dual) register file:
-    smallest capacity allocating all values. *)
-val unified : ?strategy:Alloc.strategy -> ?order:Alloc.order -> Schedule.t -> int
+    smallest capacity allocating all values, First-Fit in start-time
+    order. *)
+val unified : Schedule.t -> int
 
 (** {!unified} from an analysis of the schedule. *)
-val unified_of : ?strategy:Alloc.strategy -> ?order:Alloc.order -> analysis -> int
+val unified_of : analysis -> int
 
 (** Requirement detail with a non-consistent clustered register file
     under the schedule's current cluster assignment, allocated First-Fit

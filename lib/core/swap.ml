@@ -2,10 +2,6 @@ open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_sched
 
-type estimate =
-  | Max_live
-  | Exact
-
 type stats = {
   swaps : int;
   initial_cost : int;
@@ -351,21 +347,21 @@ let improve_occupancy ?(max_passes = 1000) (a : Requirements.analysis) sched =
     (swapped, stats, r.occ)
   end
 
-(* [Exact] reallocates a swapped copy of the schedule per candidate. *)
-let improve ?(estimate = Max_live) ?(max_passes = 1000) ?analysis sched =
-  let a = match analysis with Some a -> a | None -> Requirements.analyse sched in
-  match estimate with
-  | Max_live ->
-    let swapped, stats, _ = improve_occupancy ~max_passes a sched in
-    (swapped, stats)
-  | Exact ->
-    let cost s = (Requirements.partitioned_of a s).Requirements.requirement in
-    let c = cost sched in
-    if single_cluster sched then (sched, { swaps = 0; initial_cost = c; final_cost = c })
-    else begin
-      let cluster = Array.init (Ddg.num_nodes sched.Schedule.ddg) (Schedule.cluster sched) in
-      descend ~max_passes ~cluster
-        ~score:(fun current ~bound:_ x y -> cost (Schedule.swap_clusters current x y))
-        ~commit:(fun x y -> exchange cluster x y)
-        ~initial_cost:c sched
-    end
+let improve ?max_passes sched =
+  let swapped, stats, _ = improve_occupancy ?max_passes (Requirements.analyse sched) sched in
+  (swapped, stats)
+
+(* The same descent, scoring each candidate by reallocating a swapped
+   copy of the schedule. *)
+let improve_exact sched =
+  let a = Requirements.analyse sched in
+  let cost s = (Requirements.partitioned_of a s).Requirements.requirement in
+  let c = cost sched in
+  if single_cluster sched then (sched, { swaps = 0; initial_cost = c; final_cost = c })
+  else begin
+    let cluster = Array.init (Ddg.num_nodes sched.Schedule.ddg) (Schedule.cluster sched) in
+    descend ~max_passes:1000 ~cluster
+      ~score:(fun current ~bound:_ x y -> cost (Schedule.swap_clusters current x y))
+      ~commit:(fun x y -> exchange cluster x y)
+      ~initial_cost:c sched
+  end

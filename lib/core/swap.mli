@@ -12,7 +12,8 @@
     the per-cluster MaxLive lower bound, because running the full
     allocator inside the search loop would be too costly — and stop when
     no pair improves it; ties go to the first pair in candidate order.
-    The [Exact] estimate (full allocation) is provided as an ablation.
+    {!improve_exact} runs the same descent under full allocation, for
+    the swap-estimate ablation only.
 
     The MaxLive estimate is maintained incrementally.  Lifetimes depend
     only on cycles, which an exchange does not move, so they are read
@@ -26,10 +27,6 @@
 
 open Ncdrf_sched
 
-type estimate =
-  | Max_live  (** the paper's lower-bound estimate *)
-  | Exact  (** full joint allocation — slower, ablation only *)
-
 type stats = {
   swaps : int;  (** swaps applied *)
   initial_cost : int;  (** estimate before the pass *)
@@ -41,22 +38,16 @@ type stats = {
     order with [a < b]. *)
 val candidates : Schedule.t -> (int * int) list
 
-(** Run the greedy pass.  Single-cluster schedules are returned
-    unchanged, and so is a schedule no swap improves (the same value,
-    physically).  [max_passes] (default [1000]) bounds the loop; the
-    estimate strictly decreases each swap, so it rarely binds.
-    [analysis], when supplied, must be [Requirements.analyse] of a
-    schedule with [sched]'s cycles; the pass reads lifetimes and
-    consumers from it instead of rebuilding them. *)
-val improve :
-  ?estimate:estimate ->
-  ?max_passes:int ->
-  ?analysis:Requirements.analysis ->
-  Schedule.t ->
-  Schedule.t * stats
+(** Run the greedy pass under the MaxLive estimate.  Single-cluster
+    schedules are returned unchanged, and so is a schedule no swap
+    improves (the same value, physically).  [max_passes] (default
+    [1000]) bounds the loop; the estimate strictly decreases each swap,
+    so it rarely binds. *)
+val improve : ?max_passes:int -> Schedule.t -> Schedule.t * stats
 
-(** [improve_occupancy a sched] is {!improve} [~analysis:a sched] with
-    the [Max_live] estimate, plus the occupancy of the returned
+(** [improve_occupancy a sched] is {!improve} [sched] with lifetimes and
+    consumers read from [a], which must be [Requirements.analyse] of a
+    schedule with [sched]'s cycles, plus the occupancy of the returned
     schedule's assignment, which the pass keeps up to date as it swaps:
     {!Requirements.requirement_of} reads its bound from it.  Do not
     mutate it: on a single-cluster machine it is the analysis's own. *)
@@ -65,3 +56,10 @@ val improve_occupancy :
   Requirements.analysis ->
   Schedule.t ->
   Schedule.t * stats * Requirements.occupancy
+
+(** {!improve} with each candidate scored by the Partitioned
+    requirement, a full joint allocation of the swapped schedule, in
+    place of the MaxLive estimate; [stats] costs are requirements.  The
+    swap-estimate ablation's comparison, slower by a joint search per
+    candidate. *)
+val improve_exact : Schedule.t -> Schedule.t * stats

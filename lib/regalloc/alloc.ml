@@ -1,10 +1,5 @@
 open Ncdrf_telemetry
 
-type strategy =
-  | First_fit
-  | Best_fit
-  | End_fit
-
 type order =
   | Start_time
   | Longest_first
@@ -83,8 +78,8 @@ let flush_probes s =
     s.probes <- 0
   end
 
-(* Index of the lowest (highest) set bit of a non-zero [x] below bit
-   62, by halving. *)
+(* Index of the lowest set bit of a non-zero [x] below bit 62, by
+   halving. *)
 let lowest_bit x =
   let n = ref 0 and x = ref x in
   if !x land 0xFFFFFFFF = 0 then begin n := 32; x := !x lsr 32 end;
@@ -94,27 +89,18 @@ let lowest_bit x =
   if !x land 0x3 = 0 then begin n := !n + 2; x := !x lsr 2 end;
   if !x land 0x1 = 0 then !n + 1 else !n
 
-let highest_bit x =
-  let n = ref 0 and x = ref x in
-  if !x lsr 32 <> 0 then begin n := 32; x := !x lsr 32 end;
-  if !x lsr 16 <> 0 then begin n := !n + 16; x := !x lsr 16 end;
-  if !x lsr 8 <> 0 then begin n := !n + 8; x := !x lsr 8 end;
-  if !x lsr 4 <> 0 then begin n := !n + 4; x := !x lsr 4 end;
-  if !x lsr 2 <> 0 then begin n := !n + 2; x := !x lsr 2 end;
-  if !x lsr 1 <> 0 then !n + 1 else !n
-
 (* Capacities up to this many registers keep the forbidden set in one
    int bit set; larger ones mark an occupancy array. *)
 let word_capacity = 62
 
-(* The register value [i] gets at [capacity], or -1.  A placed
-   neighbour [j] at [rj] forbids exactly the registers the [conflict]
-   test would reject: a circular run of [width] residues, one mask
-   operation (or an O(width) marking past [word_capacity]) instead of
-   an O(placed) walk per candidate.  Each strategy picks the register
-   its scan of the free registers meets first.  Allocates nothing;
-   probes are counted locally and added to [s] once. *)
-let pick table ~strategy ~capacity s ~hint i =
+(* The register value [i] gets at [capacity] under First-Fit, or -1.
+   A placed neighbour [j] at [rj] forbids exactly the registers the
+   [conflict] test would reject: a circular run of [width] residues, one
+   mask operation (or an O(width) marking past [word_capacity]) instead
+   of an O(placed) walk per candidate; the lowest free register wins.
+   Allocates nothing; probes are counted locally and added to [s]
+   once. *)
+let pick table ~capacity s i =
   if Conflict.min_registers table i > capacity then -1
   else begin
     let words = capacity <= word_capacity in
@@ -166,57 +152,31 @@ let pick table ~strategy ~capacity s ~hint i =
     if !blocked then -1
     else if words then begin
       let free = full land lnot !taken in
-      if free = 0 then -1
-      else
-        match strategy with
-        | First_fit -> lowest_bit free
-        | End_fit -> highest_bit free
-        | Best_fit ->
-          (* The free registers rotated so bit 0 is the hint (the end
-             of the previously placed wand; [hint >= 0]): the lowest is
-             the nearest in increasing circular distance. *)
-          let h = hint mod capacity in
-          let rotated = (free lsr h) lor ((free lsl (capacity - h)) land full) in
-          (h + lowest_bit rotated) mod capacity
+      if free = 0 then -1 else lowest_bit free
     end
-    else
-      match strategy with
-      | First_fit ->
-        let r = ref 0 in
-        while !r < capacity && marks.(!r) = stamp do
-          incr r
-        done;
-        if !r < capacity then !r else -1
-      | End_fit ->
-        let r = ref (capacity - 1) in
-        while !r >= 0 && marks.(!r) = stamp do
-          decr r
-        done;
-        !r
-      | Best_fit ->
-        let k = ref 0 in
-        while !k < capacity && marks.((hint + !k) mod capacity) = stamp do
-          incr k
-        done;
-        if !k < capacity then (hint + !k) mod capacity else -1
+    else begin
+      let r = ref 0 in
+      while !r < capacity && marks.(!r) = stamp do
+        incr r
+      done;
+      if !r < capacity then !r else -1
+    end
   end
 
-let place ~strategy table s ~capacity ordered ~pos ~len =
+let place table s ~capacity ordered ~pos ~len =
   if len = 0 then true
   else if capacity <= 0 then false
   else begin
     Conflict.note_pass table;
     if capacity > word_capacity && Array.length s.marks < capacity then
       s.marks <- Array.make capacity 0;
-    let ok = ref true and k = ref pos and hint = ref 0 in
+    let ok = ref true and k = ref pos in
     while !ok && !k < pos + len do
       let i = ordered.(!k) in
-      let r = pick table ~strategy ~capacity s ~hint:!hint i in
+      let r = pick table ~capacity s i in
       if r < 0 then ok := false
       else begin
         s.registers.(i) <- r;
-        (* Only Best-Fit reads the end of the last wand. *)
-        if strategy = Best_fit then hint := r + Conflict.min_registers table i;
         incr k
       end
     done;
@@ -245,7 +205,7 @@ let subset_width_floor table ordered =
   Conflict.give_back member;
   !floor
 
-let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
+let min_capacity_sorted ?upper ?floor table s ordered =
   if Array.length ordered = 0 then 0
   else begin
     let ii = Conflict.ii table in
@@ -275,7 +235,7 @@ let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
           (Array.length ordered)
       else begin
         unassign_all s;
-        let ok = place ~strategy table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
+        let ok = place table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
         flush_probes s;
         if ok then capacity else search (capacity + 1)
       end
@@ -286,19 +246,14 @@ let min_capacity_sorted ~strategy ?upper ?floor table s ordered =
     search (Int.max lower floor)
   end
 
-let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
-    ~capacity lifetimes =
+let allocate ~ii ~capacity lifetimes =
   if lifetimes = [] then Some []
   else if capacity <= 0 then None
   else begin
-    let table = Conflict.make ~ii (List.map (fun p -> p.value) placed @ lifetimes) in
-    let np = List.length placed in
+    let table = Conflict.make ~ii lifetimes in
     let s = scratch table in
-    List.iteri (fun j p -> s.registers.(j) <- p.register) placed;
-    let ordered =
-      sorted ~order table (Array.init (List.length lifetimes) (fun k -> np + k))
-    in
-    let ok = place ~strategy table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
+    let ordered = sorted table (Array.init (Conflict.size table) Fun.id) in
+    let ok = place table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
     flush_probes s;
     if not ok then None
     else
@@ -309,14 +264,13 @@ let allocate ?(strategy = First_fit) ?(order = Start_time) ?(placed = []) ~ii
               ordered))
   end
 
-let min_capacity ?(strategy = First_fit) ?(order = Start_time) ?upper ~ii
-    lifetimes =
+let min_capacity ?order ?upper ~ii lifetimes =
   match lifetimes with
   | [] -> 0
   | _ ->
     let table = Conflict.make ~ii lifetimes in
-    min_capacity_sorted ~strategy ?upper table (scratch table)
-      (sorted ~order table (Array.init (Conflict.size table) Fun.id))
+    min_capacity_sorted ?upper table (scratch table)
+      (sorted ?order table (Array.init (Conflict.size table) Fun.id))
 
 let check ~ii ~capacity placements =
   let rec pairs = function

@@ -13,15 +13,10 @@
 
     The paper allocates with the {e Wands-Only} strategy (process values
     by start time) and the {e First-Fit} schema (smallest conflict-free
-    register), citing Rau et al. 1992; Best-Fit and End-Fit schemas and
-    alternative orderings are provided for the ablation benchmarks. *)
-
-type strategy =
-  | First_fit  (** smallest conflict-free register (the paper's choice) *)
-  | Best_fit
-      (** conflict-free register closest (circularly) to the end of the
-          previously placed wand, minimising gaps *)
-  | End_fit  (** largest conflict-free register *)
+    register), citing Rau et al. 1992, and so does every placement here:
+    Best-Fit and End-Fit measured more registers (EXPERIMENTS.md,
+    ablations).  Alternative orderings are provided for the ordering
+    ablation ({!min_capacity} [~order]). *)
 
 type order =
   | Start_time  (** Wands-Only order (the paper's choice) *)
@@ -38,30 +33,24 @@ type placement = {
 val conflict :
   ii:int -> capacity:int -> Lifetime.t * int -> Lifetime.t * int -> bool
 
-(** [allocate ~ii ~capacity lifetimes] places every lifetime, honouring
-    [placed] (pre-allocated values, e.g. the globals shared by both
-    subfiles of a non-consistent dual register file).  [None] if some
-    value cannot be placed within [capacity]. *)
-val allocate :
-  ?strategy:strategy ->
-  ?order:order ->
-  ?placed:placement list ->
-  ii:int ->
-  capacity:int ->
-  Lifetime.t list ->
-  placement list option
+(** [allocate ~ii ~capacity lifetimes] places every lifetime First-Fit
+    in start-time order, returning the placements in that order.  [None]
+    if some value cannot be placed within [capacity].  Pre-placed values
+    (the globals shared by the subfiles of a non-consistent register
+    file) go through a {!scratch}'s {!registers} instead. *)
+val allocate : ii:int -> capacity:int -> Lifetime.t list -> placement list option
 
-(** Smallest capacity for which {!allocate} succeeds, searched upward
+(** Smallest capacity at which First-Fit in [order] (default
+    [Start_time], as {!allocate}) places every value, searched upward
     from the [max_live]/longest-value lower bound.  0 for an empty value
-    list.  [upper] caps the search (default: twice the
-    values' summed {!Lifetime.min_registers}, plus 64).
+    list.  [upper] caps the search (default: twice the values' summed
+    {!Lifetime.min_registers}, plus 64).
 
     @raise Ncdrf_error.Error.Error with category [Alloc_infeasible] and
     the capacity range searched if no capacity up to [upper] works
     (never happens with the default bound — property-tested; reachable
     by passing a small [upper]). *)
-val min_capacity :
-  ?strategy:strategy -> ?order:order -> ?upper:int -> ii:int -> Lifetime.t list -> int
+val min_capacity : ?order:order -> ?upper:int -> ii:int -> Lifetime.t list -> int
 
 (** {2 Flat allocation over a prebuilt table}
 
@@ -90,14 +79,14 @@ val registers : scratch -> int array
 (** Set every register of the scratch to -1. *)
 val unassign_all : scratch -> unit
 
-(** [place ~strategy table s ~capacity ordered ~pos ~len] places the
-    values [ordered.(pos) .. ordered.(pos + len - 1)], in that order, on
-    top of the registers already in [s], writing each one's register
-    into [registers s].  [false] as soon as one does not fit (the values
-    placed before it keep their registers); [true] when [len = 0].
-    Allocates nothing.  Work is counted in [s] until {!flush_probes}. *)
+(** [place table s ~capacity ordered ~pos ~len] places the values
+    [ordered.(pos) .. ordered.(pos + len - 1)], in that order, each in
+    the lowest register free of conflicts with the registers already in
+    [s] (First-Fit), writing each one's register into [registers s].
+    [false] as soon as one does not fit (the values placed before it
+    keep their registers); [true] when [len = 0].  Allocates nothing.
+    Work is counted in [s] until {!flush_probes}. *)
 val place :
-  strategy:strategy ->
   Conflict.t ->
   scratch ->
   capacity:int ->
@@ -119,7 +108,7 @@ val flush_probes : scratch -> unit
 
     @raise Ncdrf_error.Error.Error as {!min_capacity}. *)
 val min_capacity_sorted :
-  strategy:strategy -> ?upper:int -> ?floor:int -> Conflict.t -> scratch -> int array -> int
+  ?upper:int -> ?floor:int -> Conflict.t -> scratch -> int array -> int
 
 (** Exhaustive check that a set of placements is conflict-free —
     [Ok ()] or a message naming the colliding pair.  Test helper. *)

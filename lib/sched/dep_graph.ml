@@ -16,7 +16,6 @@ type t = {
   pred_first : int array;
   pred_src : int array;
   pred_dist : int array;
-  pred_flow : bool array;
   scc : int array;
   cycle_slots : int array;
   cycle_span : int;
@@ -24,22 +23,21 @@ type t = {
 }
 
 (* The incoming rows: [Ddg.preds v] in order, keeping each edge's
-   source, distance and kind. *)
+   source and distance. *)
 let pred_rows ddg ~n ~m =
   let first = Array.make (n + 1) 0 in
-  let src = Array.make m 0 and dist = Array.make m 0 and flow = Array.make m false in
+  let src = Array.make m 0 and dist = Array.make m 0 in
   let rec fill k = function
     | [] -> k
     | e :: es ->
       src.(k) <- e.Ddg.src;
       dist.(k) <- e.Ddg.distance;
-      flow.(k) <- e.Ddg.kind = Ddg.Flow;
       fill (k + 1) es
   in
   for v = 0 to n - 1 do
     first.(v + 1) <- fill first.(v) (Ddg.preds ddg v)
   done;
-  (first, src, dist, flow)
+  (first, src, dist)
 
 (* Tarjan's strongly connected components over the succ rows, with
    explicit stacks instead of recursion.  Fills [comp] with each node's
@@ -204,7 +202,7 @@ let flatten cfg ddg =
   for v = 0 to n - 1 do
     succ_first.(v + 1) <- fill v (Opcode.produces_value op.(v)) succ_first.(v) (Ddg.succs ddg v)
   done;
-  let pred_first, pred_src, pred_dist, pred_flow = pred_rows ddg ~n ~m in
+  let pred_first, pred_src, pred_dist = pred_rows ddg ~n ~m in
   let scc, cycle_slots, cycle_span, zero_cycle =
     if not !ends_in_range then
       (* An edge leaves the graph: no partition exists, and every slot
@@ -244,7 +242,6 @@ let flatten cfg ddg =
     pred_first;
     pred_src;
     pred_dist;
-    pred_flow;
     scc;
     cycle_slots;
     cycle_span;

@@ -33,7 +33,6 @@ type t = private {
   pred_first : int array;  (** [n + 1] row offsets *)
   pred_src : int array;
   pred_dist : int array;
-  pred_flow : bool array;
   scc : int array;
       (** each node's strongly connected component over the succ rows:
           two nodes share an id exactly when each reaches the other.

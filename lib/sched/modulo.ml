@@ -3,14 +3,6 @@ open Ncdrf_machine
 module Error = Ncdrf_error.Error
 module Trace = Ncdrf_telemetry.Trace
 
-type cluster_policy =
-  | Balance
-  | Affinity
-
-type placement_policy =
-  | Asap
-  | Bidirectional
-
 let src = Logs.Src.create "ncdrf.modulo" ~doc:"iterative modulo scheduler"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -71,52 +63,14 @@ type state = {
   g : Dep_graph.t;
   ii : int;
   rt : Reservation.t;
-  policy : cluster_policy;
-  placement : placement_policy;
   cycle : int array;  (* -1 = unscheduled *)
   cluster : int array;
   ever_cycle : int array;  (* last cycle at which the op was placed, or -1 *)
   order : int array;  (* priority order *)
   rank : int array;  (* position of each node in [order] *)
   mutable cursor : int;  (* every node ranked below it is scheduled *)
-  votes : int array;  (* per-cluster scratch of [preferred_cluster] *)
   mutable budget : int;
 }
-
-let vote st w =
-  if st.cycle.(w) >= 0 then st.votes.(st.cluster.(w)) <- st.votes.(st.cluster.(w)) + 1
-
-(* The cluster where most already-placed flow neighbours of [v] live,
-   or -1 if none. *)
-let preferred_cluster st v =
-  let g = st.g in
-  let votes = st.votes in
-  if Array.length votes < 2 then -1
-  else begin
-    Array.fill votes 0 (Array.length votes) 0;
-    for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
-      if g.pred_flow.(k) then vote st g.pred_src.(k)
-    done;
-    for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
-      if g.succ_flow.(k) then vote st g.succ_dst.(k)
-    done;
-    let best = ref 0 in
-    for c = 1 to Array.length votes - 1 do
-      if votes.(c) > votes.(!best) then best := c
-    done;
-    if votes.(!best) = 0 then -1 else !best
-  end
-
-(* Reserve a unit for [v] at [cycle], honouring the cluster policy.
-   Returns the cluster, or -1 when the slot is full. *)
-let reserve_for st v ~cycle =
-  let op = st.g.op.(v) in
-  match st.policy with
-  | Balance -> Reservation.reserve st.rt ~op ~cycle
-  | Affinity ->
-    let cluster = preferred_cluster st v in
-    if cluster >= 0 && Reservation.reserve_in st.rt ~op ~cycle ~cluster then cluster
-    else Reservation.reserve st.rt ~op ~cycle
 
 let unschedule st v =
   Reservation.release st.rt ~op:st.g.op.(v) ~cycle:st.cycle.(v) ~cluster:st.cluster.(v);
@@ -182,48 +136,18 @@ let place st v ~cycle ~cluster =
   st.ever_cycle.(v) <- cycle;
   eject_violated st v
 
-(* Huff-style direction choice: feed-forward ops whose consumers are
-   already placed want to sit late (short operand lifetimes); producers
-   for unscheduled consumers go early as usual.  Returns the latest
-   cycle allowed by the scheduled successors when [v] wants it, else
-   [min_int]. *)
-let wants_late st v =
-  match st.placement with
-  | Asap -> min_int
-  | Bidirectional ->
-    let g = st.g in
-    let late = ref max_int and flow_succs = ref 0 and flow_preds = ref 0 in
-    for k = g.succ_first.(v) to g.succ_first.(v + 1) - 1 do
-      let c = st.cycle.(g.succ_dst.(k)) in
-      if c >= 0 then begin
-        let bound = c - Dep_graph.succ_weight g ~ii:st.ii v k in
-        if bound < !late then late := bound;
-        if g.succ_flow.(k) then incr flow_succs
-      end
-    done;
-    for k = g.pred_first.(v) to g.pred_first.(v + 1) - 1 do
-      if g.pred_flow.(k) && st.cycle.(g.pred_src.(k)) >= 0 then incr flow_preds
-    done;
-    if !late <> max_int && !flow_succs > !flow_preds then !late else min_int
-
-(* Book the first cycle from [c] to [last] (inclusive, moving by
-   [step]) with a free unit for [v], recording its cluster in
-   [st.cluster.(v)]; -1 if every cycle is full. *)
-let rec first_free st v c ~step ~last =
-  let cluster = reserve_for st v ~cycle:c in
+(* Book the first cycle from [c] to [last] (inclusive) with a free
+   unit for [v], in the cluster with the most free units of its class,
+   recording the cluster in [st.cluster.(v)]; -1 if every cycle is
+   full. *)
+let rec first_free st v c ~last =
+  let cluster = Reservation.reserve st.rt ~op:st.g.op.(v) ~cycle:c in
   if cluster >= 0 then begin
     st.cluster.(v) <- cluster;
     c
   end
   else if c = last then -1
-  else first_free st v (c + step) ~step ~last
-
-(* [v]'s II-wide window starting at [from >= 0]: downward from the
-   latest feasible cycle when [v] wants to sit late, else upward. *)
-let try_window st v ~from =
-  let late = wants_late st v in
-  if late >= from then first_free st v late ~step:(-1) ~last:(Int.max from (late - st.ii + 1))
-  else first_free st v from ~step:1 ~last:(from + st.ii - 1)
+  else first_free st v (c + 1) ~last
 
 (* The highest-priority unscheduled node, or -1.  Every node ranked
    below the cursor is scheduled; [unschedule] moves the cursor back to
@@ -249,13 +173,13 @@ let place_all st =
     else begin
       st.budget <- st.budget - 1;
       let from = estart st v in
-      let cycle = try_window st v ~from in
+      let cycle = first_free st v from ~last:(from + ii - 1) in
       if cycle >= 0 then place st v ~cycle ~cluster:st.cluster.(v)
       else begin
         (* Forced placement with eviction. *)
         let cycle = if st.ever_cycle.(v) >= from then st.ever_cycle.(v) + 1 else from in
         evict_conflicts st v ~cycle;
-        let cluster = reserve_for st v ~cycle in
+        let cluster = Reservation.reserve st.rt ~op:st.g.op.(v) ~cycle in
         if cluster >= 0 then place st v ~cycle ~cluster
         else
           (* Can only happen when a unit class has zero capacity. *)
@@ -348,7 +272,7 @@ let push_late st ~eligible =
   Array.stable_sort (fun a b -> Int.compare cycle.(b) cycle.(a)) order;
   Array.iter try_move order
 
-let attempt cfg ddg g ~ii ~budget ~policy ~placement ~late =
+let attempt cfg ddg g ~ii ~budget ~late =
   match heights g ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
@@ -360,15 +284,12 @@ let attempt cfg ddg g ~ii ~budget ~policy ~placement ~late =
         g;
         ii;
         rt = Reservation.create cfg ~ii;
-        policy;
-        placement;
         cycle = Array.make g.n (-1);
         cluster = Array.make g.n 0;
         ever_cycle = Array.make g.n (-1);
         order;
         rank;
         cursor = 0;
-        votes = Array.make (Config.num_clusters cfg) 0;
         budget;
       }
     in
@@ -379,8 +300,7 @@ let attempt cfg ddg g ~ii ~budget ~policy ~placement ~late =
     else None
 
 (* The II search with the bound it started from, [max mii min_ii]. *)
-let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
-    ?(cluster_policy = Balance) ?(placement_policy = Asap) ?late ~min_ii cfg ddg =
+let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128) ?late ~min_ii cfg ddg =
   (* One flattening of the graph checks it and serves the bound and
      every II attempt.  Only a graph it rejects pays for
      [Ddg.validate], which names the first problem.  [mii_with_floor]
@@ -409,10 +329,7 @@ let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
       Error.errorf ~loop:(Ddg.name ddg) ~ii:(mii + max_ii_slack) ~stage:"schedule"
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
-      let found =
-        attempt cfg ddg g ~ii ~budget:attempt_budget ~policy:cluster_policy
-          ~placement:placement_policy ~late
-      in
+      let found = attempt cfg ddg g ~ii ~budget:attempt_budget ~late in
       (* The ambient point carries the II just tried: the chosen one on
          success, and on a reject the instant event carries the II that
          failed. *)
@@ -427,15 +344,11 @@ let bound_and_schedule ?(budget_ratio = 8) ?(max_ii_slack = 128)
   in
   (mii, search mii)
 
-let schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy
-    ~min_ii cfg ddg =
-  snd
-    (bound_and_schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy
-       ~min_ii cfg ddg)
+let schedule_with_min_ii ?budget_ratio ?max_ii_slack ~min_ii cfg ddg =
+  snd (bound_and_schedule ?budget_ratio ?max_ii_slack ~min_ii cfg ddg)
 
-let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg ddg =
-  schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy
-    ?placement_policy ~min_ii:1 cfg ddg
+let schedule ?budget_ratio ?max_ii_slack cfg ddg =
+  schedule_with_min_ii ?budget_ratio ?max_ii_slack ~min_ii:1 cfg ddg
 
 let schedule_with_mii cfg ddg = bound_and_schedule ~min_ii:1 cfg ddg
 

@@ -107,7 +107,7 @@ fi
 
 # Scheduler equivalence: the sched suite pins the flat-array scheduler
 # and MII bound to the verbatim Modulo_reference oracle (qcheck over
-# random loops and policies, the whole default suite at L3 and L6),
+# random loops and machines, the whole default suite at L3 and L6),
 # the flat push-late pass to the verbatim Adjust_reference,
 # the binary-search RecMII to circuit enumeration, the cycle-slot
 # probes to the full-edge Bellman-Ford oracle and the flat SCC
@@ -116,8 +116,8 @@ sched_out=$tmp/sched-suite.txt
 dune exec test/test_main.exe -- test sched > "$sched_out" 2>&1 || {
   cat "$sched_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*sched' "$sched_out" || true)
-if [ "${ok:-0}" -lt 31 ]; then
-  echo "check.sh: expected 31 sched tests (incl. reference equivalence) to run, got $ok" >&2
+if [ "${ok:-0}" -lt 29 ]; then
+  echo "check.sh: expected 29 sched tests (incl. reference equivalence) to run, got $ok" >&2
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$sched_out" | grep '\[SKIP\]' | awk '{print $2}' \
@@ -128,14 +128,15 @@ fi
 
 # Requirement equivalence: the reqs suite pins Requirements (shared
 # conflict tables, counting-sort start order, the shared occupancy's
-# bounds) to the Requirements_reference oracle.  It must run in full,
+# bounds) to the Requirements_reference oracle, and checks that the
+# executor's allocation counts its probes.  It must run in full,
 # unskipped.
 reqs_out=$tmp/reqs-suite.txt
 dune exec test/test_main.exe -- test reqs > "$reqs_out" 2>&1 || {
   cat "$reqs_out" >&2; exit 1; }
 ok=$(grep -c 'OK.*reqs' "$reqs_out" || true)
-if [ "${ok:-0}" -lt 6 ]; then
-  echo "check.sh: expected 6 reqs equivalence tests to run, got $ok" >&2
+if [ "${ok:-0}" -lt 7 ]; then
+  echo "check.sh: expected 7 reqs tests to run, got $ok" >&2
   exit 1
 fi
 if sed 's/.\[[0-9;]*m//g' "$reqs_out" | grep '\[SKIP\]' | awk '{print $2}' \
@@ -242,8 +243,8 @@ if ! cmp -s "$suite_pinned" scripts/suite_k4.golden; then
   exit 1
 fi
 
-# The full paper sweep: every experiment of `ncdrf bench` at full size
-# must print scripts/bench_full.golden exactly, serially and on a
+# The full paper sweep: all 16 experiments of `ncdrf bench` at full
+# size must print scripts/bench_full.golden exactly, serially and on a
 # two-job pool, so each published table guards the parallel = serial
 # invariant too.
 for jobs in 1 2; do

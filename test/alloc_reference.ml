@@ -1,4 +1,5 @@
-(* The pre-conflict-engine allocator, verbatim.  Do not optimize this
+(* The pre-conflict-engine allocator, verbatim but for the Best-Fit and
+   End-Fit schemas, which Alloc no longer has.  Do not optimize this
    file: its value is being the simplest possible statement of the
    placement semantics that Alloc must reproduce byte for byte. *)
 
@@ -45,46 +46,26 @@ let feasible_register ~ii ~capacity ~placed v r =
   Lifetime.min_registers ~ii v <= capacity
   && not (List.exists (fun p -> conflict ~ii ~capacity (p.value, p.register) (v, r)) placed)
 
-let pick_register ~strategy ~ii ~capacity ~placed ~hint v =
+let pick_register ~ii ~capacity ~placed v =
   let feasible r = feasible_register ~ii ~capacity ~placed v r in
-  match strategy with
-  | Alloc.First_fit ->
-    let rec scan r = if r >= capacity then None else if feasible r then Some r else scan (r + 1) in
-    scan 0
-  | Alloc.End_fit ->
-    let rec scan r = if r < 0 then None else if feasible r then Some r else scan (r - 1) in
-    scan (capacity - 1)
-  | Alloc.Best_fit ->
-    (* Try registers in increasing circular distance from the hint (the
-       end of the previously placed wand). *)
-    let rec scan k =
-      if k >= capacity then None
-      else begin
-        let r = pos_mod (hint + k) capacity in
-        if feasible r then Some r else scan (k + 1)
-      end
-    in
-    scan 0
+  let rec scan r = if r >= capacity then None else if feasible r then Some r else scan (r + 1) in
+  scan 0
 
-let allocate ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) ?(placed = [])
-    ~ii ~capacity lifetimes =
+let allocate ?(order = Alloc.Start_time) ?(placed = []) ~ii ~capacity lifetimes =
   if capacity <= 0 && lifetimes <> [] then None
   else begin
     let ordered = sort_for ~order lifetimes in
-    let rec place acc hint = function
+    let rec place acc = function
       | [] -> Some (List.rev acc)
       | v :: rest ->
-        (match pick_register ~strategy ~ii ~capacity ~placed:(acc @ placed) ~hint v with
+        (match pick_register ~ii ~capacity ~placed:(acc @ placed) v with
          | None -> None
-         | Some register ->
-           let hint = register + Lifetime.min_registers ~ii v in
-           place ({ value = v; register } :: acc) hint rest)
+         | Some register -> place ({ value = v; register } :: acc) rest)
     in
-    place [] 0 ordered
+    place [] ordered
   end
 
-let min_capacity ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) ?upper ~ii
-    lifetimes =
+let min_capacity ?(order = Alloc.Start_time) ?upper ~ii lifetimes =
   match lifetimes with
   | [] -> 0
   | _ ->
@@ -106,7 +87,7 @@ let min_capacity ?(strategy = Alloc.First_fit) ?(order = Alloc.Start_time) ?uppe
           "no feasible capacity in [%d, %d] for %d lifetimes" lower upper
           (List.length lifetimes)
       else
-        match allocate ~strategy ~order ~ii ~capacity lifetimes with
+        match allocate ~order ~ii ~capacity lifetimes with
         | Some _ -> capacity
         | None -> search (capacity + 1)
     in

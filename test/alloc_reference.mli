@@ -13,9 +13,10 @@
 open Ncdrf_regalloc
 
 (** Same placement semantics as {!Alloc.allocate}, computed the original
-    way. *)
+    way, under any [order] (default [Start_time]) and on top of the
+    [placed] values (default none), as {!Alloc.place} places on top of
+    a scratch's registers. *)
 val allocate :
-  ?strategy:Alloc.strategy ->
   ?order:Alloc.order ->
   ?placed:Alloc.placement list ->
   ii:int ->
@@ -27,10 +28,4 @@ val allocate :
     zero at every capacity.
 
     @raise Ncdrf_error.Error.Error as {!Alloc.min_capacity} does. *)
-val min_capacity :
-  ?strategy:Alloc.strategy ->
-  ?order:Alloc.order ->
-  ?upper:int ->
-  ii:int ->
-  Lifetime.t list ->
-  int
+val min_capacity : ?order:Alloc.order -> ?upper:int -> ii:int -> Lifetime.t list -> int

@@ -1,24 +1,18 @@
 (* The iterative modulo scheduler and the MII bound search as they
    stood before the scheduler moved to flat edge arrays, a priority
    cursor and array-based feasibility probes, kept verbatim as the test
-   oracle — bar the trace and log calls, and [reserve] below, which
+   oracle — bar the trace and log calls, [reserve] below, which
    restores the option-returning reservation call it was written
-   against.  Every placement scans all nodes for the highest
-   unscheduled one, heights relax in forward id order, and each
-   feasibility probe rebuilds an edge list. *)
+   against, and the affinity cluster choice and bidirectional
+   placement, which the scheduler no longer has.  Every placement
+   scans all nodes for the highest unscheduled one, heights relax in
+   forward id order, and each feasibility probe rebuilds an edge
+   list. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
 open Ncdrf_sched
 module Error = Ncdrf_error.Error
-
-type cluster_policy = Modulo.cluster_policy =
-  | Balance
-  | Affinity
-
-type placement_policy = Modulo.placement_policy =
-  | Asap
-  | Bidirectional
 
 module Reservation = struct
   include Reservation
@@ -114,8 +108,6 @@ type state = {
   ddg : Ddg.t;
   ii : int;
   rt : Reservation.t;
-  policy : cluster_policy;
-  placement : placement_policy;
   cycle : int array;  (* -1 = unscheduled *)
   cluster : int array;
   ever_cycle : int array;  (* last cycle at which the op was placed, or -1 *)
@@ -123,30 +115,10 @@ type state = {
   mutable budget : int;
 }
 
-(* The cluster where most already-placed flow neighbours of [v] live,
-   if any. *)
-let preferred_cluster st v =
-  let n_clusters = Config.num_clusters st.cfg in
-  if n_clusters < 2 then None
-  else begin
-    let votes = Array.make n_clusters 0 in
-    let vote w = if st.cycle.(w) >= 0 then votes.(st.cluster.(w)) <- votes.(st.cluster.(w)) + 1 in
-    List.iter (fun e -> if e.Ddg.kind = Ddg.Flow then vote e.Ddg.src) (Ddg.preds st.ddg v);
-    List.iter (fun e -> if e.Ddg.kind = Ddg.Flow then vote e.Ddg.dst) (Ddg.succs st.ddg v);
-    let best = ref 0 in
-    Array.iteri (fun c count -> if count > votes.(!best) then best := c) votes;
-    if votes.(!best) = 0 then None else Some !best
-  end
-
-(* Reserve a unit for [v] at [cycle], honouring the cluster policy. *)
+(* Reserve a unit for [v] at [cycle]. *)
 let reserve_for st v ~cycle =
   let op = (Ddg.node st.ddg v).Ddg.opcode in
-  match st.policy with
-  | Balance -> Reservation.reserve st.rt ~op ~cycle
-  | Affinity ->
-    (match preferred_cluster st v with
-     | Some cluster when Reservation.reserve_in st.rt ~op ~cycle ~cluster -> Some cluster
-     | Some _ | None -> Reservation.reserve st.rt ~op ~cycle)
+  Reservation.reserve st.rt ~op ~cycle
 
 let weight st e =
   Config.latency st.cfg (Ddg.node st.ddg e.Ddg.src).Ddg.opcode - (st.ii * e.Ddg.distance)
@@ -207,55 +179,15 @@ let place st v ~cycle ~cluster =
   st.ever_cycle.(v) <- cycle;
   eject_violated st v
 
-(* Latest cycle allowed by already-scheduled successors, if any. *)
-let lstart st v =
-  let consider acc e =
-    if st.cycle.(e.Ddg.dst) >= 0 then
-      let bound = st.cycle.(e.Ddg.dst) - weight st e in
-      match acc with None -> Some bound | Some b -> Some (min b bound)
-    else acc
-  in
-  List.fold_left consider None (Ddg.succs st.ddg v)
-
-(* Huff-style direction choice: feed-forward ops whose consumers are
-   already placed want to sit late (short operand lifetimes); producers
-   for unscheduled consumers go early as usual. *)
-let wants_late st v =
-  match st.placement with
-  | Asap -> None
-  | Bidirectional ->
-    (match lstart st v with
-     | None -> None
-     | Some late ->
-       let count edges pick =
-         List.length (List.filter (fun e -> e.Ddg.kind = Ddg.Flow && st.cycle.(pick e) >= 0) edges)
-       in
-       let succs = count (Ddg.succs st.ddg v) (fun e -> e.Ddg.dst) in
-       let preds = count (Ddg.preds st.ddg v) (fun e -> e.Ddg.src) in
-       if succs > preds then Some late else None)
-
 let try_window st v ~from =
-  match wants_late st v with
-  | Some late when late >= from ->
-    (* Search downward from the latest feasible cycle. *)
-    let lo = max from (late - st.ii + 1) in
-    let rec attempt c =
-      if c < lo then None
-      else
-        match reserve_for st v ~cycle:c with
-        | Some cluster -> Some (c, cluster)
-        | None -> attempt (c - 1)
-    in
-    attempt late
-  | Some _ | None ->
-    let rec attempt c =
-      if c >= from + st.ii then None
-      else
-        match reserve_for st v ~cycle:c with
-        | Some cluster -> Some (c, cluster)
-        | None -> attempt (c + 1)
-    in
-    attempt from
+  let rec attempt c =
+    if c >= from + st.ii then None
+    else
+      match reserve_for st v ~cycle:c with
+      | Some cluster -> Some (c, cluster)
+      | None -> attempt (c + 1)
+  in
+  attempt from
 
 let highest_unscheduled st =
   let best = ref (-1) in
@@ -306,7 +238,7 @@ let schedule_of_state st =
   in
   Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
 
-let attempt cfg ddg ~ii ~budget ~policy ~placement =
+let attempt cfg ddg ~ii ~budget =
   match heights cfg ddg ~ii with
   | None -> None (* positive cycle: ii below RecMII *)
   | Some height ->
@@ -317,8 +249,6 @@ let attempt cfg ddg ~ii ~budget ~policy ~placement =
         ddg;
         ii;
         rt = Reservation.create cfg ~ii;
-        policy;
-        placement;
         cycle = Array.make n (-1);
         cluster = Array.make n 0;
         ever_cycle = Array.make n (-1);
@@ -329,7 +259,7 @@ let attempt cfg ddg ~ii ~budget ~policy ~placement =
     if place_all st then Some (schedule_of_state st) else None
 
 let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
-    ?(cluster_policy = Balance) ?(placement_policy = Asap) ~min_ii cfg ddg =
+    ~min_ii cfg ddg =
   (match Ddg.validate ddg with
    | Ok () -> ()
    | Error msg ->
@@ -350,10 +280,7 @@ let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
       Error.errorf ~loop:(Ddg.name ddg) ~ii:(mii + max_ii_slack) ~stage:"schedule"
         Error.Schedule_infeasible "no schedule up to II=%d" (mii + max_ii_slack)
     else
-      match
-        attempt cfg ddg ~ii ~budget:attempt_budget ~policy:cluster_policy
-          ~placement:placement_policy
-      with
+      match attempt cfg ddg ~ii ~budget:attempt_budget with
       | Some s ->
         s
       | None ->
@@ -361,7 +288,5 @@ let schedule_with_min_ii ?(budget_ratio = 8) ?(max_ii_slack = 128)
   in
   search mii
 
-let schedule ?budget_ratio ?max_ii_slack ?cluster_policy ?placement_policy cfg
-    ddg =
-  schedule_with_min_ii ?budget_ratio ?max_ii_slack ?cluster_policy
-    ?placement_policy ~min_ii:1 cfg ddg
+let schedule ?budget_ratio ?max_ii_slack cfg ddg =
+  schedule_with_min_ii ?budget_ratio ?max_ii_slack ~min_ii:1 cfg ddg

@@ -41,7 +41,7 @@ module Alloc = struct
       let regs = registers p.scratch in
       List.iter (fun (j, r) -> regs.(j) <- r) placed;
       let ok =
-        place ~strategy:First_fit p.table p.scratch ~capacity p.ordered ~pos:0
+        place p.table p.scratch ~capacity p.ordered ~pos:0
           ~len:(Array.length p.ordered)
       in
       flush_probes p.scratch;
@@ -50,7 +50,7 @@ module Alloc = struct
     end
 
   let min_capacity_table table indices =
-    min_capacity_sorted ~strategy:First_fit table (scratch table)
+    min_capacity_sorted table (scratch table)
       (sorted ~order:Start_time table (Array.of_list indices))
 end
 
@@ -62,9 +62,9 @@ type detail = {
   max_live : int array Lazy.t;
 }
 
-let unified ?strategy ?order sched =
+let unified sched =
   let lifetimes = Lifetime.of_schedule sched in
-  Alloc.min_capacity ?strategy ?order ~ii:(Schedule.ii sched) lifetimes
+  Alloc.min_capacity ~ii:(Schedule.ii sched) lifetimes
 
 (* Lifetimes grouped by replication: [shared] values (Global or Shared
    class) with the sorted cluster set whose subfiles must hold them,
@@ -399,7 +399,7 @@ module Joint = struct
   let joint_of (a : analysis) members =
     let k = a.num_clusters in
     let parts =
-      partition (sorted a Alloc.Start_time) ~groups:(k + 1) (fun x ->
+      partition (sorted a) ~groups:(k + 1) (fun x ->
           let m = members.(x) in
           if replicated m then 0 else 1 + lowest_cluster m)
     in

@@ -7,12 +7,18 @@ open Ncdrf_machine
 open Ncdrf_sched
 open Ncdrf_core
 
+(* The estimates the descent can minimise: [Swap.improve]'s and
+   [Swap.improve_exact]'s. *)
+type estimate =
+  | Max_live
+  | Exact
+
 let cost ~estimate sched =
   match estimate with
-  | Swap.Max_live -> Requirements.max_live_cost sched
-  | Swap.Exact -> (Requirements.partitioned sched).Requirements.requirement
+  | Max_live -> Requirements.max_live_cost sched
+  | Exact -> (Requirements.partitioned sched).Requirements.requirement
 
-let improve ?(estimate = Swap.Max_live) ?(max_passes = 1000) sched =
+let improve ?(estimate = Max_live) ?(max_passes = 1000) sched =
   if Config.num_clusters sched.Schedule.config < 2 then
     ( sched,
       {

@@ -1,7 +1,7 @@
 (* Equivalence of the conflict-engine allocator against the original
    list-based implementation (Alloc_reference): same placements — not
    just the same feasibility — over random lifetime sets, II, capacity,
-   strategy, order and pre-placed values; plus a fixed-seed fig8-slice
+   order and pre-placed values; plus a fixed-seed fig8-slice
    byte-identity guard pinning the whole pipeline's output to the seed
    implementation. *)
 
@@ -46,25 +46,47 @@ let placed_of raw_placed =
         register })
     raw_placed
 
-let strategies = [| Alloc.First_fit; Alloc.Best_fit; Alloc.End_fit |]
 let orders = [| Alloc.Start_time; Alloc.Longest_first; Alloc.Node_order |]
 
-(* Same placements — registers and order — for every strategy x order,
+(* The flat calls the requirement searches make — a scratch holding the
+   pre-placed values' registers, the other indices sorted by [order],
+   one [Alloc.place] pass — read back as [Alloc.allocate]'s
+   placements. *)
+let place_flat ~order ~placed ~ii ~capacity lifetimes =
+  if lifetimes = [] then Some []
+  else if capacity <= 0 then None
+  else begin
+    let table = Conflict.make ~ii (List.map (fun p -> p.Alloc.value) placed @ lifetimes) in
+    let np = List.length placed in
+    let s = Alloc.scratch table in
+    let regs = Alloc.registers s in
+    List.iteri (fun j p -> regs.(j) <- p.Alloc.register) placed;
+    let ordered =
+      Alloc.sorted ~order table (Array.init (List.length lifetimes) (fun k -> np + k))
+    in
+    if Alloc.place table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) then
+      Some
+        (Array.to_list
+           (Array.map
+              (fun i -> { Alloc.value = Conflict.lifetime table i; register = regs.(i) })
+              ordered))
+    else None
+  end
+
+(* Same placements — registers and order — from [Alloc.allocate], and
+   from flat passes for every order on top of pre-placed values,
    including the cases where both allocators must fail. *)
 let prop_allocate_equivalence =
   QCheck.Test.make ~count:400 ~name:"allocate equivalence (Alloc = Alloc_reference)"
     case_arb (fun (ii, capacity, raw, raw_placed) ->
       let lifetimes = lifetimes_of_raw raw in
       let placed = placed_of raw_placed in
-      Array.for_all
-        (fun strategy ->
-          Array.for_all
-            (fun order ->
-              Alloc.allocate ~strategy ~order ~placed ~ii ~capacity lifetimes
-              = Alloc_reference.allocate ~strategy ~order ~placed ~ii ~capacity
-                  lifetimes)
-            orders)
-        strategies)
+      Alloc.allocate ~ii ~capacity lifetimes = Alloc_reference.allocate ~ii ~capacity lifetimes
+      && Array.for_all
+           (fun order ->
+             place_flat ~order ~placed ~ii ~capacity lifetimes
+             = Alloc_reference.allocate ~order ~placed ~ii ~capacity lifetimes)
+           orders)
 
 let prop_min_capacity_equivalence =
   QCheck.Test.make ~count:200
@@ -72,13 +94,10 @@ let prop_min_capacity_equivalence =
     (fun (ii, _, raw, _) ->
       let lifetimes = lifetimes_of_raw raw in
       Array.for_all
-        (fun strategy ->
-          Array.for_all
-            (fun order ->
-              Alloc.min_capacity ~strategy ~order ~ii lifetimes
-              = Alloc_reference.min_capacity ~strategy ~order ~ii lifetimes)
-            orders)
-        strategies)
+        (fun order ->
+          Alloc.min_capacity ~order ~ii lifetimes
+          = Alloc_reference.min_capacity ~order ~ii lifetimes)
+        orders)
 
 (* The same equivalence on lifetimes of real modulo schedules, whose
    shapes (long wands, loop-carried stretches) random sets undersample. *)
@@ -98,16 +117,12 @@ let prop_scheduled_equivalence =
       let sched = Modulo.schedule cfg g in
       let lifetimes = Lifetime.of_schedule sched in
       let ii = Schedule.ii sched in
-      Array.for_all
-        (fun strategy ->
-          let c = Alloc.min_capacity ~strategy ~ii lifetimes in
-          c = Alloc_reference.min_capacity ~strategy ~ii lifetimes
-          && Alloc.allocate ~strategy ~ii ~capacity:c lifetimes
-             = Alloc_reference.allocate ~strategy ~ii ~capacity:c lifetimes
-          && Alloc.allocate ~strategy ~ii ~capacity:(max 1 (c - 1)) lifetimes
-             = Alloc_reference.allocate ~strategy ~ii ~capacity:(max 1 (c - 1))
-                 lifetimes)
-        strategies)
+      let c = Alloc.min_capacity ~ii lifetimes in
+      c = Alloc_reference.min_capacity ~ii lifetimes
+      && Alloc.allocate ~ii ~capacity:c lifetimes
+         = Alloc_reference.allocate ~ii ~capacity:c lifetimes
+      && Alloc.allocate ~ii ~capacity:(max 1 (c - 1)) lifetimes
+         = Alloc_reference.allocate ~ii ~capacity:(max 1 (c - 1)) lifetimes)
 
 (* The pre-rewrite two-pass construction of the conflict rows (size
    the rows in one pass over the pairs, recompute every window to fill
@@ -243,9 +258,10 @@ let test_concurrent_builds () =
 
 (* A slice of the fig8 sweep (dual file, latency 3, capacity 32,
    Swapped model) over the first loops of the fixed-seed suite, plus
-   the strategy/order ablation sums, digested.  The expected hex is the
-   seed implementation's output: any drift in placements, requirements,
-   spill decisions or swap counts changes it. *)
+   the ordering ablation's unified requirements, digested.  The
+   expected hex is the seed implementation's output over the same
+   fields: any drift in placements, requirements, spill decisions or
+   swap counts changes it. *)
 let test_fig8_slice_byte_identity () =
   let config = Config.dual ~latency:3 in
   let loops = Ncdrf_workloads.Suite.full ~size:40 ~seed:42 () in
@@ -275,24 +291,23 @@ let test_fig8_slice_byte_identity () =
         Buffer.add_char buf '\n'
       end)
     loops;
-  (* Strategy/order ablation over the same slice: unified minimum
-     capacities must not drift either. *)
+  (* Ordering ablation over the same slice: unified minimum capacities
+     must not drift either. *)
   List.iteri
     (fun i e ->
       if i < 12 then begin
         let sched = Artifact.raw_schedule ~config e.Ncdrf_workloads.Suite.ddg in
+        let lifetimes = Lifetime.of_schedule sched in
         Array.iter
-          (fun strategy ->
-            Array.iter
-              (fun order ->
-                Printf.bprintf buf "%d:" (Requirements.unified ~strategy ~order sched))
-              orders)
-          strategies;
+          (fun order ->
+            Printf.bprintf buf "%d:"
+              (Alloc.min_capacity ~order ~ii:(Schedule.ii sched) lifetimes))
+          orders;
         Buffer.add_char buf '\n'
       end)
     loops;
   check_string "fig8-slice digest vs seed output"
-    "546e6e9c5d0a320f358a8cc7e4a6871b"
+    "a35557210be7692f0971834377091a5b"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let suite =

@@ -154,42 +154,6 @@ let test_best_ratio_prefers_cheap_spills () =
     (ratio <= per_spill Spiller.Longest_lifetime +. 1e-9
      || ratio <= per_spill Spiller.Fewest_consumers +. 1e-9)
 
-(* --- Cluster policy --- *)
-
-let test_affinity_schedules_validly () =
-  List.iter
-    (fun (g, _) ->
-      let sched =
-        Modulo.schedule ~cluster_policy:Modulo.Affinity (Config.dual ~latency:3) g
-      in
-      Helpers.check_valid (Ddg.name g ^ " affinity") sched)
-    (Ncdrf_workloads.Kernels.all ())
-
-let test_affinity_reduces_globals_on_average () =
-  let config = Config.dual ~latency:6 in
-  let totals policy =
-    List.fold_left
-      (fun acc (g, _) ->
-        let sched = Modulo.schedule ~cluster_policy:policy config g in
-        let globals, _ = Helpers.class_counts sched in
-        acc + globals)
-      0
-      (Ncdrf_workloads.Kernels.all ())
-  in
-  check_bool "affinity creates no more globals than balance" true
-    (totals Modulo.Affinity <= totals Modulo.Balance)
-
-let prop_affinity_valid_on_random_loops =
-  let arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 30_000) in
-  QCheck.Test.make ~count:40 ~name:"affinity scheduling stays valid" arb
-    (fun seed ->
-      let g =
-        Ncdrf_workloads.Generator.generate Ncdrf_workloads.Generator.default ~seed
-          ~name:"aff-prop"
-      in
-      let sched = Modulo.schedule ~cluster_policy:Modulo.Affinity (Config.dual ~latency:3) g in
-      Schedule.validate sched = Ok ())
-
 (* --- Sacks --- *)
 
 let test_single_use_detection () =
@@ -358,10 +322,6 @@ let suite =
     Alcotest.test_case "spill victims all fit" `Quick test_spill_victims_all_fit;
     Alcotest.test_case "best-ratio keeps reloads cheap" `Quick
       test_best_ratio_prefers_cheap_spills;
-    Alcotest.test_case "affinity schedules validly" `Quick test_affinity_schedules_validly;
-    Alcotest.test_case "affinity reduces globals" `Quick
-      test_affinity_reduces_globals_on_average;
-    QCheck_alcotest.to_alcotest prop_affinity_valid_on_random_loops;
     Alcotest.test_case "sacks: single-use detection" `Quick test_single_use_detection;
     Alcotest.test_case "sacks: relieve the primary file" `Quick test_sacks_relieve_primary;
     Alcotest.test_case "sacks: port limits bind" `Quick test_sacks_port_limits_bind;

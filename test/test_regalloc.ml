@@ -159,31 +159,6 @@ let prop_allocation_is_conflict_free =
         | None -> false
         | Some placements -> Alloc.check ~ii ~capacity placements = Ok ()))
 
-let prop_strategies_all_allocate =
-  let arb =
-    QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 50_000)
-  in
-  QCheck.Test.make ~count:40 ~name:"best/end fit also produce valid allocations" arb
-    (fun seed ->
-      let g =
-        Ncdrf_workloads.Generator.generate Ncdrf_workloads.Generator.default ~seed
-          ~name:"strat-prop"
-      in
-      let cfg = Config.dual ~latency:3 in
-      let sched = Modulo.schedule cfg g in
-      let lifetimes = Lifetime.of_schedule sched in
-      let ii = Schedule.ii sched in
-      List.for_all
-        (fun strategy ->
-          let capacity = Alloc.min_capacity ~strategy ~ii lifetimes in
-          match lifetimes with
-          | [] -> capacity = 0
-          | _ ->
-            (match Alloc.allocate ~strategy ~ii ~capacity lifetimes with
-            | None -> false
-            | Some p -> Alloc.check ~ii ~capacity p = Ok ()))
-        [ Alloc.First_fit; Alloc.Best_fit; Alloc.End_fit ])
-
 (* Exhaustive optimal allocation for tiny instances: try every register
    assignment up to a capacity bound and find the true minimum. *)
 let brute_force_min_capacity ~ii lifetimes ~upper =
@@ -250,17 +225,22 @@ let test_first_fit_example_is_42 () =
     check_bool "conflict free" true (Alloc.check ~ii:1 ~capacity:42 p = Ok ())
   | None -> Alcotest.fail "allocation failed at the maxlive capacity"
 
+(* A register set in the scratch before a pass counts as placed, the
+   way the requirement searches pre-place the globals. *)
 let test_allocate_honours_preplaced () =
   let a = { Lifetime.producer = 0; start = 0; stop = 4 } in
   let b = { Lifetime.producer = 1; start = 0; stop = 4 } in
-  let pre = [ { Alloc.value = a; register = 0 } ] in
-  (match Alloc.allocate ~placed:pre ~ii:4 ~capacity:2 [ b ] with
-   | Some [ p ] ->
-     check_bool "avoids the pre-placed register" true (p.Alloc.register <> 0)
-   | Some _ | None -> Alcotest.fail "allocation failed");
+  let table = Conflict.make ~ii:4 [ a; b ] in
+  let s = Alloc.scratch table in
+  let place_b ~capacity =
+    Alloc.unassign_all s;
+    (Alloc.registers s).(0) <- 0;
+    Alloc.place table s ~capacity [| 1 |] ~pos:0 ~len:1
+  in
+  check_bool "fits beside the pre-placed value" true (place_b ~capacity:2);
+  check_bool "avoids the pre-placed register" true ((Alloc.registers s).(1) <> 0);
   (* Capacity 1 cannot hold both. *)
-  check_bool "over capacity fails" true
-    (Alloc.allocate ~placed:pre ~ii:4 ~capacity:1 [ b ] = None)
+  check_bool "over capacity fails" false (place_b ~capacity:1)
 
 let test_orders_allocate_validly () =
   let sched = Helpers.paper_schedule () in
@@ -286,5 +266,4 @@ let suite =
     QCheck_alcotest.to_alcotest prop_conflict_brute_force;
     QCheck_alcotest.to_alcotest prop_first_fit_close_to_optimal;
     QCheck_alcotest.to_alcotest prop_allocation_is_conflict_free;
-    QCheck_alcotest.to_alcotest prop_strategies_all_allocate;
   ]

@@ -4,13 +4,13 @@
    every lazy breakdown field, MaxLive and the placements of
    [partitioned_allocation], on the dual L3/L6 suite schedules and
    their swapped variants and on random schedules at k in {1, 2, 3, 4}
-   with and without port caps, the unified requirement under every
-   strategy and order.  Also
+   with and without port caps, and the unified requirement.  Also
    checks that the views [Artifact] computes from one shared analysis
    equal the reference's, that the counting sort behind
-   [Requirements.sorted]'s start order equals [Alloc.sorted]'s, and
-   that the occupancy an analysis and the swap pass share bounds the
-   joint search exactly as the per-search recomputation did. *)
+   [Requirements.sorted]'s start order equals [Alloc.sorted]'s, that
+   the occupancy an analysis and the swap pass share bounds the joint
+   search exactly as the per-search recomputation did, and that the
+   executor's allocation counts its probes. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -18,21 +18,17 @@ open Ncdrf_sched
 open Ncdrf_core
 open Ncdrf_regalloc
 module Ref = Requirements_reference
+module Telemetry = Ncdrf_telemetry.Telemetry
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let strategies = [ Alloc.First_fit; Alloc.Best_fit; Alloc.End_fit ]
-let orders = [ Alloc.Start_time; Alloc.Longest_first; Alloc.Node_order ]
-
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
 (* Every partitioned output of one schedule (requirements, every lazy
-   breakdown field, MaxLive, MaxLive cost and the placements) at the
-   paper's First-Fit strategy and start-time order, the only ones the
-   partitioned path has, rendered so a mismatch reports what differs.
-   [partitioned] is given as a function so the analysis-sharing entry
-   point can be checked too. *)
+   breakdown field, MaxLive, MaxLive cost and the placements), rendered
+   so a mismatch reports what differs.  [partitioned] is given as a
+   function so the analysis-sharing entry point can be checked too. *)
 let new_outputs ?(partitioned = Requirements.partitioned) sched =
   let d = partitioned sched in
   [
@@ -94,18 +90,15 @@ let mismatch ?partitioned sched =
   and want = render (ref_outputs sched @ [ ("allocation", ref_allocation sched) ]) in
   if got = want then None else Some (got, want)
 
-(* [None] when the unified requirement matches under [strategy] and
-   [order], else both values. *)
-let unified_mismatch ~strategy ~order sched =
-  let got = Requirements.unified ~strategy ~order sched
-  and want = Ref.unified ~strategy ~order sched in
+(* [None] when the unified requirement matches, else both values. *)
+let unified_mismatch sched =
+  let got = Requirements.unified sched and want = Ref.unified sched in
   if got = want then None
   else Some (Printf.sprintf "unified=%d" got, Printf.sprintf "unified=%d" want)
 
-(* The partitioned outputs and the unified requirement at the default
-   strategy and order. *)
+(* The partitioned outputs and the unified requirement. *)
 let check what ?partitioned sched =
-  let unified = unified_mismatch ~strategy:Alloc.First_fit ~order:Alloc.Start_time sched in
+  let unified = unified_mismatch sched in
   match mismatch ?partitioned sched, unified with
   | None, None -> ()
   | Some (got, want), _ | None, Some (got, want) ->
@@ -125,7 +118,7 @@ let test_suite_schedules () =
           let what = Printf.sprintf "%s L%d" (Ddg.name e.Ncdrf_workloads.Suite.ddg) latency in
           check what raw;
           let a = Requirements.analyse raw in
-          let swapped, _ = Swap.improve ~analysis:a raw in
+          let swapped, _, _ = Swap.improve_occupancy a raw in
           check (what ^ " swapped") swapped;
           check (what ^ " swapped, shared analysis")
             ~partitioned:(Requirements.partitioned_of a)
@@ -160,14 +153,7 @@ let prop_random_schedules =
         | Some (got, want) -> QCheck.Test.fail_reportf "new %s\nref %s" got want
       in
       List.for_all
-        (fun sched ->
-          agrees (mismatch sched)
-          && List.for_all
-               (fun strategy ->
-                 List.for_all
-                   (fun order -> agrees (unified_mismatch ~strategy ~order sched))
-                   orders)
-               strategies)
+        (fun sched -> agrees (mismatch sched) && agrees (unified_mismatch sched))
         [ raw; swapped ])
 
 (* The views of one call share an analysis and reuse the Partitioned
@@ -215,8 +201,7 @@ let test_shared_views () =
 let start_order_agrees sched =
   let a = Requirements.analyse sched in
   let all = Array.init (Array.length a.Requirements.start) Fun.id in
-  Requirements.sorted a Alloc.Start_time
-  = Alloc.sorted ~order:Alloc.Start_time (Lazy.force a.Requirements.table) all
+  Requirements.sorted a = Alloc.sorted (Lazy.force a.Requirements.table) all
 
 let test_start_order_suite () =
   let checked = ref 0 in
@@ -303,6 +288,27 @@ let prop_shared_bounds =
       && Requirements.requirement_of a occ = want
       && (Requirements.partitioned_of a swapped).Requirements.requirement = want)
 
+(* [partitioned_allocation] runs [partitioned]'s joint search, then
+   places every value once more at the capacity it found; the probes of
+   those final passes count in [alloc.probes] too. *)
+let test_allocation_counts_probes () =
+  let sched = Helpers.paper_schedule () in
+  let probes f =
+    Telemetry.reset ();
+    f sched;
+    Telemetry.counter "alloc.probes"
+  in
+  Telemetry.enable true;
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.enable false;
+      Telemetry.reset ())
+    (fun () ->
+      let search = probes (fun s -> ignore (Requirements.partitioned s)) in
+      let allocation = probes (fun s -> ignore (Requirements.partitioned_allocation s)) in
+      check_bool "the joint search probes" true (search > 0);
+      check_bool "the final placements' probes are counted" true (allocation > search))
+
 let suite =
   [
     Alcotest.test_case "suite schedules = reference" `Slow test_suite_schedules;
@@ -312,4 +318,6 @@ let suite =
       test_start_order_suite;
     QCheck_alcotest.to_alcotest prop_start_order_random;
     QCheck_alcotest.to_alcotest prop_shared_bounds;
+    Alcotest.test_case "partitioned_allocation counts its probes" `Quick
+      test_allocation_counts_probes;
   ]

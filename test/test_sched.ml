@@ -250,28 +250,6 @@ let ddg_of (seed, is_heavy) =
   in
   Ncdrf_workloads.Generator.generate params ~seed ~name:(Printf.sprintf "q%d" seed)
 
-let test_bidirectional_same_ii_fewer_regs () =
-  let config = Config.dual ~latency:6 in
-  let asap_total = ref 0 and bidir_total = ref 0 in
-  List.iter
-    (fun (g, _) ->
-      let a = Modulo.schedule ~placement_policy:Modulo.Asap config g in
-      let b = Modulo.schedule ~placement_policy:Modulo.Bidirectional config g in
-      Helpers.check_valid (Ddg.name g ^ " bidirectional") b;
-      check_int (Ddg.name g ^ " same II") (Schedule.ii a) (Schedule.ii b);
-      asap_total := !asap_total + Ncdrf_core.Requirements.unified a;
-      bidir_total := !bidir_total + Ncdrf_core.Requirements.unified b)
-    (Ncdrf_workloads.Kernels.all ());
-  check_bool "bidirectional saves registers overall" true (!bidir_total <= !asap_total)
-
-let prop_bidirectional_valid =
-  QCheck.Test.make ~count:40 ~name:"bidirectional placement stays valid" generated_ddg
-    (fun input ->
-      let g = ddg_of input in
-      let cfg = Config.dual ~latency:3 in
-      let sched = Modulo.schedule ~placement_policy:Modulo.Bidirectional cfg g in
-      Schedule.validate sched = Ok ())
-
 let prop_schedules_valid =
   QCheck.Test.make ~count:60 ~name:"random loops schedule validly on dual-L3" generated_ddg
     (fun input ->
@@ -298,21 +276,18 @@ let prop_push_late_preserves_validity =
 
 (* The scheduler against the verbatim pre-rewrite oracle
    (Modulo_reference): same II and every placement, or the same error
-   category, over random loops x cluster policy x placement policy x
-   k in 1..4 x machine-wide port caps, with II floors and tight
-   budgets that force restarts at larger IIs.  Also pins the
-   array-based MII probes to the oracle. *)
+   category, over random loops x k in 1..4 x machine-wide port caps,
+   with II floors and tight budgets that force restarts at larger IIs.
+   Also pins the array-based MII probes to the oracle. *)
 let reference_case =
   QCheck.make
-    ~print:(fun ((seed, heavy), (k, caps, latency), (affinity, bidir), (min_ii, ratio)) ->
-      Printf.sprintf
-        "seed=%d heavy=%b k=%d caps=%b lat=%d affinity=%b bidir=%b min_ii=%d ratio=%d"
-        seed heavy k caps latency affinity bidir min_ii ratio)
+    ~print:(fun ((seed, heavy), (k, caps, latency), (min_ii, ratio)) ->
+      Printf.sprintf "seed=%d heavy=%b k=%d caps=%b lat=%d min_ii=%d ratio=%d" seed heavy k
+        caps latency min_ii ratio)
     QCheck.Gen.(
-      quad
+      triple
         (pair (int_bound 100_000) bool)
         (triple (int_range 1 4) bool (int_range 1 6))
-        (pair bool bool)
         (pair (int_range 1 8) (oneofl [ 1; 2; 8 ])))
 
 let reference_config ~k ~caps ~latency =
@@ -334,21 +309,14 @@ let outcome f =
 let prop_matches_reference =
   QCheck.Test.make ~count:300 ~name:"Modulo = Modulo_reference (II and placements)"
     reference_case
-    (fun (input, (k, caps, latency), (affinity, bidir), (min_ii, budget_ratio)) ->
+    (fun (input, (k, caps, latency), (min_ii, budget_ratio)) ->
       let g = ddg_of input in
       let cfg = reference_config ~k ~caps ~latency in
-      let cluster_policy = if affinity then Modulo.Affinity else Modulo.Balance in
-      let placement_policy = if bidir then Modulo.Bidirectional else Modulo.Asap in
       let want =
         outcome (fun () ->
-            Modulo_reference.schedule_with_min_ii ~budget_ratio ~cluster_policy
-              ~placement_policy ~min_ii cfg g)
+            Modulo_reference.schedule_with_min_ii ~budget_ratio ~min_ii cfg g)
       in
-      let got =
-        outcome (fun () ->
-            Modulo.schedule_with_min_ii ~budget_ratio ~cluster_policy ~placement_policy
-              ~min_ii cfg g)
-      in
+      let got = outcome (fun () -> Modulo.schedule_with_min_ii ~budget_ratio ~min_ii cfg g) in
       got = want
       && Mii.mii cfg g = Modulo_reference.mii cfg g
       && Mii.mii_with_floor ~floor:min_ii (Dep_graph.make cfg g)
@@ -638,9 +606,6 @@ let suite =
       test_push_late_moves_only_eligible;
     Alcotest.test_case "push_late shrinks load lifetime" `Quick
       test_push_late_shrinks_load_lifetime;
-    Alcotest.test_case "bidirectional placement" `Quick
-      test_bidirectional_same_ii_fewer_regs;
-    QCheck_alcotest.to_alcotest prop_bidirectional_valid;
     QCheck_alcotest.to_alcotest prop_schedules_valid;
     QCheck_alcotest.to_alcotest prop_rec_mii_cross_check;
     QCheck_alcotest.to_alcotest prop_push_late_preserves_validity;

@@ -178,22 +178,6 @@ let prop_executor_matches_reference =
       && Reference.equal_stores expected dual.Executor.stores
       && Reference.equal_stores expected sw.Executor.stores)
 
-let prop_affinity_schedules_execute =
-  let arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 50_000) in
-  QCheck.Test.make ~count:30 ~name:"affinity-scheduled loops execute correctly" arb
-    (fun seed ->
-      let ddg =
-        Ncdrf_workloads.Generator.generate Ncdrf_workloads.Generator.default ~seed
-          ~name:"sim-aff"
-      in
-      let sched =
-        Modulo.schedule ~cluster_policy:Modulo.Affinity (Config.dual ~latency:3) ddg
-      in
-      let iterations = Schedule.stages sched + 4 in
-      Reference.equal_stores
-        (Reference.run ~iterations ddg)
-        (Executor.run_clustered ~iterations sched).Executor.stores)
-
 (* --- Spilled programs compute the original loop --- *)
 
 (* The values a spill rewrite may pick, as the spiller does: producers
@@ -472,7 +456,6 @@ let suite =
     Alcotest.test_case "memory: slower banks hurt more" `Quick
       test_memory_slower_banks_hurt_more;
     QCheck_alcotest.to_alcotest prop_executor_matches_reference;
-    QCheck_alcotest.to_alcotest prop_affinity_schedules_execute;
     QCheck_alcotest.to_alcotest prop_mutations_caught;
     QCheck_alcotest.to_alcotest prop_spill_rewrites_preserve_semantics;
   ]

@@ -498,7 +498,7 @@ let same_flat (a : Dep_graph.t) (b : Dep_graph.t) =
   && a.succ_first = b.succ_first && a.succ_src = b.succ_src && a.succ_dst = b.succ_dst
   && a.succ_dist = b.succ_dist && a.succ_flow = b.succ_flow
   && a.pred_first = b.pred_first && a.pred_src = b.pred_src && a.pred_dist = b.pred_dist
-  && a.pred_flow = b.pred_flow && a.scc = b.scc && a.cycle_slots = b.cycle_slots
+  && a.scc = b.scc && a.cycle_slots = b.cycle_slots
   && a.cycle_span = b.cycle_span && a.valid = b.valid
   && Ddg.digest a.ddg = Ddg.digest b.ddg
 

@@ -76,8 +76,9 @@ let test_suite_loops () =
     (configs ());
   check_bool "the sample exercises swapping" true (!swapped >= 100)
 
-(* [max_passes] cuts both loops after the same number of swaps, and the
-   [Exact] estimate takes the same descent. *)
+(* [max_passes] cuts both loops after the same number of swaps, and
+   [Swap.improve_exact] takes the reference's descent under the [Exact]
+   estimate. *)
 let test_max_passes_and_exact () =
   let loops = List.filteri (fun i _ -> i < 12) (suite_loops ()) in
   List.iter
@@ -94,8 +95,8 @@ let test_max_passes_and_exact () =
                 (Printf.sprintf "%s max_passes=%d" what max_passes)
                 true (same_result got want))
             [ 0; 1; 2 ];
-          let got, gs = Swap.improve ~estimate:Swap.Exact sched
-          and want, ws = Swap_reference.improve ~estimate:Swap.Exact sched in
+          let got, gs = Swap.improve_exact sched
+          and want, ws = Swap_reference.improve ~estimate:Swap_reference.Exact sched in
           check_bool (what ^ " exact placements") true
             (got.Schedule.placements = want.Schedule.placements);
           check_bool (what ^ " exact stats") true (gs = ws))
