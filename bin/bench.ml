@@ -281,6 +281,7 @@ let run_ablation c =
     List.map (fun l -> Artifact.raw_schedule ~config l.Suite_stats.ddg) loops
   in
   banner "Ablation: lifetime ordering (First-Fit schema)";
+  Printf.printf "total unified registers over the suite at L=6 (lower is better):\n";
   let total order =
     List.fold_left
       (fun acc sched ->
@@ -293,6 +294,8 @@ let run_ablation c =
     [ ("start-time", Alloc.Start_time); ("longest-first", Alloc.Longest_first);
       ("node-order", Alloc.Node_order) ];
   banner "Ablation: swap estimate (MaxLive vs exact allocation)";
+  Printf.printf
+    "total partitioned registers after swapping over the suite at L=6 (lower is better):\n";
   let swap_cost improve =
     List.fold_left
       (fun acc sched ->

@@ -45,7 +45,7 @@ type stats = {
 let create ?(stripes = 8) ~name ~capacity () =
   if capacity < 1 then invalid_arg (Printf.sprintf "Cache.create %s: capacity < 1" name);
   if stripes < 1 then invalid_arg (Printf.sprintf "Cache.create %s: stripes < 1" name);
-  let per_stripe = max 1 ((capacity + stripes - 1) / stripes) in
+  let per_stripe = Int.max 1 ((capacity + stripes - 1) / stripes) in
   {
     stripes =
       Array.init stripes (fun _ -> { lock = Mutex.create (); tbl = Tbl.create 64; tick = 0 });
@@ -97,6 +97,11 @@ let record_hit t =
   Telemetry.incr "cache.hits";
   Trace.note_cache ~hit:true
 
+let record_miss t =
+  Atomic.incr t.miss_count;
+  Telemetry.incr "cache.misses";
+  Trace.note_cache ~hit:false
+
 (* The lookup's critical section cannot raise (key equality and the
    tick update are total), so the lock is released without a
    [Fun.protect] closure. *)
@@ -128,9 +133,7 @@ let find_or_add t ~key compute =
        and must not serialize the worker domains.  A concurrent insert of
        the same key wins; both values are equal by the purity contract. *)
     let v = compute () in
-    Atomic.incr t.miss_count;
-    Telemetry.incr "cache.misses";
-    Trace.note_cache ~hit:false;
+    record_miss t;
     with_lock s (fun () ->
         match Tbl.find_opt s.tbl k with
         | Some e ->
@@ -141,6 +144,24 @@ let find_or_add t ~key compute =
           Tbl.replace s.tbl k { value = v; last_use = s.tick };
           evict_over_capacity t s;
           v)
+
+type 'b slot = 'b option Atomic.t
+
+let slot () = Atomic.make None
+
+(* A full slot never empties, so a read needs no lock.  Two domains
+   racing on an empty slot may both compute; the first fill wins, and
+   both values are equal by the purity contract. *)
+let find_or_fill t slot compute =
+  match Atomic.get slot with
+  | Some v ->
+    record_hit t;
+    v
+  | None -> (
+    let v = compute () in
+    record_miss t;
+    if Atomic.compare_and_set slot None (Some v) then v
+    else match Atomic.get slot with Some w -> w | None -> v)
 
 let stats t =
   let size =

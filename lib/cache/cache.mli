@@ -50,6 +50,23 @@ val find_or_add : 'a t -> key:string -> (unit -> 'a) -> 'a
     records neither a hit nor a miss. *)
 val find : 'a t -> key:string -> 'a option
 
+(** A write-once cell carried inside a cached value, for a result
+    derived from that value alone (a schedule's register views), so
+    the derived result costs no key and no entry of its own.  It is
+    dropped with the value that carries it. *)
+type 'b slot
+
+(** A fresh, empty slot. *)
+val slot : unit -> 'b slot
+
+(** [find_or_fill t slot compute] returns the slot's value, running
+    [compute ()] and filling the slot when it is empty.  It counts in
+    [t]'s statistics and telemetry like {!find_or_add}: a read of a
+    full slot is a hit, a fill a miss.  The same purity contract
+    holds: two domains racing on an empty slot may both compute, the
+    first fill wins and both return equal values. *)
+val find_or_fill : _ t -> 'b slot -> (unit -> 'b) -> 'b
+
 val stats : _ t -> stats
 
 (** Drop every entry (counters are preserved).  The stripes keep the

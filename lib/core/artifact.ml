@@ -8,23 +8,39 @@ module Error = Ncdrf_error.Error
 module Fault = Ncdrf_fault.Fault
 module Trace = Ncdrf_telemetry.Trace
 
-type t = {
-  mii : int;
-  raw : Schedule.t;
-}
-
 type view = {
   sched : Schedule.t;
   requirement : int;
   swaps : int;
 }
 
-(* One cache holds every stage; the variant keeps the table monomorphic
-   while the key's stage tag keeps entries distinct. *)
+(* A schedule the cache computed, with one write-once slot per view
+   transform: Ideal and Unified apply the same one (no transform,
+   unified allocation), so they share a slot. *)
+type entry = {
+  schedule : Schedule.t;
+  unified : view Cache.slot;
+  partitioned : view Cache.slot;
+  swapped : view Cache.slot;
+}
+
+type t = {
+  mii : int;
+  raw : Schedule.t;
+  entry : entry;
+}
+
+(* One cache holds both scheduling stages; the variant keeps the table
+   monomorphic while the key's stage tag keeps entries distinct.  Views
+   have no entry of their own: they fill their schedule's slots. *)
 type cached =
-  | Raw_of of int * Schedule.t
-  | View_of of view
-  | Spill_of of Schedule.t
+  | Raw_of of t
+  | Spill_of of entry
+
+let entry_of schedule =
+  { schedule; unified = Cache.slot (); partitioned = Cache.slot (); swapped = Cache.slot () }
+
+let entry_schedule e = e.schedule
 
 let default_capacity = 65536
 
@@ -39,33 +55,31 @@ let set_cache_capacity capacity = cache := make_cache capacity
 let clear_cache () = Cache.clear !cache
 let cache_stats () = Cache.stats !cache
 
+(* When an ambient disk store is open, [compute] consults it first: a
+   disk hit decodes the stored artifact (skipping the compute and its
+   stage spans), a disk miss computes and then publishes the encoding.
+   Decoding is total — any malformed payload is [None], i.e. a miss —
+   so a corrupt store entry can only cost a recompute.  [key] is only
+   built when a store is open. *)
+let through_store ~key (encode, decode) compute () =
+  match Store.ambient () with
+  | None -> compute ()
+  | Some store -> (
+    let key = key () in
+    match Store.load store ~key ~decode with
+    | Some v -> v
+    | None ->
+      let v = compute () in
+      Store.save store ~key (encode v);
+      v)
+
 (* The fault point sits in front of the lookup (memo keys do not carry
    the loop name), so an armed "cache" fault fires on hits and misses
    alike.  Exceptions from [compute] propagate uncached — the cache
-   never memoizes a failure.
-
-   When an ambient disk store is open, a memory miss consults it before
-   computing: a disk hit decodes the stored artifact (skipping the
-   compute and its stage spans), a disk miss computes and then publishes
-   the encoding.  Decoding is total — any malformed payload is [None],
-   i.e. a miss — so a corrupt store entry can only cost a recompute. *)
-let memo ~loop ?disk key compute =
+   never memoizes a failure.  A memory miss goes to the store. *)
+let memo ~loop ~codec key compute =
   Fault.point ~stage:"cache" ~key:loop;
-  let compute =
-    match disk with
-    | None -> compute
-    | Some (encode, decode) -> (
-      fun () ->
-        match Store.ambient () with
-        | None -> compute ()
-        | Some store -> (
-          match Store.load store ~key ~decode with
-          | Some v -> v
-          | None ->
-            let v = compute () in
-            Store.save store ~key (encode v);
-            v))
-  in
+  let compute = through_store ~key:(fun () -> key) codec compute in
   if Atomic.get enabled then Cache.find_or_add !cache ~key compute else compute ()
 
 let wrong_stage () = invalid_arg "Artifact: cache key collided across stages"
@@ -74,89 +88,85 @@ let wrong_stage () = invalid_arg "Artifact: cache key collided across stages"
 (* Disk payload codecs.  Payloads carry only integers — a schedule is
    its II plus (cycle, cluster) placement pairs, and the raw and view
    entries put their other integers in front of it, each ended by a
-   [!] — and schedules are rebuilt through [Schedule.make] against the
-   config and graph the caller already holds, so nothing structural is
-   trusted from disk.  [Schedule.make]'s validation rejecting a payload
+   [!] — and schedules are rebuilt through [Schedule.of_arrays] against
+   the config and graph the caller already holds, so nothing structural
+   is trusted from disk.  Its validation rejecting a payload
    (graph changed shape under the same digest is impossible, but a
    colliding or hand-edited entry is not) reads as a miss. *)
 
 let encode_schedule s =
   let buf = Buffer.create 64 in
   Buffer.add_string buf (string_of_int s.Schedule.ii);
-  Array.iter
-    (fun p ->
+  Array.iteri
+    (fun v cycle ->
       Buffer.add_char buf '|';
-      Buffer.add_string buf (string_of_int p.Schedule.cycle);
+      Buffer.add_string buf (string_of_int cycle);
       Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int p.Schedule.cluster))
-    s.Schedule.placements;
+      Buffer.add_string buf (string_of_int s.Schedule.clusters.(v)))
+    s.Schedule.cycles;
   Buffer.contents buf
 
 let decode_schedule ~config ddg str =
   match String.split_on_char '|' str with
   | [] -> None
-  | ii_s :: cells ->
-    (match int_of_string_opt ii_s with
+  | ii_s :: cells -> (
+    match int_of_string_opt ii_s with
     | None -> None
     | Some ii ->
-      if List.length cells <> Ddg.num_nodes ddg then None
-      else begin
-        let ok = ref true in
-        let placements =
-          Array.of_list
-            (List.map
-               (fun cell ->
-                 match String.split_on_char ',' cell with
-                 | [ c; k ] -> (
-                   match (int_of_string_opt c, int_of_string_opt k) with
-                   | Some cycle, Some cluster -> { Schedule.cycle; cluster }
-                   | _ ->
-                     ok := false;
-                     { Schedule.cycle = 0; cluster = 0 })
-                 | _ ->
-                   ok := false;
-                   { Schedule.cycle = 0; cluster = 0 })
-               cells)
-        in
-        if not !ok then None
-        else
-          match Schedule.make ~config ~ii ~placements ddg with
-          | s -> Some s
-          | exception Invalid_argument _ -> None
-      end)
+      let n = Ddg.num_nodes ddg in
+      let cycles = Array.make n 0 and clusters = Array.make n 0 in
+      let rec fill v = function
+        | [] -> v = n
+        | cell :: rest -> (
+          v < n
+          &&
+          match String.split_on_char ',' cell with
+          | [ c; k ] -> (
+            match (int_of_string_opt c, int_of_string_opt k) with
+            | Some cycle, Some cluster ->
+              cycles.(v) <- cycle;
+              clusters.(v) <- cluster;
+              fill (v + 1) rest
+            | _ -> false)
+          | _ -> false)
+      in
+      if not (fill 0 cells) then None
+      else
+        match Schedule.of_arrays ~config ~ii ~cycles ~clusters ddg with
+        | s -> Some s
+        | exception Invalid_argument _ -> None)
 
 (* [mii!ii|cycle,cluster|...]: an older store's payload, without the
    MII prefix, fails to decode, so it reads as a miss and is
    rewritten. *)
 let raw_codec ~config ddg =
   ( (function
-    | Raw_of (mii, s) -> string_of_int mii ^ "!" ^ encode_schedule s
-    | _ -> wrong_stage ()),
+    | Raw_of a -> string_of_int a.mii ^ "!" ^ encode_schedule a.raw
+    | Spill_of _ -> wrong_stage ()),
     fun str ->
       match String.split_on_char '!' str with
       | [ mii_s; sched_s ] -> (
         match int_of_string_opt mii_s with
         | Some mii ->
-          Option.map (fun s -> Raw_of (mii, s)) (decode_schedule ~config ddg sched_s)
+          Option.map
+            (fun raw -> Raw_of { mii; raw; entry = entry_of raw })
+            (decode_schedule ~config ddg sched_s)
         | None -> None)
       | _ -> None )
 
 let spill_codec ~config ddg =
-  ( (function Spill_of s -> encode_schedule s | _ -> wrong_stage ()),
-    fun str -> Option.map (fun s -> Spill_of s) (decode_schedule ~config ddg str) )
+  ( (function Spill_of e -> encode_schedule e.schedule | Raw_of _ -> wrong_stage ()),
+    fun str -> Option.map (fun s -> Spill_of (entry_of s)) (decode_schedule ~config ddg str) )
 
 let view_codec ~config ddg =
-  ( (function
-    | View_of v ->
-      Printf.sprintf "%d!%d!%s" v.requirement v.swaps (encode_schedule v.sched)
-    | _ -> wrong_stage ()),
+  ( (fun v -> Printf.sprintf "%d!%d!%s" v.requirement v.swaps (encode_schedule v.sched)),
     fun str ->
       match String.split_on_char '!' str with
       | [ req_s; swaps_s; sched_s ] -> (
         match (int_of_string_opt req_s, int_of_string_opt swaps_s) with
         | Some requirement, Some swaps ->
           Option.map
-            (fun sched -> View_of { sched; requirement; swaps })
+            (fun sched -> { sched; requirement; swaps })
             (decode_schedule ~config ddg sched_s)
         | _ -> None)
       | _ -> None )
@@ -181,6 +191,8 @@ let stage_boundary ~stage ~config ddg f =
 (* The one scheduling stage of a (config, loop) point: the MII is the
    bound the scheduler's II search started from, so it is kept with the
    schedule instead of being computed again. *)
+let raw_key ~config ddg = base_key ~config ddg ^ "#raw"
+
 let scheduled ~config ddg =
   stage_boundary ~stage:"schedule" ~config ddg @@ fun () ->
   let compute () =
@@ -188,21 +200,18 @@ let scheduled ~config ddg =
     let mii, raw =
       Telemetry.time "schedule" (fun () -> Modulo.schedule_with_mii config ddg)
     in
-    Raw_of (mii, raw)
+    Raw_of { mii; raw; entry = entry_of raw }
   in
-  match
-    memo ~loop:(Ddg.name ddg) ~disk:(raw_codec ~config ddg) (base_key ~config ddg ^ "#raw")
-      compute
-  with
-  | Raw_of (mii, raw) ->
+  match memo ~loop:(Ddg.name ddg) ~codec:(raw_codec ~config ddg) (raw_key ~config ddg) compute with
+  | Raw_of a ->
     (* Stamped on the ambient point here, after the memo, so the ledger
        sees them on cache hits too. *)
     if Trace.active () then
       Trace.update (fun p ->
-          p.Trace.mii <- Some mii;
-          p.Trace.ii <- Some (Schedule.ii raw));
-    { mii; raw }
-  | View_of _ | Spill_of _ -> wrong_stage ()
+          p.Trace.mii <- Some a.mii;
+          p.Trace.ii <- Some (Schedule.ii a.raw));
+    a
+  | Spill_of _ -> wrong_stage ()
 
 let raw_schedule ~config ddg = (scheduled ~config ddg).raw
 
@@ -275,21 +284,24 @@ let compute_view shared model sched =
     in
     { sched = swapped; requirement; swaps = count_swaps model sched swapped }
 
-(* Ideal and Unified apply the same transform (no transform, unified
-   allocation), so they share one view entry. *)
 let view_tag = function
   | Model.Ideal | Model.Unified -> "unified"
   | Model.Partitioned -> "partitioned"
   | Model.Swapped -> "swapped"
 
-(* A view's input is the schedule, not just the graph: the spiller calls
-   it on schedules of intermediate graphs at bumped IIs, so the key
-   includes the placements.  They are appended as zigzag varints —
-   [ii], then each placement's cycle and cluster — so small values of
-   either sign take one byte.  Zigzag maps ints one-to-one onto
-   unsigned ints (read through [lsr]), a varint ends at its first byte
-   below 0x80, and a graph fixes the placement count, so the encoding
-   is injective for a given graph. *)
+let slot_of e = function
+  | Model.Ideal | Model.Unified -> e.unified
+  | Model.Partitioned -> e.partitioned
+  | Model.Swapped -> e.swapped
+
+(* On disk a view's input is the schedule, not just the graph: the
+   spiller asks for views of schedules of intermediate graphs at bumped
+   IIs, so the key includes the placements.  They are appended as
+   zigzag varints — [ii], then each placement's cycle and cluster — so
+   small values of either sign take one byte.  Zigzag maps ints
+   one-to-one onto unsigned ints (read through [lsr]), a varint ends at
+   its first byte below 0x80, and a graph fixes the placement count, so
+   the encoding is injective for a given graph. *)
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 
 let varint_size n =
@@ -308,41 +320,60 @@ let write_varint buf pos n =
 
 let schedule_key sched =
   let prefix = base_key ~config:sched.Schedule.config sched.Schedule.ddg ^ "#view:" in
-  let placements = sched.Schedule.placements in
+  let cycles = sched.Schedule.cycles and clusters = sched.Schedule.clusters in
   let size = ref (String.length prefix + varint_size sched.Schedule.ii) in
-  Array.iter
-    (fun p -> size := !size + varint_size p.Schedule.cycle + varint_size p.Schedule.cluster)
-    placements;
+  for v = 0 to Array.length cycles - 1 do
+    size := !size + varint_size cycles.(v) + varint_size clusters.(v)
+  done;
   let buf = Bytes.create !size in
   Bytes.blit_string prefix 0 buf 0 (String.length prefix);
   let pos = ref (write_varint buf (String.length prefix) sched.Schedule.ii) in
-  Array.iter
-    (fun p -> pos := write_varint buf (write_varint buf !pos p.Schedule.cycle) p.Schedule.cluster)
-    placements;
+  for v = 0 to Array.length cycles - 1 do
+    pos := write_varint buf (write_varint buf !pos cycles.(v)) clusters.(v)
+  done;
   Bytes.unsafe_to_string buf
 
-let view_with shared ~key ~model sched =
-  let ddg = sched.Schedule.ddg in
-  stage_boundary ~stage:"alloc" ~config:sched.Schedule.config ddg @@ fun () ->
-  let compute () =
-    Fault.point ~stage:"alloc" ~key:(Ddg.name ddg);
-    View_of (compute_view shared model sched)
+(* One view lookup: the stage boundary, deadline poll and "cache" fault
+   point run on every lookup, hit or miss.  A view of a cached entry
+   reads or fills the entry's slot; a view of any other schedule, or
+   any view with the cache off, is computed.  Either way a computed
+   view goes through the store under the schedule's content key. *)
+let view_with shared ~model entry sched =
+  let ddg = sched.Schedule.ddg and config = sched.Schedule.config in
+  stage_boundary ~stage:"alloc" ~config ddg @@ fun () ->
+  Fault.point ~stage:"cache" ~key:(Ddg.name ddg);
+  let compute =
+    through_store
+      ~key:(fun () -> schedule_key sched ^ ":" ^ view_tag model)
+      (view_codec ~config ddg)
+      (fun () ->
+        Fault.point ~stage:"alloc" ~key:(Ddg.name ddg);
+        compute_view shared model sched)
   in
-  match
-    memo ~loop:(Ddg.name ddg)
-      ~disk:(view_codec ~config:sched.Schedule.config ddg)
-      (key ^ ":" ^ view_tag model)
-      compute
-  with
-  | View_of v -> v
-  | Raw_of _ | Spill_of _ -> wrong_stage ()
+  match entry with
+  | Some e when Atomic.get enabled -> Cache.find_or_fill !cache (slot_of e model) compute
+  | Some _ | None -> compute ()
+
+let view ~model e = view_with (shared_of e.schedule) ~model (Some e) e.schedule
+
+let views ~models e =
+  let shared = shared_of e.schedule in
+  List.map (fun model -> view_with shared ~model (Some e) e.schedule) models
+
+(* The entry holding [sched], if the cache holds one: the raw entry of
+   its (config, graph) when that entry's schedule is [sched] itself.
+   The peek counts neither a hit nor a miss. *)
+let held sched =
+  if not (Atomic.get enabled) then None
+  else
+    match
+      Cache.find !cache ~key:(raw_key ~config:sched.Schedule.config sched.Schedule.ddg)
+    with
+    | Some (Raw_of a) when a.raw == sched -> Some a.entry
+    | Some (Raw_of _ | Spill_of _) | None -> None
 
 let view_of_schedule ~model sched =
-  view_with (shared_of sched) ~key:(schedule_key sched) ~model sched
-
-let views_of_schedule ~models sched =
-  let shared = shared_of sched and key = schedule_key sched in
-  List.map (fun model -> view_with shared ~key ~model sched) models
+  view_with (shared_of sched) ~model (held sched) sched
 
 let has_spill_load ddg =
   Ddg.fold_nodes ddg ~init:false ~f:(fun acc n -> acc || Opcode.is_spill_load n.Ddg.opcode)
@@ -356,18 +387,40 @@ let has_spill_load ddg =
    starts the II search at the MII like [schedule], and [push_late]
    over a graph with no spill loads moves nothing (normalize is
    idempotent, so the result is structurally identical).  Delegating
-   shares the "#raw" memo entry instead of computing the same schedule
-   twice under two keys. *)
-let spill_schedule ~config ~min_ii ddg =
-  if min_ii <= 1 && not (has_spill_load ddg) then raw_schedule ~config ddg
+   shares the "#raw" entry, and its views, instead of computing the
+   same schedule twice under two keys. *)
+let spill_entry ~config ~min_ii ddg =
+  if min_ii <= 1 && not (has_spill_load ddg) then (scheduled ~config ddg).entry
   else begin
     stage_boundary ~stage:"schedule" ~config ddg @@ fun () ->
-    let compute () = Spill_of (Ncdrf_spill.Spiller.schedule_once config ~min_ii ddg) in
+    let compute () =
+      Spill_of (entry_of (Ncdrf_spill.Spiller.schedule_once config ~min_ii ddg))
+    in
     match
-      memo ~loop:(Ddg.name ddg) ~disk:(spill_codec ~config ddg)
+      memo ~loop:(Ddg.name ddg) ~codec:(spill_codec ~config ddg)
         (base_key ~config ddg ^ "#spill:" ^ string_of_int min_ii)
         compute
     with
-    | Spill_of s -> s
-    | Raw_of _ | View_of _ -> wrong_stage ()
+    | Spill_of e -> e
+    | Raw_of _ -> wrong_stage ()
   end
+
+let spill_schedule ~config ~min_ii ddg = (spill_entry ~config ~min_ii ddg).schedule
+
+let store_roundtrip codec sched =
+  let config = sched.Schedule.config and ddg = sched.Schedule.ddg in
+  let through (encode, decode) v = decode (encode v) in
+  match codec with
+  | `Raw -> (
+    let raw = Raw_of { mii = 1; raw = sched; entry = entry_of sched } in
+    match through (raw_codec ~config ddg) raw with
+    | Some (Raw_of a) -> Some a.raw
+    | Some (Spill_of _) | None -> None)
+  | `Spill -> (
+    match through (spill_codec ~config ddg) (Spill_of (entry_of sched)) with
+    | Some (Spill_of e) -> Some e.schedule
+    | Some (Raw_of _) | None -> None)
+  | `View ->
+    Option.map
+      (fun v -> v.sched)
+      (through (view_codec ~config ddg) { sched; requirement = 0; swaps = 0 })

@@ -158,7 +158,7 @@ let run ~config ~model ?capacity ?victim ddg =
      (a no-op). *)
   let spills = capacity <> None && model <> Model.Ideal in
   if spills then Fault.point ~stage:"spill" ~key:(Ddg.name ddg);
-  let v = Artifact.view_of_schedule ~model a.Artifact.raw in
+  let v = Artifact.view ~model a.Artifact.entry in
   match capacity with
   | Some cap when spills && v.Artifact.requirement > cap ->
     (* The "spill" span wraps the whole iterative spill loop, which
@@ -167,14 +167,26 @@ let run ~config ~model ?capacity ?victim ddg =
        records no frame), and the nested "alloc"/"swap" frames of its
        rounds' views count under their own names (its inclusive
        [total_s] still covers them).  Only cache misses record: a warm
-       view contributes nothing. *)
+       view contributes nothing.  The spiller asks for the requirement
+       of the schedules the scheduling callback returned, possibly a
+       round late, so the entries of this run's rounds are kept to read
+       their views off. *)
+    let rounds = ref [] in
     let outcome =
       Telemetry.time "spill" (fun () ->
           Spiller.run ~config
             ~requirement:(fun raw ->
-              let v = Artifact.view_of_schedule ~model raw in
+              let v =
+                match List.assq_opt raw !rounds with
+                | Some e -> Artifact.view ~model e
+                | None -> Artifact.view_of_schedule ~model raw
+              in
               (v.Artifact.sched, v.Artifact.requirement))
-            ~schedule:(fun ~min_ii ddg -> Artifact.spill_schedule ~config ~min_ii ddg)
+            ~schedule:(fun ~min_ii ddg ->
+              let e = Artifact.spill_entry ~config ~min_ii ddg in
+              let raw = Artifact.entry_schedule e in
+              rounds := (raw, e) :: !rounds;
+              raw)
             ~capacity:cap ?victim
             ~lower_bound:(spill_lower_bound ~config ~model)
             ddg)

@@ -82,19 +82,19 @@ let measure_all ?pool ?failures ?timeout_s ~config ~models loops =
     Ncdrf_telemetry.Telemetry.incr ~by:(Config.num_clusters config) "cluster.subfiles";
     if Config.has_port_caps config then
       Ncdrf_telemetry.Telemetry.incr "ports.capped_points";
-    let raw = Artifact.raw_schedule ~config loop.ddg in
+    let a = Artifact.scheduled ~config loop.ddg in
     let rows =
       List.map
         (fun v ->
           { loop; requirement = v.Artifact.requirement; ii = Schedule.ii v.Artifact.sched })
-        (Artifact.views_of_schedule ~models raw)
+        (Artifact.views ~models a.Artifact.entry)
     in
     if Ncdrf_telemetry.Trace.active () then
       Ncdrf_telemetry.Trace.update (fun p ->
           (match rows with
           | [ row ] -> p.Ncdrf_telemetry.Trace.requirement <- Some row.requirement
           | _ -> ());
-          p.Ncdrf_telemetry.Trace.maxlive <- Some (Requirements.max_live_cost raw));
+          p.Ncdrf_telemetry.Trace.maxlive <- Some (Requirements.max_live_cost a.Artifact.raw));
     rows
   in
   let per_loop = map ?pool ?failures ?timeout_s ~f:one loops in

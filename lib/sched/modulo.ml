@@ -192,15 +192,13 @@ let place_all st =
   in
   loop ()
 
-(* The placements, already normalized (first cycle 0), so
-   [Schedule.normalize] has nothing left to copy. *)
+(* The placements, copied out of the state already normalized (first
+   cycle 0). *)
 let schedule_of_state st =
   let shift = Array.fold_left Int.min max_int st.cycle in
-  let placements =
-    Array.init st.g.n (fun v ->
-        { Schedule.cycle = st.cycle.(v) - shift; cluster = st.cluster.(v) })
-  in
-  Schedule.normalize (Schedule.make ~config:st.cfg ~ii:st.ii ~placements st.ddg)
+  Schedule.of_arrays ~config:st.cfg ~ii:st.ii
+    ~cycles:(Array.map (fun c -> c - shift) st.cycle)
+    ~clusters:(Array.copy st.cluster) st.ddg
 
 (* Push-late over a complete placement: each operation whose opcode
    satisfies [eligible] (latest first, so chained ones cascade down)

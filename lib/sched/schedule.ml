@@ -10,68 +10,72 @@ type t = {
   ddg : Ddg.t;
   config : Config.t;
   ii : int;
-  placements : placement array;
+  cycles : int array;
+  clusters : int array;
 }
 
-let make ~config ~ii ~placements ddg =
+let of_arrays ~config ~ii ~cycles ~clusters ddg =
   if ii < 1 then invalid_arg "Schedule.make: ii must be >= 1";
-  if Array.length placements <> Ddg.num_nodes ddg then
+  let n = Ddg.num_nodes ddg in
+  if Array.length cycles <> n || Array.length clusters <> n then
     invalid_arg "Schedule.make: placement count mismatch";
-  let check p =
-    if p.cluster < 0 || p.cluster >= Config.num_clusters config then
-      invalid_arg "Schedule.make: cluster out of range"
-  in
-  Array.iter check placements;
-  { ddg; config; ii; placements }
+  let k = Config.num_clusters config in
+  Array.iter
+    (fun c -> if c < 0 || c >= k then invalid_arg "Schedule.make: cluster out of range")
+    clusters;
+  { ddg; config; ii; cycles; clusters }
+
+let make ~config ~ii ~placements ddg =
+  of_arrays ~config ~ii
+    ~cycles:(Array.map (fun p -> p.cycle) placements)
+    ~clusters:(Array.map (fun p -> p.cluster) placements)
+    ddg
+
+let placements t =
+  Array.init (Array.length t.cycles) (fun v -> { cycle = t.cycles.(v); cluster = t.clusters.(v) })
 
 let ii t = t.ii
-let cycle t v = t.placements.(v).cycle
-let cluster t v = t.placements.(v).cluster
+let cycle t v = t.cycles.(v)
+let cluster t v = t.clusters.(v)
 
 let edge_weight t e =
   let src_op = (Ddg.node t.ddg e.Ddg.src).Ddg.opcode in
   Config.latency t.config src_op - (t.ii * e.Ddg.distance)
 
-let first_cycle t =
-  let first = ref max_int in
-  for v = 0 to Array.length t.placements - 1 do
-    first := Int.min !first t.placements.(v).cycle
-  done;
-  !first
+let first_cycle t = Array.fold_left Int.min max_int t.cycles
 
 (* The first and last cycle in one int loop: every pipeline point asks. *)
 let stages t =
-  let n = Array.length t.placements in
+  let n = Array.length t.cycles in
   if n = 0 then 0
   else begin
     let first = ref max_int and last = ref min_int in
     for v = 0 to n - 1 do
-      let c = t.placements.(v).cycle in
+      let c = t.cycles.(v) in
       first := Int.min !first c;
       last := Int.max !last c
     done;
     ((!last - !first) / t.ii) + 1
   end
 
+(* The clusters do not move, so the copy shares them. *)
 let normalize t =
   let shift = first_cycle t in
-  if shift = 0 || Array.length t.placements = 0 then t
-  else
-    {
-      t with
-      placements = Array.map (fun p -> { p with cycle = p.cycle - shift }) t.placements;
-    }
+  if shift = 0 || Array.length t.cycles = 0 then t
+  else { t with cycles = Array.map (fun c -> c - shift) t.cycles }
 
+(* The cycles do not move, so the copy shares them. *)
 let swap_clusters t a b =
-  let placements = Array.copy t.placements in
-  let ca = placements.(a).cluster and cb = placements.(b).cluster in
-  placements.(a) <- { (placements.(a)) with cluster = cb };
-  placements.(b) <- { (placements.(b)) with cluster = ca };
-  { t with placements }
+  let clusters = Array.copy t.clusters in
+  clusters.(a) <- t.clusters.(b);
+  clusters.(b) <- t.clusters.(a);
+  { t with clusters }
 
 let validate t =
   let problem = ref None in
-  let fail fmt = Printf.ksprintf (fun s -> if !problem = None then problem := Some s) fmt in
+  let fail fmt =
+    Printf.ksprintf (fun s -> if Option.is_none !problem then problem := Some s) fmt
+  in
   let check_edge e =
     let lhs = cycle t e.Ddg.dst and rhs = cycle t e.Ddg.src + edge_weight t e in
     if lhs < rhs then
@@ -80,12 +84,13 @@ let validate t =
         (Ddg.node t.ddg e.Ddg.dst).Ddg.label lhs rhs
   in
   List.iter check_edge (Ddg.edges t.ddg);
-  if !problem = None then begin
+  if Option.is_none !problem then begin
     let rt = Reservation.create t.config ~ii:t.ii in
     let book node =
-      let p = t.placements.(node.Ddg.id) in
-      if not (Reservation.reserve_in rt ~op:node.Ddg.opcode ~cycle:p.cycle ~cluster:p.cluster)
-      then fail "resource overflow at op %s (cycle %d, cluster %d)" node.Ddg.label p.cycle p.cluster
+      let v = node.Ddg.id in
+      let cycle = t.cycles.(v) and cluster = t.clusters.(v) in
+      if not (Reservation.reserve_in rt ~op:node.Ddg.opcode ~cycle ~cluster) then
+        fail "resource overflow at op %s (cycle %d, cluster %d)" node.Ddg.label cycle cluster
     in
     Ddg.iter_nodes t.ddg ~f:book
   end;
@@ -97,10 +102,10 @@ let pp ppf t =
   Format.fprintf ppf "@[<v>schedule of %s on %a: II=%d, %d stages@," (Ddg.name t.ddg)
     Config.pp t.config t.ii (stages t);
   let print node =
-    let p = t.placements.(node.Ddg.id) in
+    let v = node.Ddg.id in
     Format.fprintf ppf "  %-6s %-12s cycle %3d  cluster %d@," node.Ddg.label
       (Opcode.to_string node.Ddg.opcode)
-      p.cycle p.cluster
+      t.cycles.(v) t.clusters.(v)
   in
   Ddg.iter_nodes t.ddg ~f:print;
   Format.fprintf ppf "@]"

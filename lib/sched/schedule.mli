@@ -13,16 +13,27 @@ type placement = {
   cluster : int;
 }
 
+(** The placements are stored flat, one int array per field, both
+    indexed by node id. *)
 type t = private {
   ddg : Ddg.t;
   config : Config.t;
   ii : int;
-  placements : placement array;  (** indexed by node id *)
+  cycles : int array;
+  clusters : int array;
 }
 
 (** [make ~config ~ii ~placements ddg] checks array length and basic
     ranges; dependence/resource consistency is checked by {!validate}. *)
 val make : config:Config.t -> ii:int -> placements:placement array -> Ddg.t -> t
+
+(** {!make} from the two arrays, which the schedule then owns: the
+    caller must not mutate them afterwards.  Same checks. *)
+val of_arrays :
+  config:Config.t -> ii:int -> cycles:int array -> clusters:int array -> Ddg.t -> t
+
+(** The placements as records, indexed by node id (a fresh array). *)
+val placements : t -> placement array
 
 val ii : t -> int
 val cycle : t -> int -> int

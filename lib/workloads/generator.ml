@@ -34,45 +34,55 @@ let heavy =
     recurrence_prob = 0.2;
   }
 
-(* Pick a random value id, biased towards recent definitions so graphs
-   get chain-like depth rather than all hanging off the first load. *)
-let pick_value rng values =
-  match values with
-  | [] -> None
-  | _ ->
-    let n = List.length values in
+(* Pick a random value id among the [n] most recent definitions (the
+   last [n] of the [count] in [values], oldest first), biased towards
+   recent ones so graphs get chain-like depth rather than all hanging
+   off the first load. *)
+let pick_value rng values ~count n =
+  if n = 0 then None
+  else begin
     let idx =
       if Random.State.bool rng then Random.State.int rng n
-      else Random.State.int rng (max 1 (n / 2))
+      else Random.State.int rng (Int.max 1 (n / 2))
     in
-    Some (List.nth values idx)
+    Some values.(count - 1 - idx)
+  end
 
 let generate params ~seed ~name =
   if params.min_ops < 2 || params.max_ops < params.min_ops then
     invalid_arg "Generator.generate: bad op bounds";
   let rng = Random.State.make [| seed; 0x9e3779b9 |] in
   let b = Ddg.Builder.create ~name in
-  let flow ?(distance = 0) src dst = Ddg.Builder.add_edge b ~src ~dst ~distance Ddg.Flow in
   let n_ops = params.min_ops + Random.State.int rng (params.max_ops - params.min_ops + 1) in
-  (* values: most recent first *)
-  let values = ref [] in
+  (* Every node before the sink stores is one of the [n_ops] ops, so
+     [consumed] covers every edge source. *)
+  let consumed = Array.make n_ops false in
+  let flow ?(distance = 0) src dst =
+    consumed.(src) <- true;
+    Ddg.Builder.add_edge b ~src ~dst ~distance Ddg.Flow
+  in
+  (* values: in definition order, the first [!count] slots *)
+  let values = Array.make n_ops 0 and count = ref 0 in
+  let define id =
+    values.(!count) <- id;
+    incr count
+  in
+  let pick () = pick_value rng values ~count:!count !count in
   let deferred = ref [] in
-  let arith_nodes = ref [] in
   let seq = ref 0 in
   let fresh_label prefix =
     incr seq;
-    Printf.sprintf "%s%d" prefix !seq
+    prefix ^ string_of_int !seq
   in
   let add_load () =
-    let array = Printf.sprintf "a%d" (Random.State.int rng 1000) in
-    let id = Ddg.Builder.add_node b (Opcode.Load (Opcode.Array array)) ~label:(fresh_label "L") in
-    values := id :: !values
+    let array = "a" ^ string_of_int (Random.State.int rng 1000) in
+    define (Ddg.Builder.add_node b (Opcode.Load (Opcode.Array array)) ~label:(fresh_label "L"))
   in
   let add_store () =
-    match pick_value rng !values with
+    match pick () with
     | None -> add_load ()
     | Some v ->
-      let array = Printf.sprintf "o%d" (Random.State.int rng 1000) in
+      let array = "o" ^ string_of_int (Random.State.int rng 1000) in
       let id =
         Ddg.Builder.add_node b (Opcode.Store (Opcode.Array array)) ~label:(fresh_label "S")
       in
@@ -98,24 +108,22 @@ let generate params ~seed ~name =
     let wire_operand ~may_defer =
       if may_defer && Random.State.float rng 1.0 < params.recurrence_prob then
         deferred := id :: !deferred
-      else if
-        Random.State.float rng 1.0 < params.invariant_operand_prob || !values = []
-      then () (* invariant operand: no dependence *)
+      else if Random.State.float rng 1.0 < params.invariant_operand_prob || !count = 0 then
+        () (* invariant operand: no dependence *)
       else
-        match pick_value rng !values with
+        match pick () with
         | Some v -> flow v id
         | None -> ()
     in
     (* First operand prefers a value so that ops chain. *)
-    (match pick_value rng !values with
+    (match pick () with
      | Some v when Random.State.float rng 1.0 > params.invariant_operand_prob /. 2.0 ->
        flow v id
      | Some _ | None -> wire_operand ~may_defer:false);
     for _ = 2 to n_operands do
       wire_operand ~may_defer:true
     done;
-    values := id :: !values;
-    arith_nodes := id :: !arith_nodes
+    define id
   in
   (* A loop body starts with at least one load. *)
   add_load ();
@@ -129,35 +137,37 @@ let generate params ~seed ~name =
      produced [d] iterations earlier.  Prefer a producer reachable from
      [c] through distance-0 edges, which closes a genuine cycle. *)
   let resolve c =
-    let descendants =
-      (* Distance-0 DFS from c over edges recorded so far is not directly
-         available from the builder; approximate with ids >= c, which in
-         construction order are exactly the candidates that can be
-         downstream of c. *)
-      List.filter (fun v -> v >= c) !values
-    in
-    let pool = if descendants <> [] then descendants else !values in
-    match pick_value rng pool with
+    (* Distance-0 DFS from c over edges recorded so far is not directly
+       available from the builder; approximate with ids >= c, which in
+       construction order are exactly the candidates that can be
+       downstream of c: the most recent values. *)
+    let descendants = ref 0 in
+    while !descendants < !count && values.(!count - 1 - !descendants) >= c do
+      incr descendants
+    done;
+    let pool = if !descendants > 0 then !descendants else !count in
+    match pick_value rng values ~count:!count pool with
     | None -> ()
     | Some producer ->
       let distance = 1 + Random.State.int rng params.max_distance in
       flow ~distance producer c
   in
   List.iter resolve !deferred;
-  (* Give some sink values a store so results are observable. *)
-  let graph_so_far = Ddg.Builder.freeze b in
-  let has_consumer v = Ddg.succs graph_so_far v <> [] in
-  let sink_values = List.filter (fun v -> not (has_consumer v)) !values in
+  (* Give some sink values a store so results are observable, most
+     recent first. *)
   let store_sink v =
     if Random.State.float rng 1.0 < params.store_sink_prob then begin
-      let array = Printf.sprintf "sink%d" v in
+      let array = "sink" ^ string_of_int v in
       let id =
         Ddg.Builder.add_node b (Opcode.Store (Opcode.Array array)) ~label:(fresh_label "S")
       in
-      flow v id
+      Ddg.Builder.add_edge b ~src:v ~dst:id ~distance:0 Ddg.Flow
     end
   in
-  List.iter store_sink sink_values;
+  for i = !count - 1 downto 0 do
+    let v = values.(i) in
+    if not consumed.(v) then store_sink v
+  done;
   let graph = Ddg.Builder.freeze b in
   match Ddg.validate graph with
   | Ok () -> graph

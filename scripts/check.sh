@@ -20,16 +20,17 @@ trap 'exit 1' INT TERM
 dune build
 dune runtest
 
-# Int-only kernels: the compiled scheduling, allocation and swap paths
-# call no polymorphic comparison.  Without flambda, [max]/[min] on ints
+# Int-only kernels: the compiled scheduling, allocation and swap paths,
+# the schedule's int arrays and the compile cache's lookups call no
+# polymorphic comparison.  Without flambda, [max]/[min] on ints
 # compile to calls of [Stdlib.max]/[min], which compare through
 # [caml_greaterequal]; a stray [compare] or [=] on a boxed type calls
 # the C comparison directly.  Scans each module's native object.
 poly=$tmp/polycompare.txt
 : > "$poly"
-for m in sched/Mii sched/Modulo sched/Dep_graph core/Requirements regalloc/Alloc \
-    regalloc/Conflict regalloc/Lifetime core/Swap spill/Spiller core/Pipeline \
-    core/Artifact; do
+for m in sched/Mii sched/Modulo sched/Dep_graph sched/Schedule core/Requirements \
+    regalloc/Alloc regalloc/Conflict regalloc/Lifetime core/Swap spill/Spiller \
+    core/Pipeline core/Artifact cache/Cache; do
   dir=${m%/*} mod=${m#*/}
   obj=_build/default/lib/$dir/.ncdrf_$dir.objs/native/ncdrf_${dir}__$mod.o
   if [ ! -f "$obj" ]; then

@@ -92,3 +92,20 @@ let class_counts sched =
       | Ncdrf_core.Classify.Local c -> locals.(c) <- locals.(c) + 1)
     (Ncdrf_core.Classify.classify sched);
   (!replicated, locals)
+
+(* A fresh store directory per test; the OS temp dir is cleaned up
+   explicitly so reruns never see a previous run's entries. *)
+let with_store_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ncdrf-test-store.%d.%d" (Unix.getpid ()) (Random.bits ()))
+  in
+  let rec rm_rf path =
+    match Unix.lstat path with
+    | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+    | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | exception Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

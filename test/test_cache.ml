@@ -12,6 +12,7 @@ open Ncdrf_machine
 open Ncdrf_sched
 open Ncdrf_core
 module Cache = Ncdrf_cache.Cache
+module Store = Ncdrf_cache.Store
 module Pool = Ncdrf_parallel.Pool
 module Telemetry = Ncdrf_telemetry.Telemetry
 module Generator = Ncdrf_workloads.Generator
@@ -304,16 +305,22 @@ let test_fingerprint_sensitive () =
 
 (* View keys hash the placements in binary: a schedule and its copy
    with one cross-cluster pair exchanged must key apart (two misses),
-   and the same schedule twice must hit.  Observed through the cache
-   counters only. *)
+   and the same schedules again must hit.  Views of schedules the cache
+   never computed skip the memory tier, so the keys are observed
+   through the counters of the store, which keeps them. *)
 let test_view_keys_distinct () =
   let config = Config.dual ~latency:3 in
   let checked = ref 0 in
+  Helpers.with_store_dir @@ fun dir ->
+  let store = Store.open_store ~dir () in
+  let saved = Store.ambient () in
+  Store.set_ambient (Some store);
+  Fun.protect ~finally:(fun () -> Store.set_ambient saved) @@ fun () ->
   let delta f =
-    let before = Artifact.cache_stats () in
+    let before = Store.stats store in
     f ();
-    let after = Artifact.cache_stats () in
-    (after.Cache.misses - before.Cache.misses, after.Cache.hits - before.Cache.hits)
+    let after = Store.stats store in
+    (after.Store.misses - before.Store.misses, after.Store.hits - before.Store.hits)
   in
   let view s = ignore (Artifact.view_of_schedule ~model:Model.Partitioned s) in
   List.iter
@@ -325,16 +332,13 @@ let test_view_keys_distinct () =
         incr checked;
         let name = Ddg.name e.Ncdrf_workloads.Suite.ddg in
         let swapped = Schedule.swap_clusters s a b in
-        Artifact.clear_cache ();
         let misses, hits = delta (fun () -> view s; view swapped) in
         check_int (name ^ ": swapped pair misses apart") 2 misses;
         check_int (name ^ ": no hit across the swap") 0 hits;
-        Artifact.clear_cache ();
-        let misses, hits = delta (fun () -> view s; view s) in
-        check_int (name ^ ": same schedule misses once") 1 misses;
-        check_int (name ^ ": same schedule hits once") 1 hits)
+        let misses, hits = delta (fun () -> view s; view swapped) in
+        check_int (name ^ ": same schedules miss no more") 0 misses;
+        check_int (name ^ ": same schedules hit") 2 hits)
     (Ncdrf_workloads.Suite.full ~size:120 ());
-  Artifact.clear_cache ();
   check_bool "some loops have a cross-cluster pair" true (!checked >= 40)
 
 (* View keys against single-field changes of one schedule: the II, one
@@ -345,7 +349,7 @@ let test_view_key_fields () =
   let config = Config.dual ~latency:3 in
   let ddg = Ncdrf_workloads.Kernels.paper_example () in
   let base = Modulo.schedule config ddg in
-  let ii = Schedule.ii base and placements = base.Schedule.placements in
+  let ii = Schedule.ii base and placements = Schedule.placements base in
   let with_ ?(ii = ii) v p =
     let ps = Array.copy placements in
     ps.(v) <- p ps.(v);
@@ -630,6 +634,73 @@ let test_measure_all_schedules_once () =
             (List.map render_measurement (Suite_stats.measure ~config ~model loops)))
         Model.all)
 
+(* One entry per schedule: every model at two capacities, then
+   measure_all, computes each raw schedule's three views once (Ideal
+   and Unified share one) and reads them back off the raw entry, so
+   per loop one schedule miss and three view misses, then seven
+   schedule hits and five view hits from the runs, and one schedule
+   and four view hits from measure_all.  The memory tier ends up
+   holding one entry per loop.  Both capacities are far above any of
+   these loops' requirements, so nothing spills. *)
+let test_views_ride_with_entry () =
+  let config = Config.dual ~latency:6 in
+  let loops = List.filteri (fun i _ -> i < 8) (fixed_suite ()) in
+  let n = List.length loops in
+  Artifact.clear_cache ();
+  let before = Artifact.cache_stats () in
+  List.iter
+    (fun (l : Suite_stats.workload) ->
+      List.iter
+        (fun capacity ->
+          List.iter
+            (fun model ->
+              let st = Pipeline.run ~config ~model ~capacity l.Suite_stats.ddg in
+              check_int "nothing spills" 0 st.Pipeline.spilled)
+            Model.all)
+        [ 256; 512 ])
+    loops;
+  ignore (Suite_stats.measure_all ~config ~models:Model.all loops);
+  let after = Artifact.cache_stats () in
+  check_int "a schedule and three view misses per loop" (4 * n)
+    (after.Cache.misses - before.Cache.misses);
+  check_int "seventeen hits per loop" (17 * n) (after.Cache.hits - before.Cache.hits);
+  check_int "one entry per loop" n after.Cache.size;
+  Artifact.clear_cache ()
+
+(* The flat schedule round-trips through the three store payload
+   codecs, whatever its II, cycles (negative, large, the int range's
+   ends) and clusters. *)
+let prop_store_codecs_roundtrip =
+  let gen =
+    let open QCheck.Gen in
+    let extreme = oneofl [ min_int; max_int; min_int + 1; max_int - 1; -1; 0; 1 ] in
+    triple (int_bound 10_000) (int_range 2 4)
+      (pair
+         (oneof [ int_range 1 64; int_range 1 max_int; return max_int ])
+         (list_size (return 64) (pair (oneof [ small_signed_int; int; extreme ]) int)))
+  in
+  QCheck.Test.make ~count:200 ~name:"flat schedules round-trip through the store codecs"
+    (QCheck.make gen) (fun (seed, k, (ii, cells)) ->
+      let ddg = Generator.generate Generator.default ~seed ~name:"codec-prop" in
+      let config = if k = 2 then Config.dual ~latency:3 else Config.k_cluster ~k ~latency:3 () in
+      let cell v = List.nth cells (v mod List.length cells) in
+      let n = Ddg.num_nodes ddg in
+      let s =
+        Schedule.of_arrays ~config ~ii
+          ~cycles:(Array.init n (fun v -> fst (cell v)))
+          ~clusters:(Array.init n (fun v -> abs (snd (cell v) mod k)))
+          ddg
+      in
+      List.for_all
+        (fun codec ->
+          match Artifact.store_roundtrip codec s with
+          | None -> false
+          | Some d ->
+            d.Schedule.ddg == ddg && d.Schedule.config == config && d.Schedule.ii = ii
+            && d.Schedule.cycles = s.Schedule.cycles
+            && d.Schedule.clusters = s.Schedule.clusters)
+        [ `Raw; `View; `Spill ])
+
 let suite =
   [
     Alcotest.test_case "cache hit/miss/clear accounting" `Quick test_cache_hit_miss;
@@ -658,4 +729,7 @@ let suite =
     Alcotest.test_case "cumulative == naive fold" `Quick test_cumulative_matches_naive_fold;
     Alcotest.test_case "measure_all schedules each loop once" `Quick
       test_measure_all_schedules_once;
+    Alcotest.test_case "views ride with their schedule's entry" `Quick
+      test_views_ride_with_entry;
+    QCheck_alcotest.to_alcotest prop_store_codecs_roundtrip;
   ]

@@ -242,7 +242,9 @@ let test_chart_render_example () =
   let long =
     Schedule.make ~config:sched.Schedule.config ~ii:1
       ~placements:
-        (Array.map (fun p -> { p with Schedule.cycle = 10 * p.Schedule.cycle }) sched.Schedule.placements)
+        (Array.map
+           (fun p -> { p with Schedule.cycle = 10 * p.Schedule.cycle })
+           (Schedule.placements sched))
       sched.Schedule.ddg
   in
   let scaled = Chart.render long in

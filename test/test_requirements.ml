@@ -177,6 +177,7 @@ let test_shared_views () =
           List.iter
             (fun models ->
               Artifact.clear_cache ();
+              let a = Artifact.scheduled ~config e.Ncdrf_workloads.Suite.ddg in
               List.iter2
                 (fun model v ->
                   Alcotest.(check int)
@@ -185,9 +186,9 @@ let test_shared_views () =
                     (List.assoc model want) v.Artifact.requirement;
                   if model = Model.Swapped then
                     Alcotest.(check bool) "swapped schedule" true
-                      (v.Artifact.sched.Schedule.placements = ref_swapped.Schedule.placements))
+                      (Schedule.placements v.Artifact.sched = Schedule.placements ref_swapped))
                 models
-                (Artifact.views_of_schedule ~models raw))
+                (Artifact.views ~models a.Artifact.entry))
             [
               [ Model.Unified; Model.Partitioned; Model.Swapped ];
               [ Model.Swapped; Model.Partitioned ];
@@ -224,7 +225,7 @@ let test_start_order_suite () =
       ~placements:
         (Array.mapi
            (fun v p -> { p with Schedule.cycle = f v p.Schedule.cycle })
-           sched.Schedule.placements)
+           (Schedule.placements sched))
       sched.Schedule.ddg
   in
   List.iter

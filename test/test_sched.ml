@@ -113,8 +113,7 @@ let test_schedule_achieves_mii_mostly () =
 
 let test_normalize_starts_at_zero () =
   let sched = Modulo.schedule (Config.dual ~latency:3) (Helpers.example_ddg ()) in
-  check_int "first cycle" 0
-    (Array.fold_left (fun acc p -> min acc p.Schedule.cycle) max_int sched.Schedule.placements)
+  check_int "first cycle" 0 (Array.fold_left min max_int sched.Schedule.cycles)
 
 let test_schedule_make_validations () =
   let ddg = Helpers.example_ddg () in
@@ -136,7 +135,7 @@ let test_validate_catches_violations () =
   let ddg = sched.Schedule.ddg in
   let m3 = Helpers.node_by_label ddg "M3" in
   let broken =
-    let placements = Array.copy sched.Schedule.placements in
+    let placements = Array.copy (Schedule.placements sched) in
     placements.(m3.Ddg.id) <- { Schedule.cycle = 0; cluster = 0 };
     (* M3 at cycle 0 issues before L1's result is ready. *)
     Schedule.make ~config:sched.Schedule.config ~ii:1 ~placements ddg
@@ -303,7 +302,7 @@ let reference_config ~k ~caps ~latency =
 
 let outcome f =
   match f () with
-  | s -> Ok (Schedule.ii s, s.Schedule.placements)
+  | s -> Ok (Schedule.ii s, Schedule.placements s)
   | exception Ncdrf_error.Error.Error e -> Error e.Ncdrf_error.Error.category
 
 let prop_matches_reference =
@@ -483,7 +482,7 @@ let prop_push_late_matches_reference =
           let want = Adjust_reference.push_late raw ~eligible:(fun n -> eligible n.Ddg.opcode) in
           let fused = Modulo.schedule_late ~late:eligible ~min_ii:floor cfg g in
           Schedule.ii fused = Schedule.ii want
-          && fused.Schedule.placements = want.Schedule.placements)
+          && Schedule.placements fused = Schedule.placements want)
         [ Opcode.is_spill_load; (fun _ -> true) ])
 
 (* The whole default suite (795 loops) at L3 and L6: the bound and every
@@ -503,12 +502,12 @@ let test_default_suite_matches_reference () =
           let want = Modulo_reference.schedule cfg g and got = Modulo.schedule cfg g in
           check_int (name ^ ": ii") (Schedule.ii want) (Schedule.ii got);
           check_bool (name ^ ": placements") true
-            (want.Schedule.placements = got.Schedule.placements);
+            (Schedule.placements want = Schedule.placements got);
           let mii, both = Modulo.schedule_with_mii cfg g in
           check_int (name ^ ": schedule_with_mii bound") (Mii.mii cfg g) mii;
           check_bool (name ^ ": schedule_with_mii schedule") true
             (Schedule.ii both = Schedule.ii got
-            && both.Schedule.placements = got.Schedule.placements))
+            && Schedule.placements both = Schedule.placements got))
         loops)
     [ 3; 6 ]
 

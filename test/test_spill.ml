@@ -254,7 +254,7 @@ let prop_fission_structural =
    population depends on evaluation order. *)
 let same_schedule a b =
   Schedule.ii a = Schedule.ii b
-  && a.Schedule.placements = b.Schedule.placements
+  && Schedule.placements a = Schedule.placements b
   && Ddg.digest a.Schedule.ddg = Ddg.digest b.Schedule.ddg
 
 let same_outcome (o : Spiller.outcome) (r : Spiller_reference.outcome) =
@@ -348,8 +348,8 @@ let test_ii_floor_divergence_case () =
   Alcotest.(check int) "same II bumps" r.Spiller_reference.ii_bumps o.Spiller.ii_bumps;
   Alcotest.(check int) "same rounds" r.Spiller_reference.rounds o.Spiller.rounds;
   Alcotest.(check bool) "spill order differs (the floor engaged)" false
-    (o.Spiller.schedule.Schedule.placements
-    = r.Spiller_reference.schedule.Schedule.placements)
+    (Schedule.placements o.Spiller.schedule
+    = Schedule.placements r.Spiller_reference.schedule)
 
 let prop_lower_bound_preserves_outcomes =
   QCheck.Test.make ~count:30

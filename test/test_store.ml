@@ -21,23 +21,6 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* A fresh store directory per test; the OS temp dir is cleaned up
-   explicitly so reruns never see a previous run's entries. *)
-let with_store_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ncdrf-test-store.%d.%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 (* Every .art entry file under the store root, sorted for determinism. *)
 let entry_files dir =
   let acc = ref [] in
@@ -70,7 +53,7 @@ let write_raw path content =
 (* ------------------------------------------------------------------ *)
 
 let test_store_roundtrip () =
-  with_store_dir (fun dir ->
+  Helpers.with_store_dir (fun dir ->
       let t = Store.open_store ~dir () in
       (* Keys carry NUL separators and digests with arbitrary bytes in
          real use; payloads are arbitrary too. *)
@@ -124,7 +107,7 @@ let prop_corrupt_entry_is_miss =
   in
   QCheck.Test.make ~count:40 ~name:"corrupted or truncated entry is a miss" arb
     (fun (seed, cut, flip) ->
-      with_store_dir (fun dir ->
+      Helpers.with_store_dir (fun dir ->
           let t = Store.open_store ~dir () in
           let key = Printf.sprintf "corrupt\x00%d\x00#raw" seed in
           let payload = Printf.sprintf "3|%d,0|%d,1|%d,0" seed (seed + 1) (seed * 7) in
@@ -157,7 +140,7 @@ let prop_corrupt_entry_is_miss =
    blocks read back as zeros.  Each must read as a miss and leave the
    slot usable. *)
 let test_crash_torn_entry_is_miss () =
-  with_store_dir (fun dir ->
+  Helpers.with_store_dir (fun dir ->
       let t = Store.open_store ~dir () in
       let key = "torn\x00#view" and payload = String.init 600 (fun i -> Char.chr (i mod 251)) in
       Store.save t ~key payload;
@@ -195,7 +178,7 @@ let test_crash_torn_entry_is_miss () =
 (* ------------------------------------------------------------------ *)
 
 let test_stale_tmp_reclaim () =
-  with_store_dir (fun dir ->
+  Helpers.with_store_dir (fun dir ->
       let t = Store.open_store ~dir () in
       Store.save t ~key:"live" "entry";
       let stale = Filename.concat dir ".store-dead.tmp" in
@@ -220,7 +203,7 @@ let test_stale_tmp_reclaim () =
 (* ------------------------------------------------------------------ *)
 
 let test_eviction_lru () =
-  with_store_dir (fun dir ->
+  Helpers.with_store_dir (fun dir ->
       let payload = String.make 4096 'x' in
       let t = Store.open_store ~max_bytes:(3 * 4096) ~dir () in
       Store.save t ~key:"old" payload;
@@ -265,7 +248,7 @@ let render_stats (st : Pipeline.stats) =
     st.Pipeline.density st.Pipeline.swaps placements
 
 let test_disk_warm_determinism () =
-  with_store_dir (fun dir ->
+  Helpers.with_store_dir (fun dir ->
       let config = Config.dual ~latency:6 in
       let snapshot () =
         List.concat_map
@@ -311,7 +294,7 @@ let test_disk_warm_determinism () =
    point is recomputed, the entry rewritten in the current format, and
    every model's result equals an uncached run's. *)
 let test_raw_payload_formats () =
-  with_store_dir (fun dir ->
+  Helpers.with_store_dir (fun dir ->
       let config = Config.dual ~latency:6 in
       let ddg = List.hd (fixed_loops ()) in
       let key = Config.fingerprint config ^ "\x01" ^ Ddg.digest ddg ^ "#raw" in

@@ -22,7 +22,7 @@ let configs () =
   ]
 
 let same_result (got, gs) (want, ws) =
-  got.Schedule.placements = want.Schedule.placements
+  Schedule.placements got = Schedule.placements want
   && gs.Swap.swaps = ws.Swap.swaps
   && gs.Swap.initial_cost = ws.Swap.initial_cost
   && gs.Swap.final_cost = ws.Swap.final_cost
@@ -32,8 +32,7 @@ let describe (sched, st) =
   Printf.sprintf "swaps=%d init=%d final=%d clusters=[%s]" st.Swap.swaps
     st.Swap.initial_cost st.Swap.final_cost
     (String.concat ";"
-       (Array.to_list
-          (Array.map (fun p -> string_of_int p.Schedule.cluster) sched.Schedule.placements)))
+       (Array.to_list (Array.map string_of_int sched.Schedule.clusters)))
 
 let check_equivalent what sched =
   let got = Swap.improve sched and want = Swap_reference.improve sched in
@@ -98,7 +97,7 @@ let test_max_passes_and_exact () =
           let got, gs = Swap.improve_exact sched
           and want, ws = Swap_reference.improve ~estimate:Swap_reference.Exact sched in
           check_bool (what ^ " exact placements") true
-            (got.Schedule.placements = want.Schedule.placements);
+            (Schedule.placements got = Schedule.placements want);
           check_bool (what ^ " exact stats") true (gs = ws))
         loops)
     [
