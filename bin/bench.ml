@@ -581,7 +581,7 @@ let run_lifetime_postpass c =
           let sched = Artifact.raw_schedule ~config l.Suite_stats.ddg in
           base := !base + Requirements.unified sched;
           let adjusted =
-            Modulo.schedule_late ~late:(fun _ -> true) ~min_ii:1 config l.Suite_stats.ddg
+            snd (Modulo.schedule_late ~late:(fun _ -> true) ~min_ii:1 config l.Suite_stats.ddg)
           in
           pushed := !pushed + Requirements.unified adjusted)
         loops;

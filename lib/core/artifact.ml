@@ -14,32 +14,32 @@ type view = {
   swaps : int;
 }
 
-(* A schedule the cache computed, with one write-once slot per view
-   transform: Ideal and Unified apply the same one (no transform,
-   unified allocation), so they share a slot. *)
+(* A schedule the cache computed — a (config, loop)'s raw schedule or
+   one spill round's — under its store key, with the bound its II
+   search started from and one write-once slot per view transform:
+   Ideal and Unified apply the same one (no transform, unified
+   allocation), so they share a slot.  On disk a view is stored under
+   the entry's key plus its slot's tag. *)
 type entry = {
+  key : string;
+  bound : int;
   schedule : Schedule.t;
   unified : view Cache.slot;
   partitioned : view Cache.slot;
   swapped : view Cache.slot;
 }
 
-type t = {
-  mii : int;
-  raw : Schedule.t;
-  entry : entry;
-}
+let entry_of ~key ~bound schedule =
+  {
+    key;
+    bound;
+    schedule;
+    unified = Cache.slot ();
+    partitioned = Cache.slot ();
+    swapped = Cache.slot ();
+  }
 
-(* One cache holds both scheduling stages; the variant keeps the table
-   monomorphic while the key's stage tag keeps entries distinct.  Views
-   have no entry of their own: they fill their schedule's slots. *)
-type cached =
-  | Raw_of of t
-  | Spill_of of entry
-
-let entry_of schedule =
-  { schedule; unified = Cache.slot (); partitioned = Cache.slot (); swapped = Cache.slot () }
-
+let entry_bound e = e.bound
 let entry_schedule e = e.schedule
 
 let default_capacity = 65536
@@ -47,7 +47,7 @@ let default_capacity = 65536
 let make_cache capacity =
   Cache.create ~stripes:(Int.max 1 (Int.min 8 capacity)) ~name:"artifact" ~capacity ()
 
-let cache : cached Cache.t ref = ref (make_cache default_capacity)
+let cache : entry Cache.t ref = ref (make_cache default_capacity)
 let enabled = Atomic.make true
 
 let set_cache_enabled b = Atomic.set enabled b
@@ -73,26 +73,16 @@ let through_store ~key (encode, decode) compute () =
       Store.save store ~key (encode v);
       v)
 
-(* The fault point sits in front of the lookup (memo keys do not carry
-   the loop name), so an armed "cache" fault fires on hits and misses
-   alike.  Exceptions from [compute] propagate uncached — the cache
-   never memoizes a failure.  A memory miss goes to the store. *)
-let memo ~loop ~codec key compute =
-  Fault.point ~stage:"cache" ~key:loop;
-  let compute = through_store ~key:(fun () -> key) codec compute in
-  if Atomic.get enabled then Cache.find_or_add !cache ~key compute else compute ()
-
-let wrong_stage () = invalid_arg "Artifact: cache key collided across stages"
-
 (* ------------------------------------------------------------------ *)
 (* Disk payload codecs.  Payloads carry only integers — a schedule is
-   its II plus (cycle, cluster) placement pairs, and the raw and view
-   entries put their other integers in front of it, each ended by a
-   [!] — and schedules are rebuilt through [Schedule.of_arrays] against
-   the config and graph the caller already holds, so nothing structural
-   is trusted from disk.  Its validation rejecting a payload
-   (graph changed shape under the same digest is impossible, but a
-   colliding or hand-edited entry is not) reads as a miss. *)
+   its II plus (cycle, cluster) placement pairs, and an entry puts its
+   bound and a view its requirement and swaps in front of it, each
+   ended by a [!] — and schedules are rebuilt through
+   [Schedule.of_arrays] against the config and graph the caller already
+   holds, so nothing structural is trusted from disk.  Its validation
+   rejecting a payload (graph changed shape under the same digest is
+   impossible, but a colliding or hand-edited entry is not) reads as a
+   miss. *)
 
 let encode_schedule s =
   let buf = Buffer.create 64 in
@@ -136,27 +126,18 @@ let decode_schedule ~config ddg str =
         | s -> Some s
         | exception Invalid_argument _ -> None)
 
-(* [mii!ii|cycle,cluster|...]: an older store's payload, without the
-   MII prefix, fails to decode, so it reads as a miss and is
-   rewritten. *)
-let raw_codec ~config ddg =
-  ( (function
-    | Raw_of a -> string_of_int a.mii ^ "!" ^ encode_schedule a.raw
-    | Spill_of _ -> wrong_stage ()),
+(* [bound!ii|cycle,cluster|...], for raw and spill entries alike.  A
+   payload without the bound (an older store's spill round) fails to
+   decode, so it reads as a miss and is rewritten. *)
+let entry_codec ~config ~key ddg =
+  ( (fun e -> string_of_int e.bound ^ "!" ^ encode_schedule e.schedule),
     fun str ->
       match String.split_on_char '!' str with
-      | [ mii_s; sched_s ] -> (
-        match int_of_string_opt mii_s with
-        | Some mii ->
-          Option.map
-            (fun raw -> Raw_of { mii; raw; entry = entry_of raw })
-            (decode_schedule ~config ddg sched_s)
+      | [ bound_s; sched_s ] -> (
+        match int_of_string_opt bound_s with
+        | Some bound -> Option.map (entry_of ~key ~bound) (decode_schedule ~config ddg sched_s)
         | None -> None)
       | _ -> None )
-
-let spill_codec ~config ddg =
-  ( (function Spill_of e -> encode_schedule e.schedule | Raw_of _ -> wrong_stage ()),
-    fun str -> Option.map (fun s -> Spill_of (entry_of s)) (decode_schedule ~config ddg str) )
 
 let view_codec ~config ddg =
   ( (fun v -> Printf.sprintf "%d!%d!%s" v.requirement v.swaps (encode_schedule v.sched)),
@@ -176,6 +157,22 @@ let view_codec ~config ddg =
    keys mean equal compilation inputs. *)
 let base_key ~config ddg = Config.fingerprint config ^ "\x01" ^ Ddg.digest ddg
 
+let raw_key ~config ddg = base_key ~config ddg ^ "#raw"
+
+(* One entry lookup; on a miss [schedule ()] gives the bound and the
+   schedule.  The fault point sits in front of the lookup (keys do not
+   carry the loop name), so an armed "cache" fault fires on hits and
+   misses alike.  Exceptions from [schedule] propagate uncached — the
+   cache never memoizes a failure.  A memory miss goes to the store. *)
+let memo ~config ddg ~key schedule =
+  Fault.point ~stage:"cache" ~key:(Ddg.name ddg);
+  let compute () =
+    let bound, s = schedule () in
+    entry_of ~key ~bound s
+  in
+  let compute = through_store ~key:(fun () -> key) (entry_codec ~config ~key ddg) compute in
+  if Atomic.get enabled then Cache.find_or_add !cache ~key compute else compute ()
+
 (* Each stage runs inside an [Error.boundary], so whatever escapes a
    stage is a classified [Error.Error] carrying the loop name and config
    fingerprint — never a raw exception.  Stage entry is also the
@@ -191,29 +188,22 @@ let stage_boundary ~stage ~config ddg f =
 (* The one scheduling stage of a (config, loop) point: the MII is the
    bound the scheduler's II search started from, so it is kept with the
    schedule instead of being computed again. *)
-let raw_key ~config ddg = base_key ~config ddg ^ "#raw"
-
 let scheduled ~config ddg =
   stage_boundary ~stage:"schedule" ~config ddg @@ fun () ->
-  let compute () =
-    Fault.point ~stage:"schedule" ~key:(Ddg.name ddg);
-    let mii, raw =
-      Telemetry.time "schedule" (fun () -> Modulo.schedule_with_mii config ddg)
-    in
-    Raw_of { mii; raw; entry = entry_of raw }
+  let e =
+    memo ~config ddg ~key:(raw_key ~config ddg) (fun () ->
+        Fault.point ~stage:"schedule" ~key:(Ddg.name ddg);
+        Telemetry.time "schedule" (fun () -> Modulo.schedule_with_mii config ddg))
   in
-  match memo ~loop:(Ddg.name ddg) ~codec:(raw_codec ~config ddg) (raw_key ~config ddg) compute with
-  | Raw_of a ->
-    (* Stamped on the ambient point here, after the memo, so the ledger
-       sees them on cache hits too. *)
-    if Trace.active () then
-      Trace.update (fun p ->
-          p.Trace.mii <- Some a.mii;
-          p.Trace.ii <- Some (Schedule.ii a.raw));
-    a
-  | Spill_of _ -> wrong_stage ()
+  (* Stamped on the ambient point here, after the memo, so the ledger
+     sees them on cache hits too. *)
+  if Trace.active () then
+    Trace.update (fun p ->
+        p.Trace.mii <- Some e.bound;
+        p.Trace.ii <- Some (Schedule.ii e.schedule));
+  e
 
-let raw_schedule ~config ddg = (scheduled ~config ddg).raw
+let raw_schedule ~config ddg = (scheduled ~config ddg).schedule
 
 let count_swaps model before after =
   match model with
@@ -294,65 +284,27 @@ let slot_of e = function
   | Model.Partitioned -> e.partitioned
   | Model.Swapped -> e.swapped
 
-(* On disk a view's input is the schedule, not just the graph: the
-   spiller asks for views of schedules of intermediate graphs at bumped
-   IIs, so the key includes the placements.  They are appended as
-   zigzag varints — [ii], then each placement's cycle and cluster — so
-   small values of either sign take one byte.  Zigzag maps ints
-   one-to-one onto unsigned ints (read through [lsr]), a varint ends at
-   its first byte below 0x80, and a graph fixes the placement count, so
-   the encoding is injective for a given graph. *)
-let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
-
-let varint_size n =
-  let rec go size u = if u lsr 7 = 0 then size else go (size + 1) (u lsr 7) in
-  go 1 (zigzag n)
-
-let write_varint buf pos n =
-  let u = ref (zigzag n) and pos = ref pos in
-  while !u lsr 7 <> 0 do
-    Bytes.set buf !pos (Char.chr (0x80 lor (!u land 0x7f)));
-    u := !u lsr 7;
-    incr pos
-  done;
-  Bytes.set buf !pos (Char.chr !u);
-  !pos + 1
-
-let schedule_key sched =
-  let prefix = base_key ~config:sched.Schedule.config sched.Schedule.ddg ^ "#view:" in
-  let cycles = sched.Schedule.cycles and clusters = sched.Schedule.clusters in
-  let size = ref (String.length prefix + varint_size sched.Schedule.ii) in
-  for v = 0 to Array.length cycles - 1 do
-    size := !size + varint_size cycles.(v) + varint_size clusters.(v)
-  done;
-  let buf = Bytes.create !size in
-  Bytes.blit_string prefix 0 buf 0 (String.length prefix);
-  let pos = ref (write_varint buf (String.length prefix) sched.Schedule.ii) in
-  for v = 0 to Array.length cycles - 1 do
-    pos := write_varint buf (write_varint buf !pos cycles.(v)) clusters.(v)
-  done;
-  Bytes.unsafe_to_string buf
-
 (* One view lookup: the stage boundary, deadline poll and "cache" fault
-   point run on every lookup, hit or miss.  A view of a cached entry
-   reads or fills the entry's slot; a view of any other schedule, or
-   any view with the cache off, is computed.  Either way a computed
-   view goes through the store under the schedule's content key. *)
+   point run on every lookup, hit or miss.  A view of an entry reads or
+   fills the entry's slot (or, with the cache off, is computed), going
+   through the store under the entry's key and the slot's tag; a view
+   of a schedule no entry holds is computed without either tier. *)
 let view_with shared ~model entry sched =
   let ddg = sched.Schedule.ddg and config = sched.Schedule.config in
   stage_boundary ~stage:"alloc" ~config ddg @@ fun () ->
   Fault.point ~stage:"cache" ~key:(Ddg.name ddg);
-  let compute =
-    through_store
-      ~key:(fun () -> schedule_key sched ^ ":" ^ view_tag model)
-      (view_codec ~config ddg)
-      (fun () ->
-        Fault.point ~stage:"alloc" ~key:(Ddg.name ddg);
-        compute_view shared model sched)
+  let compute () =
+    Fault.point ~stage:"alloc" ~key:(Ddg.name ddg);
+    compute_view shared model sched
   in
   match entry with
-  | Some e when Atomic.get enabled -> Cache.find_or_fill !cache (slot_of e model) compute
-  | Some _ | None -> compute ()
+  | None -> compute ()
+  | Some e ->
+    let compute =
+      through_store ~key:(fun () -> e.key ^ ":" ^ view_tag model) (view_codec ~config ddg) compute
+    in
+    if Atomic.get enabled then Cache.find_or_fill !cache (slot_of e model) compute
+    else compute ()
 
 let view ~model e = view_with (shared_of e.schedule) ~model (Some e) e.schedule
 
@@ -369,8 +321,8 @@ let held sched =
     match
       Cache.find !cache ~key:(raw_key ~config:sched.Schedule.config sched.Schedule.ddg)
     with
-    | Some (Raw_of a) when a.raw == sched -> Some a.entry
-    | Some (Raw_of _ | Spill_of _) | None -> None
+    | Some e when e.schedule == sched -> Some e
+    | Some _ | None -> None
 
 let view_of_schedule ~model sched =
   view_with (shared_of sched) ~model (held sched) sched
@@ -390,20 +342,12 @@ let has_spill_load ddg =
    shares the "#raw" entry, and its views, instead of computing the
    same schedule twice under two keys. *)
 let spill_entry ~config ~min_ii ddg =
-  if min_ii <= 1 && not (has_spill_load ddg) then (scheduled ~config ddg).entry
-  else begin
+  if min_ii <= 1 && not (has_spill_load ddg) then scheduled ~config ddg
+  else
     stage_boundary ~stage:"schedule" ~config ddg @@ fun () ->
-    let compute () =
-      Spill_of (entry_of (Ncdrf_spill.Spiller.schedule_once config ~min_ii ddg))
-    in
-    match
-      memo ~loop:(Ddg.name ddg) ~codec:(spill_codec ~config ddg)
-        (base_key ~config ddg ^ "#spill:" ^ string_of_int min_ii)
-        compute
-    with
-    | Spill_of e -> e
-    | Raw_of _ -> wrong_stage ()
-  end
+    memo ~config ddg
+      ~key:(base_key ~config ddg ^ "#spill:" ^ string_of_int min_ii)
+      (fun () -> Ncdrf_spill.Spiller.schedule_once config ~min_ii ddg)
 
 let spill_schedule ~config ~min_ii ddg = (spill_entry ~config ~min_ii ddg).schedule
 
@@ -411,15 +355,9 @@ let store_roundtrip codec sched =
   let config = sched.Schedule.config and ddg = sched.Schedule.ddg in
   let through (encode, decode) v = decode (encode v) in
   match codec with
-  | `Raw -> (
-    let raw = Raw_of { mii = 1; raw = sched; entry = entry_of sched } in
-    match through (raw_codec ~config ddg) raw with
-    | Some (Raw_of a) -> Some a.raw
-    | Some (Spill_of _) | None -> None)
-  | `Spill -> (
-    match through (spill_codec ~config ddg) (Spill_of (entry_of sched)) with
-    | Some (Spill_of e) -> Some e.schedule
-    | Some (Raw_of _) | None -> None)
+  | `Entry ->
+    Option.map entry_schedule
+      (through (entry_codec ~config ~key:"" ddg) (entry_of ~key:"" ~bound:1 sched))
   | `View ->
     Option.map
       (fun v -> v.sched)

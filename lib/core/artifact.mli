@@ -27,20 +27,22 @@
     request for that view: a view of an entry the caller holds costs
     no key and no lookup, a slot read counts as a cache hit and a fill
     as a miss, and the views leave with their entry when it is
-    evicted.  The cache's capacity still counts entries.  Building a
-    schedule key costs no rendering: the fingerprint is computed once
+    evicted.  The cache's capacity still counts entries.  Building an
+    entry key costs no rendering: the fingerprint is computed once
     per configuration by [Config.make] and the graph digest once per
     graph, so a hit is one hash of the key and a lookup.
 
     When an ambient {!Ncdrf_cache.Store} is open, a second, on-disk
-    tier keeps one entry per stage: the raw and spill keys above, and
-    per view the schedule's content key ({!schedule_key}) plus the
-    view tag.  A memory miss or an empty slot consults the store before
-    computing, and a computed artifact is published back, so results
-    survive the process and are shared across concurrent processes.
-    Disk payloads carry only integers (MII, IIs, placements,
-    requirements); schedules are rebuilt through
-    [Schedule.of_arrays], and any malformed entry degrades to a miss.
+    tier names the same entries: a schedule under its entry's key
+    above, and each view under that key plus [":"] and its slot's tag
+    ([unified], [partitioned] or [swapped]).  A memory miss or an
+    empty slot consults the store before computing, and a computed
+    artifact is published back, so results survive the process and
+    are shared across concurrent processes.  Disk payloads carry only
+    integers: an entry is [bound!schedule], a view
+    [requirement!swaps!schedule], and a schedule [ii|cycle,cluster|...];
+    schedules are rebuilt through [Schedule.of_arrays], and any
+    malformed entry degrades to a miss.
 
     {b Determinism rule:} every compute function is a pure function of
     its key — the scheduler, allocator and swap pass are deterministic —
@@ -71,27 +73,26 @@ type view = {
   swaps : int;  (** exchanged pairs versus the input schedule *)
 }
 
-(** A schedule the cache computed — a raw schedule or a spill round's —
-    with its view slots. *)
+(** A schedule the cache computed — a (config, loop)'s raw schedule or
+    a spill round's — with the bound its II search started from and
+    its view slots.  The schedule carries the graph and the
+    configuration. *)
 type entry
 
 (** The schedule an entry holds. *)
 val entry_schedule : entry -> Schedule.t
 
-(** A loop scheduled under a configuration: the stage every model
-    shares.  [raw] carries the graph and the configuration. *)
-type t = private {
-  mii : int;  (** lower bound of the graph *)
-  raw : Schedule.t;  (** register-blind modulo schedule *)
-  entry : entry;  (** the cache entry holding [raw] *)
-}
+(** The bound the entry's II search started from: the MII for a raw
+    entry, [max mii min_ii] for a spill round's. *)
+val entry_bound : entry -> int
 
-(** MII and raw modulo schedule of the graph, from one scheduler run
-    (cached under one key).  With a trace point installed, stamps the
-    point's MII and II, on hits too. *)
-val scheduled : config:Config.t -> Ddg.t -> t
+(** The loop scheduled under a configuration, the stage every model
+    shares: its MII and register-blind modulo schedule, from one
+    scheduler run (cached under one key).  With a trace point
+    installed, stamps the point's MII and II, on hits too. *)
+val scheduled : config:Config.t -> Ddg.t -> entry
 
-(** [(scheduled ~config ddg).raw]. *)
+(** [entry_schedule (scheduled ~config ddg)]. *)
 val raw_schedule : config:Config.t -> Ddg.t -> Schedule.t
 
 (** The model's view of the entry's schedule, read from (or filled
@@ -110,22 +111,15 @@ val views : models:Model.t list -> entry -> view list
 
 (** The model's view of any schedule: {!view} of the raw entry when
     [sched] is the raw schedule the cache holds for its graph and
-    configuration, otherwise computed without the memory tier (an open
-    store is still consulted under {!schedule_key}). *)
+    configuration, otherwise computed without either tier (the view
+    has no entry to be named by). *)
 val view_of_schedule : model:Model.t -> Schedule.t -> view
 
-(** The store key of a schedule's views, before the model tag: the
-    graph's key, then the II and every placement's cycle and cluster
-    as zigzag varints.  Equal schedules of one graph under one
-    configuration get equal keys; schedules differing in II, in any
-    cycle or in any cluster get different ones. *)
-val schedule_key : Schedule.t -> string
-
-(** [sched] encoded and decoded by the store payload codec of the raw,
-    view or spill stage (the MII, requirement and swaps in front of the
+(** [sched] encoded and decoded by the store payload codec of an entry
+    or of a view (the bound, requirement and swaps in front of the
     schedule set to fixed values); [None] if the payload does not
     decode. *)
-val store_roundtrip : [ `Raw | `View | `Spill ] -> Schedule.t -> Schedule.t option
+val store_roundtrip : [ `Entry | `View ] -> Schedule.t -> Schedule.t option
 
 (** The spiller's per-round scheduling step — modulo scheduling at
     [min_ii], spill loads pushed late — as a cache entry, keyed on

@@ -73,7 +73,7 @@ let observe ~loop ~config ?(fp = "") ?(models = "") ?capacity f =
       }
     in
     let finish ~ok =
-      p.total_ns <- Int64.to_int (Int64.sub (Telemetry.now_ns ()) t0);
+      p.total_ns <- Telemetry.now_ns () - t0;
       p.ok <- ok;
       Ledger.add p
     in
@@ -132,7 +132,7 @@ let run ~config ~model ?capacity ?victim ddg =
     {
       name = Ddg.name ddg;
       model;
-      mii = a.Artifact.mii;
+      mii = Artifact.entry_bound a;
       ii = Schedule.ii sched;
       stages = Schedule.stages sched;
       requirement;
@@ -158,7 +158,7 @@ let run ~config ~model ?capacity ?victim ddg =
      (a no-op). *)
   let spills = capacity <> None && model <> Model.Ideal in
   if spills then Fault.point ~stage:"spill" ~key:(Ddg.name ddg);
-  let v = Artifact.view ~model a.Artifact.entry in
+  let v = Artifact.view ~model a in
   match capacity with
   | Some cap when spills && v.Artifact.requirement > cap ->
     (* The "spill" span wraps the whole iterative spill loop, which
@@ -176,11 +176,7 @@ let run ~config ~model ?capacity ?victim ddg =
       Telemetry.time "spill" (fun () ->
           Spiller.run ~config
             ~requirement:(fun raw ->
-              let v =
-                match List.assq_opt raw !rounds with
-                | Some e -> Artifact.view ~model e
-                | None -> Artifact.view_of_schedule ~model raw
-              in
+              let v = Artifact.view ~model (List.assq raw !rounds) in
               (v.Artifact.sched, v.Artifact.requirement))
             ~schedule:(fun ~min_ii ddg ->
               let e = Artifact.spill_entry ~config ~min_ii ddg in

@@ -87,14 +87,15 @@ let measure_all ?pool ?failures ?timeout_s ~config ~models loops =
       List.map
         (fun v ->
           { loop; requirement = v.Artifact.requirement; ii = Schedule.ii v.Artifact.sched })
-        (Artifact.views ~models a.Artifact.entry)
+        (Artifact.views ~models a)
     in
     if Ncdrf_telemetry.Trace.active () then
       Ncdrf_telemetry.Trace.update (fun p ->
           (match rows with
           | [ row ] -> p.Ncdrf_telemetry.Trace.requirement <- Some row.requirement
           | _ -> ());
-          p.Ncdrf_telemetry.Trace.maxlive <- Some (Requirements.max_live_cost a.Artifact.raw));
+          p.Ncdrf_telemetry.Trace.maxlive <-
+            Some (Requirements.max_live_cost (Artifact.entry_schedule a)));
     rows
   in
   let per_loop = map ?pool ?failures ?timeout_s ~f:one loops in

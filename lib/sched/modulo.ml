@@ -350,4 +350,4 @@ let schedule ?budget_ratio ?max_ii_slack cfg ddg =
 
 let schedule_with_mii cfg ddg = bound_and_schedule ~min_ii:1 cfg ddg
 
-let schedule_late ~late ~min_ii cfg ddg = snd (bound_and_schedule ~late ~min_ii cfg ddg)
+let schedule_late ~late ~min_ii cfg ddg = bound_and_schedule ~late ~min_ii cfg ddg

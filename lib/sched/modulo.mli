@@ -53,7 +53,8 @@ val schedule_with_min_ii :
     the II search started from, not a second computation. *)
 val schedule_with_mii : Config.t -> Ddg.t -> int * Schedule.t
 
-(** [schedule_late ~late ~min_ii config ddg] is
+(** [schedule_late ~late ~min_ii config ddg] is the bound the II
+    search started from, [max mii min_ii], and
     [schedule_with_min_ii ~min_ii config ddg] followed by a push-late
     pass: every operation whose opcode satisfies [late] and that has a
     successor moves to the latest cycle its successors and a free
@@ -66,4 +67,4 @@ val schedule_with_mii : Config.t -> Ddg.t -> int * Schedule.t
     possible, a reload would keep its value live from just after the
     store to its consumer and defeat the spill. *)
 val schedule_late :
-  late:(Opcode.t -> bool) -> min_ii:int -> Config.t -> Ddg.t -> Schedule.t
+  late:(Opcode.t -> bool) -> min_ii:int -> Config.t -> Ddg.t -> int * Schedule.t

@@ -115,7 +115,7 @@ let containable (e : Error.t) =
     false
 
 let run ~config ~requirement ~capacity ?(victim = Longest_lifetime)
-    ?(schedule = fun ~min_ii ddg -> schedule_once config ~min_ii ddg) ?(max_rounds = 64)
+    ?(schedule = fun ~min_ii ddg -> snd (schedule_once config ~min_ii ddg)) ?(max_rounds = 64)
     ?(max_ii_bumps = 32) ?(ii_floor = true) ?lower_bound ddg =
   Fault.point ~stage:"spill" ~key:(Ddg.name ddg);
   let original_memops = Ddg.num_memory_ops ddg in

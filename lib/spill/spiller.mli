@@ -64,8 +64,9 @@ val spill_value : Ddg.t -> slot:int -> int -> Ddg.t
 (** One round's scheduling step, [run]'s default [schedule]: the modulo
     schedule at II floor [min_ii], then every spill load pushed as late
     as its consumers allow ({!Modulo.schedule_late}), so a reloaded
-    value is live only just before its use. *)
-val schedule_once : Config.t -> min_ii:int -> Ddg.t -> Schedule.t
+    value is live only just before its use.  Returned with the bound
+    its II search started from, [max mii min_ii]. *)
+val schedule_once : Config.t -> min_ii:int -> Ddg.t -> int * Schedule.t
 
 type outcome = {
   schedule : Schedule.t;  (** final schedule (after any model transform) *)

@@ -1,8 +1,7 @@
 module Json = Json
 
-external now_ns : unit -> int64 = "ncdrf_monotonic_ns"
-
-let now () = Int64.to_float (now_ns ()) *. 1e-9
+let now_ns = Trace.now_ns
+let now () = float_of_int (now_ns ()) *. 1e-9
 
 type span = {
   total_s : float;

@@ -19,8 +19,8 @@ module Json = Json
     are meaningful; absolute values are not. *)
 val now : unit -> float
 
-(** Monotonic time in integer nanoseconds. *)
-val now_ns : unit -> int64
+(** Monotonic time in integer nanoseconds; allocates nothing. *)
+val now_ns : unit -> int
 
 (** Turn recording on or off.  Disabled spans and counters cost one
     atomic load; {!time} still runs its thunk. *)

@@ -1,9 +1,11 @@
-external now_ns : unit -> int64 = "ncdrf_monotonic_ns"
+external now_ns : unit -> (int[@untagged])
+  = "ncdrf_monotonic_ns" "ncdrf_monotonic_ns_untagged"
+[@@noalloc]
 
 type event = {
   name : string;
   phase : char;
-  ts_ns : int64;
+  ts_ns : int;
   track : int;
   request : string;
   loop : string;
@@ -93,7 +95,7 @@ let next_aux_track = ref aux_track_base
 let key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
 let dummy_event =
-  { name = ""; phase = '?'; ts_ns = 0L; track = 0; request = ""; loop = ""; config = "";
+  { name = ""; phase = '?'; ts_ns = 0; track = 0; request = ""; loop = ""; config = "";
     ii = -1 }
 
 let new_ring () = Ring.create ~cap:ring_capacity dummy_event
@@ -256,7 +258,7 @@ let stage ~metrics name f =
   let t0 = now_ns () in
   Fun.protect
     ~finally:(fun () ->
-      let dur = Int64.to_int (Int64.sub (now_ns ()) t0) in
+      let dur = now_ns () - t0 in
       let self = dur - s.open_child.(d) in
       s.depth <- d;
       if d > 0 then s.open_child.(d - 1) <- s.open_child.(d - 1) + dur;
@@ -286,7 +288,7 @@ let events () =
   |> List.filter (fun (_, evs) -> evs <> [])
   |> List.sort (fun (a, ae) (b, be) ->
          match compare a.track b.track with
-         | 0 -> Int64.compare (List.hd ae).ts_ns (List.hd be).ts_ns
+         | 0 -> Int.compare (List.hd ae).ts_ns (List.hd be).ts_ns
          | c -> c)
   |> List.concat_map snd
 
@@ -297,8 +299,8 @@ let to_chrome () =
   let evs = events () in
   let t0 =
     List.fold_left
-      (fun acc e -> if Int64.compare e.ts_ns acc < 0 then e.ts_ns else acc)
-      (match evs with [] -> 0L | e :: _ -> e.ts_ns)
+      (fun acc e -> Int.min e.ts_ns acc)
+      (match evs with [] -> 0 | e :: _ -> e.ts_ns)
       evs
   in
   let tids =
@@ -332,7 +334,7 @@ let to_chrome () =
          ("ph", Json.String (String.make 1 e.phase));
          ("pid", Json.Int 1);
          ("tid", Json.Int e.track);
-         ("ts", Json.Float (Int64.to_float (Int64.sub e.ts_ns t0) /. 1000.0));
+         ("ts", Json.Float (float_of_int (e.ts_ns - t0) /. 1000.0));
        ]
       @ if args = [] then [] else [ ("args", Json.Obj args) ])
   in

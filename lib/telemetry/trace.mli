@@ -123,6 +123,10 @@ val reset_accs : unit -> unit
 
 (** {1 Events} *)
 
+(** The monotonic clock every span and event reads, in integer
+    nanoseconds since an arbitrary origin; allocates nothing. *)
+val now_ns : unit -> int
+
 (** One buffered event.  [phase] is the Chrome phase: 'B' begin,
     'E' end, 'i' instant.  [track] is the Chrome [tid] per the track
     scheme above; [request] is the ambient request id at emission time
@@ -130,7 +134,7 @@ val reset_accs : unit -> unit
 type event = {
   name : string;
   phase : char;
-  ts_ns : int64;
+  ts_ns : int;
   track : int;
   request : string;
   loop : string;

@@ -2,7 +2,7 @@
    unit behaviour (hit/miss accounting, LRU eviction, tiny capacities,
    concurrent access, a model of random operation sequences), key
    injectivity (Ddg.digest against its historical serializer,
-   Config.fingerprint, view keys),
+   Config.fingerprint), the disk tier's entry-keyed views,
    the determinism guard (cached runs byte-identical to cache-disabled
    runs), the swaps-under-capacity regression, and the rewritten
    cumulative distribution against the old fold. *)
@@ -303,86 +303,6 @@ let test_fingerprint_sensitive () =
   check_bool "dual vs pxly differ" true
     (fp (Config.dual ~latency:3) <> fp (Config.pxly ~parallelism:2 ~latency:3))
 
-(* View keys hash the placements in binary: a schedule and its copy
-   with one cross-cluster pair exchanged must key apart (two misses),
-   and the same schedules again must hit.  Views of schedules the cache
-   never computed skip the memory tier, so the keys are observed
-   through the counters of the store, which keeps them. *)
-let test_view_keys_distinct () =
-  let config = Config.dual ~latency:3 in
-  let checked = ref 0 in
-  Helpers.with_store_dir @@ fun dir ->
-  let store = Store.open_store ~dir () in
-  let saved = Store.ambient () in
-  Store.set_ambient (Some store);
-  Fun.protect ~finally:(fun () -> Store.set_ambient saved) @@ fun () ->
-  let delta f =
-    let before = Store.stats store in
-    f ();
-    let after = Store.stats store in
-    (after.Store.misses - before.Store.misses, after.Store.hits - before.Store.hits)
-  in
-  let view s = ignore (Artifact.view_of_schedule ~model:Model.Partitioned s) in
-  List.iter
-    (fun e ->
-      let s = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
-      match Swap.candidates s with
-      | [] -> ()
-      | (a, b) :: _ ->
-        incr checked;
-        let name = Ddg.name e.Ncdrf_workloads.Suite.ddg in
-        let swapped = Schedule.swap_clusters s a b in
-        let misses, hits = delta (fun () -> view s; view swapped) in
-        check_int (name ^ ": swapped pair misses apart") 2 misses;
-        check_int (name ^ ": no hit across the swap") 0 hits;
-        let misses, hits = delta (fun () -> view s; view swapped) in
-        check_int (name ^ ": same schedules miss no more") 0 misses;
-        check_int (name ^ ": same schedules hit") 2 hits)
-    (Ncdrf_workloads.Suite.full ~size:120 ());
-  check_bool "some loops have a cross-cluster pair" true (!checked >= 40)
-
-(* View keys against single-field changes of one schedule: the II, one
-   cycle (small, large and negative, up to the int range) or one
-   cluster.  Every variant keys apart from the original and from every
-   other variant; a rebuilt equal schedule keys the same. *)
-let test_view_key_fields () =
-  let config = Config.dual ~latency:3 in
-  let ddg = Ncdrf_workloads.Kernels.paper_example () in
-  let base = Modulo.schedule config ddg in
-  let ii = Schedule.ii base and placements = Schedule.placements base in
-  let with_ ?(ii = ii) v p =
-    let ps = Array.copy placements in
-    ps.(v) <- p ps.(v);
-    Schedule.make ~config ~ii ~placements:ps ddg
-  in
-  let cycles v =
-    [ placements.(v).Schedule.cycle + 1; -1; -64; 64; 1 lsl 40; -(1 lsl 40); max_int; min_int ]
-  in
-  let variants =
-    [ ("ii + 1", with_ ~ii:(ii + 1) 0 Fun.id); ("ii + 128", with_ ~ii:(ii + 128) 0 Fun.id) ]
-    @ List.concat_map
-        (fun v ->
-          ( Printf.sprintf "node %d cluster" v,
-            with_ v (fun p -> { p with Schedule.cluster = 1 - p.Schedule.cluster }) )
-          :: List.map
-               (fun c ->
-                 (Printf.sprintf "node %d cycle %d" v c, with_ v (fun p -> { p with Schedule.cycle = c })))
-               (cycles v))
-        [ 0; Array.length placements - 1 ]
-  in
-  let key = Artifact.schedule_key in
-  check_string "equal schedules, equal keys" (key base)
-    (key (Schedule.make ~config ~ii ~placements:(Array.copy placements) ddg));
-  let keys = ("base", key base) :: List.map (fun (what, s) -> (what, key s)) variants in
-  List.iteri
-    (fun i (what, k) ->
-      List.iteri
-        (fun j (what', k') ->
-          if i < j && String.equal k k' then
-            Alcotest.failf "view keys collide: %s and %s" what what')
-        keys)
-    keys
-
 (* ------------------------------------------------------------------ *)
 (* Determinism: cached == warm == cache-disabled, for Pipeline.run.    *)
 (* ------------------------------------------------------------------ *)
@@ -667,7 +587,110 @@ let test_views_ride_with_entry () =
   check_int "one entry per loop" n after.Cache.size;
   Artifact.clear_cache ()
 
-(* The flat schedule round-trips through the three store payload
+(* Runs [f] with a fresh store over [dir] as the ambient one. *)
+let with_ambient_store dir f =
+  let store = Store.open_store ~dir () in
+  let saved = Store.ambient () in
+  Store.set_ambient (Some store);
+  Fun.protect ~finally:(fun () -> Store.set_ambient saved) (fun () -> f store)
+
+let rec count_entries dir =
+  Array.fold_left
+    (fun n name ->
+      let path = Filename.concat dir name in
+      if Sys.is_directory path then n + count_entries path
+      else if Filename.check_suffix name ".art" then n + 1
+      else n)
+    0 (Sys.readdir dir)
+
+(* The disk tier names what the memory tier holds: one file per entry
+   (a raw schedule or a spill round's) and one per filled view slot.
+   A spilling sweep over two capacities and three models runs cold,
+   then disk-warm from a cleared memory cache: the warm pass misses
+   nothing on disk and its stats are byte-identical, and the store
+   holds exactly the cold run's entries and filled slots (its memory
+   misses). *)
+let test_disk_names_entries () =
+  let config = Config.dual ~latency:6 in
+  let loops = List.filteri (fun i _ -> i < 10) (fixed_suite ()) in
+  let sweep () =
+    List.concat_map
+      (fun (l : Suite_stats.workload) ->
+        List.concat_map
+          (fun capacity ->
+            List.map
+              (fun model -> Pipeline.run ~config ~model ~capacity l.Suite_stats.ddg)
+              [ Model.Unified; Model.Partitioned; Model.Swapped ])
+          [ 8; 12 ])
+      loops
+  in
+  Helpers.with_store_dir @@ fun dir ->
+  Fun.protect ~finally:Artifact.clear_cache @@ fun () ->
+  Artifact.clear_cache ();
+  let cold_misses, cold =
+    with_ambient_store dir (fun store ->
+        let before = Artifact.cache_stats () in
+        let cold = sweep () in
+        let misses = (Artifact.cache_stats ()).Cache.misses - before.Cache.misses in
+        check_int "every memory miss is one disk write" misses (Store.stats store).Store.writes;
+        (misses, cold))
+  in
+  check_bool "the sweep spills" true
+    (List.exists (fun st -> st.Pipeline.spilled > 0) cold);
+  check_int "one file per entry and filled slot" cold_misses (count_entries dir);
+  Artifact.clear_cache ();
+  with_ambient_store dir (fun store ->
+      let warm = sweep () in
+      let s = Store.stats store in
+      check_int "warm pass misses nothing on disk" 0 s.Store.misses;
+      check_int "warm pass reads every file" cold_misses s.Store.hits;
+      check_int "warm pass writes nothing" 0 s.Store.writes;
+      Alcotest.(check (list string))
+        "disk-warm stats == cold" (List.map render_stats cold) (List.map render_stats warm))
+
+(* A spill round at the MII of a graph with no spill code schedules
+   exactly what the raw entry holds, so a key built from the schedule
+   would share their view files.  Keyed by entry, the two views miss
+   apart and are stored apart, and a second process hits both. *)
+let test_views_keyed_by_entry () =
+  let config = Config.dual ~latency:6 in
+  let ddg =
+    List.find
+      (fun ddg -> Mii.mii config ddg > 1)
+      (List.map (fun (l : Suite_stats.workload) -> l.Suite_stats.ddg) (fixed_suite ()))
+  in
+  let view e = ignore (Artifact.view ~model:Model.Partitioned e) in
+  Helpers.with_store_dir @@ fun dir ->
+  Fun.protect ~finally:Artifact.clear_cache @@ fun () ->
+  let both () =
+    let raw = Artifact.scheduled ~config ddg in
+    let spill = Artifact.spill_entry ~config ~min_ii:(Artifact.entry_bound raw) ddg in
+    (raw, spill)
+  in
+  Artifact.clear_cache ();
+  with_ambient_store dir (fun store ->
+      let raw, spill = both () in
+      let a = Artifact.entry_schedule raw and b = Artifact.entry_schedule spill in
+      check_bool "two entries" true (raw != spill);
+      check_bool "one schedule" true
+        (Schedule.ii a = Schedule.ii b && Schedule.placements a = Schedule.placements b);
+      let before = Store.stats store in
+      view raw;
+      view spill;
+      let after = Store.stats store in
+      check_int "the views miss apart" 2 (after.Store.misses - before.Store.misses);
+      check_int "no view hits the other's file" 0 (after.Store.hits - before.Store.hits);
+      check_int "two entries, two views" 4 (count_entries dir));
+  Artifact.clear_cache ();
+  with_ambient_store dir (fun store ->
+      let raw, spill = both () in
+      view raw;
+      view spill;
+      let s = Store.stats store in
+      check_int "a second process hits both entries and views" 4 s.Store.hits;
+      check_int "and misses nothing" 0 s.Store.misses)
+
+(* The flat schedule round-trips through the two store payload
    codecs, whatever its II, cycles (negative, large, the int range's
    ends) and clusters. *)
 let prop_store_codecs_roundtrip =
@@ -699,7 +722,7 @@ let prop_store_codecs_roundtrip =
             d.Schedule.ddg == ddg && d.Schedule.config == config && d.Schedule.ii = ii
             && d.Schedule.cycles = s.Schedule.cycles
             && d.Schedule.clusters = s.Schedule.clusters)
-        [ `Raw; `View; `Spill ])
+        [ `Entry; `View ])
 
 let suite =
   [
@@ -715,10 +738,6 @@ let suite =
     Alcotest.test_case "ddg digest pinned and = reference" `Quick test_digest_pinned;
     QCheck_alcotest.to_alcotest prop_digest_matches_reference;
     Alcotest.test_case "config fingerprint sensitive" `Quick test_fingerprint_sensitive;
-    Alcotest.test_case "view keys separate swapped schedules" `Quick
-      test_view_keys_distinct;
-    Alcotest.test_case "view keys separate single-field changes" `Quick
-      test_view_key_fields;
     QCheck_alcotest.to_alcotest prop_pipeline_cold_warm_uncached;
     Alcotest.test_case "capacity-1 artifact cache stays correct" `Quick
       test_capacity_one_artifact_cache_correct;
@@ -731,5 +750,9 @@ let suite =
       test_measure_all_schedules_once;
     Alcotest.test_case "views ride with their schedule's entry" `Quick
       test_views_ride_with_entry;
+    Alcotest.test_case "the store holds one file per entry and slot" `Quick
+      test_disk_names_entries;
+    Alcotest.test_case "raw and spill entries key their views apart" `Quick
+      test_views_keyed_by_entry;
     QCheck_alcotest.to_alcotest prop_store_codecs_roundtrip;
   ]

@@ -221,7 +221,7 @@ let test_push_late_all_ops_saves_registers () =
   List.iter
     (fun (g, _) ->
       let sched = Modulo.schedule config g in
-      let adjusted = Modulo.schedule_late ~late:(fun _ -> true) ~min_ii:1 config g in
+      let _, adjusted = Modulo.schedule_late ~late:(fun _ -> true) ~min_ii:1 config g in
       Helpers.check_valid (Ddg.name g ^ " pushed") adjusted;
       check_int (Ddg.name g ^ " same II") (Schedule.ii sched) (Schedule.ii adjusted);
       before_total := !before_total + Requirements.unified sched;

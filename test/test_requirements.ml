@@ -188,7 +188,7 @@ let test_shared_views () =
                     Alcotest.(check bool) "swapped schedule" true
                       (Schedule.placements v.Artifact.sched = Schedule.placements ref_swapped))
                 models
-                (Artifact.views ~models a.Artifact.entry))
+                (Artifact.views ~models a))
             [
               [ Model.Unified; Model.Partitioned; Model.Swapped ];
               [ Model.Swapped; Model.Partitioned ];

@@ -196,7 +196,7 @@ let test_kernel_render_mentions_all_ops () =
 
 let test_push_late_moves_only_eligible () =
   let sched = Modulo.schedule (Config.example ()) (Helpers.example_ddg ()) in
-  let adjusted =
+  let _, adjusted =
     Modulo.schedule_late ~late:(fun _ -> false) ~min_ii:1 (Config.example ())
       (Helpers.example_ddg ())
   in
@@ -223,7 +223,7 @@ let test_push_late_shrinks_load_lifetime () =
   let sched = Modulo.schedule cfg g in
   let is_y_op = function Opcode.Load (Opcode.Array "y") -> true | _ -> false in
   let is_y n = is_y_op n.Ddg.opcode in
-  let adjusted = Modulo.schedule_late ~late:is_y_op ~min_ii:1 cfg g in
+  let _, adjusted = Modulo.schedule_late ~late:is_y_op ~min_ii:1 cfg g in
   Helpers.check_valid "adjusted" adjusted;
   let lifetime_len s =
     let y = List.find is_y (Ddg.nodes g) in
@@ -270,7 +270,7 @@ let prop_push_late_preserves_validity =
       let g = ddg_of input in
       let cfg = Config.dual ~latency:3 in
       let sched = Modulo.schedule cfg g in
-      let adjusted = Modulo.schedule_late ~late:Opcode.is_load ~min_ii:1 cfg g in
+      let _, adjusted = Modulo.schedule_late ~late:Opcode.is_load ~min_ii:1 cfg g in
       Schedule.validate adjusted = Ok () && Schedule.ii adjusted = Schedule.ii sched)
 
 (* The scheduler against the verbatim pre-rewrite oracle
@@ -480,7 +480,7 @@ let prop_push_late_matches_reference =
       List.for_all
         (fun eligible ->
           let want = Adjust_reference.push_late raw ~eligible:(fun n -> eligible n.Ddg.opcode) in
-          let fused = Modulo.schedule_late ~late:eligible ~min_ii:floor cfg g in
+          let _, fused = Modulo.schedule_late ~late:eligible ~min_ii:floor cfg g in
           Schedule.ii fused = Schedule.ii want
           && Schedule.placements fused = Schedule.placements want)
         [ Opcode.is_spill_load; (fun _ -> true) ])

@@ -300,7 +300,7 @@ let test_wrong_spill_rewrite_diverges () =
     (fun (what, wrong) ->
       check_bool (what ^ ": reference diverges") false
         (Reference.equal_stores expected (Reference.run ~iterations wrong));
-      let sched = Ncdrf_spill.Spiller.schedule_once config ~min_ii:1 wrong in
+      let _, sched = Ncdrf_spill.Spiller.schedule_once config ~min_ii:1 wrong in
       let executed =
         match Executor.run_unified ~iterations sched with
         | o -> Reference.equal_stores expected o.Executor.stores
@@ -313,7 +313,7 @@ let test_wrong_spill_rewrite_diverges () =
   same_stores "faithful rewrite" expected (Reference.run ~iterations spilled);
   same_stores "faithful rewrite executes" expected
     (Executor.run_unified ~iterations
-       (Ncdrf_spill.Spiller.schedule_once config ~min_ii:1 spilled))
+       (snd (Ncdrf_spill.Spiller.schedule_once config ~min_ii:1 spilled)))
       .Executor.stores
 
 (* --- Failure injection --- *)

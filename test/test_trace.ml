@@ -788,8 +788,24 @@ let prop_traced_equals_untraced =
       in
       plain = observed)
 
+(* The clock every span reads twice returns an untagged int: reading
+   it allocates nothing, so an armed probe adds no minor-heap work.
+   The readings also never run backwards. *)
+let test_clock_allocates_nothing () =
+  let last = ref (Telemetry.now_ns ()) and backwards = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    let t = Telemetry.now_ns () in
+    if t < !last then incr backwards;
+    last := t
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "no minor words for 10,000 reads" 0.0 words;
+  Alcotest.(check int) "monotonic" 0 !backwards
+
 let suite =
   [
+    Alcotest.test_case "clock reads allocate nothing" `Quick test_clock_allocates_nothing;
     Alcotest.test_case "json renderings parse back" `Quick test_json_roundtrip;
     Alcotest.test_case "json parse forms and failures" `Quick test_json_parse_forms;
     Alcotest.test_case "atomic write leaves no temp litter" `Quick
