@@ -418,7 +418,6 @@ let feasible j capacity =
     unplace j !q;
     incr q
   done;
-  Alloc.flush_probes j.scratch;
   !ok
 
 (* Sound lower bounds on a feasible capacity: each subfile's MaxLive
@@ -442,25 +441,24 @@ let isolated_bounds j occ =
 (* Two values are co-allocated when both are replicated (placed in one
    pass) or they share a subfile; a co-allocated pair of width [w] rules
    out every capacity <= w, so the search may start above the widest.
-   A value is in the problem iff its members meet the joint's mask. *)
+   The layout holds exactly the values whose members meet the joint's
+   mask, so its pairs are the problem's. *)
 let pair_floor j =
-  let floor = ref 0 in
-  for p = group_pos j 0 to group_pos j (j.groups + 1) - 1 do
+  let widest = ref 0 in
+  let lo = group_pos j 0 and hi = group_pos j (j.groups + 1) in
+  for p = lo to hi - 1 do
     let i = j.layout.(p) in
     let mi = j.members.(i) in
-    let row = Conflict.neighbours j.table i in
-    let k = ref 0 in
-    while !k < Array.length row do
-      let width = row.(!k + 2) in
-      if width >= !floor then begin
-        let mn = j.members.(row.(!k)) in
-        if mn land j.mask <> 0 && ((replicated mi && replicated mn) || mi land mn <> 0)
-        then floor := width + 1
-      end;
-      k := !k + 3
+    for q = p + 1 to hi - 1 do
+      let n = j.layout.(q) in
+      let width = Conflict.width j.table i n in
+      if width > !widest then begin
+        let mn = j.members.(n) in
+        if (replicated mi && replicated mn) || mi land mn <> 0 then widest := width
+      end
     done
   done;
-  !floor
+  if !widest = 0 then 0 else !widest + 1
 
 let joint_search j ~lower ~total =
   if is_empty j then 0
@@ -470,14 +468,18 @@ let joint_search j ~lower ~total =
     let floor = if Conflict.max_width j.table < lower then 0 else pair_floor j in
     let upper = (2 * total) + 64 in
     let rec search capacity =
-      if capacity > upper then
+      if capacity > upper then begin
+        Alloc.flush j.scratch;
         Error.errorf ~ii ~stage:"alloc" Error.Alloc_infeasible
           "no feasible joint capacity in [%d, %d] (%d globals, %d clusters)" lower upper
           (group_len j 0) j.groups
+      end
       else if feasible j capacity then capacity
       else search (capacity + 1)
     in
-    search (Int.max lower floor)
+    let capacity = search (Int.max lower floor) in
+    Alloc.flush j.scratch;
+    capacity
   end
 
 let full_search a occ j =
@@ -548,6 +550,7 @@ let partitioned_allocation sched =
     { capacity = 0; globals = []; locals = Array.make a.num_clusters [] }
   else begin
     let bug what =
+      Alloc.flush j.scratch;
       Error.errorf ~ii:a.ii ~stage:"alloc" Error.Internal
         "partitioned_allocation: %s do not fit capacity %d (bug)" what capacity
     in
@@ -568,6 +571,6 @@ let partitioned_allocation sched =
           unplace j q;
           p)
     in
-    Alloc.flush_probes j.scratch;
+    Alloc.flush j.scratch;
     { capacity; globals; locals }
   end

@@ -47,20 +47,30 @@ let sorted ?(order = Start_time) table indices =
 (* Mutable allocation state over one table, reusable across passes:
    [marks] is the residue occupancy index for the value being placed,
    generation-stamped so it is never cleared; [registers.(j)] is the
-   register of table index [j], -1 if unplaced. *)
+   register of table index [j], -1 if unplaced; a pass lists the
+   placed indices in [placed.(0 .. placed_len - 1)].  [probes] and
+   [reuse] count work until [flush]; [reuse] starts at -1, as a
+   table's first pass is no reuse. *)
 type scratch = {
   mutable marks : int array;
   mutable stamp : int;
   registers : int array;
+  placed : int array;
+  mutable placed_len : int;
   mutable probes : int;
+  mutable reuse : int;
 }
 
 let scratch table =
+  let n = Int.max 1 (Conflict.size table) in
   {
     marks = [||];
     stamp = 0;
-    registers = Array.make (Int.max 1 (Conflict.size table)) (-1);
+    registers = Array.make n (-1);
+    placed = Array.make n 0;
+    placed_len = 0;
     probes = 0;
+    reuse = -1;
   }
 
 let registers s = s.registers
@@ -72,10 +82,14 @@ let unassign_all s =
     r.(i) <- -1
   done
 
-let flush_probes s =
+let flush s =
   if s.probes > 0 then begin
     Telemetry.incr ~by:s.probes "alloc.probes";
     s.probes <- 0
+  end;
+  if s.reuse > 0 then begin
+    Telemetry.incr ~by:s.reuse "alloc.table_reuse";
+    s.reuse <- 0
   end
 
 (* Index of the lowest set bit of a non-zero [x] below bit 62, by
@@ -94,12 +108,12 @@ let lowest_bit x =
 let word_capacity = 62
 
 (* The register value [i] gets at [capacity] under First-Fit, or -1.
-   A placed neighbour [j] at [rj] forbids exactly the registers the
-   [conflict] test would reject: a circular run of [width] residues, one
-   mask operation (or an O(width) marking past [word_capacity]) instead
-   of an O(placed) walk per candidate; the lowest free register wins.
-   Allocates nothing; probes are counted locally and added to [s]
-   once. *)
+   Each placed value [j] at [rj] forbids exactly the registers the
+   [conflict] test would reject: a circular run of [width] residues from
+   [rj + d_min(j→i)], one mask operation (or an O(width) marking past
+   [word_capacity]); the lowest free register wins.  The window is read
+   from the bounds inline, so the walk makes no call.  Allocates
+   nothing; probes are counted locally and added to [s] once. *)
 let pick table ~capacity s i =
   if Conflict.min_registers table i > capacity then -1
   else begin
@@ -107,21 +121,25 @@ let pick table ~capacity s i =
     let full = if words then (1 lsl capacity) - 1 else 0 in
     s.stamp <- s.stamp + 1;
     let stamp = s.stamp and marks = s.marks and registers = s.registers in
-    let row = Conflict.neighbours table i in
-    let len = Array.length row in
+    let bounds = Conflict.bounds table and placed = s.placed and len = s.placed_len in
+    let qs_i = bounds.(4 * i) and rs_i = bounds.((4 * i) + 1)
+    and qe_i = bounds.((4 * i) + 2) and re_i = bounds.((4 * i) + 3) in
     let taken = ref 0 and blocked = ref false and probes = ref 0 and k = ref 0 in
     while (not !blocked) && !k < len do
-      let rj = registers.(row.(!k)) in
-      if rj >= 0 then begin
+      let j = placed.(!k) in
+      let q = 4 * j in
+      let d_min = qs_i - bounds.(q + 2) + (if rs_i < bounds.(q + 3) then 0 else 1)
+      and d_max = qe_i - bounds.(q) - (if re_i > bounds.(q + 1) then 0 else 1) in
+      if d_max >= d_min then begin
         incr probes;
-        let width = row.(!k + 2) in
+        let width = d_max - d_min + 1 in
         if width >= capacity then blocked := true
         else begin
           (* [pos_mod] without a division: [rj] is in [0, capacity)
              and a window's shift is almost always within one capacity
              of it, so one correction suffices; [mod] is the fallback.
              Inline, so that no call spills the loop's registers. *)
-          let start = rj + row.(!k + 1) in
+          let start = registers.(j) + d_min in
           let start =
             if start >= capacity then
               if start < 2 * capacity then start - capacity else start mod capacity
@@ -146,7 +164,7 @@ let pick table ~capacity s i =
             done
         end
       end;
-      k := !k + 3
+      incr k
     done;
     s.probes <- s.probes + !probes;
     if !blocked then -1
@@ -163,47 +181,53 @@ let pick table ~capacity s i =
     end
   end
 
+let[@inline] push s i =
+  s.placed.(s.placed_len) <- i;
+  s.placed_len <- s.placed_len + 1
+
+(* One pass over [registers] collects the values already placed; each
+   value the pass places joins them, so [pick] walks only those. *)
 let place table s ~capacity ordered ~pos ~len =
   if len = 0 then true
   else if capacity <= 0 then false
   else begin
-    Conflict.note_pass table;
+    s.reuse <- s.reuse + 1;
     if capacity > word_capacity && Array.length s.marks < capacity then
       s.marks <- Array.make capacity 0;
+    let registers = s.registers in
+    s.placed_len <- 0;
+    for j = 0 to Array.length registers - 1 do
+      if registers.(j) >= 0 then push s j
+    done;
     let ok = ref true and k = ref pos in
     while !ok && !k < pos + len do
       let i = ordered.(!k) in
+      if registers.(i) >= 0 then invalid_arg "Alloc.place: a value to place holds a register";
       let r = pick table ~capacity s i in
       if r < 0 then ok := false
       else begin
-        s.registers.(i) <- r;
+        registers.(i) <- r;
+        push s i;
         incr k
       end
     done;
     !ok
   end
 
-(* Smallest capacity at which some in-subset pair conflicts at every
-   register distance.  Capacities below it cannot succeed, so the search
-   may start there — but error messages still report the original lower
-   bound. *)
+(* One more than the widest in-subset pair (0 when no pair conflicts):
+   at any smaller capacity that pair conflicts at every register
+   distance, so the search may start there — but error messages still
+   report the original lower bound. *)
 let subset_width_floor table ordered =
-  let member = Conflict.borrow (Conflict.size table) in
-  Array.fill member 0 (Conflict.size table) 0;
-  Array.iter (fun i -> member.(i) <- 1) ordered;
-  let floor = ref 0 in
-  Array.iter
-    (fun i ->
-      let row = Conflict.neighbours table i in
-      let k = ref 0 in
-      while !k < Array.length row do
-        if member.(row.(!k)) = 1 && row.(!k + 2) >= !floor then
-          floor := row.(!k + 2) + 1;
-        k := !k + 3
-      done)
-    ordered;
-  Conflict.give_back member;
-  !floor
+  let widest = ref 0 and n = Array.length ordered in
+  for p = 0 to n - 1 do
+    let i = ordered.(p) in
+    for q = p + 1 to n - 1 do
+      let width = Conflict.width table i ordered.(q) in
+      if width > !widest then widest := width
+    done
+  done;
+  if !widest = 0 then 0 else !widest + 1
 
 let min_capacity_sorted ?upper ?floor table s ordered =
   if Array.length ordered = 0 then 0
@@ -229,21 +253,24 @@ let min_capacity_sorted ?upper ?floor table s ordered =
     let lower = Int.max (!whole + !top) !longest in
     let upper = match upper with Some u -> u | None -> (2 * !total) + 64 in
     let rec search capacity =
-      if capacity > upper then
+      if capacity > upper then begin
+        flush s;
         Ncdrf_error.Error.errorf ~ii ~stage:"alloc" Ncdrf_error.Error.Alloc_infeasible
           "no feasible capacity in [%d, %d] for %d lifetimes" lower upper
           (Array.length ordered)
+      end
       else begin
         unassign_all s;
-        let ok = place table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
-        flush_probes s;
-        if ok then capacity else search (capacity + 1)
+        if place table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) then capacity
+        else search (capacity + 1)
       end
     in
     let floor =
       match floor with Some f -> f | None -> subset_width_floor table ordered
     in
-    search (Int.max lower floor)
+    let capacity = search (Int.max lower floor) in
+    flush s;
+    capacity
   end
 
 let allocate ~ii ~capacity lifetimes =
@@ -254,7 +281,7 @@ let allocate ~ii ~capacity lifetimes =
     let s = scratch table in
     let ordered = sorted table (Array.init (Conflict.size table) Fun.id) in
     let ok = place table s ~capacity ordered ~pos:0 ~len:(Array.length ordered) in
-    flush_probes s;
+    flush s;
     if not ok then None
     else
       Some

@@ -52,11 +52,11 @@ val allocate : ii:int -> capacity:int -> Lifetime.t list -> placement list optio
     by passing a small [upper]). *)
 val min_capacity : ?order:order -> ?upper:int -> ii:int -> Lifetime.t list -> int
 
-(** {2 Flat allocation over a prebuilt table}
+(** {2 Flat allocation over one table}
 
-    The calls the register-requirement searches make: one occupancy
-    {!scratch} per table, indices sorted once with {!sorted}, and a
-    {!place} pass per capacity probe that allocates nothing. *)
+    The calls the register-requirement searches make: one {!scratch}
+    per table, indices sorted once with {!sorted}, and a {!place} pass
+    per capacity probe that allocates nothing. *)
 
 (** [sorted ~order table indices] is a copy of [indices] in placement
     order (default [Start_time]).  Every order breaks ties by producer
@@ -65,8 +65,8 @@ val min_capacity : ?order:order -> ?upper:int -> ii:int -> Lifetime.t list -> in
 val sorted : ?order:order -> Conflict.t -> int array -> int array
 
 (** The mutable state of passes over one table: the register of every
-    table index (-1 when unplaced) and the occupancy marks.  Not safe
-    to share across domains. *)
+    table index (-1 when unplaced), the placed indices and the occupancy
+    marks.  Not safe to share across domains. *)
 type scratch
 
 val scratch : Conflict.t -> scratch
@@ -84,8 +84,12 @@ val unassign_all : scratch -> unit
     the lowest register free of conflicts with the registers already in
     [s] (First-Fit), writing each one's register into [registers s].
     [false] as soon as one does not fit (the values placed before it
-    keep their registers); [true] when [len = 0].  Allocates nothing.
-    Work is counted in [s] until {!flush_probes}. *)
+    keep their registers); [true] when [len = 0].  Placing a value
+    walks only the values already placed.  Allocates nothing.  Work is
+    counted in [s] until {!flush}.
+
+    @raise Invalid_argument if a value to place already holds a
+    register. *)
 val place :
   Conflict.t ->
   scratch ->
@@ -95,9 +99,11 @@ val place :
   len:int ->
   bool
 
-(** Add the probes counted since the last flush to the [alloc.probes]
-    counter. *)
-val flush_probes : scratch -> unit
+(** Add the work counted since the last flush to [alloc.probes]
+    (placed values with a non-empty window against the value being
+    placed) and [alloc.table_reuse] (passes after the scratch's
+    first). *)
+val flush : scratch -> unit
 
 (** Smallest capacity at which {!place} fits [ordered] (already in
     placement order) on an empty scratch, searched upward from

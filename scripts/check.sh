@@ -176,8 +176,10 @@ if [ -z "${misses:-}" ] || [ "$misses" -eq 0 ]; then
 fi
 
 # The allocator's conflict tables must be reused across capacity probes
-# and strategies — a reuse count of zero means every allocation rebuilt
-# its table, i.e. the conflict engine is disconnected.
+# and strategies: every allocation pass after a scratch's first counts
+# one reuse, flushed once per search.  A count of zero means every
+# allocation rebuilt its table, i.e. the conflict engine is
+# disconnected.
 reuse=$(grep -o '"alloc.table_reuse": *[0-9]*' "$metrics" | head -n1 | grep -o '[0-9]*$' || true)
 if [ -z "${reuse:-}" ] || [ "$reuse" -eq 0 ]; then
   echo "check.sh: alloc.table_reuse missing or zero in $metrics" >&2
@@ -216,6 +218,19 @@ fi
 if ! cmp -s "$fig8_pinned" scripts/fig8_quick.golden; then
   echo "check.sh: fig8 --quick output or counters differ from scripts/fig8_quick.golden" >&2
   diff scripts/fig8_quick.golden "$fig8_pinned" >&2 || true
+  exit 1
+fi
+
+# Allocation ceiling: the same quick fig8 sweep at --jobs 1 allocates
+# a fixed number of minor words, which the runtime prints on exit under
+# OCAMLRUNPARAM=v=0x400.  The allocator reads conflict windows from
+# per-value bounds and builds no pair table: about 2.52M words, against
+# 3.54M with a per-analysis table of 6 words per conflicting pair, so
+# bringing such a table back fails here.
+minor=$(OCAMLRUNPARAM=v=0x400 ./_build/default/bin/ncdrf.exe bench fig8 --quick --jobs 1 \
+  2>&1 > /dev/null | grep -o 'minor_words: *[0-9]*' | grep -o '[0-9]*$' || true)
+if [ -z "${minor:-}" ] || [ "$minor" -gt 2750000 ]; then
+  echo "check.sh: bench fig8 --quick --jobs 1 allocated ${minor:-no reported} minor words, ceiling 2750000" >&2
   exit 1
 fi
 
@@ -708,4 +723,4 @@ done <<MISMATCHES
 --metrics $merge_out/m --trace $merge_out/t $m0 $bad_trace|merge: trace document has no "traceEvents" list
 MISMATCHES
 
-echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, spill.full_reschedules=$fulls, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK, fig8 ledger golden OK, 7 bad merges write nothing)"
+echo "check.sh: OK (cache.misses=$misses, alloc.table_reuse=$reuse, fig8 --quick minor_words=$minor, spill.full_reschedules=$fulls, errors.injected=$injected, cluster.subfiles=$subfiles, ports.capped_points=$capped, trace_events=$events, serve: served=$served_clients shed=$shed_clients injected=$srv_injected overloaded=$srv_overloaded deadline=$dl, concurrent serve: 4 clients byte-identical request_ids=$req_ids, store: disk_hits=$disk_hits cold=${cold_wall}s warm=${warm_wall}s, shard merge OK, fig8 ledger golden OK, 7 bad merges write nothing)"

@@ -44,7 +44,7 @@ module Alloc = struct
         place p.table p.scratch ~capacity p.ordered ~pos:0
           ~len:(Array.length p.ordered)
       in
-      flush_probes p.scratch;
+      flush p.scratch;
       if ok then Some (Array.to_list (Array.map (fun i -> (i, regs.(i))) p.ordered))
       else None
     end

@@ -9,6 +9,7 @@ open Ncdrf_machine
 open Ncdrf_sched
 open Ncdrf_regalloc
 open Ncdrf_core
+module Telemetry = Ncdrf_telemetry.Telemetry
 
 let check_string = Alcotest.(check string)
 
@@ -124,75 +125,88 @@ let prop_scheduled_equivalence =
       && Alloc.allocate ~ii ~capacity:(max 1 (c - 1)) lifetimes
          = Alloc_reference.allocate ~ii ~capacity:(max 1 (c - 1)) lifetimes)
 
-(* The pre-rewrite two-pass construction of the conflict rows (size
-   the rows in one pass over the pairs, recompute every window to fill
-   them in a second), kept as the oracle for [Conflict.make]'s one-pass
-   build, which computes each window once into a reused scratch: same
-   rows, same order, same widest pair. *)
-let two_pass_rows ~ii lifetimes =
-  let lifetimes = Array.of_list lifetimes in
-  let n = Array.length lifetimes in
-  let degree = Array.make n 0 in
-  let max_width = ref 0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let d_min, d_max = Conflict.shift_window ~ii lifetimes.(i) lifetimes.(j) in
-      if d_max >= d_min then begin
-        degree.(i) <- degree.(i) + 1;
-        degree.(j) <- degree.(j) + 1;
-        if d_max - d_min + 1 > !max_width then max_width := d_max - d_min + 1
-      end
-    done
-  done;
-  let adj = Array.init n (fun i -> Array.make (3 * degree.(i)) 0) in
-  let fill = Array.make n 0 in
-  let push i j d_min width =
-    let k = fill.(i) in
-    adj.(i).(k) <- j;
-    adj.(i).(k + 1) <- d_min;
-    adj.(i).(k + 2) <- width;
-    fill.(i) <- k + 3
-  in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let d_min, d_max = Conflict.shift_window ~ii lifetimes.(i) lifetimes.(j) in
-      if d_max >= d_min then begin
-        let width = d_max - d_min + 1 in
-        push j i d_min width;
-        push i j (-d_max) width
-      end
-    done
-  done;
-  (adj, !max_width)
-
-let prop_rows_match_two_pass =
+(* The allocation kernel reads each pair's window from the table's
+   bounds inline ([Alloc.pick]); this pins what it computes to
+   [Conflict.shift_window] for every ordered pair (j, i), through
+   [Alloc.place] alone: with only [j] placed, at register
+   [-d_min mod c], a window [(d_min, d_max)] of width [w] forbids [i]
+   exactly the registers [0 .. w - 1], so at [c = w + 1] (bit-set path
+   up to 62, marks past it) and at [c = w + 63] (marks path) First-Fit
+   gives [i] register [w], and at [c = w] the pair conflicts at every
+   distance.  An empty window leaves [i] register 0 wherever [j] sits.
+   The table's widest pair and the pairs its build counts
+   ([alloc.pairs]) must equal a brute-force scan of [shift_window]. *)
+let prop_kernel_windows =
   let arb =
     QCheck.make
       ~print:(fun (ii, raw) ->
         Printf.sprintf "ii=%d lifetimes=[%s]" ii
           (String.concat ";" (List.map (fun (s, l) -> Printf.sprintf "%d+%d" s l) raw)))
       QCheck.Gen.(
-        pair (int_range 1 6)
-          (int_range 0 40 >>= fun n ->
-           list_repeat n (pair (int_range (-6) 30) (int_range 0 25))))
+        pair (int_range 1 64)
+          (int_range 0 24 >>= fun n ->
+           list_repeat n (pair (int_range (-80) 80) (int_range 0 90))))
   in
-  QCheck.Test.make ~count:300 ~name:"Conflict.make rows = two-pass construction" arb
-    (fun (ii, raw) ->
-      let lifetimes = lifetimes_of_raw raw in
-      let table = Conflict.make ~ii lifetimes in
-      let adj, max_width = two_pass_rows ~ii lifetimes in
-      Conflict.max_width table = max_width
-      && Array.for_all Fun.id
-           (Array.mapi (fun i row -> Conflict.neighbours table i = row) adj))
+  QCheck.Test.make ~count:200 ~name:"kernel windows = shift_window" arb (fun (ii, raw) ->
+      let lifetimes = Array.of_list (lifetimes_of_raw raw) in
+      let n = Array.length lifetimes in
+      let table, counted =
+        Telemetry.enable true;
+        Telemetry.reset ();
+        Fun.protect
+          ~finally:(fun () ->
+            Telemetry.enable false;
+            Telemetry.reset ())
+          (fun () ->
+            let t = Conflict.make ~ii (Array.to_list lifetimes) in
+            (t, Telemetry.counter "alloc.pairs"))
+      in
+      let s = Alloc.scratch table in
+      let regs = Alloc.registers s in
+      let register_of_i ~capacity j rj i =
+        Alloc.unassign_all s;
+        regs.(j) <- rj;
+        if Alloc.place table s ~capacity [| i |] ~pos:0 ~len:1 then regs.(i) else -1
+      in
+      let max_width = ref 0 and pairs = ref 0 and ok = ref true in
+      for j = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          if i <> j then begin
+            let d_min, d_max = Conflict.shift_window ~ii lifetimes.(j) lifetimes.(i) in
+            let w = d_max - d_min + 1 in
+            if w <= 0 then begin
+              let c = max 1 (Conflict.min_registers table i) in
+              for rj = 0 to c - 1 do
+                if register_of_i ~capacity:c j rj i <> 0 then ok := false
+              done
+            end
+            else begin
+              if i > j then begin
+                incr pairs;
+                max_width := max !max_width w
+              end;
+              List.iter
+                (fun c ->
+                  let rj = Conflict.pos_mod (-d_min) c in
+                  if register_of_i ~capacity:c j rj i <> w then ok := false)
+                [ w + 1; w + 63 ];
+              if register_of_i ~capacity:w j (Conflict.pos_mod (-d_min) w) i <> -1 then
+                ok := false
+            end
+          end
+        done
+      done;
+      !ok && Conflict.max_width table = !max_width && counted = !pairs)
 
-(* Concurrent builders never share a scratch.  Two systhreads of one
-   domain (as the daemon runs its request handlers) and the two domains
-   of a pool build tables at the same time, yielding between builds;
-   every table's rows and widest pair equal a serial build's.  The
-   inputs mix scheduled suite loops with large random lifetime sets, so
-   builds are long enough for the runtime's 50 ms tick to switch
+(* Concurrent builders and searches never share a scratch.  Two
+   systhreads of one domain (as the daemon runs its request handlers)
+   and the two domains of a pool build tables and search them at the
+   same time, yielding between builds; every table's bounds and widest
+   pair, and every minimum capacity, equal a serial run's.  The inputs
+   mix scheduled suite loops with large random lifetime sets, so
+   searches are long enough for the runtime's 50 ms tick to switch
    systhreads in the middle of one, and sizes alternate, so a scratch
-   another build wrote to would leave foreign triples in the rows. *)
+   another search wrote to would show in the capacities. *)
 let test_concurrent_builds () =
   let suite =
     List.concat_map
@@ -219,7 +233,7 @@ let test_concurrent_builds () =
   in
   let rows (ii, lifetimes) =
     let t = Conflict.make ~ii lifetimes in
-    (Conflict.max_width t, Array.init (Conflict.size t) (Conflict.neighbours t))
+    (Conflict.max_width t, Conflict.bounds t, Alloc.min_capacity ~ii lifetimes)
   in
   let cases = List.map (fun input -> (input, rows input)) inputs in
   let mismatches = Atomic.make 0 and builds = Atomic.make 0 in
@@ -315,7 +329,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_allocate_equivalence;
     QCheck_alcotest.to_alcotest prop_min_capacity_equivalence;
     QCheck_alcotest.to_alcotest prop_scheduled_equivalence;
-    QCheck_alcotest.to_alcotest prop_rows_match_two_pass;
+    QCheck_alcotest.to_alcotest prop_kernel_windows;
     Alcotest.test_case "fig8-slice byte identity" `Quick test_fig8_slice_byte_identity;
     Alcotest.test_case "concurrent builds = serial builds" `Quick test_concurrent_builds;
   ]

@@ -9,8 +9,9 @@
    equal the reference's, that the counting sort behind
    [Requirements.sorted]'s start order equals [Alloc.sorted]'s, that
    the occupancy an analysis and the swap pass share bounds the joint
-   search exactly as the per-search recomputation did, and that the
-   executor's allocation counts its probes. *)
+   search exactly as the per-search recomputation did, that the
+   executor's allocation counts its probes, and that warm searches do
+   not allocate. *)
 
 open Ncdrf_ir
 open Ncdrf_machine
@@ -310,6 +311,39 @@ let test_allocation_counts_probes () =
       check_bool "the joint search probes" true (search > 0);
       check_bool "the final placements' probes are counted" true (allocation > search))
 
+(* Once a schedule's analysis is built and searched once, the searches
+   allocate nothing beyond a few words of closures and results: a
+   second [unified_of] and a second [requirement_of] each take at most
+   [warm_words] minor words on every default-suite schedule at dual L3,
+   however many values and capacities they try. *)
+let warm_words = 32.
+
+let test_warm_searches_allocate_nothing () =
+  let config = Config.dual ~latency:3 in
+  let checked = ref 0 in
+  List.iter
+    (fun (e : Ncdrf_workloads.Suite.entry) ->
+      let sched = Modulo.schedule config e.Ncdrf_workloads.Suite.ddg in
+      let a = Requirements.analyse sched in
+      let occ = Requirements.occupancy_of a sched in
+      let unified = Requirements.unified_of a in
+      let requirement = Requirements.requirement_of a occ in
+      let before = Gc.minor_words () in
+      let unified' = Requirements.unified_of a in
+      let unified_words = Gc.minor_words () -. before in
+      let before = Gc.minor_words () in
+      let requirement' = Requirements.requirement_of a occ in
+      let requirement_words = Gc.minor_words () -. before in
+      let name = Ddg.name sched.Schedule.ddg in
+      check_int (name ^ ": warm unified") unified unified';
+      check_int (name ^ ": warm requirement") requirement requirement';
+      if unified_words > warm_words || requirement_words > warm_words then
+        Alcotest.failf "%s: warm unified_of took %.0f minor words, requirement_of %.0f (at most %.0f)"
+          name unified_words requirement_words warm_words;
+      incr checked)
+    (Ncdrf_workloads.Suite.full ());
+  check_int "dual L3 suite schedules" 795 !checked
+
 let suite =
   [
     Alcotest.test_case "suite schedules = reference" `Slow test_suite_schedules;
@@ -321,4 +355,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shared_bounds;
     Alcotest.test_case "partitioned_allocation counts its probes" `Quick
       test_allocation_counts_probes;
+    Alcotest.test_case "warm searches allocate nothing" `Quick
+      test_warm_searches_allocate_nothing;
   ]
